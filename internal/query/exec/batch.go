@@ -295,6 +295,15 @@ func (p *BatchPool) GetHit(kinds []graph.Kind, capRows int) (b *Batch, hit bool)
 	if b == nil {
 		return NewBatchKinds(kinds, capRows), false
 	}
+	b.reshape(kinds)
+	return b, true
+}
+
+// reshape empties a recycled batch and retypes it to the given column layout,
+// keeping every payload array and selection buffer for reuse. Whatever state
+// the previous user left behind — rows, a selection, half-appended columns
+// after a panic — is discarded.
+func (b *Batch) reshape(kinds []graph.Kind) {
 	if cap(b.cols) < len(kinds) {
 		b.cols = append(b.cols[:cap(b.cols)], make([]Vec, len(kinds)-cap(b.cols))...)
 	}
@@ -305,7 +314,6 @@ func (p *BatchPool) GetHit(kinds []graph.Kind, capRows int) (b *Batch, hit bool)
 	b.rows = 0
 	b.sel = nil
 	b.selIdx = -1
-	return b, true
 }
 
 // Put recycles a batch's payload arrays; views are dropped (their payloads

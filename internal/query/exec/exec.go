@@ -145,6 +145,11 @@ type Env struct {
 	// this pointer, so the disabled case costs a single predictable branch
 	// and no allocation.
 	Obs *obsv.QueryStats
+	// Arena, when non-nil, supplies the serial driver's source buffer,
+	// segment accumulators and stage buffers. It belongs to the goroutine
+	// running the query, which resets it between queries (see Arena); nil
+	// allocates per segment.
+	Arena *Arena
 	// life holds the bound context and budget counters; Drive installs it.
 	life *lifecycle
 }
@@ -393,10 +398,11 @@ type sourceBuffer struct {
 	bs    int
 	kinds []graph.Kind
 	emit  EmitBatch
+	arena *Arena // nil: allocate
 }
 
 func newSourceBuffer(kinds []graph.Kind, env *Env, emit EmitBatch) *sourceBuffer {
-	return &sourceBuffer{b: NewBatchKinds(kinds, 0), bs: env.EffectiveBatchSize(), kinds: kinds, emit: emit}
+	return &sourceBuffer{b: env.Arena.batch(kinds), bs: env.EffectiveBatchSize(), kinds: kinds, emit: emit, arena: env.Arena}
 }
 
 func (s *sourceBuffer) flushIfFull() error {
@@ -417,7 +423,7 @@ func (s *sourceBuffer) flush() error {
 	if reuse {
 		s.b.Reset()
 	} else {
-		s.b = NewBatchKinds(s.kinds, 0)
+		s.b = s.arena.batch(s.kinds)
 	}
 	return nil
 }

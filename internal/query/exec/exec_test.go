@@ -2,7 +2,7 @@ package exec_test
 
 import (
 	"context"
-
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -139,6 +139,7 @@ func TestBatchAppendBatchWidthMismatchPanics(t *testing.T) {
 type countingStore struct {
 	st      *vineyard.Store
 	scanned atomic.Int64
+	props   atomic.Int64
 }
 
 func (c *countingStore) NumVertices() int { return c.st.NumVertices() }
@@ -155,6 +156,7 @@ func (c *countingStore) VertexLabel(v graph.VID) graph.LabelID {
 	return c.st.VertexLabel(v)
 }
 func (c *countingStore) VertexProp(v graph.VID, p graph.PropID) (graph.Value, bool) {
+	c.props.Add(1)
 	return c.st.VertexProp(v, p)
 }
 func (c *countingStore) EdgeLabel(e graph.EID) graph.LabelID { return c.st.EdgeLabel(e) }
@@ -243,5 +245,69 @@ func TestScanIDFallbackSinglePass(t *testing.T) {
 	}
 	if len(rowsIdx) != 1 || rowsIdx[0][0].Vertex() != rows[0][0].Vertex() {
 		t.Fatalf("index rows: %v", rowsIdx)
+	}
+}
+
+// TestBoxedFilterReadsOnlyReferencedColumns drives the boxed per-row filter
+// fallback over a four-column batch whose predicate reads two of them: the
+// row bridge carries only the referenced columns, and rows, the first error
+// and the store-call count are exactly the short-circuiting row-at-a-time
+// evaluator's.
+func TestBoxedFilterReadsOnlyReferencedColumns(t *testing.T) {
+	cs := &countingStore{st: bigStore(t)}
+	plan := func(pred string) *ir.Plan {
+		return &ir.Plan{Ops: []*ir.Op{
+			{Kind: ir.OpScan, Alias: "a", Label: 0},
+			{Kind: ir.OpProject, Items: []ir.ProjItem{
+				{Expr: mustParsePred(t, "'pad'"), Alias: "z"},
+				{Expr: mustParsePred(t, "a"), Alias: "a"},
+				{Expr: mustParsePred(t, "a.x + 1"), Alias: "y"},
+				{Expr: mustParsePred(t, "'pad' + 'ding'"), Alias: "w"},
+			}},
+			{Kind: ir.OpSelect, Pred: mustParsePred(t, pred)},
+		}}
+	}
+	// No schema: no conjunct kernelizes, the whole predicate is the residual.
+	c, err := exec.Compile(plan("a.x % 7 = 3 AND y > 10"), exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Run(context.Background(), &exec.Env{Graph: cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for x := 0; x < 5000; x++ {
+		if x%7 == 3 && x+1 > 10 {
+			if want >= len(rows) || rows[want][1].Vertex() != graph.VID(x) || rows[want][2].Int() != int64(x+1) ||
+				rows[want][0].S != "pad" || rows[want][3].S != "padding" {
+				t.Fatalf("row %d: got %v, want vertex %d", want, rows, x)
+			}
+			want++
+		}
+	}
+	if len(rows) != want {
+		t.Fatalf("%d rows, want %d", len(rows), want)
+	}
+	// PROJECT reads a.x once per row; the filter reads it once per row (the
+	// second conjunct makes no store call).
+	if n := cs.props.Load(); n != 2*5000 {
+		t.Fatalf("%d VertexProp calls, want %d", n, 2*5000)
+	}
+
+	// First error in row order: x = 38 is the first row to pass the first
+	// conjunct and divide by zero in the second.
+	c, err = exec.Compile(plan("a.x % 7 = 3 AND y / (a.x - 38) >= 0"), exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.props.Store(0)
+	if _, err := c.Run(context.Background(), &exec.Env{Graph: cs}); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("error %v, want division by zero", err)
+	}
+	// One 64-row morsel projected (64 reads), rows 0..38 through the first
+	// conjunct (39), the six passing rows 3, 10, …, 38 through the second (6).
+	if n := cs.props.Load(); n != 64+39+6 {
+		t.Fatalf("%d VertexProp calls before the error, want %d", n, 64+39+6)
 	}
 }

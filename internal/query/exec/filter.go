@@ -18,13 +18,15 @@ import (
 // short-circuiting row-at-a-time evaluator performs; only the iteration order
 // within a batch changes.
 type filterProgram struct {
-	steps    []filterStep
-	residual *expr.Bound
+	steps        []filterStep
+	residual     *expr.Bound
+	residualCols []int // batch columns the residual reads
 }
 
 type filterStep struct {
 	leaf     expr.SelLeaf
 	conj     *expr.Bound // the whole conjunct, for the boxed per-row fallback
+	conjCols []int       // batch columns conj reads
 	colKind  graph.Kind  // kind of the kernel input (the column, or its gathered property)
 	elemKind graph.Kind  // KindVertex/KindEdge when leaf.Prop != ""
 }
@@ -47,7 +49,7 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 		if !ok {
 			break
 		}
-		st := filterStep{leaf: leaf, conj: conjs[i]}
+		st := filterStep{leaf: leaf, conj: conjs[i], conjCols: conjs[i].RefCols(nil)}
 		if leaf.Prop == "" {
 			st.colKind = c.kinds[leaf.Col]
 			if st.colKind == graph.KindNil {
@@ -72,6 +74,7 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 		fp.steps = append(fp.steps, st)
 	}
 	fp.residual = expr.AndChain(conjs[i:])
+	fp.residualCols = fp.residual.RefCols(nil)
 	return fp
 }
 
@@ -187,8 +190,10 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 	// perRow evaluates one conjunct over the current candidates with the
 	// boxed evaluator — the fallback for non-kernelizable steps and the
 	// residual. It preserves the evaluator's ascending row order, so error
-	// order and store-call counts match the row-at-a-time runtime.
-	perRow := func(prog *expr.Bound) error {
+	// order and store-call counts match the row-at-a-time runtime. Only the
+	// columns the program reads (cols, collected at compile time) are boxed
+	// into the row bridge; the evaluator never looks at the others.
+	perRow := func(prog *expr.Bound, cols []int) error {
 		ss := scratch()
 		if cap(ss.row) < b.Width() {
 			ss.row = make([]graph.Value, b.Width())
@@ -205,7 +210,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 			if cand != nil {
 				p = int(cand[i])
 			}
-			for c := range b.cols {
+			for _, c := range cols {
 				row[c] = b.cols[c].Value(p)
 			}
 			ok, err := prog.EvalBool(&benv, row)
@@ -299,7 +304,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 			// (demoted column, store without the columnar gather trait,
 			// parameter of an unexpected kind) keep correctness on the
 			// per-row evaluator.
-			if err := perRow(st.conj); err != nil {
+			if err := perRow(st.conj, st.conjCols); err != nil {
 				return err
 			}
 		}
@@ -309,7 +314,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 		if obs != nil {
 			obs.FilterStep(sid, false)
 		}
-		if err := perRow(fp.residual); err != nil {
+		if err := perRow(fp.residual, fp.residualCols); err != nil {
 			return err
 		}
 	}

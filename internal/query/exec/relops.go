@@ -907,12 +907,17 @@ func ChunkFeed(in *Batch, batchSize int) func(EmitBatch) error {
 // installing selection vectors the downstream stages and the final compacting
 // AppendBatch consume. When stopAfter > 0 (a LIMIT follows the segment) the
 // feed is stopped via ErrStop as soon as enough rows are gathered.
+//
+// The accumulator and the stage buffers come from env.Arena: with an arena
+// installed (a HiActor actor) they are the buffers the owner's previous
+// queries grew, with none they are allocated here.
 func runSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, kinds []graph.Kind, stopAfter int) (*Batch, error) {
-	acc := NewBatchKinds(kinds, 0)
-	bufs := make([]*Batch, len(seg))
+	arena := env.Arena
+	acc := arena.batch(kinds)
+	bufs := arena.stageBufs(len(seg))
 	for k := range seg {
 		if seg[k].Map != nil {
-			bufs[k] = NewBatchKinds(seg[k].OutLayout(), 0)
+			bufs[k] = arena.batch(seg[k].OutLayout())
 		}
 	}
 	emit := func(b *Batch) (bool, error) {

@@ -132,6 +132,30 @@ func (p *Bound) PropRef() (col int, prop string, ok bool) {
 	return p.ref.Col, p.ref.Prop, true
 }
 
+// RefCols appends to dst the distinct row columns the program reads — the
+// only entries of the row a caller must fill before Eval. Callers collect
+// them once at compile time so a wide batch boxes just those columns per
+// evaluated row.
+func (p *Bound) RefCols(dst []int) []int {
+	if p == nil {
+		return dst
+	}
+	if p.kind == KindVar {
+		for _, c := range dst {
+			if c == p.ref.Col {
+				return dst
+			}
+		}
+		return append(dst, p.ref.Col)
+	}
+	dst = p.left.RefCols(dst)
+	dst = p.right.RefCols(dst)
+	for _, a := range p.args {
+		dst = a.RefCols(dst)
+	}
+	return dst
+}
+
 // Eval evaluates the program over one row.
 func (p *Bound) Eval(env *BoundEnv, row []graph.Value) (graph.Value, error) {
 	switch p.kind {

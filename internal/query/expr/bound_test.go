@@ -140,3 +140,35 @@ func TestConstantListFoldsAtBind(t *testing.T) {
 		t.Fatalf("10 IN [1,a,100] with a=10 = %v, %v", ok, err)
 	}
 }
+
+// TestRefCols pins the referenced-column set a bound program reports:
+// distinct columns in first-use order, through every node kind.
+func TestRefCols(t *testing.T) {
+	binder := sliceBinder{"a": 0, "b": 1, "s": 2, "u": 3, "v": 4}
+	cases := map[string][]int{
+		"1 + 2":                              nil,
+		"a > 5":                              {0},
+		"s.name = 'x' AND a < b":             {2, 0, 1},
+		"NOT (v = 10) OR v > $p":             {4},
+		"coalesce(u.k, s, a) IN [b, 1]":      {3, 2, 0, 1},
+		"size(s) + abs(0 - b) > a AND a > b": {2, 1, 0},
+	}
+	for src, want := range cases {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		prog, err := Bind(e, binder)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got := prog.RefCols(nil)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: RefCols %v, want %v", src, got, want)
+		}
+	}
+	var nilProg *Bound
+	if got := nilProg.RefCols([]int{7}); len(got) != 1 || got[0] != 7 {
+		t.Errorf("nil program changed dst: %v", got)
+	}
+}

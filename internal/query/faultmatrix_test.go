@@ -9,6 +9,7 @@ package query_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -302,6 +303,18 @@ func TestSeededScheduleReproduces(t *testing.T) {
 		opt := chaos.Plan(seed, sites, kinds, 8)
 		rows, err := runOn("gaia", chaos.Wrap(stores["vineyard"], opt), plan, 0, context.Background())
 		if err != nil {
+			// The outcome is the fault that fired (site, kind, call number),
+			// not the stage it surfaced in: both expansions run concurrently
+			// on Gaia's workers, so which of them makes the Nth ExpandBatch
+			// call depends on the schedule.
+			var ce *chaos.Error
+			var pe *exec.PanicError
+			switch {
+			case errors.As(err, &ce):
+				return "error: " + ce.Error()
+			case errors.As(err, &pe):
+				return fmt.Sprint("panic: ", pe.Value)
+			}
 			return "error: " + err.Error()
 		}
 		out := renderRows(rows)

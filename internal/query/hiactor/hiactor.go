@@ -1,15 +1,25 @@
 // Package hiactor implements the high-concurrency actor engine of §5.3 for
-// OLTP queries: a pool of shard actors, each owning a mailbox and executing
-// one (typically parameterized, precompiled) query at a time. Throughput
-// comes from many small queries in flight across shards — the design point
-// of the fraud-detection deployment (Exp-5, Table 2).
+// OLTP queries: a pool of shard actors, each executing one (typically
+// parameterized, precompiled) query at a time. Throughput comes from many
+// small queries in flight across shards — the design point of the
+// fraud-detection deployment (Exp-5, Table 2).
 //
-// Every call carries a context: enqueueing respects it (a full mailbox plus
+// The actors drain one bounded run queue (capacity Shards × MailboxDepth):
+// k actors behind one queue are a k-server queue, so a request never waits
+// while an actor is idle — a 10 ms complex read occupies one actor and the
+// short reads behind it flow through the others. Tasks start in arrival
+// order. Each actor owns a query-scoped exec.Arena: the serial driver draws
+// its accumulators and stage buffers from it, the actor resets it before its
+// next task, and after warm-up a query allocates little beyond its result
+// rows. An arena retains one buffer set, sized by the largest query its actor
+// has run.
+//
+// Every call carries a context: enqueueing respects it (a full run queue plus
 // a deadline is the admission-control path — the caller gets a typed error
 // instead of blocking forever), execution checks it once per morsel, and a
 // query that panics inside an operator or storage trait fails alone — the
 // actor recovers, returns a typed *exec.PanicError to that caller, and keeps
-// serving its mailbox.
+// serving the queue.
 package hiactor
 
 import (
@@ -36,7 +46,8 @@ type GraphProvider func() grin.Graph
 type Options struct {
 	// Shards is the actor count (0: GOMAXPROCS).
 	Shards int
-	// MailboxDepth bounds each actor's queue.
+	// MailboxDepth is each actor's share of the shared run queue, which holds
+	// Shards × MailboxDepth waiting tasks (0: 128).
 	MailboxDepth int
 	// BatchSize is the target rows per batch in the shared batch runtime
 	// (0: exec.DefaultBatchSize).
@@ -55,13 +66,13 @@ type Engine struct {
 	mu    sync.RWMutex
 	procs map[string]*exec.Compiled
 
-	mailboxes []chan task
-	rr        atomic.Uint64
-	wg        sync.WaitGroup
-	closed    atomic.Bool
+	// queue is the run queue every actor drains.
+	queue  chan task
+	wg     sync.WaitGroup
+	closed atomic.Bool
 
 	// Pool-level gauges: accepted tasks, shed tasks (rejected at enqueue or
-	// expired while queued), and the high-water mailbox depth sampled at
+	// expired while queued), and the high-water run-queue depth sampled at
 	// enqueue. Atomic adds only, so Metrics is safe against in-flight calls.
 	enqueued atomic.Int64
 	shed     atomic.Int64
@@ -96,23 +107,27 @@ func NewEngine(provider GraphProvider, opt Options) *Engine {
 		opt:      opt,
 		procs:    map[string]*exec.Compiled{},
 	}
-	e.mailboxes = make([]chan task, opt.Shards)
-	for i := range e.mailboxes {
-		e.mailboxes[i] = make(chan task, opt.MailboxDepth)
+	// One MailboxDepth share per actor: the admission bound the per-actor
+	// mailboxes gave the pool as a whole.
+	e.queue = make(chan task, opt.Shards*opt.MailboxDepth)
+	for i := 0; i < opt.Shards; i++ {
 		e.wg.Add(1)
-		go e.actor(e.mailboxes[i])
+		go e.actor()
 	}
 	return e
 }
 
-// actor executes tasks serially from one mailbox. Each task runs behind
-// runTask's panic isolation, so a poisoned query returns an error to its
-// caller while the actor goroutine — and every other in-flight query —
-// survives.
-func (e *Engine) actor(mailbox <-chan task) {
+// actor executes tasks from the run queue one at a time. Each task runs
+// behind runTask's panic isolation, so a poisoned query returns an error to
+// its caller while the actor goroutine — and every other in-flight query —
+// survives. The arena is this actor's alone: resetting it when a task starts
+// reclaims the previous task's buffers, whose rows were materialized before
+// that task replied.
+func (e *Engine) actor() {
 	defer e.wg.Done()
-	for t := range mailbox {
-		// A query that spent its deadline queued in the mailbox is shed
+	arena := new(exec.Arena)
+	for t := range e.queue {
+		// A query that spent its deadline waiting in the queue is shed
 		// without executing — the admission-control degradation path.
 		if err := t.ctx.Err(); err != nil {
 			e.shed.Add(1)
@@ -122,7 +137,8 @@ func (e *Engine) actor(mailbox <-chan task) {
 			t.reply <- result{err: ctxError(t.ctx)}
 			continue
 		}
-		rows, err := e.runTask(t)
+		arena.Reset()
+		rows, err := e.runTask(t, arena)
 		t.reply <- result{rows: rows, err: err}
 	}
 }
@@ -131,7 +147,7 @@ func (e *Engine) actor(mailbox <-chan task) {
 // callbacks are already converted by the exec layer, and anything escaping
 // outside them (result materialization, plan bookkeeping) is caught here so
 // the actor loop never dies.
-func (e *Engine) runTask(t task) (rows []exec.Row, err error) {
+func (e *Engine) runTask(t task, arena *exec.Arena) (rows []exec.Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rows, err = nil, &exec.PanicError{Stage: "hiactor:actor", Value: r}
@@ -140,16 +156,16 @@ func (e *Engine) runTask(t task) (rows []exec.Row, err error) {
 	if t.obs != nil {
 		t.obs.SetEngine("hiactor", e.opt.Shards)
 	}
-	env := &exec.Env{Graph: e.provider(), Params: t.params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: t.obs}
+	env := &exec.Env{Graph: e.provider(), Params: t.params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: t.obs, Arena: arena}
 	return t.c.Run(t.ctx, env)
 }
 
 // Metrics is a point-in-time snapshot of the pool's admission gauges.
 type Metrics struct {
 	Shards   int   // actor count
-	Enqueued int64 // tasks accepted into a mailbox
+	Enqueued int64 // tasks accepted into the run queue
 	Shed     int64 // tasks shed: rejected at enqueue or expired while queued
-	MaxDepth int64 // high-water mailbox depth sampled at enqueue
+	MaxDepth int64 // high-water run-queue depth (tasks waiting for an actor) sampled at enqueue
 }
 
 // Metrics reports the pool's cumulative admission-control gauges. The values
@@ -180,9 +196,7 @@ func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
-	for _, mb := range e.mailboxes {
-		close(mb)
-	}
+	close(e.queue)
 	e.wg.Wait()
 }
 
@@ -227,8 +241,8 @@ func (e *Engine) OutputOf(name string) ([]string, error) {
 	return c.Out, nil
 }
 
-// Call invokes a stored procedure under ctx, routing it to a shard
-// round-robin, and waits for the result.
+// Call invokes a stored procedure under ctx on the first actor to come free
+// and waits for the result.
 func (e *Engine) Call(ctx context.Context, name string, params map[string]graph.Value) ([]exec.Row, error) {
 	e.mu.RLock()
 	c, ok := e.procs[name]
@@ -282,22 +296,21 @@ func (e *Engine) submit(ctx context.Context, c *exec.Compiled, params map[string
 	if ctx == nil {
 		ctx = background
 	}
-	shard := int(e.rr.Add(1)) % len(e.mailboxes)
 	reply := make(chan result, 1)
-	// The depth gauge samples the target mailbox at enqueue — the queueing
-	// this call experiences, and the pool's backpressure signal.
-	depth := int64(len(e.mailboxes[shard]))
+	// The depth gauge samples the run queue at enqueue — the tasks waiting
+	// ahead of this call, and the pool's backpressure signal.
+	depth := int64(len(e.queue))
 	for {
 		cur := e.maxDepth.Load()
 		if depth <= cur || e.maxDepth.CompareAndSwap(cur, depth) {
 			break
 		}
 	}
-	// Enqueue under the caller's deadline: when the shard's mailbox is full,
-	// the context decides how long to wait — backpressure with a typed
-	// timeout instead of an unbounded block.
+	// Enqueue under the caller's deadline: when the run queue is full, the
+	// context decides how long to wait — backpressure with a typed timeout
+	// instead of an unbounded block.
 	select {
-	case e.mailboxes[shard] <- task{ctx: ctx, c: c, params: params, reply: reply, obs: obs}:
+	case e.queue <- task{ctx: ctx, c: c, params: params, reply: reply, obs: obs}:
 		e.enqueued.Add(1)
 		if obs != nil {
 			obs.Mailbox(depth, 0)

@@ -7,11 +7,14 @@ package query_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/query/ir"
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
+	"repro/internal/query/procedures"
 	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
@@ -239,3 +243,74 @@ const goldenExplain = `PROJECT [MAP width=1]
       SCAN(f) [SOURCE width=1]
         rows: in=0 out=120  batches=1
 `
+
+// pathSplit is the part of a query's stats that shows which path it took.
+func pathSplit(s *obsv.Snapshot) string {
+	var kernel, boxed int64
+	for _, st := range s.Stages {
+		kernel += st.KernelSteps
+		boxed += st.BoxedSteps
+	}
+	return fmt.Sprintf("kernel_steps=%d boxed_steps=%d boxed_result_rows=%d", kernel, boxed, s.BoxedResultRows)
+}
+
+// TestMeteredRunsTakeTheSamePath pins that metering measures the path it
+// claims to: meter.Wrap forwards grin.BatchPropsCol, so rows and the
+// kernel/boxed split are identical with and without the wrapper — for
+// property-filter queries, whose conjuncts run as selection kernels over
+// typed-column gathers (a wrapper that drops the trait silently reroutes them
+// through the boxed per-row evaluator), and for every BI query.
+func TestMeteredRunsTakeTheSamePath(t *testing.T) {
+	const persons = 120
+	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: persons, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type testQuery struct {
+		name, text string
+		params     map[string]graph.Value
+	}
+	queries := []testQuery{
+		{name: "filter-two-hop", text: `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)
+WHERE g.creationDate > 20 AND f.creationDate > 10 RETURN g.firstName`},
+		{name: "filter-param", text: `MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post)
+WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
+			params: map[string]graph.Value{"since": graph.IntValue(15)}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range procedures.BI() {
+		queries = append(queries, testQuery{name: q.Name, text: q.Cypher, params: q.Params(rng, procedures.ScaleOf(persons))})
+	}
+	mg := meter.Wrap(st, nil)
+	plain := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
+	wrapped := gaia.NewEngine(mg, gaia.Options{Parallelism: 2})
+	kernelSteps := int64(0)
+	for _, q := range queries {
+		plan, err := cypher.Parse(q.text, st.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsPlain, obsWrapped := obsv.NewQueryStats(), obsv.NewQueryStats()
+		want, _, err := plain.SubmitObserved(context.Background(), plan, q.params, obsPlain)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		got, _, err := wrapped.SubmitObserved(context.Background(), plan, q.params, obsWrapped)
+		if err != nil {
+			t.Fatalf("%s metered: %v", q.name, err)
+		}
+		mustExactEqual(t, q.name+" metered", renderRows(got), renderRows(want))
+		if a, b := pathSplit(obsWrapped.Snapshot()), pathSplit(obsPlain.Snapshot()); a != b {
+			t.Errorf("%s: metered run took another path: %s, unmetered %s", q.name, a, b)
+		}
+		for _, s := range obsPlain.Snapshot().Stages {
+			kernelSteps += s.KernelSteps
+		}
+	}
+	if kernelSteps == 0 {
+		t.Fatal("no query took a kernel step; the comparison pins nothing")
+	}
+	if mg.Stats().Calls(obsv.StoreGatherVProp) == 0 {
+		t.Error("no vertex-property gather was counted through the wrapper")
+	}
+}

@@ -2,8 +2,8 @@ package query_test
 
 import (
 	"context"
-
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/query/cypher"
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
+	"repro/internal/storage/gart"
 	"repro/internal/storage/vineyard"
 )
 
@@ -117,4 +118,59 @@ RETURN f.firstName, m.creationDate`, dataset.SNBSchema())
 			}
 		}
 	})
+}
+
+// BenchmarkHiActorMixedParallel is the OLTP serving shape in miniature: more
+// closed-loop clients than actors (4 on 2 shards) issuing 70 % short point
+// reads and 30 % heavy three-hop reads against GART. With a work-conserving
+// run queue the short reads flow past a heavy one instead of queueing behind
+// it; ops/s is the headline, -benchmem shows the arena's effect.
+func BenchmarkHiActorMixedParallel(b *testing.B) {
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(dataset.SNB(dataset.SNBOptions{Persons: 300, Seed: 17})); err != nil {
+		b.Fatal(err)
+	}
+	he := hiactor.NewEngine(func() grin.Graph { return gs.Latest() }, hiactor.Options{Shards: 2})
+	defer he.Close()
+	for name, q := range map[string]string{
+		"short": `MATCH (p:Person)-[:KNOWS]->(f:Person)
+WHERE id(p) = $pid RETURN id(f), f.firstName`,
+		"heavy": `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)<-[:HAS_CREATOR]-(m:Post)
+WHERE id(p) = $pid RETURN g.firstName, m.creationDate
+ORDER BY m.creationDate DESC LIMIT 20`,
+	} {
+		plan, err := cypher.Parse(q, dataset.SNBSchema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := he.Install(name, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	call := func(i int64) error {
+		name := "short"
+		if i%10 >= 7 {
+			name = "heavy"
+		}
+		_, err := he.Call(context.Background(), name, map[string]graph.Value{"pid": graph.IntValue((i * 7) % 300)})
+		return err
+	}
+	// Untimed warmup: every actor grows its arena on both shapes.
+	for i := int64(0); i < 40; i++ {
+		if err := call(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	b.SetParallelism(2) // 2 × GOMAXPROCS clients
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := call(next.Add(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }

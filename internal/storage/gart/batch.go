@@ -16,12 +16,9 @@ var (
 // arrays — no per-edge callback dispatch.
 func (sn *Snapshot) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
 	out.Begin(len(frontier))
-	published := graph.VID(sn.s.vCount.Load())
-	walk := func(adjs []*adjacency, v graph.VID) {
-		if v >= published {
-			return
-		}
-		for seg := adjs[v].head.Load(); seg != nil; seg = seg.next.Load() {
+	t := sn.s.table()
+	walk := func(a *adjacency) {
+		for seg := a.head.Load(); seg != nil; seg = seg.next.Load() {
 			n := int(seg.count.Load())
 			for i := 0; i < n; i++ {
 				e := &seg.entries[i]
@@ -34,27 +31,27 @@ func (sn *Snapshot) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *
 		}
 	}
 	for _, v := range frontier {
-		if dir == graph.Both || dir == graph.Out {
-			walk(sn.s.outAdj, v)
-		}
-		if dir == graph.Both || dir == graph.In {
-			walk(sn.s.inAdj, v)
+		if slot := t.slot(v); slot != nil {
+			if dir != graph.In {
+				walk(&slot.out)
+			}
+			if dir != graph.Out {
+				walk(&slot.in)
+			}
 		}
 		out.EndVertex()
 	}
 }
 
-// ScanBatch implements grin.BatchScan: one read lock covers the whole
-// buffer fill (the scalar scan path locks per vertex metadata access).
-// Visibility and label filtering match ScanVertices.
+// ScanBatch implements grin.BatchScan over one lock-free load of the
+// published vertex table. Visibility and label filtering match ScanVertices.
 func (sn *Snapshot) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	end := graph.VID(len(sn.s.vertices))
+	t := sn.s.table()
+	end := t.n
 	n := 0
 	v := start
 	for ; v < end && n < len(buf); v++ {
-		meta := &sn.s.vertices[v]
+		meta := &t.slot(v).meta
 		if meta.createVer > sn.ver {
 			continue
 		}
@@ -73,18 +70,17 @@ func (sn *Snapshot) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.
 // GatherVertexProp implements grin.BatchProps under a single read lock,
 // resolving the MVCC cell version per element exactly as VertexProp does.
 func (sn *Snapshot) GatherVertexProp(vs []graph.VID, prop string, out []graph.Value) {
+	t := sn.s.table()
 	sn.s.mu.RLock()
 	defer sn.s.mu.RUnlock()
 	lastLabel, pid := graph.AnyLabel, graph.NoProp
 	for i, v := range vs {
 		out[i] = graph.NullValue
-		if int(v) >= len(sn.s.vertices) {
+		slot := t.slot(v)
+		if slot == nil || slot.meta.createVer > sn.ver {
 			continue
 		}
-		meta := &sn.s.vertices[v]
-		if meta.createVer > sn.ver {
-			continue
-		}
+		meta := &slot.meta
 		if meta.label != lastLabel {
 			lastLabel, pid = meta.label, sn.s.schema.VertexPropID(meta.label, prop)
 		}
@@ -131,16 +127,15 @@ func (sn *Snapshot) GatherEdgeProp(es []graph.EID, prop string, out []graph.Valu
 	}
 }
 
-// GatherVertexLabels implements grin.BatchProps under a single read lock.
+// GatherVertexLabels implements grin.BatchProps over one lock-free load of
+// the published vertex table.
 func (sn *Snapshot) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
+	t := sn.s.table()
 	for i, v := range vs {
-		if int(v) >= len(sn.s.vertices) {
-			out[i] = graph.AnyLabel
-			continue
+		out[i] = graph.AnyLabel
+		if slot := t.slot(v); slot != nil {
+			out[i] = slot.meta.label
 		}
-		out[i] = sn.s.vertices[v].label
 	}
 }
 

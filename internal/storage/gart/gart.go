@@ -4,18 +4,33 @@
 //
 // Design, following the paper's GART:
 //
-//   - Adjacency is stored per vertex as a chain of fixed-capacity segments
-//     (the "mutable CSR-like data structure"): entries within a segment are
-//     contiguous, so scans enjoy near-CSR locality, while appends never move
-//     existing entries. Segment size is configurable (ablation bench).
+//   - Adjacency is stored per vertex as a chain of segments (the "mutable
+//     CSR-like data structure"): entries within a segment are contiguous, so
+//     scans enjoy near-CSR locality, while appends never move existing
+//     entries. Segments grow geometrically — 4, 8, 16, … entries up to the
+//     configured segment size, every later segment at that size — so the
+//     many low-degree vertices of a social graph pay for the edges they
+//     have, not for a full segment per direction. A segment size of 4 or
+//     less keeps every segment at that fixed size (ablation bench).
 //   - Every edge entry carries a create version and an atomic delete version.
 //     Readers pin a committed version and filter entries without locking:
 //     writers publish an entry by atomically bumping the segment count after
 //     the entry is fully written, and new entries carry an uncommitted
 //     version that pinned snapshots skip.
-//   - Property reads and index lookups take a read lock (they touch growable
-//     arrays); topology scans — the throughput-critical path of Exp-1c — are
+//   - The per-vertex table (label, external ID, create version, property
+//     row, both adjacency chains — one vertexSlot each) lives in fixed-size
+//     append-only chunks behind an atomically published chunk directory:
+//     a slot never moves once written, the writer fills it before bumping
+//     the published vertex count, and a reader that loads the count and then
+//     the directory indexes any published slot with no lock. Topology scans
+//     (Neighbors, ExpandBatch — the throughput-critical path of Exp-1c),
+//     ExternalID, VertexLabel, label gathers and vertex scans are all
 //     lock-free.
+//   - Property cells, MVCC version chains, the external-ID index and the
+//     per-edge label/row arrays are growable maps and slices: reading them
+//     takes the store's read lock (once per call — once per batch on the
+//     batch traits), writing them the write lock, which also serializes
+//     writers.
 //   - Vertex property updates keep per-cell version chains so snapshots read
 //     the value as of their version.
 package gart
@@ -30,8 +45,13 @@ import (
 	"repro/internal/storage/column"
 )
 
-// DefaultSegmentSize is the per-vertex adjacency segment capacity.
+// DefaultSegmentSize is the per-vertex adjacency segment capacity the
+// geometric growth tops out at.
 const DefaultSegmentSize = 64
+
+// firstSegmentSize is the capacity of a chain's first segment; each further
+// segment doubles until the store's segment size is reached.
+const firstSegmentSize = 4
 
 const liveVersion = ^uint64(0)
 
@@ -48,17 +68,56 @@ type segment struct {
 	next    atomic.Pointer[segment]
 }
 
-// adjacency is a segment chain for one vertex and direction.
+// adjacency is a segment chain for one vertex and direction. Readers enter
+// through head; tail is the writer's append cursor, touched only under the
+// store's write lock.
 type adjacency struct {
 	head atomic.Pointer[segment]
-	tail atomic.Pointer[segment]
+	tail *segment
 }
 
 type vertexMeta struct {
-	label     graph.LabelID
 	extID     int64
 	createVer uint64
+	label     graph.LabelID
 	row       uint32 // row in the label's property columns
+}
+
+// vertexSlot is everything the store keeps per vertex outside the property
+// columns. meta is immutable once the slot is published; the adjacency chains
+// grow through their own atomics.
+type vertexSlot struct {
+	meta vertexMeta
+	out  adjacency
+	in   adjacency
+}
+
+const (
+	vchunkBits = 10
+	vchunkSize = 1 << vchunkBits
+	vchunkMask = vchunkSize - 1
+)
+
+// vchunk is one fixed-size block of the vertex table. Chunks are append-only
+// and never move, so a *vertexSlot stays valid for the life of the store.
+type vchunk [vchunkSize]vertexSlot
+
+// vertexTable is a reader's view of the published vertex table: the chunk
+// directory plus the vertex count it was loaded under. A view is immutable —
+// later vertices publish a new count (and, per new chunk, a new directory) —
+// so batch readers load it once and index it freely.
+type vertexTable struct {
+	chunks []*vchunk
+	n      graph.VID
+}
+
+// slot returns the published slot of v, or nil when v is not published in
+// this view.
+func (t vertexTable) slot(v graph.VID) *vertexSlot {
+	if v >= t.n {
+		return nil
+	}
+	return &t.chunks[v>>vchunkBits][v&vchunkMask]
 }
 
 type propCell struct {
@@ -76,12 +135,15 @@ type Store struct {
 	schema  *graph.Schema
 	segSize int
 
-	mu sync.RWMutex // guards all growable state below
+	// The vertex table is published lock-free: the writer (under mu) fills
+	// slot vCount, publishes a grown directory if the slot opened a new chunk,
+	// then bumps vCount. Readers load vCount before vdir (see table), so the
+	// directory they hold always covers the count they hold.
+	vdir   atomic.Pointer[[]*vchunk]
+	vCount atomic.Uint64 // published vertex count (monotone)
 
-	vertices  []vertexMeta
-	vCount    atomic.Uint64 // published vertex count (monotone)
-	outAdj    []*adjacency
-	inAdj     []*adjacency
+	mu sync.RWMutex // guards all growable state below; serializes writers
+
 	extLookup []map[int64]graph.VID
 	vcols     [][]*column.Column
 	// vcurVer[cell] is the commit version of the cell's current (column)
@@ -123,7 +185,32 @@ func NewStore(schema *graph.Schema, segSize int) *Store {
 	for l := range s.ecols {
 		s.ecols[l] = column.Set(schema.Edges[l].Props)
 	}
+	s.vdir.Store(new([]*vchunk))
 	return s
+}
+
+// table loads the published vertex table. The count is loaded first: the
+// writer stores the directory before the count that needs it, so the
+// directory loaded afterwards covers every slot below the count.
+func (s *Store) table() vertexTable {
+	n := s.vCount.Load()
+	return vertexTable{chunks: *s.vdir.Load(), n: graph.VID(n)}
+}
+
+// appendVertex fills and publishes the next vertex slot. Called with mu held
+// (single writer). A full directory grows by publishing a new slice header:
+// append writes the new chunk pointer past the length any earlier header
+// exposes, so readers holding one never observe the write.
+func (s *Store) appendVertex(meta vertexMeta) graph.VID {
+	n := s.vCount.Load()
+	dir := *s.vdir.Load()
+	if int(n>>vchunkBits) == len(dir) {
+		dir = append(dir, new(vchunk))
+		s.vdir.Store(&dir)
+	}
+	dir[n>>vchunkBits][n&vchunkMask].meta = meta
+	s.vCount.Store(n + 1) // publish
+	return graph.VID(n)
 }
 
 // BackendName implements grin.Named.
@@ -152,7 +239,6 @@ func (s *Store) AddVertex(label graph.LabelID, extID int64, props ...graph.Value
 	if _, dup := s.extLookup[label][extID]; dup {
 		return fmt.Errorf("gart: duplicate vertex %s/%d", s.schema.VertexLabelName(label), extID)
 	}
-	vid := graph.VID(len(s.vertices))
 	row := uint32(0)
 	if cols := s.vcols[label]; len(cols) > 0 {
 		row = uint32(cols[0].Len())
@@ -160,13 +246,9 @@ func (s *Store) AddVertex(label graph.LabelID, extID int64, props ...graph.Value
 	if err := column.AppendRow(s.vcols[label], props); err != nil {
 		return fmt.Errorf("gart: vertex %s/%d: %w", s.schema.VertexLabelName(label), extID, err)
 	}
-	s.vertices = append(s.vertices, vertexMeta{
+	s.extLookup[label][extID] = s.appendVertex(vertexMeta{
 		label: label, extID: extID, createVer: s.writeVersion(), row: row,
 	})
-	s.outAdj = append(s.outAdj, &adjacency{})
-	s.inAdj = append(s.inAdj, &adjacency{})
-	s.extLookup[label][extID] = vid
-	s.vCount.Store(uint64(len(s.vertices)))
 	return nil
 }
 
@@ -197,23 +279,38 @@ func (s *Store) AddEdge(label graph.LabelID, srcExt, dstExt int64, props ...grap
 	s.eLabel = append(s.eLabel, label)
 	s.eRow = append(s.eRow, row)
 	ver := s.writeVersion()
-	s.appendEntry(s.outAdj[src], dst, eid, ver)
-	s.appendEntry(s.inAdj[dst], src, eid, ver)
+	t := s.table()
+	s.appendEntry(&t.slot(src).out, dst, eid, ver)
+	s.appendEntry(&t.slot(dst).in, src, eid, ver)
 	return nil
+}
+
+// nextSegmentSize is the capacity of the segment that follows tail (nil: the
+// chain's first): geometric from firstSegmentSize, capped at the store's
+// segment size.
+func (s *Store) nextSegmentSize(tail *segment) int {
+	size := firstSegmentSize
+	if tail != nil {
+		size = 2 * len(tail.entries)
+	}
+	if size > s.segSize {
+		size = s.segSize
+	}
+	return size
 }
 
 // appendEntry publishes an edge entry at the chain tail. Called with mu held
 // (single writer); readers observe the entry only after the count bump.
 func (s *Store) appendEntry(a *adjacency, nbr graph.VID, eid graph.EID, ver uint64) {
-	tail := a.tail.Load()
+	tail := a.tail
 	if tail == nil || int(tail.count.Load()) == len(tail.entries) {
-		seg := &segment{entries: make([]edgeEntry, s.segSize)}
+		seg := &segment{entries: make([]edgeEntry, s.nextSegmentSize(tail))}
 		if tail == nil {
 			a.head.Store(seg)
 		} else {
 			tail.next.Store(seg)
 		}
-		a.tail.Store(seg)
+		a.tail = seg
 		tail = seg
 	}
 	idx := tail.count.Load()
@@ -241,22 +338,24 @@ func (s *Store) DeleteEdge(label graph.LabelID, srcExt, dstExt int64) (int, erro
 	}
 	ver := s.writeVersion()
 	removed := 0
-	for seg := s.outAdj[src].head.Load(); seg != nil; seg = seg.next.Load() {
+	t := s.table()
+	for seg := t.slot(src).out.head.Load(); seg != nil; seg = seg.next.Load() {
 		n := int(seg.count.Load())
 		for i := 0; i < n; i++ {
 			e := &seg.entries[i]
 			if e.nbr == dst && s.eLabel[e.eid] == label && e.deleteVer.Load() == liveVersion {
 				e.deleteVer.Store(ver)
 				removed++
-				s.tombstoneIn(dst, e.eid, ver)
+				tombstone(&t.slot(dst).in, e.eid, ver)
 			}
 		}
 	}
 	return removed, nil
 }
 
-func (s *Store) tombstoneIn(dst graph.VID, eid graph.EID, ver uint64) {
-	for seg := s.inAdj[dst].head.Load(); seg != nil; seg = seg.next.Load() {
+// tombstone marks edge eid deleted in one chain.
+func tombstone(a *adjacency, eid graph.EID, ver uint64) {
+	for seg := a.head.Load(); seg != nil; seg = seg.next.Load() {
 		n := int(seg.count.Load())
 		for i := 0; i < n; i++ {
 			e := &seg.entries[i]
@@ -277,7 +376,7 @@ func (s *Store) SetVertexProp(label graph.LabelID, extID int64, p graph.PropID, 
 	if !ok {
 		return fmt.Errorf("gart: set prop: unknown vertex %s/%d", s.schema.VertexLabelName(label), extID)
 	}
-	meta := s.vertices[vid]
+	meta := s.table().slot(vid).meta
 	cols := s.vcols[meta.label]
 	if int(p) < 0 || int(p) >= len(cols) {
 		return fmt.Errorf("gart: set prop: prop %d out of range for %s", p, s.schema.VertexLabelName(label))

@@ -373,3 +373,196 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		t.Fatalf("final degree %d", d)
 	}
 }
+
+// TestConcurrentReadersWithVertexWriter runs every lock-free read path —
+// ExpandBatch, Neighbors, ExternalID, VertexLabel, ScanBatch, label gathers —
+// beside a writer that adds vertices (crossing several vertex-table chunks,
+// so the chunk directory is republished under the readers) and edges. The
+// readers check what a pinned snapshot promises; the race detector checks the
+// publication protocol.
+func TestConcurrentReadersWithVertexWriter(t *testing.T) {
+	s := NewStore(socialSchema(), 0)
+	const hubExt, base, added = 0, 40, 3 * vchunkSize
+	for i := int64(0); i < base; i++ {
+		if err := s.AddVertex(0, i, graph.StringValue("x"), graph.IntValue(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i < base; i++ {
+		if err := s.AddEdge(0, hubExt, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Commit()
+	pinned := s.Latest()
+	hub, _ := pinned.LookupVertex(0, hubExt)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var adj grin.AdjBatch
+			buf := make([]graph.VID, 64)
+			labels := make([]graph.LabelID, 64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The pinned snapshot keeps its frontier and vertex set.
+				pinned.ExpandBatch([]graph.VID{hub, graph.VID(base + 5), graph.NilVID}, graph.Both, &adj)
+				if lo, hi := adj.Range(0); hi-lo != base-1 {
+					t.Errorf("pinned hub expansion drifted: %d", hi-lo)
+					return
+				}
+				if lo, hi := adj.Range(1); hi != lo {
+					t.Errorf("vertex newer than the snapshot has %d visible edges", hi-lo)
+					return
+				}
+				if n := pinned.NumVertices(); n != base {
+					t.Errorf("pinned vertex count drifted: %d", n)
+					return
+				}
+				seen := 0
+				for next := graph.VID(0); next != graph.NilVID; {
+					var n int
+					n, next = pinned.ScanBatch(0, next, buf)
+					seen += n
+				}
+				if seen != base {
+					t.Errorf("pinned scan saw %d vertices", seen)
+					return
+				}
+				// The latest snapshot walks whatever is published so far; every
+				// neighbor it reaches must resolve through the lock-free table.
+				latest := s.Latest()
+				latest.Neighbors(hub, graph.Out, func(n graph.VID, _ graph.EID) bool {
+					if latest.ExternalID(n) < 0 || latest.VertexLabel(n) != 0 {
+						t.Errorf("neighbor %d unresolved: ext %d label %d", n, latest.ExternalID(n), latest.VertexLabel(n))
+						return false
+					}
+					return true
+				})
+				n, _ := latest.ScanBatch(graph.AnyLabel, graph.VID(latest.NumVertices()-1), buf)
+				latest.GatherVertexLabels(buf[:n], labels[:n])
+			}
+		}()
+	}
+	for i := int64(base); i < base+added; i++ {
+		if err := s.AddVertex(0, i, graph.StringValue("new"), graph.IntValue(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddEdge(0, hubExt, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddEdge(0, i, hubExt); err != nil {
+			t.Fatal(err)
+		}
+		s.Commit()
+	}
+	close(stop)
+	wg.Wait()
+
+	final := s.Latest()
+	if n := final.NumVertices(); n != base+added {
+		t.Fatalf("final vertex count %d", n)
+	}
+	if d := final.Degree(hub, graph.Out); d != base-1+added {
+		t.Fatalf("final hub out-degree %d", d)
+	}
+	if got := final.ExternalID(graph.VID(base + added - 1)); got != base+added-1 {
+		t.Fatalf("last vertex external id %d", got)
+	}
+}
+
+// segmentCaps returns the capacities of one vertex's out-chain segments.
+func segmentCaps(s *Store, v graph.VID) []int {
+	var caps []int
+	for seg := s.table().slot(v).out.head.Load(); seg != nil; seg = seg.next.Load() {
+		caps = append(caps, len(seg.entries))
+	}
+	return caps
+}
+
+// TestGeometricSegmentGrowth pins the segment-size schedule — 4, 8, … up to
+// the store's segment size, every later segment at that size; a segment size
+// of 4 or less stays fixed (the ablation setting) — and that growing through
+// it keeps insertion order and MVCC visibility.
+func TestGeometricSegmentGrowth(t *testing.T) {
+	cases := []struct {
+		segSize int
+		edges   int
+		want    []int
+	}{
+		{0, 200, []int{4, 8, 16, 32, 64, 64, 64}},
+		{16, 50, []int{4, 8, 16, 16, 16}},
+		{4, 10, []int{4, 4, 4}},
+		{2, 5, []int{2, 2, 2}},
+		{1, 3, []int{1, 1, 1}},
+	}
+	for _, tc := range cases {
+		s := NewStore(socialSchema(), tc.segSize)
+		for i := int64(0); i <= int64(tc.edges); i++ {
+			if err := s.AddVertex(0, i, graph.StringValue("x"), graph.IntValue(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One commit per edge: version v sees exactly the first v edges.
+		for i := int64(1); i <= int64(tc.edges); i++ {
+			if err := s.AddEdge(0, 0, i); err != nil {
+				t.Fatal(err)
+			}
+			s.Commit()
+		}
+		hub, _ := s.Latest().LookupVertex(0, 0)
+		got := segmentCaps(s, hub)
+		if len(got) != len(tc.want) {
+			t.Fatalf("segSize %d: segment capacities %v, want %v", tc.segSize, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("segSize %d: segment capacities %v, want %v", tc.segSize, got, tc.want)
+			}
+		}
+		first := s.ReadVersion() - uint64(tc.edges)
+		for _, k := range []int{0, 1, 4, 5, 12, 13, tc.edges} {
+			if k > tc.edges {
+				continue
+			}
+			sn := s.Snapshot(first + uint64(k)).(*Snapshot)
+			var exts []int64
+			sn.Neighbors(hub, graph.Out, func(n graph.VID, _ graph.EID) bool {
+				exts = append(exts, sn.ExternalID(n))
+				return true
+			})
+			if len(exts) != k {
+				t.Fatalf("segSize %d: version +%d sees %d edges", tc.segSize, k, len(exts))
+			}
+			for i, e := range exts {
+				if e != int64(i+1) {
+					t.Fatalf("segSize %d: insertion order broken at %d: %v", tc.segSize, i, exts)
+				}
+			}
+			var adj grin.AdjBatch
+			sn.ExpandBatch([]graph.VID{hub}, graph.Out, &adj)
+			if lo, hi := adj.Range(0); hi-lo != k {
+				t.Fatalf("segSize %d: ExpandBatch at +%d sees %d edges", tc.segSize, k, hi-lo)
+			}
+		}
+		// A tombstone in a small early segment stays invisible from its commit on.
+		if n, err := s.DeleteEdge(0, 0, 2); err != nil || n != 1 {
+			t.Fatalf("delete: %d %v", n, err)
+		}
+		before := s.Latest()
+		s.Commit()
+		if d := before.Degree(hub, graph.Out); d != tc.edges {
+			t.Fatalf("segSize %d: uncommitted delete visible (%d)", tc.segSize, d)
+		}
+		if d := s.Latest().Degree(hub, graph.Out); d != tc.edges-1 {
+			t.Fatalf("segSize %d: delete not visible (%d)", tc.segSize, d)
+		}
+	}
+}

@@ -6,8 +6,9 @@ import (
 )
 
 // Snapshot is a consistent read-only view of a Store at one committed
-// version. Topology methods are lock-free; property and index methods take
-// the store's read lock.
+// version. Topology, label, external-ID and vertex-scan methods read the
+// published vertex table lock-free; property reads, edge labels and
+// external-ID lookups take the store's read lock.
 type Snapshot struct {
 	s   *Store
 	ver uint64
@@ -36,15 +37,12 @@ func (sn *Snapshot) visible(create uint64, deleted uint64) bool {
 // NumVertices implements grin.Graph. The published vertex count is monotone,
 // so it bounds the scan; per-vertex visibility is checked by createVer.
 func (sn *Snapshot) NumVertices() int {
-	// vCount is published without the lock; vertices created after this
-	// snapshot's version are filtered by visibility checks at access time.
-	n := int(sn.s.vCount.Load())
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	for n > 0 && sn.s.vertices[n-1].createVer > sn.ver {
+	t := sn.s.table()
+	n := t.n
+	for n > 0 && t.slot(n-1).meta.createVer > sn.ver {
 		n--
 	}
-	return n
+	return int(n)
 }
 
 // NumEdges implements grin.Graph by counting visible out-entries.
@@ -66,26 +64,20 @@ func (sn *Snapshot) Degree(v graph.VID, dir graph.Direction) int {
 
 // Neighbors implements grin.Graph with a lock-free segment-chain walk.
 func (sn *Snapshot) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	if dir == graph.Both {
-		if !sn.iterate(sn.s.outAdj, v, yield) {
-			return
-		}
-		sn.iterate(sn.s.inAdj, v, yield)
+	slot := sn.s.table().slot(v)
+	if slot == nil {
 		return
 	}
-	adjs := sn.s.outAdj
-	if dir == graph.In {
-		adjs = sn.s.inAdj
+	if dir != graph.In && !sn.iterate(&slot.out, yield) {
+		return
 	}
-	sn.iterate(adjs, v, yield)
+	if dir != graph.Out {
+		sn.iterate(&slot.in, yield)
+	}
 }
 
 // iterate walks the chain; returns false if the yield stopped early.
-func (sn *Snapshot) iterate(adjs []*adjacency, v graph.VID, yield func(graph.VID, graph.EID) bool) bool {
-	if int(v) >= int(sn.s.vCount.Load()) {
-		return true
-	}
-	a := adjs[v]
+func (sn *Snapshot) iterate(a *adjacency, yield func(graph.VID, graph.EID) bool) bool {
 	for seg := a.head.Load(); seg != nil; seg = seg.next.Load() {
 		n := int(seg.count.Load())
 		for i := 0; i < n; i++ {
@@ -106,25 +98,22 @@ func (sn *Snapshot) Schema() *graph.Schema { return sn.s.schema }
 
 // VertexLabel implements grin.PropertyReader.
 func (sn *Snapshot) VertexLabel(v graph.VID) graph.LabelID {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	if int(v) >= len(sn.s.vertices) {
+	slot := sn.s.table().slot(v)
+	if slot == nil {
 		return graph.AnyLabel
 	}
-	return sn.s.vertices[v].label
+	return slot.meta.label
 }
 
 // VertexProp implements grin.PropertyReader with MVCC cell resolution.
 func (sn *Snapshot) VertexProp(v graph.VID, p graph.PropID) (graph.Value, bool) {
+	slot := sn.s.table().slot(v)
+	if slot == nil || slot.meta.createVer > sn.ver {
+		return graph.NullValue, false
+	}
+	meta := &slot.meta
 	sn.s.mu.RLock()
 	defer sn.s.mu.RUnlock()
-	if int(v) >= len(sn.s.vertices) {
-		return graph.NullValue, false
-	}
-	meta := sn.s.vertices[v]
-	if meta.createVer > sn.ver {
-		return graph.NullValue, false
-	}
 	cols := sn.s.vcols[meta.label]
 	if int(p) < 0 || int(p) >= len(cols) {
 		return graph.NullValue, false
@@ -198,7 +187,7 @@ func (sn *Snapshot) LookupVertex(label graph.LabelID, ext int64) (graph.VID, boo
 	sn.s.mu.RLock()
 	defer sn.s.mu.RUnlock()
 	v, ok := sn.s.lookupLocked(label, ext)
-	if !ok || sn.s.vertices[v].createVer > sn.ver {
+	if !ok || sn.s.table().slot(v).meta.createVer > sn.ver {
 		return graph.NilVID, false
 	}
 	return v, true
@@ -206,12 +195,11 @@ func (sn *Snapshot) LookupVertex(label graph.LabelID, ext int64) (graph.VID, boo
 
 // ExternalID implements grin.Index.
 func (sn *Snapshot) ExternalID(v graph.VID) int64 {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	if int(v) >= len(sn.s.vertices) {
+	slot := sn.s.table().slot(v)
+	if slot == nil {
 		return -1
 	}
-	return sn.s.vertices[v].extID
+	return slot.meta.extID
 }
 
 // LabelRange implements grin.Index. GART assigns IDs in arrival order, so
@@ -225,18 +213,15 @@ func (sn *Snapshot) LabelRange(label graph.LabelID) (graph.VID, graph.VID, bool)
 
 // ScanVertices implements grin.PredicatePush with per-vertex label checks.
 func (sn *Snapshot) ScanVertices(label graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {
-	n := sn.NumVertices()
-	sn.s.mu.RLock()
-	metas := sn.s.vertices[:n]
-	sn.s.mu.RUnlock()
-	for i := range metas {
-		if metas[i].createVer > sn.ver {
+	t := sn.s.table()
+	for v := graph.VID(0); v < t.n; v++ {
+		meta := &t.slot(v).meta
+		if meta.createVer > sn.ver {
 			continue
 		}
-		if label != graph.AnyLabel && metas[i].label != label {
+		if label != graph.AnyLabel && meta.label != label {
 			continue
 		}
-		v := graph.VID(i)
 		if pred != nil && !pred(v) {
 			continue
 		}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/obsv"
+	"repro/internal/storage/column"
 )
 
 // Graph wraps an inner GRIN backend with call counting. Safe for concurrent
@@ -43,8 +44,11 @@ type Graph struct {
 	vers  grin.Versioned
 	badj  grin.BatchAdjacency
 	bprop grin.BatchProps
+	bcol  grin.BatchPropsCol
 	bscan grin.BatchScan
 }
+
+var _ grin.BatchPropsCol = (*Graph)(nil)
 
 // Wrap builds a metering view of inner counting into stats. A nil stats gets
 // a fresh sink (read it back via Stats). Wrap also records the backend name
@@ -88,6 +92,7 @@ func (g *Graph) bind(inner grin.Graph) {
 	g.vers, _ = grin.AsVersioned(inner)
 	g.badj, _ = grin.AsBatchAdjacency(inner)
 	g.bprop, _ = grin.AsBatchProps(inner)
+	g.bcol, _ = grin.AsBatchPropsCol(inner)
 	g.bscan, _ = grin.AsBatchScan(inner)
 }
 
@@ -241,6 +246,30 @@ func (g *Graph) GatherVertexProp(vs []graph.VID, prop string, out []graph.Value)
 func (g *Graph) GatherEdgeProp(es []graph.EID, prop string, out []graph.Value) {
 	g.stats.Count(obsv.StoreGatherEProp)
 	g.bprop.GatherEdgeProp(es, prop, out)
+}
+
+// GatherVertexPropCol forwards the typed-column refinement of
+// GatherVertexProp, so a metered store runs the same kernel path as the bare
+// one. It reports false — the caller's boxed fallback — when the inner store
+// lacks the trait or declines the gather. A served gather counts at the
+// GatherVertexProp site (the same trait call in its typed form); a declined
+// one counts nothing, the boxed call that follows does.
+func (g *Graph) GatherVertexPropCol(vs []graph.VID, prop string, dst *column.Column) bool {
+	if g.bcol == nil || !g.bcol.GatherVertexPropCol(vs, prop, dst) {
+		return false
+	}
+	g.stats.Count(obsv.StoreGatherVProp)
+	return true
+}
+
+// GatherEdgePropCol is GatherVertexPropCol for edge columns, counted at the
+// GatherEdgeProp site.
+func (g *Graph) GatherEdgePropCol(es []graph.EID, prop string, dst *column.Column) bool {
+	if g.bcol == nil || !g.bcol.GatherEdgePropCol(es, prop, dst) {
+		return false
+	}
+	g.stats.Count(obsv.StoreGatherEProp)
+	return true
 }
 
 // GatherVertexLabels delegates with counting.

@@ -7,6 +7,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/obsv"
+	"repro/internal/storage/column"
+	"repro/internal/storage/gart"
 	"repro/internal/storage/livegraph"
 	"repro/internal/storage/vineyard"
 )
@@ -149,5 +151,36 @@ func TestSnapshotSharesSink(t *testing.T) {
 	msnap.Degree(0, graph.Out)
 	if mg.Stats().Calls(obsv.StoreDegree) != before+1 {
 		t.Fatal("snapshot call did not land in the shared sink")
+	}
+}
+
+// TestTypedColumnGatherForwarded pins the BatchPropsCol contract through the
+// wrapper: over a store with the trait the gather is served and counted at
+// the GatherVertexProp site; over one without it (GART) the wrapper declines,
+// leaves dst untouched and counts nothing, so the caller's boxed gather is
+// the call that shows in the profile.
+func TestTypedColumnGatherForwarded(t *testing.T) {
+	vs := []graph.VID{0, 1}
+
+	mg := Wrap(loadVineyard(t), nil)
+	dst := column.New(graph.KindString)
+	if !grin.GatherVertexPropCol(mg, vs, "firstName", dst) || dst.Len() != len(vs) {
+		t.Fatalf("typed gather over vineyard not served through the wrapper (%d rows)", dst.Len())
+	}
+	if got := mg.Stats().Calls(obsv.StoreGatherVProp); got != 1 {
+		t.Fatalf("served typed gather counted %d times at GatherVertexProp", got)
+	}
+
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 3})); err != nil {
+		t.Fatal(err)
+	}
+	mg = Wrap(gs.Latest(), nil)
+	dst = column.New(graph.KindString)
+	if grin.GatherVertexPropCol(mg, vs, "firstName", dst) || dst.Len() != 0 {
+		t.Fatalf("typed gather over gart served or left %d rows behind", dst.Len())
+	}
+	if got := mg.Stats().Calls(obsv.StoreGatherVProp); got != 0 {
+		t.Fatalf("declined typed gather counted %d times", got)
 	}
 }
