@@ -7,7 +7,6 @@
 //	flexbench fig7c exp8
 //	flexbench -quick     # scaled-down workloads (seconds, not minutes)
 //	flexbench -json BENCH_query.json fig7e exp8    # also dump tables as JSON
-//	flexbench -json fresh.json -delta BENCH_query.json fig7e   # warn on >10% regressions
 //	flexbench -timeout 30s exp2  # bound each query execution inside experiments
 //	flexbench -list
 package main
@@ -24,7 +23,7 @@ import (
 	"repro/internal/bench"
 )
 
-const usageLine = "usage: flexbench [-quick] [-json file] [-delta baseline] [-timeout d] [-list] [experiment ...]"
+const usageLine = "usage: flexbench [-quick] [-json file] [-timeout d] [-list] [experiment ...]"
 
 // validateArgs rejects unknown experiment IDs and bad flag values before any
 // experiment runs: a typo in the last argument must not surface after minutes
@@ -49,7 +48,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
 	quickFlag := flag.Bool("quick", false, "run scaled-down workloads (same code paths, smaller data)")
 	jsonPath := flag.String("json", "", "write the selected experiments' tables to this file as JSON")
-	deltaPath := flag.String("delta", "", "diff duration cells against this baseline JSON, warning above 10% regression")
 	timeout := flag.Duration("timeout", 0, "deadline for each query execution inside experiments (0: none)")
 	flag.Parse()
 	if *list {
@@ -89,8 +87,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d experiments)\n", *jsonPath, len(tables))
-	}
-	if *deltaPath != "" {
-		benchDelta(*deltaPath, tables, os.Stdout)
 	}
 }

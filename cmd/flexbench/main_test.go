@@ -1,14 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/bench"
 )
 
 // TestValidateArgs pins the upfront validation: unknown experiment IDs and a
@@ -46,101 +41,9 @@ func TestValidateArgs(t *testing.T) {
 // TestUsageLineMentionsEveryFlag keeps the usage message in sync with the
 // flags main registers.
 func TestUsageLineMentionsEveryFlag(t *testing.T) {
-	for _, f := range []string{"-quick", "-json", "-delta", "-timeout", "-list"} {
+	for _, f := range []string{"-quick", "-json", "-timeout", "-list"} {
 		if !strings.Contains(usageLine, f) {
 			t.Errorf("usage line does not mention %s: %q", f, usageLine)
 		}
-	}
-}
-
-// TestBenchDelta pins the regression math: only duration cells compare, only
-// >10% slowdowns warn, and new experiments or rows diff silently.
-func TestBenchDelta(t *testing.T) {
-	dir := t.TempDir()
-	baseline := []*bench.Table{{
-		ID:     "micro-vector",
-		Header: []string{"path", "time/pass", "speedup"},
-		Rows: [][]string{
-			{"FILTER boxed materializing", "2.00ms", "1.0x"},
-			{"FILTER selection-vector kernel", "400µs", "5.0x"},
-		},
-	}}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := []*bench.Table{
-		{
-			ID:     "micro-vector",
-			Header: []string{"path", "time/pass", "speedup"},
-			Rows: [][]string{
-				{"FILTER boxed materializing", "2.10ms", "1.0x"},    // +5%: under threshold
-				{"FILTER selection-vector kernel", "600µs", "3.5x"}, // +50%: warns
-				{"predicate typed int kernel", "100µs", "20x"},      // new row: skipped
-			},
-		},
-		{ID: "brand-new", Rows: [][]string{{"row", "1ms"}}}, // no baseline: skipped
-	}
-	sink, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	if got := benchDelta(path, fresh, sink); got != 1 {
-		t.Fatalf("benchDelta found %d regressions, want 1", got)
-	}
-	out, err := os.ReadFile(sink.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "::warning::") || !strings.Contains(string(out), "selection-vector") {
-		t.Fatalf("warning line missing or wrong: %q", out)
-	}
-	// A missing baseline warns but reports zero regressions.
-	if got := benchDelta(filepath.Join(dir, "absent.json"), fresh, sink); got != 0 {
-		t.Fatalf("missing baseline: %d regressions, want 0", got)
-	}
-}
-
-// TestBenchDeltaIgnoresCounters pins that the observability counters embedded
-// in -json output are structurally invisible to -delta: a fresh run whose
-// duration cells match the baseline never warns, no matter how far the
-// stage-stats counters drifted (and a baseline written before the Counters
-// field existed still parses).
-func TestBenchDeltaIgnoresCounters(t *testing.T) {
-	dir := t.TempDir()
-	baseline := []*bench.Table{{
-		ID:       "fig7g",
-		Header:   []string{"query", "Flex", "baseline", "speedup"},
-		Rows:     [][]string{{"BI1", "1.00ms", "2.00ms", "2.0x"}},
-		Counters: map[string]float64{"rows": 100, "batches": 4, "kernel_path_ratio": 1},
-	}}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := []*bench.Table{{
-		ID:     "fig7g",
-		Header: []string{"query", "Flex", "baseline", "speedup"},
-		Rows:   [][]string{{"BI1", "1.00ms", "2.00ms", "2.0x"}},
-		// Wildly different counters: more rows, different ratio. Still zero
-		// regressions — counters are not duration cells.
-		Counters: map[string]float64{"rows": 9999, "batches": 128, "kernel_path_ratio": 0.1},
-	}}
-	sink, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	if got := benchDelta(path, fresh, sink); got != 0 {
-		t.Fatalf("benchDelta found %d regressions from counter drift, want 0", got)
 	}
 }

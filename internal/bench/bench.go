@@ -24,8 +24,7 @@ type Table struct {
 	// Counters carries stage-stats observability counters for the
 	// experiment's workload (result rows, batches, kernel-path ratio, ...),
 	// collected from a separate observed run so the timed cells stay on the
-	// disabled fast path. flexbench -json embeds them; -delta compares only
-	// duration cells, so counter drift never trips a regression warning.
+	// disabled fast path. flexbench -json embeds them.
 	Counters map[string]float64 `json:",omitempty"`
 }
 

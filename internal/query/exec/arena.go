@@ -2,47 +2,84 @@ package exec
 
 import "repro/internal/graph"
 
-// Arena is a query-scoped set of batch buffers owned by one goroutine — one
-// HiActor actor. The serial driver draws its source buffer, segment
-// accumulators and per-stage Map buffers from it instead of allocating them
-// per call, and the owner calls Reset before its next query, which hands
-// every buffer back at once. Ownership is single-threaded by construction (an
-// actor runs one query at a time and materializes the result rows before it
-// takes the next), so there is no sync.Pool, no lock, and nothing is cleared
-// on the hot path.
+// Arena is the reusable memory of one driver goroutine — a HiActor actor, a
+// Gaia worker, Gaia's coordinator (which lends it to the goroutine running
+// the source while it collects), or the caller of a serial Run. It is the
+// only owner of goroutine-local memory in this package: the serial driver
+// draws its source buffer, segment accumulators and per-stage Map buffers
+// from it, a Gaia worker its intermediate Map buffers, and every operator its
+// scratch (frontiers, adjacency, ID and value columns, row bridges). Stage
+// closures are shared by all goroutines running a plan, so that state cannot
+// live in the closure; it reaches the operator through Env.Arena, which Drive
+// guarantees to be set.
 //
-// Buffers are handed out in draw order and reshaped to the requested column
+// Ownership is single-threaded by construction — one goroutine uses an arena
+// at a time, and handing it to another goes through a happens-before edge (a
+// channel, a join) — so there is no sync.Pool, no lock, and nothing is
+// cleared on the hot path: a short query must not pay a memset sized by the
+// largest query its owner ever ran. The price is retention: boxed scratch
+// keeps referencing the last batch's values (overwhelmingly store-resident
+// strings, alive regardless) until it is overwritten. Batches that outlive
+// the goroutine or the segment that filled them are BatchPool's job, not the
+// arena's.
+//
+// Batches are handed out in draw order and reshaped to the requested column
 // layout, keeping their payload arrays: after a warm-up the arena holds one
-// buffer set sized by the largest query its owner has run, and a steady
-// procedure mix allocates only its result rows. Everything a query draws stays
-// valid until the next Reset — a batch returned by RunBatch with an arena
-// installed must be consumed (Rows) before then. A query that panicked or was
-// abandoned mid-flight may leave buffers half-written; the reshape on the next
-// draw restores them, so the arena needs no cleanup path.
-//
-// A nil *Arena is valid and allocates a fresh batch per draw — the behavior of
-// every caller that installs none (naive, Gaia's coordinator, tests).
+// buffer set sized by the largest query its owner has run (expansion scratch
+// up to retainSlots), and a steady procedure mix allocates only its result
+// rows. The owner calls Reset before
+// its next query, which hands every batch back at once; everything a query
+// draws stays valid until then — a batch returned by RunBatch must be
+// consumed (Rows) first. A query that panicked or was abandoned mid-flight
+// may leave buffers half-written; the reshape on the next draw and the
+// truncate-before-use of every scratch slice restore them, so the arena needs
+// no cleanup path.
 type Arena struct {
 	batches []*Batch
 	next    int
 	// bufs is the per-segment stage-buffer table; segments of one query run
 	// one after another, so one table serves them all.
 	bufs []*Batch
+
+	// Operator scratch, one field per role: two users that are live at the
+	// same time never share one. An expansion or GET_VERTEX runs its pushed
+	// filter over the rows it just emitted (expand/gather vs filter), PROJECT
+	// keeps gather.vals live while evalColumn fills eval's ID column and row
+	// bridge, and a serial source holds its scan buffers across the whole
+	// downstream pipeline.
+	filter  filterScratch
+	expand  expandScratch
+	gather  gatherScratch
+	eval    gatherScratch
+	scanIDs []graph.VID   // label-scan ID chunk
+	scanRow []graph.Value // SCAN's predicate row bridge
 }
 
-// Reset hands every buffer back to the arena. The owner calls it at the start
-// of each query; batches drawn before the call must no longer be in use.
+// retainSlots bounds the expansion scratch an arena keeps between queries, in
+// adjacency slots. That scratch is by far the largest thing an arena holds —
+// 24 bytes per slot of the whole frontier's adjacency, before label filters
+// and predicates cut the slots down to rows — and one expansion through hub
+// vertices grows it to tens of megabytes, which a long-lived owner would pin
+// for good (and the GC's pacing would double). Above the bound the scratch is
+// re-grown by the next query that needs it. Measured on snb_bi, where BI10's
+// expansions reach 780k slots per worker: never dropping it runs the workload
+// ~15 % faster and holds ~55 % more memory at the peak; with the bound the
+// peak stays where sync.Pool's GC-driven release had it, for ~3 % of
+// throughput.
+const retainSlots = 1 << 17
+
+// Reset hands every batch back to the arena and drops an expansion scratch
+// that outgrew retainSlots. The owner calls it at the start of each query;
+// batches drawn before the call must no longer be in use.
 func (a *Arena) Reset() {
-	if a != nil {
-		a.next = 0
+	a.next = 0
+	if cap(a.expand.adj.Nbrs) > retainSlots {
+		a.expand = expandScratch{}
 	}
 }
 
 // batch draws an empty batch with the given column layout.
 func (a *Arena) batch(kinds []graph.Kind) *Batch {
-	if a == nil {
-		return NewBatchKinds(kinds, 0)
-	}
 	if a.next == len(a.batches) {
 		a.batches = append(a.batches, NewBatchKinds(kinds, 0))
 	} else {
@@ -55,9 +92,6 @@ func (a *Arena) batch(kinds []graph.Kind) *Batch {
 
 // stageBufs returns a nil-filled table of n stage-buffer slots.
 func (a *Arena) stageBufs(n int) []*Batch {
-	if a == nil {
-		return make([]*Batch, n)
-	}
 	if cap(a.bufs) < n {
 		a.bufs = make([]*Batch, n)
 	}

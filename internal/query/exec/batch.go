@@ -272,9 +272,11 @@ func (b *Batch) Rows() []Row {
 	return out
 }
 
-// BatchPool recycles batch columns across morsels: Gaia hands one output
-// batch per morsel to its collector, and pooling those payload arrays
-// removes the steady-state per-morsel allocation. Get reshapes a pooled
+// BatchPool recycles the batches that outlive the goroutine or segment that
+// filled them — everything else is Arena's. Gaia hands one output batch per
+// morsel from a worker to its collector and carries segment accumulators
+// across barriers; pooling those payload arrays removes the steady-state
+// per-morsel allocation. Get reshapes a pooled
 // batch to the requested column layout; Put must only receive batches that
 // own their payloads (never Views) and that the caller will not touch again.
 type BatchPool struct{ pool sync.Pool }

@@ -145,10 +145,10 @@ type Env struct {
 	// this pointer, so the disabled case costs a single predictable branch
 	// and no allocation.
 	Obs *obsv.QueryStats
-	// Arena, when non-nil, supplies the serial driver's source buffer,
-	// segment accumulators and stage buffers. It belongs to the goroutine
-	// running the query, which resets it between queries (see Arena); nil
-	// allocates per segment.
+	// Arena is the reusable memory of the goroutine running with this Env:
+	// driver buffers and operator scratch (see Arena). An owner that runs
+	// many queries installs its own and resets it between them; Drive
+	// installs a fresh one when the caller gave none.
 	Arena *Arena
 	// life holds the bound context and budget counters; Drive installs it.
 	life *lifecycle
@@ -398,11 +398,10 @@ type sourceBuffer struct {
 	bs    int
 	kinds []graph.Kind
 	emit  EmitBatch
-	arena *Arena // nil: allocate
 }
 
 func newSourceBuffer(kinds []graph.Kind, env *Env, emit EmitBatch) *sourceBuffer {
-	return &sourceBuffer{b: env.Arena.batch(kinds), bs: env.EffectiveBatchSize(), kinds: kinds, emit: emit, arena: env.Arena}
+	return &sourceBuffer{b: env.Arena.batch(kinds), bs: env.EffectiveBatchSize(), kinds: kinds, emit: emit}
 }
 
 func (s *sourceBuffer) flushIfFull() error {
@@ -423,7 +422,11 @@ func (s *sourceBuffer) flush() error {
 	if reuse {
 		s.b.Reset()
 	} else {
-		s.b = s.arena.batch(s.kinds)
+		// The consumer kept the batch (Gaia's workers read views of it while
+		// the source moves on). It is garbage once they finish, so it is
+		// replaced by a fresh one rather than by an arena slot, which would
+		// pin it until the next Reset.
+		s.b = NewBatchKinds(s.kinds, 0)
 	}
 	return nil
 }
@@ -436,8 +439,6 @@ func (s *sourceBuffer) flush() error {
 // appends each ID chunk straight into the typed vertex column.
 func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 	idx := c.addColK(op.Alias, graph.KindVertex, op.Label)
-	width := c.numCols
-	kinds := c.kindsSnapshot()
 	label := op.Label
 	pred := op.Pred
 	alias := op.Alias
@@ -467,17 +468,31 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 		return err
 	}
 
-	c.Stages = append(c.Stages, Stage{
-		Name:     "SCAN(" + alias + ")",
+	c.Stages = append(c.Stages, c.labelScanStage("SCAN("+alias+")", idx, label, idEq, restB, fullB))
+	return nil
+}
+
+// labelScanStage builds the source stage over one vertex label, binding
+// column idx — the newest column of the current layout. With idEq set and the
+// index trait present it is a point lookup filtered by rest; otherwise a
+// batched label scan filtered by full (nil: every vertex, bulk-appended).
+// MATCH_SCAN is this stage with no predicate at all.
+func (c *Compiled) labelScanStage(name string, idx int, label graph.LabelID, idEq *expr.Expr, rest, full *expr.Bound) Stage {
+	width := c.numCols
+	kinds := c.kindsSnapshot()
+	return Stage{
+		Name:     name,
 		OutWidth: width,
 		OutKinds: kinds,
 		Source: func(env *Env, emit EmitBatch) error {
 			benv := env.boundEnv()
 			out := newSourceBuffer(kinds, env, emit)
-			rowBuf := make([]graph.Value, width)
+			arena := env.Arena
 			tryRow := func(v graph.VID, pred *expr.Bound) error {
-				rowBuf[idx] = graph.VertexValue(v)
-				ok, err := pred.EvalBool(&benv, rowBuf)
+				// A source predicate can only reference the scanned alias, so
+				// the bridge's other slots are never read.
+				arena.scanRow[idx] = graph.VertexValue(v)
+				ok, err := pred.EvalBool(&benv, arena.scanRow)
 				if err != nil {
 					return err
 				}
@@ -488,6 +503,9 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 				out.b.rows++
 				return out.flushIfFull()
 			}
+			if full != nil {
+				arena.scanRow = growValues(arena.scanRow, width)
+			}
 			if idEq != nil {
 				if store, ok := grin.AsIndex(env.Graph); ok {
 					want, err := idEqValue(env, idEq)
@@ -495,7 +513,7 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 						return err
 					}
 					if v, found := store.LookupVertex(label, want); found {
-						if err := tryRow(v, restB); err != nil {
+						if err := tryRow(v, rest); err != nil {
 							return err
 						}
 					}
@@ -506,9 +524,9 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 			// one callback per vertex; a predicate-less scan bulk-appends IDs
 			// without ever invoking the evaluator, slicing each chunk so
 			// batches fill to exactly the configured size.
-			buf := make([]graph.VID, env.EffectiveBatchSize())
+			arena.scanIDs = growVIDs(arena.scanIDs, out.bs)
 			var scanErr error
-			grin.ScanLabelBatches(env.Graph, label, buf, func(vs []graph.VID) bool {
+			grin.ScanLabelBatches(env.Graph, label, arena.scanIDs, func(vs []graph.VID) bool {
 				// Cooperative cancellation once per ID chunk: a highly
 				// selective predicate may emit no batches for a long time, so
 				// the source itself must observe the deadline.
@@ -516,7 +534,7 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 					scanErr = err
 					return false
 				}
-				if fullB == nil {
+				if full == nil {
 					for len(vs) > 0 {
 						take := out.bs - out.b.Len()
 						if take > len(vs) {
@@ -533,7 +551,7 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 					return true
 				}
 				for _, v := range vs {
-					if err := tryRow(v, fullB); err != nil {
+					if err := tryRow(v, full); err != nil {
 						scanErr = err
 						return false
 					}
@@ -545,8 +563,7 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 			}
 			return out.flush()
 		},
-	})
-	return nil
+	}
 }
 
 // isIDEquality matches `id(alias) = <const|param>` conjuncts.
@@ -674,7 +691,7 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 		eIdx = c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	}
 	width := c.numCols
-	elabel, vlabel, dir := op.EdgeLabel, op.Label, op.Dir
+	x := &expansion{from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: op.Label, dst: -1, vIdx: vIdx, eIdx: eIdx}
 	predB, err := bindExpr(c.Cols, op.Pred)
 	if err != nil {
 		return err
@@ -687,49 +704,12 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 		InWidth: inWidth, OutWidth: width,
 		OutKinds: c.kindsSnapshot(),
 		Map: func(env *Env, in, out *Batch) error {
-			// Batched expansion: the whole frontier crosses the storage
-			// boundary in one ExpandBatch call, label filters gather their
-			// columns in one call each, survivors materialize column-at-a-
-			// time, and the pushed predicate (if any) runs as a fused filter
-			// pass over the freshly emitted rows.
-			pr, _ := grin.AsPropertyReader(env.Graph)
-			s := expandPool.Get().(*expandScratch)
-			defer expandPool.Put(s)
-			s.frontier, s.rows = frontierFrom(in, fromIdx, s.frontier[:0], s.rows[:0])
-			if len(s.frontier) == 0 {
-				return nil
-			}
-			grin.ExpandBatch(env.Graph, s.frontier, dir, &s.adj)
-			var eLabs, vLabs []graph.LabelID
-			if pr != nil && elabel != graph.AnyLabel {
-				s.elabels = growLabels(s.elabels, len(s.adj.Edges))
-				grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
-				eLabs = s.elabels
-			}
-			if pr != nil && vlabel != graph.AnyLabel {
-				s.vlabels = growLabels(s.vlabels, len(s.adj.Nbrs))
-				grin.GatherVertexLabels(env.Graph, s.adj.Nbrs, s.vlabels)
-				vLabs = s.vlabels
-			}
-			s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
-			for fi, ri := range s.rows {
-				lo, hi := s.adj.Range(fi)
-				for t := lo; t < hi; t++ {
-					if eLabs != nil && eLabs[t] != elabel {
-						continue
-					}
-					if vLabs != nil && vLabs[t] != vlabel {
-						continue
-					}
-					s.ts = append(s.ts, int32(t))
-					s.srcRows = append(s.srcRows, ri)
-				}
-			}
-			if len(s.ts) == 0 {
-				return nil
-			}
+			// One adjacency pass, then the pushed predicate (if any) runs as
+			// a fused filter pass over the freshly emitted rows.
 			base := out.rows
-			emitExpanded(out, in, s.srcRows, s.ts, &s.adj, vIdx, eIdx)
+			if !x.run(env, in, out) {
+				return nil
+			}
 			return fp.run(env, out, base, sid)
 		},
 	})
@@ -748,42 +728,14 @@ func (c *Compiled) compileExpandEdge(op *ir.Op) error {
 	eIdx := c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	nIdx := c.addColK("#nbr:"+op.EdgeAlias, graph.KindVertex, graph.AnyLabel)
 	width := c.numCols
-	elabel, dir := op.EdgeLabel, op.Dir
+	x := &expansion{from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: graph.AnyLabel, dst: -1, vIdx: nIdx, eIdx: eIdx}
 
 	c.Stages = append(c.Stages, Stage{
 		Name:    "EXPAND_EDGE(" + op.FromAlias + ")",
 		InWidth: inWidth, OutWidth: width,
 		OutKinds: c.kindsSnapshot(),
 		Map: func(env *Env, in, out *Batch) error {
-			pr, _ := grin.AsPropertyReader(env.Graph)
-			s := expandPool.Get().(*expandScratch)
-			defer expandPool.Put(s)
-			s.frontier, s.rows = frontierFrom(in, fromIdx, s.frontier[:0], s.rows[:0])
-			if len(s.frontier) == 0 {
-				return nil
-			}
-			grin.ExpandBatch(env.Graph, s.frontier, dir, &s.adj)
-			var eLabs []graph.LabelID
-			if pr != nil && elabel != graph.AnyLabel {
-				s.elabels = growLabels(s.elabels, len(s.adj.Edges))
-				grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
-				eLabs = s.elabels
-			}
-			s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
-			for fi, ri := range s.rows {
-				lo, hi := s.adj.Range(fi)
-				for t := lo; t < hi; t++ {
-					if eLabs != nil && eLabs[t] != elabel {
-						continue
-					}
-					s.ts = append(s.ts, int32(t))
-					s.srcRows = append(s.srcRows, ri)
-				}
-			}
-			if len(s.ts) == 0 {
-				return nil
-			}
-			emitExpanded(out, in, s.srcRows, s.ts, &s.adj, nIdx, eIdx)
+			x.run(env, in, out)
 			return nil
 		},
 	})
@@ -817,8 +769,7 @@ func (c *Compiled) compileGetVertex(op *ir.Op) error {
 			if rows == 0 {
 				return nil
 			}
-			s := gatherPool.Get().(*gatherScratch)
-			defer putGather(s)
+			s := &env.Arena.gather
 			// The neighbor column gathers once, in logical order; the
 			// target-label filter gathers the whole column's labels in one
 			// call (NilVID slots gather AnyLabel; those rows are dropped

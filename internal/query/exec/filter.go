@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/expr"
@@ -78,8 +76,8 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 	return fp
 }
 
-// filterScratch holds the per-pass gather buffers; pooled because stage
-// closures are shared across Gaia workers.
+// filterScratch holds the per-pass gather buffers of the running goroutine's
+// arena.
 type filterScratch struct {
 	vids []graph.VID
 	eids []graph.EID
@@ -88,22 +86,9 @@ type filterScratch struct {
 	row  []graph.Value // boxed row bridge for per-row fallback
 }
 
-var filterPool = sync.Pool{New: func() any { return new(filterScratch) }}
-
 // emptySel is the shared zero-length non-nil selection (no survivors).
 // Appending to it always reallocates, so sharing is safe.
 var emptySel = make([]int32, 0)
-
-func putFilter(s *filterScratch) {
-	// Clear the boxed row bridge so pooled scratch does not pin row values;
-	// the gather column keeps its payload arrays (store-backed values,
-	// bounded retention — same rationale as BatchPool.Put).
-	for i := range s.row {
-		s.row[i] = graph.Value{}
-	}
-	//lint:allow parallelsafety the boxed row bridge is cleared above; the gather column retains only store-backed payload arrays with bounded retention — same policy as BatchPool.Put
-	filterPool.Put(s)
-}
 
 // run narrows b to the rows satisfying the program by installing a selection
 // vector over its physical rows; no rows are copied. Rows [0, base) pass
@@ -174,18 +159,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 	}
 
 	benv := env.boundEnv()
-	var s *filterScratch
-	defer func() {
-		if s != nil {
-			putFilter(s)
-		}
-	}()
-	scratch := func() *filterScratch {
-		if s == nil {
-			s = filterPool.Get().(*filterScratch)
-		}
-		return s
-	}
+	ss := &env.Arena.filter
 
 	// perRow evaluates one conjunct over the current candidates with the
 	// boxed evaluator — the fallback for non-kernelizable steps and the
@@ -194,11 +168,8 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 	// columns the program reads (cols, collected at compile time) are boxed
 	// into the row bridge; the evaluator never looks at the others.
 	perRow := func(prog *expr.Bound, cols []int) error {
-		ss := scratch()
-		if cap(ss.row) < b.Width() {
-			ss.row = make([]graph.Value, b.Width())
-		}
-		row := ss.row[:b.Width()]
+		ss.row = growValues(ss.row, b.Width())
+		row := ss.row
 		sl := takeSlot()
 		out := b.selArr[sl][:0]
 		n := len(cand)
@@ -261,7 +232,6 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 			// Gather the candidates' property values into a typed scratch
 			// column (one trait call), then kernel densely over it and map
 			// the surviving ordinals back to physical rows.
-			ss := scratch()
 			m := len(cand)
 			if cand == nil {
 				m = b.rows

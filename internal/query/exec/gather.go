@@ -1,18 +1,19 @@
 package exec
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/expr"
 )
 
 // This file holds the batched-execution scratch state of the relational
-// stages: per-Map-call arenas drawn from sync.Pools (stage closures are
-// shared across Gaia workers, so scratch cannot live in the closure), plus
+// stages — fields of the Arena of the goroutine running the stage (stage
+// closures are shared across goroutines, so scratch cannot live in the
+// closure) — the expansion skeleton the three expanding operators share, and
 // the columnar expression hook that routes pure alias.prop references through
-// the storage batch-property trait.
+// the storage batch-property trait. Scratch slices are truncated or resized
+// before every use and never cleared after it (see Arena for the retention
+// rule).
 
 // expandScratch is the working set of one batched expansion: the non-nil
 // frontier with its originating (physical) row indexes, the CSR-style
@@ -29,7 +30,71 @@ type expandScratch struct {
 	srcRows  []int32
 }
 
-var expandPool = sync.Pool{New: func() any { return new(expandScratch) }}
+// expansion is the compiled shape EXPAND_FUSED, EXPAND_EDGE and ADJ_CHECK
+// share; they differ only in the per-slot keep test and in which columns the
+// surviving slots fill.
+type expansion struct {
+	from           int // frontier column
+	dir            graph.Direction
+	elabel, vlabel graph.LabelID // pushed label filters (AnyLabel: none)
+	dst            int           // >= 0: keep only slots whose neighbor is this column's vertex
+	first          bool          // keep at most one slot per input row (existence check)
+	vIdx, eIdx     int           // output neighbor / edge column (-1: not emitted)
+}
+
+// run expands in's frontier into out: the whole frontier crosses the storage
+// boundary in one ExpandBatch call, label filters gather their columns in one
+// call each, and the surviving slots materialize column-at-a-time. It reports
+// whether any row was appended.
+func (x *expansion) run(env *Env, in, out *Batch) bool {
+	pr, _ := grin.AsPropertyReader(env.Graph)
+	s := &env.Arena.expand
+	s.frontier, s.rows = frontierFrom(in, x.from, s.frontier[:0], s.rows[:0])
+	if len(s.frontier) == 0 {
+		return false
+	}
+	grin.ExpandBatch(env.Graph, s.frontier, x.dir, &s.adj)
+	var eLabs, vLabs []graph.LabelID
+	if pr != nil && x.elabel != graph.AnyLabel {
+		s.elabels = growLabels(s.elabels, len(s.adj.Edges))
+		grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
+		eLabs = s.elabels
+	}
+	if pr != nil && x.vlabel != graph.AnyLabel {
+		s.vlabels = growLabels(s.vlabels, len(s.adj.Nbrs))
+		grin.GatherVertexLabels(env.Graph, s.adj.Nbrs, s.vlabels)
+		vLabs = s.vlabels
+	}
+	s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
+	for fi, ri := range s.rows {
+		var want graph.VID
+		if x.dst >= 0 {
+			want = in.Col(x.dst).Value(int(ri)).Vertex()
+		}
+		lo, hi := s.adj.Range(fi)
+		for t := lo; t < hi; t++ {
+			if x.dst >= 0 && s.adj.Nbrs[t] != want {
+				continue
+			}
+			if eLabs != nil && eLabs[t] != x.elabel {
+				continue
+			}
+			if vLabs != nil && vLabs[t] != x.vlabel {
+				continue
+			}
+			s.ts = append(s.ts, int32(t))
+			s.srcRows = append(s.srcRows, ri)
+			if x.first {
+				break
+			}
+		}
+	}
+	if len(s.ts) == 0 {
+		return false
+	}
+	emitExpanded(out, in, s.srcRows, s.ts, &s.adj, x.vIdx, x.eIdx)
+	return true
+}
 
 // gatherScratch is the working set of one columnar property gather: the
 // element-ID column extracted from the batch, the gathered value column, and
@@ -43,25 +108,6 @@ type gatherScratch struct {
 	srcRows []int32
 	keep    []graph.VID
 	row     []graph.Value // boxed row bridge for per-row evaluation
-}
-
-var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}
-
-// release drops the scratch's reference-holding contents: vals and row
-// elements box strings and lists gathered for one batch, which must not stay
-// reachable from the pool. The plain ID and label arenas keep their memory
-// for reuse.
-func (s *gatherScratch) release() {
-	clear(s.vals[:cap(s.vals)])
-	clear(s.row[:cap(s.row)])
-}
-
-// putGather returns a gather scratch to the pool with its boxed values
-// cleared; all Put sites go through it so pooled scratch never pins row
-// values.
-func putGather(s *gatherScratch) {
-	s.release()
-	gatherPool.Put(s)
 }
 
 // growVIDs returns s resized to n valid slots, reusing capacity.
@@ -140,8 +186,7 @@ func evalColumn(env *Env, prog *expr.Bound, in *Batch, dst []graph.Value) error 
 				}
 			}
 			if uniform && kind != 0 {
-				s := gatherPool.Get().(*gatherScratch)
-				defer putGather(s)
+				s := &env.Arena.eval
 				var err error
 				if kind == graph.KindVertex {
 					s.vids = growVIDs(s.vids, n)
@@ -157,12 +202,9 @@ func evalColumn(env *Env, prog *expr.Bound, in *Batch, dst []graph.Value) error 
 		}
 	}
 	benv := env.boundEnv()
-	s := gatherPool.Get().(*gatherScratch)
-	defer putGather(s)
-	if cap(s.row) < in.Width() {
-		s.row = make([]graph.Value, in.Width())
-	}
-	row := s.row[:in.Width()]
+	s := &env.Arena.eval
+	s.row = growValues(s.row, in.Width())
+	row := s.row
 	for i := 0; i < n; i++ {
 		in.CopyRow(i, row)
 		v, err := prog.Eval(&benv, row)

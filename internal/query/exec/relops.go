@@ -79,8 +79,7 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 			}
 			sel := in.Sel()
 			benv := env.boundEnv()
-			s := gatherPool.Get().(*gatherScratch)
-			defer putGather(s)
+			s := &env.Arena.gather
 			for _, pi := range pitems {
 				oc := out.Col(pi.out)
 				if pi.copyCol >= 0 {
@@ -686,44 +685,7 @@ func (c *Compiled) compileMatch(op *ir.Op, first bool) error {
 	// Bind the first source via full scan.
 	start := pattern[0].SrcAlias
 	idx0 := c.addColK(start, graph.KindVertex, pattern[0].SrcLabel)
-	width0 := c.numCols
-	kinds0 := c.kindsSnapshot()
-	label0 := pattern[0].SrcLabel
-	c.Stages = append(c.Stages, Stage{
-		Name:     "MATCH_SCAN(" + start + ")",
-		OutWidth: width0,
-		OutKinds: kinds0,
-		Source: func(env *Env, emit EmitBatch) error {
-			out := newSourceBuffer(kinds0, env, emit)
-			buf := make([]graph.VID, env.EffectiveBatchSize())
-			var scanErr error
-			grin.ScanLabelBatches(env.Graph, label0, buf, func(vs []graph.VID) bool {
-				// Cooperative cancellation once per ID chunk (see compileScan).
-				if err := env.Alive(); err != nil {
-					scanErr = err
-					return false
-				}
-				for len(vs) > 0 {
-					take := out.bs - out.b.Len()
-					if take > len(vs) {
-						take = len(vs)
-					}
-					out.b.cols[idx0].appendVIDs(vs[:take])
-					out.b.rows += take
-					vs = vs[take:]
-					if err := out.flushIfFull(); err != nil {
-						scanErr = err
-						return false
-					}
-				}
-				return true
-			})
-			if scanErr != nil {
-				return scanErr
-			}
-			return out.flush()
-		},
-	})
+	c.Stages = append(c.Stages, c.labelScanStage("MATCH_SCAN("+start+")", idx0, pattern[0].SrcLabel, nil, nil, nil))
 	return c.appendPatternEdges(pattern)
 }
 
@@ -790,7 +752,9 @@ func (c *Compiled) compileAdjacencyCheck(pe ir.PatternEdge) error {
 		eIdx = c.addColK(pe.EdgeAlias, graph.KindEdge, pe.EdgeLabel)
 	}
 	width := c.numCols
-	elabel, dir := pe.EdgeLabel, pe.Dir
+	// Without an edge alias existence is enough; with one, every matching
+	// parallel edge is emitted.
+	x := &expansion{from: srcIdx, dir: pe.Dir, elabel: pe.EdgeLabel, vlabel: graph.AnyLabel, dst: dstIdx, first: eIdx < 0, vIdx: -1, eIdx: eIdx}
 	c.Stages = append(c.Stages, Stage{
 		Name:    "ADJ_CHECK(" + pe.SrcAlias + "," + pe.DstAlias + ")",
 		InWidth: inWidth, OutWidth: width,
@@ -798,44 +762,7 @@ func (c *Compiled) compileAdjacencyCheck(pe ir.PatternEdge) error {
 		Map: func(env *Env, in, out *Batch) error {
 			// Batched verification: expand the whole src column once, then
 			// probe each row's slot range for its dst endpoint.
-			pr, _ := grin.AsPropertyReader(env.Graph)
-			s := expandPool.Get().(*expandScratch)
-			defer expandPool.Put(s)
-			s.frontier, s.rows = frontierFrom(in, srcIdx, s.frontier[:0], s.rows[:0])
-			if len(s.frontier) == 0 {
-				return nil
-			}
-			grin.ExpandBatch(env.Graph, s.frontier, dir, &s.adj)
-			var eLabs []graph.LabelID
-			if pr != nil && elabel != graph.AnyLabel {
-				s.elabels = growLabels(s.elabels, len(s.adj.Edges))
-				grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
-				eLabs = s.elabels
-			}
-			s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
-			dcol := in.Col(dstIdx)
-			for fi, ri := range s.rows {
-				dst := dcol.Value(int(ri)).Vertex()
-				lo, hi := s.adj.Range(fi)
-				for t := lo; t < hi; t++ {
-					if s.adj.Nbrs[t] != dst {
-						continue
-					}
-					if eLabs != nil && eLabs[t] != elabel {
-						continue
-					}
-					s.ts = append(s.ts, int32(t))
-					s.srcRows = append(s.srcRows, ri)
-					if eIdx < 0 {
-						break // existence is enough
-					}
-					// emit every matching parallel edge
-				}
-			}
-			if len(s.srcRows) == 0 {
-				return nil
-			}
-			emitExpanded(out, in, s.srcRows, s.ts, &s.adj, -1, eIdx)
+			x.run(env, in, out)
 			return nil
 		},
 	})
@@ -901,56 +828,88 @@ func ChunkFeed(in *Batch, batchSize int) func(EmitBatch) error {
 	}
 }
 
-// runSegmentSerial drives one pipeline segment (a feed plus a run of Map and
-// Filter stages) to completion, gathering output rows. Per-Map-stage buffers
-// are reused across batches; Filter stages run in place on the current batch,
-// installing selection vectors the downstream stages and the final compacting
-// AppendBatch consume. When stopAfter > 0 (a LIMIT follows the segment) the
-// feed is stopped via ErrStop as soon as enough rows are gathered.
-//
-// The accumulator and the stage buffers come from env.Arena: with an arena
-// installed (a HiActor actor) they are the buffers the owner's previous
-// queries grew, with none they are allocated here.
-func runSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, kinds []graph.Kind, stopAfter int) (*Batch, error) {
-	arena := env.Arena
-	acc := arena.batch(kinds)
-	bufs := arena.stageBufs(len(seg))
+// StageBuffers draws the stage-buffer table RunMorsel needs from env's arena:
+// one reusable output batch per Map stage of seg except the last, whose
+// destination the caller chooses (slot last; -1 when seg has no Map stage).
+// Filter stages need no buffer — they narrow whatever batch is current in
+// place.
+func StageBuffers(env *Env, seg []Stage) (bufs []*Batch, last int) {
+	bufs = env.Arena.stageBufs(len(seg))
+	last = -1
 	for k := range seg {
-		if seg[k].Map != nil {
-			bufs[k] = arena.batch(seg[k].OutLayout())
+		if seg[k].Map == nil {
+			continue
 		}
+		if last >= 0 { // seg[last] is an intermediate Map stage after all
+			bufs[last] = env.Arena.batch(seg[last].OutLayout())
+		}
+		last = k
 	}
-	emit := func(b *Batch) (bool, error) {
-		// Once-per-morsel lifecycle bookkeeping: deadline/cancellation check
-		// plus the row-budget charge.
-		if err := env.ChargeRows(b.Len()); err != nil {
-			return false, err
+	return bufs, last
+}
+
+// RunMorsel runs one morsel through seg on the calling goroutine and returns
+// the batch holding its output: the last Map stage's buffer, or b itself —
+// narrowed by a selection — when only filters ran. It is the one place stages
+// are invoked from, for every driver: the once-per-morsel lifecycle check
+// (deadline, cancellation, row budget) comes first, Map stage k writes into
+// bufs[k] (emptied here), Filter stages install selection vectors in place,
+// and the Run* guards turn an operator or storage panic into a typed error
+// that fails this query only.
+func RunMorsel(env *Env, seg []Stage, bufs []*Batch, b *Batch) (*Batch, error) {
+	if err := env.ChargeRows(b.Len()); err != nil {
+		return nil, err
+	}
+	cur := b
+	for k := range seg {
+		if seg[k].Filter != nil {
+			if err := seg[k].RunFilter(env, cur); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		cur := b
-		for k := range seg {
-			if seg[k].Filter != nil {
-				if err := seg[k].RunFilter(env, cur); err != nil {
-					return false, err
-				}
-				continue
-			}
-			buf := bufs[k]
-			buf.Reset()
-			if err := seg[k].RunMap(env, cur, buf); err != nil {
-				return false, err
-			}
-			cur = buf
+		buf := bufs[k]
+		buf.Reset()
+		if err := seg[k].RunMap(env, cur, buf); err != nil {
+			return nil, err
+		}
+		cur = buf
+	}
+	return cur, nil
+}
+
+// RunSegmentSerial drives one pipeline segment (a feed plus a run of Map and
+// Filter stages) to completion on the calling goroutine, gathering the output
+// rows into acc. The final AppendBatch compacts whatever selection the
+// trailing filters installed. When stopAfter > 0 (a LIMIT follows the
+// segment) the feed is stopped via ErrStop as soon as enough rows are
+// gathered.
+func RunSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, acc *Batch, stopAfter int) (*Batch, error) {
+	bufs, last := StageBuffers(env, seg)
+	if last >= 0 {
+		bufs[last] = env.Arena.batch(seg[last].OutLayout())
+	}
+	err := feed(func(b *Batch) (bool, error) {
+		cur, err := RunMorsel(env, seg, bufs, b)
+		if err != nil {
+			return false, err
 		}
 		acc.AppendBatch(cur)
 		if stopAfter > 0 && acc.Len() >= stopAfter {
 			return true, ErrStop
 		}
 		return true, nil
-	}
-	if err := feed(emit); err != nil && err != ErrStop {
+	})
+	if err != nil && err != ErrStop {
 		return nil, err
 	}
 	return acc, nil
+}
+
+// runSegmentSerial is the serial SegmentRunner: the accumulator, like every
+// other buffer, comes from the arena of the goroutine running the query.
+func runSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, kinds []graph.Kind, stopAfter int) (*Batch, error) {
+	return RunSegmentSerial(env, seg, feed, env.Arena.batch(kinds), stopAfter)
 }
 
 // SegmentRunner executes one pipeline segment: a feed of morsel-sized
@@ -976,6 +935,11 @@ func (c *Compiled) Drive(ctx context.Context, env *Env, run SegmentRunner) (*Bat
 		return nil, fmt.Errorf("exec: plan has no source")
 	}
 	env.bind(ctx)
+	if env.Arena == nil {
+		// A caller that runs one query (naive, tests) gets a fresh arena per
+		// run; owners of long-lived goroutines install their own.
+		env.Arena = new(Arena)
+	}
 	if obs := env.Obs; obs != nil {
 		obs.Bind(c.StageNames())
 	}

@@ -12,6 +12,15 @@
 // context is the single teardown authority for the whole segment: the
 // query's own ctx, an internal stop (LIMIT satisfied) and a worker error all
 // release every goroutine through the same cancellation.
+//
+// Memory has two owners. Each goroutine that runs stages — a worker, or the
+// coordinator, which lends its arena to the producer running the source while
+// it collects — runs with its own exec.Arena: operator scratch and the
+// worker's intermediate Map buffers live there, unshared and never cleared.
+// The engine recycles arenas across segments and queries through a small free
+// list. Batches that outlive the goroutine or segment that filled them — the
+// last Map stage's output a worker hands to the collector, and the segment
+// accumulators — come from the engine's exec.BatchPool instead.
 package gaia
 
 import (
@@ -43,9 +52,15 @@ type Engine struct {
 	g   grin.Graph
 	cat *optimizer.Catalog
 	opt Options
-	// pool recycles the per-morsel output arenas the workers hand to the
-	// collector, so steady-state execution allocates no batch per morsel.
+	// pool recycles the batches that cross goroutines: the per-morsel outputs
+	// workers hand to the collector and the segment accumulators, so steady-
+	// state execution allocates no batch per morsel.
 	pool exec.BatchPool
+	// arenas is the free list of goroutine-local arenas, one per worker plus
+	// the coordinator's: enough for one query to recycle all of its own.
+	// Overlapping queries allocate what the list cannot supply and drop what
+	// it cannot hold, so retention stays at one query's worth.
+	arenas chan *exec.Arena
 }
 
 // NewEngine builds a Gaia engine with a catalog for the CBO.
@@ -53,7 +68,27 @@ func NewEngine(g grin.Graph, opt Options) *Engine {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{g: g, cat: optimizer.BuildCatalog(g), opt: opt}
+	return &Engine{g: g, cat: optimizer.BuildCatalog(g), opt: opt, arenas: make(chan *exec.Arena, opt.Parallelism+1)}
+}
+
+// getArena takes an arena off the free list, or allocates one when the list
+// is empty. The caller owns it until putArena.
+func (e *Engine) getArena() *exec.Arena {
+	select {
+	case a := <-e.arenas:
+		a.Reset()
+		return a
+	default:
+		return new(exec.Arena)
+	}
+}
+
+// putArena returns an arena no goroutine uses any more; a full list drops it.
+func (e *Engine) putArena(a *exec.Arena) {
+	select {
+	case e.arenas <- a:
+	default:
+	}
 }
 
 // Catalog exposes the engine's statistics catalog.
@@ -129,7 +164,9 @@ func (e *Engine) RunCompiled(ctx context.Context, c *exec.Compiled, params map[s
 // gauges (worker busy/idle split, segment count, pool hit/miss, boxed result
 // rows). A nil obs is the zero-overhead disabled path.
 func (e *Engine) RunCompiledObserved(ctx context.Context, c *exec.Compiled, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
-	env := &exec.Env{Graph: e.g, Params: params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: obs}
+	env := &exec.Env{Graph: e.g, Params: params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: obs, Arena: e.getArena()}
+	// Every goroutine of the query has been joined when Drive returns.
+	defer e.putArena(env.Arena)
 	if obs != nil {
 		obs.SetEngine("gaia", e.opt.Parallelism)
 	}
@@ -175,22 +212,9 @@ type seqBatch struct {
 // no goroutine is ever left behind on any path.
 func (e *Engine) parallelSegment(env *exec.Env, seg []exec.Stage, feed func(exec.EmitBatch) error, kinds []graph.Kind, stopAfter int) (*exec.Batch, error) {
 	if len(seg) == 0 {
-		// No transforms: drain the feed directly.
-		acc := e.poolGet(env.Obs, kinds, 0)
-		err := feed(func(b *exec.Batch) (bool, error) {
-			if err := env.ChargeRows(b.Len()); err != nil {
-				return false, err
-			}
-			acc.AppendBatch(b)
-			if stopAfter > 0 && acc.Len() >= stopAfter {
-				return true, exec.ErrStop
-			}
-			return true, nil
-		})
-		if err != nil && err != exec.ErrStop {
-			return nil, err
-		}
-		return acc, nil
+		// No transforms: nothing to parallelize, the coordinator drains the
+		// feed itself.
+		return exec.RunSegmentSerial(env, seg, feed, e.poolGet(env.Obs, kinds, 0), stopAfter)
 	}
 
 	p := e.opt.Parallelism
@@ -234,82 +258,28 @@ func (e *Engine) parallelSegment(env *exec.Env, seg []exec.Stage, feed func(exec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Intermediate Map buffers are per-worker and reused per batch;
-			// the last Map stage's output is handed to the collector, drawn
-			// from the engine's batch pool and recycled once appended.
-			// Filter stages transform nothing — they install selection
-			// vectors in place on whatever batch is current (the morsel view
-			// itself in an all-filter segment; views are safe to narrow
-			// because the producer never reuses an emitted batch).
-			lastMap := -1
-			for k := range seg {
-				if seg[k].Map != nil {
-					lastMap = k
-				}
-			}
-			// Intermediate buffers come from the engine pool too: workers are
-			// fresh goroutines per query, and unpooled buffers would re-grow
-			// their column payloads from zero on every query.
-			bufs := make([]*exec.Batch, len(seg))
-			for k := range seg {
-				if seg[k].Map != nil && k != lastMap {
-					bufs[k] = e.poolGet(obs, seg[k].OutLayout(), 0)
-				}
-			}
-			defer func() {
-				for _, buf := range bufs {
-					if buf != nil {
-						e.pool.Put(buf)
-					}
-				}
-			}()
-			var lastLayout []graph.Kind
-			if lastMap >= 0 {
-				lastLayout = seg[lastMap].OutLayout()
-			}
+			// The worker runs with its own shallow copy of the query's Env —
+			// lifecycle and stats pointers stay shared, so the row budget,
+			// cancellation and counters merge across workers — carrying its
+			// own arena: operator scratch and the intermediate Map buffers,
+			// reused per morsel. Only the last Map stage's output leaves the
+			// goroutine; it is drawn from the engine's batch pool per morsel
+			// and recycled by the collector once appended. An all-filter
+			// segment delivers the morsel view itself, narrowed in place
+			// (safe: the producer never reuses an emitted batch).
+			wenv := *env
+			wenv.Arena = e.getArena()
+			defer e.putArena(wenv.Arena)
+			bufs, last := exec.StageBuffers(&wenv, seg)
 			process := func(sb seqBatch) {
-				// Per-morsel lifecycle check: deadline, cancellation, and the
-				// shared row budget (charged atomically across workers).
-				if err := env.ChargeRows(sb.b.Len()); err != nil {
+				if last >= 0 {
+					bufs[last] = e.poolGet(obs, seg[last].OutLayout(), sb.b.Len())
+				}
+				cur, err := exec.RunMorsel(&wenv, seg, bufs, sb.b)
+				if err != nil {
 					fail(err)
-					return // keep draining so the producer unblocks
-				}
-				cur := sb.b
-				var pooled *exec.Batch
-				failed := false
-				for k := range seg {
-					// RunMap/RunFilter isolate operator/storage panics into
-					// typed errors, so one poisoned morsel fails this query
-					// only.
-					if seg[k].Filter != nil {
-						if err := seg[k].RunFilter(env, cur); err != nil {
-							fail(err)
-							failed = true
-							break
-						}
-						continue
-					}
-					var dst *exec.Batch
-					if k == lastMap {
-						// The last Map output is handed to the collector;
-						// draw its arena from the engine pool instead of
-						// allocating one per morsel.
-						dst = e.poolGet(obs, lastLayout, cur.Len())
-						pooled = dst
-					} else {
-						dst = bufs[k]
-						dst.Reset()
-					}
-					if err := seg[k].RunMap(env, cur, dst); err != nil {
-						fail(err)
-						failed = true
-						break
-					}
-					cur = dst
-				}
-				if failed {
-					if pooled != nil {
-						e.pool.Put(pooled)
+					if last >= 0 {
+						e.pool.Put(bufs[last])
 					}
 					return // keep draining so the producer unblocks
 				}

@@ -2,7 +2,11 @@ package gaia
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,6 +14,8 @@ import (
 	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
+	"repro/internal/query/ir"
+	"repro/internal/query/naive"
 	"repro/internal/query/optimizer"
 	"repro/internal/storage/vineyard"
 )
@@ -161,5 +167,121 @@ RETURN f.firstName, m.creationDate`, schema)
 				}
 			}
 		}
+	}
+}
+
+// concurrentQueries differ in width, column kinds, segment count and barrier
+// mix, so a recycled arena is reshaped by whichever query takes it next.
+var concurrentQueries = []string{
+	`MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN id(p) + 1, id(f)`,
+	`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(m:Post) WHERE m.length > 40
+RETURN f.firstName, m.creationDate`,
+	`MATCH (p:Person)-[:KNOWS]->(f:Person) WITH f, COUNT(p) AS c
+RETURN f.lastName, c ORDER BY c DESC, f.lastName LIMIT 10`,
+	`MATCH (p:Person)<-[:HAS_CREATOR]-(m:Post) WHERE p.birthday % 2 = 0
+RETURN p.firstName, m.length ORDER BY m.length DESC, p.firstName LIMIT 25`,
+	`MATCH (p:Person) RETURN p.browserUsed`,
+}
+
+// TestConcurrentQueriesRecycleArenas runs differently shaped queries on one
+// engine from many goroutines at once — more than its arena free list holds,
+// so arenas are recycled between overlapping queries, allocated fresh, and
+// dropped — and checks every result against the naive engine.
+func TestConcurrentQueriesRecycleArenas(t *testing.T) {
+	checkLeaks := query.CheckLeaks(t)
+	st := snbStore(t, 150)
+	schema := dataset.SNBSchema()
+	plans := make([]*ir.Plan, len(concurrentQueries))
+	want := make([][]exec.Row, len(concurrentQueries))
+	for i, q := range concurrentQueries {
+		var err error
+		if plans[i], err = cypher.Parse(q, schema); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], _, err = naive.Run(context.Background(), plans[i], st, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) == 0 {
+			t.Fatalf("query %d returns no rows", i)
+		}
+	}
+	e := NewEngine(st, Options{Parallelism: 2, BatchSize: 64})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6*len(plans); i++ {
+				q := (g + i) % len(plans)
+				got, _, err := e.Submit(context.Background(), plans[q], nil)
+				if err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, q, err)
+					return
+				}
+				if !sameRows(got, want[q], !strings.Contains(concurrentQueries[q], "ORDER BY")) {
+					t.Errorf("goroutine %d query %d: rows differ from naive\n got %v\nwant %v", g, q, got, want[q])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkLeaks()
+}
+
+// sameRows compares two result sets value for value, in order or — for
+// queries whose row order the plan shape decides — as multisets.
+func sameRows(a, b []exec.Row, unordered bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	render := func(rows []exec.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		if unordered {
+			sort.Strings(out)
+		}
+		return out
+	}
+	ra, rb := render(a), render(b)
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWarmedQueryAllocations pins the allocation count of a warmed three-
+// segment query: worker arenas, the coordinator's arena and the pooled
+// batches are all recycled, so a run allocates its goroutines, channels and
+// result rows, not its buffers. The bound is the parent commit's count (which
+// pooled operator scratch in sync.Pools and allocated a buffer table per
+// worker).
+const warmedQueryAllocs = 211 // the parent commit, measured with this test
+
+func TestWarmedQueryAllocations(t *testing.T) {
+	st := snbStore(t, 150)
+	plan, err := cypher.Parse(concurrentQueries[2], dataset.SNBSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st, Options{Parallelism: 2})
+	c, err := e.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := e.RunCompiled(context.Background(), c, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(100, run)
+	t.Logf("warmed query: %.0f allocs per run", allocs)
+	if !raceEnabled && allocs > warmedQueryAllocs {
+		t.Fatalf("warmed query allocates %.0f times per run, want <= %d", allocs, warmedQueryAllocs)
 	}
 }

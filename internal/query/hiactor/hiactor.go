@@ -9,8 +9,8 @@
 // while an actor is idle — a 10 ms complex read occupies one actor and the
 // short reads behind it flow through the others. Tasks start in arrival
 // order. Each actor owns a query-scoped exec.Arena: the serial driver draws
-// its accumulators and stage buffers from it, the actor resets it before its
-// next task, and after warm-up a query allocates little beyond its result
+// its accumulators and stage buffers from it and the operators their scratch,
+// the actor resets it before its next task, and after warm-up a query allocates little beyond its result
 // rows. An arena retains one buffer set, sized by the largest query its actor
 // has run.
 //
@@ -66,10 +66,14 @@ type Engine struct {
 	mu    sync.RWMutex
 	procs map[string]*exec.Compiled
 
-	// queue is the run queue every actor drains.
-	queue  chan task
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	// queue is the run queue every actor drains. Callers enqueue holding
+	// closeMu shared and Close closes the queue holding it exclusively, so a
+	// send never meets a closed channel: a call either is queued before the
+	// close (and completes) or sees closed (and fails).
+	queue   chan task
+	wg      sync.WaitGroup
+	closeMu sync.RWMutex
+	closed  bool
 
 	// Pool-level gauges: accepted tasks, shed tasks (rejected at enqueue or
 	// expired while queued), and the high-water run-queue depth sampled at
@@ -193,10 +197,14 @@ func ctxError(ctx context.Context) error {
 
 // Close drains the pool. Pending calls complete; new calls fail.
 func (e *Engine) Close() {
-	if e.closed.Swap(true) {
+	e.closeMu.Lock()
+	if e.closed {
+		e.closeMu.Unlock()
 		return
 	}
+	e.closed = true
 	close(e.queue)
+	e.closeMu.Unlock()
 	e.wg.Wait()
 }
 
@@ -290,13 +298,18 @@ func (e *Engine) SubmitObserved(ctx context.Context, p *ir.Plan, params map[stri
 }
 
 func (e *Engine) submit(ctx context.Context, c *exec.Compiled, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
-	if e.closed.Load() {
-		return nil, fmt.Errorf("hiactor: engine closed")
-	}
 	if ctx == nil {
 		ctx = background
 	}
 	reply := make(chan result, 1)
+	// Held across the enqueue only. A full queue blocks here under the
+	// caller's deadline while the actors keep draining, so a waiting Close
+	// is delayed, never deadlocked.
+	e.closeMu.RLock()
+	if e.closed {
+		e.closeMu.RUnlock()
+		return nil, fmt.Errorf("hiactor: engine closed")
+	}
 	// The depth gauge samples the run queue at enqueue — the tasks waiting
 	// ahead of this call, and the pool's backpressure signal.
 	depth := int64(len(e.queue))
@@ -311,11 +324,13 @@ func (e *Engine) submit(ctx context.Context, c *exec.Compiled, params map[string
 	// instead of an unbounded block.
 	select {
 	case e.queue <- task{ctx: ctx, c: c, params: params, reply: reply, obs: obs}:
+		e.closeMu.RUnlock()
 		e.enqueued.Add(1)
 		if obs != nil {
 			obs.Mailbox(depth, 0)
 		}
 	case <-ctx.Done():
+		e.closeMu.RUnlock()
 		e.shed.Add(1)
 		if obs != nil {
 			obs.Mailbox(depth, 1)

@@ -414,8 +414,9 @@ func TestFullQueueShedsWithDeadline(t *testing.T) {
 // TestArenaReuseAllocations pins what the actor-owned arena buys: a warmed
 // two-hop procedure allocates a small constant per call (the reply channel,
 // the environment, the source buffer, the snapshot and the result rows — the
-// result-materialization floor), far below the same plan driven with no arena,
-// which allocates every accumulator and stage buffer afresh.
+// result-materialization floor), far below the same plan driven with no arena
+// given: Drive then installs a fresh one per run, and every accumulator, stage
+// buffer and scratch slice is grown afresh.
 func TestArenaReuseAllocations(t *testing.T) {
 	e, gs := gatedEngine(t, newGate(), Options{Shards: 1}, hookedSnap{}, map[string]string{"twohop": twoHopQuery})
 	params := pidParam(1)
@@ -445,6 +446,33 @@ func TestArenaReuseAllocations(t *testing.T) {
 	}
 	if noArena < 2*withArena {
 		t.Fatalf("arena saves too little: %.0f allocs with, %.0f without", withArena, noArena)
+	}
+}
+
+// TestShortAfterComplexAllocations runs a point read on an actor whose arena
+// a three-hop read has just grown: the short call must reuse that memory
+// untouched — no allocation beyond the parent commit's count, which drew the
+// same scratch from sync.Pools.
+func TestShortAfterComplexAllocations(t *testing.T) {
+	e, _ := gatedEngine(t, newGate(), Options{Shards: 1}, hookedSnap{}, map[string]string{
+		"short": `MATCH (p:Person) WHERE id(p) = $pid RETURN p.firstName, p.lastName, p.birthday + 1`,
+		"complex": `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(h:Person)-[:KNOWS]->(g:Person)
+WHERE id(p) = $pid RETURN g.firstName, g.birthday + 1`,
+	})
+	ctx := context.Background()
+	if rows, err := e.Call(ctx, "complex", pidParam(1)); err != nil || len(rows) < 1000 {
+		t.Fatalf("complex: %d rows, %v", len(rows), err)
+	}
+	params := pidParam(2)
+	allocs := testing.AllocsPerRun(200, func() {
+		if rows, err := e.Call(ctx, "short", params); err != nil || len(rows) != 1 {
+			t.Fatalf("short: %d rows, %v", len(rows), err)
+		}
+	})
+	t.Logf("short call after a complex one: %.0f allocs", allocs)
+	const parent = 18 // the parent commit, measured with this test
+	if !raceEnabled && allocs > parent {
+		t.Fatalf("short call after a complex one allocates %.0f times, want <= %d", allocs, parent)
 	}
 }
 
@@ -479,7 +507,8 @@ WHERE id(p) = $pid WITH f, COUNT(g) AS c RETURN f.firstName, c ORDER BY c DESC`,
 
 // TestArenaResultsMatchNaive interleaves differently shaped procedures on one
 // actor — every call reshapes the buffers its predecessor grew — and checks
-// each result row for row against the naive engine, which runs with no arena.
+// each result row for row against the naive engine, which runs every query on
+// a fresh arena.
 func TestArenaResultsMatchNaive(t *testing.T) {
 	checkLeaks := query.CheckLeaks(t)
 	e, gs := gatedEngine(t, newGate(), Options{Shards: 1, BatchSize: 16}, hookedSnap{}, arenaProcs)
@@ -579,5 +608,52 @@ func TestArenaSurvivesPanicAndAbandonedQuery(t *testing.T) {
 	check("an abandoned query")
 
 	e.Close()
+	checkLeaks()
+}
+
+// TestCloseRacesCalls closes the engine while callers are mid-enqueue, many
+// times over: every call must end in rows or an error — "pending calls
+// complete, new calls fail" — and none may panic sending on the closed queue.
+func TestCloseRacesCalls(t *testing.T) {
+	checkLeaks := query.CheckLeaks(t)
+	b := dataset.SNB(dataset.SNBOptions{Persons: 50, Seed: 4})
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cypher.Parse(friendsQuery, dataset.SNBSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := pidParam(1)
+	for round := 0; round < 300; round++ {
+		e := NewEngine(func() grin.Graph { return gs.Latest() }, Options{Shards: 2})
+		if err := e.Install("friends", plan); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("round %d: Call panicked: %v", round, r)
+					}
+				}()
+				for {
+					if _, err := e.Call(context.Background(), "friends", params); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round) * time.Microsecond)
+		e.Close()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
 	checkLeaks()
 }

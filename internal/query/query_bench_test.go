@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,4 +174,61 @@ ORDER BY m.creationDate DESC LIMIT 20`,
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkHiActorShortAfterComplex times a point read on an actor whose
+// scratch an earlier complex read has grown: the complex procedure (one, two
+// or three hops, so its PROJECT batches differ by orders of magnitude) runs
+// untimed every 256 calls, only the short calls are timed. The short read's
+// ns/op must not depend on which complex read shares its actor — scratch that
+// is cleared on release makes every short read memset the largest batch the
+// complex read ever projected.
+func BenchmarkHiActorShortAfterComplex(b *testing.B) {
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(dataset.SNB(dataset.SNBOptions{Persons: 300, Seed: 17})); err != nil {
+		b.Fatal(err)
+	}
+	const short = `MATCH (p:Person) WHERE id(p) = $pid RETURN p.firstName, p.lastName, p.birthday + 1`
+	hops := []string{
+		`MATCH (p:Person)-[:KNOWS]->(g:Person)`,
+		`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)`,
+		`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(h:Person)-[:KNOWS]->(g:Person)`,
+	}
+	for i, match := range hops {
+		b.Run(fmt.Sprintf("complex=%dhop", i+1), func(b *testing.B) {
+			he := hiactor.NewEngine(func() grin.Graph { return gs.Latest() }, hiactor.Options{Shards: 1, BatchSize: 1 << 16})
+			defer he.Close()
+			for name, q := range map[string]string{
+				"short":   short,
+				"complex": match + ` WHERE id(p) = $pid RETURN g.firstName, g.birthday + 1`,
+			} {
+				plan, err := cypher.Parse(q, dataset.SNBSchema())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := he.Install(name, plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+			call := func(name string, pid int) int {
+				rows, err := he.Call(context.Background(), name, map[string]graph.Value{"pid": graph.IntValue(int64(pid % 300))})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(rows)
+			}
+			complexRows := call("complex", 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 255 {
+					b.StopTimer()
+					call("complex", i)
+					b.StartTimer()
+				}
+				call("short", i)
+			}
+			b.ReportMetric(float64(complexRows), "complex-rows")
+		})
+	}
 }
