@@ -17,11 +17,12 @@ func CDLP(g grin.Graph, rounds, fragments int) ([]float64, error) {
 	if rounds <= 0 {
 		rounds = 10
 	}
-	prog := &cdlpPIE{g: g, label: make([]float64, g.NumVertices()), rounds: rounds}
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: fragments})
 	if err != nil {
 		return nil, err
 	}
+	prog := &cdlpPIE{label: make([]float64, g.NumVertices()), rounds: rounds,
+		inbox: make([]grape.Grouper, eng.Fragments())}
 	if _, err := eng.Run(prog); err != nil {
 		return nil, err
 	}
@@ -29,9 +30,9 @@ func CDLP(g grin.Graph, rounds, fragments int) ([]float64, error) {
 }
 
 type cdlpPIE struct {
-	g      grin.Graph
 	label  []float64
 	rounds int
+	inbox  []grape.Grouper // per fragment
 }
 
 // PEval self-labels and broadcasts round 0.
@@ -40,39 +41,31 @@ func (p *cdlpPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
 		p.label[v] = float64(v)
 	})
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		p.sendLabel(s, v)
-	})
+	p.sendLabels(f, ctx)
 }
 
 // IncEval adopts the mode label among received messages per target.
 func (p *cdlpPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	// Group per target: messages carry raw neighbor labels (no combiner), so
-	// targets repeat and the grouping stays sequential.
-	byTarget := make(map[graph.VID][]float64)
-	for _, m := range msgs {
-		byTarget[m.Target] = append(byTarget[m.Target], m.Value)
-	}
-	for v, labels := range byTarget {
-		p.label[v] = modeLabel(labels)
+	// Messages carry raw neighbor labels (no combiner), so targets repeat:
+	// group them per target first.
+	lo, hi := f.Bounds()
+	id, _ := f.Fragment()
+	in := &p.inbox[id]
+	in.Group(lo, hi, msgs)
+	for v := lo; v < hi; v++ {
+		if labels := in.Values(v); len(labels) > 0 {
+			p.label[v] = modeLabel(labels)
+		}
 	}
 	if ctx.Superstep() < p.rounds {
-		lo, hi := f.Bounds()
-		ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-			p.sendLabel(s, v)
-		})
+		p.sendLabels(f, ctx)
 	}
 }
 
-func (p *cdlpPIE) sendLabel(sink grape.Sink, v graph.VID) {
-	l := p.label[v]
-	grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
-	})
-	grin.ForEachNeighbor(p.g, v, graph.In, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
+func (p *cdlpPIE) sendLabels(f *grape.Fragment, ctx *grape.Context) {
+	lo, hi := f.Bounds()
+	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
+		s.SendToNeighbors(v, graph.Both, p.label[v])
 	})
 }
 
@@ -101,7 +94,7 @@ func KCore(g grin.Graph, k, fragments int) ([]bool, error) {
 	prog := &kcorePIE{g: g, k: k, deg: make([]int, n), removed: make([]bool, n)}
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
-		Combine:   func(a, b float64) float64 { return a + b },
+		Combine:   grape.Sum,
 	})
 	if err != nil {
 		return nil, err
@@ -153,14 +146,7 @@ func (p *kcorePIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.M
 
 func (p *kcorePIE) peel(sink grape.Sink, v graph.VID) {
 	p.removed[v] = true
-	grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, 1)
-		return true
-	})
-	grin.ForEachNeighbor(p.g, v, graph.In, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, 1)
-		return true
-	})
+	sink.SendToNeighbors(v, graph.Both, 1)
 }
 
 // TriangleCount counts triangles in the undirected view by parallel sorted

@@ -31,17 +31,8 @@ func (o *PageRankOptions) defaults() {
 // rank vector.
 func PageRank(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 	opt.defaults()
-	n := g.NumVertices()
-	prog := &pageRankPIE{
-		g:     g,
-		ranks: make([]float64, n),
-		opt:   opt,
-		n:     float64(n),
-	}
-	eng, err := grape.NewEngine(g, grape.Options{
-		Fragments: opt.Fragments,
-		Combine:   func(a, b float64) float64 { return a + b },
-	})
+	prog := newPageRankPIE(g, opt)
+	eng, err := grape.NewEngine(g, grape.Options{Fragments: opt.Fragments, Combine: grape.Sum})
 	if err != nil {
 		return nil, err
 	}
@@ -52,20 +43,46 @@ func PageRank(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 }
 
 type pageRankPIE struct {
-	g     grin.Graph
-	ranks []float64
-	opt   PageRankOptions
-	n     float64
+	g             grin.Graph
+	ranks         []float64
+	base, damping float64
+	iterations    int
+
+	// IncEval's loop bodies as method values bound once per run: binding
+	// them inside IncEval would allocate per fragment per superstep.
+	resetFn, scatterFn func(*grape.Sender, graph.VID)
+	applyFn            func(*grape.Sender, grape.Message)
+}
+
+func newPageRankPIE(g grin.Graph, opt PageRankOptions) *pageRankPIE {
+	n := g.NumVertices()
+	p := &pageRankPIE{g: g, ranks: make([]float64, n),
+		base: (1 - opt.Damping) / float64(n), damping: opt.Damping, iterations: opt.Iterations}
+	p.resetFn, p.scatterFn, p.applyFn = p.reset, p.scatter, p.apply
+	return p
+}
+
+func (p *pageRankPIE) reset(_ *grape.Sender, v graph.VID) { p.ranks[v] = p.base }
+
+func (p *pageRankPIE) apply(_ *grape.Sender, m grape.Message) {
+	p.ranks[m.Target] += p.damping * m.Value
+}
+
+// scatter sends rank/outdeg along v's out-edges.
+func (p *pageRankPIE) scatter(s *grape.Sender, v graph.VID) {
+	if d := p.g.Degree(v, graph.Out); d > 0 {
+		s.SendToNeighbors(v, graph.Out, p.ranks[v]/float64(d))
+	}
 }
 
 // PEval initializes ranks and sends the first round of contributions.
 func (p *pageRankPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	init := 1.0 / p.n
+	init := 1.0 / float64(len(p.ranks))
 	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
 		p.ranks[v] = init
 	})
-	p.scatter(f, ctx)
+	p.nextRound(f, ctx)
 }
 
 // IncEval applies the combined contribution sums and, while iterations
@@ -73,33 +90,20 @@ func (p *pageRankPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 // per target, so the message loop can update ranks in parallel.
 func (p *pageRankPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
 	lo, hi := f.Bounds()
-	base := (1 - p.opt.Damping) / p.n
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
-		p.ranks[v] = base
-	})
-	ctx.ParallelForMessages(msgs, func(_ *grape.Sender, m grape.Message) {
-		p.ranks[m.Target] += p.opt.Damping * m.Value
-	})
-	if ctx.Superstep() < p.opt.Iterations {
-		p.scatter(f, ctx)
-	}
+	ctx.ParallelFor(lo, hi, p.resetFn)
+	ctx.ParallelForMessages(msgs, p.applyFn)
+	p.nextRound(f, ctx)
 }
 
-// scatter sends rank/outdeg along out-edges for the fragment's inner range.
-func (p *pageRankPIE) scatter(f *grape.Fragment, ctx *grape.Context) {
-	lo, hi := f.Bounds()
-	g := p.g
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		d := g.Degree(v, graph.Out)
-		if d == 0 {
-			return
-		}
-		contrib := p.ranks[v] / float64(d)
-		grin.ForEachNeighbor(g, v, graph.Out, func(nbr graph.VID, _ graph.EID) bool {
-			s.Send(nbr, contrib)
-			return true
-		})
-	})
+// nextRound scatters while iterations remain. The Rerun vote keeps the
+// iteration count fixed on inputs where no message flows (a graph, or a
+// fragment, without edges): its ranks must still settle to the base.
+func (p *pageRankPIE) nextRound(f *grape.Fragment, ctx *grape.Context) {
+	if ctx.Superstep() < p.iterations {
+		lo, hi := f.Bounds()
+		ctx.ParallelFor(lo, hi, p.scatterFn)
+		ctx.Rerun()
+	}
 }
 
 // PageRankPregel is the same computation expressed in the vertex-centric
@@ -109,7 +113,7 @@ func PageRankPregel(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 	opt.defaults()
 	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, pregel.Options{
 		Fragments: opt.Fragments,
-		Combine:   func(a, b float64) float64 { return a + b },
+		Combine:   grape.Sum,
 	})
 	return vals, err
 }

@@ -14,10 +14,10 @@ const Unreached = math.MaxFloat64
 // BFS computes level-synchronous breadth-first levels from root over
 // out-edges. Unreached vertices get Unreached.
 func BFS(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
-	prog := &bfsPIE{g: g, root: root, dist: make([]float64, g.NumVertices())}
+	prog := newBFSPIE(g, root)
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
-		Combine:   math.Min,
+		Combine:   grape.Min,
 	})
 	if err != nil {
 		return nil, err
@@ -29,9 +29,17 @@ func BFS(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
 }
 
 type bfsPIE struct {
-	g    grin.Graph
 	root graph.VID
 	dist []float64
+	// settleFn is the method value p.settle, bound once per run: binding it
+	// inside IncEval would allocate per fragment per superstep.
+	settleFn func(*grape.Sender, grape.Message)
+}
+
+func newBFSPIE(g grin.Graph, root graph.VID) *bfsPIE {
+	p := &bfsPIE{root: root, dist: make([]float64, g.NumVertices())}
+	p.settleFn = p.settle
+	return p
 }
 
 // PEval seeds the frontier at the root's fragment.
@@ -42,10 +50,7 @@ func (p *bfsPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	})
 	if f.IsInner(p.root) {
 		p.dist[p.root] = 0
-		grin.ForEachNeighbor(p.g, p.root, graph.Out, func(n graph.VID, _ graph.EID) bool {
-			ctx.Send(n, 1)
-			return true
-		})
+		ctx.SendToNeighbors(p.root, graph.Out, 1)
 	}
 }
 
@@ -53,20 +58,17 @@ func (p *bfsPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 // min combiner delivers one message per target, so targets are distinct and
 // the frontier expands in parallel.
 func (p *bfsPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, func(s *grape.Sender, m grape.Message) {
-		v := m.Target
-		if m.Value < p.dist[v] {
-			p.dist[v] = m.Value
-			next := m.Value + 1
-			// Do not peek at p.dist[n]: n may be owned by another fragment
-			// whose state is being written concurrently. The receiver
-			// discards stale levels.
-			grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-				s.Send(n, next)
-				return true
-			})
-		}
-	})
+	ctx.ParallelForMessages(msgs, p.settleFn)
+}
+
+func (p *bfsPIE) settle(s *grape.Sender, m grape.Message) {
+	if m.Value < p.dist[m.Target] {
+		p.dist[m.Target] = m.Value
+		// Do not peek at p.dist of a neighbor: it may be owned by another
+		// fragment whose state is being written concurrently. The receiver
+		// discards stale levels.
+		s.SendToNeighbors(m.Target, graph.Out, m.Value+1)
+	}
 }
 
 // SSSP computes single-source shortest paths over weighted out-edges
@@ -75,7 +77,7 @@ func SSSP(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
 	prog := &ssspPIE{g: g, root: root, dist: make([]float64, g.NumVertices())}
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
-		Combine:   math.Min,
+		Combine:   grape.Min,
 	})
 	if err != nil {
 		return nil, err
@@ -117,7 +119,7 @@ func (p *ssspPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Me
 
 func (p *ssspPIE) relax(sink grape.Sink, v graph.VID, dv float64) {
 	g := p.g
-	// No remote-state peeking (see bfsPIE.IncEval); the min combiner and
+	// No remote-state peeking (see bfsPIE.settle); the min combiner and
 	// the receiver-side check keep the message volume bounded.
 	grin.ForEachNeighbor(g, v, graph.Out, func(n graph.VID, e graph.EID) bool {
 		sink.Send(n, dv+grin.Weight(g, e))
@@ -129,10 +131,10 @@ func (p *ssspPIE) relax(sink grape.Sink, v graph.VID, dv float64) {
 // both edge directions; the result maps each vertex to its component's
 // minimum vertex ID.
 func WCC(g grin.Graph, fragments int) ([]float64, error) {
-	prog := &wccPIE{g: g, label: make([]float64, g.NumVertices())}
+	prog := newWCCPIE(g)
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
-		Combine:   math.Min,
+		Combine:   grape.Min,
 	})
 	if err != nil {
 		return nil, err
@@ -144,8 +146,15 @@ func WCC(g grin.Graph, fragments int) ([]float64, error) {
 }
 
 type wccPIE struct {
-	g     grin.Graph
 	label []float64
+	// adoptFn is p.adopt bound once per run (see bfsPIE.settleFn).
+	adoptFn func(*grape.Sender, grape.Message)
+}
+
+func newWCCPIE(g grin.Graph) *wccPIE {
+	p := &wccPIE{label: make([]float64, g.NumVertices())}
+	p.adoptFn = p.adopt
+	return p
 }
 
 // PEval assigns self-labels and broadcasts them.
@@ -155,30 +164,21 @@ func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 		p.label[v] = float64(v)
 	})
 	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		p.broadcast(s, v, p.label[v])
+		s.SendToNeighbors(v, graph.Both, p.label[v])
 	})
 }
 
 // IncEval adopts smaller labels and re-broadcasts (min-combined messages
 // have distinct targets, so the loop is parallel).
 func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, func(s *grape.Sender, m grape.Message) {
-		if m.Value < p.label[m.Target] {
-			p.label[m.Target] = m.Value
-			p.broadcast(s, m.Target, m.Value)
-		}
-	})
+	ctx.ParallelForMessages(msgs, p.adoptFn)
 }
 
-func (p *wccPIE) broadcast(sink grape.Sink, v graph.VID, l float64) {
-	// Sends are unconditional: neighbor labels may live on other fragments
-	// (see bfsPIE.IncEval).
-	grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
-	})
-	grin.ForEachNeighbor(p.g, v, graph.In, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
-	})
+func (p *wccPIE) adopt(s *grape.Sender, m grape.Message) {
+	if m.Value < p.label[m.Target] {
+		p.label[m.Target] = m.Value
+		// Sends are unconditional: neighbor labels may live on other
+		// fragments (see bfsPIE.settle).
+		s.SendToNeighbors(m.Target, graph.Both, m.Value)
+	}
 }

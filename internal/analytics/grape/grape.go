@@ -3,20 +3,52 @@
 // evaluation + incremental evaluation) over range-partitioned fragments.
 //
 // The paper's GRAPE runs fragments on cluster nodes over MPI; here each
-// fragment runs on its own goroutine and "the network" is a message exchange
-// that — exactly as §6 describes — trades latency for throughput: messages
-// are aggregated per destination fragment into a contiguous varint-encoded
-// buffer and shipped once per superstep, instead of being sent one by one.
-// The ablation bench (aggregated vs per-message channels) quantifies this
-// design choice.
+// fragment runs on its own goroutine for the whole run, the fragments meet at
+// two barriers per superstep, and "the network" is the shared address space.
+// What §6 asks of the message path — combine at the sender, one contiguous
+// hand-off per fragment pair per superstep — is kept, at the cost of the loop
+// it replaces:
+//
+//   - Fragments are contiguous vertex ranges cut so each holds an equal share
+//     of Σ(1 + outdeg + indeg) (libgrape-lite's rebalance rule), not an equal
+//     vertex count: a generator that puts every out-edge in the first half of
+//     the ID range would otherwise leave half the fragments idle.
+//   - The combiner is a closed type (NoCombine, Sum, Min), so folding a
+//     message is inlined arithmetic, never an indirect call.
+//   - With a combiner every source fragment folds its sends into one flat
+//     accumulator over all n vertices — a float64 cell per vertex holding the
+//     combiner's identity until touched, plus a touched bitmap of n/8 bytes.
+//     A fold is `cell[t] = comb(cell[t], val); bits[t>>6] |= 1<<(t&63)`: no
+//     owner lookup, no per-destination buffer, no append.
+//   - SendToNeighbors is the bulk form of Send: the engine resolves the array
+//     trait once, walks AdjSlice itself and folds with the combiner hoisted
+//     out of the loop — no closure per vertex, no call per edge. Per-edge
+//     Send/SendAux remain for values that depend on the edge.
+//   - The exchange copies nothing: after the first barrier destination d
+//     reads range [lo_d, hi_d) of every source's bitmap, combines the touched
+//     cells across sources in source order, resets them, and appends to an
+//     inbox it owns and reuses. Inboxes therefore arrive in ascending target
+//     order with at most one message per target — a guarantee of the combiner
+//     path that ParallelForMessages and the Pregel adapter rely on.
+//
+// Without a combiner, sends are buffered per destination fragment as
+// Messages (Aux is carried only here) and the destination concatenates them
+// in source order. Two ablation arms keep materialised messages on purpose:
+// WireCodec varint-encodes every cross-fragment hand-off, the serialization a
+// real network pays, and PerMessageChannels ships every message through a
+// channel individually, the un-aggregated exchange §6 warns about
+// (`flexbench ablation-msg`).
 package grape
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -29,29 +61,59 @@ import (
 // (vertex IDs are exactly representable).
 type Message struct {
 	Target graph.VID
-	// Aux carries a small integer payload alongside Value (a label for
-	// community detection, a shareholder ID for equity propagation).
+	// Aux carries a small integer payload alongside Value (a shareholder ID
+	// for equity propagation). It is delivered only by engines running
+	// NoCombine: combined messages have no single sender, so their Aux is 0.
 	Aux   uint32
 	Value float64
 }
 
 // Program is a PIE-model algorithm: PEval runs once on every fragment, then
-// IncEval runs on fragments that received messages, until quiescence.
+// IncEval runs on every fragment each superstep until no fragment received a
+// message or voted to rerun.
 type Program interface {
 	// PEval performs partial evaluation on a fragment.
 	PEval(f *Fragment, ctx *Context)
 	// IncEval performs incremental evaluation given freshly arrived
-	// messages.
+	// messages. msgs belongs to the engine and is valid until IncEval
+	// returns; the program may reorder it in place. With a combiner it holds
+	// at most one message per target, in ascending target order.
 	IncEval(f *Fragment, ctx *Context, msgs []Message)
+}
+
+// Combiner merges message values directed at the same target.
+type Combiner uint8
+
+const (
+	// NoCombine delivers every message individually, Aux included.
+	NoCombine Combiner = iota
+	// Sum delivers the sum of the values sent to a target (PageRank, k-core).
+	Sum
+	// Min delivers the smallest value sent to a target (BFS, SSSP, WCC).
+	Min
+)
+
+// identity is the value an untouched accumulator cell holds.
+func (c Combiner) identity() float64 {
+	if c == Min {
+		return math.Inf(1)
+	}
+	return 0
+}
+
+func (c Combiner) apply(a, b float64) float64 {
+	if c == Sum {
+		return a + b
+	}
+	return min(a, b)
 }
 
 // Options configures an Engine.
 type Options struct {
 	// Fragments is the simulated worker count; 0 selects GOMAXPROCS.
 	Fragments int
-	// Combine merges two message values directed at the same target (e.g.
-	// sum for PageRank, min for SSSP/WCC). Nil keeps all messages.
-	Combine func(a, b float64) float64
+	// Combine merges message values directed at the same target.
+	Combine Combiner
 	// IntraParallelism is the worker count Context.ParallelFor and
 	// ParallelForMessages use for the vertex/message loops inside one
 	// fragment; 0 derives max(1, GOMAXPROCS/Fragments), so the default
@@ -60,81 +122,105 @@ type Options struct {
 	IntraParallelism int
 	// MaxSupersteps bounds execution; 0 means unbounded.
 	MaxSupersteps int
-	// PerMessageChannels disables message aggregation and ships each
+	// PerMessageChannels disables sender-side aggregation and ships each
 	// message through a channel individually — the negative ablation arm.
 	PerMessageChannels bool
-	// WireCodec additionally varint-encodes each cross-fragment buffer,
-	// simulating the serialization a real network deployment pays. Off by
-	// default: in-process fragments hand buffers over zero-copy.
+	// WireCodec varint-encodes each cross-fragment hand-off, simulating the
+	// serialization a real network deployment pays. Off by default:
+	// in-process fragments read each other's accumulators directly.
 	WireCodec bool
 }
 
 // Engine executes PIE programs over a partitioned graph view.
 type Engine struct {
 	g    grin.Graph
+	adj  grin.AdjArray // nil when the store lacks (or masks) the array trait
 	opt  Options
 	part *partition.Range
 	fr   []*Fragment
-
-	// Dense combine scratch: sendScratch[s][d] combines fragment s's
-	// messages for destination d; recvScratch[d] merges across sources.
-	// Reused across supersteps (epoch-stamped, no clearing).
-	sendScratch [][]*denseScratch
-	recvScratch []*denseScratch
+	// acc[f] is fragment f's flat accumulator (nil under NoCombine). All
+	// cells hold the identity and all bits are clear between runs.
+	acc   []*accum
+	stats *RunStats
 }
 
-// denseScratch is an epoch-stamped dense accumulator over one destination
-// fragment's vertex range: combining is O(messages) with no hashing and no
-// per-superstep reset.
-type denseScratch struct {
-	lo      graph.VID
-	acc     []float64
-	aux     []uint32
-	epoch   []uint32
-	cur     uint32
-	touched []uint32
+// accum is a flat combining accumulator over the whole vertex range: a cell
+// per vertex holding the combiner's identity until touched, and a bitmap of
+// the touched cells.
+type accum struct {
+	comb Combiner
+	cell []float64
+	bits []uint64
 }
 
-func newDenseScratch(lo, hi graph.VID) *denseScratch {
-	n := int(hi - lo)
-	return &denseScratch{lo: lo, acc: make([]float64, n), aux: make([]uint32, n), epoch: make([]uint32, n)}
-}
-
-// combine folds messages into the scratch and rewrites them, one per target,
-// into out (which may reuse in's storage).
-func (sc *denseScratch) combine(in []Message, comb func(a, b float64) float64, out []Message) []Message {
-	sc.begin()
-	for _, m := range in {
-		sc.fold(m, comb)
+func newAccum(n int, comb Combiner) *accum {
+	a := &accum{comb: comb, cell: make([]float64, n), bits: make([]uint64, (n+63)/64)}
+	if id := comb.identity(); id != 0 {
+		for i := range a.cell {
+			a.cell[i] = id
+		}
 	}
-	return sc.drain(out)
+	return a
 }
 
-// begin opens a fresh combining epoch.
-func (sc *denseScratch) begin() {
-	sc.cur++
-	sc.touched = sc.touched[:0]
+// fold merges one value into the target's cell.
+func (a *accum) fold(t graph.VID, val float64) {
+	if a.comb == Sum {
+		a.cell[t] += val
+	} else if val < a.cell[t] {
+		a.cell[t] = val
+	}
+	a.bits[t>>6] |= 1 << (t & 63)
 }
 
-// fold merges one message into the open epoch.
-func (sc *denseScratch) fold(m Message, comb func(a, b float64) float64) {
-	off := uint32(m.Target - sc.lo)
-	if sc.epoch[off] != sc.cur {
-		sc.epoch[off] = sc.cur
-		sc.acc[off] = m.Value
-		sc.aux[off] = m.Aux
-		sc.touched = append(sc.touched, off)
-	} else {
-		sc.acc[off] = comb(sc.acc[off], m.Value)
+// scatter folds val into every target of an adjacency slice, the combiner
+// chosen once outside the loop.
+func (a *accum) scatter(adj []grin.Target, val float64) {
+	cell, bm := a.cell, a.bits
+	if a.comb == Sum {
+		for _, t := range adj {
+			cell[t.Nbr] += val
+			bm[t.Nbr>>6] |= 1 << (t.Nbr & 63)
+		}
+		return
+	}
+	for _, t := range adj {
+		if val < cell[t.Nbr] {
+			cell[t.Nbr] = val
+		}
+		bm[t.Nbr>>6] |= 1 << (t.Nbr & 63)
 	}
 }
 
-// drain emits one combined message per touched target.
-func (sc *denseScratch) drain(out []Message) []Message {
-	for _, off := range sc.touched {
-		out = append(out, Message{Target: sc.lo + graph.VID(off), Aux: sc.aux[off], Value: sc.acc[off]})
+// drain moves every touched cell of [lo, hi) into sink in ascending target
+// order, resetting the cells and clearing the bits it visits.
+func (a *accum) drain(lo, hi graph.VID, sink func(t graph.VID, val float64)) {
+	if lo >= hi {
+		return
 	}
-	return out
+	id := a.comb.identity()
+	w0, w1 := int(lo>>6), int((hi-1)>>6)
+	for w := w0; w <= w1; w++ {
+		m := a.bits[w] & rangeMask(w, w0, w1, lo, hi)
+		a.bits[w] &^= m
+		for ; m != 0; m &= m - 1 {
+			t := graph.VID(w<<6 | bits.TrailingZeros64(m))
+			sink(t, a.cell[t])
+			a.cell[t] = id
+		}
+	}
+}
+
+// rangeMask selects, in bitmap word w of [w0, w1], the bits of [lo, hi).
+func rangeMask(w, w0, w1 int, lo, hi graph.VID) uint64 {
+	m := ^uint64(0)
+	if w == w0 {
+		m &= ^uint64(0) << (lo & 63)
+	}
+	if w == w1 {
+		m &= ^uint64(0) >> (63 - (hi-1)&63)
+	}
+	return m
 }
 
 // NewEngine partitions the graph and prepares fragments. The topology trait
@@ -153,34 +239,33 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("grape: empty graph")
 	}
+	if opt.Combine > Min {
+		return nil, fmt.Errorf("grape: unknown combiner %d", opt.Combine)
+	}
 	if opt.IntraParallelism <= 0 {
 		opt.IntraParallelism = runtime.GOMAXPROCS(0) / opt.Fragments
 		if opt.IntraParallelism < 1 {
 			opt.IntraParallelism = 1
 		}
 	}
-	part, err := partition.NewRange(n, opt.Fragments)
+	// A fragment's work is its vertices plus the edges it scatters along and
+	// the messages it receives, so that is what the cuts balance.
+	part, err := partition.NewRange(n, opt.Fragments, func(v graph.VID) int {
+		return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In)
+	})
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{g: g, opt: opt, part: part}
+	e.adj, _ = grin.AsAdjArray(g)
 	for f := 0; f < opt.Fragments; f++ {
 		lo, hi := part.Bounds(f)
 		e.fr = append(e.fr, &Fragment{id: f, total: opt.Fragments, lo: lo, hi: hi, g: g, part: part})
 	}
-	if opt.Combine != nil {
-		e.sendScratch = make([][]*denseScratch, opt.Fragments)
-		e.recvScratch = make([]*denseScratch, opt.Fragments)
-		for s := 0; s < opt.Fragments; s++ {
-			e.sendScratch[s] = make([]*denseScratch, opt.Fragments)
-			for d := 0; d < opt.Fragments; d++ {
-				lo, hi := part.Bounds(d)
-				e.sendScratch[s][d] = newDenseScratch(lo, hi)
-			}
-		}
-		for d := 0; d < opt.Fragments; d++ {
-			lo, hi := part.Bounds(d)
-			e.recvScratch[d] = newDenseScratch(lo, hi)
+	if opt.Combine != NoCombine {
+		e.acc = make([]*accum, opt.Fragments)
+		for f := range e.acc {
+			e.acc[f] = newAccum(n, opt.Combine)
 		}
 	}
 	return e, nil
@@ -213,51 +298,19 @@ func (f *Fragment) Owner(v graph.VID) int { return f.part.Owner(v) }
 // GlobalID implements grin.Partitioned (ranges use global IDs directly).
 func (f *Fragment) GlobalID(v graph.VID) graph.VID { return v }
 
-// Bounds returns the inner vertex range [lo, hi).
+// Bounds returns the inner vertex range [lo, hi), which may be empty when a
+// hub vertex outweighs a whole fragment's share.
 func (f *Fragment) Bounds() (graph.VID, graph.VID) { return f.lo, f.hi }
 
 // Graph exposes the topology for local evaluation.
 func (f *Fragment) Graph() grin.Graph { return f.g }
-
-// Context carries per-superstep state for one fragment: outgoing message
-// buffers and the continue-vote. When a combiner is configured, sends fold
-// directly into the dense per-destination scratch — GRAPE's in-memory
-// aggregation — instead of buffering raw messages.
-type Context struct {
-	frag  *Fragment
-	out   [][]Message // per destination fragment (no-combiner path)
-	sc    []*denseScratch
-	comb  func(a, b float64) float64
-	rerun bool
-	step  int
-
-	// Intra-fragment parallelism: worker count for ParallelFor loops and the
-	// lazily built per-worker senders (reused across supersteps).
-	intra    int
-	wsenders []*Sender
-}
-
-// Send directs a value at a vertex; it is routed to the owner fragment at
-// the end of the superstep.
-func (c *Context) Send(v graph.VID, val float64) {
-	c.SendAux(v, 0, val)
-}
-
-// SendAux directs a value with an auxiliary integer payload at a vertex.
-func (c *Context) SendAux(v graph.VID, aux uint32, val float64) {
-	d := c.frag.Owner(v)
-	if c.sc != nil {
-		c.sc[d].fold(Message{Target: v, Aux: aux, Value: val}, c.comb)
-	} else {
-		c.out[d] = append(c.out[d], Message{Target: v, Aux: aux, Value: val})
-	}
-}
 
 // Sink is the send interface common to Context and Sender, so PIE helper
 // code (relax, broadcast) can run both inside and outside ParallelFor loops.
 type Sink interface {
 	Send(v graph.VID, val float64)
 	SendAux(v graph.VID, aux uint32, val float64)
+	SendToNeighbors(v graph.VID, dir graph.Direction, val float64)
 }
 
 var (
@@ -265,93 +318,157 @@ var (
 	_ Sink = (*Sender)(nil)
 )
 
+// outbox is where one goroutine's sends land until the exchange: folded into
+// a flat accumulator when the engine combines at the sender, otherwise
+// buffered as Messages per destination fragment. It implements Sink for both
+// Context and Sender.
+type outbox struct {
+	e    *Engine
+	acc  *accum      // sender-side combining; nil on the materialised path
+	out  [][]Message // per destination fragment (materialised path)
+	sent int64       // sends since the run began (RunStats.Folded)
+
+	// Iterator-trait fallback of SendToNeighbors: one closure per outbox,
+	// reading the value in flight from val.
+	yield func(graph.VID, graph.EID) bool
+	val   float64
+}
+
+func newOutbox(e *Engine, acc *accum) *outbox {
+	o := &outbox{e: e, acc: acc}
+	if acc == nil {
+		o.out = make([][]Message, len(e.fr))
+	}
+	return o
+}
+
+// Send directs a value at a vertex; it reaches the owner fragment's IncEval
+// in the next superstep.
+func (o *outbox) Send(v graph.VID, val float64) { o.SendAux(v, 0, val) }
+
+// SendAux directs a value with an auxiliary integer payload at a vertex. The
+// payload is delivered only under NoCombine (see Message.Aux).
+func (o *outbox) SendAux(v graph.VID, aux uint32, val float64) {
+	o.sent++
+	if o.acc != nil {
+		o.acc.fold(v, val)
+		return
+	}
+	o.buffer(v, aux, val)
+}
+
+func (o *outbox) buffer(v graph.VID, aux uint32, val float64) {
+	d := o.e.part.Owner(v)
+	o.out[d] = append(o.out[d], Message{Target: v, Aux: aux, Value: val})
+}
+
+// SendToNeighbors sends val to every neighbor of v in the direction (Both:
+// out-edges, then in-edges) — Send in bulk, for values that do not depend on
+// the edge. With the array trait the adjacency slice is walked here and
+// folded with the combiner inlined; other stores are iterated through
+// Neighbors with a closure built once per outbox.
+func (o *outbox) SendToNeighbors(v graph.VID, dir graph.Direction, val float64) {
+	if adj := o.e.adj; adj != nil {
+		if dir != graph.In {
+			o.scatter(adj.AdjSlice(v, graph.Out), val)
+		}
+		if dir != graph.Out {
+			o.scatter(adj.AdjSlice(v, graph.In), val)
+		}
+		return
+	}
+	if o.yield == nil {
+		o.yield = func(n graph.VID, _ graph.EID) bool {
+			o.Send(n, o.val)
+			return true
+		}
+	}
+	o.val = val
+	o.e.g.Neighbors(v, dir, o.yield)
+}
+
+func (o *outbox) scatter(adj []grin.Target, val float64) {
+	o.sent += int64(len(adj))
+	if o.acc != nil {
+		o.acc.scatter(adj, val)
+		return
+	}
+	for _, t := range adj {
+		o.buffer(t.Nbr, 0, val)
+	}
+}
+
+// Context carries one fragment's state through a run: its outbox, its inbox
+// and the continue-vote.
+type Context struct {
+	*outbox
+	frag  *Fragment
+	rerun bool
+	step  int
+	// more is this fragment's wish for another superstep: written by it
+	// between the two barriers, read by every fragment after the second.
+	more      bool
+	delivered int64 // messages handed to IncEval so far (RunStats.Delivered)
+
+	// inbox is the buffer IncEval's msgs alias, reused across supersteps;
+	// words is gather's merged-bitmap scratch.
+	inbox []Message
+	words []uint64
+
+	// Intra-fragment parallelism: worker count for ParallelFor loops, the
+	// sender that writes straight through when the loop runs inline, and the
+	// lazily built per-worker senders (reused across supersteps).
+	intra    int
+	direct   Sender
+	wsenders []*Sender
+}
+
 // Sender is a worker-local message sink used inside Context.ParallelFor and
 // ParallelForMessages: each worker folds (or buffers) its sends privately, so
 // no lock sits on the per-edge send path, and the senders merge into the
 // context in worker order when the loop returns.
 type Sender struct {
-	c      *Context
-	direct bool            // single worker: write straight through to c
-	sc     []*denseScratch // per destination (combiner configured)
-	out    [][]Message     // per destination (no combiner)
+	*outbox
 }
 
-// Send directs a value at a vertex (worker-local Context.Send).
-func (s *Sender) Send(v graph.VID, val float64) { s.SendAux(v, 0, val) }
-
-// SendAux directs a value with an auxiliary payload at a vertex.
-func (s *Sender) SendAux(v graph.VID, aux uint32, val float64) {
-	if s.direct {
-		s.c.SendAux(v, aux, val)
-		return
-	}
-	d := s.c.frag.Owner(v)
-	if s.sc != nil {
-		s.sc[d].fold(Message{Target: v, Aux: aux, Value: val}, s.c.comb)
-	} else {
-		s.out[d] = append(s.out[d], Message{Target: v, Aux: aux, Value: val})
-	}
-}
-
-// senders returns w reset per-worker senders, building them on first use.
+// senders returns w per-worker senders, building them on first use. Worker 0
+// holds the first chunk, so it writes straight through to the context and
+// only the others need a private outbox to merge afterwards.
 func (c *Context) senders(w int) []*Sender {
+	if len(c.wsenders) == 0 {
+		c.wsenders = append(c.wsenders, &c.direct)
+	}
 	for len(c.wsenders) < w {
-		s := &Sender{c: c}
-		if c.sc != nil {
-			s.sc = make([]*denseScratch, len(c.sc))
-			for d := range s.sc {
-				lo, hi := c.frag.part.Bounds(d)
-				s.sc[d] = newDenseScratch(lo, hi)
-			}
-		} else {
-			s.out = make([][]Message, len(c.out))
+		var acc *accum
+		if c.acc != nil {
+			acc = newAccum(len(c.acc.cell), c.acc.comb)
 		}
-		c.wsenders = append(c.wsenders, s)
+		c.wsenders = append(c.wsenders, &Sender{newOutbox(c.e, acc)})
 	}
-	ss := c.wsenders[:w]
-	for _, s := range ss {
-		if s.sc != nil {
-			for _, sc := range s.sc {
-				sc.begin()
-			}
-		}
-	}
-	return ss
+	return c.wsenders[:w]
 }
 
-// mergeSenders folds worker results into the context in worker order; with
-// contiguous worker chunks this matches the sequential loop's send order up
-// to combiner reassociation (exact for idempotent combiners like min/max).
+// mergeSenders folds the private workers' results into the context in worker
+// order; with contiguous worker chunks this matches the sequential loop's
+// send order up to combiner reassociation (exact for Min).
 func (c *Context) mergeSenders(ss []*Sender) {
-	for _, s := range ss {
-		switch {
-		case s.sc != nil:
-			for d, sc := range s.sc {
-				for _, off := range sc.touched {
-					c.sc[d].fold(Message{Target: sc.lo + graph.VID(off), Aux: sc.aux[off], Value: sc.acc[off]}, c.comb)
-				}
-			}
-		default:
-			for d := range s.out {
-				c.out[d] = append(c.out[d], s.out[d]...)
-				s.out[d] = s.out[d][:0]
-			}
+	for _, s := range ss[1:] {
+		c.sent += s.sent
+		s.sent = 0
+		if s.acc != nil {
+			s.acc.drain(0, graph.VID(len(s.acc.cell)), c.acc.fold)
+			continue
+		}
+		for d := range s.out {
+			c.out[d] = append(c.out[d], s.out[d]...)
+			s.out[d] = s.out[d][:0]
 		}
 	}
 }
 
-// parallelRun is the shared scaffolding of ParallelFor/ParallelForMessages:
-// run on one direct sender inline, or fan out over the intra-fragment
-// workers' senders and merge them back in worker order.
-func (c *Context) parallelRun(n int, run func(s *Sender, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := parallel.Workers(c.intra, n)
-	if w <= 1 {
-		run(&Sender{c: c, direct: true}, 0, n)
-		return
-	}
+// parallelRun fans a loop of n iterations out over the intra-fragment
+// workers' senders and merges them back in worker order.
+func (c *Context) parallelRun(n, w int, run func(s *Sender, lo, hi int)) {
 	ss := c.senders(w)
 	parallel.For(n, w, func(worker, lo, hi int) {
 		run(ss[worker], lo, hi)
@@ -366,7 +483,15 @@ func (c *Context) parallelRun(n int, run func(s *Sender, lo, hi int)) {
 // when ParallelFor returns. body may freely write per-vertex state indexed by
 // its own v, and must not touch other vertices' state.
 func (c *Context) ParallelFor(lo, hi graph.VID, body func(s *Sender, v graph.VID)) {
-	c.parallelRun(int(hi)-int(lo), func(s *Sender, clo, chi int) {
+	n := int(hi) - int(lo)
+	w := parallel.Workers(c.intra, n)
+	if w <= 1 {
+		for v := lo; v < hi; v++ {
+			body(&c.direct, v)
+		}
+		return
+	}
+	c.parallelRun(n, w, func(s *Sender, clo, chi int) {
 		for v := lo + graph.VID(clo); v < lo+graph.VID(chi); v++ {
 			body(s, v)
 		}
@@ -378,9 +503,16 @@ func (c *Context) ParallelFor(lo, hi graph.VID, body func(s *Sender, v graph.VID
 // invocations see distinct targets and may safely update per-target state;
 // programs without a combiner must not assume that.
 func (c *Context) ParallelForMessages(msgs []Message, body func(s *Sender, m Message)) {
-	c.parallelRun(len(msgs), func(s *Sender, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(s, msgs[i])
+	w := parallel.Workers(c.intra, len(msgs))
+	if w <= 1 {
+		for _, m := range msgs {
+			body(&c.direct, m)
+		}
+		return
+	}
+	c.parallelRun(len(msgs), w, func(s *Sender, lo, hi int) {
+		for _, m := range msgs[lo:hi] {
+			body(s, m)
 		}
 	})
 }
@@ -392,275 +524,377 @@ func (c *Context) Rerun() { c.rerun = true }
 // Superstep reports the current superstep index (0 = PEval).
 func (c *Context) Superstep() int { return c.step }
 
+// RunStats is what one Run did, for callers that ask through CollectStats.
+// Supersteps, Folded and Delivered are exact counts that depend only on the
+// program and the graph — they repeat bit-for-bit at any fragment count and
+// any IntraParallelism; Steps holds wall-clock measurements.
+type RunStats struct {
+	// Supersteps is Run's return value: PEval plus every IncEval round.
+	Supersteps int
+	// Folded counts sends (Send, SendAux, and one per edge walked by
+	// SendToNeighbors) before any combining.
+	Folded int64
+	// Delivered counts messages handed to IncEval, after combining.
+	Delivered int64
+	// Steps[f][s] is fragment f's split of superstep s.
+	Steps [][]FragmentStep
+}
+
+// FragmentStep is one fragment's wall-clock split of one superstep.
+type FragmentStep struct {
+	// ComputeNs is the time inside the program's PEval or IncEval.
+	ComputeNs int64
+	// ExchangeNs is the engine's own message work: encoding, gathering and
+	// combining this fragment's inbox.
+	ExchangeNs int64
+	// WaitNs is the time blocked at the superstep's two barriers — what the
+	// fragment lost to slower fragments.
+	WaitNs int64
+}
+
+// CollectStats makes every later Run overwrite s with that run's statistics;
+// nil stops collecting. An engine nobody asked pays one nil check per
+// fragment per superstep.
+func (e *Engine) CollectStats(s *RunStats) { e.stats = s }
+
+// run is the state the fragment goroutines of one Run share.
+type run struct {
+	e    *Engine
+	p    Program
+	ctxs []*Context
+	bar  barrier
+	// Hand-off buffers of the ablation arms: enc[src][dst] under WireCodec,
+	// one channel per destination under PerMessageChannels.
+	enc   [][][]byte
+	chans []chan Message
+	// steps[f] is fragment f's wall-clock record; nil when nobody collects.
+	steps [][]FragmentStep
+}
+
 // Run executes the program to quiescence and returns the superstep count.
 func (e *Engine) Run(p Program) (int, error) {
 	nf := len(e.fr)
-	ctxs := make([]*Context, nf)
-	for i := range ctxs {
-		ctxs[i] = &Context{frag: e.fr[i], out: make([][]Message, nf), intra: e.opt.IntraParallelism}
+	r := &run{e: e, p: p, ctxs: make([]*Context, nf)}
+	r.bar.init(nf)
+	senderSide := e.acc != nil && !e.opt.PerMessageChannels
+	for i := range r.ctxs {
+		var acc *accum
+		if senderSide {
+			acc = e.acc[i]
+		}
+		c := &Context{outbox: newOutbox(e, acc), frag: e.fr[i], intra: e.opt.IntraParallelism}
+		c.direct.outbox = c.outbox
+		r.ctxs[i] = c
+	}
+	if e.opt.WireCodec && !e.opt.PerMessageChannels {
+		r.enc = make([][][]byte, nf)
+		for s := range r.enc {
+			r.enc[s] = make([][]byte, nf)
+		}
+	}
+	if e.opt.PerMessageChannels {
+		r.chans = make([]chan Message, nf)
+		for d := range r.chans {
+			// Deep enough that a sender rarely parks on a busy receiver;
+			// the cost under test is the per-message channel operation.
+			r.chans[d] = make(chan Message, 1024)
+		}
+	}
+	if e.stats != nil {
+		r.steps = make([][]FragmentStep, nf)
 	}
 
-	// inboxes[f] holds messages delivered to fragment f for this superstep.
-	inboxes := make([][]Message, nf)
-
-	runParallel := func(fn func(i int)) {
+	steps := 0
+	if nf == 1 {
+		steps = r.fragment(0)
+	} else {
 		var wg sync.WaitGroup
+		wg.Add(nf)
 		for i := 0; i < nf; i++ {
-			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				fn(i)
+				n := r.fragment(i)
+				if i == 0 {
+					steps = n
+				}
 			}(i)
 		}
 		wg.Wait()
 	}
-
-	useScratch := e.opt.Combine != nil && !e.opt.PerMessageChannels
-	if useScratch {
-		for i := range ctxs {
-			ctxs[i].sc = e.sendScratch[i]
-			ctxs[i].comb = e.opt.Combine
+	if s := e.stats; s != nil {
+		*s = RunStats{Supersteps: steps, Steps: r.steps}
+		for _, c := range r.ctxs {
+			s.Folded += c.sent
+			s.Delivered += c.delivered
 		}
 	}
-	beginEpochs := func() {
-		if !useScratch {
+	return steps, nil
+}
+
+// fragment is the life of fragment i's goroutine: compute, meet the others,
+// collect the inbox, meet again, and decide — identically on every fragment,
+// from the shared votes — whether another superstep follows. It returns the
+// superstep count.
+func (r *run) fragment(i int) int {
+	e, c := r.e, r.ctxs[i]
+	// lap charges the time since the previous lap to one field of the
+	// current FragmentStep; with nobody collecting, fs stays on a throwaway
+	// and no clock is read.
+	var unread FragmentStep
+	fs, timed := &unread, r.steps != nil
+	var t0 time.Time
+	lap := func(ns *int64) {
+		if timed {
+			now := time.Now()
+			*ns += int64(now.Sub(t0))
+			t0 = now
+		}
+	}
+	for step := 0; ; step++ {
+		if timed {
+			r.steps[i] = append(r.steps[i], FragmentStep{})
+			fs, t0 = &r.steps[i][step], time.Now()
+		}
+		// Whoever gathered from this fragment last superstep is past the
+		// second barrier, so its touched bits and buffers are ours again.
+		if e.acc != nil {
+			clear(e.acc[i].bits)
+		}
+		for d := range c.out {
+			c.out[d] = c.out[d][:0]
+		}
+		c.step, c.rerun = step, false
+		if step == 0 {
+			r.p.PEval(c.frag, c)
+		} else {
+			r.p.IncEval(c.frag, c, c.inbox)
+		}
+		lap(&fs.ComputeNs)
+		if r.enc != nil {
+			r.encode(i)
+			lap(&fs.ExchangeNs)
+		}
+		r.bar.wait()
+		lap(&fs.WaitNs)
+		r.receive(i)
+		c.delivered += int64(len(c.inbox))
+		c.more = len(c.inbox) > 0 || c.rerun
+		lap(&fs.ExchangeNs)
+		r.bar.wait()
+		lap(&fs.WaitNs)
+
+		more := false
+		for _, o := range r.ctxs {
+			more = more || o.more
+		}
+		if !more || (e.opt.MaxSupersteps > 0 && step+1 >= e.opt.MaxSupersteps) {
+			return step + 1
+		}
+	}
+}
+
+// receive builds fragment d's inbox once every fragment has finished
+// sending. The default path with a combiner reads the sources' accumulators
+// in place. The other paths take delivery of materialised messages in source
+// order; with a combiner those are then folded into d's own accumulator —
+// which only d touches on these paths — and gathered from there.
+func (r *run) receive(d int) {
+	e, c := r.e, r.ctxs[d]
+	c.inbox = c.inbox[:0]
+	switch {
+	case r.chans != nil:
+		r.shipPerMessage(d)
+	case r.enc != nil || e.acc == nil:
+		for s, src := range r.ctxs {
+			if s != d && r.enc != nil {
+				c.inbox = decodeMessages(r.enc[s][d], c.inbox)
+			} else if src.acc == nil {
+				c.inbox = append(c.inbox, src.out[d]...)
+			}
+		}
+	default:
+		c.gather(e.acc)
+		return
+	}
+	if e.acc != nil {
+		own := e.acc[d]
+		for _, m := range c.inbox {
+			own.fold(m.Target, m.Value)
+		}
+		c.inbox = c.inbox[:0]
+		c.gather(e.acc[d : d+1])
+	}
+}
+
+// gather appends to the inbox one message per vertex of this fragment's
+// range that any source accumulator touched, in ascending vertex order:
+// the touched cells combined in source order, and reset. The sources' bits
+// are left for their owners to clear, because two destinations' ranges can
+// meet inside one bitmap word.
+func (c *Context) gather(srcs []*accum) {
+	lo, hi := c.frag.lo, c.frag.hi
+	if lo >= hi {
+		return
+	}
+	w0, w1 := int(lo>>6), int((hi-1)>>6)
+	c.words = resized(c.words, w1-w0+1)[:0]
+	count := 0
+	for w := w0; w <= w1; w++ {
+		var m uint64
+		for _, a := range srcs {
+			m |= a.bits[w]
+		}
+		m &= rangeMask(w, w0, w1, lo, hi)
+		c.words = append(c.words, m)
+		count += bits.OnesCount64(m)
+	}
+	if count > cap(c.inbox) {
+		c.inbox = make([]Message, 0, min(max(count, 2*cap(c.inbox)), int(hi-lo)))
+	}
+	comb := srcs[0].comb
+	id := comb.identity()
+	for i, m := range c.words {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			t := graph.VID((w0+i)<<6 | b)
+			val := id
+			for _, a := range srcs {
+				if a.bits[w0+i]>>b&1 != 0 {
+					val = comb.apply(val, a.cell[t])
+					a.cell[t] = id
+				}
+			}
+			c.inbox = append(c.inbox, Message{Target: t, Value: val})
+		}
+	}
+}
+
+// encode is the WireCodec send side, run by source s before the first
+// barrier: everything pending for another fragment is serialised into one
+// compact buffer per destination. Messages to s itself skip the wire, as
+// they would on a real cluster.
+func (r *run) encode(s int) {
+	c := r.ctxs[s]
+	for d, f := range r.e.fr {
+		if d == s {
+			continue
+		}
+		buf := r.enc[s][d][:0]
+		if c.acc != nil {
+			prev := uint64(0)
+			c.acc.drain(f.lo, f.hi, func(t graph.VID, val float64) {
+				buf, prev = appendMessage(buf, prev, Message{Target: t, Value: val})
+			})
+		} else {
+			buf = encodeMessages(buf, c.out[d])
+		}
+		r.enc[s][d] = buf
+	}
+}
+
+// shipPerMessage is the ablation arm: every message is an individual channel
+// send, the "fragmented, randomly distributed small messages" §6 warns
+// about. Fragment i pushes its messages from a helper goroutine while it
+// drains its own channel into its inbox, until every source has signed off
+// with a NilVID sentinel; the second barrier then guarantees every helper
+// has finished.
+func (r *run) shipPerMessage(i int) {
+	c := r.ctxs[i]
+	out := c.out
+	go func() {
+		for d, ch := range r.chans {
+			for _, m := range out[d] {
+				ch <- m
+			}
+			ch <- Message{Target: graph.NilVID}
+		}
+	}()
+	for open := len(r.chans); open > 0; {
+		if m := <-r.chans[i]; m.Target == graph.NilVID {
+			open--
+		} else {
+			c.inbox = append(c.inbox, m)
+		}
+	}
+}
+
+// barrier is a reusable rendezvous of the run's fragment goroutines. An
+// arrival yields for up to barrierSpin before it parks: a superstep of the
+// analytics library lasts a few hundred microseconds, and waking a parked
+// goroutine — an idle P, a sleeping thread, on a VM a halted vCPU — was
+// measured to cost about as much, which ran two fragments back to back
+// instead of side by side (PageRank on two fragments 20.5 → 13.0 ms when the
+// waits stopped parking).
+type barrier struct {
+	n       int32
+	waiting atomic.Int32
+	gen     atomic.Uint32 // bumped, under mu, by the last arrival
+	mu      sync.Mutex
+	cond    sync.Cond
+}
+
+const barrierSpin = 200 * time.Microsecond
+
+func (b *barrier) init(n int) {
+	b.n = int32(n)
+	b.cond.L = &b.mu
+}
+
+// wait blocks until all n goroutines have called it, then releases them.
+func (b *barrier) wait() {
+	if b.n == 1 {
+		return
+	}
+	gen := b.gen.Load()
+	if b.waiting.Add(1) == b.n {
+		b.waiting.Store(0) // before the release, for whoever re-arrives first
+		b.mu.Lock()
+		b.gen.Add(1)
+		b.cond.Broadcast()
+		b.mu.Unlock()
+		return
+	}
+	for start := time.Now(); time.Since(start) < barrierSpin; runtime.Gosched() {
+		if b.gen.Load() != gen {
 			return
 		}
-		for s := range e.sendScratch {
-			for _, sc := range e.sendScratch[s] {
-				sc.begin()
-			}
-		}
 	}
-
-	step := 0
-	beginEpochs()
-	runParallel(func(i int) {
-		ctxs[i].step = step
-		p.PEval(e.fr[i], ctxs[i])
-	})
-
-	for {
-		// Exchange: aggregate, encode, ship, decode, combine.
-		anyMsg := e.exchange(ctxs, inboxes)
-		anyRerun := false
-		for _, c := range ctxs {
-			if c.rerun {
-				anyRerun = true
-			}
-			c.rerun = false
-		}
-		step++
-		if !anyMsg && !anyRerun {
-			return step, nil
-		}
-		if e.opt.MaxSupersteps > 0 && step >= e.opt.MaxSupersteps {
-			return step, nil
-		}
-		beginEpochs()
-		runParallel(func(i int) {
-			ctxs[i].step = step
-			msgs := inboxes[i]
-			inboxes[i] = nil
-			p.IncEval(e.fr[i], ctxs[i], msgs)
-		})
+	b.mu.Lock()
+	for b.gen.Load() == gen {
+		b.cond.Wait()
 	}
+	b.mu.Unlock()
 }
 
-// exchange routes all pending messages to destination inboxes, returning
-// whether any message was shipped. The default path aggregates messages per
-// (src, dst) fragment pair into one compact varint buffer — GRAPE's
-// latency-for-throughput trade — while the ablation path pushes messages
-// through per-destination channels one at a time.
-func (e *Engine) exchange(ctxs []*Context, inboxes [][]Message) bool {
-	nf := len(e.fr)
-	if e.opt.PerMessageChannels {
-		return e.exchangePerMessage(ctxs, inboxes)
+// appendMessage packs one message after a message whose target was prev:
+// zigzag uvarint target delta (buffers are mostly ascending) + uvarint aux +
+// raw float64 payload.
+func appendMessage(buf []byte, prev uint64, m Message) ([]byte, uint64) {
+	t := uint64(m.Target)
+	var d uint64
+	if t >= prev {
+		d = (t - prev) << 1
+	} else {
+		d = ((prev - t) << 1) | 1
 	}
-	any := false
-	// Send side, parallel per source fragment: combine locally into the
-	// dense per-range scratch (so at most one message per remote target
-	// leaves the fragment), then encode into one compact buffer per
-	// destination. Local messages (s == d) skip the wire entirely, as they
-	// would on a real cluster.
-	encoded := make([][][]byte, nf) // [src][dst]buffer
-	raw := make([][][]Message, nf)  // zero-copy handoff buffers
-	var wg sync.WaitGroup
-	for s := 0; s < nf; s++ {
-		raw[s] = make([][]Message, nf)
-	}
-	for s := 0; s < nf; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			encoded[s] = make([][]byte, nf)
-			for d := 0; d < nf; d++ {
-				var ms []Message
-				if ctxs[s].sc != nil {
-					sc := ctxs[s].sc[d]
-					if len(sc.touched) == 0 {
-						continue
-					}
-					ms = sc.drain(nil)
-				} else {
-					if len(ctxs[s].out[d]) == 0 {
-						continue
-					}
-					ms = ctxs[s].out[d]
-				}
-				if d == s || !e.opt.WireCodec {
-					// Fresh copy: ms may alias the out buffer, which the
-					// next superstep's sends reuse while the inbox is read.
-					raw[s][d] = append([]Message(nil), ms...)
-				} else {
-					encoded[s][d] = encodeMessages(ms)
-				}
-				ctxs[s].out[d] = ctxs[s].out[d][:0]
-			}
-		}(s)
-	}
-	wg.Wait()
-	// Receive side, parallel per destination fragment: decode every inbound
-	// buffer and apply the combiner across sources.
-	for d := 0; d < nf; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			var in []Message
-			for s := 0; s < nf; s++ {
-				if raw[s][d] != nil {
-					in = append(in, raw[s][d]...)
-				}
-				if encoded[s][d] != nil {
-					in = decodeMessages(encoded[s][d], in)
-				}
-			}
-			if len(in) == 0 {
-				return
-			}
-			if e.opt.Combine != nil {
-				inboxes[d] = e.recvScratch[d].combine(in, e.opt.Combine, in[:0])
-			} else {
-				inboxes[d] = in
-			}
-		}(d)
-	}
-	wg.Wait()
-	for d := 0; d < nf; d++ {
-		if len(inboxes[d]) > 0 {
-			any = true
-		}
-	}
-	return any
+	buf = binary.AppendUvarint(buf, d)
+	buf = binary.AppendUvarint(buf, uint64(m.Aux))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Value)), t
 }
 
-// exchangePerMessage is the ablation arm: every message is an individual
-// channel send, the "fragmented, randomly distributed small messages" §6
-// warns about.
-func (e *Engine) exchangePerMessage(ctxs []*Context, inboxes [][]Message) bool {
-	nf := len(e.fr)
-	chans := make([]chan Message, nf)
-	for d := range chans {
-		chans[d] = make(chan Message, 1024)
-	}
-	var recvWG sync.WaitGroup
-	for d := 0; d < nf; d++ {
-		recvWG.Add(1)
-		go func(d int) {
-			defer recvWG.Done()
-			var in []Message
-			for m := range chans[d] {
-				in = append(in, m)
-			}
-			if len(in) == 0 {
-				return
-			}
-			if e.opt.Combine != nil {
-				inboxes[d] = e.recvScratch[d].combine(in, e.opt.Combine, in[:0])
-			} else {
-				inboxes[d] = in
-			}
-		}(d)
-	}
-	var sendWG sync.WaitGroup
-	for s := 0; s < nf; s++ {
-		sendWG.Add(1)
-		go func(s int) {
-			defer sendWG.Done()
-			for d := 0; d < nf; d++ {
-				for _, m := range ctxs[s].out[d] {
-					chans[d] <- m
-				}
-				ctxs[s].out[d] = ctxs[s].out[d][:0]
-			}
-		}(s)
-	}
-	sendWG.Wait()
-	for d := range chans {
-		close(chans[d])
-	}
-	recvWG.Wait()
-	any := false
-	for d := 0; d < nf; d++ {
-		if len(inboxes[d]) > 0 {
-			any = true
-		}
-	}
-	return any
-}
-
-// combine merges messages directed at the same target with the combiner; a
-// nil combiner keeps all messages (grouped order unspecified).
-func combine(in []Message, comb func(a, b float64) float64) []Message {
-	if comb == nil {
-		return in
-	}
-	// Dense combining via map: fragments are small; target locality is high.
-	acc := make(map[graph.VID]float64, len(in))
-	for _, m := range in {
-		if old, ok := acc[m.Target]; ok {
-			acc[m.Target] = comb(old, m.Value)
-		} else {
-			acc[m.Target] = m.Value
-		}
-	}
-	out := in[:0]
-	for t, v := range acc {
-		out = append(out, Message{Target: t, Value: v})
-	}
-	return out
-}
-
-// encodeMessages packs messages into a compact buffer: uvarint delta-encoded
-// targets (messages are appended in roughly ascending vertex order within a
-// fragment) + raw float64 payloads.
-func encodeMessages(ms []Message) []byte {
-	buf := make([]byte, 0, len(ms)*6)
-	buf = binary.AppendUvarint(buf, uint64(len(ms)))
+// encodeMessages appends the packed messages to buf.
+func encodeMessages(buf []byte, ms []Message) []byte {
 	prev := uint64(0)
 	for _, m := range ms {
-		t := uint64(m.Target)
-		var d uint64
-		if t >= prev {
-			d = (t - prev) << 1
-		} else {
-			d = ((prev - t) << 1) | 1
-		}
-		buf = binary.AppendUvarint(buf, d)
-		prev = t
-		buf = binary.AppendUvarint(buf, uint64(m.Aux))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Value))
+		buf, prev = appendMessage(buf, prev, m)
 	}
 	return buf
 }
 
-// decodeMessages unpacks a buffer produced by encodeMessages, appending to
-// dst.
+// decodeMessages unpacks a buffer of appendMessage records, appending to dst.
 func decodeMessages(buf []byte, dst []Message) []Message {
-	n, sz := binary.Uvarint(buf)
-	buf = buf[sz:]
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
+	for len(buf) > 0 {
 		d, sz := binary.Uvarint(buf)
 		buf = buf[sz:]
 		if d&1 == 1 {

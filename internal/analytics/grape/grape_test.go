@@ -1,10 +1,8 @@
 package grape
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -23,7 +21,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 				Value:  r.NormFloat64(),
 			}
 		}
-		got := decodeMessages(encodeMessages(msgs), nil)
+		got := decodeMessages(encodeMessages(nil, msgs), nil)
 		if n == 0 {
 			if len(got) != 0 {
 				t.Fatal("empty round trip")
@@ -36,22 +34,55 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCombine(t *testing.T) {
-	in := []Message{{Target: 1, Value: 2}, {Target: 2, Value: 5}, {Target: 1, Value: 3}}
-	out := combine(in, func(a, b float64) float64 { return a + b })
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	if len(out) != 2 || out[0].Value != 5 || out[1].Value != 5 {
-		t.Fatalf("combine got %v", out)
+// TestAccumFoldDrain: folds combine per target, drain yields ascending
+// targets of the asked range only, and what it visits is left clean.
+func TestAccumFoldDrain(t *testing.T) {
+	for _, tc := range []struct {
+		comb Combiner
+		want map[graph.VID]float64
+	}{
+		{Sum, map[graph.VID]float64{1: 5, 63: 7, 64: 5, 130: 1}},
+		{Min, map[graph.VID]float64{1: 2, 63: 7, 64: 5, 130: 1}},
+	} {
+		a := newAccum(200, tc.comb)
+		a.fold(1, 2)
+		a.fold(64, 5)
+		a.fold(1, 3)
+		a.fold(63, 7)
+		a.fold(130, 1)
+		a.fold(199, 9) // outside the drained range
+		var order []graph.VID
+		a.drain(1, 131, func(v graph.VID, val float64) {
+			order = append(order, v)
+			if val != tc.want[v] {
+				t.Fatalf("comb %d target %d: %v want %v", tc.comb, v, val, tc.want[v])
+			}
+		})
+		if !reflect.DeepEqual(order, []graph.VID{1, 63, 64, 130}) {
+			t.Fatalf("comb %d: drained %v", tc.comb, order)
+		}
+		a.drain(0, 200, func(v graph.VID, val float64) {
+			if v != 199 || val != 9 {
+				t.Fatalf("comb %d: leftover %d=%v", tc.comb, v, val)
+			}
+		})
+		for v, c := range a.cell {
+			if c != tc.comb.identity() {
+				t.Fatalf("comb %d: cell %d not reset: %v", tc.comb, v, c)
+			}
+		}
+		for w, b := range a.bits {
+			if b != 0 {
+				t.Fatalf("comb %d: word %d not cleared: %x", tc.comb, w, b)
+			}
+		}
 	}
-	// Nil combiner keeps everything.
-	out = combine(in, nil)
-	if len(out) != 3 {
-		t.Fatal("nil combiner dropped messages")
-	}
-	// Min combiner.
-	out = combine([]Message{{Target: 9, Value: 4}, {Target: 9, Value: 1}}, math.Min)
-	if len(out) != 1 || out[0].Value != 1 {
-		t.Fatalf("min combine got %v", out)
+}
+
+func TestUnknownCombinerRejected(t *testing.T) {
+	g, _ := dataset.Datagen("t", 8, 1, 1).ToCSR(false)
+	if _, err := NewEngine(g, Options{Combine: Min + 1}); err == nil {
+		t.Fatal("combiner outside the closed set accepted")
 	}
 }
 
@@ -169,26 +200,219 @@ func TestMaxSupersteps(t *testing.T) {
 	}
 }
 
-// TestPerMessageChannelEquivalence: the ablation exchange path must deliver
-// the same combined messages as the aggregated path.
-func TestPerMessageChannelEquivalence(t *testing.T) {
-	g, err := dataset.Datagen("t", 128, 4, 4).ToCSR(false)
+// fanInProgram makes every exchange arm combine: every vertex sends its ID
+// to v/3 and to a far vertex in PEval, targets forward what they got once,
+// and IncEval records (per target) how many messages arrived and their sum.
+type fanInProgram struct {
+	n          int
+	count, sum []float64
+}
+
+func (p *fanInProgram) PEval(f *Fragment, ctx *Context) {
+	lo, hi := f.Bounds()
+	for v := lo; v < hi; v++ {
+		ctx.Send(v/3, float64(v))
+		ctx.Send(graph.VID((int(v)*7+p.n/2)%p.n), float64(v))
+	}
+}
+
+func (p *fanInProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
+	for _, m := range msgs {
+		p.count[m.Target]++
+		p.sum[m.Target] += m.Value
+		if ctx.Superstep() == 1 {
+			ctx.Send(graph.VID(p.n-1)-m.Target, m.Value)
+		}
+	}
+}
+
+// TestExchangeArmsAgree: the wire-codec and per-message ablation arms must
+// deliver what the default exchange delivers, with and without a combiner
+// and at fragment counts whose ranges meet inside a bitmap word.
+func TestExchangeArmsAgree(t *testing.T) {
+	const n = 300
+	g, err := dataset.Datagen("t", n, 4, 4).ToCSR(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(perMsg bool) []float64 {
-		p := &echoProgram{n: 128, received: make([]float64, 128)}
-		eng, err := NewEngine(g, Options{Fragments: 4, PerMessageChannels: perMsg})
+	run := func(opt Options) *fanInProgram {
+		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n)}
+		eng, err := NewEngine(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(p); err != nil {
 			t.Fatal(err)
 		}
-		return p.received
+		return p
 	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("per-message and aggregated exchanges disagree")
+	for _, comb := range []Combiner{NoCombine, Sum, Min} {
+		for _, frags := range []int{1, 2, 5} {
+			want := run(Options{Fragments: frags, Combine: comb})
+			if comb == NoCombine && frags == 1 {
+				// Ground truth once: 2n sends in PEval, each forwarded once.
+				total := 0.0
+				for _, c := range want.count {
+					total += c
+				}
+				if total != 4*n {
+					t.Fatalf("default exchange delivered %v messages, want %d", total, 4*n)
+				}
+			}
+			for _, arm := range []Options{{WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
+				arm.Fragments, arm.Combine = frags, comb
+				got := run(arm)
+				if !reflect.DeepEqual(got.count, want.count) || !reflect.DeepEqual(got.sum, want.sum) {
+					t.Fatalf("comb=%d frags=%d arm=%+v: delivery differs from the default exchange", comb, frags, arm)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineReusableAcrossRuns: a second Run on the same engine — including
+// one cut short by MaxSupersteps — starts from clean accumulators.
+func TestEngineReusableAcrossRuns(t *testing.T) {
+	const n = 300
+	g, err := dataset.Datagen("t", n, 4, 4).ToCSR(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, Options{Fragments: 3, Combine: Sum, MaxSupersteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *fanInProgram
+	for i := 0; i < 3; i++ {
+		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n)}
+		if steps, err := eng.Run(p); err != nil || steps != 2 {
+			t.Fatalf("run %d: steps=%d err=%v", i, steps, err)
+		}
+		if first == nil {
+			first = p
+		} else if !reflect.DeepEqual(p.sum, first.sum) {
+			t.Fatalf("run %d delivered differently from run 0", i)
+		}
+	}
+}
+
+// TestCombinedInboxAscending: with a combiner the inbox holds one message
+// per target in ascending target order.
+func TestCombinedInboxAscending(t *testing.T) {
+	g, err := dataset.Datagen("t", 500, 6, 11).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frags := range []int{1, 3} {
+		p := &orderProgram{t: t}
+		eng, err := NewEngine(g, Options{Fragments: frags, Combine: Min})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+type orderProgram struct{ t *testing.T }
+
+func (p *orderProgram) PEval(f *Fragment, ctx *Context) {
+	lo, hi := f.Bounds()
+	for v := hi; v > lo; v-- { // descending sends
+		ctx.SendToNeighbors(v-1, graph.Both, float64(v))
+	}
+}
+
+func (p *orderProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
+	if len(msgs) == 0 {
+		p.t.Error("no messages delivered")
+	}
+	for i, m := range msgs {
+		if !f.IsInner(m.Target) || (i > 0 && msgs[i-1].Target >= m.Target) {
+			p.t.Errorf("inbox not strictly ascending inner targets at %d: %v", i, m)
+			return
+		}
+	}
+}
+
+// TestRunStatsExactCountersRepeat: the exact counters depend on the program
+// and the graph only — not on the fragment count, the intra-fragment worker
+// count or the run.
+func TestRunStatsExactCountersRepeat(t *testing.T) {
+	g, err := dataset.Datagen("t", 400, 5, 31).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want RunStats
+	for _, frags := range []int{1, 2, 3} {
+		for _, intra := range []int{1, 3} {
+			for rep := 0; rep < 2; rep++ {
+				var got RunStats
+				eng, err := NewEngine(g, Options{Fragments: frags, IntraParallelism: intra, Combine: Sum})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.CollectStats(&got)
+				steps, err := eng.Run(&scatterProgram{g: g, sum: make([]float64, 400)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Supersteps != steps || len(got.Steps) != frags || len(got.Steps[frags-1]) != steps {
+					t.Fatalf("frags=%d: stats shape %d×%d for %d supersteps", frags, len(got.Steps), len(got.Steps[frags-1]), steps)
+				}
+				if want.Supersteps == 0 {
+					want = got
+					// scatterProgram sends once per out-edge and every vertex
+					// with an in-edge receives one combined message.
+					withIn := int64(0)
+					for v := 0; v < 400; v++ {
+						if g.Degree(graph.VID(v), graph.In) > 0 {
+							withIn++
+						}
+					}
+					if got.Folded != int64(g.NumEdges()) || got.Delivered != withIn {
+						t.Fatalf("folded %d delivered %d, want %d and %d", got.Folded, got.Delivered, g.NumEdges(), withIn)
+					}
+				}
+				if got.Supersteps != want.Supersteps || got.Folded != want.Folded || got.Delivered != want.Delivered {
+					t.Fatalf("frags=%d intra=%d rep=%d: exact counters %d/%d/%d, want %d/%d/%d", frags, intra, rep,
+						got.Supersteps, got.Folded, got.Delivered, want.Supersteps, want.Folded, want.Delivered)
+				}
+				for _, perStep := range got.Steps {
+					for _, fs := range perStep {
+						if fs.ComputeNs < 0 || fs.ExchangeNs < 0 || fs.WaitNs < 0 {
+							t.Fatalf("negative lap: %+v", fs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkFragmentsCover asserts the partition trait's invariants: contiguous
+// bounds that cover every vertex once, agreeing with IsInner and Owner.
+func checkFragmentsCover(t *testing.T, eng *Engine, n int) {
+	t.Helper()
+	prev := graph.VID(0)
+	for id, f := range eng.fr {
+		if gotID, total := f.Fragment(); gotID != id || total != len(eng.fr) {
+			t.Fatalf("fragment %d reports (%d, %d)", id, gotID, total)
+		}
+		lo, hi := f.Bounds()
+		if lo != prev || hi < lo {
+			t.Fatalf("fragment %d = [%d, %d) does not continue from %d", id, lo, hi, prev)
+		}
+		for v := lo; v < hi; v++ {
+			if !f.IsInner(v) || f.Owner(v) != id || f.GlobalID(v) != v {
+				t.Fatalf("fragment %d disowns its vertex %d", id, v)
+			}
+		}
+		prev = hi
+	}
+	if int(prev) != n {
+		t.Fatalf("fragments cover [0, %d), want %d vertices", prev, n)
 	}
 }
 
@@ -201,29 +425,77 @@ func TestFragmentPartitionTrait(t *testing.T) {
 	if eng.Fragments() != 4 {
 		t.Fatal("fragment count")
 	}
-	seen := make([]bool, 100)
-	for _, f := range eng.fr {
-		id, total := f.Fragment()
-		if total != 4 {
-			t.Fatal("total")
-		}
-		lo, hi := f.Bounds()
+	checkFragmentsCover(t, eng, 100)
+}
+
+// TestFragmentsAreDegreeBalanced: Datagen hands out all its out-edges in the
+// first half of the ID range, so equal vertex counts would give fragment 0
+// all of a scatter's work. The engine cuts by Σ(1 + outdeg + indeg) instead.
+func TestFragmentsAreDegreeBalanced(t *testing.T) {
+	const n = 20_000
+	g, err := dataset.Datagen("t", n, 16, 3).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weight := func(lo, hi graph.VID) (w int) {
 		for v := lo; v < hi; v++ {
-			if !f.IsInner(v) {
-				t.Fatal("inner check")
+			w += 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In)
+		}
+		return w
+	}
+	if lo, hi := weight(0, n/2), weight(n/2, n); lo < 2*hi {
+		t.Fatalf("generator no longer skews: halves weigh %d and %d", lo, hi)
+	}
+	for _, frags := range []int{2, 4} {
+		eng, err := NewEngine(g, Options{Fragments: frags})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFragmentsCover(t, eng, n)
+		mean := float64(weight(0, n)) / float64(frags)
+		for id, f := range eng.fr {
+			if w := float64(weight(f.Bounds())); w > 1.25*mean {
+				t.Fatalf("frags=%d: fragment %d weighs %.0f, mean %.0f", frags, id, w, mean)
 			}
-			if f.Owner(v) != id {
-				t.Fatal("owner mismatch")
-			}
-			if f.GlobalID(v) != v {
-				t.Fatal("global id")
-			}
-			seen[v] = true
 		}
 	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("vertex %d unowned", v)
+
+	// One hub heavier than a share: the fragments it swallows are empty, and
+	// a program still runs on all of them.
+	star := &dataset.Simple{N: 40}
+	for k := 0; k < 140; k++ {
+		dst := graph.VID(5) // 100 self-loops after one edge to every vertex
+		if k < 40 {
+			dst = graph.VID(k)
+		}
+		star.Src = append(star.Src, 5)
+		star.Dst = append(star.Dst, dst)
+	}
+	sg, err := star.ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(sg, Options{Fragments: 4, Combine: Sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFragmentsCover(t, eng, 40)
+	empty := 0
+	for _, f := range eng.fr {
+		if lo, hi := f.Bounds(); lo == hi {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("a hub outweighing three shares left no fragment empty")
+	}
+	p := &scatterProgram{g: sg, sum: make([]float64, 40)}
+	if _, err := eng.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 40; v++ {
+		if p.sum[v] != float64(sg.Degree(graph.VID(v), graph.In)) {
+			t.Fatalf("vertex %d: sum %v != in-degree %d", v, p.sum[v], sg.Degree(graph.VID(v), graph.In))
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package grape
 
 import (
-	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -22,10 +20,7 @@ type scatterProgram struct {
 func (p *scatterProgram) PEval(f *Fragment, ctx *Context) {
 	lo, hi := f.Bounds()
 	ctx.ParallelFor(lo, hi, func(s *Sender, v graph.VID) {
-		grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-			s.Send(n, 1)
-			return true
-		})
+		s.SendToNeighbors(v, graph.Out, 1)
 	})
 }
 
@@ -48,7 +43,7 @@ func TestParallelForMatchesSequential(t *testing.T) {
 		eng, err := NewEngine(g, Options{
 			Fragments:        frags,
 			IntraParallelism: intra,
-			Combine:          func(a, b float64) float64 { return a + b },
+			Combine:          Sum,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,51 +114,61 @@ func TestParallelForNoCombinerKeepsAllMessages(t *testing.T) {
 	}
 }
 
-// auxProgram checks SendAux through Senders: with a min combiner the aux of
-// the first-in-order message for each target must survive the merge.
+// auxProgram checks SendAux through Senders: everyone messages vertex 0 with
+// value v and aux v+1.
 type auxProgram struct {
-	vals map[graph.VID][]float64 // target -> sorted received values
-	aux  map[graph.VID]uint32
+	got []Message
 }
 
 func (p *auxProgram) PEval(f *Fragment, ctx *Context) {
 	lo, hi := f.Bounds()
 	ctx.ParallelFor(lo, hi, func(s *Sender, v graph.VID) {
-		// Everyone messages vertex 0 with value v and aux v+1.
 		s.SendAux(0, uint32(v)+1, float64(v))
 	})
 }
 
 func (p *auxProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
-	for _, m := range msgs {
-		p.vals[m.Target] = append(p.vals[m.Target], m.Value)
-		p.aux[m.Target] = m.Aux
+	if len(msgs) > 0 { // only vertex 0's fragment, so no two fragments write
+		p.got = append(p.got, msgs...)
 	}
 }
 
+// TestParallelForAuxAndMinCombine: without a combiner every message arrives
+// with its own aux, in send order; with the min combiner one message arrives,
+// the global min, and aux is not carried.
 func TestParallelForAuxAndMinCombine(t *testing.T) {
 	g, err := dataset.Datagen("t", 64, 2, 29).ToCSR(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, intra := range []int{1, 4} {
-		p := &auxProgram{vals: map[graph.VID][]float64{}, aux: map[graph.VID]uint32{}}
-		eng, err := NewEngine(g, Options{Fragments: 2, IntraParallelism: intra, Combine: math.Min})
+		p := &auxProgram{}
+		eng, err := NewEngine(g, Options{Fragments: 2, IntraParallelism: intra})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(p); err != nil {
 			t.Fatal(err)
 		}
-		got := p.vals[0]
-		sort.Float64s(got)
-		// The receive side combines across fragments: one message, the
-		// global min, carrying the aux of the first-in-order fold (v=0).
-		if len(got) != 1 || got[0] != 0 {
-			t.Fatalf("intra=%d: combined values %v, want [0]", intra, got)
+		if len(p.got) != 64 {
+			t.Fatalf("intra=%d: %d messages, want 64", intra, len(p.got))
 		}
-		if p.aux[0] != 1 {
-			t.Fatalf("intra=%d: aux %d, want 1 (first message in order)", intra, p.aux[0])
+		for v, m := range p.got {
+			if m.Target != 0 || m.Value != float64(v) || m.Aux != uint32(v)+1 {
+				t.Fatalf("intra=%d: message %d = %+v", intra, v, m)
+			}
+		}
+
+		p = &auxProgram{}
+		eng, err = NewEngine(g, Options{Fragments: 2, IntraParallelism: intra, Combine: Min})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.got) != 1 || p.got[0] != (Message{Target: 0, Value: 0}) {
+			t.Fatalf("intra=%d: combined delivery %+v, want one {0 0 0}", intra, p.got)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 	"repro/internal/grin"
 )
 
-// VertexContext is handed to Compute for one vertex in one superstep.
+// VertexContext is handed to Compute for one vertex in one superstep; it is
+// valid only during that call.
 type VertexContext struct {
 	ctx   *grape.Context
 	g     grin.Graph
@@ -39,10 +40,7 @@ func (vc *VertexContext) Degree(dir graph.Direction) int { return vc.g.Degree(vc
 
 // SendToNeighbors sends a message to every neighbor in the direction.
 func (vc *VertexContext) SendToNeighbors(dir graph.Direction, val float64) {
-	grin.ForEachNeighbor(vc.g, vc.v, dir, func(n graph.VID, _ graph.EID) bool {
-		vc.ctx.Send(n, val)
-		return true
-	})
+	vc.ctx.SendToNeighbors(vc.v, dir, val)
 }
 
 // SendWeightedToNeighbors sends val scaled by each edge's weight.
@@ -72,7 +70,7 @@ type Program interface {
 // Options configures a Pregel run.
 type Options struct {
 	Fragments     int
-	Combine       func(a, b float64) float64
+	Combine       grape.Combiner
 	MaxSupersteps int
 }
 
@@ -81,8 +79,6 @@ type Options struct {
 func Run(g grin.Graph, p Program, opt Options) ([]float64, int, error) {
 	n := g.NumVertices()
 	values := make([]float64, n)
-	adapter := &pieAdapter{p: p, values: values, g: g}
-	adapter.initHalted(n)
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments:     opt.Fragments,
 		Combine:       opt.Combine,
@@ -91,6 +87,8 @@ func Run(g grin.Graph, p Program, opt Options) ([]float64, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	adapter := &pieAdapter{p: p, values: values, g: g,
+		halted: make([]bool, n), frags: make([]fragState, eng.Fragments())}
 	steps, err := eng.Run(adapter)
 	if err != nil {
 		return nil, 0, err
@@ -105,28 +103,37 @@ type pieAdapter struct {
 	values []float64
 	g      grin.Graph
 	halted []bool
+	frags  []fragState
+}
+
+// fragState is what one fragment reuses across vertices and supersteps.
+type fragState struct {
+	vc    VertexContext
+	inbox grape.Grouper
+}
+
+// compute runs one vertex through the fragment's reused VertexContext.
+func (a *pieAdapter) compute(vc *VertexContext, v graph.VID, msgs []float64) {
+	vc.v, vc.value, vc.halt = v, &a.values[v], false
+	a.p.Compute(vc, msgs)
+	a.halted[v] = vc.halt
+	if !vc.halt {
+		vc.ctx.Rerun()
+	}
 }
 
 // PEval implements grape.Program: superstep 0 computes every vertex with no
 // messages.
 func (a *pieAdapter) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	if a.halted == nil {
-		// Allocated once by fragment 0's arrival order is racy; size is
-		// fixed so allocate lazily under the engine's pre-run. Fragments
-		// write disjoint ranges only.
-		panic("pregel: adapter not initialized")
-	}
+	id, _ := f.Fragment()
+	vc := &a.frags[id].vc
+	*vc = VertexContext{ctx: ctx, g: a.g}
 	for v := lo; v < hi; v++ {
 		a.values[v] = a.p.Init(v, a.g)
 	}
 	for v := lo; v < hi; v++ {
-		vc := &VertexContext{ctx: ctx, g: a.g, v: v, step: 0, value: &a.values[v]}
-		a.p.Compute(vc, nil)
-		a.halted[v] = vc.halt
-		if !vc.halt {
-			ctx.Rerun()
-		}
+		a.compute(vc, v, nil)
 	}
 }
 
@@ -134,27 +141,18 @@ func (a *pieAdapter) PEval(f *grape.Fragment, ctx *grape.Context) {
 // and compute all active vertices.
 func (a *pieAdapter) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
 	lo, hi := f.Bounds()
-	// Group messages per target (combined already when a combiner is set).
-	byTarget := make(map[graph.VID][]float64, len(msgs))
-	for _, m := range msgs {
-		byTarget[m.Target] = append(byTarget[m.Target], m.Value)
-		a.halted[m.Target] = false
-	}
+	id, _ := f.Fragment()
+	fs := &a.frags[id]
+	fs.vc.step = ctx.Superstep()
+	fs.inbox.Group(lo, hi, msgs)
 	for v := lo; v < hi; v++ {
-		if a.halted[v] {
+		in := fs.inbox.Values(v)
+		if len(in) == 0 && a.halted[v] {
 			continue
 		}
-		vc := &VertexContext{ctx: ctx, g: a.g, v: v, step: ctx.Superstep(), value: &a.values[v]}
-		a.p.Compute(vc, byTarget[v])
-		a.halted[v] = vc.halt
-		if !vc.halt {
-			ctx.Rerun()
-		}
+		a.compute(&fs.vc, v, in)
 	}
 }
-
-// init sizes the halted bitmap; called by Run before the engine starts.
-func (a *pieAdapter) initHalted(n int) { a.halted = make([]bool, n) }
 
 // Inf is a convenience +infinity for distance algorithms.
 var Inf = math.Inf(1)

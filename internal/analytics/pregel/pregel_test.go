@@ -1,9 +1,9 @@
 package pregel
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -41,7 +41,7 @@ func TestMaxValuePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, steps, err := Run(g, maxValueProgram{}, Options{Fragments: 4, Combine: math.Max})
+	vals, steps, err := Run(g, maxValueProgram{}, Options{Fragments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,7 @@ func TestWeightedAndDirectSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := Run(g, weightedSpread{sink: 3}, Options{Fragments: 2,
-		Combine: func(a, b float64) float64 { return a + b }})
+	vals, _, err := Run(g, weightedSpread{sink: 3}, Options{Fragments: 2, Combine: grape.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/grin"
 	"repro/internal/learning/gnn"
 	"repro/internal/learning/pipeline"
 	"repro/internal/learning/sampler"
@@ -19,8 +20,10 @@ func init() {
 	register("ablation-pipeline", AblationPipeline)
 }
 
-// AblationMsgAggregation contrasts GRAPE's aggregated compact-buffer message
-// exchange against per-message channel sends (the aggregation trade §6 describes).
+// AblationMsgAggregation contrasts GRAPE's exchange — sends combined into a
+// flat accumulator the destination reads in place — against the same
+// exchange paying a wire codec per cross-fragment hand-off, and against
+// per-message channel sends (the aggregation trade §6 describes).
 func AblationMsgAggregation() (*Table, error) {
 	g, err := dataset.ByName("FB0")
 	if err != nil {
@@ -30,41 +33,32 @@ func AblationMsgAggregation() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(perMsg bool) (d string, err error) {
-		eng, err2 := grape.NewEngine(cg, grape.Options{
-			Fragments:          4,
-			Combine:            func(a, b float64) float64 { return a + b },
-			PerMessageChannels: perMsg,
-		})
-		if err2 != nil {
-			return "", err2
+	tab := &Table{ID: "ablation-msg", Title: "Message aggregation vs per-message sends (PageRank, FB0)",
+		Header: []string{"exchange", "runtime"}}
+	for _, arm := range []struct {
+		name string
+		opt  grape.Options
+	}{
+		{"aggregated, read in place", grape.Options{}},
+		{"aggregated + wire codec", grape.Options{WireCodec: true}},
+		{"per-message channels", grape.Options{PerMessageChannels: true}},
+	} {
+		arm.opt.Fragments, arm.opt.Combine = 4, grape.Sum
+		eng, err := grape.NewEngine(cg, arm.opt)
+		if err != nil {
+			return nil, err
 		}
 		prog := &prProgram{g: cg, ranks: make([]float64, cg.NumVertices()), iters: 5}
 		dur := timeIt(1, func() { _, _ = eng.Run(prog) })
-		return ms(dur), nil
+		tab.Rows = append(tab.Rows, []string{arm.name, ms(dur)})
 	}
-	agg, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	per, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	tab := &Table{ID: "ablation-msg", Title: "Message aggregation vs per-message sends (PageRank, FB0)",
-		Header: []string{"exchange", "runtime"}}
-	tab.Rows = append(tab.Rows, []string{"aggregated buffers", agg}, []string{"per-message channels", per})
 	return tab, nil
 }
 
 // prProgram is a small PageRank PIE program local to the ablation (avoids
 // exporting engine options through the algorithms API).
 type prProgram struct {
-	g interface {
-		NumVertices() int
-		Degree(graph.VID, graph.Direction) int
-		Neighbors(graph.VID, graph.Direction, func(graph.VID, graph.EID) bool)
-	}
+	g     grin.Graph
 	ranks []float64
 	iters int
 }
@@ -95,15 +89,9 @@ func (p *prProgram) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.
 func (p *prProgram) scatter(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
 	for v := lo; v < hi; v++ {
-		d := p.g.Degree(v, graph.Out)
-		if d == 0 {
-			continue
+		if d := p.g.Degree(v, graph.Out); d > 0 {
+			ctx.SendToNeighbors(v, graph.Out, p.ranks[v]/float64(d))
 		}
-		c := p.ranks[v] / float64(d)
-		p.g.Neighbors(v, graph.Out, func(u graph.VID, _ graph.EID) bool {
-			ctx.Send(u, c)
-			return true
-		})
 	}
 }
 

@@ -28,14 +28,18 @@ import (
 	"strings"
 )
 
-// HotPackages are the packages the budget covers: the three engines, the
-// shared stage runtime, and the GRIN helper layer every frontier crosses.
+// HotPackages are the packages the budget covers: the three query engines,
+// the shared stage runtime, the GRIN helper layer every frontier crosses, and
+// the analytics engine with the PIE programs whose per-edge send path it
+// runs.
 var HotPackages = []string{
 	"./internal/query/exec",
 	"./internal/query/gaia",
 	"./internal/query/hiactor",
 	"./internal/query/naive",
 	"./internal/grin",
+	"./internal/analytics/grape",
+	"./internal/analytics/algorithms",
 }
 
 // Report maps package → function → diagnostic message → count.
