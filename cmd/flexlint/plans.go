@@ -2,9 +2,10 @@
 // source text (cypher or gremlin) plus a schema name and the backends it is
 // expected to run on. The runner drives the full front half of the stack —
 // parse, planshape.Verify, optimize, Verify again — then cross-checks the
-// verifier's predicted shape against what exec.Compile actually builds, and
-// finally checks the plan's required traits against each listed backend's
-// capability row. Backends that would degrade (skipped label filters,
+// verifier's predicted shape against what exec.Compile actually builds,
+// checks an entry's optional `fold` expectation (must the EXPAND_DEGREE rule
+// fire or not), and finally checks the plan's required traits against each
+// listed backend's capability row. Backends that would degrade (skipped label filters,
 // internal-ID fallback) are reported but do not fail the run.
 package main
 
@@ -35,6 +36,9 @@ type corpusPlan struct {
 	Schema   string   `json:"schema"`
 	Query    string   `json:"query"`
 	Backends []string `json:"backends"`
+	// Fold, when present, pins whether the optimizer's EXPAND_DEGREE rule
+	// must (true) or must not (false) fire on this entry.
+	Fold *bool `json:"fold,omitempty"`
 }
 
 // schemaEnv resolves a corpus schema name to the schema plus a small loaded
@@ -120,6 +124,15 @@ func verifyCorpusPlan(cp corpusPlan) (string, error) {
 	}
 	if err := checkShape(pinfo, physical); err != nil {
 		return "", fmt.Errorf("physical plan: %w", err)
+	}
+	if cp.Fold != nil {
+		folded := false
+		for _, op := range physical.Ops {
+			folded = folded || op.Kind == ir.OpExpandDegree
+		}
+		if folded != *cp.Fold {
+			return "", fmt.Errorf("physical plan: EXPAND_DEGREE fold=%v, corpus expects %v:\n%s", folded, *cp.Fold, physical)
+		}
 	}
 	// The physical plan is what runs; its trait demands gate the backends.
 	detail := fmt.Sprintf("%d stages, requires %v", len(pinfo.Stages), pinfo.Requires)

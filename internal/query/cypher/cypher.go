@@ -471,6 +471,15 @@ func (p *parser) parseProjection(body string) ([]*ir.Op, error) {
 			alias = strings.TrimSpace(raw[idx+2:])
 			raw = strings.TrimSpace(raw[:idx])
 		}
+		if strings.EqualFold(strings.Join(strings.Fields(raw), ""), "count(*)") {
+			// The expression grammar has no bare `*`; COUNT(*) is the
+			// argument-less count.
+			if alias == "" {
+				alias = raw
+			}
+			aggs = append(aggs, ir.Aggregate{Fn: "count", Alias: alias})
+			continue
+		}
 		e, err := expr.Parse(raw)
 		if err != nil {
 			return nil, err

@@ -25,9 +25,10 @@ import "repro/internal/graph"
 //
 // Batches are handed out in draw order and reshaped to the requested column
 // layout, keeping their payload arrays: after a warm-up the arena holds one
-// buffer set sized by the largest query its owner has run (expansion scratch
-// up to retainSlots), and a steady procedure mix allocates only its result
-// rows. The owner calls Reset before
+// buffer set sized by the largest query its owner has run — expansion
+// scratch, once by far the largest part, is sized by one chunk of a frontier
+// (see expansion.run), not by a query — and a steady procedure mix allocates
+// only its result rows. The owner calls Reset before
 // its next query, which hands every batch back at once; everything a query
 // draws stays valid until then — a batch returned by RunBatch must be
 // consumed (Rows) first. A query that panicked or was abandoned mid-flight
@@ -55,28 +56,9 @@ type Arena struct {
 	scanRow []graph.Value // SCAN's predicate row bridge
 }
 
-// retainSlots bounds the expansion scratch an arena keeps between queries, in
-// adjacency slots. That scratch is by far the largest thing an arena holds —
-// 24 bytes per slot of the whole frontier's adjacency, before label filters
-// and predicates cut the slots down to rows — and one expansion through hub
-// vertices grows it to tens of megabytes, which a long-lived owner would pin
-// for good (and the GC's pacing would double). Above the bound the scratch is
-// re-grown by the next query that needs it. Measured on snb_bi, where BI10's
-// expansions reach 780k slots per worker: never dropping it runs the workload
-// ~15 % faster and holds ~55 % more memory at the peak; with the bound the
-// peak stays where sync.Pool's GC-driven release had it, for ~3 % of
-// throughput.
-const retainSlots = 1 << 17
-
-// Reset hands every batch back to the arena and drops an expansion scratch
-// that outgrew retainSlots. The owner calls it at the start of each query;
-// batches drawn before the call must no longer be in use.
-func (a *Arena) Reset() {
-	a.next = 0
-	if cap(a.expand.adj.Nbrs) > retainSlots {
-		a.expand = expandScratch{}
-	}
-}
+// Reset hands every batch back to the arena. The owner calls it at the start
+// of each query; batches drawn before the call must no longer be in use.
+func (a *Arena) Reset() { a.next = 0 }
 
 // batch draws an empty batch with the given column layout.
 func (a *Arena) batch(kinds []graph.Kind) *Batch {

@@ -330,6 +330,8 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 		return c.compileExpandFused(op)
 	case ir.OpExpandEdge:
 		return c.compileExpandEdge(op)
+	case ir.OpExpandDegree:
+		return c.compileExpandDegree(op)
 	case ir.OpGetVertex:
 		return c.compileGetVertex(op)
 	case ir.OpMatch:
@@ -654,29 +656,6 @@ func vidColumn(in *Batch, col int, dst []graph.VID) {
 	}
 }
 
-// emitExpanded materializes one expansion's output: the surviving input rows
-// (srcRows, physical) widen into out's prefix columns via one typed
-// gather-append per column, and the new neighbor/edge columns fill from the
-// adjacency arena slots (ts).
-func emitExpanded(out, in *Batch, srcRows, ts []int32, adj *grin.AdjBatch, vIdx, eIdx int) {
-	for c := 0; c < in.Width(); c++ {
-		out.cols[c].appendRows(&in.cols[c], srcRows)
-	}
-	if vIdx >= 0 {
-		vcol := &out.cols[vIdx]
-		for _, t := range ts {
-			vcol.appendVertex(adj.Nbrs[t])
-		}
-	}
-	if eIdx >= 0 {
-		ecol := &out.cols[eIdx]
-		for _, t := range ts {
-			ecol.appendEdge(adj.Edges[t])
-		}
-	}
-	out.rows += len(srcRows)
-}
-
 // compileExpandFused is the fused neighbor expansion: one adjacency pass
 // filters edge label, target label and pushed predicate.
 func (c *Compiled) compileExpandFused(op *ir.Op) error {
@@ -691,14 +670,15 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 		eIdx = c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	}
 	width := c.numCols
-	x := &expansion{from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: op.Label, dst: -1, vIdx: vIdx, eIdx: eIdx}
+	sid := len(c.Stages)
+	x := &expansion{sid: sid, from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
+		dst: -1, vIdx: vIdx, eIdx: eIdx, degIdx: -1}
 	predB, err := bindExpr(c.Cols, op.Pred)
 	if err != nil {
 		return err
 	}
 	fp := c.compileFilter(predB)
 
-	sid := len(c.Stages)
 	c.Stages = append(c.Stages, Stage{
 		Name:    "EXPAND_FUSED(" + op.FromAlias + "->" + op.Alias + ")",
 		InWidth: inWidth, OutWidth: width,
@@ -707,8 +687,8 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 			// One adjacency pass, then the pushed predicate (if any) runs as
 			// a fused filter pass over the freshly emitted rows.
 			base := out.rows
-			if !x.run(env, in, out) {
-				return nil
+			if any, err := x.run(env, in, out); err != nil || !any {
+				return err
 			}
 			return fp.run(env, out, base, sid)
 		},
@@ -728,16 +708,37 @@ func (c *Compiled) compileExpandEdge(op *ir.Op) error {
 	eIdx := c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	nIdx := c.addColK("#nbr:"+op.EdgeAlias, graph.KindVertex, graph.AnyLabel)
 	width := c.numCols
-	x := &expansion{from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: graph.AnyLabel, dst: -1, vIdx: nIdx, eIdx: eIdx}
+	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: graph.AnyLabel,
+		dst: -1, vIdx: nIdx, eIdx: eIdx, degIdx: -1}
 
 	c.Stages = append(c.Stages, Stage{
 		Name:    "EXPAND_EDGE(" + op.FromAlias + ")",
 		InWidth: inWidth, OutWidth: width,
 		OutKinds: c.kindsSnapshot(),
-		Map: func(env *Env, in, out *Batch) error {
-			x.run(env, in, out)
-			return nil
-		},
+		Map:      x.runMap,
+	})
+	return nil
+}
+
+// compileExpandDegree is the counting expansion: the same adjacency pass and
+// label filters as the fused expansion it replaces, but the neighbor is never
+// bound — each input row with at least one matching slot survives, widened by
+// one int column holding how many matched.
+func (c *Compiled) compileExpandDegree(op *ir.Op) error {
+	fromIdx, ok := c.Cols[op.FromAlias]
+	if !ok {
+		return fmt.Errorf("exec: EXPAND_DEGREE from unbound alias %q", op.FromAlias)
+	}
+	inWidth := c.numCols
+	dIdx := c.addColK(ir.DegreeAlias(op.Alias), graph.KindInt, graph.AnyLabel)
+	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
+		dst: -1, vIdx: -1, eIdx: -1, degIdx: dIdx}
+
+	c.Stages = append(c.Stages, Stage{
+		Name:    "EXPAND_DEGREE(" + op.FromAlias + "->" + op.Alias + ")",
+		InWidth: inWidth, OutWidth: c.numCols,
+		OutKinds: c.kindsSnapshot(),
+		Map:      x.runMap,
 	})
 	return nil
 }

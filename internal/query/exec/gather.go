@@ -9,91 +9,250 @@ import (
 // This file holds the batched-execution scratch state of the relational
 // stages — fields of the Arena of the goroutine running the stage (stage
 // closures are shared across goroutines, so scratch cannot live in the
-// closure) — the expansion skeleton the three expanding operators share, and
+// closure) — the expansion skeleton the four expanding operators share, and
 // the columnar expression hook that routes pure alias.prop references through
 // the storage batch-property trait. Scratch slices are truncated or resized
-// before every use and never cleared after it (see Arena for the retention
-// rule).
+// before every use and never cleared after it (see Arena).
 
-// expandScratch is the working set of one batched expansion: the non-nil
-// frontier with its originating (physical) row indexes, the CSR-style
-// adjacency arena, label columns for pushed edge/vertex label filters, and
-// the emission lists — surviving adjacency slots (ts) with the physical
-// input row each came from (srcRows).
+// slotBudget is the adjacency a chunk of an expansion aims to stay under, in
+// slots: 16 k slots are ~400 KB of scratch (24 B of adjacency arena plus the
+// label columns per slot), which stays L2-resident while the keep loop and
+// the emission re-read it.
+const slotBudget = 1 << 14
+
+// firstChunk is the number of frontier vertices in an expansion's first
+// chunk, before it has seen a single degree.
+const firstChunk = 64
+
+// expandScratch is the working set of one expansion chunk: the frontier
+// (runs of one vertex collapsed) with the physical input rows each element
+// serves, the CSR-style adjacency arena of the current chunk, label columns
+// for pushed edge/vertex label filters, and the emission lists — surviving
+// adjacency slots (ts) with the physical input row each came from (srcRows),
+// or in counting mode one count per surviving row.
 type expandScratch struct {
 	frontier []graph.VID
 	rows     []int32
+	runs     []int32 // frontier[j] serves rows[runs[j]:runs[j+1]]
 	adj      grin.AdjBatch
 	elabels  []graph.LabelID
 	vlabels  []graph.LabelID
 	ts       []int32
 	srcRows  []int32
+	counts   []int64
 }
 
-// expansion is the compiled shape EXPAND_FUSED, EXPAND_EDGE and ADJ_CHECK
-// share; they differ only in the per-slot keep test and in which columns the
-// surviving slots fill.
+// expansion is the compiled shape EXPAND_FUSED, EXPAND_EDGE, ADJ_CHECK and
+// EXPAND_DEGREE share; they differ only in the per-slot keep test and in what
+// the surviving slots become — neighbor/edge columns, or one count per row.
 type expansion struct {
+	sid            int // stage ID, for the slots counter
 	from           int // frontier column
 	dir            graph.Direction
 	elabel, vlabel graph.LabelID // pushed label filters (AnyLabel: none)
 	dst            int           // >= 0: keep only slots whose neighbor is this column's vertex
 	first          bool          // keep at most one slot per input row (existence check)
 	vIdx, eIdx     int           // output neighbor / edge column (-1: not emitted)
+	degIdx         int           // >= 0: count the kept slots into this column instead of emitting them
 }
 
-// run expands in's frontier into out: the whole frontier crosses the storage
-// boundary in one ExpandBatch call, label filters gather their columns in one
-// call each, and the surviving slots materialize column-at-a-time. It reports
-// whether any row was appended.
-func (x *expansion) run(env *Env, in, out *Batch) bool {
-	pr, _ := grin.AsPropertyReader(env.Graph)
+// farLabel is the vertex-label filter an expansion over elabel edges in dir
+// still has to apply for the pattern's vlabel: none when the schema already
+// fixes that endpoint of every such edge to vlabel (stores resolve edge
+// endpoints inside schema.Edges[l].Src/Dst, and the edge-label filter runs
+// whenever the vertex-label one would), vlabel itself otherwise.
+func (c *Compiled) farLabel(elabel graph.LabelID, dir graph.Direction, vlabel graph.LabelID) graph.LabelID {
+	if c.schema == nil || vlabel == graph.AnyLabel || elabel == graph.AnyLabel || int(elabel) >= len(c.schema.Edges) {
+		return vlabel
+	}
+	e := c.schema.Edges[elabel]
+	if (dir == graph.In || e.Dst == vlabel) && (dir == graph.Out || e.Src == vlabel) {
+		return graph.AnyLabel
+	}
+	return vlabel
+}
+
+// run expands in's frontier into out, reporting whether any row was
+// appended. The frontier crosses the storage boundary chunk by chunk — never
+// as a whole — so scratch is bounded by what one chunk holds: a run's first
+// chunk is firstChunk vertices, every later one is sized from the degrees
+// seen so far to fill half the slot budget (degrees are not asked for up
+// front: a store call per frontier vertex is what the batch traits exist to
+// avoid). Per chunk one ExpandBatch call, one gather per pushed label
+// filter, the keep loop, and one columnar emission; output order is the
+// frontier's, so results do not depend on where chunks end. Consecutive
+// input rows on one vertex share its adjacency (and, counting, its count).
+// The query's context is checked between chunks.
+func (x *expansion) run(env *Env, in, out *Batch) (bool, error) {
 	s := &env.Arena.expand
 	s.frontier, s.rows = frontierFrom(in, x.from, s.frontier[:0], s.rows[:0])
 	if len(s.frontier) == 0 {
-		return false
+		return false, nil
 	}
-	grin.ExpandBatch(env.Graph, s.frontier, x.dir, &s.adj)
-	var eLabs, vLabs []graph.LabelID
-	if pr != nil && x.elabel != graph.AnyLabel {
-		s.elabels = growLabels(s.elabels, len(s.adj.Edges))
-		grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
-		eLabs = s.elabels
-	}
-	if pr != nil && x.vlabel != graph.AnyLabel {
-		s.vlabels = growLabels(s.vlabels, len(s.adj.Nbrs))
-		grin.GatherVertexLabels(env.Graph, s.adj.Nbrs, s.vlabels)
-		vLabs = s.vlabels
-	}
-	s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
-	for fi, ri := range s.rows {
-		var want graph.VID
-		if x.dst >= 0 {
-			want = in.Col(x.dst).Value(int(ri)).Vertex()
+	s.runs = s.runs[:0]
+	u := 0
+	for i, v := range s.frontier {
+		if i == 0 || v != s.frontier[u-1] {
+			s.frontier[u] = v
+			u++
+			s.runs = append(s.runs, int32(i))
 		}
-		lo, hi := s.adj.Range(fi)
-		for t := lo; t < hi; t++ {
-			if x.dst >= 0 && s.adj.Nbrs[t] != want {
+	}
+	s.runs = append(s.runs, int32(len(s.frontier)))
+	frontier := s.frontier[:u]
+
+	pr, _ := grin.AsPropertyReader(env.Graph)
+	byEdge := pr != nil && x.elabel != graph.AnyLabel
+	byVertex := pr != nil && x.vlabel != graph.AnyLabel
+	base := out.rows
+	slots := 0
+	if x.degIdx >= 0 && !byEdge && !byVertex {
+		// Every slot counts: the degree is the answer, no adjacency moves.
+		s.srcRows, s.counts = s.srcRows[:0], s.counts[:0]
+		for j, v := range frontier {
+			x.count(s, j, env.Graph.Degree(v, x.dir))
+		}
+		x.emit(s, in, out)
+	} else {
+		var err error
+		if slots, err = x.scan(env, s, frontier, byEdge, byVertex, in, out); err != nil {
+			return false, err
+		}
+	}
+	if obs := env.Obs; obs != nil {
+		obs.StageSlots(x.sid, slots)
+	}
+	return out.rows > base, nil
+}
+
+// runMap is run as a Stage.Map callback, for the stages that have nothing to
+// do after it.
+func (x *expansion) runMap(env *Env, in, out *Batch) error {
+	_, err := x.run(env, in, out)
+	return err
+}
+
+// scan is the chunk loop of run: it expands frontier chunk by chunk, keeps or
+// counts each chunk's slots and emits its rows, returning the adjacency slots
+// it materialized.
+func (x *expansion) scan(env *Env, s *expandScratch, frontier []graph.VID, byEdge, byVertex bool, in, out *Batch) (slots int, err error) {
+	for lo, k := 0, firstChunk; lo < len(frontier); {
+		if lo > 0 {
+			if err := env.Alive(); err != nil {
+				return slots, err
+			}
+		}
+		hi := min(lo+k, len(frontier))
+		grin.ExpandBatch(env.Graph, frontier[lo:hi], x.dir, &s.adj)
+		n := len(s.adj.Nbrs)
+		slots += n
+		var eLabs, vLabs []graph.LabelID
+		if byEdge {
+			s.elabels = growLabels(s.elabels, n)
+			grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
+			eLabs = s.elabels
+		}
+		if byVertex {
+			s.vlabels = growLabels(s.vlabels, n)
+			grin.GatherVertexLabels(env.Graph, s.adj.Nbrs, s.vlabels)
+			vLabs = s.vlabels
+		}
+		s.ts, s.srcRows, s.counts = s.ts[:0], s.srcRows[:0], s.counts[:0]
+		for j := lo; j < hi; j++ {
+			alo, ahi := s.adj.Range(j - lo)
+			if x.degIdx >= 0 {
+				x.count(s, j, x.keep(s, alo, ahi, graph.NilVID, eLabs, vLabs, 0))
 				continue
 			}
-			if eLabs != nil && eLabs[t] != x.elabel {
-				continue
+			for _, ri := range s.rows[s.runs[j]:s.runs[j+1]] {
+				var want graph.VID
+				if x.dst >= 0 {
+					want = in.Col(x.dst).Value(int(ri)).Vertex()
+				}
+				x.keep(s, alo, ahi, want, eLabs, vLabs, ri)
 			}
-			if vLabs != nil && vLabs[t] != x.vlabel {
-				continue
-			}
+		}
+		x.emit(s, in, out)
+		lo = hi
+		// Next chunk: as many vertices as fill half the budget at the
+		// density seen so far (taken as at least one slot per vertex),
+		// growing at most fourfold per step.
+		k = max(1, min(4*k, hi*(slotBudget/2)/max(slots, hi)))
+	}
+	return slots, nil
+}
+
+// keep is the one per-slot test: it scans adjacency slots [lo, hi) of the
+// current chunk for input row ri and returns how many pass the endpoint and
+// label filters, recording each (slot, row) pair for emission unless the
+// expansion only counts.
+func (x *expansion) keep(s *expandScratch, lo, hi int, want graph.VID, eLabs, vLabs []graph.LabelID, ri int32) int {
+	n := 0
+	for t := lo; t < hi; t++ {
+		if x.dst >= 0 && s.adj.Nbrs[t] != want {
+			continue
+		}
+		if eLabs != nil && eLabs[t] != x.elabel {
+			continue
+		}
+		if vLabs != nil && vLabs[t] != x.vlabel {
+			continue
+		}
+		n++
+		if x.degIdx < 0 {
 			s.ts = append(s.ts, int32(t))
 			s.srcRows = append(s.srcRows, ri)
-			if x.first {
-				break
-			}
+		}
+		if x.first {
+			break
 		}
 	}
-	if len(s.ts) == 0 {
-		return false
+	return n
+}
+
+// count records n kept slots for every input row frontier element j serves;
+// rows whose count is 0 are dropped, as the expansion they replace would have
+// emitted nothing for them.
+func (x *expansion) count(s *expandScratch, j, n int) {
+	if n == 0 {
+		return
 	}
-	emitExpanded(out, in, s.srcRows, s.ts, &s.adj, x.vIdx, x.eIdx)
-	return true
+	for _, ri := range s.rows[s.runs[j]:s.runs[j+1]] {
+		s.srcRows = append(s.srcRows, ri)
+		s.counts = append(s.counts, int64(n))
+	}
+}
+
+// emit materializes one chunk's output: the surviving input rows (srcRows,
+// physical) widen into out's prefix columns via one typed gather-append per
+// column, and the new columns fill from the adjacency arena slots (ts) or,
+// counting, from the counts.
+func (x *expansion) emit(s *expandScratch, in, out *Batch) {
+	if len(s.srcRows) == 0 {
+		return
+	}
+	for c := 0; c < in.Width(); c++ {
+		out.cols[c].appendRows(&in.cols[c], s.srcRows)
+	}
+	if x.vIdx >= 0 {
+		vcol := &out.cols[x.vIdx]
+		for _, t := range s.ts {
+			vcol.appendVertex(s.adj.Nbrs[t])
+		}
+	}
+	if x.eIdx >= 0 {
+		ecol := &out.cols[x.eIdx]
+		for _, t := range s.ts {
+			ecol.appendEdge(s.adj.Edges[t])
+		}
+	}
+	if x.degIdx >= 0 {
+		dcol := &out.cols[x.degIdx]
+		for _, n := range s.counts {
+			dcol.appendInt(n)
+		}
+	}
+	out.rows += len(s.srcRows)
 }
 
 // gatherScratch is the working set of one columnar property gather: the

@@ -285,6 +285,12 @@ func intFamilyValue(k graph.Kind, v int64) graph.Value {
 // uniform kind) and the aggregates accumulate straight off the payload
 // arrays, no value boxed per row. Everything else takes the generic boxed
 // path.
+//
+// With op.CountWeight set (the GROUP consumes an EXPAND_DEGREE) every input
+// row stands for that column's number of rows: the aggregates — all COUNT(*)
+// then — add the weight instead of 1, on both paths, and stay KindInt. A
+// GROUP with no keys is a global aggregate and yields exactly one row, over
+// empty input too (COUNT 0, SUM 0, AVG/MIN/MAX NULL, COLLECT []).
 func (c *Compiled) compileGroupBy(op *ir.Op) error {
 	inCols := c.snapshotCols()
 	inKinds := c.kindsSnapshot()
@@ -292,6 +298,18 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 	inWidth := c.numCols
 	gkeys := op.GroupKeys
 	aggs := op.Aggs
+	wCol := -1
+	if op.CountWeight != "" {
+		var ok bool
+		if wCol, ok = inCols[op.CountWeight]; !ok {
+			return fmt.Errorf("exec: GROUP weight on unbound column %q", op.CountWeight)
+		}
+		for _, a := range aggs {
+			if a.Fn != "count" || a.Arg != nil {
+				return fmt.Errorf("exec: weighted GROUP supports COUNT(*) only, got %s(%s)", a.Fn, a.Arg)
+			}
+		}
+	}
 	c.resetCols()
 	keyIdx := make([]int, len(gkeys))
 	keyProgs := make([]*expr.Bound, len(gkeys))
@@ -370,13 +388,31 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 		OutKinds: outKinds,
 		Blocking: func(env *Env, in *Batch) (*Batch, error) {
 			if typedOK {
-				if out, ok := groupTyped(in, aggs, keyCols[0], keyIdx[0], aggCols, aggIdx, outKinds); ok {
+				if out, ok := groupTyped(in, aggs, keyCols[0], keyIdx[0], aggCols, aggIdx, wCol, outKinds); ok {
 					return out, nil
 				}
 			}
 			benv := env.boundEnv()
 			buckets := map[uint64][]*groupAccum{}
 			var ordered []*groupAccum
+			// Accumulator state is allocated once per distinct group, not per
+			// row.
+			newGroup := func(kv []graph.Value) *groupAccum {
+				g := &groupAccum{
+					//lint:allow valuebox per distinct group, not per row; group keys must be retained
+					keys:  append([]graph.Value(nil), kv...),
+					count: make([]int64, len(aggs)),
+					sum:   make([]float64, len(aggs)),
+					//lint:allow valuebox per distinct group, not per row
+					min: make([]graph.Value, len(aggs)),
+					//lint:allow valuebox per distinct group, not per row
+					max:    make([]graph.Value, len(aggs)),
+					coll:   make([][]graph.Value, len(aggs)),
+					seenIn: make([]bool, len(aggs)),
+				}
+				ordered = append(ordered, g)
+				return g
+			}
 			kv := make([]graph.Value, len(gkeys)) // per-row scratch
 			//lint:allow valuebox barrier-local row bridge for the generic aggregation path
 			rowBuf := make([]graph.Value, in.Width())
@@ -406,22 +442,12 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 					}
 				}
 				if g == nil {
-					// Accumulator state is allocated once per distinct group,
-					// not per row.
-					g = &groupAccum{
-						//lint:allow valuebox per distinct group, not per row; group keys must be retained
-						keys:  append([]graph.Value(nil), kv...),
-						count: make([]int64, len(aggs)),
-						sum:   make([]float64, len(aggs)),
-						//lint:allow valuebox per distinct group, not per row
-						min: make([]graph.Value, len(aggs)),
-						//lint:allow valuebox per distinct group, not per row
-						max:    make([]graph.Value, len(aggs)),
-						coll:   make([][]graph.Value, len(aggs)),
-						seenIn: make([]bool, len(aggs)),
-					}
+					g = newGroup(kv)
 					buckets[h] = append(buckets[h], g)
-					ordered = append(ordered, g)
+				}
+				w := int64(1)
+				if wCol >= 0 {
+					w = rowBuf[wCol].Int()
 				}
 				for j, a := range aggs {
 					var v graph.Value
@@ -435,7 +461,7 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 					switch a.Fn {
 					case "count":
 						if a.Arg == nil || !v.IsNull() {
-							g.count[j]++
+							g.count[j] += w
 						}
 					case "sum", "avg":
 						g.count[j]++
@@ -453,6 +479,9 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 					}
 					g.seenIn[j] = true
 				}
+			}
+			if len(gkeys) == 0 && len(ordered) == 0 {
+				newGroup(nil) // a global aggregate over no rows is still one row
 			}
 			out := NewBatchKinds(outKinds, 0)
 			//lint:allow valuebox one output-row scratch per barrier
@@ -490,14 +519,22 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 }
 
 // groupTyped is the monomorphic aggregation loop: one int-family key column,
-// count/sum/avg aggregates over typed columns. Returns ok=false when the
-// batch's runtime column layout does not meet the preconditions (demoted or
-// null-carrying key, boxed aggregate argument), sending the caller to the
-// generic path.
-func groupTyped(in *Batch, aggs []ir.Aggregate, keyCol, keyOut int, aggCols, aggIdx []int, outKinds []graph.Kind) (*Batch, bool) {
+// count/sum/avg aggregates over typed columns, counts weighted by int column
+// wCol when it is >= 0. Returns ok=false when the batch's runtime column
+// layout does not meet the preconditions (demoted or null-carrying key or
+// weight, boxed aggregate argument), sending the caller to the generic path.
+func groupTyped(in *Batch, aggs []ir.Aggregate, keyCol, keyOut int, aggCols, aggIdx []int, wCol int, outKinds []graph.Kind) (*Batch, bool) {
 	kt := in.Col(keyCol).Typed()
 	if kt == nil || kt.HasNulls() || !intFamilyKind(kt.Kind()) {
 		return nil, false
+	}
+	var weights []int64
+	if wCol >= 0 {
+		wt := in.Col(wCol).Typed()
+		if wt == nil || wt.HasNulls() || wt.Kind() != graph.KindInt {
+			return nil, false
+		}
+		weights = wt.RawInts()
 	}
 	type aggIn struct {
 		ints   []int64
@@ -540,6 +577,10 @@ func groupTyped(in *Batch, aggs []ir.Aggregate, keyCol, keyOut int, aggCols, agg
 			p = int(sel[i])
 		}
 		k := kints[p]
+		w := int64(1)
+		if weights != nil {
+			w = weights[p]
+		}
 		gi, ok := groups[k]
 		if !ok {
 			gi = int32(len(keys))
@@ -554,7 +595,7 @@ func groupTyped(in *Batch, aggs []ir.Aggregate, keyCol, keyOut int, aggCols, agg
 			switch aggs[j].Fn {
 			case "count":
 				if acols[j].col == nil || !acols[j].col.NullAt(p) {
-					counts[j][gi]++
+					counts[j][gi] += w
 				}
 			case "sum", "avg":
 				// NULL payload slots read as zero, matching boxed
@@ -754,17 +795,15 @@ func (c *Compiled) compileAdjacencyCheck(pe ir.PatternEdge) error {
 	width := c.numCols
 	// Without an edge alias existence is enough; with one, every matching
 	// parallel edge is emitted.
-	x := &expansion{from: srcIdx, dir: pe.Dir, elabel: pe.EdgeLabel, vlabel: graph.AnyLabel, dst: dstIdx, first: eIdx < 0, vIdx: -1, eIdx: eIdx}
+	x := &expansion{sid: len(c.Stages), from: srcIdx, dir: pe.Dir, elabel: pe.EdgeLabel, vlabel: graph.AnyLabel,
+		dst: dstIdx, first: eIdx < 0, vIdx: -1, eIdx: eIdx, degIdx: -1}
 	c.Stages = append(c.Stages, Stage{
 		Name:    "ADJ_CHECK(" + pe.SrcAlias + "," + pe.DstAlias + ")",
 		InWidth: inWidth, OutWidth: width,
 		OutKinds: c.kindsSnapshot(),
-		Map: func(env *Env, in, out *Batch) error {
-			// Batched verification: expand the whole src column once, then
-			// probe each row's slot range for its dst endpoint.
-			x.run(env, in, out)
-			return nil
-		},
+		// Batched verification: expand the src column, then probe each
+		// row's slot range for its dst endpoint.
+		Map: x.runMap,
 	})
 	return nil
 }

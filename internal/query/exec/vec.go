@@ -180,6 +180,15 @@ func (v *Vec) appendEdge(id graph.EID) {
 	v.AppendValue(graph.EdgeValue(id))
 }
 
+// appendInt appends one int, using the monomorphic path on int vectors.
+func (v *Vec) appendInt(n int64) {
+	if v.kind == graph.KindInt {
+		v.col.AppendInt(n)
+		return
+	}
+	v.AppendValue(graph.IntValue(n))
+}
+
 // appendVIDs bulk-appends a frontier chunk.
 func (v *Vec) appendVIDs(vs []graph.VID) {
 	if v.kind == graph.KindVertex {

@@ -41,6 +41,13 @@ const (
 	OpGroupBy
 	// OpDedup removes duplicate rows over key aliases.
 	OpDedup
+	// OpExpandDegree is a fused expansion with ExpandOpt = DEGREE: instead
+	// of binding the neighbor it appends one int column (DegreeAlias) holding
+	// the number of adjacency slots that pass the label filters, and drops
+	// input rows whose count is 0 (inner-join semantics). The optimizer emits
+	// it for an expansion whose neighbor is only ever counted; the GROUP
+	// that consumes the column names it in CountWeight.
+	OpExpandDegree
 )
 
 // String names the operator kind.
@@ -68,6 +75,8 @@ func (k OpKind) String() string {
 		return "GROUP"
 	case OpDedup:
 		return "DEDUP"
+	case OpExpandDegree:
+		return "EXPAND_DEGREE"
 	}
 	return fmt.Sprintf("OP(%d)", uint8(k))
 }
@@ -116,12 +125,13 @@ type SortKey struct {
 type Op struct {
 	Kind OpKind
 
-	// Scan / GetVertex / ExpandFused
+	// Scan / GetVertex / ExpandFused; ExpandDegree: the counted (never
+	// bound) neighbor, which names the DegreeAlias column
 	Alias string
 	Label graph.LabelID
 	Pred  *expr.Expr
 
-	// ExpandEdge / ExpandFused
+	// ExpandEdge / ExpandFused / ExpandDegree
 	FromAlias string
 	EdgeLabel graph.LabelID
 	Dir       graph.Direction
@@ -143,10 +153,18 @@ type Op struct {
 	// GroupBy
 	GroupKeys []ProjItem
 	Aggs      []Aggregate
+	// CountWeight, when set, names an int column (an ExpandDegree's
+	// DegreeAlias): each input row stands for that many rows, so every
+	// aggregate — all of them COUNT(*) by then — adds it instead of 1.
+	CountWeight string
 
 	// Dedup
 	DedupAliases []string
 }
+
+// DegreeAlias names the hidden int column an ExpandDegree of the given
+// neighbor alias appends.
+func DegreeAlias(leaf string) string { return "#deg:" + leaf }
 
 // Plan is a logical (or physical, after optimization) operator chain.
 type Plan struct {
@@ -235,9 +253,19 @@ func (o *Op) String() string {
 		}
 		var aggs []string
 		for _, a := range o.Aggs {
-			aggs = append(aggs, fmt.Sprintf("%s(%s) AS %s", a.Fn, a.Arg, a.Alias))
+			arg := "*"
+			if a.Arg != nil {
+				arg = a.Arg.String()
+			}
+			aggs = append(aggs, fmt.Sprintf("%s(%s) AS %s", a.Fn, arg, a.Alias))
 		}
-		return fmt.Sprintf("GROUP keys=[%s] aggs=[%s]", strings.Join(keys, ","), strings.Join(aggs, ","))
+		s := fmt.Sprintf("GROUP keys=[%s] aggs=[%s]", strings.Join(keys, ","), strings.Join(aggs, ","))
+		if o.CountWeight != "" {
+			s += " weight=" + o.CountWeight
+		}
+		return s
+	case OpExpandDegree:
+		return fmt.Sprintf("EXPAND_DEGREE from=%s elabel=%d dir=%s count=%s vlabel=%d", o.FromAlias, o.EdgeLabel, o.Dir, o.Alias, o.Label)
 	case OpDedup:
 		return "DEDUP " + strings.Join(o.DedupAliases, ",")
 	}
@@ -254,6 +282,8 @@ func (p *Plan) OutputAliases() map[string]bool {
 			out[op.Alias] = true
 		case OpExpandEdge:
 			out[op.EdgeAlias] = true
+		case OpExpandDegree:
+			out[DegreeAlias(op.Alias)] = true
 		case OpExpandFused:
 			out[op.Alias] = true
 			if op.EdgeAlias != "" {

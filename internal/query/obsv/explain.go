@@ -33,7 +33,11 @@ func (n *ExplainNode) Render(withTimes bool) string {
 		ind := strings.Repeat("  ", depth)
 		fmt.Fprintf(&b, "%s%s [%s width=%d]\n", ind, node.Op, node.Kind, node.Width)
 		if st := node.Stats; st != nil {
-			fmt.Fprintf(&b, "%s  rows: in=%d out=%d  batches=%d\n", ind, st.RowsIn, st.RowsOut, st.Batches)
+			fmt.Fprintf(&b, "%s  rows: in=%d out=%d  batches=%d", ind, st.RowsIn, st.RowsOut, st.Batches)
+			if st.Expands {
+				fmt.Fprintf(&b, "  slots=%d", st.Slots)
+			}
+			b.WriteByte('\n')
 			if st.KernelSteps+st.BoxedSteps > 0 {
 				fmt.Fprintf(&b, "%s  filter: kernel=%d boxed=%d  candidates=%d survivors=%d\n",
 					ind, st.KernelSteps, st.BoxedSteps, st.SelCandidates, st.SelSurvivors)

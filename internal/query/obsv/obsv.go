@@ -46,6 +46,8 @@ type StageStats struct {
 	boxed    atomic.Int64 // fused-filter steps on the boxed per-row fallback
 	selCand  atomic.Int64 // filter-pass candidate rows
 	selSurv  atomic.Int64 // filter-pass surviving rows
+	expands  atomic.Bool  // an expansion reported its slots (even 0)
+	slots    atomic.Int64 // adjacency slots materialized and scanned
 	errors   atomic.Int64
 	wallNano atomic.Int64
 }
@@ -61,8 +63,14 @@ type StageSnapshot struct {
 	BoxedSteps    int64
 	SelCandidates int64
 	SelSurvivors  int64
-	Errors        int64
-	WallNanos     int64
+	// Expands marks an expansion stage that ran; Slots is then the number of
+	// adjacency slots it materialized from the store and scanned — the work
+	// behind its rows, which for a counting expansion (EXPAND_DEGREE) the
+	// row counts no longer show. A degree-only count scans none.
+	Expands   bool
+	Slots     int64
+	Errors    int64
+	WallNanos int64
 }
 
 // EngineSnapshot is the engine-gauge section of a snapshot: how the driver
@@ -225,6 +233,16 @@ func (q *QueryStats) FilterSel(id int, candidates, survivors int) {
 	}
 }
 
+// StageSlots records the adjacency slots one expansion call materialized and
+// scanned. It is a per-morsel sum, so totals are identical at any
+// parallelism.
+func (q *QueryStats) StageSlots(id int, slots int) {
+	if st := q.stage(id); st != nil {
+		st.expands.Store(true)
+		st.slots.Add(int64(slots))
+	}
+}
+
 // Morsel records one lifecycle-charged morsel of n rows.
 func (q *QueryStats) Morsel(n int) {
 	q.morsels.Add(1)
@@ -296,6 +314,8 @@ func (q *QueryStats) StageSnapshots() []StageSnapshot {
 			BoxedSteps:    st.boxed.Load(),
 			SelCandidates: st.selCand.Load(),
 			SelSurvivors:  st.selSurv.Load(),
+			Expands:       st.expands.Load(),
+			Slots:         st.slots.Load(),
 			Errors:        st.errors.Load(),
 			WallNanos:     st.wallNano.Load(),
 		}
@@ -331,7 +351,7 @@ func (q *QueryStats) Snapshot() *Snapshot {
 }
 
 // Deterministic returns only the schedule-independent stage counters: rows,
-// batches, filter path hits, and selectivity, with wall times zeroed. For a
+// batches, slots, filter path hits, and selectivity, with wall times zeroed. For a
 // plan without a LIMIT short-circuit these are identical at any parallelism
 // and batch schedule — the property the deterministic-merge test pins.
 func (q *QueryStats) Deterministic() []StageSnapshot {

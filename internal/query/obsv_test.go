@@ -234,12 +234,14 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 // goldenExplain is the pinned Render(false) output for the two-hop expand
 // above at Persons=120/Seed=9: the dataset generator and morsel partition are
 // deterministic, so these counters are stable across runs and parallelism.
+// The second hop scans fewer slots than the first although it sees four
+// times the rows: consecutive rows on one f share its adjacency.
 const goldenExplain = `PROJECT [MAP width=1]
   rows: in=8692 out=8692  batches=2
   EXPAND_FUSED(f->p) [MAP width=3]
-    rows: in=480 out=8692  batches=2
+    rows: in=480 out=8692  batches=2  slots=3193
     EXPAND_FUSED(f->po) [MAP width=2]
-      rows: in=120 out=480  batches=2
+      rows: in=120 out=480  batches=2  slots=3065
       SCAN(f) [SOURCE width=1]
         rows: in=0 out=120  batches=1
 `

@@ -29,8 +29,9 @@ func None() Options { return Options{} }
 
 // Optimize lowers a logical plan into a physical plan: MATCH operators are
 // ordered (CBO) and expanded into scans/expansions, predicates are pushed
-// (FilterPushIntoMatch), and expansion pairs are fused (EdgeVertexFusion).
-// The input plan is not modified.
+// (FilterPushIntoMatch), expansion pairs are fused (EdgeVertexFusion), and a
+// fused expansion whose neighbor is only counted becomes an EXPAND_DEGREE
+// (countfold.go). The input plan is not modified.
 func Optimize(p *ir.Plan, cat *Catalog, opt Options) (*ir.Plan, error) {
 	if cat == nil {
 		cat = &Catalog{
@@ -101,7 +102,11 @@ func Optimize(p *ir.Plan, cat *Catalog, opt Options) (*ir.Plan, error) {
 		}
 		switch op.Kind {
 		case ir.OpMatch:
-			ops, err := lowerMatch(op, cat, opt, pushed, attached, bound)
+			leaf := ""
+			if opt.EdgeVertexFusion {
+				leaf = countedLeaf(p.Ops, i, pushed, bound)
+			}
+			ops, err := lowerMatch(op, cat, opt, pushed, attached, bound, leaf)
 			if err != nil {
 				return nil, err
 			}
@@ -148,11 +153,13 @@ func Optimize(p *ir.Plan, cat *Catalog, opt Options) (*ir.Plan, error) {
 			out.Ops = append(out.Ops, &cp)
 		}
 	}
+	foldCountedExpansions(out)
 	return out, nil
 }
 
-// lowerMatch orders and expands one MATCH operator.
-func lowerMatch(m *ir.Op, cat *Catalog, opt Options, pushed map[string]*expr.Expr, attached map[string]bool, bound map[string]bool) ([]*ir.Op, error) {
+// lowerMatch orders and expands one MATCH operator. leaf, when non-empty, is
+// the pattern vertex the plan only counts (countedLeaf).
+func lowerMatch(m *ir.Op, cat *Catalog, opt Options, pushed map[string]*expr.Expr, attached map[string]bool, bound map[string]bool, leaf string) ([]*ir.Op, error) {
 	if len(m.Pattern) == 0 {
 		return nil, fmt.Errorf("optimizer: empty MATCH")
 	}
@@ -162,7 +169,7 @@ func lowerMatch(m *ir.Op, cat *Catalog, opt Options, pushed map[string]*expr.Exp
 	if opt.CBO {
 		var cboStart string
 		var cboLabel graph.LabelID
-		order, cboStart, cboLabel = orderPattern(m.Pattern, cat, pushed, bound)
+		order, cboStart, cboLabel = orderPattern(m.Pattern, cat, pushed, bound, leaf)
 		if cboStart != "" {
 			start, startLabel = cboStart, cboLabel
 		}
@@ -241,8 +248,11 @@ func adjacencyCheckOps(pe ir.PatternEdge) []*ir.Op {
 // orderPattern greedily orders pattern edges by estimated intermediate
 // cardinality, starting from the most selective vertex. It returns the
 // ordered edges plus the chosen start alias and its label ("" when vertices
-// were already bound).
-func orderPattern(pattern []ir.PatternEdge, cat *Catalog, pushed map[string]*expr.Expr, alreadyBound map[string]bool) ([]ir.PatternEdge, string, graph.LabelID) {
+// were already bound). A counted leaf is never the start and its edge goes
+// last: as an EXPAND_DEGREE it costs one lookup per row instead of the
+// fan-out, so deferring it is never worse under this cost model — and only
+// an expansion *into* the leaf can fold.
+func orderPattern(pattern []ir.PatternEdge, cat *Catalog, pushed map[string]*expr.Expr, alreadyBound map[string]bool, leaf string) ([]ir.PatternEdge, string, graph.LabelID) {
 	type aliasInfo struct {
 		label graph.LabelID
 	}
@@ -285,6 +295,9 @@ func orderPattern(pattern []ir.PatternEdge, cat *Catalog, pushed map[string]*exp
 		// on name).
 		bestCost := 0.0
 		for a, info := range aliases {
+			if a == leaf {
+				continue
+			}
 			cost := cat.scanCard(info.label) * selectivity(a, info.label)
 			if startAlias == "" || cost < bestCost || (cost == bestCost && a < startAlias) {
 				startAlias, bestCost, startLabel = a, cost, info.label
@@ -304,6 +317,9 @@ func orderPattern(pattern []ir.PatternEdge, cat *Catalog, pushed map[string]*exp
 		for i, pe := range remaining {
 			srcB, dstB := bound[pe.SrcAlias], bound[pe.DstAlias]
 			if !srcB && !dstB {
+				continue
+			}
+			if len(remaining) > 1 && leaf != "" && (pe.SrcAlias == leaf || pe.DstAlias == leaf) {
 				continue
 			}
 			var cost float64

@@ -148,3 +148,95 @@ func TestEmptyMatchRejected(t *testing.T) {
 		t.Fatal("empty MATCH accepted")
 	}
 }
+
+// TestCountedLeafFoldsIntoExpandDegree pins the EXPAND_DEGREE rule on BI5's
+// shape, whose counted leaf the cost model used to start from: the leaf is
+// never the scan, its edge is scheduled last, the expansion into it becomes
+// EXPAND_DEGREE, and the GROUP counts by its weight column.
+func TestCountedLeafFoldsIntoExpandDegree(t *testing.T) {
+	cat := snbCatalog(t)
+	schema := dataset.SNBSchema()
+	plan, err := cypher.Parse(`MATCH (p:Person)<-[:HAS_CREATOR]-(m:Post)<-[:LIKES]-(liker:Person)
+WITH p, COUNT(liker) AS likes
+RETURN id(p), likes`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plan.String()
+	opt, err := Optimize(plan, cat, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.String() != before {
+		t.Fatalf("Optimize modified its input:\n%s", plan)
+	}
+	s := opt.String()
+	for _, want := range []string{
+		"SCAN label=0 alias=p",
+		"EXPAND_FUSED from=p",
+		"EXPAND_DEGREE from=m elabel=6 dir=in count=liker vlabel=0",
+		"GROUP keys=[p] aggs=[count(*) AS likes] weight=#deg:liker",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("plan lacks %q:\n%s", want, s)
+		}
+	}
+	// Without the CBO the written order stands: where that scans the counted
+	// vertex there is no expansion into it, and nothing folds.
+	scanned, err := cypher.Parse(`MATCH (liker:Person)-[:LIKES]->(m:Post) WITH m, COUNT(liker) AS likes RETURN id(m), likes`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := Optimize(scanned, cat, Options{EdgeVertexFusion: true, FilterPushIntoMatch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := written.String(); strings.Contains(s, "EXPAND_DEGREE") || !strings.Contains(s, "aggs=[count(liker) AS likes]") {
+		t.Fatalf("written order must not fold:\n%s", s)
+	}
+	if ordered, err := Optimize(scanned, cat, All()); err != nil || !strings.Contains(ordered.String(), "EXPAND_DEGREE from=m") {
+		t.Fatalf("the CBO should start at m and fold (%v):\n%s", err, ordered)
+	}
+	// Without fusion there is no EXPAND_FUSED to rewrite and no hint either:
+	// the plan is the parent's.
+	unfused, err := Optimize(plan, cat, Options{FilterPushIntoMatch: true, CBO: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := unfused.String(); strings.Contains(s, "EXPAND_DEGREE") || !strings.Contains(s, "SCAN label=0 alias=liker") {
+		t.Fatalf("unfused plan changed:\n%s", s)
+	}
+}
+
+// TestFoldCarriesWeightThroughLaterExpansions: with the written order kept,
+// the counted expansion may sit before another one; the fold still applies —
+// the later expansion multiplies weighted rows — unless that expansion starts
+// at the counted neighbor.
+func TestFoldCarriesWeightThroughLaterExpansions(t *testing.T) {
+	schema := dataset.SNBSchema()
+	opts := Options{EdgeVertexFusion: true}
+	carried, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person), (p)-[:IS_LOCATED_IN]->(pl:Place)
+RETURN pl.name, COUNT(f) AS c`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Optimize(carried, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := opt.String(); !strings.Contains(s, "EXPAND_DEGREE from=p") || !strings.Contains(s, "EXPAND_FUSED from=p") {
+		t.Fatalf("the first expansion should fold and the second carry its weight:\n%s", s)
+	}
+	chained, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:IS_LOCATED_IN]->(pl:Place)
+RETURN pl.name, COUNT(f) AS c`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err = Optimize(chained, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := opt.String(); strings.Contains(s, "EXPAND_DEGREE") {
+		t.Fatalf("an expansion starts at the counted vertex; nothing may fold:\n%s", s)
+	}
+}

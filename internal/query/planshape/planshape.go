@@ -67,6 +67,9 @@ func Verify(p *ir.Plan) (*Info, error) {
 			return nil, fmt.Errorf("planshape: op %d (%s): %w", i, op.Kind, err)
 		}
 	}
+	if v.weight != "" {
+		return nil, fmt.Errorf("planshape: EXPAND_DEGREE column %q is never consumed by a GROUP", v.weight)
+	}
 	// Width chaining: the exact invariant exec.Compile re-checks after
 	// lowering, asserted here over the simulated stages.
 	if len(v.stages) == 0 || v.stages[0].InWidth != 0 {
@@ -89,6 +92,10 @@ type verifier struct {
 	stages  []StageShape
 	req     map[grin.Trait]bool
 	opt     map[grin.Trait]bool
+	// weight is the int column of an EXPAND_DEGREE no GROUP has consumed
+	// yet: until one does, every row stands for that many rows, so only
+	// row-wise operators (SELECT, EXPAND_FUSED) may sit in between.
+	weight string
 }
 
 func (v *verifier) addCol(alias string) int {
@@ -151,6 +158,13 @@ func sortedTraits(m map[grin.Trait]bool) []grin.Trait {
 }
 
 func (v *verifier) checkOp(op *ir.Op, first bool) error {
+	if v.weight != "" {
+		switch op.Kind {
+		case ir.OpSelect, ir.OpExpandFused, ir.OpGroupBy:
+		default:
+			return fmt.Errorf("%s between EXPAND_DEGREE and the GROUP that consumes %q would lose the row weights", op.Kind, v.weight)
+		}
+	}
 	switch op.Kind {
 	case ir.OpScan:
 		if !first {
@@ -165,6 +179,22 @@ func (v *verifier) checkOp(op *ir.Op, first bool) error {
 		return nil
 	case ir.OpExpandFused:
 		return v.checkExpandFused(op.FromAlias, op.Alias, op.EdgeAlias, op.EdgeLabel, op.Label, op.Pred)
+	case ir.OpExpandDegree:
+		in := v.numCols
+		if _, ok := v.cols[op.FromAlias]; !ok {
+			return fmt.Errorf("EXPAND_DEGREE from unbound alias %q", op.FromAlias)
+		}
+		if _, ok := v.cols[op.Alias]; ok || op.Alias == "" {
+			return fmt.Errorf("EXPAND_DEGREE counts %q, which must be a neighbor no operator binds", op.Alias)
+		}
+		// The neighbor stays unbound — any later reference to it fails alias
+		// resolution — and the count column is int by construction.
+		v.weight = ir.DegreeAlias(op.Alias)
+		v.addCol(v.weight)
+		v.labelFilter(op.EdgeLabel)
+		v.labelFilter(op.Label)
+		v.pushMap("EXPAND_DEGREE("+op.FromAlias+"->"+op.Alias+")", in)
+		return nil
 	case ir.OpExpandEdge:
 		if op.EdgeAlias == "" {
 			return fmt.Errorf("EXPAND_EDGE with no edge alias (the edge column would be unnamed)")
@@ -327,6 +357,17 @@ func (v *verifier) checkProject(op *ir.Op) error {
 func (v *verifier) checkGroupBy(op *ir.Op) error {
 	if len(op.GroupKeys)+len(op.Aggs) == 0 {
 		return fmt.Errorf("GROUP with no keys and no aggregates")
+	}
+	if op.CountWeight != v.weight {
+		return fmt.Errorf("GROUP weight %q, but the pending EXPAND_DEGREE column is %q", op.CountWeight, v.weight)
+	}
+	if v.weight != "" {
+		for _, a := range op.Aggs {
+			if a.Fn != "count" || a.Arg != nil {
+				return fmt.Errorf("weighted GROUP supports COUNT(*) only, got %s(%s) AS %s", a.Fn, a.Arg, a.Alias)
+			}
+		}
+		v.weight = ""
 	}
 	inCols, inWidth := v.cols, v.numCols
 	seen := map[string]bool{}

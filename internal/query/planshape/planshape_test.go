@@ -53,6 +53,21 @@ LIMIT 10`,
 	`MATCH (p:Person)-[:KNOWS]->(f:Person)
 WHERE id(p) = $pid
 RETURN f.firstName`,
+	// Count-only leaves: the optimized plans carry EXPAND_DEGREE and a
+	// weighted GROUP (grouped, global, and with a carried expansion between).
+	`MATCH (p:Person)-[:HAS_INTEREST]->(t:Tag)<-[:HAS_TAG]-(m:Post)
+WHERE t.name = 'art'
+WITH p, COUNT(m) AS score
+RETURN id(p), score`,
+	`MATCH (t:Tag)<-[:HAS_TAG]-(m:Post) RETURN COUNT(*) AS c`,
+}
+
+func degree(from, leaf string) *ir.Op {
+	return &ir.Op{Kind: ir.OpExpandDegree, FromAlias: from, Alias: leaf, Label: graph.AnyLabel, EdgeLabel: graph.AnyLabel}
+}
+
+func countStar(weight string) *ir.Op {
+	return &ir.Op{Kind: ir.OpGroupBy, Aggs: []ir.Aggregate{{Fn: "count", Alias: "c"}}, CountWeight: weight}
 }
 
 // checkAgainstCompile asserts Verify's simulated shape matches what
@@ -108,6 +123,7 @@ func TestVerifyMatchesCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := optimizer.BuildCatalog(st)
+	folded := 0
 	for _, q := range corpusQueries {
 		logical, err := cypher.Parse(q, schema)
 		if err != nil {
@@ -119,6 +135,12 @@ func TestVerifyMatchesCompile(t *testing.T) {
 			t.Fatalf("optimize %q: %v", q, err)
 		}
 		checkAgainstCompile(t, physical)
+		if strings.Contains(physical.String(), "EXPAND_DEGREE") {
+			folded++
+		}
+	}
+	if folded != 3 {
+		t.Fatalf("%d corpus plans carry EXPAND_DEGREE, want the three count-only leaves", folded)
 	}
 }
 
@@ -199,6 +221,33 @@ func TestVerifyRejectsMalformedPlans(t *testing.T) {
 			{Kind: ir.OpOrderBy, Keys: []ir.SortKey{{Expr: &expr.Expr{
 				Kind: expr.KindCall, Fn: "bogus", Args: []*expr.Expr{v("a")}}}}}}},
 			`unknown function "bogus"`},
+		{"degree from unbound", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("z", "b"), countStar("#deg:b")}},
+			`unbound alias "z"`},
+		{"degree of a bound alias", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "a"), countStar("#deg:a")}},
+			"no operator binds"},
+		{"degree never consumed", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b")}},
+			"never consumed"},
+		{"degree leaf referenced downstream", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"),
+			{Kind: ir.OpSelect, Pred: prop("b", "x")}, countStar("#deg:b")}},
+			`unbound alias "b"`},
+		{"degree dropped by a projection", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"),
+			{Kind: ir.OpProject, Items: []ir.ProjItem{{Expr: v("a"), Alias: "a"}}}}},
+			"would lose the row weights"},
+		{"degree truncated by a limit", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"),
+			{Kind: ir.OpLimit, Limit: 3}, countStar("#deg:b")}},
+			"would lose the row weights"},
+		{"two degrees into one group", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"), degree("a", "c"), countStar("#deg:c")}},
+			"would lose the row weights"},
+		{"group ignores the weight", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"), countStar("")}},
+			"pending EXPAND_DEGREE column"},
+		{"weight without a degree", &ir.Plan{Ops: []*ir.Op{scan("a"), countStar("#deg:b")}},
+			"pending EXPAND_DEGREE column"},
+		{"weighted non-count", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"),
+			{Kind: ir.OpGroupBy, Aggs: []ir.Aggregate{{Fn: "sum", Arg: prop("a", "x"), Alias: "s"}}, CountWeight: "#deg:b"}}},
+			"COUNT(*) only"},
+		{"weighted count of a column", &ir.Plan{Ops: []*ir.Op{scan("a"), degree("a", "b"),
+			{Kind: ir.OpGroupBy, Aggs: []ir.Aggregate{{Fn: "count", Arg: v("a"), Alias: "c"}}, CountWeight: "#deg:b"}}},
+			"COUNT(*) only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/query/cypher"
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
+	"repro/internal/query/optimizer"
+	"repro/internal/query/procedures"
 	"repro/internal/storage/gart"
 	"repro/internal/storage/vineyard"
 )
@@ -82,6 +85,47 @@ WITH f, COUNT(g) AS c
 RETURN f.firstName, c
 ORDER BY c DESC
 LIMIT 10`, nil)
+}
+
+// BenchmarkGaiaCountFold runs the two count-shaped queries that were two
+// thirds of a snb_bi pass — BI10 (one tag's posts counted per interested
+// person) and BI14 (friends' posts counted per person) — with every rule on,
+// where the counted hop is an EXPAND_DEGREE, and without EdgeVertexFusion,
+// where nothing can fold and the hop materializes the rows GROUP then counts.
+// It explains the fold's share of a benchmark number; benchmark/ decides it.
+func BenchmarkGaiaCountFold(b *testing.B) {
+	st := benchSNB(b)
+	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
+	for _, q := range procedures.BI() {
+		if q.Name != "BI10" && q.Name != "BI14" {
+			continue
+		}
+		plan, err := cypher.Parse(q.Cypher, dataset.SNBSchema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := q.Params(rand.New(rand.NewSource(1)), procedures.ScaleOf(300))
+		for _, arm := range []struct {
+			name string
+			opt  optimizer.Options
+		}{
+			{"folded", optimizer.All()},
+			{"unfused", optimizer.Options{FilterPushIntoMatch: true, CBO: true}},
+		} {
+			b.Run(q.Name+"/"+arm.name, func(b *testing.B) {
+				if _, _, err := eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkGaiaQueryOrderLimit sorts a full expansion and keeps the top rows —
