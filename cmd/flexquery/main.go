@@ -154,9 +154,8 @@ func main() {
 		}
 		// Metering wraps the store so every GRIN trait call the engine makes
 		// is counted per site, with native-vs-fallback visibility.
-		mg := meter.Wrap(st, nil)
-		obs.Store = mg.Stats()
-		st = mg
+		obs.Store = &obsv.StoreStats{}
+		st = meter.Wrap(st, obs.Store)
 	}
 
 	// The deadline covers query execution only: the interactive contract is

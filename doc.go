@@ -10,10 +10,11 @@
 // (typed column vectors, selection vectors, and fused filter passes;
 // internal/query/exec) — and the "Robustness & fault injection" section:
 // the query-lifecycle contract (deadlines, cancellation, budgets, panic
-// isolation; internal/query/exec), the deterministic chaos storage wrapper
+// isolation; internal/query/exec), the one GRIN interposition wrapper
+// (grin.Tap, internal/grin/tap.go), its deterministic fault-injecting hook
 // (internal/storage/chaos) and the retry layer (internal/retry). The
 // "Observability" section covers the measurement layer: per-stage runtime
-// stats and trace export (internal/query/obsv), the store call meter
+// stats and trace export (internal/query/obsv), the tap's call-counting hook
 // (internal/storage/meter), and EXPLAIN ANALYZE (flexquery -explain).
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation.

@@ -20,6 +20,10 @@
 //   - batch     — BatchAdjacency / BatchProps / BatchScan (bulk access the
 //     vectorized runtime consumes; every one has a generic fallback in
 //     helpers.go, so they are pure fast paths)
+//
+// Tap (tap.go) is the one wrapper that forwards all of them: fault
+// injection, call metering and span timing are Hooks it calls around each
+// Site, never wrappers of their own.
 package grin
 
 import (
@@ -185,7 +189,7 @@ func (t Trait) String() string {
 	return fmt.Sprintf("trait(%d)", uint8(t))
 }
 
-// TraitMasker is implemented by wrapping backends (fault injection, future
+// TraitMasker is implemented by wrapping backends (Tap; future
 // remote-fragment proxies) whose Go method set is wider than the store they
 // wrap: HasTrait reports the capability set of the *inner* store, so
 // capability discovery through Has/As* stays honest. A wrapper over a
@@ -376,14 +380,18 @@ func AsBatchScan(g Graph) (BatchScan, bool) {
 // Require verifies that g provides every trait in required, returning an
 // ErrMissingTrait for the first gap. engine names the requiring component.
 func Require(g Graph, engine string, required ...Trait) error {
-	name := "unknown"
-	if n, ok := g.(Named); ok {
-		name = n.BackendName()
-	}
 	for _, t := range required {
 		if !Has(g, t) {
-			return &ErrMissingTrait{Backend: name, Trait: t, Engine: engine}
+			return &ErrMissingTrait{Backend: BackendName(g), Trait: t, Engine: engine}
 		}
 	}
 	return nil
+}
+
+// BackendName is g's Named identity, "unknown" for a store without one.
+func BackendName(g Graph) string {
+	if n, ok := g.(Named); ok {
+		return n.BackendName()
+	}
+	return "unknown"
 }

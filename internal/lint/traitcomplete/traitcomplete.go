@@ -5,6 +5,12 @@
 // fast path the engines expect. Every such gap must be either closed with a
 // native implementation or declared with a `// grin:fallback` marker on the
 // type, which is what the matrix's "fallback" cells point at.
+//
+// It also keeps GRIN interposition in one place: a type that declares
+// HasTrait(grin.Trait) bool is a wrapper masking its own method set, and the
+// tree has exactly one of those, the tap in internal/grin. Fault injection,
+// metering and tracing are grin.Hooks on it; a second masking wrapper is a
+// second copy of every trait forwarder waiting to drift.
 package traitcomplete
 
 import (
@@ -20,8 +26,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "traitcomplete",
 	Doc: "every storage backend type implementing a scalar GRIN trait must implement its " +
 		"batched counterpart (BatchAdjacency/BatchProps/BatchScan) or carry a " +
-		"// grin:fallback marker on the type declaration",
-	Targets: []string{"./internal/storage/...", "./internal/grin"},
+		"// grin:fallback marker on the type declaration; no type outside internal/grin " +
+		"declares HasTrait(grin.Trait) bool (interpose through grin.Tap)",
+	Targets: []string{"./internal/...", "./cmd/..."},
 	Run:     run,
 }
 
@@ -60,7 +67,34 @@ func applies(path string) bool {
 	return false
 }
 
+// isTraitMask reports whether d declares grin.TraitMasker's method:
+// HasTrait(grin.Trait) bool on some receiver.
+func isTraitMask(d *ast.FuncDecl) bool {
+	if d.Recv == nil || d.Name.Name != "HasTrait" || len(d.Type.Params.List) != 1 ||
+		d.Type.Results == nil || len(d.Type.Results.List) != 1 {
+		return false
+	}
+	param, ok := d.Type.Params.List[0].Type.(*ast.SelectorExpr)
+	if !ok || param.Sel.Name != "Trait" {
+		return false
+	}
+	pkg, _ := param.X.(*ast.Ident)
+	res, _ := d.Type.Results.List[0].Type.(*ast.Ident)
+	return pkg != nil && pkg.Name == "grin" && res != nil && res.Name == "bool"
+}
+
 func run(pass *analysis.Pass) error {
+	if !strings.HasSuffix(pass.Path, "internal/grin") {
+		for _, f := range pass.Files {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok && isTraitMask(d) {
+					pass.Reportf(d.Pos(),
+						"type %s declares HasTrait(grin.Trait): a second masking wrapper re-implements every trait forwarder; interpose through grin.Tap with a grin.Hook",
+						receiverType(d.Recv.List[0].Type))
+				}
+			}
+		}
+	}
 	if !applies(pass.Path) {
 		return nil
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/query/hiactor"
 	"repro/internal/query/naive"
 	"repro/internal/storage/chaos"
+	"repro/internal/storage/column"
 	"repro/internal/storage/vineyard"
 )
 
@@ -26,8 +27,8 @@ import (
 // column and evalColumn's own ID column and row bridge are all live in one
 // pass. Expected rows come from walking the store directly, not from another
 // engine, so a shared aliasing bug cannot cancel out. Runs with the columnar
-// gather trait (vineyard) and without it (the chaos wrapper masks
-// grin.BatchPropsCol, sending every gather through the boxed path).
+// gather trait (vineyard) and without it (the chaos hook declines every typed
+// gather, sending it through the boxed path).
 func TestProjectScratchRolesDoNotAlias(t *testing.T) {
 	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9}))
 	if err != nil {
@@ -62,9 +63,10 @@ RETURN f.firstName, f.birthday + p.creationDate, coalesce(f.lastName, 'x'), p.br
 	sort.Strings(want)
 
 	stores := map[string]grin.Graph{"vineyard": st, "chaos(vineyard)": chaos.Wrap(st, chaos.Options{})}
-	_, direct := grin.AsBatchPropsCol(st)
-	_, wrapped := grin.AsBatchPropsCol(stores["chaos(vineyard)"])
-	if !direct || wrapped {
+	typed := func(g grin.Graph) bool {
+		return grin.GatherVertexPropCol(g, []graph.VID{0}, "firstName", column.New(graph.KindString))
+	}
+	if direct, wrapped := typed(st), typed(stores["chaos(vineyard)"]); !direct || wrapped {
 		t.Fatal("the two stores must differ in grin.BatchPropsCol")
 	}
 	for name, g := range stores {

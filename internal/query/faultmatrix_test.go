@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,7 +116,7 @@ func TestFaultMatrix(t *testing.T) {
 	cells := []cell{
 		{
 			name:  "error",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindError, N: 2},
+			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindError, N: 2},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
 				return errors.As(err, &ce) && !retry.Transient(err)
@@ -122,7 +124,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "panic",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindPanic, N: 3},
+			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindPanic, N: 3},
 			wantTyped: func(err error) bool {
 				var pe *exec.PanicError
 				return errors.As(err, &pe)
@@ -130,7 +132,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "transient",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
+			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
 				return errors.As(err, &ce) && retry.Transient(err)
@@ -138,11 +140,11 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "shortread",
-			fault: chaos.Fault{Site: chaos.SiteScanBatch, Kind: chaos.KindShortRead, N: 1},
+			fault: chaos.Fault{Site: grin.SiteScanBatch, Kind: chaos.KindShortRead, N: 1},
 		},
 		{
 			name:  "latency",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 100 * time.Microsecond},
+			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 100 * time.Microsecond},
 		},
 	}
 
@@ -221,7 +223,7 @@ func TestTransientFaultRetries(t *testing.T) {
 				t.Fatalf("%s/%s: clean run failed: %v", engine, backend, err)
 			}
 			faulty := chaos.Wrap(store, chaos.Options{Seed: 5, Faults: []chaos.Fault{
-				{Site: chaos.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
+				{Site: grin.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
 			}})
 			attempts := 0
 			var rows []exec.Row
@@ -258,7 +260,7 @@ func TestDeadlineCancellationAndBudget(t *testing.T) {
 	for _, engine := range matrixEngines {
 		t.Run(engine+"/deadline", func(t *testing.T) {
 			slow := chaos.Wrap(store, chaos.Options{Faults: []chaos.Fault{
-				{Site: chaos.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 2 * time.Millisecond},
+				{Site: grin.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 2 * time.Millisecond},
 			}})
 			ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
 			defer cancel()
@@ -298,7 +300,7 @@ func TestSeededScheduleReproduces(t *testing.T) {
 	// Execution-only site: catalog building scans the store during engine
 	// construction, where the lifecycle contract (and its recover boundary)
 	// does not apply, so seeded schedules must not land there.
-	sites := []chaos.Site{chaos.SiteExpandBatch}
+	sites := []grin.Site{grin.SiteExpandBatch}
 	outcome := func(seed int64) string {
 		opt := chaos.Plan(seed, sites, kinds, 8)
 		rows, err := runOn("gaia", chaos.Wrap(stores["vineyard"], opt), plan, 0, context.Background())
@@ -324,6 +326,79 @@ func TestSeededScheduleReproduces(t *testing.T) {
 		first := outcome(seed)
 		if again := outcome(seed); again != first {
 			t.Fatalf("seed %d not reproducible: %q then %q", seed, first, again)
+		}
+	}
+}
+
+// gatherFault panics with val inside the first typed vertex gather the store
+// served — after the column was written, the worst place to unwind from. It
+// never degrades, so unlike the chaos hook it lets typed gathers through.
+type gatherFault struct {
+	served atomic.Int64
+	val    any
+}
+
+func (*gatherFault) Before(grin.Site) (token int64, degrade bool) { return 0, false }
+
+func (h *gatherFault) After(s grin.Site, _ int64, rows int) {
+	if s == grin.SiteGatherVPropCol && rows != grin.Declined && h.served.Add(1) == 1 {
+		panic(h.val)
+	}
+}
+
+// TestFaultInsideServedTypedGather covers the site the seeded matrix cannot
+// reach (the chaos hook declines every typed gather): an injected error and a
+// raw panic raised inside a served GatherVertexPropCol end the query with the
+// wrapped error / *exec.PanicError, and the same engine — its arenas went
+// through the unwinding — answers the next query correctly.
+func TestFaultInsideServedTypedGather(t *testing.T) {
+	defer query.CheckLeaks(t)()
+	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.creationDate > 10 RETURN f.firstName, f.creationDate`, st.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _, err := gaia.NewEngine(st, gaia.Options{Parallelism: 2}).Submit(context.Background(), plan, nil)
+	if err != nil || len(clean) == 0 {
+		t.Fatalf("clean run: %d rows, %v", len(clean), err)
+	}
+	want := renderRows(clean)
+	sort.Strings(want)
+
+	injected := &chaos.Error{Site: grin.SiteGatherVPropCol, Kind: chaos.KindError, N: 1}
+	for _, engine := range []string{"gaia", "hiactor"} {
+		for _, val := range []any{injected, "raw panic in a typed gather"} {
+			name := fmt.Sprintf("%s/%T", engine, val)
+			hook := &gatherFault{val: val}
+			g := grin.Tap(st, "fault", hook)
+			submit := gaia.NewEngine(g, gaia.Options{Parallelism: 2}).Submit
+			if engine == "hiactor" {
+				e := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 1})
+				defer e.Close()
+				submit = e.Submit
+			}
+			_, _, err := submit(context.Background(), plan, nil)
+			var ce *chaos.Error
+			var pe *exec.PanicError
+			switch {
+			case val == any(injected) && (!errors.As(err, &ce) || ce != injected):
+				t.Errorf("%s: got %v, want the injected error wrapped", name, err)
+			case val != any(injected) && !errors.As(err, &pe):
+				t.Errorf("%s: got %v, want *exec.PanicError", name, err)
+			}
+			rows, _, err := submit(context.Background(), plan, nil)
+			if err != nil {
+				t.Fatalf("%s: query after the fault: %v", name, err)
+			}
+			got := renderRows(rows)
+			sort.Strings(got)
+			mustExactEqual(t, name+" after the fault", got, want)
+			if hook.served.Load() < 2 {
+				t.Errorf("%s: %d typed gathers served; the fault never had a gather to fire in", name, hook.served.Load())
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func TestActorSurvivesPanickingQuery(t *testing.T) {
 	// picking up the slack.
 	faulty := chaos.Wrap(gs.Latest(), chaos.Options{
 		Seed:   11,
-		Faults: []chaos.Fault{{Site: chaos.SiteExpandBatch, Kind: chaos.KindPanic, N: 1}},
+		Faults: []chaos.Fault{{Site: grin.SiteExpandBatch, Kind: chaos.KindPanic, N: 1}},
 	})
 	e := NewEngine(func() grin.Graph { return faulty }, Options{Shards: 1})
 	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN COUNT(f) AS c`, dataset.SNBSchema())

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/grin"
 )
 
 // TestStageCountersAndSnapshots pins the accumulation semantics: StageDone
@@ -154,14 +156,14 @@ func TestStoreSiteAlignment(t *testing.T) {
 	}
 	st := &StoreStats{}
 	st.SetBackend("test")
-	for i := StoreSite(0); i < NumStoreSites; i++ {
+	for i := grin.Site(0); i < NumStoreSites; i++ {
 		if i.String() != wantNames[i] {
 			t.Errorf("site %d named %q, want %q", i, i.String(), wantNames[i])
 		}
-		if got, want := i.Batch(), i >= StoreExpandBatch; got != want {
+		if got, want := i.Batch(), i >= grin.SiteExpandBatch; got != want {
 			t.Errorf("site %v Batch() = %v, want %v", i, got, want)
 		}
-		for n := StoreSite(0); n <= i; n++ {
+		for n := grin.Site(0); n <= i; n++ {
 			st.Count(i)
 		}
 	}

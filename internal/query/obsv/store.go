@@ -1,51 +1,15 @@
 package obsv
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// StoreSite enumerates the GRIN trait call sites a metering wrapper counts —
-// the same 15 sites internal/storage/chaos injects faults at, in the same
-// order, with the same names. Keeping the enumerations aligned means a fault
-// schedule and a call-count profile describe the same surface.
-type StoreSite uint8
-
-const (
-	StoreDegree StoreSite = iota
-	StoreNeighbors
-	StoreAdjSlice
-	StoreVertexProp
-	StoreEdgeProp
-	StoreEdgeWeight
-	StoreLookupVertex
-	StoreLabelRange
-	StoreScanVertices
-	StoreExpandBatch
-	StoreGatherVProp
-	StoreGatherEProp
-	StoreGatherVLabels
-	StoreGatherELabels
-	StoreScanBatch
-	// NumStoreSites sizes fixed counter arrays.
-	NumStoreSites
+	"repro/internal/grin"
 )
 
-var storeSiteNames = [NumStoreSites]string{
-	"Degree", "Neighbors", "AdjSlice", "VertexProp", "EdgeProp",
-	"EdgeWeight", "LookupVertex", "LabelRange", "ScanVertices",
-	"ExpandBatch", "GatherVertexProp", "GatherEdgeProp",
-	"GatherVertexLabels", "GatherEdgeLabels", "ScanBatch",
-}
-
-// String returns the chaos-aligned site name.
-func (s StoreSite) String() string {
-	if s < NumStoreSites {
-		return storeSiteNames[s]
-	}
-	return "StoreSite(?)"
-}
-
-// Batch reports whether the site is one of the vectorized fast-path traits
-// (BatchAdjacency/BatchProps/BatchScan) as opposed to a per-row scalar site.
-func (s StoreSite) Batch() bool { return s >= StoreExpandBatch }
+// NumStoreSites is the number of rows in a store profile: every grin.Site
+// but the typed-column gathers, which a metering hook counts at their boxed
+// site.
+const NumStoreSites = grin.SiteGatherVPropCol
 
 // StoreStats counts trait calls per site for one metered store. Counters are
 // a fixed array of atomics — no map, no lock — so batch-loop call sites cost
@@ -65,13 +29,13 @@ func (s *StoreStats) SetBackend(name string) { s.backend = name }
 
 // SetNative records whether the site's trait is natively provided by the
 // inner backend (wrap time, single goroutine).
-func (s *StoreStats) SetNative(site StoreSite, native bool) { s.native[site] = native }
+func (s *StoreStats) SetNative(site grin.Site, native bool) { s.native[site] = native }
 
 // Count records one call to the site.
-func (s *StoreStats) Count(site StoreSite) { s.calls[site].Add(1) }
+func (s *StoreStats) Count(site grin.Site) { s.calls[site].Add(1) }
 
 // Calls reads the site's counter.
-func (s *StoreStats) Calls(site StoreSite) int64 { return s.calls[site].Load() }
+func (s *StoreStats) Calls(site grin.Site) int64 { return s.calls[site].Load() }
 
 // StoreSiteSnapshot is one site's row in a snapshot.
 type StoreSiteSnapshot struct {
@@ -96,7 +60,7 @@ type StoreSnapshot struct {
 // Snapshot dumps the counters.
 func (s *StoreStats) Snapshot() StoreSnapshot {
 	snap := StoreSnapshot{Backend: s.backend, Sites: make([]StoreSiteSnapshot, NumStoreSites)}
-	for i := StoreSite(0); i < NumStoreSites; i++ {
+	for i := grin.Site(0); i < NumStoreSites; i++ {
 		snap.Sites[i] = StoreSiteSnapshot{Site: i.String(), Calls: s.calls[i].Load(), Native: s.native[i], Batch: i.Batch()}
 	}
 	return snap

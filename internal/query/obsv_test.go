@@ -34,9 +34,8 @@ import (
 func newObserved(st grin.Graph) (*obsv.QueryStats, grin.Graph) {
 	obs := obsv.NewQueryStats()
 	obs.Trace = obsv.NewTrace()
-	mg := meter.Wrap(st, nil)
-	obs.Store = mg.Stats()
-	return obs, mg
+	obs.Store = &obsv.StoreStats{}
+	return obs, meter.Wrap(st, obs.Store)
 }
 
 // TestObservedParityMatrix reruns the SNB parity mix with full observability
@@ -283,7 +282,8 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 	for _, q := range procedures.BI() {
 		queries = append(queries, testQuery{name: q.Name, text: q.Cypher, params: q.Params(rng, procedures.ScaleOf(persons))})
 	}
-	mg := meter.Wrap(st, nil)
+	stats := &obsv.StoreStats{}
+	mg := meter.Wrap(st, stats)
 	plain := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
 	wrapped := gaia.NewEngine(mg, gaia.Options{Parallelism: 2})
 	kernelSteps := int64(0)
@@ -312,7 +312,7 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 	if kernelSteps == 0 {
 		t.Fatal("no query took a kernel step; the comparison pins nothing")
 	}
-	if mg.Stats().Calls(obsv.StoreGatherVProp) == 0 {
+	if stats.Calls(grin.SiteGatherVProp) == 0 {
 		t.Error("no vertex-property gather was counted through the wrapper")
 	}
 }

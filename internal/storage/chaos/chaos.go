@@ -1,23 +1,20 @@
-// Package chaos is the deterministic fault-injection storage backend: a GRIN
-// wrapper over any inner backend that delegates every trait call, counts the
-// calls per site, and fires configured faults at exact call numbers. The
-// GRIN traits are errorless by design, so an injected error is *panicked* as
-// a value implementing the ChaosInjected marker; the exec layer's stage
-// recovery converts it back into an ordinary wrapped error — exactly the
-// unwinding a failing remote-fragment RPC would take in the distributed
-// deployment. Raw injected panics stay panics and surface as
-// *exec.PanicError, exercising the isolation path.
+// Package chaos is deterministic fault injection for any GRIN store: a
+// grin.Hook (Injector) that counts the calls per site and fires configured
+// faults at exact call numbers, put in front of the store by grin.Tap — the
+// tap owns the forwarding, the trait masking and the snapshot re-wrapping;
+// this package is only the faults. The GRIN traits are errorless by design,
+// so an injected error is *panicked* as a value implementing the
+// ChaosInjected marker; the exec layer's stage recovery converts it back
+// into an ordinary wrapped error — exactly the unwinding a failing
+// remote-fragment RPC would take in the distributed deployment. Raw injected
+// panics stay panics and surface as *exec.PanicError, exercising the
+// isolation path.
 //
 // Schedules are reproducible: faults fire on the Nth call to a site (counted
 // atomically across all workers of a query), and Plan derives a whole fault
 // schedule from a single seed with a splitmix64 stream — the same seed
 // always yields the same schedule, so any matrix failure replays from its
 // logged seed.
-//
-// The wrapper's Go method set covers every GRIN trait regardless of what the
-// inner store supports; HasTrait masks it down to the inner store's real
-// capability set so discovery through grin.Has/grin.As* stays honest (a
-// wrapped livegraph still reports no PropertyReader).
 package chaos
 
 import (
@@ -25,41 +22,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/grin"
 )
 
-// Site names an injectable call site — one per GRIN trait method.
-type Site string
-
-// The injectable sites. Scalar topology/property reads are the per-row hot
-// paths; the batch sites are where the vectorized runtime actually lands.
-const (
-	SiteDegree        Site = "Degree"
-	SiteNeighbors     Site = "Neighbors"
-	SiteAdjSlice      Site = "AdjSlice"
-	SiteVertexProp    Site = "VertexProp"
-	SiteEdgeProp      Site = "EdgeProp"
-	SiteEdgeWeight    Site = "EdgeWeight"
-	SiteLookupVertex  Site = "LookupVertex"
-	SiteLabelRange    Site = "LabelRange"
-	SiteScanVertices  Site = "ScanVertices"
-	SiteExpandBatch   Site = "ExpandBatch"
-	SiteGatherVProp   Site = "GatherVertexProp"
-	SiteGatherEProp   Site = "GatherEdgeProp"
-	SiteGatherVLabels Site = "GatherVertexLabels"
-	SiteGatherELabels Site = "GatherEdgeLabels"
-	SiteScanBatch     Site = "ScanBatch"
-)
-
-// Sites lists every injectable site, for seeded schedules.
-func Sites() []Site {
-	return []Site{
-		SiteDegree, SiteNeighbors, SiteAdjSlice, SiteVertexProp, SiteEdgeProp,
-		SiteEdgeWeight, SiteLookupVertex, SiteLabelRange, SiteScanVertices,
-		SiteExpandBatch, SiteGatherVProp, SiteGatherEProp, SiteGatherVLabels,
-		SiteGatherELabels, SiteScanBatch,
+// Sites lists every injectable site, for seeded schedules: all of grin's but
+// the typed-column gathers, which a chaos-wrapped store never serves (see
+// Injector.Before).
+func Sites() []grin.Site {
+	var ss []grin.Site
+	for s := grin.Site(0); !s.Typed(); s++ {
+		ss = append(ss, s)
 	}
+	return ss
 }
 
 // Kind is what happens when a fault fires.
@@ -107,7 +81,7 @@ func (k Kind) String() string {
 // apply from the Nth call onward — a single stretched or shortened call
 // rarely lands where the schedule intends, a persistent one always does.
 type Fault struct {
-	Site Site
+	Site grin.Site
 	Kind Kind
 	// N is the triggering call number, 1-based. Zero means 1.
 	N int64
@@ -128,7 +102,7 @@ type Options struct {
 // errorless GRIN traits; exec's stage recovery detects ChaosInjected and
 // rewraps it as an ordinary error.
 type Error struct {
-	Site Site
+	Site grin.Site
 	Kind Kind
 	// N is the call number at which the fault fired.
 	N int64
@@ -155,74 +129,47 @@ type site struct {
 	faults []Fault
 }
 
-// Graph wraps an inner GRIN backend with fault injection. Safe for
-// concurrent use to the same degree the inner store is: the schedule is
-// immutable after Wrap and counters are atomic.
-type Graph struct {
-	inner grin.Graph
+// Injector is the fault-injecting grin.Hook. Safe for concurrent use: the
+// schedule is immutable after New and the counters are atomic. Every
+// Snapshot of a tapped store shares it, so faults keep firing on the view a
+// query actually reads.
+type Injector struct {
 	seed  int64
-	sites map[Site]*site
-
-	// Pre-asserted optional traits of the inner store; nil when absent.
-	// HasTrait masks the wrapper's method set down to what is non-nil.
-	adj   grin.AdjArray
-	props grin.PropertyReader
-	wts   grin.WeightReader
-	idx   grin.Index
-	pred  grin.PredicatePush
-	part  grin.Partitioned
-	vers  grin.Versioned
-	badj  grin.BatchAdjacency
-	bprop grin.BatchProps
-	bscan grin.BatchScan
+	sites [grin.NumSites]site
 }
 
-// Wrap builds a fault-injecting view of inner.
-func Wrap(inner grin.Graph, opt Options) *Graph {
-	g := &Graph{inner: inner, seed: opt.Seed, sites: map[Site]*site{}}
+// New builds the hook for a schedule.
+func New(opt Options) *Injector {
+	in := &Injector{seed: opt.Seed}
 	for _, f := range opt.Faults {
 		if f.N <= 0 {
 			f.N = 1
 		}
-		st := g.sites[f.Site]
-		if st == nil {
-			st = &site{}
-			g.sites[f.Site] = st
-		}
-		st.faults = append(st.faults, f)
+		in.sites[f.Site].faults = append(in.sites[f.Site].faults, f)
 	}
-	g.adj, _ = grin.AsAdjArray(inner)
-	g.props, _ = grin.AsPropertyReader(inner)
-	g.wts, _ = grin.AsWeightReader(inner)
-	g.idx, _ = grin.AsIndex(inner)
-	g.pred, _ = grin.AsPredicatePush(inner)
-	g.part, _ = grin.AsPartitioned(inner)
-	g.vers, _ = grin.AsVersioned(inner)
-	g.badj, _ = grin.AsBatchAdjacency(inner)
-	g.bprop, _ = grin.AsBatchProps(inner)
-	g.bscan, _ = grin.AsBatchScan(inner)
-	return g
+	return in
 }
 
-// Inner returns the wrapped store.
-func (g *Graph) Inner() grin.Graph { return g.inner }
+// Wrap builds a fault-injecting view of inner, named "chaos(<inner>)".
+func Wrap(inner grin.Graph, opt Options) grin.Graph { return grin.Tap(inner, "chaos", New(opt)) }
 
-// Calls reports how many times the site has been called — test introspection
-// for pinning schedules to real call counts.
-func (g *Graph) Calls(s Site) int64 {
-	if st := g.sites[s]; st != nil {
-		return st.calls.Load()
+// Calls reports how many times a site with scheduled faults has been called —
+// test introspection for pinning schedules to real call counts.
+func (in *Injector) Calls(s grin.Site) int64 { return in.sites[s].calls.Load() }
+
+// Before implements grin.Hook: it counts one call to the site and fires any
+// fault scheduled for this call number. A scheduled short read is reported
+// as degrade (only ScanBatch acts on it); the other kinds act here.
+func (in *Injector) Before(s grin.Site) (token int64, degrade bool) {
+	if s.Typed() {
+		// Typed gathers always decline, so every fault scheduled at a boxed
+		// gather site is reached and the boxed fallback every caller must
+		// keep is what the fault matrix runs.
+		return 0, true
 	}
-	return 0
-}
-
-// at counts one call to the site and fires any fault scheduled for this call
-// number. KindShortRead is reported to the caller (only ScanBatch acts on
-// it); the other kinds act here.
-func (g *Graph) at(s Site) (short bool) {
-	st := g.sites[s]
-	if st == nil {
-		return false
+	st := &in.sites[s]
+	if st.faults == nil {
+		return 0, false
 	}
 	n := st.calls.Add(1)
 	for _, f := range st.faults {
@@ -232,194 +179,17 @@ func (g *Graph) at(s Site) (short bool) {
 		}
 		switch f.Kind {
 		case KindError, KindTransientError:
-			panic(&Error{Site: s, Kind: f.Kind, N: n, Seed: g.seed})
+			panic(&Error{Site: s, Kind: f.Kind, N: n, Seed: in.seed})
 		case KindPanic:
-			panic(fmt.Sprintf("chaos: injected panic at %s call %d (seed %d)", s, n, g.seed))
+			panic(fmt.Sprintf("chaos: injected panic at %s call %d (seed %d)", s, n, in.seed))
 		case KindLatency:
 			time.Sleep(f.Latency)
 		case KindShortRead:
-			short = true
+			degrade = true
 		}
 	}
-	return short
+	return 0, degrade
 }
 
-// HasTrait reports the *inner* store's capability set (grin.TraitMasker):
-// the wrapper type has every trait method, but only the traits the wrapped
-// store really provides are advertised.
-func (g *Graph) HasTrait(t grin.Trait) bool { return grin.Has(g.inner, t) }
-
-// BackendName identifies the wrapper and its inner store in logs/manifests.
-func (g *Graph) BackendName() string {
-	name := "unknown"
-	if n, ok := g.inner.(grin.Named); ok {
-		name = n.BackendName()
-	}
-	return "chaos(" + name + ")"
-}
-
-// Graph (topology) — always present.
-
-// NumVertices delegates; the counting sites are the per-row and per-batch
-// read paths, not the O(1) metadata getters the optimizer calls freely.
-func (g *Graph) NumVertices() int { return g.inner.NumVertices() }
-
-// NumEdges delegates.
-func (g *Graph) NumEdges() int { return g.inner.NumEdges() }
-
-// Degree delegates with injection.
-func (g *Graph) Degree(v graph.VID, dir graph.Direction) int {
-	g.at(SiteDegree)
-	return g.inner.Degree(v, dir)
-}
-
-// Neighbors delegates with injection.
-func (g *Graph) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	g.at(SiteNeighbors)
-	g.inner.Neighbors(v, dir, yield)
-}
-
-// AdjArray.
-
-// AdjSlice delegates with injection.
-func (g *Graph) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
-	g.at(SiteAdjSlice)
-	return g.adj.AdjSlice(v, dir)
-}
-
-// PropertyReader.
-
-// Schema delegates (metadata; not an injection site).
-func (g *Graph) Schema() *graph.Schema { return g.props.Schema() }
-
-// VertexLabel delegates (label reads ride the property column machinery but
-// cannot fail independently in any real store).
-func (g *Graph) VertexLabel(v graph.VID) graph.LabelID { return g.props.VertexLabel(v) }
-
-// VertexProp delegates with injection.
-func (g *Graph) VertexProp(v graph.VID, p graph.PropID) (graph.Value, bool) {
-	g.at(SiteVertexProp)
-	return g.props.VertexProp(v, p)
-}
-
-// EdgeLabel delegates.
-func (g *Graph) EdgeLabel(e graph.EID) graph.LabelID { return g.props.EdgeLabel(e) }
-
-// EdgeProp delegates with injection.
-func (g *Graph) EdgeProp(e graph.EID, p graph.PropID) (graph.Value, bool) {
-	g.at(SiteEdgeProp)
-	return g.props.EdgeProp(e, p)
-}
-
-// WeightReader.
-
-// EdgeWeight delegates with injection.
-func (g *Graph) EdgeWeight(e graph.EID) float64 {
-	g.at(SiteEdgeWeight)
-	return g.wts.EdgeWeight(e)
-}
-
-// Index.
-
-// LookupVertex delegates with injection.
-func (g *Graph) LookupVertex(label graph.LabelID, extID int64) (graph.VID, bool) {
-	g.at(SiteLookupVertex)
-	return g.idx.LookupVertex(label, extID)
-}
-
-// ExternalID delegates.
-func (g *Graph) ExternalID(v graph.VID) int64 { return g.idx.ExternalID(v) }
-
-// LabelRange delegates with injection.
-func (g *Graph) LabelRange(label graph.LabelID) (lo, hi graph.VID, ok bool) {
-	g.at(SiteLabelRange)
-	return g.idx.LabelRange(label)
-}
-
-// PredicatePush.
-
-// ScanVertices delegates with injection.
-func (g *Graph) ScanVertices(label graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {
-	g.at(SiteScanVertices)
-	g.pred.ScanVertices(label, pred, yield)
-}
-
-// Partitioned.
-
-// Fragment delegates.
-func (g *Graph) Fragment() (id, total int) { return g.part.Fragment() }
-
-// IsInner delegates.
-func (g *Graph) IsInner(v graph.VID) bool { return g.part.IsInner(v) }
-
-// Owner delegates.
-func (g *Graph) Owner(v graph.VID) int { return g.part.Owner(v) }
-
-// GlobalID delegates.
-func (g *Graph) GlobalID(v graph.VID) graph.VID { return g.part.GlobalID(v) }
-
-// Versioned.
-
-// ReadVersion delegates.
-func (g *Graph) ReadVersion() uint64 { return g.vers.ReadVersion() }
-
-// Snapshot wraps the snapshot too, sharing this wrapper's counters and
-// schedule: faults keep firing on the view a query actually reads.
-func (g *Graph) Snapshot(version uint64) grin.Graph {
-	snap := g.vers.Snapshot(version)
-	ng := &Graph{inner: snap, seed: g.seed, sites: g.sites}
-	ng.adj, _ = grin.AsAdjArray(snap)
-	ng.props, _ = grin.AsPropertyReader(snap)
-	ng.wts, _ = grin.AsWeightReader(snap)
-	ng.idx, _ = grin.AsIndex(snap)
-	ng.pred, _ = grin.AsPredicatePush(snap)
-	ng.part, _ = grin.AsPartitioned(snap)
-	ng.vers, _ = grin.AsVersioned(snap)
-	ng.badj, _ = grin.AsBatchAdjacency(snap)
-	ng.bprop, _ = grin.AsBatchProps(snap)
-	ng.bscan, _ = grin.AsBatchScan(snap)
-	return ng
-}
-
-// Batch traits.
-
-// ExpandBatch delegates with injection.
-func (g *Graph) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
-	g.at(SiteExpandBatch)
-	g.badj.ExpandBatch(frontier, dir, out)
-}
-
-// GatherVertexProp delegates with injection.
-func (g *Graph) GatherVertexProp(vs []graph.VID, prop string, out []graph.Value) {
-	g.at(SiteGatherVProp)
-	g.bprop.GatherVertexProp(vs, prop, out)
-}
-
-// GatherEdgeProp delegates with injection.
-func (g *Graph) GatherEdgeProp(es []graph.EID, prop string, out []graph.Value) {
-	g.at(SiteGatherEProp)
-	g.bprop.GatherEdgeProp(es, prop, out)
-}
-
-// GatherVertexLabels delegates with injection.
-func (g *Graph) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
-	g.at(SiteGatherVLabels)
-	g.bprop.GatherVertexLabels(vs, out)
-}
-
-// GatherEdgeLabels delegates with injection.
-func (g *Graph) GatherEdgeLabels(es []graph.EID, out []graph.LabelID) {
-	g.at(SiteGatherELabels)
-	g.bprop.GatherEdgeLabels(es, out)
-}
-
-// ScanBatch delegates with injection. A scheduled short read halves the
-// caller's buffer — legal under the trait contract (fill *up to* len(buf),
-// return a resume cursor), so a correct runtime streams the same vertex
-// sequence in more, smaller chunks.
-func (g *Graph) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
-	if g.at(SiteScanBatch) && len(buf) > 1 {
-		buf = buf[:(len(buf)+1)/2]
-	}
-	return g.bscan.ScanBatch(label, start, buf)
-}
+// After implements grin.Hook; faults fire ahead of the call only.
+func (in *Injector) After(grin.Site, int64, int) {}

@@ -51,7 +51,7 @@ func TestTraitMasking(t *testing.T) {
 			t.Errorf("%s: AsPropertyReader = %v, want inner capability", tc.name, ok)
 		}
 	}
-	if got, want := chaos.Wrap(vy, chaos.Options{}).BackendName(), "chaos(vineyard)"; got != want {
+	if got, want := grin.BackendName(chaos.Wrap(vy, chaos.Options{})), "chaos(vineyard)"; got != want {
 		t.Errorf("BackendName = %q, want %q", got, want)
 	}
 }
@@ -61,7 +61,7 @@ func TestTraitMasking(t *testing.T) {
 func TestErrorFiresOnNthCall(t *testing.T) {
 	w := chaos.Wrap(smallVineyard(t), chaos.Options{
 		Seed:   7,
-		Faults: []chaos.Fault{{Site: chaos.SiteDegree, Kind: chaos.KindError, N: 3}},
+		Faults: []chaos.Fault{{Site: grin.SiteDegree, Kind: chaos.KindError, N: 3}},
 	})
 	for i := 0; i < 2; i++ {
 		w.Degree(0, graph.Out) // calls 1 and 2: clean
@@ -79,7 +79,7 @@ func TestErrorFiresOnNthCall(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("panicked with %v, want *chaos.Error", err)
 		}
-		if ce.Site != chaos.SiteDegree || ce.N != 3 || ce.Seed != 7 {
+		if ce.Site != grin.SiteDegree || ce.N != 3 || ce.Seed != 7 {
 			t.Errorf("fault fired at %s call %d seed %d, want Degree call 3 seed 7", ce.Site, ce.N, ce.Seed)
 		}
 		if ce.Transient() {
@@ -97,9 +97,13 @@ func TestErrorFiresOnNthCall(t *testing.T) {
 // cursor walk yields the identical vertex sequence.
 func TestShortReadKeepsScanSequence(t *testing.T) {
 	inner := smallVineyard(t)
-	w := chaos.Wrap(inner, chaos.Options{
-		Faults: []chaos.Fault{{Site: chaos.SiteScanBatch, Kind: chaos.KindShortRead, N: 2}},
+	inj := chaos.New(chaos.Options{
+		Faults: []chaos.Fault{{Site: grin.SiteScanBatch, Kind: chaos.KindShortRead, N: 2}},
 	})
+	w, ok := grin.AsBatchScan(grin.Tap(inner, "chaos", inj))
+	if !ok {
+		t.Fatal("chaos(vineyard) lost BatchScan")
+	}
 	walk := func(g grin.BatchScan) []graph.VID {
 		var out []graph.VID
 		buf := make([]graph.VID, 8)
@@ -127,7 +131,7 @@ func TestShortReadKeepsScanSequence(t *testing.T) {
 			t.Fatalf("short-read walk diverged at %d: %d != %d", i, got[i], want[i])
 		}
 	}
-	if calls := w.Calls(chaos.SiteScanBatch); calls <= int64(len(want)/8) {
+	if calls := inj.Calls(grin.SiteScanBatch); calls <= int64(len(want)/8) {
 		t.Errorf("short reads should need more chunks: %d calls", calls)
 	}
 }

@@ -1,6 +1,10 @@
 package chaos
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/grin"
+)
 
 // splitmix64 advances the seed state and returns the next value of the
 // stream — the standard 64-bit mixer, chosen over math/rand so schedules are
@@ -18,7 +22,7 @@ func splitmix64(state *uint64) uint64 {
 // (seed, sites, kinds, maxN) always yields the same schedule — the replay
 // recipe is the seed in the Error message. Latency faults get a fixed small
 // delay; tune explicitly via hand-written Faults when a test needs more.
-func Plan(seed int64, sites []Site, kinds []Kind, maxN int64) Options {
+func Plan(seed int64, sites []grin.Site, kinds []Kind, maxN int64) Options {
 	if maxN <= 0 {
 		maxN = 1
 	}

@@ -237,14 +237,18 @@ func (g *Graph) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
 
 // Neighbors implements grin.Graph.
 func (g *Graph) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	if dir == graph.Both {
-		g.Neighbors(v, graph.Out, yield)
-		g.Neighbors(v, graph.In, yield)
-		return
+	if dir != graph.In {
+		for _, t := range g.AdjSlice(v, graph.Out) {
+			if !yield(t.Nbr, t.Edge) {
+				return
+			}
+		}
 	}
-	for _, t := range g.AdjSlice(v, dir) {
-		if !yield(t.Nbr, t.Edge) {
-			return
+	if dir != graph.Out {
+		for _, t := range g.AdjSlice(v, graph.In) {
+			if !yield(t.Nbr, t.Edge) {
+				return
+			}
 		}
 	}
 }

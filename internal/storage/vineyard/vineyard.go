@@ -236,14 +236,18 @@ func (st *Store) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
 
 // Neighbors implements grin.Graph.
 func (st *Store) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	if dir == graph.Both {
-		st.Neighbors(v, graph.Out, yield)
-		st.Neighbors(v, graph.In, yield)
-		return
+	if dir != graph.In {
+		for _, t := range st.AdjSlice(v, graph.Out) {
+			if !yield(t.Nbr, t.Edge) {
+				return
+			}
+		}
 	}
-	for _, t := range st.AdjSlice(v, dir) {
-		if !yield(t.Nbr, t.Edge) {
-			return
+	if dir != graph.Out {
+		for _, t := range st.AdjSlice(v, graph.In) {
+			if !yield(t.Nbr, t.Edge) {
+				return
+			}
 		}
 	}
 }
