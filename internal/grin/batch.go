@@ -145,3 +145,28 @@ type BatchScan interface {
 	// identical to ScanLabel's.
 	ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (n int, next graph.VID)
 }
+
+// LabelAdjacency is the layout trait of stores that keep every vertex's
+// adjacency grouped by edge label (the paper's Vineyard layout, one CSR per
+// vertex label × edge label): a hop over one edge label reads that label's
+// slots and no others, and how many there are is a subtraction of two
+// boundaries. An engine pushes its edge-label filter through the trait when
+// the store has it and otherwise expands unlabelled and filters by
+// GatherEdgeLabels; the two paths must agree slot for slot, so the trait
+// fixes the order.
+//
+// Both methods report whether the call was served. A store with the trait
+// always serves; a Tap declines — false, out unspecified — when its hook asks
+// for the lesser path, and the caller answers that one call from the
+// unlabelled traits, as it would on a store without this one.
+type LabelAdjacency interface {
+	// ExpandLabelBatch is ExpandBatch restricted to elabel edges: the same
+	// per-vertex order, the same edge IDs, only those slots. AnyLabel is
+	// ExpandBatch itself; a label the schema does not know, or does not
+	// allow at a vertex, has no slots there.
+	ExpandLabelBatch(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out *AdjBatch) bool
+	// LabelDegrees fills out[i] with the length of frontier[i]'s range in
+	// ExpandLabelBatch — with AnyLabel, its Degree — moving no adjacency.
+	// out must have len(frontier).
+	LabelDegrees(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out []int) bool
+}

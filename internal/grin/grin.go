@@ -20,6 +20,9 @@
 //   - batch     — BatchAdjacency / BatchProps / BatchScan (bulk access the
 //     vectorized runtime consumes; every one has a generic fallback in
 //     helpers.go, so they are pure fast paths)
+//   - layout    — LabelAdjacency (stores that segment each adjacency by edge
+//     label answer a labelled hop from that label's slots alone, and a
+//     labelled degree without touching a slot)
 //
 // Tap (tap.go) is the one wrapper that forwards all of them: fault
 // injection, call metering and span timing are Hooks it calls around each
@@ -157,6 +160,7 @@ const (
 	TraitBatchAdjacency
 	TraitBatchProps
 	TraitBatchScan
+	TraitLabelAdjacency
 	numTraits
 )
 
@@ -185,6 +189,8 @@ func (t Trait) String() string {
 		return "batch_props"
 	case TraitBatchScan:
 		return "batch_scan"
+	case TraitLabelAdjacency:
+		return "label_adjacency"
 	}
 	return fmt.Sprintf("trait(%d)", uint8(t))
 }
@@ -242,6 +248,9 @@ func hasByAssertion(g Graph, t Trait) bool {
 		return ok
 	case TraitBatchScan:
 		_, ok := g.(BatchScan)
+		return ok
+	case TraitLabelAdjacency:
+		_, ok := g.(LabelAdjacency)
 		return ok
 	}
 	return false
@@ -375,6 +384,16 @@ func AsBatchScan(g Graph) (BatchScan, bool) {
 		return nil, false
 	}
 	return bs, true
+}
+
+// AsLabelAdjacency returns the label-segmented adjacency trait when
+// available.
+func AsLabelAdjacency(g Graph) (LabelAdjacency, bool) {
+	la, ok := g.(LabelAdjacency)
+	if !ok || !unmasked(g, TraitLabelAdjacency) {
+		return nil, false
+	}
+	return la, true
 }
 
 // Require verifies that g provides every trait in required, returning an

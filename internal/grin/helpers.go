@@ -100,6 +100,57 @@ func ExpandBatch(g Graph, frontier []graph.VID, dir graph.Direction, out *AdjBat
 	}
 }
 
+// ExpandLabelBatch expands a frontier over elabel edges only: through the
+// label-segmented trait when the store serves it, otherwise by expanding
+// unlabelled and dropping the other labels' slots in place — the same slots
+// in the same order either way. A store without a label catalog has one
+// label, every edge's, so nothing is dropped there.
+func ExpandLabelBatch(g Graph, frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out *AdjBatch) {
+	if la, ok := AsLabelAdjacency(g); ok && la.ExpandLabelBatch(frontier, dir, elabel, out) {
+		return
+	}
+	ExpandBatch(g, frontier, dir, out)
+	if _, labelled := AsPropertyReader(g); !labelled || elabel == graph.AnyLabel {
+		return
+	}
+	labels := make([]graph.LabelID, len(out.Edges))
+	GatherEdgeLabels(g, out.Edges, labels)
+	w, lo := 0, 0
+	for i := range frontier {
+		hi := out.Off[i+1]
+		for t := lo; t < hi; t++ {
+			if labels[t] == elabel {
+				out.Nbrs[w], out.Edges[w] = out.Nbrs[t], out.Edges[t]
+				w++
+			}
+		}
+		out.Off[i+1] = w
+		lo = hi
+	}
+	out.Nbrs, out.Edges = out.Nbrs[:w], out.Edges[:w]
+}
+
+// LabelDegrees fills out[i] with the number of elabel edges of frontier[i]
+// in dir — the length of its ExpandLabelBatch range — through the
+// label-segmented trait when the store serves it, otherwise from Degree when
+// every edge counts and by counting a filtered expansion when not.
+func LabelDegrees(g Graph, frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out []int) {
+	if la, ok := AsLabelAdjacency(g); ok && la.LabelDegrees(frontier, dir, elabel, out) {
+		return
+	}
+	if _, labelled := AsPropertyReader(g); !labelled || elabel == graph.AnyLabel {
+		for i, v := range frontier {
+			out[i] = g.Degree(v, dir)
+		}
+		return
+	}
+	var adj AdjBatch
+	ExpandLabelBatch(g, frontier, dir, elabel, &adj)
+	for i := range frontier {
+		out[i] = adj.Off[i+1] - adj.Off[i]
+	}
+}
+
 // GatherVertexProp fills out[i] with property prop of vs[i], through the
 // batched property trait when present, else per-vertex property-trait calls.
 // Absent properties and NilVID elements gather as NULL; a store with no
@@ -212,6 +263,11 @@ func ScanLabel(g Graph, label graph.LabelID, yield func(graph.VID) bool) {
 			return
 		}
 	}
+	scanUnranged(g, label, yield)
+}
+
+// scanUnranged is ScanLabel for a label the index trait gave no range for.
+func scanUnranged(g Graph, label graph.LabelID, yield func(graph.VID) bool) {
 	if pp, ok := AsPredicatePush(g); ok {
 		pp.ScanVertices(label, nil, yield)
 		return
@@ -226,6 +282,23 @@ func ScanLabel(g Graph, label graph.LabelID, yield func(graph.VID) bool) {
 			return
 		}
 	}
+}
+
+// CountLabel returns how many vertices carry a label. When the index trait
+// assigns the label a contiguous ID range the count is the range's width —
+// ranged is true and lo its first ID — and no vertex is visited; otherwise
+// the label is scanned the way ScanLabel scans it.
+func CountLabel(g Graph, label graph.LabelID) (n int, lo graph.VID, ranged bool) {
+	if idx, ok := AsIndex(g); ok {
+		if lo, hi, rangeOK := idx.LabelRange(label); rangeOK {
+			return int(hi - lo), lo, true
+		}
+	}
+	scanUnranged(g, label, func(graph.VID) bool {
+		n++
+		return true
+	})
+	return n, 0, false
 }
 
 // ScanLabelBatches streams a label's vertices in ascending ID order as

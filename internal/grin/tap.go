@@ -9,7 +9,8 @@ import (
 // enumeration in the tree: fault schedules (storage/chaos), call profiles
 // (storage/meter, obsv.StoreStats) and span names all speak it. The scalar
 // per-row sites come first, then the batch sites the vectorized runtime
-// lands on, then the typed-column refinements of the two property gathers.
+// lands on (the label-segmented pair last), then the typed-column
+// refinements of the two property gathers.
 type Site uint8
 
 const (
@@ -28,6 +29,8 @@ const (
 	SiteGatherVLabels
 	SiteGatherELabels
 	SiteScanBatch
+	SiteExpandLabelBatch
+	SiteLabelDegrees
 	// SiteGatherVPropCol and SiteGatherEPropCol are BatchPropsCol's typed
 	// forms of SiteGatherVProp and SiteGatherEProp (Site.Typed).
 	SiteGatherVPropCol
@@ -42,23 +45,25 @@ var sites = [NumSites]struct {
 	name  string
 	trait Trait
 }{
-	SiteDegree:         {"Degree", TraitTopology},
-	SiteNeighbors:      {"Neighbors", TraitTopology},
-	SiteAdjSlice:       {"AdjSlice", TraitAdjArray},
-	SiteVertexProp:     {"VertexProp", TraitProperty},
-	SiteEdgeProp:       {"EdgeProp", TraitProperty},
-	SiteEdgeWeight:     {"EdgeWeight", TraitWeight},
-	SiteLookupVertex:   {"LookupVertex", TraitIndex},
-	SiteLabelRange:     {"LabelRange", TraitIndex},
-	SiteScanVertices:   {"ScanVertices", TraitPredicate},
-	SiteExpandBatch:    {"ExpandBatch", TraitBatchAdjacency},
-	SiteGatherVProp:    {"GatherVertexProp", TraitBatchProps},
-	SiteGatherEProp:    {"GatherEdgeProp", TraitBatchProps},
-	SiteGatherVLabels:  {"GatherVertexLabels", TraitBatchProps},
-	SiteGatherELabels:  {"GatherEdgeLabels", TraitBatchProps},
-	SiteScanBatch:      {"ScanBatch", TraitBatchScan},
-	SiteGatherVPropCol: {"GatherVertexPropCol", TraitBatchProps},
-	SiteGatherEPropCol: {"GatherEdgePropCol", TraitBatchProps},
+	SiteDegree:           {"Degree", TraitTopology},
+	SiteNeighbors:        {"Neighbors", TraitTopology},
+	SiteAdjSlice:         {"AdjSlice", TraitAdjArray},
+	SiteVertexProp:       {"VertexProp", TraitProperty},
+	SiteEdgeProp:         {"EdgeProp", TraitProperty},
+	SiteEdgeWeight:       {"EdgeWeight", TraitWeight},
+	SiteLookupVertex:     {"LookupVertex", TraitIndex},
+	SiteLabelRange:       {"LabelRange", TraitIndex},
+	SiteScanVertices:     {"ScanVertices", TraitPredicate},
+	SiteExpandBatch:      {"ExpandBatch", TraitBatchAdjacency},
+	SiteGatherVProp:      {"GatherVertexProp", TraitBatchProps},
+	SiteGatherEProp:      {"GatherEdgeProp", TraitBatchProps},
+	SiteGatherVLabels:    {"GatherVertexLabels", TraitBatchProps},
+	SiteGatherELabels:    {"GatherEdgeLabels", TraitBatchProps},
+	SiteScanBatch:        {"ScanBatch", TraitBatchScan},
+	SiteExpandLabelBatch: {"ExpandLabelBatch", TraitLabelAdjacency},
+	SiteLabelDegrees:     {"LabelDegrees", TraitLabelAdjacency},
+	SiteGatherVPropCol:   {"GatherVertexPropCol", TraitBatchProps},
+	SiteGatherEPropCol:   {"GatherEdgePropCol", TraitBatchProps},
 }
 
 // String returns the name of the trait method the site stands for.
@@ -80,9 +85,9 @@ func (s Site) Batch() bool { return s >= SiteExpandBatch }
 // refinement whose every caller keeps the boxed site as its fallback.
 func (s Site) Typed() bool { return s >= SiteGatherVPropCol }
 
-// Declined is the row count After receives for a typed-column gather the
-// store declined: the boxed gather that follows is the call that did the
-// work.
+// Declined is the row count After receives for a call the store declined (a
+// typed-column gather today; a LabelAdjacency store always serves): the
+// fallback call that follows is the one that did the work.
 const Declined = -1
 
 // Hook is what a tap calls around every site. Hooks are shared by all
@@ -92,13 +97,14 @@ type Hook interface {
 	// travels that way through the errorless traits) or sleep. token comes
 	// back to After unchanged — a span hook's start time; hooks without
 	// per-call state return 0. degrade asks for the site's legal lesser
-	// path: ScanBatch fills half the buffer, and a typed gather declines to
-	// the caller's boxed fallback without reaching the store (it gets no
-	// After). Other sites ignore it.
+	// path: ScanBatch fills half the buffer, and a typed gather or a
+	// LabelAdjacency call declines to the caller's fallback without reaching
+	// the store (it gets no After). Other sites ignore it.
 	Before(s Site) (token int64, degrade bool)
 	// After runs once the store call returned. rows is 1 at the scalar
 	// sites, the adjacency returned by AdjSlice and ExpandBatch, the IDs
-	// handed to a gather, the vertices ScanBatch filled, or Declined.
+	// handed to a gather, the vertices ScanBatch filled or LabelDegrees
+	// measured, the adjacency ExpandLabelBatch returned, or Declined.
 	After(s Site, token int64, rows int)
 }
 
@@ -123,6 +129,7 @@ type tap struct {
 	bprop BatchProps
 	bcol  BatchPropsCol
 	bscan BatchScan
+	ladj  LabelAdjacency
 }
 
 // Tap returns a view of inner that calls hook around every Site and is
@@ -142,6 +149,7 @@ func Tap(inner Graph, name string, hook Hook) Graph {
 	t.bprop, _ = AsBatchProps(inner)
 	t.bcol, _ = AsBatchPropsCol(inner)
 	t.bscan, _ = AsBatchScan(inner)
+	t.ladj, _ = AsLabelAdjacency(inner)
 	return t
 }
 
@@ -339,4 +347,28 @@ func (t *tap) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (
 	n, next := t.bscan.ScanBatch(label, start, buf)
 	t.hook.After(SiteScanBatch, tok, n)
 	return n, next
+}
+
+// LabelAdjacency. A hook's degrade declines the call, so the caller's
+// unlabelled fallback — ExpandBatch, GatherEdgeLabels, Degree — runs through
+// this tap's own sites instead.
+
+func (t *tap) ExpandLabelBatch(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out *AdjBatch) bool {
+	tok, decline := t.hook.Before(SiteExpandLabelBatch)
+	if decline {
+		return false
+	}
+	ok := t.ladj.ExpandLabelBatch(frontier, dir, elabel, out)
+	t.hook.After(SiteExpandLabelBatch, tok, servedRows(ok, len(out.Nbrs)))
+	return ok
+}
+
+func (t *tap) LabelDegrees(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out []int) bool {
+	tok, decline := t.hook.Before(SiteLabelDegrees)
+	if decline {
+		return false
+	}
+	ok := t.ladj.LabelDegrees(frontier, dir, elabel, out)
+	t.hook.After(SiteLabelDegrees, tok, servedRows(ok, len(frontier)))
+	return ok
 }

@@ -2,6 +2,7 @@ package grin_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,6 +28,7 @@ type event struct {
 // per-goroutine state — and the closed calls are kept in order.
 type recorder struct {
 	mu       sync.Mutex
+	degrade  bool // what Before asks of every site
 	next     int64
 	open     map[int64]grin.Site
 	unpaired int
@@ -41,7 +43,7 @@ func (r *recorder) Before(s grin.Site) (int64, bool) {
 	}
 	r.next++
 	r.open[r.next] = s
-	return r.next, false
+	return r.next, r.degrade
 }
 
 func (r *recorder) After(s grin.Site, token int64, rows int) {
@@ -142,6 +144,7 @@ var traitInterfaces = []reflect.Type{
 	reflect.TypeOf((*grin.BatchProps)(nil)).Elem(),
 	reflect.TypeOf((*grin.BatchPropsCol)(nil)).Elem(),
 	reflect.TypeOf((*grin.BatchScan)(nil)).Elem(),
+	reflect.TypeOf((*grin.LabelAdjacency)(nil)).Elem(),
 }
 
 // passThrough lists the trait methods that are deliberately not sites: O(1)
@@ -230,6 +233,7 @@ var traitOf = map[string]grin.Trait{
 	"Partitioned": grin.TraitPartition, "Versioned": grin.TraitVersioned,
 	"BatchAdjacency": grin.TraitBatchAdjacency, "BatchProps": grin.TraitBatchProps,
 	"BatchPropsCol": grin.TraitBatchProps, "BatchScan": grin.TraitBatchScan,
+	"LabelAdjacency": grin.TraitLabelAdjacency,
 }
 
 // TestTapHookSeesSitesAndRows drives a recording hook over a full-trait
@@ -269,6 +273,13 @@ func TestTapHookSeesSitesAndRows(t *testing.T) {
 			var adj grin.AdjBatch
 			ba.ExpandBatch([]graph.VID{v, v}, graph.Both, &adj)
 			expect(grin.SiteExpandBatch, 2*bare.Degree(v, graph.Both))
+		}
+		if la, ok := grin.AsLabelAdjacency(g); ok {
+			var adj grin.AdjBatch
+			la.ExpandLabelBatch([]graph.VID{v, v}, graph.Both, graph.AnyLabel, &adj)
+			expect(grin.SiteExpandLabelBatch, 2*bare.Degree(v, graph.Both))
+			la.LabelDegrees([]graph.VID{v, v, v}, graph.Out, 0, make([]int, 3))
+			expect(grin.SiteLabelDegrees, 3)
 		}
 		vs := []graph.VID{v, graph.NilVID, v}
 		if bp, ok := grin.AsBatchProps(g); ok {
@@ -314,6 +325,69 @@ func TestTapHookSeesSitesAndRows(t *testing.T) {
 			t.Errorf("%s: %d concurrent calls closed (want 400), %d with the wrong token, %d never closed",
 				name, got, rec.unpaired, len(rec.open))
 		}
+	}
+}
+
+// TestLabelHelpersAgreeOnEveryPath: grin.ExpandLabelBatch and
+// grin.LabelDegrees give the brute-force answer — Neighbors filtered by
+// EdgeLabel, in order — whichever way they get it: vineyard's label segments,
+// the unlabelled traits of a store without them (gart), a topology-only store
+// whose every edge is of the one label there is (livegraph), and a tap whose
+// hook degrades, which declines both calls without reaching the store and
+// leaves the helper's fallback to run through the tap's unlabelled sites.
+func TestLabelHelpersAgreeOnEveryPath(t *testing.T) {
+	b := snbBatch()
+	lg, err := livegraph.LoadBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vy := loadVineyard(t, b)
+	declining := &recorder{degrade: true}
+	stores := map[string]grin.Graph{
+		"vineyard": vy, "gart": loadGart(t, b).Latest(), "livegraph": lg,
+		"declining(vineyard)": grin.Tap(vy, "rec", declining),
+	}
+	for name, g := range stores {
+		pr, labelled := grin.AsPropertyReader(g)
+		frontier := make([]graph.VID, 0, g.NumVertices()+2)
+		for v := g.NumVertices() - 1; v >= 0; v -= 2 {
+			frontier = append(frontier, graph.VID(v))
+		}
+		frontier = append(frontier, frontier[0], frontier[0])
+		for _, dir := range []graph.Direction{graph.Out, graph.In, graph.Both} {
+			for _, elabel := range []graph.LabelID{graph.AnyLabel, 0, 1, 5, 6, 9, 42} {
+				var want grin.AdjBatch
+				want.Begin(len(frontier))
+				for _, v := range frontier {
+					g.Neighbors(v, dir, func(nbr graph.VID, e graph.EID) bool {
+						if !labelled || elabel == graph.AnyLabel || pr.EdgeLabel(e) == elabel {
+							want.Nbrs, want.Edges = append(want.Nbrs, nbr), append(want.Edges, e)
+						}
+						return true
+					})
+					want.EndVertex()
+				}
+				var got grin.AdjBatch
+				grin.ExpandLabelBatch(g, frontier, dir, elabel, &got)
+				if !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Nbrs, want.Nbrs) || !slices.Equal(got.Edges, want.Edges) {
+					t.Fatalf("%s %s label %d: ExpandLabelBatch differs from the filtered walk", name, dir, elabel)
+				}
+				degs := make([]int, len(frontier))
+				grin.LabelDegrees(g, frontier, dir, elabel, degs)
+				for i := range frontier {
+					if lo, hi := want.Range(i); degs[i] != hi-lo {
+						t.Fatalf("%s %s label %d vertex %d: LabelDegrees %d, the walk keeps %d", name, dir, elabel, frontier[i], degs[i], hi-lo)
+					}
+				}
+			}
+		}
+	}
+	sites := map[grin.Site]int{}
+	for _, ev := range declining.events {
+		sites[ev.site]++
+	}
+	if sites[grin.SiteExpandLabelBatch]+sites[grin.SiteLabelDegrees] != 0 || sites[grin.SiteExpandBatch] == 0 || sites[grin.SiteGatherELabels] == 0 || sites[grin.SiteDegree] == 0 {
+		t.Errorf("a declining tap closed these calls: %v; want none at the label sites, the fallback's at ExpandBatch, GatherEdgeLabels and Degree", sites)
 	}
 }
 

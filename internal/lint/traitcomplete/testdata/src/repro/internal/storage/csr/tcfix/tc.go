@@ -38,6 +38,34 @@ func (ScanFull) ScanVertices() {}
 func (ScanFull) LabelRange()   {}
 func (ScanFull) ScanBatch()    {}
 
+// LabelGap expands in batches over labelled edges without label segments.
+type LabelGap struct{} // want "backend type LabelGap implements scalar trait BatchAdjacency over labelled edges \\(ExpandBatch\\) but not batched LabelAdjacency.ExpandLabelBatch"
+
+func (LabelGap) ExpandBatch() {}
+func (LabelGap) EdgeLabel()   {}
+
+// LabelFull serves the labelled expansion itself.
+type LabelFull struct{}
+
+func (LabelFull) ExpandBatch()      {}
+func (LabelFull) EdgeLabel()        {}
+func (LabelFull) ExpandLabelBatch() {}
+
+// LabelDeclared declares that gap and no other: its missing ScanBatch still
+// fires.
+//
+// grin:fallback ExpandLabelBatch adjacency is a per-vertex version chain.
+type LabelDeclared struct{} // want "backend type LabelDeclared implements scalar trait PredicatePush/Index \\(scan\\) \\(LabelRange\\) but not batched BatchScan.ScanBatch"
+
+func (LabelDeclared) ExpandBatch() {}
+func (LabelDeclared) EdgeLabel()   {}
+func (LabelDeclared) LabelRange()  {}
+
+// Unlabelled expands in batches but has no edge labels to segment by.
+type Unlabelled struct{}
+
+func (Unlabelled) ExpandBatch() {}
+
 // Bystander implements no GRIN trait at all.
 type Bystander struct{}
 

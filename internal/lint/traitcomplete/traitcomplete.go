@@ -4,7 +4,9 @@
 // on the generic fallback for its batched counterpart hides a per-batch
 // fast path the engines expect. Every such gap must be either closed with a
 // native implementation or declared with a `// grin:fallback` marker on the
-// type, which is what the matrix's "fallback" cells point at.
+// type, which is what the matrix's "fallback" cells point at. A marker that
+// goes on to name one batched method (`// grin:fallback ExpandLabelBatch
+// <reason>`) declares that gap alone.
 //
 // It also keeps GRIN interposition in one place: a type that declares
 // HasTrait(grin.Trait) bool is a wrapper masking its own method set, and the
@@ -25,8 +27,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "traitcomplete",
 	Doc: "every storage backend type implementing a scalar GRIN trait must implement its " +
-		"batched counterpart (BatchAdjacency/BatchProps/BatchScan) or carry a " +
-		"// grin:fallback marker on the type declaration; no type outside internal/grin " +
+		"batched counterpart (BatchAdjacency/BatchProps/BatchScan; LabelAdjacency for a " +
+		"labelled store with ExpandBatch) or carry a // grin:fallback marker on the type " +
+		"declaration; no type outside internal/grin " +
 		"declares HasTrait(grin.Trait) bool (interpose through grin.Tap)",
 	Targets: []string{"./internal/...", "./cmd/..."},
 	Run:     run,
@@ -47,13 +50,17 @@ var backendPaths = []string{
 // type is used through grin, so names suffice here.
 var pairs = []struct {
 	scalar  []string // any of these methods ⇒ type implements the scalar trait
+	with    string   // and, when set, this method too
 	trait   string   // scalar trait name, for the message
 	batched string   // required batched method
 	btrait  string   // batched trait name, for the message
 }{
-	{[]string{"Neighbors"}, "Graph (topology)", "ExpandBatch", "BatchAdjacency"},
-	{[]string{"VertexProp"}, "PropertyReader", "GatherVertexProp", "BatchProps"},
-	{[]string{"ScanVertices", "LabelRange"}, "PredicatePush/Index (scan)", "ScanBatch", "BatchScan"},
+	{[]string{"Neighbors"}, "", "Graph (topology)", "ExpandBatch", "BatchAdjacency"},
+	{[]string{"VertexProp"}, "", "PropertyReader", "GatherVertexProp", "BatchProps"},
+	{[]string{"ScanVertices", "LabelRange"}, "", "PredicatePush/Index (scan)", "ScanBatch", "BatchScan"},
+	// A store that expands in batches and labels its edges either segments
+	// its adjacency by label or says why engines filter its expansions.
+	{[]string{"ExpandBatch"}, "EdgeLabel", "BatchAdjacency over labelled edges", "ExpandLabelBatch", "LabelAdjacency"},
 }
 
 const marker = "grin:fallback"
@@ -100,7 +107,7 @@ func run(pass *analysis.Pass) error {
 	}
 	methods := map[string]map[string]bool{} // type name → method set
 	specs := map[string]*ast.TypeSpec{}
-	fallback := map[string]bool{}
+	fallback := map[string]map[string]bool{} // type name → declared gaps ("": all)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -123,19 +130,18 @@ func run(pass *analysis.Pass) error {
 						continue
 					}
 					specs[ts.Name.Name] = ts
-					if hasMarker(d.Doc) || hasMarker(ts.Doc) || hasMarker(ts.Comment) {
-						fallback[ts.Name.Name] = true
+					gaps := map[string]bool{}
+					for _, cg := range []*ast.CommentGroup{d.Doc, ts.Doc, ts.Comment} {
+						markedGaps(cg, gaps)
 					}
+					fallback[ts.Name.Name] = gaps
 				}
 			}
 		}
 	}
 	for name, ms := range methods {
-		if fallback[name] {
-			continue
-		}
 		for _, p := range pairs {
-			if ms[p.batched] {
+			if ms[p.batched] || fallback[name][""] || fallback[name][p.batched] || p.with != "" && !ms[p.with] {
 				continue
 			}
 			scalarName := ""
@@ -160,16 +166,28 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func hasMarker(cg *ast.CommentGroup) bool {
+// markedGaps records the gaps a comment group's grin:fallback markers
+// declare: the batched method named right after the marker, or "" (every
+// gap) when what follows is not one.
+func markedGaps(cg *ast.CommentGroup, gaps map[string]bool) {
 	if cg == nil {
-		return false
+		return
 	}
 	for _, c := range cg.List {
-		if strings.Contains(c.Text, marker) {
-			return true
+		_, rest, ok := strings.Cut(c.Text, marker)
+		if !ok {
+			continue
 		}
+		gap := ""
+		if words := strings.Fields(rest); len(words) > 0 {
+			for _, p := range pairs {
+				if words[0] == p.batched {
+					gap = p.batched
+				}
+			}
+		}
+		gaps[gap] = true
 	}
-	return false
 }
 
 // receiverType unwraps a method receiver to its base type name.

@@ -1,7 +1,8 @@
 // Generated parity for the EXPAND_DEGREE fold: a seeded generator of
 // count-shaped queries over the SNB schema, each carrying its own prediction
 // of whether the fold must fire, run on every engine × backend × batch size ×
-// parallelism, behind and in front of the chaos wrapper's trait mask, and
+// parallelism, behind and in front of the chaos wrapper's trait mask (and, on
+// vineyard, with its label-segmented adjacency hidden from the engines), and
 // compared as multisets with naive — which interprets the logical plan and
 // never sees the rewritten operator.
 package query_test
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/grin/grintest"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
@@ -26,12 +29,14 @@ import (
 	"repro/internal/query/hiactor"
 	"repro/internal/query/ir"
 	"repro/internal/query/naive"
+	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
 	"repro/internal/query/planshape"
 	"repro/internal/query/procedures"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/gart"
 	"repro/internal/storage/livegraph"
+	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
 
@@ -191,6 +196,7 @@ func countFoldStores(t *testing.T) map[string]grin.Graph {
 type countFoldCell struct {
 	name    string
 	store   string
+	view    string // bare, wrapped (chaos), unsegmented (vineyard without grin.LabelAdjacency, metered)
 	g       grin.Graph
 	bs      int
 	cat     *optimizer.Catalog
@@ -199,8 +205,8 @@ type countFoldCell struct {
 }
 
 // serial runs the *optimized* plan — the physical plan Gaia and HiActor run —
-// on the calling goroutine.
-func (c *countFoldCell) serial(p *ir.Plan) ([]exec.Row, []string, error) {
+// on the calling goroutine, reporting per-stage stats to obs when it is set.
+func (c *countFoldCell) serial(p *ir.Plan, obs *obsv.QueryStats) ([]exec.Row, []string, error) {
 	phys, err := optimizer.Optimize(p, c.cat, optimizer.All())
 	if err != nil {
 		return nil, nil, err
@@ -213,8 +219,19 @@ func (c *countFoldCell) serial(p *ir.Plan) ([]exec.Row, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := compiled.Run(context.Background(), &exec.Env{Graph: c.g, BatchSize: c.bs})
+	rows, err := compiled.Run(context.Background(), &exec.Env{Graph: c.g, BatchSize: c.bs, Obs: obs})
 	return rows, compiled.Out, err
+}
+
+// stageStats is what a serial run's stages did, minus what only says how: the
+// wall times, and the adjacency slots the store handed over — the one number
+// a store's layout is allowed to change.
+func stageStats(obs *obsv.QueryStats) []obsv.StageSnapshot {
+	out := obs.Deterministic()
+	for i := range out {
+		out[i].Slots = 0
+	}
+	return out
 }
 
 // TestGeneratedCountFoldParity is the generated matrix. Every query's verdict
@@ -227,13 +244,13 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 	stores := countFoldStores(t)
 	var cells []*countFoldCell
 	for sname, st := range stores {
-		for _, wrapped := range []bool{false, true} {
-			g := st
-			if wrapped {
-				g = chaos.Wrap(st, chaos.Options{})
-			}
+		views := map[string]grin.Graph{"bare": st, "wrapped": chaos.Wrap(st, chaos.Options{})}
+		if vy, ok := st.(*vineyard.Store); ok {
+			views["unsegmented"] = meter.Wrap(grintest.Unsegmented(vy), &obsv.StoreStats{})
+		}
+		for view, g := range views {
 			for _, bs := range []int{1, 7, 1024} {
-				c := &countFoldCell{name: fmt.Sprintf("%s wrapped=%v bs=%d", sname, wrapped, bs), store: sname, g: g, bs: bs,
+				c := &countFoldCell{name: fmt.Sprintf("%s %s bs=%d", sname, view, bs), store: sname, view: view, g: g, bs: bs,
 					cat:     optimizer.BuildCatalog(g),
 					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})}
 				defer c.hiactor.Close()
@@ -275,6 +292,7 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 			t.Fatalf("query %d: %d EXPAND_DEGREE, generator expects %d\n%s\n%s", qi, got, want, q.text, phys)
 		}
 		want := map[string]string{}
+		stats := map[string][]obsv.StageSnapshot{}
 		for sname, st := range stores {
 			if q.props && sname == "livegraph" {
 				continue
@@ -305,8 +323,21 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 			}
 			rows, out, err := c.hiactor.Submit(context.Background(), plan, nil)
 			check("hiactor", rows, out, err)
-			rows, out, err = c.serial(plan)
+			obs := obsv.NewQueryStats()
+			rows, out, err = c.serial(plan, obs)
 			check("serial", rows, out, err)
+			// Whether the store's label segments or the skeleton filters by
+			// edge label, the stages see the same rows in the same batches
+			// (the chaos view differs by design: it gathers boxed).
+			if c.view == "wrapped" {
+				continue
+			}
+			key := fmt.Sprintf("%s bs=%d", c.store, c.bs)
+			if ref, ok := stats[key]; !ok {
+				stats[key] = stageStats(obs)
+			} else if got := stageStats(obs); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("query %d serial on %s: stage stats\n%+v\nanother view of the store gave\n%+v\n%s", qi, c.name, got, ref, q.text)
+			}
 		}
 	}
 }
@@ -438,7 +469,8 @@ RETURN COUNT(m) AS c, COUNT(*) AS n, sum(m.length) AS s, avg(m.length) AS a, min
 	}
 }
 
-// cancelingStore fires a cancellation from inside its nth ExpandBatch call.
+// cancelingStore fires a cancellation from inside its nth expansion call,
+// labelled (vineyard serves grin.LabelAdjacency) or not.
 type cancelingStore struct {
 	*vineyard.Store
 	calls  atomic.Int64
@@ -451,6 +483,13 @@ func (c *cancelingStore) ExpandBatch(frontier []graph.VID, dir graph.Direction, 
 		c.cancel()
 	}
 	c.Store.ExpandBatch(frontier, dir, out)
+}
+
+func (c *cancelingStore) ExpandLabelBatch(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out *grin.AdjBatch) bool {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Store.ExpandLabelBatch(frontier, dir, elabel, out)
 }
 
 // TestHubExpansionCancelsWithinAChunk: on Gaia, a context fired while a

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/grin/grintest"
 	"repro/internal/query/exec"
 	"repro/internal/query/ir"
 	"repro/internal/storage/chaos"
@@ -295,9 +296,11 @@ func (hc *hubCase) rows(out *exec.Batch, got []hubRow) []hubRow {
 // TestExpansionKindsMatchBruteForce drives every expansion stage directly —
 // RunMap over hand-built input batches — on the generated frontiers, with and
 // without a selection vector, compiled with and without the schema (which
-// decides whether the implied vertex-label gather is skipped), over the store
-// itself and over the chaos wrapper's honest trait mask, and compares with the
-// brute-force walk.
+// decides whether the implied vertex-label gather is skipped), and compares
+// with the brute-force walk — over the store itself, whose label segments take
+// the edge-label filter; over a tap on the same store with that trait hidden,
+// where the skeleton filters whole adjacencies itself; and over the chaos
+// wrapper, which keeps the trait and declines every call to it.
 func TestExpansionKindsMatchBruteForce(t *testing.T) {
 	st, schema := hubGraph(t)
 	type variant struct {
@@ -308,7 +311,11 @@ func TestExpansionKindsMatchBruteForce(t *testing.T) {
 	variants := []variant{
 		{"vineyard", st, schema},
 		{"vineyard/no-schema", st, nil},
+		{"unsegmented", chaos.Wrap(grintest.Unsegmented(st), chaos.Options{}), schema},
 		{"masked", chaos.Wrap(st, chaos.Options{}), schema},
+	}
+	if _, ok := grin.AsLabelAdjacency(variants[2].g); ok {
+		t.Fatal("the unsegmented variant still offers grin.LabelAdjacency")
 	}
 	frontiers := hubFrontiers()
 	rng := rand.New(rand.NewSource(5))

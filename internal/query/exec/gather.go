@@ -29,7 +29,8 @@ const firstChunk = 64
 // serves, the CSR-style adjacency arena of the current chunk, label columns
 // for pushed edge/vertex label filters, and the emission lists — surviving
 // adjacency slots (ts) with the physical input row each came from (srcRows),
-// or in counting mode one count per surviving row.
+// or in counting mode one count per surviving row (degs: the per-vertex
+// degrees a label-segmented store returned for a whole frontier).
 type expandScratch struct {
 	frontier []graph.VID
 	rows     []int32
@@ -40,6 +41,7 @@ type expandScratch struct {
 	ts       []int32
 	srcRows  []int32
 	counts   []int64
+	degs     []int
 }
 
 // expansion is the compiled shape EXPAND_FUSED, EXPAND_EDGE, ADJ_CHECK and
@@ -78,11 +80,19 @@ func (c *Compiled) farLabel(elabel graph.LabelID, dir graph.Direction, vlabel gr
 // chunk is firstChunk vertices, every later one is sized from the degrees
 // seen so far to fill half the slot budget (degrees are not asked for up
 // front: a store call per frontier vertex is what the batch traits exist to
-// avoid). Per chunk one ExpandBatch call, one gather per pushed label
-// filter, the keep loop, and one columnar emission; output order is the
-// frontier's, so results do not depend on where chunks end. Consecutive
-// input rows on one vertex share its adjacency (and, counting, its count).
-// The query's context is checked between chunks.
+// avoid). Per chunk one expansion call, one gather per label filter the store
+// did not apply itself, the keep loop, and one columnar emission; output
+// order is the frontier's, so results do not depend on where chunks end.
+// Consecutive input rows on one vertex share its adjacency (and, counting,
+// its count). The query's context is checked between chunks.
+//
+// What the store is asked depends on one capability, looked up once per run.
+// A store whose adjacency is segmented by edge label (grin.LabelAdjacency)
+// takes the edge-label filter itself: a chunk holds only the slots that pass
+// it, and a count with no vertex-label filter left is one LabelDegrees call
+// for the whole frontier that moves no adjacency. Any other store — and a
+// call a tapped store declines — is asked for whole adjacencies, which are
+// filtered here; a count that keeps every slot asks it for Degree per vertex.
 func (x *expansion) run(env *Env, in, out *Batch) (bool, error) {
 	s := &env.Arena.expand
 	s.frontier, s.rows = frontierFrom(in, x.from, s.frontier[:0], s.rows[:0])
@@ -102,20 +112,16 @@ func (x *expansion) run(env *Env, in, out *Batch) (bool, error) {
 	frontier := s.frontier[:u]
 
 	pr, _ := grin.AsPropertyReader(env.Graph)
+	la, _ := grin.AsLabelAdjacency(env.Graph)
 	byEdge := pr != nil && x.elabel != graph.AnyLabel
 	byVertex := pr != nil && x.vlabel != graph.AnyLabel
 	base := out.rows
 	slots := 0
-	if x.degIdx >= 0 && !byEdge && !byVertex {
-		// Every slot counts: the degree is the answer, no adjacency moves.
-		s.srcRows, s.counts = s.srcRows[:0], s.counts[:0]
-		for j, v := range frontier {
-			x.count(s, j, env.Graph.Degree(v, x.dir))
-		}
+	if x.degIdx >= 0 && !byVertex && x.degrees(env, s, la, frontier, byEdge) {
 		x.emit(s, in, out)
 	} else {
 		var err error
-		if slots, err = x.scan(env, s, frontier, byEdge, byVertex, in, out); err != nil {
+		if slots, err = x.scan(env, s, la, frontier, byEdge, byVertex, in, out); err != nil {
 			return false, err
 		}
 	}
@@ -132,10 +138,38 @@ func (x *expansion) runMap(env *Env, in, out *Batch) error {
 	return err
 }
 
+// degrees answers a count whose only filter, if any, is the edge label
+// without moving adjacency: from the store's label boundaries when it keeps
+// them, from Degree when it does not and every slot counts. It reports false
+// when neither applies and the slots have to be scanned.
+func (x *expansion) degrees(env *Env, s *expandScratch, la grin.LabelAdjacency, frontier []graph.VID, byEdge bool) bool {
+	s.srcRows, s.counts = s.srcRows[:0], s.counts[:0]
+	elabel := graph.AnyLabel
+	if byEdge {
+		elabel = x.elabel
+	}
+	if la != nil {
+		s.degs = growInts(s.degs, len(frontier))
+		if la.LabelDegrees(frontier, x.dir, elabel, s.degs) {
+			for j, d := range s.degs {
+				x.count(s, j, d)
+			}
+			return true
+		}
+	}
+	if byEdge {
+		return false
+	}
+	for j, v := range frontier {
+		x.count(s, j, env.Graph.Degree(v, x.dir))
+	}
+	return true
+}
+
 // scan is the chunk loop of run: it expands frontier chunk by chunk, keeps or
 // counts each chunk's slots and emits its rows, returning the adjacency slots
-// it materialized.
-func (x *expansion) scan(env *Env, s *expandScratch, frontier []graph.VID, byEdge, byVertex bool, in, out *Batch) (slots int, err error) {
+// the store handed over.
+func (x *expansion) scan(env *Env, s *expandScratch, la grin.LabelAdjacency, frontier []graph.VID, byEdge, byVertex bool, in, out *Batch) (slots int, err error) {
 	for lo, k := 0, firstChunk; lo < len(frontier); {
 		if lo > 0 {
 			if err := env.Alive(); err != nil {
@@ -143,11 +177,14 @@ func (x *expansion) scan(env *Env, s *expandScratch, frontier []graph.VID, byEdg
 			}
 		}
 		hi := min(lo+k, len(frontier))
-		grin.ExpandBatch(env.Graph, frontier[lo:hi], x.dir, &s.adj)
+		pushed := byEdge && la != nil && la.ExpandLabelBatch(frontier[lo:hi], x.dir, x.elabel, &s.adj)
+		if !pushed {
+			grin.ExpandBatch(env.Graph, frontier[lo:hi], x.dir, &s.adj)
+		}
 		n := len(s.adj.Nbrs)
 		slots += n
 		var eLabs, vLabs []graph.LabelID
-		if byEdge {
+		if byEdge && !pushed {
 			s.elabels = growLabels(s.elabels, n)
 			grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
 			eLabs = s.elabels
@@ -287,6 +324,13 @@ func growEIDs(s []graph.EID, n int) []graph.EID {
 func growLabels(s []graph.LabelID, n int) []graph.LabelID {
 	if cap(s) < n {
 		return make([]graph.LabelID, n)
+	}
+	return s[:n]
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
 	}
 	return s[:n]
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/query/ir"
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
+	"repro/internal/query/optimizer"
 	"repro/internal/retry"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/gart"
@@ -398,6 +399,80 @@ func TestFaultInsideServedTypedGather(t *testing.T) {
 			mustExactEqual(t, name+" after the fault", got, want)
 			if hook.served.Load() < 2 {
 				t.Errorf("%s: %d typed gathers served; the fault never had a gather to fire in", name, hook.served.Load())
+			}
+		}
+	}
+}
+
+// TestFaultsAtTheLabelSites: a schedule that names ExpandLabelBatch or
+// LabelDegrees gets vineyard's label-segmented path with its faults in it
+// (any other schedule makes the chaos hook decline those calls, which is how
+// the matrix above still finds its ExpandBatch faults on vineyard). Under
+// gaia and hiactor every kind ends row-for-row correct or cleanly typed, and
+// a short read — the sites' degrade — declines from its call on: the rows
+// stay right and the unlabelled fallback is seen taking over.
+func TestFaultsAtTheLabelSites(t *testing.T) {
+	defer query.CheckLeaks(t)()
+	stores, schema := matrixStores(t)
+	store := stores["vineyard"]
+	typedAs := func(target any) func(error) bool {
+		return func(err error) bool { return errors.As(err, target) }
+	}
+	var ce *chaos.Error
+	var pe *exec.PanicError
+	kinds := []struct {
+		kind      chaos.Kind
+		wantTyped func(error) bool // nil: the run must succeed with the clean rows
+	}{
+		{chaos.KindError, typedAs(&ce)},
+		{chaos.KindTransientError, retry.Transient},
+		{chaos.KindPanic, typedAs(&pe)},
+		{chaos.KindLatency, nil},
+		{chaos.KindShortRead, nil},
+	}
+	for site, q := range map[grin.Site]string{
+		grin.SiteExpandLabelBatch: `MATCH (a:V)-[:E]->(b:V)-[:E]->(c:V) RETURN id(a) AS x, id(c) AS y`,
+		grin.SiteLabelDegrees:     `MATCH (a:V)-[:E]->(b:V) WITH a, COUNT(b) AS n RETURN id(a) AS x, n`,
+	} {
+		plan, err := cypher.Parse(q, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Engine construction builds the catalog, which counts edges through
+		// LabelDegrees outside any query's recover boundary: schedules start
+		// after the calls one catalog build makes.
+		probe := chaos.New(chaos.Options{Faults: []chaos.Fault{{Site: site, Kind: chaos.KindLatency, N: 1 << 40}}})
+		optimizer.BuildCatalog(grin.Tap(store, "chaos", probe))
+		built := probe.Calls(site)
+		for _, engine := range []string{"gaia", "hiactor"} {
+			want, err := runOn(engine, store, plan, 0, context.Background())
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%s %s: clean run: %d rows, %v", engine, site, len(want), err)
+			}
+			for _, k := range kinds {
+				t.Run(fmt.Sprintf("%s/%s/%s", engine, site, k.kind), func(t *testing.T) {
+					inj := chaos.New(chaos.Options{Seed: 3, Faults: []chaos.Fault{
+						{Site: site, Kind: k.kind, N: built + 2, Latency: 100 * time.Microsecond},
+						// Never fires; naming the site makes the hook count it.
+						{Site: grin.SiteExpandBatch, Kind: chaos.KindLatency, N: 1 << 40},
+					}})
+					rows, err := runOn(engine, grin.Tap(store, "chaos", inj), plan, 0, context.Background())
+					if inj.Calls(site) < built+2 {
+						t.Fatalf("the query made %d calls at %s; the fault at call %d never had one to fire in", inj.Calls(site)-built, site, built+2)
+					}
+					unlabelled := inj.Calls(grin.SiteExpandBatch)
+					switch {
+					case k.wantTyped != nil && (err == nil || !k.wantTyped(err)):
+						t.Fatalf("fault surfaced as %v", err)
+					case k.wantTyped == nil && err != nil:
+						t.Fatalf("benign fault failed the query: %v", err)
+					case k.wantTyped == nil:
+						mustExactEqual(t, k.kind.String(), renderRows(rows), renderRows(want))
+					}
+					if declined := k.kind == chaos.KindShortRead; declined != (unlabelled > 0) {
+						t.Errorf("%d ExpandBatch calls; the unlabelled fallback runs exactly when the site declines", unlabelled)
+					}
+				})
 			}
 		}
 	}

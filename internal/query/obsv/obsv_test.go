@@ -142,7 +142,7 @@ func TestEngineGauges(t *testing.T) {
 	}
 }
 
-// TestStoreSiteAlignment pins the chaos alignment contract: 15 sites, chaos's
+// TestStoreSiteAlignment pins the chaos alignment contract: 17 sites, chaos's
 // exact names, batch sites from ExpandBatch on, snapshots in enum order.
 func TestStoreSiteAlignment(t *testing.T) {
 	wantNames := []string{
@@ -150,6 +150,7 @@ func TestStoreSiteAlignment(t *testing.T) {
 		"EdgeWeight", "LookupVertex", "LabelRange", "ScanVertices",
 		"ExpandBatch", "GatherVertexProp", "GatherEdgeProp",
 		"GatherVertexLabels", "GatherEdgeLabels", "ScanBatch",
+		"ExpandLabelBatch", "LabelDegrees",
 	}
 	if int(NumStoreSites) != len(wantNames) {
 		t.Fatalf("NumStoreSites = %d, want %d", NumStoreSites, len(wantNames))

@@ -50,7 +50,7 @@ type StoreSiteSnapshot struct {
 	Batch bool
 }
 
-// StoreSnapshot is a point-in-time dump of all 15 site counters, in enum
+// StoreSnapshot is a point-in-time dump of all 17 site counters, in enum
 // order — never map order.
 type StoreSnapshot struct {
 	Backend string

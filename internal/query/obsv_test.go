@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/grin/grintest"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/gaia"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
 	"repro/internal/query/procedures"
+	"repro/internal/storage/gart"
 	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
@@ -196,7 +198,9 @@ WHERE p.creationDate > 5 RETURN f.firstName, po.creationDate`,
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE rendering byte-for-byte
 // on an SNB two-hop expand (wall times suppressed) and cross-checks the
-// per-stage rows against the query's final cardinality.
+// per-stage rows against the query's final cardinality — over vineyard, whose
+// label segments hand each hop only its label's slots, and over the same
+// store with that trait hidden, where each hop is handed whole adjacencies.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
 	st, err := vineyard.Load(b)
@@ -209,24 +213,31 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 4})
-	c, err := eng.Compile(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := obsv.NewQueryStats()
-	rows, err := eng.RunCompiledObserved(context.Background(), c, nil, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := obs.StageSnapshots()
-	if last := snaps[len(snaps)-1]; last.RowsOut != int64(len(rows)) {
-		t.Fatalf("final stage RowsOut = %d, want %d result rows", last.RowsOut, len(rows))
-	}
-	got := c.Explain(obs).Render(false)
-	want := goldenExplain
-	if got != want {
-		t.Errorf("EXPLAIN ANALYZE rendering drifted\ngot:\n%s\nwant:\n%s", got, want)
+	for _, tc := range []struct {
+		name string
+		g    grin.Graph
+		want string
+	}{
+		{"segmented", st, goldenExplainSegmented},
+		{"unsegmented", grintest.Unsegmented(st), goldenExplain},
+	} {
+		eng := gaia.NewEngine(tc.g, gaia.Options{Parallelism: 4})
+		c, err := eng.Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := obsv.NewQueryStats()
+		rows, err := eng.RunCompiledObserved(context.Background(), c, nil, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := obs.StageSnapshots()
+		if last := snaps[len(snaps)-1]; last.RowsOut != int64(len(rows)) {
+			t.Fatalf("%s: final stage RowsOut = %d, want %d result rows", tc.name, last.RowsOut, len(rows))
+		}
+		if got := c.Explain(obs).Render(false); got != tc.want {
+			t.Errorf("%s: EXPLAIN ANALYZE rendering drifted\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -241,6 +252,19 @@ const goldenExplain = `PROJECT [MAP width=1]
     rows: in=480 out=8692  batches=2  slots=3193
     EXPAND_FUSED(f->po) [MAP width=2]
       rows: in=120 out=480  batches=2  slots=3065
+      SCAN(f) [SOURCE width=1]
+        rows: in=0 out=120  batches=1
+`
+
+// goldenExplainSegmented is the same run with the edge-label filters pushed
+// into the store: slots are the ones each hop keeps (the second hop's rows
+// are four per slot where consecutive rows share an f).
+const goldenExplainSegmented = `PROJECT [MAP width=1]
+  rows: in=8692 out=8692  batches=2
+  EXPAND_FUSED(f->p) [MAP width=3]
+    rows: in=480 out=8692  batches=2  slots=2135
+    EXPAND_FUSED(f->po) [MAP width=2]
+      rows: in=120 out=480  batches=2  slots=480
       SCAN(f) [SOURCE width=1]
         rows: in=0 out=120  batches=1
 `
@@ -314,5 +338,65 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 	}
 	if stats.Calls(grin.SiteGatherVProp) == 0 {
 		t.Error("no vertex-property gather was counted through the wrapper")
+	}
+}
+
+// TestUnsegmentedStoresKeepTheirCallProfile pins the other side of the
+// skeleton's one capability check: a store without grin.LabelAdjacency — GART,
+// and vineyard with the trait hidden behind the tap — is asked exactly what it
+// was asked before the trait existed. The counts are the metered profile of a
+// catalog build plus one pass over BI1–BI20 at the commit before the trait
+// (7b76bdf), site by site; on vineyard itself the same pass must go through
+// the label sites and gather no edge label.
+func TestUnsegmentedStoresKeepTheirCallProfile(t *testing.T) {
+	const persons = 120
+	b := dataset.SNB(dataset.SNBOptions{Persons: persons, Seed: 5})
+	vy, err := vineyard.Load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	shared := map[grin.Site]int64{
+		grin.SiteVertexProp: 796, grin.SiteLabelRange: 6, grin.SiteExpandBatch: 62,
+		grin.SiteGatherVProp: 10, grin.SiteGatherELabels: 62, grin.SiteScanBatch: 20,
+	}
+	profile := func(g grin.Graph) *obsv.StoreStats {
+		stats := &obsv.StoreStats{}
+		eng := gaia.NewEngine(meter.Wrap(g, stats), gaia.Options{Parallelism: 2})
+		rng := rand.New(rand.NewSource(5))
+		for _, q := range procedures.BI() {
+			plan, err := cypher.Parse(q.Cypher, dataset.SNBSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := eng.Submit(context.Background(), plan, q.Params(rng, procedures.ScaleOf(persons))); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+		return stats
+	}
+	for _, tc := range []struct {
+		name string
+		g    grin.Graph
+		own  map[grin.Site]int64 // the catalog's walk, by the trait each store has for it
+	}{
+		{"unsegmented(vineyard)", grintest.Unsegmented(vy), map[grin.Site]int64{grin.SiteAdjSlice: 1121}},
+		{"gart", gs.Latest(), map[grin.Site]int64{grin.SiteNeighbors: 1121, grin.SiteScanVertices: 6}},
+	} {
+		stats := profile(tc.g)
+		for s := grin.Site(0); s < obsv.NumStoreSites; s++ {
+			if got, want := stats.Calls(s), shared[s]+tc.own[s]; got != want {
+				t.Errorf("%s: %d %s calls, %d before the trait existed", tc.name, got, s, want)
+			}
+		}
+	}
+	stats := profile(vy)
+	if stats.Calls(grin.SiteExpandLabelBatch) == 0 || stats.Calls(grin.SiteLabelDegrees) == 0 ||
+		stats.Calls(grin.SiteGatherELabels) != 0 || stats.Calls(grin.SiteAdjSlice) != 0 {
+		snap := stats.Snapshot()
+		t.Errorf("vineyard's own profile:\n%s", obsv.RenderStore(&snap))
 	}
 }

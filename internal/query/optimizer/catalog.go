@@ -21,8 +21,13 @@ type Catalog struct {
 	Total     float64
 }
 
-// BuildCatalog scans store statistics. It requires the property and index
-// traits; stores without them get a flat default catalog.
+// BuildCatalog reads store statistics. It requires the property trait;
+// stores without it get a flat default catalog. A store that assigns
+// per-label contiguous IDs and keeps label-segmented adjacency
+// (grin.Index ranges, grin.LabelAdjacency) is asked for counts, not walked:
+// a label's vertices are the width of its range and an edge label's edges
+// the sum of its source range's labelled out-degrees. Any other store is
+// walked, one callback per vertex and per edge.
 func BuildCatalog(g grin.Graph) *Catalog {
 	c := &Catalog{
 		VertexCount: map[graph.LabelID]float64{},
@@ -36,21 +41,23 @@ func BuildCatalog(g grin.Graph) *Catalog {
 		return c
 	}
 	schema := pr.Schema()
-	for l := 0; l < schema.NumVertexLabels(); l++ {
-		count := 0.0
-		grin.ScanLabel(g, graph.LabelID(l), func(graph.VID) bool {
-			count++
-			return true
-		})
-		c.VertexCount[graph.LabelID(l)] = count
+	ranged := true
+	first := make([]graph.VID, schema.NumVertexLabels())
+	for l := range first {
+		n, lo, ok := grin.CountLabel(g, graph.LabelID(l))
+		c.VertexCount[graph.LabelID(l)] = float64(n)
+		first[l], ranged = lo, ranged && ok
 	}
-	// Edge counts per label via one pass over out-adjacencies.
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		grin.ForEachNeighbor(g, graph.VID(v), graph.Out, func(_ graph.VID, e graph.EID) bool {
-			c.EdgeCount[pr.EdgeLabel(e)]++
-			return true
-		})
+	if la, ok := grin.AsLabelAdjacency(g); !ok || !ranged || !c.countEdges(la, schema, first) {
+		// Edge counts per label via one pass over out-adjacencies.
+		clear(c.EdgeCount)
+		n := g.NumVertices()
+		for v := 0; v < n; v++ {
+			grin.ForEachNeighbor(g, graph.VID(v), graph.Out, func(_ graph.VID, e graph.EID) bool {
+				c.EdgeCount[pr.EdgeLabel(e)]++
+				return true
+			})
+		}
 	}
 	for l := 0; l < schema.NumEdgeLabels(); l++ {
 		el := schema.Edges[l]
@@ -65,6 +72,38 @@ func BuildCatalog(g grin.Graph) *Catalog {
 		}
 	}
 	return c
+}
+
+// countEdges fills EdgeCount from the store's label boundaries: each edge
+// label's count is the labelled out-degree of its source label's vertices
+// (every vertex's, when the schema leaves the source open), asked for a
+// block of vertices at a time. It reports false if the store declined a call;
+// labels without an edge get no entry, as in the walking pass.
+func (c *Catalog) countEdges(la grin.LabelAdjacency, schema *graph.Schema, first []graph.VID) bool {
+	const block = 4096
+	vs, degs := make([]graph.VID, block), make([]int, block)
+	for e, el := range schema.Edges {
+		lo, hi := graph.VID(0), graph.VID(c.Total)
+		if el.Src != graph.AnyLabel {
+			lo = first[el.Src]
+			hi = lo + graph.VID(c.VertexCount[el.Src])
+		}
+		count := 0
+		for lo < hi {
+			n, next := grin.FillRange(lo, hi, vs)
+			if !la.LabelDegrees(vs[:n], graph.Out, graph.LabelID(e), degs[:n]) {
+				return false
+			}
+			for _, d := range degs[:n] {
+				count += d
+			}
+			lo = next // NilVID, past any hi, once the range is drained
+		}
+		if count > 0 {
+			c.EdgeCount[graph.LabelID(e)] = float64(count)
+		}
+	}
+	return true
 }
 
 func (c *Catalog) labelCount(l graph.LabelID) float64 {

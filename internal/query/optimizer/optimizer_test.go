@@ -1,14 +1,19 @@
 package optimizer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/grin"
+	"repro/internal/grin/grintest"
 	"repro/internal/query/cypher"
 	"repro/internal/query/expr"
 	"repro/internal/query/ir"
+	"repro/internal/storage/chaos"
+	"repro/internal/storage/gart"
 	"repro/internal/storage/vineyard"
 )
 
@@ -37,6 +42,53 @@ func TestCatalogStatistics(t *testing.T) {
 	// Expansion factors default to 1 for unknown labels.
 	if cat.expandFactor(99, graph.Out) != 1 {
 		t.Fatal("unknown expand factor should be 1")
+	}
+}
+
+// TestCatalogIsTheSameAskedOrWalked: the counts a store with label ranges and
+// label-segmented adjacency is asked for are the counts the walk finds — on
+// SNB, and on a schema with an open-ended edge label, an edge label without
+// edges (no entry either way) and a vertex label without vertices — over the
+// same store with the trait hidden, over a chaos tap (which declines the
+// trait's calls), and over GART, which has neither ranges nor segments.
+func TestCatalogIsTheSameAskedOrWalked(t *testing.T) {
+	s := graph.NewSchema(
+		[]graph.VertexLabel{{Name: "A"}, {Name: "Empty"}, {Name: "B"}},
+		[]graph.EdgeLabel{
+			{Name: "AB", Src: 0, Dst: 2},
+			{Name: "Unused", Src: 0, Dst: 0},
+			{Name: "Open", Src: graph.AnyLabel, Dst: graph.AnyLabel},
+		},
+	)
+	open := graph.NewBatch(s)
+	for i := 0; i < 9000; i++ { // more than one block of the degree sweep
+		open.AddVertex(graph.LabelID(2*(i%2)), int64(i))
+	}
+	for i := 0; i < 9000; i += 2 {
+		open.AddEdge(0, int64(i), int64(i+1))
+		open.AddEdge(2, int64(i+1), int64((i*7)%9000))
+		open.AddEdge(2, int64(i), int64(i))
+	}
+	for name, b := range map[string]*graph.Batch{"snb": dataset.SNB(dataset.SNBOptions{Persons: 150, Seed: 2}), "open": open} {
+		st, err := vineyard.Load(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := gart.NewStore(b.Schema, 0)
+		if err := gs.LoadBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		asked := BuildCatalog(st)
+		if len(asked.EdgeCount) == 0 || asked.Total == 0 {
+			t.Fatalf("%s: empty catalog %+v", name, asked)
+		}
+		for view, g := range map[string]grin.Graph{
+			"unsegmented": grintest.Unsegmented(st), "chaos": chaos.Wrap(st, chaos.Options{}), "gart": gs.Latest(),
+		} {
+			if walked := BuildCatalog(g); !reflect.DeepEqual(asked, walked) {
+				t.Errorf("%s: vineyard says\n%+v\n%s says\n%+v", name, asked, view, walked)
+			}
+		}
 	}
 }
 

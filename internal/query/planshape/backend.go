@@ -19,6 +19,7 @@ var capabilities = map[string][]grin.Trait{
 		grin.TraitTopology, grin.TraitAdjArray, grin.TraitProperty, grin.TraitWeight,
 		grin.TraitIndex, grin.TraitPredicate,
 		grin.TraitBatchAdjacency, grin.TraitBatchProps, grin.TraitBatchScan,
+		grin.TraitLabelAdjacency,
 	},
 	"csr": {
 		grin.TraitTopology, grin.TraitAdjArray, grin.TraitWeight, grin.TraitPredicate,

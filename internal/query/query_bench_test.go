@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/grin/grintest"
 	"repro/internal/query/cypher"
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
@@ -87,17 +88,22 @@ ORDER BY c DESC
 LIMIT 10`, nil)
 }
 
-// BenchmarkGaiaCountFold runs the two count-shaped queries that were two
-// thirds of a snb_bi pass — BI10 (one tag's posts counted per interested
-// person) and BI14 (friends' posts counted per person) — with every rule on,
-// where the counted hop is an EXPAND_DEGREE, and without EdgeVertexFusion,
-// where nothing can fold and the hop materializes the rows GROUP then counts.
-// It explains the fold's share of a benchmark number; benchmark/ decides it.
+// BenchmarkGaiaCountFold runs the count-shaped queries that were most of a
+// snb_bi pass — BI5 (likes counted per post creator), BI10 (one tag's posts
+// counted per interested person) and BI14 (friends' posts counted per person)
+// — three ways: with every rule on over vineyard, where the counted hop is an
+// EXPAND_DEGREE answered from the store's label boundaries (LabelDegrees);
+// the same plan with vineyard's label segments hidden, where that hop expands
+// whole adjacencies and filters them by edge label; and without
+// EdgeVertexFusion, where nothing can fold and the hop materializes the rows
+// GROUP then counts. It explains each step's share of a benchmark number;
+// benchmark/ decides it.
 func BenchmarkGaiaCountFold(b *testing.B) {
 	st := benchSNB(b)
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
+	segmented := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
+	unsegmented := gaia.NewEngine(grintest.Unsegmented(st), gaia.Options{Parallelism: 2})
 	for _, q := range procedures.BI() {
-		if q.Name != "BI10" && q.Name != "BI14" {
+		if q.Name != "BI5" && q.Name != "BI10" && q.Name != "BI14" {
 			continue
 		}
 		plan, err := cypher.Parse(q.Cypher, dataset.SNBSchema())
@@ -107,19 +113,21 @@ func BenchmarkGaiaCountFold(b *testing.B) {
 		params := q.Params(rand.New(rand.NewSource(1)), procedures.ScaleOf(300))
 		for _, arm := range []struct {
 			name string
+			eng  *gaia.Engine
 			opt  optimizer.Options
 		}{
-			{"folded", optimizer.All()},
-			{"unfused", optimizer.Options{FilterPushIntoMatch: true, CBO: true}},
+			{"folded", segmented, optimizer.All()},
+			{"folded-unsegmented", unsegmented, optimizer.All()},
+			{"unfused", segmented, optimizer.Options{FilterPushIntoMatch: true, CBO: true}},
 		} {
 			b.Run(q.Name+"/"+arm.name, func(b *testing.B) {
-				if _, _, err := eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+				if _, _, err := arm.eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+					if _, _, err := arm.eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -52,10 +52,11 @@ const (
 	// KindLatency sleeps Fault.Latency before the call proceeds, stretching
 	// queries into their deadlines without corrupting results.
 	KindLatency
-	// KindShortRead halves ScanBatch's buffer so the store returns fewer
-	// vertices than asked with a valid resume cursor — legal under the trait
-	// contract, so results must remain row-for-row identical. Ignored at
-	// other sites.
+	// KindShortRead takes the site's legal lesser path, so results must
+	// remain row-for-row identical: ScanBatch gets half its buffer and
+	// returns fewer vertices than asked with a valid resume cursor;
+	// ExpandLabelBatch and LabelDegrees decline, and the caller answers from
+	// the unlabelled traits. Ignored at other sites.
 	KindShortRead
 )
 
@@ -159,7 +160,9 @@ func (in *Injector) Calls(s grin.Site) int64 { return in.sites[s].calls.Load() }
 
 // Before implements grin.Hook: it counts one call to the site and fires any
 // fault scheduled for this call number. A scheduled short read is reported
-// as degrade (only ScanBatch acts on it); the other kinds act here.
+// as degrade — ScanBatch halves its buffer, a LabelAdjacency site declines
+// to the caller's unlabelled fallback from that call on, other sites ignore
+// it; the other kinds act here.
 func (in *Injector) Before(s grin.Site) (token int64, degrade bool) {
 	if s.Typed() {
 		// Typed gathers always decline, so every fault scheduled at a boxed
@@ -169,7 +172,12 @@ func (in *Injector) Before(s grin.Site) (token int64, degrade bool) {
 	}
 	st := &in.sites[s]
 	if st.faults == nil {
-		return 0, false
+		// A LabelAdjacency site the schedule does not name declines, like a
+		// typed gather: the query then runs the unlabelled fallback, where
+		// the faults the schedule does name (ExpandBatch, GatherEdgeLabels,
+		// Degree) are waiting. A schedule that names the site gets the
+		// store's own path, and its faults, there.
+		return 0, s.Trait() == grin.TraitLabelAdjacency
 	}
 	n := st.calls.Add(1)
 	for _, f := range st.faults {

@@ -158,3 +158,42 @@ func TestPlanIsDeterministic(t *testing.T) {
 		t.Error("seeds 42 and 43 produced identical schedules")
 	}
 }
+
+// TestLabelSitesDeclineUnlessScheduled pins what degrade means at the
+// LabelAdjacency sites: a schedule that does not name one declines every call
+// there without reaching the store (so the caller's unlabelled fallback runs
+// into whatever the schedule does name); a schedule that names one lets the
+// calls through, counts them, and a short read declines from its call on.
+func TestLabelSitesDeclineUnlessScheduled(t *testing.T) {
+	inner := smallVineyard(t)
+	frontier := []graph.VID{0, 1, 2}
+	var adj grin.AdjBatch
+	degs := make([]int, len(frontier))
+
+	la, ok := grin.AsLabelAdjacency(chaos.Wrap(inner, chaos.Options{
+		Faults: []chaos.Fault{{Site: grin.SiteExpandBatch, Kind: chaos.KindError, N: 1}},
+	}))
+	if !ok {
+		t.Fatal("chaos(vineyard) lost LabelAdjacency")
+	}
+	if la.ExpandLabelBatch(frontier, graph.Out, 0, &adj) || la.LabelDegrees(frontier, graph.Out, 0, degs) {
+		t.Error("a schedule that names neither label site served a call there")
+	}
+
+	inj := chaos.New(chaos.Options{Faults: []chaos.Fault{
+		{Site: grin.SiteExpandLabelBatch, Kind: chaos.KindShortRead, N: 3},
+		{Site: grin.SiteLabelDegrees, Kind: chaos.KindLatency, N: 1 << 40},
+	}})
+	la, _ = grin.AsLabelAdjacency(grin.Tap(inner, "chaos", inj))
+	for call, want := range []bool{true, true, false, false} {
+		if got := la.ExpandLabelBatch(frontier, graph.Out, 0, &adj); got != want {
+			t.Errorf("ExpandLabelBatch call %d served = %v, want %v (short read from call 3)", call+1, got, want)
+		}
+	}
+	if !la.LabelDegrees(frontier, graph.Out, 0, degs) {
+		t.Error("LabelDegrees declined under a schedule that names it")
+	}
+	if a, b := inj.Calls(grin.SiteExpandLabelBatch), inj.Calls(grin.SiteLabelDegrees); a != 4 || b != 1 {
+		t.Errorf("counted %d ExpandLabelBatch and %d LabelDegrees calls, want 4 and 1", a, b)
+	}
+}

@@ -9,6 +9,10 @@ import (
 // version. Topology, label, external-ID and vertex-scan methods read the
 // published vertex table lock-free; property reads, edge labels and
 // external-ID lookups take the store's read lock.
+//
+// grin:fallback ExpandLabelBatch — a vertex's adjacency is an append-only
+// chain in commit order, one chain for every edge label, so there is no label
+// boundary to jump to: engines expand it whole and filter by GatherEdgeLabels.
 type Snapshot struct {
 	s   *Store
 	ver uint64

@@ -2,13 +2,19 @@
 // (§4.2). Mirroring the paper's Vineyard backend, it keeps CSR and CSC
 // representations of the topology, assigns internal vertex IDs so that each
 // label occupies a contiguous range, and stores properties in typed columns.
-// It implements every read-side GRIN trait, making it the fastest backend in
-// Exp-1 (Fig 7a).
+// Both adjacencies of every vertex are grouped by edge label, and per vertex
+// label a boundary column for each edge label the schema allows there marks
+// where one label's slots end and the next begin (segment.go) — the paper's
+// one CSR per (vertex label, edge label) as a view over shared slot arrays,
+// served to engines as grin.LabelAdjacency: a labelled hop reads only its
+// label's slots and a labelled degree is a subtraction. It implements every
+// read-side GRIN trait, making it the fastest backend in Exp-1 (Fig 7a).
 package vineyard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -36,6 +42,10 @@ type Store struct {
 	erow    []uint32           // row of each EID within its label's columns
 	ecols   [][]*column.Column // [elabel][prop]
 
+	// segs[dir][vertex label] holds the edge-label boundaries of that
+	// label's out (0) and in (1) adjacencies: both are grouped by edge label.
+	segs [2][]labelSegs
+
 	// weightCol caches, per edge label, the float column named "weight"
 	// (nil when absent) for the WeightReader fast path.
 	weightCol []*column.Column
@@ -52,8 +62,9 @@ var (
 	_ grin.Named          = (*Store)(nil)
 )
 
-// Load builds a Store from a batch. The batch is sorted for deterministic ID
-// assignment; dangling edges are an error.
+// Load builds a Store from a batch. Vertices are ordered by (label, external
+// ID) and edges by (source, label, destination), input order breaking ties,
+// so ID assignment is deterministic; dangling edges are an error.
 func Load(b *graph.Batch) (*Store, error) {
 	s := b.Schema
 	if s == nil {
@@ -63,16 +74,20 @@ func Load(b *graph.Batch) (*Store, error) {
 	numVL := s.NumVertexLabels()
 	numEL := s.NumEdgeLabels()
 
-	// Assign internal IDs: stable sort by (label, extID).
-	vs := make([]graph.VertexRecord, len(b.Vertices))
-	copy(vs, b.Vertices)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Label != vs[j].Label {
-			return vs[i].Label < vs[j].Label
+	// Assign internal IDs by (label, extID): order[i] is the input vertex
+	// that becomes internal vertex i.
+	n := len(b.Vertices)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, c := &b.Vertices[i], &b.Vertices[j]
+		if a.Label != c.Label {
+			return cmp.Compare(a.Label, c.Label)
 		}
-		return vs[i].ExtID < vs[j].ExtID
+		return cmp.Compare(a.ExtID, c.ExtID)
 	})
-	n := len(vs)
 	st.labelStart = make([]graph.VID, numVL+1)
 	st.extIDs = make([]int64, n)
 	st.extLookup = make([]map[int64]graph.VID, numVL)
@@ -82,7 +97,8 @@ func Load(b *graph.Batch) (*Store, error) {
 		st.vcols[l] = column.Set(s.Vertices[l].Props)
 	}
 	cur := graph.LabelID(0)
-	for i, v := range vs {
+	for i, at := range order {
+		v := &b.Vertices[at]
 		for cur < v.Label {
 			cur++
 			st.labelStart[cur] = graph.VID(i)
@@ -102,44 +118,45 @@ func Load(b *graph.Batch) (*Store, error) {
 		st.labelStart[cur] = graph.VID(n)
 	}
 
-	// Resolve edge endpoints to internal IDs.
-	type resolved struct {
-		src, dst graph.VID
-		label    graph.LabelID
-		props    []graph.Value
-	}
-	res := make([]resolved, 0, len(b.Edges))
+	// Resolve edge endpoints to internal IDs, counting out-degrees.
+	m := len(b.Edges)
+	srcs, dsts := make([]graph.VID, m), make([]graph.VID, m)
+	st.outOff = make([]uint64, n+1)
 	for i, e := range b.Edges {
 		el := s.Edges[e.Label]
-		src, ok := st.lookupEndpoint(el.Src, e.Src)
-		if !ok {
+		var ok bool
+		if srcs[i], ok = st.lookupEndpoint(el.Src, e.Src); !ok {
 			return nil, fmt.Errorf("vineyard: edge %d (%s): unknown source %d", i, el.Name, e.Src)
 		}
-		dst, ok := st.lookupEndpoint(el.Dst, e.Dst)
-		if !ok {
+		if dsts[i], ok = st.lookupEndpoint(el.Dst, e.Dst); !ok {
 			return nil, fmt.Errorf("vineyard: edge %d (%s): unknown destination %d", i, el.Name, e.Dst)
 		}
-		res = append(res, resolved{src: src, dst: dst, label: e.Label, props: e.Props})
-	}
-	// Deterministic edge order: by (src, label, dst).
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].src != res[j].src {
-			return res[i].src < res[j].src
-		}
-		if res[i].label != res[j].label {
-			return res[i].label < res[j].label
-		}
-		return res[i].dst < res[j].dst
-	})
-
-	m := len(res)
-	st.outOff = make([]uint64, n+1)
-	for _, e := range res {
-		st.outOff[e.src+1]++
+		st.outOff[srcs[i]+1]++
 	}
 	for i := 0; i < n; i++ {
 		st.outOff[i+1] += st.outOff[i]
 	}
+
+	// Deterministic edge order by (src, label, dst): drop every edge into its
+	// source's bucket (the counts are the bucket sizes), then order each
+	// small bucket. slot[k] is the input edge that lands in out-CSR slot k.
+	slot := make([]int32, m)
+	cursor := make([]uint64, n)
+	copy(cursor, st.outOff[:n])
+	for i := range b.Edges {
+		slot[cursor[srcs[i]]] = int32(i)
+		cursor[srcs[i]]++
+	}
+	byLabelDst := func(i, j int32) int {
+		if li, lj := b.Edges[i].Label, b.Edges[j].Label; li != lj {
+			return cmp.Compare(li, lj)
+		}
+		return cmp.Compare(dsts[i], dsts[j])
+	}
+	for v := 0; v < n; v++ {
+		slices.SortStableFunc(slot[st.outOff[v]:st.outOff[v+1]], byLabelDst)
+	}
+
 	st.out = make([]grin.Target, m)
 	st.elabels = make([]graph.LabelID, m)
 	st.erow = make([]uint32, m)
@@ -147,39 +164,23 @@ func Load(b *graph.Batch) (*Store, error) {
 	for l := 0; l < numEL; l++ {
 		st.ecols[l] = column.Set(s.Edges[l].Props)
 	}
-	cursor := make([]uint64, n)
-	copy(cursor, st.outOff[:n])
-	for _, e := range res {
-		slot := cursor[e.src]
-		cursor[e.src]++
-		eid := graph.EID(slot)
-		st.out[slot] = grin.Target{Nbr: e.dst, Edge: eid}
-		st.elabels[slot] = e.label
-		if cols := st.ecols[e.label]; len(cols) > 0 {
-			st.erow[slot] = uint32(cols[0].Len())
-			if err := column.AppendRow(cols, e.props); err != nil {
-				return nil, fmt.Errorf("vineyard: edge %s: %w", s.Edges[e.label].Name, err)
+	st.inOff = make([]uint64, n+1)
+	for k, i := range slot {
+		e := &b.Edges[i]
+		st.out[k] = grin.Target{Nbr: dsts[i], Edge: graph.EID(k)}
+		st.elabels[k] = e.Label
+		st.inOff[dsts[i]+1]++
+		if cols := st.ecols[e.Label]; len(cols) > 0 {
+			st.erow[k] = uint32(cols[0].Len())
+			if err := column.AppendRow(cols, e.Props); err != nil {
+				return nil, fmt.Errorf("vineyard: edge %s: %w", s.Edges[e.Label].Name, err)
 			}
 		}
-	}
-
-	// CSC.
-	st.inOff = make([]uint64, n+1)
-	for _, t := range st.out {
-		st.inOff[t.Nbr+1]++
 	}
 	for i := 0; i < n; i++ {
 		st.inOff[i+1] += st.inOff[i]
 	}
-	st.in = make([]grin.Target, m)
-	copy(cursor, st.inOff[:n])
-	for v := 0; v < n; v++ {
-		for _, t := range st.out[st.outOff[v]:st.outOff[v+1]] {
-			slot := cursor[t.Nbr]
-			cursor[t.Nbr]++
-			st.in[slot] = grin.Target{Nbr: graph.VID(v), Edge: t.Edge}
-		}
-	}
+	st.segment(cursor)
 
 	// Weight fast path.
 	st.weightCol = make([]*column.Column, numEL)
