@@ -6,7 +6,7 @@
 //	flexbench            # all experiments
 //	flexbench fig7c exp8
 //	flexbench -quick     # scaled-down workloads (seconds, not minutes)
-//	flexbench -json BENCH_query.json fig7e exp8    # also dump tables as JSON
+//	flexbench -json tables.json fig7e exp8   # also dump tables as JSON
 //	flexbench -timeout 30s exp2  # bound each query execution inside experiments
 //	flexbench -list
 package main

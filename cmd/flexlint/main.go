@@ -1,8 +1,8 @@
 // Command flexlint is the multichecker for the repository's architectural
 // invariants: trait-only storage access (grinboundary), reproducible
 // execution (determinism), typed-column discipline (valuebox, boxflow),
-// safe concurrency and pooling (parallelsafety, lockflow), and an honest
-// backend capability matrix (traitcomplete).
+// safe concurrency and pooling (parallelsafety, lockflow), and backends
+// that serve every scalar GRIN trait in batches too (traitcomplete).
 //
 // Usage:
 //
@@ -27,10 +27,11 @@
 // suppression naming an unknown analyzer is itself a finding.
 //
 // Beyond the AST analyzers, two whole-program gates share the binary:
-// -plans verifies the checked-in query corpus (lint/plans.json) with the
-// planshape plan verifier and the backend capability matrix, and -allocs
-// diffs the compiler's escape-analysis output for the hot-path packages
-// against the allocation baseline (lint/allocs_baseline.json).
+// -plans compiles the checked-in query corpus (lint/plans.json) with
+// exec.Compile — which enforces the plan-shape rules — and checks what each
+// plan requires against the backend capability table (internal/core), and
+// -allocs diffs the compiler's escape-analysis output for the hot-path
+// packages against the allocation baseline (lint/allocs_baseline.json).
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as JSON on stdout (human lines go to stderr)")
 	debug := flag.String("debug", "", "debug letters: t = per-analyzer wall time")
-	plans := flag.Bool("plans", false, "verify the lint/plans.json query corpus and exit")
+	plans := flag.Bool("plans", false, "compile the lint/plans.json query corpus, check it against its backends, and exit")
 	allocs := flag.Bool("allocs", false, "diff hot-path escape analysis against lint/allocs_baseline.json and exit")
 	update := flag.Bool("update", false, "with -allocs: rewrite the baseline instead of diffing")
 	flag.Parse()

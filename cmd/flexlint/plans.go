@@ -1,11 +1,12 @@
-// flexlint -plans: verify the checked-in query corpus. Each corpus entry is
+// flexlint -plans: compile the checked-in query corpus. Each corpus entry is
 // source text (cypher or gremlin) plus a schema name and the backends it is
 // expected to run on. The runner drives the full front half of the stack —
-// parse, planshape.Verify, optimize, Verify again — then cross-checks the
-// verifier's predicted shape against what exec.Compile actually builds,
+// parse, exec.Compile of the logical plan, optimize, exec.Compile of the
+// physical plan; the compiler enforces every plan-shape rule itself — then
 // checks an entry's optional `fold` expectation (must the EXPAND_DEGREE rule
-// fire or not), and finally checks the plan's required traits against each
-// listed backend's capability row. Backends that would degrade (skipped label filters,
+// fire or not), and finally checks the traits the compiled stages require
+// against each listed backend's row of the capability table
+// (internal/core). Backends that would degrade (skipped label filters,
 // internal-ID fallback) are reported but do not fail the run.
 package main
 
@@ -14,14 +15,15 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/grin"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
 	"repro/internal/query/gremlin"
 	"repro/internal/query/ir"
 	"repro/internal/query/optimizer"
-	"repro/internal/query/planshape"
 	"repro/internal/storage/vineyard"
 )
 
@@ -63,33 +65,6 @@ func schemaEnv(name string) (*graph.Schema, *optimizer.Catalog, error) {
 	return s, optimizer.BuildCatalog(st), nil
 }
 
-// checkShape cross-checks the verifier's prediction against the compiler.
-func checkShape(info *planshape.Info, p *ir.Plan) error {
-	c, err := exec.Compile(p, exec.Options{})
-	if err != nil {
-		return fmt.Errorf("exec.Compile rejects a verified plan: %w", err)
-	}
-	if len(info.Stages) != len(c.Stages) {
-		return fmt.Errorf("verifier predicts %d stages, compiler builds %d", len(info.Stages), len(c.Stages))
-	}
-	for i, st := range info.Stages {
-		real := c.Stages[i]
-		if st.Name != real.Name || st.InWidth != real.InWidth || st.OutWidth != real.OutWidth {
-			return fmt.Errorf("stage %d: verifier %s %d->%d, compiler %s %d->%d",
-				i, st.Name, st.InWidth, st.OutWidth, real.Name, real.InWidth, real.OutWidth)
-		}
-	}
-	if len(info.Out) != len(c.Out) {
-		return fmt.Errorf("verifier predicts output %v, compiler %v", info.Out, c.Out)
-	}
-	for i := range info.Out {
-		if info.Out[i] != c.Out[i] {
-			return fmt.Errorf("verifier predicts output %v, compiler %v", info.Out, c.Out)
-		}
-	}
-	return nil
-}
-
 func verifyCorpusPlan(cp corpusPlan) (string, error) {
 	schema, cat, err := schemaEnv(cp.Schema)
 	if err != nil {
@@ -107,22 +82,15 @@ func verifyCorpusPlan(cp corpusPlan) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("parse: %w", err)
 	}
-	info, err := planshape.Verify(logical)
-	if err != nil {
-		return "", fmt.Errorf("logical plan: %w", err)
-	}
-	if err := checkShape(info, logical); err != nil {
+	if _, err := exec.Compile(logical, exec.Options{}); err != nil {
 		return "", fmt.Errorf("logical plan: %w", err)
 	}
 	physical, err := optimizer.Optimize(logical, cat, optimizer.All())
 	if err != nil {
 		return "", fmt.Errorf("optimize: %w", err)
 	}
-	pinfo, err := planshape.Verify(physical)
+	c, err := exec.Compile(physical, exec.Options{})
 	if err != nil {
-		return "", fmt.Errorf("physical plan: %w", err)
-	}
-	if err := checkShape(pinfo, physical); err != nil {
 		return "", fmt.Errorf("physical plan: %w", err)
 	}
 	if cp.Fold != nil {
@@ -135,12 +103,16 @@ func verifyCorpusPlan(cp corpusPlan) (string, error) {
 		}
 	}
 	// The physical plan is what runs; its trait demands gate the backends.
-	detail := fmt.Sprintf("%d stages, requires %v", len(pinfo.Stages), pinfo.Requires)
+	detail := fmt.Sprintf("%d stages, requires %v", len(c.Stages), c.Requires)
 	for _, backend := range cp.Backends {
-		if err := planshape.CheckBackend(pinfo, backend); err != nil {
-			return "", fmt.Errorf("backend %s: %w", backend, err)
+		missing, known := core.Missing(backend, c.Requires)
+		if !known {
+			return "", fmt.Errorf("unknown backend %q", backend)
 		}
-		if deg := planshape.Degraded(pinfo, backend); len(deg) > 0 {
+		if len(missing) > 0 {
+			return "", fmt.Errorf("backend %s: %w", backend, &grin.ErrMissingTrait{Backend: backend, Trait: missing[0], Engine: "plan"})
+		}
+		if deg, _ := core.Missing(backend, c.Optional); len(deg) > 0 {
 			detail += fmt.Sprintf("; %s degrades %v", backend, deg)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/grin"
 	"repro/internal/query/expr"
 	"repro/internal/storage/column"
 )
@@ -24,6 +25,8 @@ type colBinder struct{}
 func (colBinder) BindRef(alias, prop string) (expr.BoundRef, error) {
 	return expr.BoundRef{Col: 0}, nil
 }
+
+func (colBinder) Need(grin.Trait, bool) {}
 
 // microSink defeats dead-code elimination across timing loops.
 var microSink int

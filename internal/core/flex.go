@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,12 +65,51 @@ var Registry = []Component{
 	{Name: "grin", Layer: LayerStorage, Provides: []string{"interface"}, Doc: "Unified graph retrieval interface"},
 }
 
-// storeTraits records which GRIN traits each backend provides (kept in sync
-// with the backend packages; validated by tests).
+// storeTraits is the one capability table: the GRIN traits each storage
+// backend provides natively, exactly as grin.Traits reports them for a live
+// instance (pinned by TestStoreTraitsMatchImplementations). flexbuild checks
+// engine requirements against it, `flexlint -plans` a compiled plan's. A
+// gart row describes what an engine is handed — the Snapshot view reads go
+// through — plus the Versioned trait of the Store handle that mints it. The
+// batch and layout traits are fast paths with generic fallbacks in grin, so
+// nothing ever requires one; csr and livegraph are topology stores no
+// flexbuild component selects.
 var storeTraits = map[string][]grin.Trait{
-	"vineyard": {grin.TraitTopology, grin.TraitAdjArray, grin.TraitProperty, grin.TraitWeight, grin.TraitIndex, grin.TraitPredicate},
-	"gart":     {grin.TraitTopology, grin.TraitProperty, grin.TraitWeight, grin.TraitIndex, grin.TraitPredicate, grin.TraitVersioned},
-	"graphar":  {grin.TraitTopology, grin.TraitProperty, grin.TraitWeight, grin.TraitIndex, grin.TraitPredicate},
+	"vineyard": {
+		grin.TraitTopology, grin.TraitAdjArray, grin.TraitProperty, grin.TraitWeight,
+		grin.TraitIndex, grin.TraitPredicate,
+		grin.TraitBatchAdjacency, grin.TraitBatchProps, grin.TraitBatchScan,
+		grin.TraitLabelAdjacency,
+	},
+	"gart": {
+		grin.TraitTopology, grin.TraitProperty, grin.TraitWeight,
+		grin.TraitIndex, grin.TraitPredicate, grin.TraitVersioned,
+		grin.TraitBatchAdjacency, grin.TraitBatchProps, grin.TraitBatchScan,
+	},
+	"graphar": {
+		grin.TraitTopology, grin.TraitProperty, grin.TraitWeight,
+		grin.TraitIndex, grin.TraitPredicate,
+	},
+	"csr": {
+		grin.TraitTopology, grin.TraitAdjArray, grin.TraitWeight, grin.TraitPredicate,
+		grin.TraitBatchAdjacency, grin.TraitBatchScan,
+	},
+	"livegraph": {
+		grin.TraitTopology, grin.TraitWeight,
+		grin.TraitBatchAdjacency, grin.TraitBatchScan,
+	},
+}
+
+// Missing returns the traits of want that backend does not provide; known is
+// false for a backend the capability table does not list.
+func Missing(backend string, want []grin.Trait) (missing []grin.Trait, known bool) {
+	have, known := storeTraits[backend]
+	for _, t := range want {
+		if !slices.Contains(have, t) {
+			missing = append(missing, t)
+		}
+	}
+	return missing, known
 }
 
 // Find resolves a component by name.
@@ -126,16 +166,10 @@ func Build(selection []string) (*Plan, error) {
 	}
 
 	// Trait compatibility: every engine's requirements against the store.
-	have := map[grin.Trait]bool{}
-	for _, t := range storeTraits[store] {
-		have[t] = true
-	}
 	for name := range set {
 		c, _ := Find(name)
-		for _, t := range c.RequiresTraits {
-			if !have[t] {
-				return nil, fmt.Errorf("flexbuild: component %q requires trait %q which store %q does not provide", name, t, store)
-			}
+		if missing, _ := Missing(store, c.RequiresTraits); len(missing) > 0 {
+			return nil, fmt.Errorf("flexbuild: component %q requires trait %q which store %q does not provide", name, missing[0], store)
 		}
 	}
 

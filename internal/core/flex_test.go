@@ -1,12 +1,16 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/grin"
+	"repro/internal/storage/csr"
 	"repro/internal/storage/gart"
+	"repro/internal/storage/graphar"
+	"repro/internal/storage/livegraph"
 	"repro/internal/storage/vineyard"
 )
 
@@ -61,10 +65,12 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestStoreTraitsMatchImplementations keeps the registry's trait table in
-// sync with what the backends actually implement.
+// TestStoreTraitsMatchImplementations pins the capability table against the
+// runtime type assertions: every row must equal grin.Traits of a live
+// instance exactly, in the configuration the engines use — gart through its
+// Snapshot view, plus the Versioned trait of the Store handle that mints it.
 func TestStoreTraitsMatchImplementations(t *testing.T) {
-	b := dataset.SNB(dataset.SNBOptions{Persons: 30, Seed: 1})
+	b := dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 3})
 	vy, err := vineyard.Load(b)
 	if err != nil {
 		t.Fatal(err)
@@ -73,20 +79,69 @@ func TestStoreTraitsMatchImplementations(t *testing.T) {
 	if err := gs.LoadBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, g grin.Graph) {
-		for _, tr := range storeTraits[name] {
-			if tr == grin.TraitVersioned {
-				// Versioning lives on the store handle, not on snapshots.
-				if _, ok := interface{}(gs).(grin.Versioned); !ok {
-					t.Errorf("registry claims %s is versioned but the store is not", name)
-				}
-				continue
+	dir := t.TempDir()
+	if err := graphar.Write(dir, b, graphar.Options{ChunkSize: 64}); err != nil {
+		t.Fatal(err)
+	}
+	ga, err := graphar.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ga.Close() })
+	cg, err := csr.Build(4, []csr.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
+		csr.Options{Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string][]grin.Trait{
+		"vineyard":  grin.Traits(vy),
+		"gart":      grin.Traits(gs.Latest()),
+		"graphar":   grin.Traits(ga),
+		"csr":       grin.Traits(cg),
+		"livegraph": grin.Traits(livegraph.NewStore(4)),
+	}
+	if _, ok := interface{}(gs).(grin.Versioned); ok {
+		live["gart"] = append(live["gart"], grin.TraitVersioned)
+	}
+	if len(live) != len(storeTraits) {
+		t.Fatalf("table lists %d backends, test instantiates %d", len(storeTraits), len(live))
+	}
+	for name, want := range live {
+		got := storeTraits[name]
+		for _, tr := range want {
+			if !slices.Contains(got, tr) {
+				t.Errorf("%s: live backend has trait %v missing from the table", name, tr)
 			}
-			if !grin.Has(g, tr) {
-				t.Errorf("registry claims %s has %v but it does not", name, tr)
+		}
+		for _, tr := range got {
+			if !slices.Contains(want, tr) {
+				t.Errorf("%s: table claims trait %v the live backend lacks", name, tr)
 			}
 		}
 	}
-	check("vineyard", vy)
-	check("gart", gs.Latest())
+}
+
+// TestMissing checks the one lookup flexbuild and `flexlint -plans` share:
+// a property demand is met by the property stores and missing on the
+// topology ones, nothing is missing from an empty demand, and an unknown
+// backend is reported as such.
+func TestMissing(t *testing.T) {
+	want := []grin.Trait{grin.TraitTopology, grin.TraitProperty}
+	for _, backend := range []string{"vineyard", "gart", "graphar"} {
+		if missing, known := Missing(backend, want); !known || len(missing) != 0 {
+			t.Errorf("%s: missing %v (known=%v), want none", backend, missing, known)
+		}
+	}
+	for _, backend := range []string{"csr", "livegraph"} {
+		missing, known := Missing(backend, want)
+		if !known || len(missing) != 1 || missing[0] != grin.TraitProperty {
+			t.Errorf("%s: missing %v (known=%v), want [property]", backend, missing, known)
+		}
+	}
+	if missing, _ := Missing("csr", nil); len(missing) != 0 {
+		t.Errorf("empty demand: missing %v", missing)
+	}
+	if _, known := Missing("ramcloud", want); known {
+		t.Error("unknown backend reported as known")
+	}
 }

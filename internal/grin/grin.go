@@ -5,8 +5,12 @@
 //
 // The paper defines GRIN in C for portability; in Go the natural equivalent
 // is a family of small interfaces plus runtime capability discovery via type
-// assertion. Required-trait checking is a typed error (ErrMissingTrait), never
-// a panic, so flexbuild can validate engine/backend pairings up front.
+// assertion. A missing required trait is a typed error (ErrMissingTrait), never
+// a panic: Require checks a live store as an engine starts. Before any store
+// exists, flexbuild checks the traits an engine declares — and `flexlint
+// -plans` the traits a compiled plan's stages require (exec.Compiled.Requires)
+// — against the one static capability table (internal/core), which a test
+// pins against Traits of live instances of every backend.
 //
 // Trait categories mirror Fig 4:
 //

@@ -31,7 +31,6 @@ import (
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
-	"repro/internal/query/planshape"
 	"repro/internal/query/procedures"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/gart"
@@ -235,7 +234,7 @@ func stageStats(obs *obsv.QueryStats) []obsv.StageSnapshot {
 }
 
 // TestGeneratedCountFoldParity is the generated matrix. Every query's verdict
-// is checked against the optimizer (planshape-verified, exactly one
+// is checked against the optimizer (the plan compiles, with exactly one
 // EXPAND_DEGREE when eligible, none otherwise), then every engine must return
 // naive's multiset.
 func TestGeneratedCountFoldParity(t *testing.T) {
@@ -285,7 +284,7 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v\n%s", qi, err, q.text)
 		}
-		if _, err := planshape.Verify(phys); err != nil {
+		if _, err := exec.Compile(phys, exec.Options{}); err != nil {
 			t.Fatalf("query %d: %v\n%s\n%s", qi, err, q.text, phys)
 		}
 		if got, want := foldCount(phys), map[bool]int{true: 1, false: 0}[q.fold]; got != want {
@@ -360,7 +359,7 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := planshape.Verify(phys); err != nil {
+		if _, err := exec.Compile(phys, exec.Options{}); err != nil {
 			t.Fatalf("%v\n%s", err, phys)
 		}
 		return foldCount(phys) == 1

@@ -92,9 +92,11 @@ func (p *parser) parse() (*ir.Plan, error) {
 			if _, err := fmt.Sscanf(strings.TrimSpace(cl.body), "%d", &n); err != nil {
 				return nil, fmt.Errorf("cypher: LIMIT: %w", err)
 			}
-			// Merge into a preceding ORDER when adjacent (top-k).
-			if len(plan.Ops) > 0 && plan.Ops[len(plan.Ops)-1].Kind == ir.OpOrderBy && plan.Ops[len(plan.Ops)-1].Limit == 0 {
-				plan.Ops[len(plan.Ops)-1].Limit = n
+			// Merge a positive count into a preceding ORDER when adjacent
+			// (top-k). ORDER's Limit 0 means "no limit", so LIMIT 0 — and a
+			// negative count, for the compiler to reject — stays an operator.
+			if last := len(plan.Ops) - 1; n > 0 && last >= 0 && plan.Ops[last].Kind == ir.OpOrderBy && plan.Ops[last].Limit == 0 {
+				plan.Ops[last].Limit = n
 			} else {
 				plan.Ops = append(plan.Ops, &ir.Op{Kind: ir.OpLimit, Limit: n})
 			}

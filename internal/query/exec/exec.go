@@ -24,6 +24,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -44,24 +45,54 @@ type Columns map[string]int
 // After a projection or aggregation, rows carry columns named like
 // "f.lastName"; a reference that no longer resolves as alias+property falls
 // back to that literal output-column name (Cypher's ORDER BY-over-RETURN
-// semantics). The fallback is decided here, once, not per row.
-type colBinder Columns
+// semantics). The fallback is decided here, once, not per row — and a
+// reference that does stay a property read is where the plan starts to
+// require the property trait.
+type colBinder struct {
+	c    *Compiled
+	cols Columns
+}
 
 func (cb colBinder) BindRef(alias, prop string) (expr.BoundRef, error) {
-	if idx, ok := cb[alias]; ok {
+	if idx, ok := cb.cols[alias]; ok {
+		if prop != "" {
+			cb.c.need(grin.TraitProperty, true)
+		}
 		return expr.BoundRef{Col: idx, Prop: prop}, nil
 	}
 	if prop != "" {
-		if idx, ok := cb[alias+"."+prop]; ok {
+		if idx, ok := cb.cols[alias+"."+prop]; ok {
 			return expr.BoundRef{Col: idx}, nil
 		}
 	}
-	return expr.BoundRef{}, fmt.Errorf("exec: unbound alias %q", alias)
+	return expr.BoundRef{}, fmt.Errorf("unbound alias %q", alias)
 }
 
-// bindExpr compiles an expression against a column layout; nil stays nil.
-func bindExpr(cols Columns, e *expr.Expr) (*expr.Bound, error) {
-	return expr.Bind(e, colBinder(cols))
+func (cb colBinder) Need(t grin.Trait, required bool) { cb.c.need(t, required) }
+
+// bind compiles an expression against a column layout; nil stays nil.
+func (c *Compiled) bind(cols Columns, e *expr.Expr) (*expr.Bound, error) {
+	return expr.Bind(e, colBinder{c, cols})
+}
+
+// need records a GRIN trait the stages rely on, where the reliance is bound.
+func (c *Compiled) need(t grin.Trait, required bool) {
+	dst := &c.Optional
+	if required {
+		dst = &c.Requires
+	}
+	if !slices.Contains(*dst, t) {
+		*dst = append(*dst, t)
+	}
+}
+
+// labelFilter records a pushed label filter: applied on a store with the
+// property trait, skipped without one (the documented degradation) — so the
+// trait is exploited, not required.
+func (c *Compiled) labelFilter(l graph.LabelID) {
+	if l != graph.AnyLabel {
+		c.need(grin.TraitProperty, false)
+	}
 }
 
 // EmitBatch consumes one batch from a source. The callee owns the batch while
@@ -114,10 +145,22 @@ func (st *Stage) OutLayout() []graph.Kind {
 
 // Compiled is an executable plan: stages plus the output schema.
 type Compiled struct {
-	Stages  []Stage
-	Cols    Columns  // final alias -> column map
-	Out     []string // output column order (aliases)
-	numCols int
+	Stages []Stage
+	Cols   Columns  // final alias -> column map
+	Out    []string // output column order (aliases)
+	// Requires lists the GRIN traits the stages need for a correct answer:
+	// topology always, the property trait once a property read or label() is
+	// bound. Optional lists those they exploit and degrade without: a pushed
+	// label filter is skipped on a store without the property trait, id()
+	// reads internal IDs without the index trait. Both are sorted, and
+	// Optional omits what Requires already lists.
+	Requires []grin.Trait
+	Optional []grin.Trait
+	numCols  int
+	// weight is the column of an EXPAND_DEGREE no GROUP has consumed yet:
+	// until one does, every row stands for that many rows, so only row-wise
+	// operators (SELECT, EXPAND_FUSED) may sit in between.
+	weight string
 
 	// kinds/labels mirror the column space during compilation: the
 	// compile-time kind of each column (graph.KindNil = unknown, boxed) and,
@@ -178,23 +221,67 @@ type Options struct {
 	Schema *graph.Schema
 }
 
+// PlanError is Compile's rejection of a plan, told apart by type from
+// whatever can go wrong once rows flow. Op indexes the operator whose rule
+// failed; -1 when the defect is the plan's as a whole (it is empty, or ends
+// with an EXPAND_DEGREE weight no GROUP consumed).
+type PlanError struct {
+	Op   int
+	Kind ir.OpKind
+	Err  error
+}
+
+// Error implements error.
+func (e *PlanError) Error() string {
+	if e.Op < 0 {
+		return "exec: " + e.Err.Error()
+	}
+	return fmt.Sprintf("exec: op %d (%s): %v", e.Op, e.Kind, e.Err)
+}
+
+// Unwrap returns the failed rule's own error.
+func (e *PlanError) Unwrap() error { return e.Err }
+
 // Compile lowers a plan (already optimized, or raw for the naive engine)
-// into stages.
+// into stages. It is the only code that decides a plan's column layout and
+// stage sequence, and it rejects — in every build, before a graph or an
+// engine exists — every plan whose shape is wrong:
+//
+//   - an empty plan, a SCAN that is not first, an operator reading an alias
+//     nothing bound (EXPAND_* source, GET_VERTEX edge, MATCH continuation,
+//     DEDUP key, any expression), a disconnected or empty MATCH pattern;
+//   - an expression calling an unknown function or passing the wrong number
+//     of arguments (expr.Bind's call table);
+//   - operators that would do nothing or lose a column silently: SELECT with
+//     no predicate, ORDER or DEDUP with no keys, PROJECT with no items, GROUP
+//     with neither keys nor aggregates, EXPAND_EDGE with no edge alias, two
+//     PROJECT or GROUP outputs under one alias;
+//   - a negative ORDER or LIMIT count (LIMIT 0 is a plan: it yields no rows;
+//     ORDER's Limit 0 means "no limit"), an unknown aggregate, an aggregate
+//     other than COUNT without an argument;
+//   - EXPAND_DEGREE counting an alias something binds, its weight column
+//     reaching anything but SELECT/EXPAND_FUSED before a GROUP, a GROUP whose
+//     CountWeight is not the pending weight column or that aggregates
+//     anything but COUNT(*) over it, a weight no GROUP consumes.
+//
+// What the stages rely on the store for is recorded as each reliance is
+// bound: Compiled.Requires and Compiled.Optional.
 func Compile(p *ir.Plan, opt Options) (*Compiled, error) {
-	c := &Compiled{Cols: Columns{}, schema: opt.Schema}
-	if len(p.Ops) == 0 {
-		return nil, fmt.Errorf("exec: empty plan")
+	if p == nil || len(p.Ops) == 0 {
+		return nil, &PlanError{Op: -1, Err: fmt.Errorf("empty plan")}
 	}
-	// No-op unless built with -tags lintcheck, where the planshape verifier
-	// front-runs compilation (see lintcheck.go).
-	if err := lintcheckVerify(p); err != nil {
-		return nil, err
-	}
+	c := &Compiled{Cols: Columns{}, schema: opt.Schema, Requires: []grin.Trait{grin.TraitTopology}}
 	for i, op := range p.Ops {
 		if err := c.compileOp(op, i == 0, opt); err != nil {
-			return nil, err
+			return nil, &PlanError{Op: i, Kind: op.Kind, Err: err}
 		}
 	}
+	if c.weight != "" {
+		return nil, &PlanError{Op: -1, Err: fmt.Errorf("EXPAND_DEGREE column %q is never consumed by a GROUP", c.weight)}
+	}
+	slices.Sort(c.Requires)
+	slices.Sort(c.Optional)
+	c.Optional = slices.DeleteFunc(c.Optional, func(t grin.Trait) bool { return slices.Contains(c.Requires, t) })
 	// Output order: deterministic by column index.
 	type ca struct {
 		alias string
@@ -230,11 +317,6 @@ func Compile(p *ir.Plan, opt Options) (*Compiled, error) {
 		c.Stages[i].ID = i
 	}
 	return c, nil
-}
-
-// addCol assigns a boxed column to an alias (reusing an existing binding).
-func (c *Compiled) addCol(alias string) int {
-	return c.addColK(alias, graph.KindNil, graph.AnyLabel)
 }
 
 // addColK assigns a column with its compile-time kind and (for vertex/edge
@@ -320,10 +402,17 @@ func (c *Compiled) propKind(elemKind graph.Kind, label graph.LabelID, prop strin
 }
 
 func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
+	if c.weight != "" {
+		switch op.Kind {
+		case ir.OpSelect, ir.OpExpandFused, ir.OpGroupBy:
+		default:
+			return fmt.Errorf("%s between EXPAND_DEGREE and the GROUP that consumes %q would lose the row weights", op.Kind, c.weight)
+		}
+	}
 	switch op.Kind {
 	case ir.OpScan:
 		if !first {
-			return fmt.Errorf("exec: SCAN must be the first operator")
+			return fmt.Errorf("SCAN must be the first operator")
 		}
 		return c.compileScan(op, opt)
 	case ir.OpExpandFused:
@@ -337,8 +426,11 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 	case ir.OpMatch:
 		return c.compileMatch(op, first)
 	case ir.OpSelect:
+		if op.Pred == nil {
+			return fmt.Errorf("SELECT with no predicate is a no-op; drop the operator")
+		}
 		width := c.numCols
-		pred, err := bindExpr(c.Cols, op.Pred)
+		pred, err := c.bind(c.Cols, op.Pred)
 		if err != nil {
 			return err
 		}
@@ -359,6 +451,9 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 		return c.compileOrderBy(op)
 	case ir.OpLimit:
 		n := op.Limit
+		if n < 0 {
+			return fmt.Errorf("LIMIT %d (must not be negative)", n)
+		}
 		width := c.numCols
 		c.Stages = append(c.Stages, Stage{
 			Name:    "LIMIT",
@@ -378,7 +473,7 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 	case ir.OpDedup:
 		return c.compileDedup(op)
 	}
-	return fmt.Errorf("exec: cannot compile %v", op.Kind)
+	return fmt.Errorf("cannot compile %v", op.Kind)
 }
 
 func (c *Compiled) snapshotCols() Columns {
@@ -441,6 +536,7 @@ func (s *sourceBuffer) flush() error {
 // appends each ID chunk straight into the typed vertex column.
 func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 	idx := c.addColK(op.Alias, graph.KindVertex, op.Label)
+	c.labelFilter(op.Label)
 	label := op.Label
 	pred := op.Pred
 	alias := op.Alias
@@ -459,13 +555,13 @@ func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 	} else {
 		rest = pred
 	}
-	restB, err := bindExpr(c.Cols, rest)
+	restB, err := c.bind(c.Cols, rest)
 	if err != nil {
 		return err
 	}
 	// The full-scan fallback evaluates the id equality as part of one fused
 	// predicate — no separate pass, no throwaway row.
-	fullB, err := bindExpr(c.Cols, expr.And(idEq, rest))
+	fullB, err := c.bind(c.Cols, expr.And(idEq, rest))
 	if err != nil {
 		return err
 	}
@@ -661,7 +757,7 @@ func vidColumn(in *Batch, col int, dst []graph.VID) {
 func (c *Compiled) compileExpandFused(op *ir.Op) error {
 	fromIdx, ok := c.Cols[op.FromAlias]
 	if !ok {
-		return fmt.Errorf("exec: EXPAND_FUSED from unbound alias %q", op.FromAlias)
+		return fmt.Errorf("EXPAND_FUSED from unbound alias %q", op.FromAlias)
 	}
 	inWidth := c.numCols
 	vIdx := c.addColK(op.Alias, graph.KindVertex, op.Label)
@@ -669,11 +765,13 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 	if op.EdgeAlias != "" {
 		eIdx = c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	}
+	c.labelFilter(op.EdgeLabel)
+	c.labelFilter(op.Label)
 	width := c.numCols
 	sid := len(c.Stages)
 	x := &expansion{sid: sid, from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
 		dst: -1, vIdx: vIdx, eIdx: eIdx, degIdx: -1}
-	predB, err := bindExpr(c.Cols, op.Pred)
+	predB, err := c.bind(c.Cols, op.Pred)
 	if err != nil {
 		return err
 	}
@@ -700,13 +798,17 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 // vertex (the unfused form; a hidden column carries the neighbor for the
 // subsequent GET_VERTEX).
 func (c *Compiled) compileExpandEdge(op *ir.Op) error {
+	if op.EdgeAlias == "" {
+		return fmt.Errorf("EXPAND_EDGE with no edge alias (the edge column would be unnamed)")
+	}
 	fromIdx, ok := c.Cols[op.FromAlias]
 	if !ok {
-		return fmt.Errorf("exec: EXPAND_EDGE from unbound alias %q", op.FromAlias)
+		return fmt.Errorf("EXPAND_EDGE from unbound alias %q", op.FromAlias)
 	}
 	inWidth := c.numCols
 	eIdx := c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	nIdx := c.addColK("#nbr:"+op.EdgeAlias, graph.KindVertex, graph.AnyLabel)
+	c.labelFilter(op.EdgeLabel)
 	width := c.numCols
 	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: graph.AnyLabel,
 		dst: -1, vIdx: nIdx, eIdx: eIdx, degIdx: -1}
@@ -727,10 +829,18 @@ func (c *Compiled) compileExpandEdge(op *ir.Op) error {
 func (c *Compiled) compileExpandDegree(op *ir.Op) error {
 	fromIdx, ok := c.Cols[op.FromAlias]
 	if !ok {
-		return fmt.Errorf("exec: EXPAND_DEGREE from unbound alias %q", op.FromAlias)
+		return fmt.Errorf("EXPAND_DEGREE from unbound alias %q", op.FromAlias)
+	}
+	if _, bound := c.Cols[op.Alias]; bound || op.Alias == "" {
+		return fmt.Errorf("EXPAND_DEGREE counts %q, which must be a neighbor no operator binds", op.Alias)
 	}
 	inWidth := c.numCols
-	dIdx := c.addColK(ir.DegreeAlias(op.Alias), graph.KindInt, graph.AnyLabel)
+	// The neighbor stays unbound — any later reference to it fails alias
+	// resolution — and the count column is int by construction.
+	c.weight = ir.DegreeAlias(op.Alias)
+	dIdx := c.addColK(c.weight, graph.KindInt, graph.AnyLabel)
+	c.labelFilter(op.EdgeLabel)
+	c.labelFilter(op.Label)
 	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
 		dst: -1, vIdx: -1, eIdx: -1, degIdx: dIdx}
 
@@ -747,13 +857,14 @@ func (c *Compiled) compileExpandDegree(op *ir.Op) error {
 func (c *Compiled) compileGetVertex(op *ir.Op) error {
 	nIdx, ok := c.Cols["#nbr:"+op.EdgeAlias]
 	if !ok {
-		return fmt.Errorf("exec: GET_VERTEX on unexpanded edge %q", op.EdgeAlias)
+		return fmt.Errorf("GET_VERTEX on unexpanded edge %q", op.EdgeAlias)
 	}
 	inWidth := c.numCols
 	vIdx := c.addColK(op.Alias, graph.KindVertex, op.Label)
+	c.labelFilter(op.Label)
 	width := c.numCols
 	vlabel := op.Label
-	predB, err := bindExpr(c.Cols, op.Pred)
+	predB, err := c.bind(c.Cols, op.Pred)
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,9 @@ type projItem struct {
 
 // compileProject replaces the row with computed columns.
 func (c *Compiled) compileProject(op *ir.Op) error {
+	if len(op.Items) == 0 {
+		return fmt.Errorf("PROJECT with no items produces zero-width rows")
+	}
 	inCols := c.snapshotCols()
 	inKinds := c.kindsSnapshot()
 	inLabels := append([]graph.LabelID(nil), c.labels...)
@@ -39,7 +42,10 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 	c.resetCols()
 	pitems := make([]projItem, len(items))
 	for i, it := range items {
-		prog, err := bindExpr(inCols, it.Expr)
+		if _, dup := c.Cols[it.Alias]; dup {
+			return fmt.Errorf("PROJECT duplicate output alias %q (the columns would silently merge)", it.Alias)
+		}
+		prog, err := c.bind(inCols, it.Expr)
 		if err != nil {
 			return err
 		}
@@ -145,6 +151,12 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 // — instead of sorting everything. Ties keep input order (stable), so the
 // heap selection is row-for-row identical to a stable full sort.
 func (c *Compiled) compileOrderBy(op *ir.Op) error {
+	if len(op.Keys) == 0 {
+		return fmt.Errorf("ORDER with no sort keys")
+	}
+	if op.Limit < 0 {
+		return fmt.Errorf("ORDER with negative limit %d", op.Limit)
+	}
 	width := c.numCols
 	kinds := c.kindsSnapshot()
 	keys := op.Keys
@@ -152,7 +164,7 @@ func (c *Compiled) compileOrderBy(op *ir.Op) error {
 	progs := make([]*expr.Bound, len(keys))
 	for j, k := range keys {
 		var err error
-		if progs[j], err = bindExpr(c.Cols, k.Expr); err != nil {
+		if progs[j], err = c.bind(c.Cols, k.Expr); err != nil {
 			return err
 		}
 	}
@@ -298,25 +310,32 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 	inWidth := c.numCols
 	gkeys := op.GroupKeys
 	aggs := op.Aggs
+	if len(gkeys)+len(aggs) == 0 {
+		return fmt.Errorf("GROUP with no keys and no aggregates")
+	}
+	if op.CountWeight != c.weight {
+		return fmt.Errorf("GROUP weight %q, but the pending EXPAND_DEGREE column is %q", op.CountWeight, c.weight)
+	}
 	wCol := -1
-	if op.CountWeight != "" {
-		var ok bool
-		if wCol, ok = inCols[op.CountWeight]; !ok {
-			return fmt.Errorf("exec: GROUP weight on unbound column %q", op.CountWeight)
-		}
+	if c.weight != "" {
+		wCol = inCols[c.weight]
 		for _, a := range aggs {
 			if a.Fn != "count" || a.Arg != nil {
-				return fmt.Errorf("exec: weighted GROUP supports COUNT(*) only, got %s(%s)", a.Fn, a.Arg)
+				return fmt.Errorf("weighted GROUP supports COUNT(*) only, got %s(%s) AS %s", a.Fn, a.Arg, a.Alias)
 			}
 		}
+		c.weight = ""
 	}
 	c.resetCols()
 	keyIdx := make([]int, len(gkeys))
 	keyProgs := make([]*expr.Bound, len(gkeys))
 	keyCols := make([]int, len(gkeys)) // bare-ref input column, or -1
 	for i, k := range gkeys {
+		if _, dup := c.Cols[k.Alias]; dup {
+			return fmt.Errorf("GROUP duplicate output alias %q", k.Alias)
+		}
 		var err error
-		if keyProgs[i], err = bindExpr(inCols, k.Expr); err != nil {
+		if keyProgs[i], err = c.bind(inCols, k.Expr); err != nil {
 			return err
 		}
 		keyCols[i] = -1
@@ -337,15 +356,8 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 	aggProgs := make([]*expr.Bound, len(aggs))
 	aggCols := make([]int, len(aggs)) // bare-ref input column, or -1
 	for i, a := range aggs {
-		aggCols[i] = -1
-		if a.Arg != nil {
-			var err error
-			if aggProgs[i], err = bindExpr(inCols, a.Arg); err != nil {
-				return err
-			}
-			if col, prop, ok := aggProgs[i].PropRef(); ok && prop == "" {
-				aggCols[i] = col
-			}
+		if _, dup := c.Cols[a.Alias]; dup {
+			return fmt.Errorf("GROUP aggregate alias %q collides with another output column (the columns would silently merge)", a.Alias)
 		}
 		outKind := graph.KindNil
 		switch a.Fn {
@@ -355,7 +367,20 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 			outKind = graph.KindFloat
 		case "min", "max", "collect":
 		default:
-			return fmt.Errorf("exec: unknown aggregate %q", a.Fn)
+			return fmt.Errorf("unknown aggregate %q", a.Fn)
+		}
+		if a.Arg == nil && a.Fn != "count" {
+			return fmt.Errorf("aggregate %s(%s) needs an argument", a.Fn, a.Alias)
+		}
+		aggCols[i] = -1
+		if a.Arg != nil {
+			var err error
+			if aggProgs[i], err = c.bind(inCols, a.Arg); err != nil {
+				return err
+			}
+			if col, prop, ok := aggProgs[i].PropRef(); ok && prop == "" {
+				aggCols[i] = col
+			}
 		}
 		aggIdx[i] = c.addColK(a.Alias, outKind, graph.AnyLabel)
 	}
@@ -652,11 +677,14 @@ func (c *Compiled) compileDedup(op *ir.Op) error {
 	width := c.numCols
 	kinds := c.kindsSnapshot()
 	aliases := op.DedupAliases
+	if len(aliases) == 0 {
+		return fmt.Errorf("DEDUP with no key aliases collapses the stream to one row")
+	}
 	idxs := make([]int, len(aliases))
 	for i, a := range aliases {
 		idx, ok := c.Cols[a]
 		if !ok {
-			return fmt.Errorf("exec: DEDUP on unbound alias %q", a)
+			return fmt.Errorf("DEDUP on unbound alias %q", a)
 		}
 		idxs[i] = idx
 	}
@@ -721,21 +749,22 @@ func (c *Compiled) compileMatch(op *ir.Op, first bool) error {
 	}
 	pattern := op.Pattern
 	if len(pattern) == 0 {
-		return fmt.Errorf("exec: empty MATCH pattern")
+		return fmt.Errorf("empty MATCH pattern")
 	}
 	// Bind the first source via full scan.
 	start := pattern[0].SrcAlias
 	idx0 := c.addColK(start, graph.KindVertex, pattern[0].SrcLabel)
+	c.labelFilter(pattern[0].SrcLabel)
 	c.Stages = append(c.Stages, c.labelScanStage("MATCH_SCAN("+start+")", idx0, pattern[0].SrcLabel, nil, nil, nil))
 	return c.appendPatternEdges(pattern)
 }
 
 func (c *Compiled) compileMatchContinuation(op *ir.Op) error {
 	if len(op.Pattern) == 0 {
-		return fmt.Errorf("exec: empty MATCH pattern")
+		return fmt.Errorf("empty MATCH pattern")
 	}
 	if _, ok := c.Cols[op.Pattern[0].SrcAlias]; !ok {
-		return fmt.Errorf("exec: MATCH continuation from unbound alias %q", op.Pattern[0].SrcAlias)
+		return fmt.Errorf("MATCH continuation from unbound alias %q", op.Pattern[0].SrcAlias)
 	}
 	return c.appendPatternEdges(op.Pattern)
 }
@@ -771,7 +800,7 @@ func (c *Compiled) appendPatternEdges(pattern []ir.PatternEdge) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("exec: disconnected pattern edge %s-%s", pe.SrcAlias, pe.DstAlias)
+			return fmt.Errorf("disconnected pattern edge %s-%s", pe.SrcAlias, pe.DstAlias)
 		}
 	}
 	return nil
@@ -781,17 +810,18 @@ func (c *Compiled) appendPatternEdges(pattern []ir.PatternEdge) error {
 func (c *Compiled) compileAdjacencyCheck(pe ir.PatternEdge) error {
 	srcIdx, ok := c.Cols[pe.SrcAlias]
 	if !ok {
-		return fmt.Errorf("exec: unbound %q", pe.SrcAlias)
+		return fmt.Errorf("unbound %q", pe.SrcAlias)
 	}
 	dstIdx, ok := c.Cols[pe.DstAlias]
 	if !ok {
-		return fmt.Errorf("exec: unbound %q", pe.DstAlias)
+		return fmt.Errorf("unbound %q", pe.DstAlias)
 	}
 	inWidth := c.numCols
 	eIdx := -1
 	if pe.EdgeAlias != "" {
 		eIdx = c.addColK(pe.EdgeAlias, graph.KindEdge, pe.EdgeLabel)
 	}
+	c.labelFilter(pe.EdgeLabel)
 	width := c.numCols
 	// Without an edge alias existence is enough; with one, every matching
 	// parallel edge is emitted.

@@ -21,6 +21,41 @@ type BoundRef struct {
 // output-column-name fallback that rowBinding used to re-decide per row.
 type Binder interface {
 	BindRef(alias, prop string) (BoundRef, error)
+	// Need is told each GRIN trait a called function relies on as the call
+	// is bound: required for a correct answer (label()), or exploited when
+	// the store has it (id() falls back to the internal ID).
+	Need(t grin.Trait, required bool)
+}
+
+// function is one row of the call table — the only list of callable names.
+// Bind checks a KindCall against it once, so a bound program never re-checks
+// per row; the interpreted evaluator, which has no bind step, consults it per
+// call.
+type function struct {
+	arity     int        // -1: any number of arguments
+	usesStore bool       // the call reads the store through trait
+	trait     grin.Trait // reported to Binder.Need when usesStore
+	required  bool       // without trait the call fails (else it degrades)
+}
+
+var functions = map[string]function{
+	"id":       {arity: 1, trait: grin.TraitIndex, usesStore: true},
+	"label":    {arity: 1, trait: grin.TraitProperty, required: true, usesStore: true},
+	"abs":      {arity: 1},
+	"size":     {arity: 1},
+	"coalesce": {arity: -1},
+}
+
+// checkCall looks fn up in the call table and checks the argument count.
+func checkCall(fn string, nargs int) (function, error) {
+	f, ok := functions[fn]
+	if !ok {
+		return f, fmt.Errorf("expr: unknown function %q", fn)
+	}
+	if f.arity >= 0 && nargs != f.arity {
+		return f, fmt.Errorf("expr: %s() takes %d argument(s), got %d", fn, f.arity, nargs)
+	}
+	return f, nil
 }
 
 // BoundEnv is the per-execution state a bound program needs: the store (for
@@ -72,18 +107,29 @@ type Bound struct {
 }
 
 // Bind compiles the expression against a row layout. A nil expression binds
-// to a nil program, which EvalBool treats as `true`.
+// to a nil program, which EvalBool treats as `true`. An unbound alias, an
+// unknown function and a wrong argument count are errors here, so a program
+// that binds never fails for its shape at eval time.
 func Bind(e *Expr, b Binder) (*Bound, error) {
 	if e == nil {
 		return nil, nil
 	}
 	out := &Bound{kind: e.Kind, val: e.Val, param: e.Param, op: e.Op, fn: e.Fn}
-	if e.Kind == KindVar {
+	switch e.Kind {
+	case KindVar:
 		ref, err := b.BindRef(e.Alias, e.Prop)
 		if err != nil {
 			return nil, err
 		}
 		out.ref = ref
+	case KindCall:
+		f, err := checkCall(e.Fn, len(e.Args))
+		if err != nil {
+			return nil, err
+		}
+		if f.usesStore {
+			b.Need(f.trait, f.required)
+		}
 	}
 	var err error
 	if out.left, err = Bind(e.Left, b); err != nil {
@@ -247,67 +293,12 @@ func (p *Bound) EvalBool(env *BoundEnv, row []graph.Value) (bool, error) {
 	return v.Bool(), nil
 }
 
+// evalCall applies a function Bind already checked against the call table:
+// the name is known and the arguments are all there.
 func (p *Bound) evalCall(env *BoundEnv, row []graph.Value) (graph.Value, error) {
-	arg := func(i int) (graph.Value, error) {
-		if i >= len(p.args) {
-			return graph.NullValue, fmt.Errorf("expr: %s: missing argument %d", p.fn, i)
-		}
-		return p.args[i].Eval(env, row)
-	}
-	switch p.fn {
-	case "id":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if idx, ok := env.index(); ok && v.K == graph.KindVertex {
-			return intVal(idx.ExternalID(v.Vertex())), nil
-		}
-		return intVal(v.I), nil
-	case "label":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		pr, ok := env.propertyReader()
-		if !ok {
-			return graph.NullValue, fmt.Errorf("expr: label() needs property trait")
-		}
-		switch v.K {
-		case graph.KindVertex:
-			return strVal(pr.Schema().VertexLabelName(pr.VertexLabel(v.Vertex()))), nil
-		case graph.KindEdge:
-			return strVal(pr.Schema().EdgeLabelName(pr.EdgeLabel(v.Edge()))), nil
-		}
-		return graph.NullValue, fmt.Errorf("expr: label() on %v", v.K)
-	case "abs":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if v.K == graph.KindInt {
-			if v.I < 0 {
-				return intVal(-v.I), nil
-			}
-			return v, nil
-		}
-		f := v.Float()
-		if f < 0 {
-			f = -f
-		}
-		return floatVal(f), nil
-	case "size":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if v.K == graph.KindList {
-			return intVal(int64(len(v.Lst))), nil
-		}
-		return intVal(int64(len(v.S))), nil
-	case "coalesce":
-		for i := range p.args {
-			v, err := arg(i)
+	if p.fn == "coalesce" {
+		for _, a := range p.args {
+			v, err := a.Eval(env, row)
 			if err != nil {
 				return graph.NullValue, err
 			}
@@ -317,5 +308,22 @@ func (p *Bound) evalCall(env *BoundEnv, row []graph.Value) (graph.Value, error) 
 		}
 		return graph.NullValue, nil
 	}
-	return graph.NullValue, fmt.Errorf("expr: unknown function %q", p.fn)
+	v, err := p.args[0].Eval(env, row)
+	if err != nil {
+		return graph.NullValue, err
+	}
+	switch p.fn {
+	case "id":
+		if idx, ok := env.index(); ok && v.K == graph.KindVertex {
+			return intVal(idx.ExternalID(v.Vertex())), nil
+		}
+		return intVal(v.I), nil
+	case "label":
+		pr, ok := env.propertyReader()
+		if !ok {
+			return graph.NullValue, fmt.Errorf("expr: label() needs property trait")
+		}
+		return labelName(pr, v)
+	}
+	return applyUnary(p.fn, v)
 }

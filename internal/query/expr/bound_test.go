@@ -2,9 +2,11 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/grin"
 )
 
 // sliceBinder binds aliases to fixed columns, mimicking exec's layout:
@@ -22,6 +24,8 @@ func (sb sliceBinder) BindRef(alias, prop string) (BoundRef, error) {
 	}
 	return BoundRef{}, fmt.Errorf("unbound %q", alias)
 }
+
+func (sliceBinder) Need(grin.Trait, bool) {}
 
 func TestBoundMatchesInterpretedEval(t *testing.T) {
 	row := []graph.Value{graph.IntValue(10), graph.FloatValue(2.5), graph.StringValue("abc")}
@@ -170,5 +174,48 @@ func TestRefCols(t *testing.T) {
 	var nilProg *Bound
 	if got := nilProg.RefCols([]int{7}); len(got) != 1 || got[0] != 7 {
 		t.Errorf("nil program changed dst: %v", got)
+	}
+}
+
+// needRecorder is a sliceBinder that keeps what Bind reports through Need.
+type needRecorder struct {
+	sliceBinder
+	required, optional []grin.Trait
+}
+
+func (r *needRecorder) Need(t grin.Trait, required bool) {
+	if required {
+		r.required = append(r.required, t)
+	} else {
+		r.optional = append(r.optional, t)
+	}
+}
+
+// TestBindChecksTheCallTable pins the one place a call's name and arity are
+// checked, and what it tells the binder about the store.
+func TestBindChecksTheCallTable(t *testing.T) {
+	binder := sliceBinder{"a": 0}
+	for src, want := range map[string]string{
+		"bogus(a)":        `unknown function "bogus"`,
+		"id(a, a)":        "id() takes 1 argument(s), got 2",
+		"label()":         "label() takes 1 argument(s), got 0",
+		"abs(a) + size()": "size() takes 1 argument(s), got 0",
+	} {
+		if _, err := Bind(MustParse(src), binder); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v does not mention %q", src, err, want)
+		}
+	}
+	if _, err := Bind(MustParse("coalesce()"), binder); err != nil {
+		t.Errorf("coalesce takes any number of arguments: %v", err)
+	}
+	rec := &needRecorder{sliceBinder: binder}
+	if _, err := Bind(MustParse("id(a) = 1 AND label(a) = 'x' AND abs(a) > 0"), rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.required) != 1 || rec.required[0] != grin.TraitProperty {
+		t.Errorf("label() must require the property trait, got %v", rec.required)
+	}
+	if len(rec.optional) != 1 || rec.optional[0] != grin.TraitIndex {
+		t.Errorf("id() must exploit the index trait, got %v", rec.optional)
 	}
 }

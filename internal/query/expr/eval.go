@@ -211,62 +211,14 @@ func arith(op Op, l, r graph.Value) (graph.Value, error) {
 }
 
 func (e *Expr) evalCall(env *Env) (graph.Value, error) {
-	arg := func(i int) (graph.Value, error) {
-		if i >= len(e.Args) {
-			return graph.NullValue, fmt.Errorf("expr: %s: missing argument %d", e.Fn, i)
-		}
-		return e.Args[i].Eval(env)
+	// The interpreted path has no bind step, so it consults the call table
+	// itself.
+	if _, err := checkCall(e.Fn, len(e.Args)); err != nil {
+		return graph.NullValue, err
 	}
-	switch e.Fn {
-	case "id":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if idx, ok := grin.AsIndex(env.Graph); ok && v.K == graph.KindVertex {
-			return intVal(idx.ExternalID(v.Vertex())), nil
-		}
-		return intVal(v.I), nil
-	case "label":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		pr, ok := grin.AsPropertyReader(env.Graph)
-		if !ok {
-			return graph.NullValue, fmt.Errorf("expr: label() needs property trait")
-		}
-		switch v.K {
-		case graph.KindVertex:
-			return strVal(pr.Schema().VertexLabelName(pr.VertexLabel(v.Vertex()))), nil
-		case graph.KindEdge:
-			return strVal(pr.Schema().EdgeLabelName(pr.EdgeLabel(v.Edge()))), nil
-		}
-		return graph.NullValue, fmt.Errorf("expr: label() on %v", v.K)
-	case "abs":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if v.K == graph.KindInt {
-			if v.I < 0 {
-				return intVal(-v.I), nil
-			}
-			return v, nil
-		}
-		return floatVal(math.Abs(v.Float())), nil
-	case "size":
-		v, err := arg(0)
-		if err != nil {
-			return graph.NullValue, err
-		}
-		if v.K == graph.KindList {
-			return intVal(int64(len(v.Lst))), nil
-		}
-		return intVal(int64(len(v.S))), nil
-	case "coalesce":
-		for i := range e.Args {
-			v, err := arg(i)
+	if e.Fn == "coalesce" {
+		for _, a := range e.Args {
+			v, err := a.Eval(env)
 			if err != nil {
 				return graph.NullValue, err
 			}
@@ -276,5 +228,53 @@ func (e *Expr) evalCall(env *Env) (graph.Value, error) {
 		}
 		return graph.NullValue, nil
 	}
-	return graph.NullValue, fmt.Errorf("expr: unknown function %q", e.Fn)
+	v, err := e.Args[0].Eval(env)
+	if err != nil {
+		return graph.NullValue, err
+	}
+	switch e.Fn {
+	case "id":
+		if idx, ok := grin.AsIndex(env.Graph); ok && v.K == graph.KindVertex {
+			return intVal(idx.ExternalID(v.Vertex())), nil
+		}
+		return intVal(v.I), nil
+	case "label":
+		pr, ok := grin.AsPropertyReader(env.Graph)
+		if !ok {
+			return graph.NullValue, fmt.Errorf("expr: label() needs property trait")
+		}
+		return labelName(pr, v)
+	}
+	return applyUnary(e.Fn, v)
+}
+
+// labelName is label() with the property trait resolved.
+func labelName(pr grin.PropertyReader, v graph.Value) (graph.Value, error) {
+	switch v.K {
+	case graph.KindVertex:
+		return strVal(pr.Schema().VertexLabelName(pr.VertexLabel(v.Vertex()))), nil
+	case graph.KindEdge:
+		return strVal(pr.Schema().EdgeLabelName(pr.EdgeLabel(v.Edge()))), nil
+	}
+	return graph.NullValue, fmt.Errorf("expr: label() on %v", v.K)
+}
+
+// applyUnary applies the one-argument functions that need no store.
+func applyUnary(fn string, v graph.Value) (graph.Value, error) {
+	switch fn {
+	case "abs":
+		if v.K == graph.KindInt {
+			if v.I < 0 {
+				return intVal(-v.I), nil
+			}
+			return v, nil
+		}
+		return floatVal(math.Abs(v.Float())), nil
+	case "size":
+		if v.K == graph.KindList {
+			return intVal(int64(len(v.Lst))), nil
+		}
+		return intVal(int64(len(v.S))), nil
+	}
+	return graph.NullValue, fmt.Errorf("expr: function %q is in the call table but has no evaluator", fn)
 }

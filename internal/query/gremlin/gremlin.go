@@ -302,11 +302,16 @@ func (b *builder) step(st step) error {
 		if err != nil {
 			return err
 		}
-		if b.pendingOrder != nil {
-			b.pendingOrder.Limit = n
-			b.plan.Ops = append(b.plan.Ops, b.pendingOrder)
+		// A positive count merges into the pending ORDER (top-k). ORDER's
+		// Limit 0 means "no limit", so limit(0) — and a negative count, for
+		// the compiler to reject — stays an operator after it.
+		if order := b.pendingOrder; order != nil {
 			b.pendingOrder = nil
-			return nil
+			b.plan.Ops = append(b.plan.Ops, order)
+			if n > 0 {
+				order.Limit = n
+				return nil
+			}
 		}
 		b.plan.Ops = append(b.plan.Ops, &ir.Op{Kind: ir.OpLimit, Limit: n})
 		return nil

@@ -1,8 +1,7 @@
 // Package storagebench micro-benchmarks the batched GRIN storage paths
 // against their scalar (per-vertex / per-value) equivalents on every
-// backend. CI runs these once per build and uploads the results as
-// BENCH_storage.json next to BENCH_query.json, so storage-layer regressions
-// are visible independently of the query runtime.
+// backend. CI runs these once per build, so storage-layer regressions can
+// be looked for independently of the query runtime.
 package storagebench
 
 import (
