@@ -38,9 +38,9 @@ type cdlpPIE struct {
 // PEval self-labels and broadcasts round 0.
 func (p *cdlpPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.label[v] = float64(v)
-	})
+	}
 	p.sendLabels(f, ctx)
 }
 
@@ -64,9 +64,9 @@ func (p *cdlpPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Me
 
 func (p *cdlpPIE) sendLabels(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		s.SendToNeighbors(v, graph.Both, p.label[v])
-	})
+	for v := lo; v < hi; v++ {
+		ctx.SendToNeighbors(v, graph.Both, p.label[v])
+	}
 }
 
 // modeLabel returns the most frequent label, ties toward the smallest.
@@ -119,34 +119,33 @@ type kcorePIE struct {
 // PEval computes undirected degrees and peels the first layer.
 func (p *kcorePIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.deg[v] = p.g.Degree(v, graph.Both)
-	})
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
+	}
+	for v := lo; v < hi; v++ {
 		if p.deg[v] < p.k {
-			p.peel(s, v)
+			p.peel(ctx, v)
 		}
-	})
+	}
 }
 
-// IncEval decrements degrees by the combined removal counts and cascades
-// (sum-combined messages have distinct targets, so the loop is parallel).
+// IncEval decrements degrees by the combined removal counts and cascades.
 func (p *kcorePIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, func(s *grape.Sender, m grape.Message) {
+	for _, m := range msgs {
 		v := m.Target
 		if p.removed[v] {
-			return
+			continue
 		}
 		p.deg[v] -= int(m.Value)
 		if p.deg[v] < p.k {
-			p.peel(s, v)
+			p.peel(ctx, v)
 		}
-	})
+	}
 }
 
-func (p *kcorePIE) peel(sink grape.Sink, v graph.VID) {
+func (p *kcorePIE) peel(ctx *grape.Context, v graph.VID) {
 	p.removed[v] = true
-	sink.SendToNeighbors(v, graph.Both, 1)
+	ctx.SendToNeighbors(v, graph.Both, 1)
 }
 
 // TriangleCount counts triangles in the undirected view by parallel sorted

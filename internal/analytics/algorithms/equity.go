@@ -100,21 +100,21 @@ type equityPIE struct {
 func (p *equityPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
 	g := p.g
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		if v < p.holderLo || v >= p.holderHi {
-			return
+			continue
 		}
 		grin.ForEachNeighbor(g, v, graph.Out, func(c graph.VID, e graph.EID) bool {
-			s.SendAux(c, uint32(v), grin.Weight(g, e))
+			ctx.SendAux(c, uint32(v), grin.Weight(g, e))
 			return true
 		})
-	})
+	}
 }
 
 // IncEval accumulates incoming (holder, share) pairs and forwards diluted
 // shares downstream; negligible deltas are pruned by Epsilon. The engine
-// runs without a combiner here (several holders message the same company),
-// so targets repeat and the loop must stay sequential.
+// runs without a combiner here: several holders message the same company,
+// so targets repeat.
 func (p *equityPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
 	g := p.g
 	for _, m := range msgs {

@@ -47,61 +47,49 @@ type pageRankPIE struct {
 	ranks         []float64
 	base, damping float64
 	iterations    int
-
-	// IncEval's loop bodies as method values bound once per run: binding
-	// them inside IncEval would allocate per fragment per superstep.
-	resetFn, scatterFn func(*grape.Sender, graph.VID)
-	applyFn            func(*grape.Sender, grape.Message)
 }
 
 func newPageRankPIE(g grin.Graph, opt PageRankOptions) *pageRankPIE {
 	n := g.NumVertices()
-	p := &pageRankPIE{g: g, ranks: make([]float64, n),
+	return &pageRankPIE{g: g, ranks: make([]float64, n),
 		base: (1 - opt.Damping) / float64(n), damping: opt.Damping, iterations: opt.Iterations}
-	p.resetFn, p.scatterFn, p.applyFn = p.reset, p.scatter, p.apply
-	return p
-}
-
-func (p *pageRankPIE) reset(_ *grape.Sender, v graph.VID) { p.ranks[v] = p.base }
-
-func (p *pageRankPIE) apply(_ *grape.Sender, m grape.Message) {
-	p.ranks[m.Target] += p.damping * m.Value
-}
-
-// scatter sends rank/outdeg along v's out-edges.
-func (p *pageRankPIE) scatter(s *grape.Sender, v graph.VID) {
-	if d := p.g.Degree(v, graph.Out); d > 0 {
-		s.SendToNeighbors(v, graph.Out, p.ranks[v]/float64(d))
-	}
 }
 
 // PEval initializes ranks and sends the first round of contributions.
 func (p *pageRankPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
 	init := 1.0 / float64(len(p.ranks))
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.ranks[v] = init
-	})
+	}
 	p.nextRound(f, ctx)
 }
 
 // IncEval applies the combined contribution sums and, while iterations
-// remain, scatters the next round. The sum combiner guarantees one message
-// per target, so the message loop can update ranks in parallel.
+// remain, scatters the next round.
 func (p *pageRankPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, p.resetFn)
-	ctx.ParallelForMessages(msgs, p.applyFn)
+	for v := lo; v < hi; v++ {
+		p.ranks[v] = p.base
+	}
+	for _, m := range msgs {
+		p.ranks[m.Target] += p.damping * m.Value
+	}
 	p.nextRound(f, ctx)
 }
 
-// nextRound scatters while iterations remain. The Rerun vote keeps the
-// iteration count fixed on inputs where no message flows (a graph, or a
-// fragment, without edges): its ranks must still settle to the base.
+// nextRound sends rank/outdeg along every out-edge while iterations remain.
+// The Rerun vote keeps the iteration count fixed on inputs where no message
+// flows (a graph, or a fragment, without edges): its ranks must still settle
+// to the base.
 func (p *pageRankPIE) nextRound(f *grape.Fragment, ctx *grape.Context) {
 	if ctx.Superstep() < p.iterations {
 		lo, hi := f.Bounds()
-		ctx.ParallelFor(lo, hi, p.scatterFn)
+		for v := lo; v < hi; v++ {
+			if d := p.g.Degree(v, graph.Out); d > 0 {
+				ctx.SendToNeighbors(v, graph.Out, p.ranks[v]/float64(d))
+			}
+		}
 		ctx.Rerun()
 	}
 }

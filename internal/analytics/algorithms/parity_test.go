@@ -127,9 +127,9 @@ func sameFloats(got, want []float64, exact bool) error {
 }
 
 // TestGeneratedParity runs every PIE program of the library against a
-// sequential reference over generated graphs × fragment counts × derived
-// intra-fragment worker counts × (the CSR itself, the CSR with its array
-// trait masked): exact for the min/label programs, 1e-9 for the sums.
+// sequential reference over generated graphs × fragment counts × GOMAXPROCS
+// × (the CSR itself, the CSR with its array trait masked): exact for the
+// min/label programs, 1e-9 for the sums.
 func TestGeneratedParity(t *testing.T) {
 	const (
 		prIters   = 5
@@ -156,10 +156,10 @@ func TestGeneratedParity(t *testing.T) {
 		for storeName, store := range stores {
 			for _, frags := range []int{1, 2, 3, 7, n + 1} {
 				for _, intra := range []int{1, 3} {
-					// The library derives IntraParallelism as GOMAXPROCS /
-					// fragments (after clamping fragments to n). 64 caps the
-					// Ps a test asks for, so n+1 fragments get 3 workers
-					// only on the small graphs.
+					// intra=N sets GOMAXPROCS to N Ps per fragment (fragments
+					// clamped to n), skipping cells above 64 Ps. Fragments
+					// are the engine's only parallelism, so the Ps must not
+					// move a result.
 					procs := min(frags, n) * intra
 					if procs > 64 {
 						continue

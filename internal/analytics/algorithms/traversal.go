@@ -31,43 +31,34 @@ func BFS(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
 type bfsPIE struct {
 	root graph.VID
 	dist []float64
-	// settleFn is the method value p.settle, bound once per run: binding it
-	// inside IncEval would allocate per fragment per superstep.
-	settleFn func(*grape.Sender, grape.Message)
 }
 
 func newBFSPIE(g grin.Graph, root graph.VID) *bfsPIE {
-	p := &bfsPIE{root: root, dist: make([]float64, g.NumVertices())}
-	p.settleFn = p.settle
-	return p
+	return &bfsPIE{root: root, dist: make([]float64, g.NumVertices())}
 }
 
 // PEval seeds the frontier at the root's fragment.
 func (p *bfsPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.dist[v] = Unreached
-	})
+	}
 	if f.IsInner(p.root) {
 		p.dist[p.root] = 0
 		ctx.SendToNeighbors(p.root, graph.Out, 1)
 	}
 }
 
-// IncEval settles newly discovered vertices and expands the frontier. The
-// min combiner delivers one message per target, so targets are distinct and
-// the frontier expands in parallel.
+// IncEval settles newly discovered vertices and expands the frontier.
 func (p *bfsPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, p.settleFn)
-}
-
-func (p *bfsPIE) settle(s *grape.Sender, m grape.Message) {
-	if m.Value < p.dist[m.Target] {
-		p.dist[m.Target] = m.Value
-		// Do not peek at p.dist of a neighbor: it may be owned by another
-		// fragment whose state is being written concurrently. The receiver
-		// discards stale levels.
-		s.SendToNeighbors(m.Target, graph.Out, m.Value+1)
+	for _, m := range msgs {
+		if m.Value < p.dist[m.Target] {
+			p.dist[m.Target] = m.Value
+			// Do not peek at p.dist of a neighbor: it may be owned by another
+			// fragment whose state is being written concurrently. The
+			// receiver discards stale levels.
+			ctx.SendToNeighbors(m.Target, graph.Out, m.Value+1)
+		}
 	}
 }
 
@@ -97,32 +88,31 @@ type ssspPIE struct {
 // PEval seeds and relaxes the root.
 func (p *ssspPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.dist[v] = Unreached
-	})
+	}
 	if f.IsInner(p.root) {
 		p.dist[p.root] = 0
 		p.relax(ctx, p.root, 0)
 	}
 }
 
-// IncEval applies improved distances and relaxes outward (min-combined
-// messages have distinct targets, so the loop is parallel).
+// IncEval applies improved distances and relaxes outward.
 func (p *ssspPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, func(s *grape.Sender, m grape.Message) {
+	for _, m := range msgs {
 		if m.Value < p.dist[m.Target] {
 			p.dist[m.Target] = m.Value
-			p.relax(s, m.Target, m.Value)
+			p.relax(ctx, m.Target, m.Value)
 		}
-	})
+	}
 }
 
-func (p *ssspPIE) relax(sink grape.Sink, v graph.VID, dv float64) {
+func (p *ssspPIE) relax(ctx *grape.Context, v graph.VID, dv float64) {
 	g := p.g
-	// No remote-state peeking (see bfsPIE.settle); the min combiner and
+	// No remote-state peeking (see bfsPIE.IncEval); the min combiner and
 	// the receiver-side check keep the message volume bounded.
 	grin.ForEachNeighbor(g, v, graph.Out, func(n graph.VID, e graph.EID) bool {
-		sink.Send(n, dv+grin.Weight(g, e))
+		ctx.Send(n, dv+grin.Weight(g, e))
 		return true
 	})
 }
@@ -147,38 +137,31 @@ func WCC(g grin.Graph, fragments int) ([]float64, error) {
 
 type wccPIE struct {
 	label []float64
-	// adoptFn is p.adopt bound once per run (see bfsPIE.settleFn).
-	adoptFn func(*grape.Sender, grape.Message)
 }
 
 func newWCCPIE(g grin.Graph) *wccPIE {
-	p := &wccPIE{label: make([]float64, g.NumVertices())}
-	p.adoptFn = p.adopt
-	return p
+	return &wccPIE{label: make([]float64, g.NumVertices())}
 }
 
 // PEval assigns self-labels and broadcasts them.
 func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		p.label[v] = float64(v)
-	})
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		s.SendToNeighbors(v, graph.Both, p.label[v])
-	})
+	}
+	for v := lo; v < hi; v++ {
+		ctx.SendToNeighbors(v, graph.Both, p.label[v])
+	}
 }
 
-// IncEval adopts smaller labels and re-broadcasts (min-combined messages
-// have distinct targets, so the loop is parallel).
+// IncEval adopts smaller labels and re-broadcasts.
 func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	ctx.ParallelForMessages(msgs, p.adoptFn)
-}
-
-func (p *wccPIE) adopt(s *grape.Sender, m grape.Message) {
-	if m.Value < p.label[m.Target] {
-		p.label[m.Target] = m.Value
-		// Sends are unconditional: neighbor labels may live on other
-		// fragments (see bfsPIE.settle).
-		s.SendToNeighbors(m.Target, graph.Both, m.Value)
+	for _, m := range msgs {
+		if m.Value < p.label[m.Target] {
+			p.label[m.Target] = m.Value
+			// Sends are unconditional: neighbor labels may live on other
+			// fragments (see bfsPIE.IncEval).
+			ctx.SendToNeighbors(m.Target, graph.Both, m.Value)
+		}
 	}
 }

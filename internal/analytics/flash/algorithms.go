@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -82,7 +81,6 @@ func KCore(g grin.Graph, k, workers int) []bool {
 		deg[v] = int64(g.Degree(graph.VID(v), graph.Both))
 	}
 	// Seed: all vertices below k.
-	var mu sync.Mutex
 	frontier := e.VertexMap(Full(n), func(v graph.VID) bool {
 		if deg[v] < int64(k) {
 			removed[v] = 1
@@ -90,25 +88,13 @@ func KCore(g grin.Graph, k, workers int) []bool {
 		}
 		return false
 	})
+	notRemoved := func(u graph.VID) bool { return atomic.LoadInt32(&removed[u]) == 0 }
 	for frontier.Size() > 0 {
-		next := NewVertexSet(n)
-		e.parallelOver(frontier, func(v graph.VID) {
-			grin.ForEachNeighbor(g, v, graph.Both, func(u graph.VID, _ graph.EID) bool {
-				if atomic.LoadInt32(&removed[u]) == 1 {
-					return true
-				}
-				if atomic.AddInt64(&deg[u], -1) == int64(k)-1 {
-					// u just dropped below k: claim removal exactly once.
-					if atomic.CompareAndSwapInt32(&removed[u], 0, 1) {
-						mu.Lock()
-						next.Add(u)
-						mu.Unlock()
-					}
-				}
-				return true
-			})
+		frontier = e.EdgeMap(frontier, graph.Both, notRemoved, func(_, u graph.VID, _ graph.EID) bool {
+			// u just dropped below k: claim removal exactly once.
+			return atomic.AddInt64(&deg[u], -1) == int64(k)-1 &&
+				atomic.CompareAndSwapInt32(&removed[u], 0, 1)
 		})
-		frontier = next
 	}
 	in := make([]bool, n)
 	for v := range in {

@@ -6,11 +6,13 @@
 package flash
 
 import (
+	"math/bits"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/parallel"
 )
 
 // VertexSet is a dense subset of vertices.
@@ -51,24 +53,15 @@ func (s *VertexSet) Contains(v graph.VID) bool {
 func (s *VertexSet) Size() int { return s.count }
 
 // ForEach visits members in ascending order.
-func (s *VertexSet) ForEach(f func(v graph.VID)) {
-	for w, word := range s.bits {
-		for word != 0 {
-			b := word & (-word)
-			bit := trailingZeros(word)
-			f(graph.VID(w*64 + bit))
-			word ^= b
+func (s *VertexSet) ForEach(f func(v graph.VID)) { s.forEachIn(0, len(s.bits), f) }
+
+// forEachIn visits the members held in bitmap words [lo, hi), ascending.
+func (s *VertexSet) forEachIn(lo, hi int, f func(v graph.VID)) {
+	for w := lo; w < hi; w++ {
+		for m := s.bits[w]; m != 0; m &= m - 1 {
+			f(graph.VID(w<<6 | bits.TrailingZeros64(m)))
 		}
 	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Engine executes FLASH primitives in parallel over a GRIN graph.
@@ -92,42 +85,27 @@ func (e *Engine) Graph() grin.Graph { return e.g }
 // N returns the vertex count.
 func (e *Engine) N() int { return e.n }
 
-// parallelOver splits members of U across workers.
-func (e *Engine) parallelOver(u *VertexSet, f func(v graph.VID)) {
-	var members []graph.VID
-	u.ForEach(func(v graph.VID) { members = append(members, v) })
-	var wg sync.WaitGroup
-	chunk := (len(members) + e.workers - 1) / e.workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	for lo := 0; lo < len(members); lo += chunk {
-		hi := lo + chunk
-		if hi > len(members) {
-			hi = len(members)
-		}
-		wg.Add(1)
-		go func(part []graph.VID) {
-			defer wg.Done()
-			for _, v := range part {
-				f(v)
-			}
-		}(members[lo:hi])
-	}
-	wg.Wait()
+// parallelOver runs f on every member of U and returns the sum of what f
+// returned. Workers of the shared runtime take chunks of U's bitmap words
+// from a cursor, since frontiers are skewed; a worker owns every member of
+// the words it takes.
+func (e *Engine) parallelOver(u *VertexSet, f func(v graph.VID) int) int {
+	return parallel.ReduceDynamic(len(u.bits), e.workers, 0, 0, func(lo, hi, n int) int {
+		u.forEachIn(lo, hi, func(v graph.VID) { n += f(v) })
+		return n
+	}, func(a, b int) int { return a + b })
 }
 
 // VertexMap returns the subset of U where f returns true. f may update
 // per-vertex state; it must only write state owned by v.
 func (e *Engine) VertexMap(u *VertexSet, f func(v graph.VID) bool) *VertexSet {
 	out := NewVertexSet(e.n)
-	var mu sync.Mutex
-	e.parallelOver(u, func(v graph.VID) {
-		if f(v) {
-			mu.Lock()
-			out.Add(v)
-			mu.Unlock()
+	out.count = e.parallelOver(u, func(v graph.VID) int {
+		if !f(v) {
+			return 0
 		}
+		out.bits[v>>6] |= 1 << (v & 63) // v's word belongs to this worker
+		return 1
 	})
 	return out
 }
@@ -138,19 +116,19 @@ func (e *Engine) VertexMap(u *VertexSet, f func(v graph.VID) bool) *VertexSet {
 // — FLASH's distinguishing capability.
 func (e *Engine) EdgeMap(u *VertexSet, dir graph.Direction, cond func(v graph.VID) bool, h func(src, dst graph.VID, eid graph.EID) bool) *VertexSet {
 	out := NewVertexSet(e.n)
-	var mu sync.Mutex
-	e.parallelOver(u, func(src graph.VID) {
+	out.count = e.parallelOver(u, func(src graph.VID) int {
+		added := 0
 		grin.ForEachNeighbor(e.g, src, dir, func(dst graph.VID, eid graph.EID) bool {
-			if cond != nil && !cond(dst) {
-				return true
-			}
-			if h(src, dst, eid) {
-				mu.Lock()
-				out.Add(dst)
-				mu.Unlock()
+			if (cond == nil || cond(dst)) && h(src, dst, eid) {
+				// dst's word may belong to any worker.
+				bit := uint64(1) << (dst & 63)
+				if atomic.OrUint64(&out.bits[dst>>6], bit)&bit == 0 {
+					added++
+				}
 			}
 			return true
 		})
+		return added
 	})
 	return out
 }

@@ -5,9 +5,11 @@
 // The paper's GRAPE runs fragments on cluster nodes over MPI; here each
 // fragment runs on its own goroutine for the whole run, the fragments meet at
 // two barriers per superstep, and "the network" is the shared address space.
-// What §6 asks of the message path — combine at the sender, one contiguous
-// hand-off per fragment pair per superstep — is kept, at the cost of the loop
-// it replaces:
+// Fragments are the engine's only parallelism: PEval and IncEval are the
+// sequential code the PIE model promises, and a program uses more cores by
+// running more fragments. What §6 asks of the message path — combine at the
+// sender, one contiguous hand-off per fragment pair per superstep — is kept,
+// at the cost of the loop it replaces:
 //
 //   - Fragments are contiguous vertex ranges cut so each holds an equal share
 //     of Σ(1 + outdeg + indeg) (libgrape-lite's rebalance rule), not an equal
@@ -29,7 +31,7 @@
 //     cells across sources in source order, resets them, and appends to an
 //     inbox it owns and reuses. Inboxes therefore arrive in ascending target
 //     order with at most one message per target — a guarantee of the combiner
-//     path that ParallelForMessages and the Pregel adapter rely on.
+//     path that Program.IncEval states.
 //
 // Without a combiner, sends are buffered per destination fragment as
 // Messages (Aux is carried only here) and the destination concatenates them
@@ -52,7 +54,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/grin"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 )
 
@@ -110,16 +111,12 @@ func (c Combiner) apply(a, b float64) float64 {
 
 // Options configures an Engine.
 type Options struct {
-	// Fragments is the simulated worker count; 0 selects GOMAXPROCS.
+	// Fragments is the fragment count, one goroutine each: the engine's only
+	// parallelism. 0 selects GOMAXPROCS; a fixed count gives results that do
+	// not depend on the machine (Sum combines in fragment order).
 	Fragments int
 	// Combine merges message values directed at the same target.
 	Combine Combiner
-	// IntraParallelism is the worker count Context.ParallelFor and
-	// ParallelForMessages use for the vertex/message loops inside one
-	// fragment; 0 derives max(1, GOMAXPROCS/Fragments), so the default
-	// engine (Fragments = GOMAXPROCS) runs those loops inline while an
-	// engine with few fragments on a wide machine still uses every core.
-	IntraParallelism int
 	// MaxSupersteps bounds execution; 0 means unbounded.
 	MaxSupersteps int
 	// PerMessageChannels disables sender-side aggregation and ships each
@@ -242,12 +239,6 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if opt.Combine > Min {
 		return nil, fmt.Errorf("grape: unknown combiner %d", opt.Combine)
 	}
-	if opt.IntraParallelism <= 0 {
-		opt.IntraParallelism = runtime.GOMAXPROCS(0) / opt.Fragments
-		if opt.IntraParallelism < 1 {
-			opt.IntraParallelism = 1
-		}
-	}
 	// A fragment's work is its vertices plus the edges it scatters along and
 	// the messages it receives, so that is what the cuts balance.
 	part, err := partition.NewRange(n, opt.Fragments, func(v graph.VID) int {
@@ -305,23 +296,9 @@ func (f *Fragment) Bounds() (graph.VID, graph.VID) { return f.lo, f.hi }
 // Graph exposes the topology for local evaluation.
 func (f *Fragment) Graph() grin.Graph { return f.g }
 
-// Sink is the send interface common to Context and Sender, so PIE helper
-// code (relax, broadcast) can run both inside and outside ParallelFor loops.
-type Sink interface {
-	Send(v graph.VID, val float64)
-	SendAux(v graph.VID, aux uint32, val float64)
-	SendToNeighbors(v graph.VID, dir graph.Direction, val float64)
-}
-
-var (
-	_ Sink = (*Context)(nil)
-	_ Sink = (*Sender)(nil)
-)
-
-// outbox is where one goroutine's sends land until the exchange: folded into
-// a flat accumulator when the engine combines at the sender, otherwise
-// buffered as Messages per destination fragment. It implements Sink for both
-// Context and Sender.
+// outbox is where a fragment's sends land until the exchange: folded into a
+// flat accumulator when the engine combines at the sender, otherwise
+// buffered as Messages per destination fragment.
 type outbox struct {
 	e    *Engine
 	acc  *accum      // sender-side combining; nil on the materialised path
@@ -414,107 +391,6 @@ type Context struct {
 	// words is gather's merged-bitmap scratch.
 	inbox []Message
 	words []uint64
-
-	// Intra-fragment parallelism: worker count for ParallelFor loops, the
-	// sender that writes straight through when the loop runs inline, and the
-	// lazily built per-worker senders (reused across supersteps).
-	intra    int
-	direct   Sender
-	wsenders []*Sender
-}
-
-// Sender is a worker-local message sink used inside Context.ParallelFor and
-// ParallelForMessages: each worker folds (or buffers) its sends privately, so
-// no lock sits on the per-edge send path, and the senders merge into the
-// context in worker order when the loop returns.
-type Sender struct {
-	*outbox
-}
-
-// senders returns w per-worker senders, building them on first use. Worker 0
-// holds the first chunk, so it writes straight through to the context and
-// only the others need a private outbox to merge afterwards.
-func (c *Context) senders(w int) []*Sender {
-	if len(c.wsenders) == 0 {
-		c.wsenders = append(c.wsenders, &c.direct)
-	}
-	for len(c.wsenders) < w {
-		var acc *accum
-		if c.acc != nil {
-			acc = newAccum(len(c.acc.cell), c.acc.comb)
-		}
-		c.wsenders = append(c.wsenders, &Sender{newOutbox(c.e, acc)})
-	}
-	return c.wsenders[:w]
-}
-
-// mergeSenders folds the private workers' results into the context in worker
-// order; with contiguous worker chunks this matches the sequential loop's
-// send order up to combiner reassociation (exact for Min).
-func (c *Context) mergeSenders(ss []*Sender) {
-	for _, s := range ss[1:] {
-		c.sent += s.sent
-		s.sent = 0
-		if s.acc != nil {
-			s.acc.drain(0, graph.VID(len(s.acc.cell)), c.acc.fold)
-			continue
-		}
-		for d := range s.out {
-			c.out[d] = append(c.out[d], s.out[d]...)
-			s.out[d] = s.out[d][:0]
-		}
-	}
-}
-
-// parallelRun fans a loop of n iterations out over the intra-fragment
-// workers' senders and merges them back in worker order.
-func (c *Context) parallelRun(n, w int, run func(s *Sender, lo, hi int)) {
-	ss := c.senders(w)
-	parallel.For(n, w, func(worker, lo, hi int) {
-		run(ss[worker], lo, hi)
-	})
-	c.mergeSenders(ss)
-}
-
-// ParallelFor runs body(v) over the vertex range [lo, hi), splitting it into
-// contiguous chunks across the engine's intra-fragment workers
-// (Options.IntraParallelism). All sends inside body must go through the
-// worker's Sender; worker results merge deterministically into the context
-// when ParallelFor returns. body may freely write per-vertex state indexed by
-// its own v, and must not touch other vertices' state.
-func (c *Context) ParallelFor(lo, hi graph.VID, body func(s *Sender, v graph.VID)) {
-	n := int(hi) - int(lo)
-	w := parallel.Workers(c.intra, n)
-	if w <= 1 {
-		for v := lo; v < hi; v++ {
-			body(&c.direct, v)
-		}
-		return
-	}
-	c.parallelRun(n, w, func(s *Sender, clo, chi int) {
-		for v := lo + graph.VID(clo); v < lo+graph.VID(chi); v++ {
-			body(s, v)
-		}
-	})
-}
-
-// ParallelForMessages is ParallelFor over an inbox slice. When the engine
-// runs with a combiner it delivers at most one message per target, so body
-// invocations see distinct targets and may safely update per-target state;
-// programs without a combiner must not assume that.
-func (c *Context) ParallelForMessages(msgs []Message, body func(s *Sender, m Message)) {
-	w := parallel.Workers(c.intra, len(msgs))
-	if w <= 1 {
-		for _, m := range msgs {
-			body(&c.direct, m)
-		}
-		return
-	}
-	c.parallelRun(len(msgs), w, func(s *Sender, lo, hi int) {
-		for _, m := range msgs[lo:hi] {
-			body(s, m)
-		}
-	})
 }
 
 // Rerun votes to run another superstep on this fragment even without
@@ -526,8 +402,8 @@ func (c *Context) Superstep() int { return c.step }
 
 // RunStats is what one Run did, for callers that ask through CollectStats.
 // Supersteps, Folded and Delivered are exact counts that depend only on the
-// program and the graph — they repeat bit-for-bit at any fragment count and
-// any IntraParallelism; Steps holds wall-clock measurements.
+// program and the graph — they repeat bit-for-bit at any fragment count;
+// Steps holds wall-clock measurements.
 type RunStats struct {
 	// Supersteps is Run's return value: PEval plus every IncEval round.
 	Supersteps int
@@ -582,9 +458,7 @@ func (e *Engine) Run(p Program) (int, error) {
 		if senderSide {
 			acc = e.acc[i]
 		}
-		c := &Context{outbox: newOutbox(e, acc), frag: e.fr[i], intra: e.opt.IntraParallelism}
-		c.direct.outbox = c.outbox
-		r.ctxs[i] = c
+		r.ctxs[i] = &Context{outbox: newOutbox(e, acc), frag: e.fr[i]}
 	}
 	if e.opt.WireCodec && !e.opt.PerMessageChannels {
 		r.enc = make([][][]byte, nf)

@@ -337,8 +337,7 @@ func (p *orderProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
 }
 
 // TestRunStatsExactCountersRepeat: the exact counters depend on the program
-// and the graph only — not on the fragment count, the intra-fragment worker
-// count or the run.
+// and the graph only — not on the fragment count or the run.
 func TestRunStatsExactCountersRepeat(t *testing.T) {
 	g, err := dataset.Datagen("t", 400, 5, 31).ToCSR(true)
 	if err != nil {
@@ -346,44 +345,42 @@ func TestRunStatsExactCountersRepeat(t *testing.T) {
 	}
 	var want RunStats
 	for _, frags := range []int{1, 2, 3} {
-		for _, intra := range []int{1, 3} {
-			for rep := 0; rep < 2; rep++ {
-				var got RunStats
-				eng, err := NewEngine(g, Options{Fragments: frags, IntraParallelism: intra, Combine: Sum})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.CollectStats(&got)
-				steps, err := eng.Run(&scatterProgram{g: g, sum: make([]float64, 400)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Supersteps != steps || len(got.Steps) != frags || len(got.Steps[frags-1]) != steps {
-					t.Fatalf("frags=%d: stats shape %d×%d for %d supersteps", frags, len(got.Steps), len(got.Steps[frags-1]), steps)
-				}
-				if want.Supersteps == 0 {
-					want = got
-					// scatterProgram sends once per out-edge and every vertex
-					// with an in-edge receives one combined message.
-					withIn := int64(0)
-					for v := 0; v < 400; v++ {
-						if g.Degree(graph.VID(v), graph.In) > 0 {
-							withIn++
-						}
-					}
-					if got.Folded != int64(g.NumEdges()) || got.Delivered != withIn {
-						t.Fatalf("folded %d delivered %d, want %d and %d", got.Folded, got.Delivered, g.NumEdges(), withIn)
+		for rep := 0; rep < 2; rep++ {
+			var got RunStats
+			eng, err := NewEngine(g, Options{Fragments: frags, Combine: Sum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.CollectStats(&got)
+			steps, err := eng.Run(&scatterProgram{g: g, sum: make([]float64, 400)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Supersteps != steps || len(got.Steps) != frags || len(got.Steps[frags-1]) != steps {
+				t.Fatalf("frags=%d: stats shape %d×%d for %d supersteps", frags, len(got.Steps), len(got.Steps[frags-1]), steps)
+			}
+			if want.Supersteps == 0 {
+				want = got
+				// scatterProgram sends once per out-edge and every vertex
+				// with an in-edge receives one combined message.
+				withIn := int64(0)
+				for v := 0; v < 400; v++ {
+					if g.Degree(graph.VID(v), graph.In) > 0 {
+						withIn++
 					}
 				}
-				if got.Supersteps != want.Supersteps || got.Folded != want.Folded || got.Delivered != want.Delivered {
-					t.Fatalf("frags=%d intra=%d rep=%d: exact counters %d/%d/%d, want %d/%d/%d", frags, intra, rep,
-						got.Supersteps, got.Folded, got.Delivered, want.Supersteps, want.Folded, want.Delivered)
+				if got.Folded != int64(g.NumEdges()) || got.Delivered != withIn {
+					t.Fatalf("folded %d delivered %d, want %d and %d", got.Folded, got.Delivered, g.NumEdges(), withIn)
 				}
-				for _, perStep := range got.Steps {
-					for _, fs := range perStep {
-						if fs.ComputeNs < 0 || fs.ExchangeNs < 0 || fs.WaitNs < 0 {
-							t.Fatalf("negative lap: %+v", fs)
-						}
+			}
+			if got.Supersteps != want.Supersteps || got.Folded != want.Folded || got.Delivered != want.Delivered {
+				t.Fatalf("frags=%d rep=%d: exact counters %d/%d/%d, want %d/%d/%d", frags, rep,
+					got.Supersteps, got.Folded, got.Delivered, want.Supersteps, want.Folded, want.Delivered)
+			}
+			for _, perStep := range got.Steps {
+				for _, fs := range perStep {
+					if fs.ComputeNs < 0 || fs.ExchangeNs < 0 || fs.WaitNs < 0 {
+						t.Fatalf("negative lap: %+v", fs)
 					}
 				}
 			}

@@ -9,9 +9,8 @@ import (
 	"repro/internal/grin"
 )
 
-// scatterProgram sends deg(v) messages per vertex through ParallelFor in
-// PEval and records the combined sums in IncEval — a PageRank-shaped probe
-// for the intra-fragment parallel send path.
+// scatterProgram sends deg(v) messages per vertex in PEval and records the
+// combined sums in IncEval — a PageRank-shaped probe for the send path.
 type scatterProgram struct {
 	g   grin.Graph
 	sum []float64
@@ -19,32 +18,27 @@ type scatterProgram struct {
 
 func (p *scatterProgram) PEval(f *Fragment, ctx *Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(s *Sender, v graph.VID) {
-		s.SendToNeighbors(v, graph.Out, 1)
-	})
+	for v := lo; v < hi; v++ {
+		ctx.SendToNeighbors(v, graph.Out, 1)
+	}
 }
 
 func (p *scatterProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
-	ctx.ParallelForMessages(msgs, func(_ *Sender, m Message) {
+	for _, m := range msgs {
 		p.sum[m.Target] += m.Value
-	})
+	}
 }
 
-// TestParallelForMatchesSequential: intra-fragment workers must deliver the
-// same combined messages as the inline path, across fragment counts and both
-// the combiner and no-combiner exchanges.
+// TestParallelForMatchesSequential: fragments running in parallel must
+// deliver the same combined messages as a single fragment.
 func TestParallelForMatchesSequential(t *testing.T) {
 	g, err := dataset.Datagen("t", 300, 6, 17).ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(frags, intra int) []float64 {
+	run := func(frags int) []float64 {
 		p := &scatterProgram{g: g, sum: make([]float64, 300)}
-		eng, err := NewEngine(g, Options{
-			Fragments:        frags,
-			IntraParallelism: intra,
-			Combine:          Sum,
-		})
+		eng, err := NewEngine(g, Options{Fragments: frags, Combine: Sum})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,10 +47,10 @@ func TestParallelForMatchesSequential(t *testing.T) {
 		}
 		return p.sum
 	}
-	want := run(2, 1)
-	for _, intra := range []int{2, 4, 7} {
-		if got := run(2, intra); !reflect.DeepEqual(want, got) {
-			t.Fatalf("intra=%d: combined sums differ from sequential", intra)
+	want := run(1)
+	for _, frags := range []int{2, 3} {
+		if got := run(frags); !reflect.DeepEqual(want, got) {
+			t.Fatalf("frags=%d: combined sums differ from one fragment", frags)
 		}
 	}
 	// Cross-check against in-degrees (the ground truth for this program).
@@ -68,7 +62,7 @@ func TestParallelForMatchesSequential(t *testing.T) {
 }
 
 // echoAllProgram exercises the no-combiner path: every message must arrive
-// individually regardless of intra-fragment buffering.
+// individually, whichever fragment buffered it.
 type echoAllProgram struct {
 	g        grin.Graph
 	received []int
@@ -76,12 +70,12 @@ type echoAllProgram struct {
 
 func (p *echoAllProgram) PEval(f *Fragment, ctx *Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(s *Sender, v graph.VID) {
+	for v := lo; v < hi; v++ {
 		grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-			s.Send(n, float64(v))
+			ctx.Send(n, float64(v))
 			return true
 		})
-	})
+	}
 }
 
 func (p *echoAllProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
@@ -96,9 +90,9 @@ func TestParallelForNoCombinerKeepsAllMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, intra := range []int{1, 4} {
+	for _, frags := range []int{1, 2, 3} {
 		p := &echoAllProgram{g: g, received: make([]int, 200)}
-		eng, err := NewEngine(g, Options{Fragments: 2, IntraParallelism: intra})
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,24 +101,24 @@ func TestParallelForNoCombinerKeepsAllMessages(t *testing.T) {
 		}
 		for v := 0; v < 200; v++ {
 			if p.received[v] != g.Degree(graph.VID(v), graph.In) {
-				t.Fatalf("intra=%d: vertex %d received %d messages, want in-degree %d",
-					intra, v, p.received[v], g.Degree(graph.VID(v), graph.In))
+				t.Fatalf("frags=%d: vertex %d received %d messages, want in-degree %d",
+					frags, v, p.received[v], g.Degree(graph.VID(v), graph.In))
 			}
 		}
 	}
 }
 
-// auxProgram checks SendAux through Senders: everyone messages vertex 0 with
-// value v and aux v+1.
+// auxProgram checks SendAux: everyone messages vertex 0 with value v and aux
+// v+1.
 type auxProgram struct {
 	got []Message
 }
 
 func (p *auxProgram) PEval(f *Fragment, ctx *Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(s *Sender, v graph.VID) {
-		s.SendAux(0, uint32(v)+1, float64(v))
-	})
+	for v := lo; v < hi; v++ {
+		ctx.SendAux(0, uint32(v)+1, float64(v))
+	}
 }
 
 func (p *auxProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
@@ -141,9 +135,9 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, intra := range []int{1, 4} {
+	for _, frags := range []int{1, 2, 3} {
 		p := &auxProgram{}
-		eng, err := NewEngine(g, Options{Fragments: 2, IntraParallelism: intra})
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,16 +145,16 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(p.got) != 64 {
-			t.Fatalf("intra=%d: %d messages, want 64", intra, len(p.got))
+			t.Fatalf("frags=%d: %d messages, want 64", frags, len(p.got))
 		}
 		for v, m := range p.got {
 			if m.Target != 0 || m.Value != float64(v) || m.Aux != uint32(v)+1 {
-				t.Fatalf("intra=%d: message %d = %+v", intra, v, m)
+				t.Fatalf("frags=%d: message %d = %+v", frags, v, m)
 			}
 		}
 
 		p = &auxProgram{}
-		eng, err = NewEngine(g, Options{Fragments: 2, IntraParallelism: intra, Combine: Min})
+		eng, err = NewEngine(g, Options{Fragments: frags, Combine: Min})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +162,7 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(p.got) != 1 || p.got[0] != (Message{Target: 0, Value: 0}) {
-			t.Fatalf("intra=%d: combined delivery %+v, want one {0 0 0}", intra, p.got)
+			t.Fatalf("frags=%d: combined delivery %+v, want one {0 0 0}", frags, p.got)
 		}
 	}
 }
