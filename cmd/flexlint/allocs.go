@@ -52,7 +52,7 @@ func runAllocs(baselinePath string, update, asJSON bool) int {
 		}
 	}
 	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "flexlint -allocs: %d new hot-path allocation(s) over baseline %s\n",
+		fmt.Fprintf(os.Stderr, "flexlint -allocs: %d difference(s) from baseline %s\n",
 			len(violations), baselinePath)
 		return 1
 	}

@@ -1,8 +1,9 @@
 // Command flexlint is the multichecker for the repository's architectural
 // invariants: trait-only storage access (grinboundary), reproducible
-// execution (determinism), typed-column discipline (valuebox, boxflow),
-// safe concurrency and pooling (parallelsafety, lockflow), and backends
-// that serve every scalar GRIN trait in batches too (traitcomplete).
+// execution (determinism), goroutines with a join path (parallelsafety),
+// locks released on every path (lockflow), and backends that serve every
+// scalar GRIN trait in batches too (traitcomplete). Copied locks are left
+// to go vet and boxed hot-path allocations to the -allocs budget below.
 //
 // Usage:
 //
@@ -31,7 +32,8 @@
 // exec.Compile — which enforces the plan-shape rules — and checks what each
 // plan requires against the backend capability table (internal/core), and
 // -allocs diffs the compiler's escape-analysis output for the hot-path
-// packages against the allocation baseline (lint/allocs_baseline.json).
+// packages against the allocation baseline (lint/allocs_baseline.json),
+// failing on a count above or below it.
 package main
 
 import (

@@ -4,7 +4,8 @@
 // function, and diffs the result against a checked-in baseline
 // (lint/allocs_baseline.json). A change that introduces a new heap
 // allocation on the hot path — a fresh escape site, or more escapes in a
-// function that already had some — fails `flexlint -allocs`; deliberate
+// function that already had some — fails `flexlint -allocs`, and so does one
+// that removes an allocation without shrinking the baseline; deliberate
 // changes refresh the baseline with `flexlint -allocs -update`.
 //
 // Keys are (package, function, diagnostic message), never line numbers, so
@@ -181,22 +182,32 @@ func (idx *fileIndex) funcAt(line int) string {
 	return best
 }
 
-// Diff lists budget violations: allocations in the current report that the
-// baseline does not cover. Shrinking counts and vanished entries are fine
-// (the next -update prunes them); only growth fails.
+// Diff lists budget violations in both directions: allocations in the
+// current report that the baseline does not cover, then baseline entries
+// whose count exceeds the current one (shrunk or vanished). The budget is
+// exact because slack left in the baseline is room a later allocation could
+// take unnoticed.
 func Diff(baseline, current Report) []string {
 	var out []string
 	for _, pkg := range sortedKeys(current) {
 		for _, fn := range sortedKeys(current[pkg]) {
 			for _, msg := range sortedKeys(current[pkg][fn]) {
-				n := current[pkg][fn][msg]
-				base := 0
-				if baseline[pkg] != nil && baseline[pkg][fn] != nil {
-					base = baseline[pkg][fn][msg]
-				}
+				n, base := current[pkg][fn][msg], baseline[pkg][fn][msg]
 				if n > base {
 					out = append(out, fmt.Sprintf(
 						"%s: %s: %q ×%d (baseline %d): new hot-path heap allocation; hoist it, pool it, or refresh with -allocs -update",
+						pkg, fn, msg, n, base))
+				}
+			}
+		}
+	}
+	for _, pkg := range sortedKeys(baseline) {
+		for _, fn := range sortedKeys(baseline[pkg]) {
+			for _, msg := range sortedKeys(baseline[pkg][fn]) {
+				n, base := current[pkg][fn][msg], baseline[pkg][fn][msg]
+				if base > n {
+					out = append(out, fmt.Sprintf(
+						"%s: %s: %q ×%d (baseline %d): stale baseline entry; refresh with -allocs -update",
 						pkg, fn, msg, n, base))
 				}
 			}

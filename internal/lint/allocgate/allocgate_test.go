@@ -86,24 +86,36 @@ func TestParseAttribution(t *testing.T) {
 	}
 }
 
-// TestDiff checks the gate semantics: growth fails, shrinkage and
-// disappearance pass, new functions fail.
+// TestDiff checks the gate semantics: the budget is exact, so growth, new
+// functions, shrinkage and vanished entries all fail, and only an identical
+// report passes.
 func TestDiff(t *testing.T) {
 	base := Report{"p": {"f": {"x escapes to heap": 1, "y escapes to heap": 2}}}
 
-	if d := Diff(base, Report{"p": {"f": {"x escapes to heap": 1}}}); len(d) != 0 {
-		t.Errorf("shrinkage must pass, got %v", d)
+	if d := Diff(base, base); len(d) != 0 {
+		t.Errorf("an identical report must pass, got %v", d)
 	}
-	d := Diff(base, Report{"p": {"f": {"x escapes to heap": 2, "y escapes to heap": 2}}})
+	d := Diff(base, Report{"p": {"f": {"x escapes to heap": 1, "y escapes to heap": 1}}})
+	if len(d) != 1 || !strings.Contains(d[0], `"y escapes to heap" ×1 (baseline 2): stale baseline entry`) {
+		t.Errorf("count shrinkage must fail as stale with the counts, got %v", d)
+	}
+	d = Diff(base, Report{"p": {"f": {"x escapes to heap": 1}}})
+	if len(d) != 1 || !strings.Contains(d[0], `"y escapes to heap" ×0 (baseline 2): stale baseline entry`) {
+		t.Errorf("a vanished entry must fail as stale, got %v", d)
+	}
+	d = Diff(base, Report{"p": {"f": {"x escapes to heap": 2, "y escapes to heap": 2}}})
 	if len(d) != 1 || !strings.Contains(d[0], `"x escapes to heap" ×2 (baseline 1)`) {
 		t.Errorf("count growth must fail with the counts, got %v", d)
 	}
-	d = Diff(base, Report{"p": {"g": {"z escapes to heap": 1}}})
-	if len(d) != 1 || !strings.Contains(d[0], "p: g:") {
+	d = Diff(base, Report{"p": {"f": base["p"]["f"], "g": {"z escapes to heap": 1}}})
+	if len(d) != 1 || !strings.Contains(d[0], "p: g:") || !strings.Contains(d[0], "new hot-path heap allocation") {
 		t.Errorf("new function must fail, got %v", d)
 	}
 	if d := Diff(Report{}, Report{"p": {"f": {"x escapes to heap": 1}}}); len(d) != 1 {
 		t.Errorf("empty baseline fails everything, got %v", d)
+	}
+	if d := Diff(base, Report{}); len(d) != 2 {
+		t.Errorf("an empty report leaves every baseline entry stale, got %v", d)
 	}
 }
 

@@ -1,12 +1,10 @@
-// Package flow is the flow layer under the flexlint analyzers: a call graph
-// over the whole loaded package set plus a lightweight per-function dataflow
-// view (single-assignment def/use chains, canonical selector paths, loop
-// depth at call sites). It is computed from the already-typechecked ASTs
+// Package flow is the flow layer under lockflow: a call graph over the
+// whole loaded package set plus a lightweight per-function dataflow view
+// (single-assignment def/use chains, canonical selector paths, defer
+// context at call sites). It is computed from the already-typechecked ASTs
 // that internal/lint/analysis produces — no extra loading, no extra
-// dependencies — and lets analyzers reason across function boundaries:
-// lockflow maps a callee's lock effects through the caller's receiver
-// expression, boxflow sees a boxed allocation through helper calls into a
-// hot loop.
+// dependencies — and lets lockflow reason across function boundaries,
+// mapping a callee's lock effects through the caller's receiver expression.
 //
 // The graph is deliberately conservative where Go is dynamic: calls through
 // interface methods or function values have no Callee (analyzers decide
@@ -62,10 +60,6 @@ type Call struct {
 	// Dynamic marks a call through a function value (parameter, field,
 	// interface method value) that could not be resolved to a body.
 	Dynamic bool
-	// LoopDepth counts the for/range statements enclosing the site within
-	// its function; a function literal resets the depth (a closure built in
-	// a loop runs on its own schedule), matching the valuebox convention.
-	LoopDepth int
 	// InDefer marks calls syntactically inside a defer statement (the
 	// deferred call itself, or calls in a deferred literal's body).
 	InDefer bool
@@ -201,58 +195,35 @@ func (f *Func) SingleDef(v *types.Var) ast.Expr {
 	return f.defs[v]
 }
 
-// collectCalls walks the function body recording call sites with loop depth
-// and defer context. Function literal bodies belong to the enclosing
-// declared function's call list (there is no separate node for a literal),
-// but reset the loop depth.
+// collectCalls walks the function body recording call sites with their
+// defer context. Function literal bodies belong to the enclosing declared
+// function's call list (there is no separate node for a literal).
 func (g *Graph) collectCalls(fn *Func) {
-	var walk func(n ast.Node, depth int, inDefer bool)
-	walk = func(n ast.Node, depth int, inDefer bool) {
+	var walk func(n ast.Node, inDefer bool)
+	walk = func(n ast.Node, inDefer bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncLit:
-				walk(n.Body, 0, inDefer)
-				return false
-			case *ast.ForStmt:
-				if n.Init != nil {
-					walk(n.Init, depth, inDefer)
-				}
-				if n.Cond != nil {
-					walk(n.Cond, depth, inDefer)
-				}
-				if n.Post != nil {
-					walk(n.Post, depth, inDefer)
-				}
-				walk(n.Body, depth+1, inDefer)
-				return false
-			case *ast.RangeStmt:
-				walk(n.X, depth, inDefer)
-				walk(n.Body, depth+1, inDefer)
-				return false
 			case *ast.DeferStmt:
 				// Arguments evaluate now; the call runs at return.
 				for _, a := range n.Call.Args {
-					walk(a, depth, inDefer)
+					walk(a, inDefer)
 				}
 				c := g.resolve(fn, n.Call)
-				c.LoopDepth = depth
 				c.InDefer = true
 				fn.Calls = append(fn.Calls, c)
 				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					walk(lit.Body, 0, true)
+					walk(lit.Body, true)
 				}
 				return false
 			case *ast.CallExpr:
 				c := g.resolve(fn, n)
-				c.LoopDepth = depth
 				c.InDefer = inDefer
 				fn.Calls = append(fn.Calls, c)
-				return true
 			}
 			return true
 		})
 	}
-	walk(fn.Decl.Body, 0, false)
+	walk(fn.Decl.Body, false)
 }
 
 // resolve classifies one call site.

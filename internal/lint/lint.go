@@ -1,21 +1,21 @@
 // Package lint assembles the flexlint analyzer suite: the architectural
-// invariants PRs 1–3 established (trait-only storage access, deterministic
-// batch reassembly, pooled-arena discipline) as machine-checked rules,
-// plus the flow-aware analyzers built on internal/lint/flow (lock pairing
-// across calls, interprocedural boxing escapes). cmd/flexlint is the
+// invariants no type, test, compiler check or `go vet` pass already holds —
+// trait-only storage access, deterministic batch reassembly, joinable
+// goroutines, batched GRIN traits — plus lock pairing across calls, built
+// on the call graph in internal/lint/flow. Boxed hot-path allocations are
+// the compiler-backed allocation budget's (internal/lint/allocgate, run as
+// `flexlint -allocs`), and copied locks are go vet's. cmd/flexlint is the
 // multichecker driver; each analyzer lives in its own package with
 // analysistest fixtures.
 package lint
 
 import (
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/boxflow"
 	"repro/internal/lint/determinism"
 	"repro/internal/lint/grinboundary"
 	"repro/internal/lint/lockflow"
 	"repro/internal/lint/parallelsafety"
 	"repro/internal/lint/traitcomplete"
-	"repro/internal/lint/valuebox"
 )
 
 // All returns the full analyzer suite in stable order.
@@ -23,10 +23,8 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		grinboundary.Analyzer,
 		determinism.Analyzer,
-		valuebox.Analyzer,
 		parallelsafety.Analyzer,
 		traitcomplete.Analyzer,
 		lockflow.Analyzer,
-		boxflow.Analyzer,
 	}
 }

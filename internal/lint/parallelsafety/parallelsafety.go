@@ -1,10 +1,7 @@
-// Package parallelsafety guards the invariants of the shared parallel
-// runtime (PR 1) and the pooled-batch discipline of the vectorized engines
-// (PRs 2–3): synchronization primitives must never be copied, every
-// goroutine needs a join/cancel/error path so engines can't leak workers on
-// failure, and sync.Pool Puts must not park objects that still hold
-// references (a pooled batch that retains row Values pins their strings and
-// lists long after the query finished).
+// Package parallelsafety guards the one invariant of the shared parallel
+// runtime nothing else checks: every goroutine needs a join, cancel or
+// error path, so an engine cannot leak workers on failure. (Copied sync
+// primitives are go vet's copylocks check, which CI runs.)
 package parallelsafety
 
 import (
@@ -14,73 +11,24 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Analyzer flags lock copies, unjoinable goroutines, and reference-retaining
-// pool Puts.
+// Analyzer flags goroutines nothing can join, cancel, or observe failing.
 var Analyzer = &analysis.Analyzer{
 	Name: "parallelsafety",
-	Doc: "flag copies of sync primitives (params, results, range values), goroutines " +
-		"launched with no join/cancel/error path (use internal/parallel or a " +
-		"WaitGroup/channel exit), and sync.Pool.Put of reference-holding objects with no " +
-		"Reset/Clear/clear call in the surrounding function",
+	Doc: "flag goroutines launched with no join/cancel/error path (use internal/parallel " +
+		"or a WaitGroup/channel/context exit)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkSignature(pass, n.Type)
-				if n.Body != nil {
-					checkBody(pass, n.Body)
-				}
-				return false
+			if g, ok := n.(*ast.GoStmt); ok {
+				checkGo(pass, g)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkBody inspects one function body (descending into literals, which
-// carry their own bodies).
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			checkSignature(pass, n.Type)
-			return true
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if t := pass.TypesInfo.TypeOf(n.Value); t != nil && containsLock(t, nil) {
-					pass.Reportf(n.Value.Pos(),
-						"range value copies %s, which contains a sync primitive; range over indexes or pointers", t)
-				}
-			}
-		case *ast.GoStmt:
-			checkGo(pass, n)
-		case *ast.CallExpr:
-			checkPoolPut(pass, body, n)
-		}
-		return true
-	})
-}
-
-// checkSignature flags parameters and results whose types carry a lock by
-// value — the copy happens at every call/return.
-func checkSignature(pass *analysis.Pass, ft *ast.FuncType) {
-	fields := []*ast.FieldList{ft.Params, ft.Results}
-	for _, fl := range fields {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			if t := pass.TypesInfo.TypeOf(field.Type); t != nil && containsLock(t, nil) {
-				pass.Reportf(field.Type.Pos(),
-					"%s passed by value copies a sync primitive; pass a pointer", t)
-			}
-		}
-	}
 }
 
 // checkGo requires a join, cancel, or error path inside goroutine bodies:
@@ -147,162 +95,4 @@ func isContext(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
-
-// checkPoolPut flags p.Put(x) on a sync.Pool when x (a pointer to, or a
-// value of, a struct with reference-holding fields) has no Reset/Clear/
-// release method call or clear() applied to it anywhere in the surrounding
-// function. Textual order is deliberately not required: Puts are routinely
-// deferred.
-func checkPoolPut(pass *analysis.Pass, body *ast.BlockStmt, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" || len(call.Args) != 1 {
-		return
-	}
-	recv := pass.TypesInfo.TypeOf(sel.X)
-	if recv == nil || !isSyncPool(recv) {
-		return
-	}
-	argT := pass.TypesInfo.TypeOf(call.Args[0])
-	if argT == nil || !holdsReferences(deref(argT), nil) {
-		return
-	}
-	root := rootIdent(call.Args[0])
-	if root != "" && hasResetFor(body, root) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"sync.Pool.Put parks %s while it still holds references; Reset/clear its reference fields first (pooled batches must not pin row values)",
-		deref(argT))
-}
-
-func isSyncPool(t types.Type) bool {
-	named, ok := deref(t).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// hasResetFor scans the function body for x.Reset()/x.Clear()/x.release()
-// or clear(x.f) where x is the named root.
-func hasResetFor(body *ast.BlockStmt, root string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if fun.Name == "clear" && len(call.Args) == 1 && rootIdent(call.Args[0]) == root {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			switch fun.Sel.Name {
-			case "Reset", "Clear", "release", "reset":
-				if rootIdent(fun.X) == root {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// rootIdent returns the leftmost identifier of a selector/index chain.
-func rootIdent(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x.Name
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return ""
-		}
-	}
-}
-
-// containsLock reports whether a value of type t embeds a sync primitive
-// (Mutex, RWMutex, WaitGroup, Once, Cond, Pool, Map) by value.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-			switch named.Obj().Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsLock(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(t.Elem(), seen)
-	}
-	return false
-}
-
-// holdsReferences reports whether a value of type t transitively holds
-// pointers, maps, strings, channels, funcs, or interfaces — the memory a
-// pooled object would pin. A slice of plain values (a []VID arena) is the
-// thing pooling exists to reuse and is fine; a slice whose elements hold
-// references ([]graph.Value with its strings and lists) pins them.
-func holdsReferences(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	switch t := t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Chan, *types.Signature, *types.Interface:
-		return true
-	case *types.Slice:
-		return holdsReferences(t.Elem(), seen)
-	case *types.Basic:
-		return t.Kind() == types.String || t.Kind() == types.UntypedString
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if holdsReferences(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return holdsReferences(t.Elem(), seen)
-	}
-	return false
 }

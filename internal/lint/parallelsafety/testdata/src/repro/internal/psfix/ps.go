@@ -1,6 +1,6 @@
-// Package psfix exercises the three parallel-safety rules: lock copies,
-// unjoinable goroutines, and reference-retaining pool Puts. The analyzer has
-// no path filter — these invariants hold everywhere.
+// Package psfix exercises the parallel-safety rule: every goroutine needs a
+// join, cancel, or error path. The analyzer has no path filter — the
+// invariant holds everywhere.
 package psfix
 
 import (
@@ -8,42 +8,6 @@ import (
 	"errors"
 	"sync"
 )
-
-// guarded carries a mutex by value, so copying a guarded copies the lock.
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// ByValue receives the lock-bearing struct by value: every call copies it.
-func ByValue(g guarded) int { // want "passed by value copies a sync primitive"
-	return g.n
-}
-
-// ByPointer is the sanctioned signature.
-func ByPointer(g *guarded) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-// RangeCopy copies each lock-bearing element into the range value.
-func RangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range value copies"
-		total += g.n
-	}
-	return total
-}
-
-// RangeIndex is the sanctioned loop shape.
-func RangeIndex(gs []guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].n
-	}
-	return total
-}
 
 // Orphan launches a goroutine nothing can join, cancel, or observe failing.
 func Orphan(work func()) {
@@ -71,44 +35,6 @@ func Signalled(work func()) <-chan struct{} {
 		close(done)
 	}()
 	return done
-}
-
-// boxed holds references: pooling one without clearing pins its strings.
-type boxed struct {
-	vals []string
-}
-
-// Reset drops the references so the pooled object pins nothing.
-func (b *boxed) Reset() { clear(b.vals) }
-
-// arena holds only plain values; reusing it uncleaned is the point of
-// pooling.
-type arena struct {
-	ids []int64
-}
-
-var pool sync.Pool
-
-// PutDirty parks a reference-holder with no Reset/clear in sight.
-func PutDirty(b *boxed) {
-	pool.Put(b) // want "sync.Pool.Put parks"
-}
-
-// PutReset clears through the type's Reset method before parking.
-func PutReset(b *boxed) {
-	b.Reset()
-	pool.Put(b)
-}
-
-// PutCleared clears the reference field inline before parking.
-func PutCleared(b *boxed) {
-	clear(b.vals)
-	pool.Put(b)
-}
-
-// PutArena parks a plain-value arena: nothing to clear, nothing pinned.
-func PutArena(a *arena) {
-	pool.Put(a)
 }
 
 // CtxCancelable exits through the context's done channel — the ctx-done

@@ -59,8 +59,7 @@ func NewBatchKinds(kinds []graph.Kind, capRows int) *Batch {
 	for i, k := range kinds {
 		b.cols[i].resetKind(k)
 		if k == graph.KindNil && capRows > 0 {
-			//lint:allow boxflow boxed-column arena: one make per unknown-kind column, amortized over capRows values — the escape-hatch unit of allocation
-			b.cols[i].box = make([]graph.Value, 0, capRows) //lint:allow valuebox boxed escape hatch: one arena per unknown-kind column, not a per-value box; typed kinds never take this branch
+			b.cols[i].box = make([]graph.Value, 0, capRows)
 		}
 	}
 	return b
@@ -227,11 +226,10 @@ func (b *Batch) viewOf(dst *Batch, lo, hi int) {
 func (b *Batch) Rows() []Row {
 	n := b.Len()
 	w := len(b.cols)
-	//lint:allow boxflow result materialization: the one boxed arena per query, sized rows×width at the pipeline edge
 	arena := make([]graph.Value, n*w)
 	out := make([]Row, n)
 	for i := 0; i < n; i++ {
-		out[i] = Row(arena[i*w : (i+1)*w : (i+1)*w]) //lint:allow valuebox slices the single result arena per row; no per-row clone
+		out[i] = Row(arena[i*w : (i+1)*w : (i+1)*w])
 	}
 	// Fill column-major with monomorphic loops over the typed payloads; the
 	// per-value kind switch of Column.Get would otherwise dominate result
@@ -327,7 +325,6 @@ func (b *Batch) reshape(kinds []graph.Kind) {
 // alive regardless).
 func (p *BatchPool) Put(b *Batch) {
 	if b != nil && !b.view {
-		//lint:allow parallelsafety bounded retention of store-backed values; clearing per morsel would memset the hottest arena in the engine
 		p.pool.Put(b)
 	}
 }

@@ -424,13 +424,11 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 			// row.
 			newGroup := func(kv []graph.Value) *groupAccum {
 				g := &groupAccum{
-					//lint:allow valuebox per distinct group, not per row; group keys must be retained
-					keys:  append([]graph.Value(nil), kv...),
-					count: make([]int64, len(aggs)),
-					sum:   make([]float64, len(aggs)),
-					//lint:allow valuebox per distinct group, not per row
-					min: make([]graph.Value, len(aggs)),
-					//lint:allow valuebox per distinct group, not per row
+					// kv is per-row scratch; the group retains a copy.
+					keys:   append([]graph.Value(nil), kv...),
+					count:  make([]int64, len(aggs)),
+					sum:    make([]float64, len(aggs)),
+					min:    make([]graph.Value, len(aggs)),
 					max:    make([]graph.Value, len(aggs)),
 					coll:   make([][]graph.Value, len(aggs)),
 					seenIn: make([]bool, len(aggs)),
@@ -439,7 +437,6 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 				return g
 			}
 			kv := make([]graph.Value, len(gkeys)) // per-row scratch
-			//lint:allow valuebox barrier-local row bridge for the generic aggregation path
 			rowBuf := make([]graph.Value, in.Width())
 			for i := 0; i < in.Len(); i++ {
 				in.CopyRow(i, rowBuf)
@@ -509,7 +506,6 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 				newGroup(nil) // a global aggregate over no rows is still one row
 			}
 			out := NewBatchKinds(outKinds, 0)
-			//lint:allow valuebox one output-row scratch per barrier
 			rowVals := make([]graph.Value, width)
 			for _, g := range ordered {
 				for j := range gkeys {
@@ -695,8 +691,7 @@ func (c *Compiled) compileDedup(op *ir.Op) error {
 		Blocking: func(env *Env, in *Batch) (*Batch, error) {
 			seen := map[uint64][][]graph.Value{}
 			var kept []int32
-			//lint:allow valuebox per-row key scratch; retained copies below are per distinct row
-			kv := make([]graph.Value, len(idxs))
+			kv := make([]graph.Value, len(idxs)) // per-row scratch
 			for i := 0; i < in.Len(); i++ {
 				h := graph.HashSeed
 				for j, ix := range idxs {
@@ -720,7 +715,8 @@ func (c *Compiled) compileDedup(op *ir.Op) error {
 				if dup {
 					continue
 				}
-				//lint:allow valuebox retained per distinct row in the dedup set; column views would dangle across batches
+				// The set retains a copy per distinct row: views into in's
+				// columns would dangle across batches.
 				key := append([]graph.Value(nil), kv...)
 				seen[h] = append(seen[h], key)
 				kept = append(kept, int32(in.physRow(i)))
