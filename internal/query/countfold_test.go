@@ -47,6 +47,9 @@ type countQuery struct {
 	// props: the query reads properties, which a topology-only store cannot
 	// serve.
 	props bool
+	// match is the query's MATCH and WHERE; key the grouped vertex ("" for a
+	// global count), counted the COUNT's argument ("*" or a vertex).
+	match, key, counted string
 }
 
 // intProp names one int property per SNB vertex label that has any.
@@ -134,20 +137,21 @@ func genCountQuery(rng *rand.Rand, schema *graph.Schema) countQuery {
 	if target >= 0 {
 		counted = v(target)
 	}
-	text := "MATCH " + pattern.String()
+	match := "MATCH " + pattern.String()
 	if len(where) > 0 {
-		text += "\nWHERE " + strings.Join(where, " AND ")
+		match += "\nWHERE " + strings.Join(where, " AND ")
 	}
+	text, key := match, ""
 	switch rng.Intn(3) {
 	case 0: // global
 		text += fmt.Sprintf("\nRETURN COUNT(%s) AS c", counted)
 	case 1: // bare vertex key: the typed aggregation path
 		k := rng.Intn(hops + 1)
-		touched[k] = true
+		touched[k], key = true, v(k)
 		text += fmt.Sprintf("\nWITH %s, COUNT(%s) AS c\nRETURN id(%s) AS k, c", v(k), counted, v(k))
 	default: // computed key: the generic path
 		k := rng.Intn(hops + 1)
-		touched[k] = true
+		touched[k], key = true, v(k)
 		text += fmt.Sprintf("\nRETURN id(%s) AS k, COUNT(%s) AS c", v(k), counted)
 	}
 	fold := false
@@ -156,7 +160,7 @@ func genCountQuery(rng *rand.Rand, schema *graph.Schema) countQuery {
 			fold = true
 		}
 	}
-	return countQuery{text: text, fold: fold, props: props}
+	return countQuery{text: text, fold: fold, props: props, match: match, key: key, counted: counted}
 }
 
 // foldCount returns how many EXPAND_DEGREE operators a physical plan holds.

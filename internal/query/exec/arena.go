@@ -54,6 +54,7 @@ type Arena struct {
 	eval    gatherScratch
 	scanIDs []graph.VID   // label-scan ID chunk
 	scanRow []graph.Value // SCAN's predicate row bridge
+	group   groupScratch  // GROUP's typed fold: key index and accumulators
 }
 
 // Reset hands every batch back to the arena. The owner calls it at the start

@@ -1,5 +1,28 @@
 package exec
 
+import "repro/internal/query/ir"
+
+// CompileUnsplit compiles p with an empty barrier in front of every GROUP, so
+// no GROUP splits into GROUP(partial) and a merge: each folds its whole input
+// at once — the reference a split fold must reproduce row for row.
+func CompileUnsplit(p *ir.Plan, opt Options) (*Compiled, error) {
+	c := &Compiled{Cols: Columns{}, schema: opt.Schema}
+	for i, op := range p.Ops {
+		if op.Kind == ir.OpGroupBy {
+			c.Stages = append(c.Stages, Stage{
+				Name:    "BARRIER",
+				InWidth: c.numCols, OutWidth: c.numCols,
+				OutKinds: c.kindsSnapshot(),
+				Blocking: func(_ *Env, in *Batch) (*Batch, error) { return in, nil },
+			})
+		}
+		if err := c.compileOp(op, i == 0, opt); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // Test-only views of the expansion skeleton's unexported bounds.
 
 // SlotBudget and FirstChunk mirror the chunking constants.

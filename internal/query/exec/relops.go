@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -263,10 +264,11 @@ type groupAccum struct {
 }
 
 // intFamilyKind reports whether a typed column of this kind stores its
-// payload in the shared int64 array (RawInts).
+// payload in the shared int64 array (RawInts). Bool columns keep their own
+// []bool payload, so a bool key takes the generic path.
 func intFamilyKind(k graph.Kind) bool {
 	switch k {
-	case graph.KindInt, graph.KindBool, graph.KindVertex, graph.KindEdge:
+	case graph.KindInt, graph.KindVertex, graph.KindEdge:
 		return true
 	}
 	return false
@@ -275,8 +277,6 @@ func intFamilyKind(k graph.Kind) bool {
 // intFamilyValue boxes one int-family payload back to its kind.
 func intFamilyValue(k graph.Kind, v int64) graph.Value {
 	switch k {
-	case graph.KindBool:
-		return graph.BoolValue(v != 0)
 	case graph.KindVertex:
 		return graph.VertexValue(graph.VID(v))
 	case graph.KindEdge:
@@ -291,18 +291,25 @@ func intFamilyValue(k graph.Kind, v int64) graph.Value {
 // first-appearance order, which is deterministic because every driver
 // delivers rows to the barrier in serial plan order.
 //
-// The common single-key shape — one bare int-family key column with only
-// count/sum/avg aggregates over bare columns — runs fully typed: the hash
-// table is map[int64]group over the raw key payload (exact equality for a
-// uniform kind) and the aggregates accumulate straight off the payload
-// arrays, no value boxed per row. Everything else takes the generic boxed
-// path.
+// The common shapes — no key or one bare int-family key column, with only
+// count/sum/avg aggregates over bare columns — run fully typed (groupTyped):
+// the hash table indexes the raw key payload (exact equality for a uniform
+// kind) and the aggregates accumulate straight off the payload arrays, no
+// value boxed per row. Everything else takes the generic boxed path.
 //
 // With op.CountWeight set (the GROUP consumes an EXPAND_DEGREE) every input
 // row stands for that column's number of rows: the aggregates — all COUNT(*)
 // then — add the weight instead of 1, on both paths, and stay KindInt. A
 // GROUP with no keys is a global aggregate and yields exactly one row, over
 // empty input too (COUNT 0, SUM 0, AVG/MIN/MAX NULL, COLLECT []).
+//
+// A typed GROUP whose aggregates are all COUNT, over no key or one key of an
+// int-family compile-time kind, that follows a pipeline stage compiles to two
+// stages: GROUP(partial), a Map at the end of the segment that runs the typed
+// fold per morsel, and the barrier GROUP, which sums those partial counts.
+// Drivers deliver morsels to the barrier in morsel-sequence order, so first
+// appearance across partial rows is first appearance across input rows, and
+// int64 sums are exact: the result is row-for-row the unsplit fold's.
 func (c *Compiled) compileGroupBy(op *ir.Op) error {
 	inCols := c.snapshotCols()
 	inKinds := c.kindsSnapshot()
@@ -327,9 +334,17 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 		c.weight = ""
 	}
 	c.resetCols()
-	keyIdx := make([]int, len(gkeys))
-	keyProgs := make([]*expr.Bound, len(gkeys))
-	keyCols := make([]int, len(gkeys)) // bare-ref input column, or -1
+	f := &groupFold{
+		aggs:     aggs,
+		keyProgs: make([]*expr.Bound, len(gkeys)),
+		keyCols:  make([]int, len(gkeys)),
+		keyIdx:   make([]int, len(gkeys)),
+		aggProgs: make([]*expr.Bound, len(aggs)),
+		aggCols:  make([]int, len(aggs)),
+		wCols:    make([]int, len(aggs)),
+		aggIdx:   make([]int, len(aggs)),
+	}
+	keyIdx, keyProgs, keyCols := f.keyIdx, f.keyProgs, f.keyCols
 	for i, k := range gkeys {
 		if _, dup := c.Cols[k.Alias]; dup {
 			return fmt.Errorf("GROUP duplicate output alias %q", k.Alias)
@@ -352,9 +367,7 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 		}
 		keyIdx[i] = c.addColK(k.Alias, outKind, outLabel)
 	}
-	aggIdx := make([]int, len(aggs))
-	aggProgs := make([]*expr.Bound, len(aggs))
-	aggCols := make([]int, len(aggs)) // bare-ref input column, or -1
+	aggIdx, aggProgs, aggCols := f.aggIdx, f.aggProgs, f.aggCols
 	for i, a := range aggs {
 		if _, dup := c.Cols[a.Alias]; dup {
 			return fmt.Errorf("GROUP aggregate alias %q collides with another output column (the columns would silently merge)", a.Alias)
@@ -385,284 +398,425 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 		aggIdx[i] = c.addColK(a.Alias, outKind, graph.AnyLabel)
 	}
 	width := c.numCols
-	outKinds := c.kindsSnapshot()
+	f.outKinds = c.kindsSnapshot()
+	for i := range f.wCols {
+		f.wCols[i] = wCol
+	}
 
-	// Compile-time eligibility for the typed path; runtime adds the typed/
-	// null-free column checks per batch.
-	typedOK := len(gkeys) == 1 && keyCols[0] >= 0
-	if typedOK {
-		for i, a := range aggs {
-			switch a.Fn {
-			case "count":
-				if a.Arg != nil && aggCols[i] < 0 {
-					typedOK = false
-				}
-			case "sum", "avg":
-				if aggCols[i] < 0 {
-					typedOK = false
-				}
-			default:
-				typedOK = false
-			}
+	// Compile-time eligibility for the typed path — runtime adds the typed/
+	// null-free column checks per batch — and for the split, which also needs
+	// COUNT alone and a key that is int-family already at compile time.
+	f.typed = len(gkeys) == 0 || (len(gkeys) == 1 && keyCols[0] >= 0)
+	split := len(gkeys) == 0 || (f.typed && intFamilyKind(inKinds[keyCols[0]]))
+	for i, a := range aggs {
+		switch {
+		case a.Fn == "count" && (a.Arg == nil || aggCols[i] >= 0):
+		case (a.Fn == "sum" || a.Fn == "avg") && aggCols[i] >= 0:
+			split = false
+		default:
+			f.typed, split = false, false
 		}
 	}
 
+	if split && len(c.Stages) > 0 && c.Stages[len(c.Stages)-1].Blocking == nil {
+		c.Stages = append(c.Stages, Stage{
+			Name:    "GROUP(partial)",
+			InWidth: inWidth, OutWidth: width,
+			OutKinds: f.outKinds,
+			Map:      f.runPartial,
+		})
+		f, inWidth = f.merge(), width
+	}
 	c.Stages = append(c.Stages, Stage{
 		Name:    "GROUP",
 		InWidth: inWidth, OutWidth: width,
-		OutKinds: outKinds,
-		Blocking: func(env *Env, in *Batch) (*Batch, error) {
-			if typedOK {
-				if out, ok := groupTyped(in, aggs, keyCols[0], keyIdx[0], aggCols, aggIdx, wCol, outKinds); ok {
-					return out, nil
-				}
-			}
-			benv := env.boundEnv()
-			buckets := map[uint64][]*groupAccum{}
-			var ordered []*groupAccum
-			// Accumulator state is allocated once per distinct group, not per
-			// row.
-			newGroup := func(kv []graph.Value) *groupAccum {
-				g := &groupAccum{
-					// kv is per-row scratch; the group retains a copy.
-					keys:   append([]graph.Value(nil), kv...),
-					count:  make([]int64, len(aggs)),
-					sum:    make([]float64, len(aggs)),
-					min:    make([]graph.Value, len(aggs)),
-					max:    make([]graph.Value, len(aggs)),
-					coll:   make([][]graph.Value, len(aggs)),
-					seenIn: make([]bool, len(aggs)),
-				}
-				ordered = append(ordered, g)
-				return g
-			}
-			kv := make([]graph.Value, len(gkeys)) // per-row scratch
-			rowBuf := make([]graph.Value, in.Width())
-			for i := 0; i < in.Len(); i++ {
-				in.CopyRow(i, rowBuf)
-				h := graph.HashSeed
-				for j, p := range keyProgs {
-					v, err := p.Eval(&benv, rowBuf)
-					if err != nil {
-						return nil, err
-					}
-					kv[j] = v
-					h = v.Hash(h)
-				}
-				var g *groupAccum
-				for _, cand := range buckets[h] {
-					match := true
-					for j := range kv {
-						if !kv[j].Equal(cand.keys[j]) {
-							match = false
-							break
-						}
-					}
-					if match {
-						g = cand
-						break
-					}
-				}
-				if g == nil {
-					g = newGroup(kv)
-					buckets[h] = append(buckets[h], g)
-				}
-				w := int64(1)
-				if wCol >= 0 {
-					w = rowBuf[wCol].Int()
-				}
-				for j, a := range aggs {
-					var v graph.Value
-					if aggProgs[j] != nil {
-						var err error
-						v, err = aggProgs[j].Eval(&benv, rowBuf)
-						if err != nil {
-							return nil, err
-						}
-					}
-					switch a.Fn {
-					case "count":
-						if a.Arg == nil || !v.IsNull() {
-							g.count[j] += w
-						}
-					case "sum", "avg":
-						g.count[j]++
-						g.sum[j] += v.Float()
-					case "min":
-						if !g.seenIn[j] || v.Compare(g.min[j]) < 0 {
-							g.min[j] = v
-						}
-					case "max":
-						if !g.seenIn[j] || v.Compare(g.max[j]) > 0 {
-							g.max[j] = v
-						}
-					case "collect":
-						g.coll[j] = append(g.coll[j], v)
-					}
-					g.seenIn[j] = true
-				}
-			}
-			if len(gkeys) == 0 && len(ordered) == 0 {
-				newGroup(nil) // a global aggregate over no rows is still one row
-			}
-			out := NewBatchKinds(outKinds, 0)
-			rowVals := make([]graph.Value, width)
-			for _, g := range ordered {
-				for j := range gkeys {
-					rowVals[keyIdx[j]] = g.keys[j]
-				}
-				for j, a := range aggs {
-					switch a.Fn {
-					case "count":
-						rowVals[aggIdx[j]] = graph.IntValue(g.count[j])
-					case "sum":
-						rowVals[aggIdx[j]] = graph.FloatValue(g.sum[j])
-					case "avg":
-						if g.count[j] == 0 {
-							rowVals[aggIdx[j]] = graph.NullValue
-						} else {
-							rowVals[aggIdx[j]] = graph.FloatValue(g.sum[j] / float64(g.count[j]))
-						}
-					case "min":
-						rowVals[aggIdx[j]] = g.min[j]
-					case "max":
-						rowVals[aggIdx[j]] = g.max[j]
-					case "collect":
-						rowVals[aggIdx[j]] = graph.ListValue(g.coll[j])
-					}
-				}
-				out.AppendRow(rowVals)
-			}
-			return out, nil
-		},
+		OutKinds: f.outKinds,
+		Blocking: f.run,
 	})
 	return nil
 }
 
-// groupTyped is the monomorphic aggregation loop: one int-family key column,
-// count/sum/avg aggregates over typed columns, counts weighted by int column
-// wCol when it is >= 0. Returns ok=false when the batch's runtime column
-// layout does not meet the preconditions (demoted or null-carrying key or
-// weight, boxed aggregate argument), sending the caller to the generic path.
-func groupTyped(in *Batch, aggs []ir.Aggregate, keyCol, keyOut int, aggCols, aggIdx []int, wCol int, outKinds []graph.Kind) (*Batch, bool) {
-	kt := in.Col(keyCol).Typed()
-	if kt == nil || kt.HasNulls() || !intFamilyKind(kt.Kind()) {
-		return nil, false
+// groupFold is one compiled GROUP fold: how each key and aggregate argument
+// is read off an input row, which column weights each COUNT, and where the
+// results land.
+type groupFold struct {
+	aggs     []ir.Aggregate
+	keyProgs []*expr.Bound // bound key expressions, read when keyCols is -1
+	keyCols  []int         // bare-ref key column, or -1
+	keyIdx   []int         // output column of each key
+	aggProgs []*expr.Bound // bound aggregate arguments, nil for COUNT(*)
+	aggCols  []int         // bare-ref argument column, or -1
+	wCols    []int         // per aggregate: the int column a row's COUNT adds, or -1 (adds 1)
+	aggIdx   []int         // output column of each aggregate
+	outKinds []graph.Kind
+	typed    bool // compile-time eligibility for groupTyped
+}
+
+// merge is the barrier half of a split fold. Its input rows are partial
+// counts laid out like the output, so each key is read back from its output
+// column and each COUNT adds its own partial-count column.
+func (f *groupFold) merge() *groupFold {
+	m := *f
+	m.aggs = make([]ir.Aggregate, len(f.aggs))
+	m.aggCols = make([]int, len(f.aggs))
+	for i, a := range f.aggs {
+		m.aggs[i] = ir.Aggregate{Fn: "count", Alias: a.Alias}
+		m.aggCols[i] = -1
 	}
-	var weights []int64
-	if wCol >= 0 {
-		wt := in.Col(wCol).Typed()
-		if wt == nil || wt.HasNulls() || wt.Kind() != graph.KindInt {
-			return nil, false
-		}
-		weights = wt.RawInts()
+	m.aggProgs = make([]*expr.Bound, len(f.aggs))
+	m.wCols = f.aggIdx
+	m.keyCols = f.keyIdx
+	return &m
+}
+
+// runPartial is GROUP(partial): the typed fold of one morsel, appended to out
+// as one row per group the morsel touched, in first-appearance order. A
+// morsel the typed fold cannot read (a demoted or NULL key, a boxed weight or
+// argument) passes through as one row per input row carrying that row's
+// contribution to each COUNT: its weight, or 0 where COUNT(alias) sees NULL.
+func (f *groupFold) runPartial(env *Env, in, out *Batch) error {
+	if in.Len() == 0 || groupTyped(&env.Arena.group, in, f, out) {
+		return nil
 	}
-	type aggIn struct {
-		ints   []int64
-		floats []float64
-		col    *column.Column
+	for i := 0; i < in.Len(); i++ {
+		r := in.physRow(i)
+		for j, col := range f.keyCols {
+			out.cols[f.keyIdx[j]].AppendValue(in.cols[col].Value(r))
+		}
+		for j, col := range f.aggCols {
+			w := int64(0)
+			if col < 0 || !in.cols[col].Value(r).IsNull() {
+				w = 1
+				if f.wCols[j] >= 0 {
+					w = in.cols[f.wCols[j]].Value(r).Int()
+				}
+			}
+			out.cols[f.aggIdx[j]].appendInt(w)
+		}
 	}
-	acols := make([]aggIn, len(aggs))
-	for j := range aggs {
-		if aggCols[j] < 0 {
-			continue
+	out.rows += in.Len()
+	return nil
+}
+
+// run folds the whole gathered input at the barrier.
+func (f *groupFold) run(env *Env, in *Batch) (*Batch, error) {
+	out := NewBatchKinds(f.outKinds, 0)
+	if f.typed && groupTyped(&env.Arena.group, in, f, out) {
+		return out, nil
+	}
+	aggs, keyCols, keyProgs, aggProgs := f.aggs, f.keyCols, f.keyProgs, f.aggProgs
+	benv := env.boundEnv()
+	buckets := map[uint64][]*groupAccum{}
+	var ordered []*groupAccum
+	// Accumulator state is allocated once per distinct group, not per row.
+	newGroup := func(kv []graph.Value) *groupAccum {
+		g := &groupAccum{
+			// kv is per-row scratch; the group retains a copy.
+			keys:   append([]graph.Value(nil), kv...),
+			count:  make([]int64, len(aggs)),
+			sum:    make([]float64, len(aggs)),
+			min:    make([]graph.Value, len(aggs)),
+			max:    make([]graph.Value, len(aggs)),
+			coll:   make([][]graph.Value, len(aggs)),
+			seenIn: make([]bool, len(aggs)),
 		}
-		at := in.Col(aggCols[j]).Typed()
-		if at == nil {
-			return nil, false
+		ordered = append(ordered, g)
+		return g
+	}
+	kv := make([]graph.Value, len(keyCols)) // per-row scratch
+	rowBuf := make([]graph.Value, in.Width())
+	for i := 0; i < in.Len(); i++ {
+		in.CopyRow(i, rowBuf)
+		h := graph.HashSeed
+		for j, col := range keyCols {
+			if col >= 0 {
+				kv[j] = rowBuf[col]
+			} else {
+				v, err := keyProgs[j].Eval(&benv, rowBuf)
+				if err != nil {
+					return nil, err
+				}
+				kv[j] = v
+			}
+			h = kv[j].Hash(h)
 		}
-		switch aggs[j].Fn {
-		case "sum", "avg":
-			switch at.Kind() {
-			case graph.KindInt:
-				acols[j].ints = at.RawInts()
-			case graph.KindFloat:
-				acols[j].floats = at.Floats()
-			default:
-				return nil, false
+		var g *groupAccum
+		for _, cand := range buckets[h] {
+			match := true
+			for j := range kv {
+				if !kv[j].Equal(cand.keys[j]) {
+					match = false
+					break
+				}
+			}
+			if match {
+				g = cand
+				break
 			}
 		}
-		acols[j].col = at
+		if g == nil {
+			g = newGroup(kv)
+			buckets[h] = append(buckets[h], g)
+		}
+		for j, a := range aggs {
+			var v graph.Value
+			if aggProgs[j] != nil {
+				var err error
+				v, err = aggProgs[j].Eval(&benv, rowBuf)
+				if err != nil {
+					return nil, err
+				}
+			}
+			switch a.Fn {
+			case "count":
+				if a.Arg == nil || !v.IsNull() {
+					w := int64(1)
+					if f.wCols[j] >= 0 {
+						w = rowBuf[f.wCols[j]].Int()
+					}
+					g.count[j] += w
+				}
+			case "sum", "avg":
+				g.count[j]++
+				g.sum[j] += v.Float()
+			case "min":
+				if !g.seenIn[j] || v.Compare(g.min[j]) < 0 {
+					g.min[j] = v
+				}
+			case "max":
+				if !g.seenIn[j] || v.Compare(g.max[j]) > 0 {
+					g.max[j] = v
+				}
+			case "collect":
+				g.coll[j] = append(g.coll[j], v)
+			}
+			g.seenIn[j] = true
+		}
+	}
+	if len(keyCols) == 0 && len(ordered) == 0 {
+		newGroup(nil) // a global aggregate over no rows is still one row
+	}
+	rowVals := make([]graph.Value, len(f.outKinds))
+	for _, g := range ordered {
+		for j := range keyCols {
+			rowVals[f.keyIdx[j]] = g.keys[j]
+		}
+		for j, a := range aggs {
+			o := f.aggIdx[j]
+			switch a.Fn {
+			case "count":
+				rowVals[o] = graph.IntValue(g.count[j])
+			case "sum":
+				rowVals[o] = graph.FloatValue(g.sum[j])
+			case "avg":
+				if g.count[j] == 0 {
+					rowVals[o] = graph.NullValue
+				} else {
+					rowVals[o] = graph.FloatValue(g.sum[j] / float64(g.count[j]))
+				}
+			case "min":
+				rowVals[o] = g.min[j]
+			case "max":
+				rowVals[o] = g.max[j]
+			case "collect":
+				rowVals[o] = graph.ListValue(g.coll[j])
+			}
+		}
+		out.AppendRow(rowVals)
+	}
+	return out, nil
+}
+
+// groupTyped is the monomorphic aggregation loop, GROUP(partial)'s per
+// morsel and the barrier's over its whole input: no key or one int-family
+// key column, count/sum/avg aggregates over typed columns, each COUNT
+// weighted by its int column in f.wCols when that is >= 0. It appends one row
+// per group, in first-appearance order, to out — one row for a global fold,
+// over no input too. It returns false, out untouched, when the batch's
+// runtime column layout does not meet the preconditions (demoted or
+// null-carrying key or weight, boxed aggregate argument), sending the caller
+// to its fallback. All state lives in s, so a warm arena folds without
+// allocating.
+func groupTyped(s *groupScratch, in *Batch, f *groupFold, out *Batch) bool {
+	var keys []int64
+	kk, keyed := graph.KindNil, len(f.keyCols) == 1
+	if keyed {
+		kt := in.Col(f.keyCols[0]).Typed()
+		if kt == nil || kt.HasNulls() || !intFamilyKind(kt.Kind()) {
+			return false
+		}
+		keys, kk = kt.RawInts(), kt.Kind()
+	}
+	s.aggs = s.aggs[:0]
+	for j, a := range f.aggs {
+		ai := aggIn{sum: a.Fn != "count"}
+		if w := f.wCols[j]; w >= 0 {
+			wt := in.Col(w).Typed()
+			if wt == nil || wt.HasNulls() || wt.Kind() != graph.KindInt {
+				return false
+			}
+			ai.weights = wt.RawInts()
+		}
+		if c := f.aggCols[j]; c >= 0 {
+			if ai.col = in.Col(c).Typed(); ai.col == nil {
+				return false
+			}
+			if ai.sum {
+				switch ai.col.Kind() {
+				case graph.KindInt:
+					ai.ints = ai.col.RawInts()
+				case graph.KindFloat:
+					ai.floats = ai.col.Floats()
+				default:
+					return false
+				}
+			}
+		}
+		s.aggs = append(s.aggs, ai)
 	}
 
-	kints := kt.RawInts()
-	sel := in.Sel()
-	n := in.Len()
-	groups := make(map[int64]int32, 64)
-	var keys []int64
-	counts := make([][]int64, len(aggs))
-	sums := make([][]float64, len(aggs))
+	n, sel, na := in.Len(), in.Sel(), len(f.aggs)
+	s.counts, s.sums = s.counts[:0], s.sums[:0]
+	if keyed {
+		s.index.reset(n)
+	} else {
+		s.addGroup(na) // a global fold is one group
+	}
+	g := 0
 	for i := 0; i < n; i++ {
 		p := i
 		if sel != nil {
 			p = int(sel[i])
 		}
-		k := kints[p]
-		w := int64(1)
-		if weights != nil {
-			w = weights[p]
-		}
-		gi, ok := groups[k]
-		if !ok {
-			gi = int32(len(keys))
-			groups[k] = gi
-			keys = append(keys, k)
-			for j := range aggs {
-				counts[j] = append(counts[j], 0)
-				sums[j] = append(sums[j], 0)
+		if keyed {
+			var added bool
+			if g, added = s.index.group(keys[p]); added {
+				s.addGroup(na)
 			}
 		}
-		for j := range aggs {
-			switch aggs[j].Fn {
-			case "count":
-				if acols[j].col == nil || !acols[j].col.NullAt(p) {
-					counts[j][gi] += w
-				}
-			case "sum", "avg":
-				// NULL payload slots read as zero, matching boxed
-				// Value.Float() of NULL; the count still advances, exactly
-				// like the generic accumulator.
-				counts[j][gi]++
-				if acols[j].ints != nil {
-					if !acols[j].col.NullAt(p) {
-						sums[j][gi] += float64(acols[j].ints[p])
+		counts, sums := s.counts[g*na:g*na+na], s.sums[g*na:g*na+na]
+		for j := range s.aggs {
+			a := &s.aggs[j]
+			if !a.sum {
+				if a.col == nil || !a.col.NullAt(p) {
+					if a.weights != nil {
+						counts[j] += a.weights[p]
+					} else {
+						counts[j]++
 					}
-				} else if !acols[j].col.NullAt(p) {
-					sums[j][gi] += acols[j].floats[p]
+				}
+				continue
+			}
+			// NULL payload slots read as zero, matching boxed Value.Float()
+			// of NULL; the count still advances, exactly like the generic
+			// accumulator.
+			counts[j]++
+			if !a.col.NullAt(p) {
+				if a.ints != nil {
+					sums[j] += float64(a.ints[p])
+				} else {
+					sums[j] += a.floats[p]
 				}
 			}
 		}
 	}
 
-	out := NewBatchKinds(outKinds, 0)
-	kk := kt.Kind()
-	okc := out.Col(keyOut)
-	for _, k := range keys {
-		okc.AppendValue(intFamilyValue(kk, k))
+	groups := 1
+	if keyed {
+		groups = len(s.index.keys)
+		kc := out.Col(f.keyIdx[0])
+		for _, k := range s.index.keys {
+			kc.appendIntFamily(kk, k)
+		}
 	}
-	for j, a := range aggs {
-		oc := out.Col(aggIdx[j])
-		switch a.Fn {
-		case "count":
-			for gi := range keys {
-				oc.AppendValue(graph.IntValue(counts[j][gi]))
-			}
-		case "sum":
-			for gi := range keys {
-				oc.AppendValue(graph.FloatValue(sums[j][gi]))
-			}
-		case "avg":
-			for gi := range keys {
-				if counts[j][gi] == 0 {
-					oc.AppendValue(graph.NullValue)
-				} else {
-					oc.AppendValue(graph.FloatValue(sums[j][gi] / float64(counts[j][gi])))
-				}
+	for j, a := range f.aggs {
+		oc := out.Col(f.aggIdx[j])
+		for gi := 0; gi < groups; gi++ {
+			c, sum := s.counts[gi*na+j], s.sums[gi*na+j]
+			switch {
+			case a.Fn == "count":
+				oc.appendInt(c)
+			case a.Fn == "sum":
+				oc.AppendValue(graph.FloatValue(sum))
+			case c == 0: // avg of nothing
+				oc.appendNull()
+			default:
+				oc.AppendValue(graph.FloatValue(sum / float64(c)))
 			}
 		}
 	}
-	out.rows = len(keys)
-	return out, true
+	out.rows += groups
+	return true
+}
+
+// groupScratch is groupTyped's arena scratch. GROUP(partial) uses it per
+// morsel and the barrier GROUP per run; the two are never live at once on
+// one arena.
+type groupScratch struct {
+	index  intGroups
+	aggs   []aggIn
+	counts []int64   // per group, one count per aggregate (group-major)
+	sums   []float64 // likewise, the sums of sum/avg
+}
+
+// aggIn is one aggregate's typed input columns.
+type aggIn struct {
+	sum     bool // sum or avg; else COUNT
+	ints    []int64
+	floats  []float64
+	col     *column.Column // the argument; nil for COUNT(*)
+	weights []int64        // COUNT's weight column; nil counts 1 per row
+}
+
+// addGroup appends one group's zeroed counters.
+func (s *groupScratch) addGroup(na int) {
+	for range na {
+		s.counts = append(s.counts, 0)
+		s.sums = append(s.sums, 0)
+	}
+}
+
+// intGroups numbers int64 keys densely in first-appearance order: open
+// addressing (Fibonacci hashing, linear probing) over a table sized for the
+// input at hand. reset frees only the slots the previous use filled, so it
+// costs that use's group count — never the size of the largest input the
+// arena has seen — and it also cleans up after a use a panic cut short.
+type intGroups struct {
+	slots []int32 // group index + 1 per slot; 0 = free
+	used  []int32 // the slots filled since the last reset
+	keys  []int64 // group keys in first-appearance order
+	shift uint
+	mask  int
+}
+
+// reset empties the index and sizes it for up to n keys, at most half full.
+func (t *intGroups) reset(n int) {
+	for _, h := range t.used {
+		t.slots[h] = 0
+	}
+	t.used, t.keys = t.used[:0], t.keys[:0]
+	b := bits.Len(uint(2*max(n, 1) - 1))
+	if len(t.slots) < 1<<b {
+		t.slots = make([]int32, 1<<b)
+	}
+	t.shift, t.mask = uint(64-b), 1<<b-1
+}
+
+// group returns k's group index, adding a group on k's first appearance.
+func (t *intGroups) group(k int64) (g int, added bool) {
+	h := int(uint64(k) * 0x9E3779B97F4A7C15 >> t.shift)
+	for {
+		switch e := t.slots[h]; {
+		case e == 0:
+			t.slots[h] = int32(len(t.keys) + 1)
+			t.used = append(t.used, int32(h))
+			t.keys = append(t.keys, k)
+			return len(t.keys) - 1, true
+		case t.keys[e-1] == k:
+			return int(e - 1), false
+		}
+		h = (h + 1) & t.mask
+	}
 }
 
 // compileDedup removes duplicates over the key aliases, keeping the first

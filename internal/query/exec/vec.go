@@ -189,6 +189,17 @@ func (v *Vec) appendInt(n int64) {
 	v.AppendValue(graph.IntValue(n))
 }
 
+// appendIntFamily appends one int-family payload of kind k (int, vertex or
+// edge), using the monomorphic path when the vector holds that kind: all
+// three keep their payload in the column's shared int64 array.
+func (v *Vec) appendIntFamily(k graph.Kind, x int64) {
+	if v.kind == k {
+		v.col.AppendInt(x)
+		return
+	}
+	v.AppendValue(intFamilyValue(k, x))
+}
+
 // appendVIDs bulk-appends a frontier chunk.
 func (v *Vec) appendVIDs(vs []graph.VID) {
 	if v.kind == graph.KindVertex {

@@ -13,6 +13,14 @@
 // query's own ctx, an internal stop (LIMIT satisfied) and a worker error all
 // release every goroutine through the same cancellation.
 //
+// A GROUP that only counts — COUNT(*) or COUNT(alias), weighted or not, over
+// no key or one bare int, vertex or edge key — ends its segment with
+// exec's GROUP(partial) stage, so each worker folds its morsel to one row
+// per group and the barrier merges partial counts instead of every expanded
+// row. The collector's in-order reassembly is what keeps the merge exact:
+// partial rows reach the barrier in morsel-sequence order, so groups appear
+// in the same first-appearance order as an unsplit fold would give.
+//
 // Memory has two owners. Each goroutine that runs stages — a worker, or the
 // coordinator, which lends its arena to the producer running the source while
 // it collects — runs with its own exec.Arena: operator scratch and the

@@ -197,30 +197,34 @@ WHERE p.creationDate > 5 RETURN f.firstName, po.creationDate`,
 }
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE rendering byte-for-byte
-// on an SNB two-hop expand (wall times suppressed) and cross-checks the
-// per-stage rows against the query's final cardinality — over vineyard, whose
-// label segments hand each hop only its label's slots, and over the same
-// store with that trait hidden, where each hop is handed whole adjacencies.
+// (wall times suppressed) and cross-checks the per-stage rows against the
+// query's final cardinality: an SNB two-hop expand over vineyard, whose label
+// segments hand each hop only its label's slots, and over the same store
+// with that trait hidden, where each hop is handed whole adjacencies; and a
+// keyed COUNT, whose GROUP(partial) rows show what each morsel folds to
+// before the barrier.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
 	st, err := vineyard.Load(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cypher.Parse(
-		`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post) RETURN id(po)`,
-		dataset.SNBSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	const twoHop = `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post) RETURN id(po)`
 	for _, tc := range []struct {
 		name string
+		q    string
 		g    grin.Graph
 		want string
 	}{
-		{"segmented", st, goldenExplainSegmented},
-		{"unsegmented", grintest.Unsegmented(st), goldenExplain},
+		{"segmented", twoHop, st, goldenExplainSegmented},
+		{"unsegmented", twoHop, grintest.Unsegmented(st), goldenExplain},
+		{"keyed count", `MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post) WITH p, COUNT(m) AS posts RETURN id(p), posts`,
+			st, goldenExplainCount},
 	} {
+		plan, err := cypher.Parse(tc.q, dataset.SNBSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng := gaia.NewEngine(tc.g, gaia.Options{Parallelism: 4})
 		c, err := eng.Compile(plan)
 		if err != nil {
@@ -267,6 +271,24 @@ const goldenExplainSegmented = `PROJECT [MAP width=1]
       rows: in=120 out=480  batches=2  slots=480
       SCAN(f) [SOURCE width=1]
         rows: in=0 out=120  batches=1
+`
+
+// goldenExplainCount is the keyed COUNT: GROUP(partial) folds each morsel's
+// rows into one per person the morsel touched — both morsels of f reach every
+// person, so 1910 weighted rows become 2 × 120 partial rows — and the barrier
+// merges those into one row per person.
+const goldenExplainCount = `PROJECT [MAP width=2]
+  rows: in=120 out=120  batches=2
+  GROUP [BLOCKING width=2]
+    rows: in=240 out=120  batches=1
+    GROUP(partial) [MAP width=2]
+      rows: in=1910 out=240  batches=2
+      EXPAND_DEGREE(f->m) [MAP width=3]
+        rows: in=2162 out=1910  batches=2  slots=0
+        EXPAND_FUSED(f->p) [MAP width=2]
+          rows: in=120 out=2162  batches=2  slots=2162
+          SCAN(f) [SOURCE width=1]
+            rows: in=0 out=120  batches=1
 `
 
 // pathSplit is the part of a query's stats that shows which path it took.
