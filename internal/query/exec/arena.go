@@ -47,7 +47,8 @@ type Arena struct {
 	// filter over the rows it just emitted (expand/gather vs filter), PROJECT
 	// keeps gather.vals live while evalColumn fills eval's ID column and row
 	// bridge, and a serial source holds its scan buffers across the whole
-	// downstream pipeline.
+	// downstream pipeline. A barrier GROUP gathers its property arguments
+	// through gather, which no other stage holds while a barrier runs.
 	filter  filterScratch
 	expand  expandScratch
 	gather  gatherScratch
@@ -55,6 +56,7 @@ type Arena struct {
 	scanIDs []graph.VID   // label-scan ID chunk
 	scanRow []graph.Value // SCAN's predicate row bridge
 	group   groupScratch  // GROUP's typed fold: key index and accumulators
+	order   orderScratch  // ORDER's key sources and permutation
 }
 
 // Reset hands every batch back to the arena. The owner calls it at the start

@@ -34,3 +34,13 @@ const (
 // ExpandSlotCap returns the capacity, in adjacency slots, of the arena's
 // expansion scratch.
 func (a *Arena) ExpandSlotCap() int { return cap(a.expand.adj.Nbrs) }
+
+// OrderKeysTyped reports, per sort key of the last ORDER run on the arena,
+// whether it compared raw payloads (true) or boxed values.
+func (a *Arena) OrderKeysTyped() []bool {
+	typed := make([]bool, len(a.order.keys))
+	for i, k := range a.order.keys {
+		typed[i] = k.cmp != cmpBoxed
+	}
+	return typed
+}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/expr"
+	"repro/internal/storage/column"
 )
 
 // This file holds the batched-execution scratch state of the relational
@@ -304,6 +305,34 @@ type gatherScratch struct {
 	srcRows []int32
 	keep    []graph.VID
 	row     []graph.Value // boxed row bridge for per-row evaluation
+}
+
+// gatherCol appends property prop of the element at each of n rows of a
+// typed vertex or edge payload ids — row sel[i], or row i when sel is nil — to
+// dst through the store's typed-column gather, reporting whether the store
+// served it (dst is untouched when it did not). The element IDs stay in
+// s.vids or s.eids for the caller's boxed fallback.
+func gatherCol(g grin.Graph, s *gatherScratch, kind graph.Kind, ids []int64, sel []int32, n int, prop string, dst *column.Column) bool {
+	if kind == graph.KindVertex {
+		s.vids = growVIDs(s.vids, n)
+		for i := range s.vids {
+			p := i
+			if sel != nil {
+				p = int(sel[i])
+			}
+			s.vids[i] = graph.VID(ids[p])
+		}
+		return grin.GatherVertexPropCol(g, s.vids, prop, dst)
+	}
+	s.eids = growEIDs(s.eids, n)
+	for i := range s.eids {
+		p := i
+		if sel != nil {
+			p = int(sel[i])
+		}
+		s.eids[i] = graph.EID(ids[p])
+	}
+	return grin.GatherEdgePropCol(g, s.eids, prop, dst)
 }
 
 // growVIDs returns s resized to n valid slots, reusing capacity.

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -13,11 +15,8 @@ import (
 	"repro/internal/storage/column"
 )
 
-// projItem is one compiled PROJECT output column with its fast paths: a bare
-// column reference copies the input vector wholesale, an alias.prop reference
-// over a typed element column gathers the store column straight into the
-// output vector, an int-arithmetic leaf runs a monomorphic map kernel, and
-// everything else evaluates boxed column-at-a-time.
+// projItem is one compiled PROJECT output column with its fast paths (see
+// compileProject).
 type projItem struct {
 	out      int
 	prog     *expr.Bound
@@ -25,11 +24,29 @@ type projItem struct {
 	gathCol  int // >= 0: alias.prop columnar-gather candidate
 	gathProp string
 	elemKind graph.Kind // vertex/edge kind of gathCol
+	idCol    int        // >= 0: id() of this vertex column
 	mapLeaf  expr.MapLeaf
 	hasMap   bool
 }
 
-// compileProject replaces the row with computed columns.
+// compileProject replaces the row with computed columns, each computed over
+// the whole batch. Four shapes are typed, with a typed output column:
+//   - a bare column reference copies the input vector, typed as its input;
+//   - alias.prop over a vertex or edge column whose property kind the schema
+//     knows gathers the store column straight into the output through
+//     grin.GatherVertexPropCol/GatherEdgePropCol;
+//   - id(v) over a vertex column resolves grin.Index once per batch and
+//     appends each row's external ID (the internal ID on a store without the
+//     index trait, as Bound.Eval does) into a KindInt column;
+//   - an int-arithmetic leaf over an int column runs a map kernel.
+//
+// Each has runtime preconditions — a typed, null-free input vector of the
+// expected kind, an output vector no earlier value demoted, a store that
+// serves the gather — and when one fails the item falls back to evaluating
+// its bound program row by row into the output vector, which demotes itself
+// to boxed if a value disagrees with its kind. So a NULL vertex, a boxed input
+// or an edge under id() costs speed, never a different result. Every other
+// expression takes that boxed path, with a boxed output column.
 func (c *Compiled) compileProject(op *ir.Op) error {
 	if len(op.Items) == 0 {
 		return fmt.Errorf("PROJECT with no items produces zero-width rows")
@@ -50,7 +67,7 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 		if err != nil {
 			return err
 		}
-		pi := projItem{prog: prog, copyCol: -1, gathCol: -1}
+		pi := projItem{prog: prog, copyCol: -1, gathCol: -1, idCol: -1}
 		outKind, outLabel := graph.KindNil, graph.AnyLabel
 		if col, prop, ok := prog.PropRef(); ok {
 			if prop == "" {
@@ -62,6 +79,9 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 					outKind = pk
 				}
 			}
+		} else if col, ok := prog.IDRef(); ok && inKinds[col] == graph.KindVertex {
+			pi.idCol = col
+			outKind = graph.KindInt
 		} else if l, ok := prog.MapLeaf(); ok && l.Prop == "" && inKinds[l.Col] == graph.KindInt {
 			pi.mapLeaf, pi.hasMap = l, true
 			outKind = graph.KindInt
@@ -75,11 +95,6 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 		InWidth: inWidth, OutWidth: width,
 		OutKinds: c.kindsSnapshot(),
 		Map: func(env *Env, in, out *Batch) error {
-			// Column-at-a-time: each item is computed over the whole batch.
-			// Every fast path has runtime preconditions (a typed, null-free
-			// input vector; a store with the columnar gather trait; a kernel-
-			// compatible argument) and falls back to the boxed evaluator when
-			// they fail, so compile-time kind hints never change results.
 			n := in.Len()
 			if n == 0 {
 				return nil
@@ -99,25 +114,15 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 					continue
 				}
 				if pi.gathCol >= 0 {
-					if t := in.Col(pi.gathCol).Typed(); t != nil && t.Kind() == pi.elemKind && !t.HasNulls() && oc.Typed() != nil {
-						ints := t.RawInts()
-						ok := false
-						if pi.elemKind == graph.KindVertex {
-							s.vids = growVIDs(s.vids, n)
-							for i := 0; i < n; i++ {
-								s.vids[i] = graph.VID(ints[in.physRow(i)])
-							}
-							ok = grin.GatherVertexPropCol(env.Graph, s.vids, pi.gathProp, oc.Typed())
-						} else {
-							s.eids = growEIDs(s.eids, n)
-							for i := 0; i < n; i++ {
-								s.eids[i] = graph.EID(ints[in.physRow(i)])
-							}
-							ok = grin.GatherEdgePropCol(env.Graph, s.eids, pi.gathProp, oc.Typed())
-						}
-						if ok {
-							continue
-						}
+					if t := in.Col(pi.gathCol).Typed(); t != nil && t.Kind() == pi.elemKind && !t.HasNulls() && oc.Typed() != nil &&
+						gatherCol(env.Graph, s, pi.elemKind, t.RawInts(), sel, n, pi.gathProp, oc.Typed()) {
+						continue
+					}
+				}
+				if pi.idCol >= 0 {
+					if t := in.Col(pi.idCol).Typed(); t != nil && t.Kind() == graph.KindVertex && !t.HasNulls() && oc.Typed() != nil && oc.Typed().Kind() == graph.KindInt {
+						appendIDs(env.Graph, t.RawInts(), sel, n, oc.Typed())
+						continue
 					}
 				}
 				if pi.hasMap {
@@ -147,10 +152,38 @@ func (c *Compiled) compileProject(op *ir.Op) error {
 	return nil
 }
 
+// appendIDs appends id() of the vertex at each of n logical rows (physical
+// row sel[i], or i when sel is nil) of a typed vertex payload to dst: the
+// external ID when the store serves grin.Index, looked up once here, and the
+// internal ID otherwise — what Bound.Eval returns for id(v), row for row.
+func appendIDs(g grin.Graph, vids []int64, sel []int32, n int, dst *column.Column) {
+	idx, ok := grin.AsIndex(g)
+	for i := 0; i < n; i++ {
+		p := i
+		if sel != nil {
+			p = int(sel[i])
+		}
+		id := vids[p]
+		if ok {
+			id = idx.ExternalID(graph.VID(id))
+		}
+		dst.AppendInt(id)
+	}
+}
+
 // compileOrderBy sorts the gathered rows. With Limit > 0 (ORDER BY ... LIMIT
 // folded by the parser) it selects the top k via a bounded heap — O(n log k)
 // — instead of sorting everything. Ties keep input order (stable), so the
 // heap selection is row-for-row identical to a stable full sort.
+//
+// A key that is a bare reference to a typed, null-free column of kind int,
+// vertex, edge or string is compared on its raw payload at physical rows.
+// Every other key — float, bool, NULL-carrying or boxed columns, and computed
+// expressions — is evaluated boxed, column-at-a-time (an alias.prop key
+// gathers through the batch-property trait), and compared with
+// Value.Compare, which orders the typed kinds the same way. Both kinds of key
+// feed one comparator, so the top-k heap, the (keys, input position) total
+// order, the final sort and the typed gather of the permutation are shared.
 func (c *Compiled) compileOrderBy(op *ir.Op) error {
 	if len(op.Keys) == 0 {
 		return fmt.Errorf("ORDER with no sort keys")
@@ -159,97 +192,201 @@ func (c *Compiled) compileOrderBy(op *ir.Op) error {
 		return fmt.Errorf("ORDER with negative limit %d", op.Limit)
 	}
 	width := c.numCols
-	kinds := c.kindsSnapshot()
-	keys := op.Keys
-	limit := op.Limit
-	progs := make([]*expr.Bound, len(keys))
-	for j, k := range keys {
+	o := &orderBy{keys: op.Keys, limit: op.Limit, kinds: c.kindsSnapshot(),
+		progs: make([]*expr.Bound, len(op.Keys)), cols: make([]int, len(op.Keys))}
+	for j, k := range op.Keys {
 		var err error
-		if progs[j], err = c.bind(c.Cols, k.Expr); err != nil {
+		if o.progs[j], err = c.bind(c.Cols, k.Expr); err != nil {
 			return err
+		}
+		o.cols[j] = -1
+		if col, prop, ok := o.progs[j].PropRef(); ok && prop == "" {
+			o.cols[j] = col
 		}
 	}
 	c.Stages = append(c.Stages, Stage{
 		Name:    "ORDER",
 		InWidth: width, OutWidth: width,
-		OutKinds: kinds,
-		Blocking: func(env *Env, in *Batch) (*Batch, error) {
-			n := in.Len()
-			nk := len(keys)
-			// Key columns are evaluated column-at-a-time (column-major
-			// layout), so an alias.prop sort key gathers through the storage
-			// batch-property trait in one call per key.
-			keyVals := make([]graph.Value, n*nk)
-			for j, p := range progs {
-				if err := evalColumn(env, p, in, keyVals[j*n:(j+1)*n]); err != nil {
-					return nil, err
-				}
-			}
-			// less is a strict total order: sort keys, then input position,
-			// making every comparison-based path below stable.
-			less := func(a, b int) bool {
-				for j := range keys {
-					cmp := keyVals[j*n+a].Compare(keyVals[j*n+b])
-					if cmp == 0 {
-						continue
-					}
-					if keys[j].Desc {
-						return cmp > 0
-					}
-					return cmp < 0
-				}
-				return a < b
-			}
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			if limit > 0 && limit < n {
-				// Bounded top-k: max-heap (worst kept row at the root) of
-				// size limit over the total order.
-				h := idx[:limit]
-				siftDown := func(i int) {
-					for {
-						l, r, top := 2*i+1, 2*i+2, i
-						if l < limit && less(h[top], h[l]) {
-							top = l
-						}
-						if r < limit && less(h[top], h[r]) {
-							top = r
-						}
-						if top == i {
-							return
-						}
-						h[i], h[top] = h[top], h[i]
-						i = top
-					}
-				}
-				for i := limit/2 - 1; i >= 0; i-- {
-					siftDown(i)
-				}
-				for i := limit; i < n; i++ {
-					if less(i, h[0]) {
-						h[0] = i
-						siftDown(0)
-					}
-				}
-				idx = h
-			}
-			sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-			// Materialize the permutation with one typed gather per column.
-			physIdx := make([]int32, len(idx))
-			for i, ix := range idx {
-				physIdx[i] = int32(in.physRow(ix))
-			}
-			out := NewBatchKinds(kinds, 0)
-			for c := range out.cols {
-				out.cols[c].appendRows(&in.cols[c], physIdx)
-			}
-			out.rows = len(physIdx)
-			return out, nil
-		},
+		OutKinds: o.kinds,
+		Blocking: o.run,
 	})
 	return nil
+}
+
+// orderBy is one compiled ORDER.
+type orderBy struct {
+	keys  []ir.SortKey
+	progs []*expr.Bound // bound key expressions
+	cols  []int         // bare-ref key column, or -1
+	limit int
+	kinds []graph.Kind
+}
+
+// run sorts in, or selects its top limit rows, into a new batch.
+func (o *orderBy) run(env *Env, in *Batch) (*Batch, error) {
+	s := &env.Arena.order
+	defer s.release()
+	n := in.Len()
+	s.sel = in.Sel()
+	s.keys = s.keys[:0]
+	boxed := 0
+	for j, k := range o.keys {
+		key := orderKey{desc: k.Desc}
+		if o.cols[j] < 0 || !key.typed(in.Col(o.cols[j])) {
+			boxed++
+		}
+		s.keys = append(s.keys, key)
+	}
+	s.keyVals = growValues(s.keyVals, boxed*n)
+	off := 0
+	for j := range s.keys {
+		if key := &s.keys[j]; key.cmp == cmpBoxed {
+			key.vals = s.keyVals[off : off+n]
+			off += n
+			if err := evalColumn(env, o.progs[j], in, key.vals); err != nil {
+				return nil, err
+			}
+		}
+	}
+	s.idx = s.idx[:0]
+	for i := 0; i < n; i++ {
+		s.idx = append(s.idx, i)
+	}
+	idx := s.idx
+	if k := o.limit; k > 0 && k < n {
+		// Bounded top-k: max-heap (worst kept row at the root) of size k
+		// over the total order.
+		h := idx[:k]
+		for i := k/2 - 1; i >= 0; i-- {
+			s.siftDown(h, i)
+		}
+		for i := k; i < n; i++ {
+			if s.less(i, h[0]) {
+				h[0] = i
+				s.siftDown(h, 0)
+			}
+		}
+		idx = h
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case a == b:
+			return 0
+		case s.less(a, b):
+			return -1
+		}
+		return 1
+	})
+	// Materialize the permutation with one typed gather per column.
+	s.physIdx = s.physIdx[:0]
+	for _, ix := range idx {
+		s.physIdx = append(s.physIdx, int32(in.physRow(ix)))
+	}
+	out := NewBatchKinds(o.kinds, 0)
+	for c := range out.cols {
+		out.cols[c].appendRows(&in.cols[c], s.physIdx)
+	}
+	out.rows = len(s.physIdx)
+	return out, nil
+}
+
+// orderScratch is ORDER's arena scratch: each key's comparison source, the
+// boxed values of the keys compared boxed, the permutation being sorted and
+// its physical rows.
+type orderScratch struct {
+	keys    []orderKey
+	sel     []int32 // the input's selection: keys' typed payloads are read at sel[i]
+	keyVals []graph.Value
+	idx     []int
+	physIdx []int32
+}
+
+// Comparison sources of one ORDER key.
+const (
+	cmpBoxed  = iota // vals, by logical row, under Value.Compare
+	cmpInts          // ints, by physical row
+	cmpString        // strs, by physical row
+)
+
+// orderKey is one sort key's comparison source.
+type orderKey struct {
+	cmp  uint8
+	desc bool
+	ints []int64
+	strs []string
+	vals []graph.Value
+}
+
+// typed points k at v's raw payload when v is a typed, null-free vector of a
+// kind whose payload orders exactly as Value.Compare orders its values: int,
+// vertex, edge (int64 order) or string (byte order). It reports whether it
+// did; k is left boxed otherwise.
+func (k *orderKey) typed(v *Vec) bool {
+	t := v.Typed()
+	switch {
+	case t == nil || t.HasNulls():
+		return false
+	case intFamilyKind(t.Kind()):
+		k.cmp, k.ints = cmpInts, t.RawInts()
+	case t.Kind() == graph.KindString:
+		k.cmp, k.strs = cmpString, t.Strings()
+	default:
+		return false
+	}
+	return true
+}
+
+// less is the ORDER total order over logical rows a and b: the keys in turn,
+// then input position.
+func (s *orderScratch) less(a, b int) bool {
+	pa, pb := a, b
+	if s.sel != nil {
+		pa, pb = int(s.sel[a]), int(s.sel[b])
+	}
+	for i := range s.keys {
+		k := &s.keys[i]
+		var c int
+		switch k.cmp {
+		case cmpInts:
+			c = cmp.Compare(k.ints[pa], k.ints[pb])
+		case cmpString:
+			c = strings.Compare(k.strs[pa], k.strs[pb])
+		default:
+			c = k.vals[a].Compare(k.vals[b])
+		}
+		if c != 0 {
+			return c < 0 != k.desc
+		}
+	}
+	return a < b
+}
+
+// release drops the references run took to its input's payloads, so an
+// idle arena does not keep a finished query's barrier batch alive.
+func (s *orderScratch) release() {
+	for i := range s.keys {
+		k := &s.keys[i]
+		k.ints, k.strs, k.vals = nil, nil, nil
+	}
+	s.sel = nil
+}
+
+// siftDown restores the max-heap property of h below position i.
+func (s *orderScratch) siftDown(h []int, i int) {
+	for {
+		l, r, top := 2*i+1, 2*i+2, i
+		if l < len(h) && s.less(h[top], h[l]) {
+			top = l
+		}
+		if r < len(h) && s.less(h[top], h[r]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 // groupAccum is one group's running aggregate state (the generic path).
@@ -285,17 +422,30 @@ func intFamilyValue(k graph.Kind, v int64) graph.Value {
 	return graph.IntValue(v)
 }
 
-// compileGroupBy hash-aggregates the gathered rows. Group keys are hashed
-// graph.Values (FNV over value bytes) with collision buckets checked by
-// Equal — no per-row key-string allocation. Groups are emitted in
+// compileGroupBy hash-aggregates the gathered rows. Groups are emitted in
 // first-appearance order, which is deterministic because every driver
 // delivers rows to the barrier in serial plan order.
 //
-// The common shapes — no key or one bare int-family key column, with only
-// count/sum/avg aggregates over bare columns — run fully typed (groupTyped):
-// the hash table indexes the raw key payload (exact equality for a uniform
-// kind) and the aggregates accumulate straight off the payload arrays, no
-// value boxed per row. Everything else takes the generic boxed path.
+// A GROUP with no key or one bare key column, whose aggregates are all
+// count/sum/avg over nothing (COUNT(*)), a bare column, or alias.prop over a
+// vertex or edge column whose property kind the schema knows (int or float
+// for sum/avg), runs typed (groupTyped): the index numbers the raw int-family
+// key payload and the aggregates accumulate straight off payload arrays, no
+// value boxed per row. An alias.prop argument is first gathered for the whole
+// input into a typed column, through PROJECT's gather
+// (grin.GatherVertexPropCol/GatherEdgePropCol, else GatherVertexProp/
+// GatherEdgeProp), instead of one scalar store read per row. Sums add float64
+// in row order either way, so sum and avg are bit-identical to the generic
+// fold's.
+//
+// At run time the typed fold needs a typed, null-free key of kind int, vertex
+// or edge; typed int weights; typed aggregate columns (int or float under
+// sum/avg); and for alias.prop a typed, null-free element column and a store
+// whose values have the declared kind. Any batch that misses one — and any
+// GROUP with another key, another aggregate (min, max, collect) or a computed
+// argument — takes the generic path: keys are hashed graph.Values (FNV over
+// value bytes) with collision buckets checked by Equal, and arguments are
+// evaluated row by row; it is the reference, and reports every error.
 //
 // With op.CountWeight set (the GROUP consumes an EXPAND_DEGREE) every input
 // row stands for that column's number of rows: the aggregates — all COUNT(*)
@@ -303,10 +453,11 @@ func intFamilyValue(k graph.Kind, v int64) graph.Value {
 // GROUP with no keys is a global aggregate and yields exactly one row, over
 // empty input too (COUNT 0, SUM 0, AVG/MIN/MAX NULL, COLLECT []).
 //
-// A typed GROUP whose aggregates are all COUNT, over no key or one key of an
-// int-family compile-time kind, that follows a pipeline stage compiles to two
-// stages: GROUP(partial), a Map at the end of the segment that runs the typed
-// fold per morsel, and the barrier GROUP, which sums those partial counts.
+// A typed GROUP whose aggregates are all COUNT(*) or COUNT of a bare column,
+// over no key or one key of an int-family compile-time kind, that follows a
+// pipeline stage compiles to two stages: GROUP(partial), a Map at the end of
+// the segment that runs the typed fold per morsel, and the barrier GROUP,
+// which sums those partial counts.
 // Drivers deliver morsels to the barrier in morsel-sequence order, so first
 // appearance across partial rows is first appearance across input rows, and
 // int64 sums are exact: the result is row-for-row the unsplit fold's.
@@ -341,6 +492,7 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 		keyIdx:   make([]int, len(gkeys)),
 		aggProgs: make([]*expr.Bound, len(aggs)),
 		aggCols:  make([]int, len(aggs)),
+		aggProps: make([]aggProp, len(aggs)),
 		wCols:    make([]int, len(aggs)),
 		aggIdx:   make([]int, len(aggs)),
 	}
@@ -391,8 +543,14 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 			if aggProgs[i], err = c.bind(inCols, a.Arg); err != nil {
 				return err
 			}
-			if col, prop, ok := aggProgs[i].PropRef(); ok && prop == "" {
-				aggCols[i] = col
+			if col, prop, ok := aggProgs[i].PropRef(); ok {
+				if prop == "" {
+					aggCols[i] = col
+				} else if ek := inKinds[col]; ek == graph.KindVertex || ek == graph.KindEdge {
+					if pk, ok := c.propKind(ek, inLabels[col], prop); ok && pk != graph.KindNil {
+						f.aggProps[i] = aggProp{col: col, name: prop, kind: pk}
+					}
+				}
 			}
 		}
 		aggIdx[i] = c.addColK(a.Alias, outKind, graph.AnyLabel)
@@ -405,13 +563,17 @@ func (c *Compiled) compileGroupBy(op *ir.Op) error {
 
 	// Compile-time eligibility for the typed path — runtime adds the typed/
 	// null-free column checks per batch — and for the split, which also needs
-	// COUNT alone and a key that is int-family already at compile time.
+	// COUNT alone, of no property, and a key that is int-family already at
+	// compile time.
 	f.typed = len(gkeys) == 0 || (len(gkeys) == 1 && keyCols[0] >= 0)
 	split := len(gkeys) == 0 || (f.typed && intFamilyKind(inKinds[keyCols[0]]))
 	for i, a := range aggs {
+		prop := f.aggProps[i].kind
 		switch {
 		case a.Fn == "count" && (a.Arg == nil || aggCols[i] >= 0):
-		case (a.Fn == "sum" || a.Fn == "avg") && aggCols[i] >= 0:
+		case a.Fn == "count" && prop != graph.KindNil:
+			split = false
+		case (a.Fn == "sum" || a.Fn == "avg") && (aggCols[i] >= 0 || prop == graph.KindInt || prop == graph.KindFloat):
 			split = false
 		default:
 			f.typed, split = false, false
@@ -446,10 +608,19 @@ type groupFold struct {
 	keyIdx   []int         // output column of each key
 	aggProgs []*expr.Bound // bound aggregate arguments, nil for COUNT(*)
 	aggCols  []int         // bare-ref argument column, or -1
+	aggProps []aggProp     // alias.prop argument groupTyped gathers; kind KindNil: none
 	wCols    []int         // per aggregate: the int column a row's COUNT adds, or -1 (adds 1)
 	aggIdx   []int         // output column of each aggregate
 	outKinds []graph.Kind
 	typed    bool // compile-time eligibility for groupTyped
+}
+
+// aggProp is an aggregate argument alias.prop over the element column col,
+// with the property's kind in the schema.
+type aggProp struct {
+	col  int
+	name string
+	kind graph.Kind
 }
 
 // merge is the barrier half of a split fold. Its input rows are partial
@@ -475,7 +646,7 @@ func (f *groupFold) merge() *groupFold {
 // argument) passes through as one row per input row carrying that row's
 // contribution to each COUNT: its weight, or 0 where COUNT(alias) sees NULL.
 func (f *groupFold) runPartial(env *Env, in, out *Batch) error {
-	if in.Len() == 0 || groupTyped(&env.Arena.group, in, f, out) {
+	if in.Len() == 0 || groupTyped(env, in, f, out) {
 		return nil
 	}
 	for i := 0; i < in.Len(); i++ {
@@ -501,7 +672,7 @@ func (f *groupFold) runPartial(env *Env, in, out *Batch) error {
 // run folds the whole gathered input at the barrier.
 func (f *groupFold) run(env *Env, in *Batch) (*Batch, error) {
 	out := NewBatchKinds(f.outKinds, 0)
-	if f.typed && groupTyped(&env.Arena.group, in, f, out) {
+	if f.typed && groupTyped(env, in, f, out) {
 		return out, nil
 	}
 	aggs, keyCols, keyProgs, aggProgs := f.aggs, f.keyCols, f.keyProgs, f.aggProgs
@@ -629,15 +800,17 @@ func (f *groupFold) run(env *Env, in *Batch) (*Batch, error) {
 
 // groupTyped is the monomorphic aggregation loop, GROUP(partial)'s per
 // morsel and the barrier's over its whole input: no key or one int-family
-// key column, count/sum/avg aggregates over typed columns, each COUNT
-// weighted by its int column in f.wCols when that is >= 0. It appends one row
-// per group, in first-appearance order, to out — one row for a global fold,
-// over no input too. It returns false, out untouched, when the batch's
-// runtime column layout does not meet the preconditions (demoted or
-// null-carrying key or weight, boxed aggregate argument), sending the caller
-// to its fallback. All state lives in s, so a warm arena folds without
-// allocating.
-func groupTyped(s *groupScratch, in *Batch, f *groupFold, out *Batch) bool {
+// key column, count/sum/avg aggregates over typed columns — bare ones, or
+// alias.prop arguments it gathers first — each COUNT weighted by its int
+// column in f.wCols when that is >= 0. It appends one row per group, in
+// first-appearance order, to out — one row for a global fold, over no input
+// too. It returns false, out untouched, when the batch's runtime column
+// layout does not meet the preconditions (demoted or null-carrying key or
+// weight, boxed aggregate argument, a gather that failed or met a value of
+// another kind), sending the caller to its fallback. All state lives in the
+// arena's group scratch, so a warm arena folds without allocating.
+func groupTyped(env *Env, in *Batch, f *groupFold, out *Batch) bool {
+	s := &env.Arena.group
 	var keys []int64
 	kk, keyed := graph.KindNil, len(f.keyCols) == 1
 	if keyed {
@@ -657,19 +830,23 @@ func groupTyped(s *groupScratch, in *Batch, f *groupFold, out *Batch) bool {
 			}
 			ai.weights = wt.RawInts()
 		}
-		if c := f.aggCols[j]; c >= 0 {
+		if pa := &f.aggProps[j]; pa.kind != graph.KindNil {
+			if ai.col = s.gather(env.Graph, &env.Arena.gather, in, j, pa); ai.col == nil {
+				return false
+			}
+		} else if c := f.aggCols[j]; c >= 0 {
 			if ai.col = in.Col(c).Typed(); ai.col == nil {
 				return false
 			}
-			if ai.sum {
-				switch ai.col.Kind() {
-				case graph.KindInt:
-					ai.ints = ai.col.RawInts()
-				case graph.KindFloat:
-					ai.floats = ai.col.Floats()
-				default:
-					return false
-				}
+		}
+		if ai.col != nil && ai.sum {
+			switch ai.col.Kind() {
+			case graph.KindInt:
+				ai.ints = ai.col.RawInts()
+			case graph.KindFloat:
+				ai.floats = ai.col.Floats()
+			default:
+				return false
 			}
 		}
 		s.aggs = append(s.aggs, ai)
@@ -755,8 +932,9 @@ func groupTyped(s *groupScratch, in *Batch, f *groupFold, out *Batch) bool {
 type groupScratch struct {
 	index  intGroups
 	aggs   []aggIn
-	counts []int64   // per group, one count per aggregate (group-major)
-	sums   []float64 // likewise, the sums of sum/avg
+	counts []int64         // per group, one count per aggregate (group-major)
+	sums   []float64       // likewise, the sums of sum/avg
+	props  []column.Column // per aggregate, its gathered property argument
 }
 
 // aggIn is one aggregate's typed input columns.
@@ -766,6 +944,46 @@ type aggIn struct {
 	floats  []float64
 	col     *column.Column // the argument; nil for COUNT(*)
 	weights []int64        // COUNT's weight column; nil counts 1 per row
+}
+
+// gather reads aggregate j's alias.prop argument at every physical row of in
+// into the aggregate's scratch column, typed as the schema declares it:
+// through PROJECT's gather (gatherCol), or on a store that does not serve it,
+// grin.GatherVertexProp/GatherEdgeProp appended value by value; gs holds the
+// element IDs and boxed values. It returns nil — the caller's cue for the
+// generic fold, which reads row by row and reports any error in its own
+// words — unless the element column is a typed, null-free vertex or edge
+// column and every value has the declared kind.
+func (s *groupScratch) gather(g grin.Graph, gs *gatherScratch, in *Batch, j int, pa *aggProp) *column.Column {
+	et := in.Col(pa.col).Typed()
+	if et == nil || et.HasNulls() || (et.Kind() != graph.KindVertex && et.Kind() != graph.KindEdge) {
+		return nil
+	}
+	for len(s.props) <= j {
+		s.props = append(s.props, column.Column{})
+	}
+	dst := &s.props[j]
+	dst.Reset(pa.kind)
+	n := et.Len()
+	if gatherCol(g, gs, et.Kind(), et.RawInts(), nil, n, pa.name, dst) {
+		return dst
+	}
+	gs.vals = growValues(gs.vals, n)
+	var err error
+	if et.Kind() == graph.KindVertex {
+		err = grin.GatherVertexProp(g, gs.vids, pa.name, gs.vals)
+	} else {
+		err = grin.GatherEdgeProp(g, gs.eids, pa.name, gs.vals)
+	}
+	if err != nil {
+		return nil
+	}
+	for _, v := range gs.vals {
+		if dst.Append(v) != nil {
+			return nil
+		}
+	}
+	return dst
 }
 
 // addGroup appends one group's zeroed counters.

@@ -178,6 +178,21 @@ func (p *Bound) PropRef() (col int, prop string, ok bool) {
 	return p.ref.Col, p.ref.Prop, true
 }
 
+// IDRef reports whether the program is exactly id(x) over one bound column
+// that already holds the element (no property still to fetch) — the shape
+// the runtime can resolve column-at-a-time through the index trait, with the
+// trait looked up once per batch instead of once per row.
+func (p *Bound) IDRef() (col int, ok bool) {
+	if p == nil || p.kind != KindCall || p.fn != "id" {
+		return 0, false
+	}
+	a := p.args[0]
+	if a.kind != KindVar || a.ref.Prop != "" {
+		return 0, false
+	}
+	return a.ref.Col, true
+}
+
 // RefCols appends to dst the distinct row columns the program reads — the
 // only entries of the row a caller must fill before Eval. Callers collect
 // them once at compile time so a wide batch boxes just those columns per
