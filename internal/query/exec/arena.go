@@ -46,17 +46,18 @@ type Arena struct {
 	// same time never share one. An expansion or GET_VERTEX runs its pushed
 	// filter over the rows it just emitted (expand/gather vs filter), PROJECT
 	// keeps gather.vals live while evalColumn fills eval's ID column and row
-	// bridge, and a serial source holds its scan buffers across the whole
-	// downstream pipeline. A barrier GROUP gathers its property arguments
+	// bridge, and a serial source holds its ID chunk across the whole
+	// downstream pipeline. A SCAN only proposes candidate vertices — it keeps
+	// no predicate scratch, because a predicated scan's SELECT decides with
+	// filter like any other. A barrier GROUP gathers its property arguments
 	// through gather, which no other stage holds while a barrier runs.
 	filter  filterScratch
 	expand  expandScratch
 	gather  gatherScratch
 	eval    gatherScratch
-	scanIDs []graph.VID   // label-scan ID chunk
-	scanRow []graph.Value // SCAN's predicate row bridge
-	group   groupScratch  // GROUP's typed fold: key index and accumulators
-	order   orderScratch  // ORDER's key sources and permutation
+	scanIDs []graph.VID  // label-scan ID chunk
+	group   groupScratch // GROUP's typed fold: key index and accumulators
+	order   orderScratch // ORDER's key sources and permutation
 }
 
 // Reset hands every batch back to the arena. The owner calls it at the start

@@ -181,7 +181,10 @@ type Env struct {
 	BatchSize int
 	// MaxRows caps the rows a query may process across all pipeline
 	// segments (0: unlimited). Exceeding it fails the query with
-	// ErrBudgetExceeded — the admission-control degradation path.
+	// ErrBudgetExceeded — the admission-control degradation path. Rows are
+	// charged as they enter a segment, so a predicated SCAN charges every
+	// candidate its source proposes, before the SELECT after it decides —
+	// exactly as an explicit SCAN → SELECT does.
 	MaxRows int64
 	// Obs, when non-nil, collects per-stage runtime stats and trace spans
 	// for this execution. Every hot-path hook is gated on one nil check of
@@ -429,22 +432,7 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 		if op.Pred == nil {
 			return fmt.Errorf("SELECT with no predicate is a no-op; drop the operator")
 		}
-		width := c.numCols
-		pred, err := c.bind(c.Cols, op.Pred)
-		if err != nil {
-			return err
-		}
-		fp := c.compileFilter(pred)
-		sid := len(c.Stages)
-		c.Stages = append(c.Stages, Stage{
-			Name:    "SELECT",
-			InWidth: width, OutWidth: width,
-			OutKinds: c.kindsSnapshot(),
-			Filter: func(env *Env, b *Batch) error {
-				return fp.run(env, b, 0, sid)
-			},
-		})
-		return nil
+		return c.appendSelect(op.Pred)
 	case ir.OpProject:
 		return c.compileProject(op)
 	case ir.OpOrderBy:
@@ -528,128 +516,105 @@ func (s *sourceBuffer) flush() error {
 	return nil
 }
 
-// compileScan produces the source stage. When the predicate contains an
-// `id(alias) = k` conjunct and the store has the index trait, the scan
-// becomes a point lookup (unless disabled for the naive baseline). Without
-// the trait, the id equality folds back into the scan predicate so every
-// scanned vertex is evaluated exactly once. A predicate-less scan bulk-
-// appends each ID chunk straight into the typed vertex column.
+// compileScan lowers SCAN into a source that proposes candidate vertices and,
+// when the scan carries a predicate, the SELECT that decides which of them
+// survive — the stage OpSelect builds, with the whole predicate. An
+// `id(alias) = <literal|param>` conjunct also yields a lookup key (unless
+// disabled for the naive baseline): on a store with the index trait the
+// source proposes only the vertex the key names, and the SELECT re-checks the
+// conjunct on it, so the answer never depends on how the lookup coerces the
+// key, and a store without the trait simply proposes every vertex.
 func (c *Compiled) compileScan(op *ir.Op, opt Options) error {
 	idx := c.addColK(op.Alias, graph.KindVertex, op.Label)
 	c.labelFilter(op.Label)
-	label := op.Label
-	pred := op.Pred
-	alias := op.Alias
-
-	// Detect id-equality for index lookups.
-	var idEq *expr.Expr
-	var rest *expr.Expr
+	var key *expr.Bound
 	if !opt.NoIndexLookup {
-		for _, conj := range pred.Conjuncts() {
-			if idEq == nil && isIDEquality(conj, alias) {
-				idEq = conj
-				continue
+		for _, conj := range op.Pred.Conjuncts() {
+			if side := idEqualityKey(conj, op.Alias); side != nil {
+				var err error
+				if key, err = c.bind(c.Cols, side); err != nil {
+					return err
+				}
+				break
 			}
-			rest = expr.And(rest, conj)
 		}
-	} else {
-		rest = pred
 	}
-	restB, err := c.bind(c.Cols, rest)
-	if err != nil {
-		return err
+	c.Stages = append(c.Stages, c.labelScanStage("SCAN("+op.Alias+")", idx, op.Label, key))
+	if op.Pred == nil {
+		return nil
 	}
-	// The full-scan fallback evaluates the id equality as part of one fused
-	// predicate — no separate pass, no throwaway row.
-	fullB, err := c.bind(c.Cols, expr.And(idEq, rest))
-	if err != nil {
-		return err
-	}
+	return c.appendSelect(op.Pred)
+}
 
-	c.Stages = append(c.Stages, c.labelScanStage("SCAN("+alias+")", idx, label, idEq, restB, fullB))
+// appendSelect binds pred against the current layout and appends the SELECT
+// stage that runs it as a fused filterProgram — kernel prefix, then the boxed
+// residual — over each batch. OpSelect and a predicated SCAN both build it.
+func (c *Compiled) appendSelect(pred *expr.Expr) error {
+	width := c.numCols
+	bound, err := c.bind(c.Cols, pred)
+	if err != nil {
+		return err
+	}
+	fp := c.compileFilter(bound)
+	sid := len(c.Stages)
+	c.Stages = append(c.Stages, Stage{
+		Name:    "SELECT",
+		InWidth: width, OutWidth: width,
+		OutKinds: c.kindsSnapshot(),
+		Filter: func(env *Env, b *Batch) error {
+			return fp.run(env, b, 0, sid)
+		},
+	})
 	return nil
 }
 
 // labelScanStage builds the source stage over one vertex label, binding
-// column idx — the newest column of the current layout. With idEq set and the
-// index trait present it is a point lookup filtered by rest; otherwise a
-// batched label scan filtered by full (nil: every vertex, bulk-appended).
-// MATCH_SCAN is this stage with no predicate at all.
-func (c *Compiled) labelScanStage(name string, idx int, label graph.LabelID, idEq *expr.Expr, rest, full *expr.Bound) Stage {
-	width := c.numCols
+// column idx — the newest column of the current layout. It proposes
+// candidates and decides nothing: with a lookup key and the index trait it
+// emits the one vertex the key names (or none), otherwise every vertex of the
+// label, bulk-appended chunk by chunk into the typed vertex column. Whatever
+// predicate the scan carried runs in the SELECT after it.
+func (c *Compiled) labelScanStage(name string, idx int, label graph.LabelID, key *expr.Bound) Stage {
 	kinds := c.kindsSnapshot()
 	return Stage{
 		Name:     name,
-		OutWidth: width,
+		OutWidth: c.numCols,
 		OutKinds: kinds,
 		Source: func(env *Env, emit EmitBatch) error {
-			benv := env.boundEnv()
 			out := newSourceBuffer(kinds, env, emit)
-			arena := env.Arena
-			tryRow := func(v graph.VID, pred *expr.Bound) error {
-				// A source predicate can only reference the scanned alias, so
-				// the bridge's other slots are never read.
-				arena.scanRow[idx] = graph.VertexValue(v)
-				ok, err := pred.EvalBool(&benv, arena.scanRow)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				out.b.cols[idx].appendVertex(v)
-				out.b.rows++
-				return out.flushIfFull()
-			}
-			if full != nil {
-				arena.scanRow = growValues(arena.scanRow, width)
-			}
-			if idEq != nil {
+			if key != nil {
 				if store, ok := grin.AsIndex(env.Graph); ok {
-					want, err := idEqValue(env, idEq)
+					benv := env.boundEnv()
+					k, err := key.Eval(&benv, nil)
 					if err != nil {
 						return err
 					}
-					if v, found := store.LookupVertex(label, want); found {
-						if err := tryRow(v, rest); err != nil {
-							return err
-						}
+					if v, found := store.LookupVertex(label, k.Int()); found {
+						out.b.cols[idx].appendVertex(v)
+						out.b.rows++
 					}
 					return out.flush()
 				}
 			}
 			// Batched label scan: one trait dispatch per ID chunk instead of
-			// one callback per vertex; a predicate-less scan bulk-appends IDs
-			// without ever invoking the evaluator, slicing each chunk so
-			// batches fill to exactly the configured size.
+			// one callback per vertex, slicing each chunk so batches fill to
+			// exactly the configured size.
+			arena := env.Arena
 			arena.scanIDs = growVIDs(arena.scanIDs, out.bs)
 			var scanErr error
 			grin.ScanLabelBatches(env.Graph, label, arena.scanIDs, func(vs []graph.VID) bool {
-				// Cooperative cancellation once per ID chunk: a highly
-				// selective predicate may emit no batches for a long time, so
-				// the source itself must observe the deadline.
+				// Cooperative cancellation once per ID chunk, so the source
+				// itself observes the deadline between emitted batches.
 				if err := env.Alive(); err != nil {
 					scanErr = err
 					return false
 				}
-				if full == nil {
-					for len(vs) > 0 {
-						take := out.bs - out.b.Len()
-						if take > len(vs) {
-							take = len(vs)
-						}
-						out.b.cols[idx].appendVIDs(vs[:take])
-						out.b.rows += take
-						vs = vs[take:]
-						if err := out.flushIfFull(); err != nil {
-							scanErr = err
-							return false
-						}
-					}
-					return true
-				}
-				for _, v := range vs {
-					if err := tryRow(v, full); err != nil {
+				for len(vs) > 0 {
+					take := min(out.bs-out.b.Len(), len(vs))
+					out.b.cols[idx].appendVIDs(vs[:take])
+					out.b.rows += take
+					vs = vs[take:]
+					if err := out.flushIfFull(); err != nil {
 						scanErr = err
 						return false
 					}
@@ -664,33 +629,25 @@ func (c *Compiled) labelScanStage(name string, idx int, label graph.LabelID, idE
 	}
 }
 
-// isIDEquality matches `id(alias) = <const|param>` conjuncts.
-func isIDEquality(e *expr.Expr, alias string) bool {
+// idEqualityKey returns the constant side of an `id(alias) = <literal|param>`
+// conjunct, or nil when e is not one.
+func idEqualityKey(e *expr.Expr, alias string) *expr.Expr {
 	if e.Kind != expr.KindBinary || e.Op != expr.OpEq {
-		return false
+		return nil
 	}
 	l, r := e.Left, e.Right
 	if isIDCall(r, alias) {
 		l, r = r, l
 	}
-	return isIDCall(l, alias) && (r.Kind == expr.KindLiteral || r.Kind == expr.KindParam)
+	if isIDCall(l, alias) && (r.Kind == expr.KindLiteral || r.Kind == expr.KindParam) {
+		return r
+	}
+	return nil
 }
 
 func isIDCall(e *expr.Expr, alias string) bool {
 	return e.Kind == expr.KindCall && e.Fn == "id" && len(e.Args) == 1 &&
 		e.Args[0].Kind == expr.KindVar && e.Args[0].Alias == alias && e.Args[0].Prop == ""
-}
-
-func idEqValue(env *Env, e *expr.Expr) (int64, error) {
-	side := e.Right
-	if isIDCall(e.Right, "") || e.Right.Kind == expr.KindCall {
-		side = e.Left
-	}
-	v, err := side.Eval(&expr.Env{Graph: env.Graph, Params: env.Params})
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
 }
 
 // frontierFrom extracts the non-nil vertex frontier of column col in logical

@@ -1123,7 +1123,7 @@ func (c *Compiled) compileMatch(op *ir.Op, first bool) error {
 	start := pattern[0].SrcAlias
 	idx0 := c.addColK(start, graph.KindVertex, pattern[0].SrcLabel)
 	c.labelFilter(pattern[0].SrcLabel)
-	c.Stages = append(c.Stages, c.labelScanStage("MATCH_SCAN("+start+")", idx0, pattern[0].SrcLabel, nil, nil, nil))
+	c.Stages = append(c.Stages, c.labelScanStage("MATCH_SCAN("+start+")", idx0, pattern[0].SrcLabel, nil))
 	return c.appendPatternEdges(pattern)
 }
 

@@ -65,7 +65,9 @@ func propValueVia(pr grin.PropertyReader, elem graph.Value, prop string) (graph.
 	return graph.NullValue, fmt.Errorf("expr: property access on %v", elem.K)
 }
 
-// Eval evaluates the expression under the environment.
+// Eval evaluates the expression under the environment by walking the tree.
+// The runtime never calls it — exec binds every expression to a Bound — and
+// it stays as the independent reference Bound is tested against.
 func (e *Expr) Eval(env *Env) (graph.Value, error) {
 	switch e.Kind {
 	case KindLiteral:

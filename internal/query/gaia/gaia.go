@@ -51,7 +51,8 @@ type Options struct {
 	// BatchSize is the target rows per batch (0: exec.DefaultBatchSize).
 	BatchSize int
 	// MaxRows caps the rows one query may process (0: unlimited); exceeding
-	// it fails the query with exec.ErrBudgetExceeded.
+	// it fails the query with exec.ErrBudgetExceeded. A predicated SCAN
+	// charges every candidate its source proposes (see exec.Env.MaxRows).
 	MaxRows int64
 }
 

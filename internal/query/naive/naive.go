@@ -20,7 +20,9 @@ import (
 type Options struct {
 	// BatchSize is the target rows per batch (0: exec.DefaultBatchSize).
 	BatchSize int
-	// MaxRows caps the rows one query may process (0: unlimited).
+	// MaxRows caps the rows one query may process (0: unlimited). A
+	// predicated SCAN charges every candidate its source proposes (see
+	// exec.Env.MaxRows).
 	MaxRows int64
 	// Obs, when non-nil, collects per-stage runtime counters and trace spans
 	// for the run (EXPLAIN ANALYZE / trace export).
