@@ -301,57 +301,39 @@ func CountLabel(g Graph, label graph.LabelID) (n int, lo graph.VID, ranged bool)
 	return n, 0, false
 }
 
-// ScanLabelBatches streams a label's vertices in ascending ID order as
-// filled ID buffers: buf is filled (and reused) repeatedly and each filled
-// prefix is passed to emit, until the label is exhausted or emit returns
-// false. Trait dispatch happens once per scan: the batched scan trait when
-// present, then a direct label-range fill through the index trait, then
-// buffered callback iteration via ScanLabel. The emitted vertex sequence is
-// identical to ScanLabel's on every path.
-func ScanLabelBatches(g Graph, label graph.LabelID, buf []graph.VID, emit func([]graph.VID) bool) {
+// NextLabelBatch fills buf with the label's next vertices in ascending ID
+// order, resuming from the scan position at (0 starts the scan), and returns
+// the count and the position to resume from: NilVID once the label is
+// exhausted. It prefers the batched scan trait, then the index trait's label
+// range, then walks internal IDs, filtering by label through the property
+// trait. A walk from 0 yields ScanLabel's vertex sequence. An empty buf reads
+// nothing and returns at.
+func NextLabelBatch(g Graph, label graph.LabelID, at graph.VID, buf []graph.VID) (n int, next graph.VID) {
 	if len(buf) == 0 {
-		return
+		return 0, at
 	}
 	if bs, ok := AsBatchScan(g); ok {
-		cursor := graph.VID(0)
-		for {
-			n, next := bs.ScanBatch(label, cursor, buf)
-			if n > 0 && !emit(buf[:n]) {
-				return
-			}
-			if next == graph.NilVID {
-				return
-			}
-			cursor = next
-		}
+		return bs.ScanBatch(label, at, buf)
 	}
 	if idx, ok := AsIndex(g); ok {
 		if lo, hi, rangeOK := idx.LabelRange(label); rangeOK {
-			for {
-				n, next := FillRange(lo, hi, buf)
-				if n > 0 && !emit(buf[:n]) {
-					return
-				}
-				if next == graph.NilVID {
-					return
-				}
-				lo = next
-			}
+			return FillRange(max(at, lo), hi, buf)
 		}
 	}
-	n := 0
-	ScanLabel(g, label, func(v graph.VID) bool {
+	pr, hasProps := AsPropertyReader(g)
+	end := graph.VID(g.NumVertices())
+	v := at
+	for ; v < end && n < len(buf); v++ {
+		if label != graph.AnyLabel && hasProps && pr.VertexLabel(v) != label {
+			continue
+		}
 		buf[n] = v
 		n++
-		if n == len(buf) {
-			n = 0
-			return emit(buf)
-		}
-		return true
-	})
-	if n > 0 {
-		emit(buf[:n])
 	}
+	if v >= end {
+		return n, graph.NilVID
+	}
+	return n, v
 }
 
 // Weight returns the edge weight via the weight trait, falling back to 1.0

@@ -114,35 +114,25 @@ func TestGatherZeroLength(t *testing.T) {
 	grin.GatherEdgeLabels(g, nil, nil)
 }
 
-// TestScanLabelBatchesZeroBuf pins the empty-buffer guard: a zero-length
-// buffer cannot hold a batch, so the scan returns without calling emit (the
-// alternative is an infinite loop of empty fills).
-func TestScanLabelBatchesZeroBuf(t *testing.T) {
-	for name, g := range testStores() {
-		called := false
-		grin.ScanLabelBatches(g, graph.AnyLabel, nil, func([]graph.VID) bool {
-			called = true
-			return true
-		})
-		grin.ScanLabelBatches(g, graph.AnyLabel, []graph.VID{}, func([]graph.VID) bool {
-			called = true
-			return true
-		})
-		if called {
-			t.Errorf("%s: ScanLabelBatches with empty buffer called emit", name)
+// TestNextLabelBatchZeroBuf pins the empty-buffer guard: a zero-length
+// buffer cannot hold a vertex, so the call reads nothing and hands the
+// position back unchanged, on every path.
+func TestNextLabelBatchZeroBuf(t *testing.T) {
+	for name, g := range labelStores(5) {
+		for _, buf := range [][]graph.VID{nil, {}} {
+			if n, next := grin.NextLabelBatch(g, graph.AnyLabel, 1, buf); n != 0 || next != 1 {
+				t.Errorf("%s: NextLabelBatch with empty buffer = (%d, %d), want (0, 1)", name, n, next)
+			}
 		}
 	}
 }
 
-// TestScanLabelBatchesUnknownLabel pins that scanning a label no vertex
-// carries emits nothing — in particular no empty batch.
-func TestScanLabelBatchesUnknownLabel(t *testing.T) {
-	g := &propStore{schema: edgeSchema()}
-	g.out = [][]grin.Target{nil, nil, nil}
-	g.in = [][]grin.Target{nil, nil, nil}
-	buf := make([]graph.VID, 4)
-	grin.ScanLabelBatches(g, graph.LabelID(7), buf, func(vs []graph.VID) bool {
-		t.Errorf("unknown label emitted batch %v", vs)
-		return true
-	})
+// TestNextLabelBatchUnknownLabel pins that a label no vertex carries reads
+// nothing and ends the walk at once, on every path.
+func TestNextLabelBatchUnknownLabel(t *testing.T) {
+	for name, g := range labelStores(5) {
+		if n, next := grin.NextLabelBatch(g, graph.LabelID(7), 0, make([]graph.VID, 4)); n != 0 || next != graph.NilVID {
+			t.Errorf("%s: unknown label read (%d, %d), want (0, NilVID)", name, n, next)
+		}
+	}
 }

@@ -161,26 +161,43 @@ func TestExpandBatchMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestScanLabelBatchesMatchesScanLabel checks the chunked scan emits exactly
-// ScanLabel's vertex sequence at every buffer size, on a store with no scan
-// traits at all (full-scan fallback).
-func TestScanLabelBatchesMatchesScanLabel(t *testing.T) {
-	g := testStores()["iterator"]
-	var want []graph.VID
-	grin.ScanLabel(g, graph.AnyLabel, func(v graph.VID) bool {
-		want = append(want, v)
-		return true
-	})
-	for _, bs := range []int{1, 2, 7} {
-		var got []graph.VID
-		buf := make([]graph.VID, bs)
-		grin.ScanLabelBatches(g, graph.AnyLabel, buf, func(vs []graph.VID) bool {
-			got = append(got, vs...)
-			return true
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("buf=%d: sequence %v, want %v", bs, got, want)
+// TestNextLabelBatchWalksScanLabel checks that a cursor walk over
+// NextLabelBatch yields exactly ScanLabel's vertex sequence for every label at
+// every buffer size, on each of its paths: the ID walk, the index trait's
+// label range and the batched scan trait.
+func TestNextLabelBatchWalksScanLabel(t *testing.T) {
+	for name, g := range labelStores(5) {
+		for _, label := range []graph.LabelID{graph.AnyLabel, 0, 1} {
+			var want []graph.VID
+			grin.ScanLabel(g, label, func(v graph.VID) bool {
+				want = append(want, v)
+				return true
+			})
+			for _, bs := range []int{1, 2, 7} {
+				if got := walkLabel(t, g, label, bs); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s label=%d buf=%d: sequence %v, want %v", name, label, bs, got, want)
+				}
+			}
 		}
+	}
+}
+
+// walkLabel collects a label's vertices by a cursor walk over NextLabelBatch
+// with a bs-slot buffer.
+func walkLabel(t *testing.T, g grin.Graph, label graph.LabelID, bs int) []graph.VID {
+	t.Helper()
+	got := []graph.VID{}
+	buf := make([]graph.VID, bs)
+	for at := graph.VID(0); ; {
+		n, next := grin.NextLabelBatch(g, label, at, buf)
+		got = append(got, buf[:n]...)
+		if next == graph.NilVID {
+			return got
+		}
+		if next <= at {
+			t.Fatalf("label=%d buf=%d: cursor stuck at %d", label, bs, at)
+		}
+		at = next
 	}
 }
 
@@ -243,5 +260,56 @@ func TestGatherVertexPropFallback(t *testing.T) {
 	wantL := []graph.LabelID{0, graph.AnyLabel, 1, 0}
 	if !reflect.DeepEqual(labels, wantL) {
 		t.Errorf("GatherVertexLabels = %v, want %v", labels, wantL)
+	}
+}
+
+// rangedStore adds the index trait to propStore: each label's vertices are
+// one contiguous ID range (label 0 below 2, label 1 from 2 on).
+type rangedStore struct{ propStore }
+
+func (s *rangedStore) LookupVertex(_ graph.LabelID, ext int64) (graph.VID, bool) {
+	return graph.VID(ext), int(ext) < s.NumVertices()
+}
+
+func (s *rangedStore) ExternalID(v graph.VID) int64 { return int64(v) }
+
+func (s *rangedStore) LabelRange(label graph.LabelID) (lo, hi graph.VID, ok bool) {
+	n := graph.VID(s.NumVertices())
+	switch label {
+	case graph.AnyLabel:
+		return 0, n, true
+	case 0:
+		return 0, 2, true
+	case 1:
+		return 2, n, true
+	}
+	return 0, 0, false
+}
+
+// scanStore adds the batched scan trait to propStore.
+type scanStore struct{ propStore }
+
+func (s *scanStore) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
+	n, v, end := 0, start, graph.VID(s.NumVertices())
+	for ; v < end && n < len(buf); v++ {
+		if label == graph.AnyLabel || s.VertexLabel(v) == label {
+			buf[n] = v
+			n++
+		}
+	}
+	if v >= end {
+		return n, graph.NilVID
+	}
+	return n, v
+}
+
+// labelStores builds an edgeless n-vertex labelled graph once for each of
+// NextLabelBatch's paths.
+func labelStores(n int) map[string]grin.Graph {
+	p := propStore{iterStore{out: make([][]grin.Target, n), in: make([][]grin.Target, n)}, edgeSchema()}
+	return map[string]grin.Graph{
+		"walk":   &p,
+		"ranged": &rangedStore{p},
+		"scan":   &scanStore{p},
 	}
 }

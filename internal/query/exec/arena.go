@@ -3,25 +3,28 @@ package exec
 import "repro/internal/graph"
 
 // Arena is the reusable memory of one driver goroutine — a HiActor actor, a
-// Gaia worker, Gaia's coordinator (which lends it to the goroutine running
-// the source while it collects), or the caller of a serial Run. It is the
-// only owner of goroutine-local memory in this package: the serial driver
-// draws its source buffer, segment accumulators and per-stage Map buffers
-// from it, a Gaia worker its intermediate Map buffers, and every operator its
-// scratch (frontiers, adjacency, ID and value columns, row bridges). Stage
-// closures are shared by all goroutines running a plan, so that state cannot
-// live in the closure; it reaches the operator through Env.Arena, which Drive
+// Gaia worker (the goroutine that called Gaia is one of them), or the caller
+// of a serial Run. It is the only owner of goroutine-local memory in this
+// package: Drive draws each segment's Feed and source batch from the arena of
+// the goroutine running it, Feed.Next the morsel it hands that goroutine, the
+// serial driver its segment accumulators and per-stage Map buffers, a Gaia
+// worker its intermediate Map buffers, and every operator its scratch
+// (frontiers, adjacency, ID and value columns, row bridges). Stage closures
+// are shared by all goroutines running a plan, so that state cannot live in
+// the closure; it reaches the operator through Env.Arena, which Drive
 // guarantees to be set.
 //
 // Ownership is single-threaded by construction — one goroutine uses an arena
 // at a time, and handing it to another goes through a happens-before edge (a
 // channel, a join) — so there is no sync.Pool, no lock, and nothing is
 // cleared on the hot path: a short query must not pay a memset sized by the
-// largest query its owner ever ran. The price is retention: boxed scratch
-// keeps referencing the last batch's values (overwhelmingly store-resident
-// strings, alive regardless) until it is overwritten. Batches that outlive
-// the goroutine or the segment that filled them are BatchPool's job, not the
-// arena's.
+// largest query its owner ever ran. The one exception is the Feed and its
+// source batch, which Gaia's workers reach only under the segment's lock.
+// The price is retention: boxed scratch, the morsel copy and the chunk view
+// keep referencing the last batch's values (overwhelmingly store-resident
+// strings, alive regardless) until they are overwritten. Batches that
+// outlive the goroutine or the segment that filled them are BatchPool's job,
+// not the arena's.
 //
 // Batches are handed out in draw order and reshaped to the requested column
 // layout, keeping their payload arrays: after a warm-up the arena holds one
@@ -41,13 +44,18 @@ type Arena struct {
 	// bufs is the per-segment stage-buffer table; segments of one query run
 	// one after another, so one table serves them all.
 	bufs []*Batch
+	// feed is the segment Drive is running; morsel and chunk are what
+	// Feed.Next hands this arena's goroutine: a source morsel's copy, and the
+	// header of a barrier chunk's view (also the staging view of the copy).
+	feed   Feed
+	morsel Batch
+	chunk  Batch
 
 	// Operator scratch, one field per role: two users that are live at the
 	// same time never share one. An expansion or GET_VERTEX runs its pushed
-	// filter over the rows it just emitted (expand/gather vs filter), PROJECT
-	// keeps gather.vals live while evalColumn fills eval's ID column and row
-	// bridge, and a serial source holds its ID chunk across the whole
-	// downstream pipeline. A SCAN only proposes candidate vertices — it keeps
+	// filter over the rows it just emitted (expand/gather vs filter), and
+	// PROJECT keeps gather.vals live while evalColumn fills eval's ID column
+	// and row bridge. A SCAN only proposes candidate vertices — it keeps
 	// no predicate scratch, because a predicated scan's SELECT decides with
 	// filter like any other. A barrier GROUP gathers its property arguments
 	// through gather, which no other stage holds while a barrier runs.

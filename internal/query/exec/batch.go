@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -12,11 +11,6 @@ import (
 // unset. ~1K rows amortizes per-batch overhead while keeping a batch's
 // column payloads comfortably cache-resident.
 const DefaultBatchSize = 1024
-
-// ErrStop is returned by an EmitBatch callback to terminate a source early
-// once downstream has all the rows it needs (LIMIT short-circuit). Sources
-// must stop producing and propagate it; drivers treat it as success.
-var ErrStop = errors.New("exec: stop early")
 
 // Batch is a fixed-width columnar row container: one Vec per column (typed
 // payload arrays when the kind is known at compile time, boxed escape hatch
@@ -186,27 +180,16 @@ func (b *Batch) Reset() {
 	b.selIdx = -1
 }
 
-// View returns a read-only sub-range [lo, hi) of a dense batch sharing the
-// column payloads; drivers use it to feed a materialized batch back into a
-// pipeline chunk-wise and to split batches into worker morsels. The view
-// must not be appended to, and the parent must stay alive while views
-// circulate. Views of a batch with a selection are not supported — sources
-// and barrier outputs are always dense.
-func (b *Batch) View(lo, hi int) Batch {
-	if b.sel != nil {
-		panic("exec: View of a batch with a selection")
-	}
-	out := Batch{cols: make([]Vec, len(b.cols)), rows: hi - lo, view: true, selIdx: -1}
-	for c := range b.cols {
-		out.cols[c] = b.cols[c].slice(lo, hi)
-	}
-	return out
-}
-
-// viewOf re-slices dst in place as a view of b — the morsel-splitting path,
-// which reuses one Batch header per worker feed instead of allocating one
-// per morsel.
+// viewOf re-slices dst in place as a read-only view of rows [lo, hi) of b,
+// sharing the column payloads — how a Feed cuts morsels, through one
+// arena-owned header per goroutine instead of one allocation per morsel.
+// The view must not be appended to, and b must stay alive and unwritten
+// while it circulates. Views of a batch with a selection are not supported:
+// sources and barrier outputs are always dense.
 func (b *Batch) viewOf(dst *Batch, lo, hi int) {
+	if b.sel != nil {
+		panic("exec: view of a batch with a selection")
+	}
 	if cap(dst.cols) < len(b.cols) {
 		dst.cols = make([]Vec, len(b.cols))
 	}
@@ -271,10 +254,10 @@ func (b *Batch) Rows() []Row {
 }
 
 // BatchPool recycles the batches that outlive the goroutine or segment that
-// filled them — everything else is Arena's. Gaia hands one output batch per
-// morsel from a worker to its collector and carries segment accumulators
-// across barriers; pooling those payload arrays removes the steady-state
-// per-morsel allocation. Get reshapes a pooled
+// filled them — everything else is Arena's. Gaia publishes one output batch
+// per morsel, which whichever worker completes the in-order prefix appends,
+// and carries segment accumulators across barriers; pooling those payload
+// arrays removes the steady-state per-morsel allocation. Get reshapes a pooled
 // batch to the requested column layout; Put must only receive batches that
 // own their payloads (never Views) and that the caller will not touch again.
 type BatchPool struct{ pool sync.Pool }

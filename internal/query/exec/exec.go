@@ -95,13 +95,6 @@ func (c *Compiled) labelFilter(l graph.LabelID) {
 	}
 }
 
-// EmitBatch consumes one batch from a source. The callee owns the batch while
-// the call runs; a true return hands it back for reset-and-reuse, false means
-// the callee retained it (e.g. sent it down a channel) and the caller must
-// allocate a fresh one. Returning ErrStop tells the source that downstream
-// has enough rows (LIMIT short-circuit).
-type EmitBatch func(*Batch) (reuse bool, err error)
-
 // Stage transforms batches. Exactly one of Source/Map/Filter/Blocking is set.
 type Stage struct {
 	// Name for EXPLAIN and engine traces.
@@ -117,8 +110,11 @@ type Stage struct {
 	// (graph.KindNil entries are boxed columns); drivers allocate output
 	// batches from it. A nil OutKinds means all-boxed.
 	OutKinds []graph.Kind
-	// Source produces batches from the graph; only the first stage has one.
-	Source func(env *Env, emit EmitBatch) error
+	// Source appends up to n rows to out, resuming from the scan position
+	// *at (zero when its segment starts) and advancing it, and reports done
+	// once nothing is left; a fill that is not done appended exactly n rows.
+	// Only the first stage has one, and only a Feed calls it.
+	Source func(env *Env, at *graph.VID, n int, out *Batch) (done bool, err error)
 	// Map transforms the rows of in, appending zero or more output rows per
 	// input row to out, preserving input (selection) order.
 	Map func(env *Env, in, out *Batch) error
@@ -473,49 +469,6 @@ func (c *Compiled) snapshotCols() Columns {
 	return cols
 }
 
-// sourceBuffer accumulates source rows and flushes full batches downstream.
-// Sources append to its batch's columns directly (the typed monomorphic
-// appends) and call flushIfFull at row granularity, so batch emission
-// boundaries — and with them the morsel partition every driver sees — land
-// at exactly the same row counts as the row-at-a-time runtime produced.
-type sourceBuffer struct {
-	b     *Batch
-	bs    int
-	kinds []graph.Kind
-	emit  EmitBatch
-}
-
-func newSourceBuffer(kinds []graph.Kind, env *Env, emit EmitBatch) *sourceBuffer {
-	return &sourceBuffer{b: env.Arena.batch(kinds), bs: env.EffectiveBatchSize(), kinds: kinds, emit: emit}
-}
-
-func (s *sourceBuffer) flushIfFull() error {
-	if s.b.Len() < s.bs {
-		return nil
-	}
-	return s.flush()
-}
-
-func (s *sourceBuffer) flush() error {
-	if s.b.Len() == 0 {
-		return nil
-	}
-	reuse, err := s.emit(s.b)
-	if err != nil {
-		return err
-	}
-	if reuse {
-		s.b.Reset()
-	} else {
-		// The consumer kept the batch (Gaia's workers read views of it while
-		// the source moves on). It is garbage once they finish, so it is
-		// replaced by a fresh one rather than by an arena slot, which would
-		// pin it until the next Reset.
-		s.b = NewBatchKinds(s.kinds, 0)
-	}
-	return nil
-}
-
 // compileScan lowers SCAN into a source that proposes candidate vertices and,
 // when the scan carries a predicate, the SELECT that decides which of them
 // survive — the stage OpSelect builds, with the whole predicate. An
@@ -571,60 +524,48 @@ func (c *Compiled) appendSelect(pred *expr.Expr) error {
 // labelScanStage builds the source stage over one vertex label, binding
 // column idx — the newest column of the current layout. It proposes
 // candidates and decides nothing: with a lookup key and the index trait it
-// emits the one vertex the key names (or none), otherwise every vertex of the
-// label, bulk-appended chunk by chunk into the typed vertex column. Whatever
-// predicate the scan carried runs in the SELECT after it.
+// appends the one vertex the key names (or none), otherwise every vertex of
+// the label, bulk-appended chunk by chunk into the typed vertex column.
+// Whatever predicate the scan carried runs in the SELECT after it.
 func (c *Compiled) labelScanStage(name string, idx int, label graph.LabelID, key *expr.Bound) Stage {
 	kinds := c.kindsSnapshot()
 	return Stage{
 		Name:     name,
 		OutWidth: c.numCols,
 		OutKinds: kinds,
-		Source: func(env *Env, emit EmitBatch) error {
-			out := newSourceBuffer(kinds, env, emit)
+		Source: func(env *Env, at *graph.VID, n int, out *Batch) (bool, error) {
 			if key != nil {
 				if store, ok := grin.AsIndex(env.Graph); ok {
 					benv := env.boundEnv()
 					k, err := key.Eval(&benv, nil)
 					if err != nil {
-						return err
+						return true, err
 					}
 					if v, found := store.LookupVertex(label, k.Int()); found {
-						out.b.cols[idx].appendVertex(v)
-						out.b.rows++
+						out.cols[idx].appendVertex(v)
+						out.rows++
 					}
-					return out.flush()
+					return true, nil
 				}
 			}
-			// Batched label scan: one trait dispatch per ID chunk instead of
-			// one callback per vertex, slicing each chunk so batches fill to
-			// exactly the configured size.
+			// Batched label scan: one trait dispatch per ID chunk, each
+			// chunk sized to the room left, so the batch fills to exactly n.
 			arena := env.Arena
-			arena.scanIDs = growVIDs(arena.scanIDs, out.bs)
-			var scanErr error
-			grin.ScanLabelBatches(env.Graph, label, arena.scanIDs, func(vs []graph.VID) bool {
-				// Cooperative cancellation once per ID chunk, so the source
-				// itself observes the deadline between emitted batches.
+			for out.rows < n {
+				// Cooperative cancellation once per ID chunk.
 				if err := env.Alive(); err != nil {
-					scanErr = err
-					return false
+					return true, err
 				}
-				for len(vs) > 0 {
-					take := min(out.bs-out.b.Len(), len(vs))
-					out.b.cols[idx].appendVIDs(vs[:take])
-					out.b.rows += take
-					vs = vs[take:]
-					if err := out.flushIfFull(); err != nil {
-						scanErr = err
-						return false
-					}
+				arena.scanIDs = growVIDs(arena.scanIDs, n-out.rows)
+				k, next := grin.NextLabelBatch(env.Graph, label, *at, arena.scanIDs)
+				out.cols[idx].appendVIDs(arena.scanIDs[:k])
+				out.rows += k
+				if next == graph.NilVID {
+					return true, nil
 				}
-				return true
-			})
-			if scanErr != nil {
-				return scanErr
+				*at = next
 			}
-			return out.flush()
+			return false, nil
 		},
 	}
 }

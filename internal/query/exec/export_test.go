@@ -23,6 +23,13 @@ func CompileUnsplit(p *ir.Plan, opt Options) (*Compiled, error) {
 	return c, nil
 }
 
+// View returns a view of rows [lo, hi) of b, as a Feed cuts one.
+func (b *Batch) View(lo, hi int) *Batch {
+	v := new(Batch)
+	b.viewOf(v, lo, hi)
+	return v
+}
+
 // Test-only views of the expansion skeleton's unexported bounds.
 
 // SlotBudget and FirstChunk mirror the chunking constants.

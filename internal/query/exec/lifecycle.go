@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/query/obsv"
 )
 
@@ -151,34 +152,21 @@ func (st *Stage) RunBlocking(env *Env, in *Batch) (out *Batch, err error) {
 	return st.Blocking(env, in)
 }
 
-// RunSource invokes the stage's Source callback with panic isolation. Panics
-// raised by downstream stages inside emit have already been converted to
-// errors by their own RunMap guard and flow through as plain returns.
-//
-// With observability enabled, emitted batches are credited to the source
-// stage per emit; the stage's span covers the whole feed, which in serial
-// drivers includes the downstream work emit performs inline.
-func (st *Stage) RunSource(env *Env, emit EmitBatch) (err error) {
-	obs := env.Obs
-	var t0 int64
-	if obs != nil {
-		t0 = obsv.Now()
-		inner := emit
-		sid := st.ID
-		emit = func(b *Batch) (bool, error) {
-			obs.SourceRows(sid, b.Len())
-			return inner(b)
-		}
-	}
+// RunSource invokes the stage's Source callback with panic isolation and
+// credits the batch it filled (out arrives empty) to the source stage, when
+// the fill produced rows. The stage's span is recorded by Drive and covers
+// the whole segment, in every driver.
+func (st *Stage) RunSource(env *Env, at *graph.VID, n int, out *Batch) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = recovered(st.Name, r)
-		}
-		if obs != nil {
-			obs.SourceDone(st.ID, st.Name, t0, err)
+			done, err = true, recovered(st.Name, r)
 		}
 	}()
-	return st.Source(env, emit)
+	done, err = st.Source(env, at, n, out)
+	if obs := env.Obs; obs != nil && err == nil && out.Len() > 0 {
+		obs.SourceRows(st.ID, out.Len())
+	}
+	return done, err
 }
 
 // background is the shared no-deadline context, hoisted so the per-query

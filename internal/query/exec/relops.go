@@ -12,6 +12,7 @@ import (
 	"repro/internal/grin"
 	"repro/internal/query/expr"
 	"repro/internal/query/ir"
+	"repro/internal/query/obsv"
 	"repro/internal/storage/column"
 )
 
@@ -1220,49 +1221,58 @@ func MorselRows(batchSize int) int {
 	return m
 }
 
-// MorselFeed wraps a feed, splitting every emitted batch into morsel-sized
-// views. The wrapped batch is handed back for reuse only when every view was
-// consumed synchronously.
-func MorselFeed(feed func(EmitBatch) error, morsel int) func(EmitBatch) error {
-	return func(emit EmitBatch) error {
-		return feed(func(b *Batch) (bool, error) {
-			reuseAll := true
-			for lo := 0; lo < b.Len(); lo += morsel {
-				hi := lo + morsel
-				if hi > b.Len() {
-					hi = b.Len()
-				}
-				sub := b.View(lo, hi)
-				reuse, err := emit(&sub)
-				if err != nil {
-					return false, err
-				}
-				if !reuse {
-					reuseAll = false
-				}
-			}
-			return reuseAll, nil
-		})
-	}
+// Feed is the one morsel authority of a pipeline segment: Drive builds one
+// per segment, over the segment's source or over the previous barrier's
+// output, and every driver reads morsels only through Next. A source fills
+// one BatchSize batch at a time and the Feed cuts MorselRows-row morsels from
+// it, so the store calls a source makes and the batches it counts are the
+// same at any parallelism, and every driver evaluates the stream in the same
+// units. A Feed is not safe for concurrent use; parallel drivers claim
+// morsels under a lock.
+type Feed struct {
+	src    *Stage       // nil when in is a barrier's output
+	kinds  []graph.Kind // src's output layout
+	in     *Batch       // the source's current batch, or the barrier output
+	at     graph.VID    // the source's scan position
+	done   bool         // the source is exhausted or failed
+	lo     int          // first row of in not yet handed out
+	fill   int          // rows per source fill
+	morsel int          // rows per morsel
+	seq    int          // sequence number of the next morsel
 }
 
-// ChunkFeed adapts a materialized batch into a source feed, emitting
-// read-only views of up to batchSize rows; drivers use it to push barrier
-// output back into the next pipeline segment.
-func ChunkFeed(in *Batch, batchSize int) func(EmitBatch) error {
-	return func(emit EmitBatch) error {
-		for lo := 0; lo < in.Len(); lo += batchSize {
-			hi := lo + batchSize
-			if hi > in.Len() {
-				hi = in.Len()
-			}
-			sub := in.View(lo, hi)
-			if _, err := emit(&sub); err != nil {
-				return err
-			}
+// Next claims the segment's next morsel for the goroutine running with env
+// and returns it with its sequence number; ok is false once the input is
+// exhausted. A source morsel is a copy in env's arena, because the source
+// refills its batch while other goroutines may still read earlier morsels; a
+// barrier chunk is a view of the barrier output, which nothing writes during
+// the segment. Either stays valid until the goroutine's next Next. A source
+// error comes back with the sequence number the failed morsel would have had.
+func (f *Feed) Next(env *Env) (b *Batch, seq int, ok bool, err error) {
+	for f.lo == f.in.Len() {
+		if f.src == nil || f.done {
+			return nil, f.seq, false, nil
 		}
-		return nil
+		f.in.Reset()
+		f.lo = 0
+		if f.done, err = f.src.RunSource(env, &f.at, f.fill, f.in); err != nil {
+			f.done = true
+			f.in.Reset()
+			return nil, f.seq, false, err
+		}
 	}
+	a := env.Arena
+	hi := min(f.lo+f.morsel, f.in.Len())
+	f.in.viewOf(&a.chunk, f.lo, hi)
+	b = &a.chunk
+	if f.src != nil {
+		a.morsel.reshape(f.kinds)
+		a.morsel.AppendBatch(b)
+		b = &a.morsel
+	}
+	f.lo = hi
+	f.seq++
+	return b, f.seq - 1, true, nil
 }
 
 // StageBuffers draws the stage-buffer table RunMorsel needs from env's arena:
@@ -1315,51 +1325,51 @@ func RunMorsel(env *Env, seg []Stage, bufs []*Batch, b *Batch) (*Batch, error) {
 	return cur, nil
 }
 
-// RunSegmentSerial drives one pipeline segment (a feed plus a run of Map and
-// Filter stages) to completion on the calling goroutine, gathering the output
-// rows into acc. The final AppendBatch compacts whatever selection the
-// trailing filters installed. When stopAfter > 0 (a LIMIT follows the
-// segment) the feed is stopped via ErrStop as soon as enough rows are
-// gathered.
-func RunSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, acc *Batch, stopAfter int) (*Batch, error) {
+// RunSegmentSerial drives one pipeline segment to completion on the calling
+// goroutine: every morsel feed hands out runs through seg, and the output
+// gathers into acc — AppendBatch compacts whatever selection the trailing
+// filters installed. When stopAfter > 0 (a LIMIT follows the segment) it
+// claims no morsel once acc holds that many rows.
+func RunSegmentSerial(env *Env, seg []Stage, feed *Feed, acc *Batch, stopAfter int) (*Batch, error) {
 	bufs, last := StageBuffers(env, seg)
 	if last >= 0 {
 		bufs[last] = env.Arena.batch(seg[last].OutLayout())
 	}
-	err := feed(func(b *Batch) (bool, error) {
+	for stopAfter <= 0 || acc.Len() < stopAfter {
+		b, _, ok, err := feed.Next(env)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
 		cur, err := RunMorsel(env, seg, bufs, b)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		acc.AppendBatch(cur)
-		if stopAfter > 0 && acc.Len() >= stopAfter {
-			return true, ErrStop
-		}
-		return true, nil
-	})
-	if err != nil && err != ErrStop {
-		return nil, err
 	}
 	return acc, nil
 }
 
 // runSegmentSerial is the serial SegmentRunner: the accumulator, like every
 // other buffer, comes from the arena of the goroutine running the query.
-func runSegmentSerial(env *Env, seg []Stage, feed func(EmitBatch) error, kinds []graph.Kind, stopAfter int) (*Batch, error) {
+func runSegmentSerial(env *Env, seg []Stage, feed *Feed, kinds []graph.Kind, stopAfter int) (*Batch, error) {
 	return RunSegmentSerial(env, seg, feed, env.Arena.batch(kinds), stopAfter)
 }
 
-// SegmentRunner executes one pipeline segment: a feed of morsel-sized
-// batches through a run of Map/Filter stages, gathering output with the
-// given column layout. When stopAfter > 0 the runner may stop the feed (via
-// ErrStop) once the in-order output prefix holds that many rows.
-type SegmentRunner func(env *Env, seg []Stage, feed func(EmitBatch) error, kinds []graph.Kind, stopAfter int) (*Batch, error)
+// SegmentRunner executes one pipeline segment: the morsels of feed through a
+// run of Map/Filter stages, gathering output with the given column layout.
+// When stopAfter > 0 the runner may stop claiming morsels once the in-order
+// output prefix holds that many rows.
+type SegmentRunner func(env *Env, seg []Stage, feed *Feed, kinds []graph.Kind, stopAfter int) (*Batch, error)
 
 // Drive walks the compiled plan, cutting it into pipeline segments (the
 // source, or the previous barrier's output, feeding a run of Map/Filter
 // stages) and barriers, delegating segment execution to run. It is the single
-// segmentation and morsel-partitioning authority, shared by the serial
-// driver and Gaia, so both evaluate the row stream in identical units.
+// segmentation authority, shared by the serial driver and Gaia, and builds
+// each segment's Feed — in the arena of the goroutine calling it — so both
+// evaluate the row stream in identical morsels.
 //
 // ctx is the query's lifecycle authority: Drive binds it into env, every
 // driver checks it once per morsel, and a fired deadline or cancellation
@@ -1401,25 +1411,29 @@ func (c *Compiled) Drive(ctx context.Context, env *Env, run SegmentRunner) (*Bat
 			if j < len(stages) {
 				stopAfter = stages[j].LimitHint
 			}
-			var seg []Stage
-			var feed func(EmitBatch) error
+			seg := stages[i:j]
+			kinds := st.OutLayout()
+			feed := &env.Arena.feed
 			if st.Source != nil {
 				seg = stages[i+1 : j]
-				src := &stages[i]
-				feed = MorselFeed(func(emit EmitBatch) error { return src.RunSource(env, emit) }, morsel)
+				*feed = Feed{src: &stages[i], kinds: kinds, in: env.Arena.batch(kinds), fill: env.EffectiveBatchSize(), morsel: morsel}
 			} else {
-				seg = stages[i:j]
-				feed = ChunkFeed(acc, morsel)
+				*feed = Feed{in: acc, morsel: morsel}
 			}
-			kinds := st.OutLayout()
 			if len(seg) > 0 {
 				kinds = seg[len(seg)-1].OutLayout()
 			}
-			if obs := env.Obs; obs != nil {
+			obs := env.Obs
+			var t0 int64
+			if obs != nil {
 				obs.Segment()
+				t0 = obsv.Now()
 			}
 			var err error
 			acc, err = run(env, seg, feed, kinds, stopAfter)
+			if obs != nil && st.Source != nil {
+				obs.SourceDone(st.ID, st.Name, t0, err)
+			}
 			if err != nil {
 				return nil, err
 			}

@@ -1,34 +1,36 @@
 // Package gaia implements the dataflow execution engine of §5.3 for OLAP
 // queries: the physical plan's pipeline segments run data-parallel over
-// sequence-numbered batch streams, with barriers at blocking operators
+// sequence-numbered morsels, with barriers at blocking operators
 // (ORDER/GROUP/DEDUP/LIMIT) — the MAP/FLATMAP pipeline of Fig 5(e).
 //
-// Workers consume whole batches and the collector reassembles their output
-// in input-sequence order, so results are row-for-row identical to serial
-// execution at any Parallelism and BatchSize. A LIMIT after a segment stops
-// the segment's source as soon as the in-order output prefix holds enough
-// rows; a failing or panicking operator, a fired deadline, or an exhausted
-// row budget cancels the producer instead of leaking it. One derived
-// context is the single teardown authority for the whole segment: the
-// query's own ctx, an internal stop (LIMIT satisfied) and a worker error all
-// release every goroutine through the same cancellation.
+// A segment runs on P workers, the calling goroutine and P − 1 it spawns,
+// that share one exec.Feed and one lock and nothing else. Each worker claims
+// the feed's next morsel under the lock, runs it through the segment's
+// stages, and publishes the output under the morsel's sequence number;
+// whichever worker completes the in-order prefix appends it to the
+// accumulator. The feed is the morsel authority the serial driver uses too,
+// so results are row-for-row identical to serial execution at any
+// Parallelism and BatchSize. A LIMIT after a segment stops the claims as
+// soon as the in-order prefix holds enough rows; a failing or panicking
+// operator, a fired deadline or an exhausted row budget stops them too, and
+// the error returned is the earliest failed morsel's, the serial driver's
+// error. The segment returns once every worker has, on every path.
 //
 // A GROUP that only counts — COUNT(*) or COUNT(alias), weighted or not, over
 // no key or one bare int, vertex or edge key — ends its segment with
 // exec's GROUP(partial) stage, so each worker folds its morsel to one row
 // per group and the barrier merges partial counts instead of every expanded
-// row. The collector's in-order reassembly is what keeps the merge exact:
-// partial rows reach the barrier in morsel-sequence order, so groups appear
-// in the same first-appearance order as an unsplit fold would give.
+// row. The in-order publication is what keeps the merge exact: partial rows
+// reach the barrier in morsel-sequence order, so groups appear in the same
+// first-appearance order as an unsplit fold would give.
 //
-// Memory has two owners. Each goroutine that runs stages — a worker, or the
-// coordinator, which lends its arena to the producer running the source while
-// it collects — runs with its own exec.Arena: operator scratch and the
-// worker's intermediate Map buffers live there, unshared and never cleared.
-// The engine recycles arenas across segments and queries through a small free
-// list. Batches that outlive the goroutine or segment that filled them — the
-// last Map stage's output a worker hands to the collector, and the segment
-// accumulators — come from the engine's exec.BatchPool instead.
+// Memory has two owners. Each worker runs with its own exec.Arena — the
+// calling goroutine with the query's — holding operator scratch, the
+// morsels the feed hands it and its intermediate Map buffers, unshared and
+// never cleared. The engine recycles arenas across segments and queries
+// through a small free list. Batches that outlive the worker or segment that
+// filled them — each morsel's published output and the segment accumulators
+// — come from the engine's exec.BatchPool instead.
 package gaia
 
 import (
@@ -62,11 +64,12 @@ type Engine struct {
 	cat *optimizer.Catalog
 	opt Options
 	// pool recycles the batches that cross goroutines: the per-morsel outputs
-	// workers hand to the collector and the segment accumulators, so steady-
-	// state execution allocates no batch per morsel.
+	// workers publish and the segment accumulators, so steady-state execution
+	// allocates no batch per morsel.
 	pool exec.BatchPool
-	// arenas is the free list of goroutine-local arenas, one per worker plus
-	// the coordinator's: enough for one query to recycle all of its own.
+	// arenas is the free list of goroutine-local arenas, one per worker, the
+	// calling goroutine's included: enough for one query to recycle all of
+	// its own.
 	// Overlapping queries allocate what the list cannot supply and drop what
 	// it cannot hold, so retention stays at one query's worth.
 	arenas chan *exec.Arena
@@ -77,7 +80,7 @@ func NewEngine(g grin.Graph, opt Options) *Engine {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{g: g, cat: optimizer.BuildCatalog(g), opt: opt, arenas: make(chan *exec.Arena, opt.Parallelism+1)}
+	return &Engine{g: g, cat: optimizer.BuildCatalog(g), opt: opt, arenas: make(chan *exec.Arena, opt.Parallelism)}
 }
 
 // getArena takes an arena off the free list, or allocates one when the list
@@ -205,174 +208,195 @@ func (e *Engine) poolGet(obs *obsv.QueryStats, kinds []graph.Kind, capRows int) 
 	return b
 }
 
-// seqBatch tags a batch with its position in the input stream.
-type seqBatch struct {
+// segment is the state one parallelSegment run shares between its workers,
+// kept in one struct so it escapes to the heap once. mu guards the feed and
+// every field after it.
+type segment struct {
+	e         *Engine
+	env       *exec.Env
+	seg       []exec.Stage
+	kinds     []graph.Kind
+	stopAfter int
+	wg        sync.WaitGroup
+
+	mu      sync.Mutex
+	feed    *exec.Feed
+	acc     *exec.Batch
+	next    int         // sequence number of the output acc waits for
+	pending []published // outputs published ahead of next
+	limited bool        // the in-order prefix satisfied the LIMIT
+	errSeq  int         // the earliest failed morsel
+	err     error       // its error
+}
+
+// published is one morsel's output, filed under the morsel's sequence number
+// until the in-order prefix reaches it.
+type published struct {
 	seq int
 	b   *exec.Batch
 }
 
-// parallelSegment drains the feed (already split into morsels by exec.Drive)
-// through a run of Map stages with P workers. Output batches are reassembled
-// in input-sequence order, so the gathered rows are identical to serial
-// execution. Teardown has one authority: a context derived from the query's
-// ctx. stop() fires it when the in-order prefix satisfies a LIMIT or a
-// worker fails, and the query's own deadline/cancellation propagates through
-// the same channel — the producer unblocks via ErrStop, workers drain, and
-// no goroutine is ever left behind on any path.
-func (e *Engine) parallelSegment(env *exec.Env, seg []exec.Stage, feed func(exec.EmitBatch) error, kinds []graph.Kind, stopAfter int) (*exec.Batch, error) {
+// parallelSegment runs one pipeline segment on P workers: the calling
+// goroutine and P − 1 it spawns, each running claim, run and publish in a
+// loop. A worker claims the feed's next morsel under the segment lock, runs
+// it through the segment on its own arena into a pooled output batch, and
+// publishes that batch under the morsel's sequence number; whichever worker
+// completes the in-order prefix appends it to the accumulator, so the rows
+// gathered are the serial driver's, in its order. Workers claim no morsel
+// once the prefix satisfies a LIMIT or a morsel fails, and finish the ones
+// they hold, so every morsel before a failed one has run: the error returned
+// is the earliest failed morsel's — the one the serial driver meets first —
+// unless the prefix before it already satisfied the LIMIT, where the serial
+// driver stops too. The function returns after every worker has.
+func (e *Engine) parallelSegment(env *exec.Env, seg []exec.Stage, feed *exec.Feed, kinds []graph.Kind, stopAfter int) (*exec.Batch, error) {
 	if len(seg) == 0 {
-		// No transforms: nothing to parallelize, the coordinator drains the
-		// feed itself.
+		// No transforms: nothing to parallelize, the caller drains the feed
+		// itself.
 		return exec.RunSegmentSerial(env, seg, feed, e.poolGet(env.Obs, kinds, 0), stopAfter)
 	}
+	s := &segment{e: e, env: env, seg: seg, kinds: kinds, stopAfter: stopAfter, feed: feed, acc: e.poolGet(env.Obs, kinds, 0)}
+	s.wg.Add(e.opt.Parallelism - 1)
+	for w := 1; w < e.opt.Parallelism; w++ {
+		go s.spawned()
+	}
+	s.work(env)
+	s.wg.Wait()
 
-	p := e.opt.Parallelism
-	in := make(chan seqBatch, p)
-	results := make(chan seqBatch, p)
-	segCtx, stop := context.WithCancel(env.Context())
-	defer stop()
-	done := segCtx.Done()
-
-	// Producer: pumps morsels into the input channel. Cancellation stops the
-	// feed via ErrStop instead of leaving the send blocked forever (the
-	// goroutine leak the row-at-a-time runtime had on the error path).
-	prodErr := make(chan error, 1)
-	go func() {
-		seq := 0
-		err := feed(func(b *exec.Batch) (bool, error) {
-			select {
-			case in <- seqBatch{seq, b}:
-				seq++
-				return false, nil // the channel owns the batch now
-			case <-done:
-				return false, exec.ErrStop
-			}
-		})
-		close(in)
-		if err == exec.ErrStop {
-			err = nil
-		}
-		prodErr <- err
-	}()
-
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop()
+	for _, p := range s.pending {
+		e.pool.Put(p.b)
 	}
-	obs := env.Obs
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The worker runs with its own shallow copy of the query's Env —
-			// lifecycle and stats pointers stay shared, so the row budget,
-			// cancellation and counters merge across workers — carrying its
-			// own arena: operator scratch and the intermediate Map buffers,
-			// reused per morsel. Only the last Map stage's output leaves the
-			// goroutine; it is drawn from the engine's batch pool per morsel
-			// and recycled by the collector once appended. An all-filter
-			// segment delivers the morsel view itself, narrowed in place
-			// (safe: the producer never reuses an emitted batch).
-			wenv := *env
-			wenv.Arena = e.getArena()
-			defer e.putArena(wenv.Arena)
-			bufs, last := exec.StageBuffers(&wenv, seg)
-			process := func(sb seqBatch) {
-				if last >= 0 {
-					bufs[last] = e.poolGet(obs, seg[last].OutLayout(), sb.b.Len())
-				}
-				cur, err := exec.RunMorsel(&wenv, seg, bufs, sb.b)
-				if err != nil {
-					fail(err)
-					if last >= 0 {
-						e.pool.Put(bufs[last])
-					}
-					return // keep draining so the producer unblocks
-				}
-				// Always deliver: the collector drains results until every
-				// worker exits, and it needs all pre-error morsels to decide
-				// whether the in-order prefix satisfied a LIMIT before the
-				// error point.
-				results <- seqBatch{sb.seq, cur}
-			}
-			if obs == nil {
-				for sb := range in {
-					process(sb)
-				}
-				return
-			}
-			// Observed path: split the worker's wall time into busy (morsel
-			// processing) and idle (waiting on the feed or the collector).
-			wstart := obsv.Now()
-			var busy int64
-			for sb := range in {
-				m0 := obsv.Now()
-				process(sb)
-				busy += obsv.Now() - m0
-			}
-			obs.WorkerDone(busy, obsv.Now()-wstart-busy)
-		}()
+	if s.limited {
+		return s.acc, nil
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Collector: reassemble in input-sequence order. AppendBatch compacts
-	// any selection the segment's trailing filters installed; Put drops
-	// view batches (their payloads belong to the producer).
-	acc := e.poolGet(obs, kinds, 0)
-	pending := map[int]*exec.Batch{}
-	next := 0
-	limitDone := false
-	for sb := range results {
-		if limitDone {
-			e.pool.Put(sb.b)
-			continue
-		}
-		pending[sb.seq] = sb.b
-		for {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			acc.AppendBatch(b)
-			e.pool.Put(b)
-			if stopAfter > 0 && acc.Len() >= stopAfter {
-				limitDone = true
-				stop()
-				break
-			}
-		}
+	err := s.err
+	if err == nil {
+		// The segment drained normally, but the query's context may have
+		// fired after the last morsel was charged; report it rather than
+		// return a result the caller would take for a completed query.
+		err = env.Alive()
 	}
-	//lint:allow determinism drains undelivered morsels back to the pool after an early stop; order cannot reach output rows
-	for _, b := range pending {
-		e.pool.Put(b)
-	}
-	ferr := <-prodErr
-	if limitDone {
-		// The limit was satisfied by the in-order morsel prefix; any error
-		// sits in a later morsel, which the serial driver (same morsel
-		// partition, courtesy of exec.Drive) would have stopped before
-		// evaluating.
-		return acc, nil
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	// The segment drained normally, but the query's context may have fired
-	// after the last morsel was charged; report it rather than returning a
-	// result the caller will mistake for a completed query.
-	if err := env.Alive(); err != nil {
+	if err != nil {
+		e.pool.Put(s.acc)
 		return nil, err
 	}
-	return acc, nil
+	return s.acc, nil
+}
+
+// spawned is a worker goroutine: it runs the loop with its own shallow copy
+// of the query's Env — lifecycle and stats pointers stay shared, so the row
+// budget, cancellation and counters merge across workers — carrying an arena
+// of its own.
+func (s *segment) spawned() {
+	defer s.wg.Done()
+	wenv := *s.env
+	wenv.Arena = s.e.getArena()
+	defer s.e.putArena(wenv.Arena)
+	s.work(&wenv)
+}
+
+// work is one worker's claim, run and publish loop. Operator scratch and the
+// intermediate Map buffers come from wenv's arena; only the output leaves
+// the worker, in a batch drawn from the engine's pool per morsel: the last
+// Map stage writes into it, and an all-filter segment copies its narrowed
+// morsel into it, so a published batch never aliases a worker's input.
+func (s *segment) work(wenv *exec.Env) {
+	e, obs := s.e, wenv.Obs
+	bufs, last := exec.StageBuffers(wenv, s.seg)
+	outKinds := s.kinds
+	if last >= 0 {
+		outKinds = s.seg[last].OutLayout()
+	}
+	// With an observer the worker's wall time splits into busy (running and
+	// publishing a morsel) and idle (waiting for the lock and the feed).
+	var start, busy int64
+	if obs != nil {
+		start = obsv.Now()
+	}
+	for {
+		b, seq, ok := s.claim(wenv)
+		if !ok {
+			break
+		}
+		var m0 int64
+		if obs != nil {
+			m0 = obsv.Now()
+		}
+		out := e.poolGet(obs, outKinds, b.Len())
+		if last >= 0 {
+			bufs[last] = out
+		}
+		cur, err := exec.RunMorsel(wenv, s.seg, bufs, b)
+		if err == nil && last < 0 {
+			out.AppendBatch(cur)
+		}
+		s.finish(seq, out, err)
+		if obs != nil {
+			busy += obsv.Now() - m0
+		}
+	}
+	if obs != nil {
+		obs.WorkerDone(busy, obsv.Now()-start-busy)
+	}
+}
+
+// claim hands the worker the feed's next morsel under the lock; ok is false
+// once the feed is drained, a morsel has failed or the LIMIT is met.
+func (s *segment) claim(wenv *exec.Env) (b *exec.Batch, seq int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.limited || s.err != nil {
+		return nil, 0, false
+	}
+	b, seq, ok, err := s.feed.Next(wenv)
+	if err != nil {
+		s.fail(seq, err)
+	}
+	return b, seq, ok
+}
+
+// finish publishes morsel seq's output, or records its failure.
+func (s *segment) finish(seq int, out *exec.Batch, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.fail(seq, err)
+		s.e.pool.Put(out)
+		return
+	}
+	s.publish(seq, out)
+}
+
+// fail records morsel seq's error, keeping the earliest. The caller holds mu.
+func (s *segment) fail(seq int, err error) {
+	if s.err == nil || seq < s.errSeq {
+		s.err, s.errSeq = err, seq
+	}
+}
+
+// publish files morsel seq's output and appends the in-order prefix it
+// completes to the accumulator; AppendBatch compacts any selection the
+// segment's trailing filters installed. The caller holds mu.
+func (s *segment) publish(seq int, out *exec.Batch) {
+	if s.limited {
+		s.e.pool.Put(out)
+		return
+	}
+	s.pending = append(s.pending, published{seq, out})
+	for i := 0; i < len(s.pending); {
+		p := s.pending[i]
+		if p.seq != s.next {
+			i++
+			continue
+		}
+		s.pending[i] = s.pending[len(s.pending)-1]
+		s.pending = s.pending[:len(s.pending)-1]
+		s.next++
+		i = 0
+		s.acc.AppendBatch(p.b)
+		s.e.pool.Put(p.b)
+		if s.stopAfter > 0 && s.acc.Len() >= s.stopAfter {
+			s.limited = true
+			return
+		}
+	}
 }

@@ -32,9 +32,8 @@ func snbStore(t *testing.T, persons int) *vineyard.Store {
 
 // TestErrorMidStreamReturnsAndLeaksNothing drives a predicate that fails on
 // one specific expanded row: the engine must surface the error at every
-// parallelism, and the producer goroutine feeding the worker channel must
-// not be left blocked (the leak the row-at-a-time runtime had). Run with
-// -race in CI.
+// parallelism, and every worker goroutine must have returned once it does.
+// Run with -race in CI.
 func TestErrorMidStreamReturnsAndLeaksNothing(t *testing.T) {
 	st := snbStore(t, 200)
 	schema := dataset.SNBSchema()
@@ -63,7 +62,7 @@ WHERE 1 % (id(f) - $k) = 0 RETURN id(f)`, schema)
 	}
 	params := map[string]graph.Value{"k": victim}
 
-	// Every producer/worker/collector must have wound down by test end.
+	// Every worker must have wound down by test end.
 	defer query.CheckLeaks(t)()
 	for _, par := range []int{1, 2, runtime.NumCPU()} {
 		e := NewEngine(st, Options{Parallelism: par, BatchSize: 7})
@@ -255,12 +254,10 @@ func sameRows(a, b []exec.Row, unordered bool) bool {
 }
 
 // TestWarmedQueryAllocations pins the allocation count of a warmed three-
-// segment query: worker arenas, the coordinator's arena and the pooled
-// batches are all recycled, so a run allocates its goroutines, channels and
-// result rows, not its buffers. The bound is the parent commit's count (which
-// pooled operator scratch in sync.Pools and allocated a buffer table per
-// worker).
-const warmedQueryAllocs = 211 // the parent commit, measured with this test
+// segment query: worker arenas, the calling goroutine's arena and the pooled
+// batches are all recycled, so a run allocates per segment only its shared
+// state, its spawned workers and their Env copies, plus its result rows.
+const warmedQueryAllocs = 76 // measured with this test
 
 func TestWarmedQueryAllocations(t *testing.T) {
 	st := snbStore(t, 150)
@@ -283,5 +280,63 @@ func TestWarmedQueryAllocations(t *testing.T) {
 	t.Logf("warmed query: %.0f allocs per run", allocs)
 	if !raceEnabled && allocs > warmedQueryAllocs {
 		t.Fatalf("warmed query allocates %.0f times per run, want <= %d", allocs, warmedQueryAllocs)
+	}
+}
+
+// TestParallelErrorIsTheSerialError pins which error a parallel run returns
+// when two morsels fail with different errors: the earlier morsel's, the one
+// the serial driver meets first, however the workers happen to be scheduled.
+// The modulo victim's rows close one morsel and the division victim's open
+// the next, so the later morsel's error is usually the first one raised.
+func TestParallelErrorIsTheSerialError(t *testing.T) {
+	st := snbStore(t, 200)
+	schema := dataset.SNBSchema()
+	eng := NewEngine(st, Options{Parallelism: 1})
+	compile := func(q string) *exec.Compiled {
+		t.Helper()
+		plan, err := cypher.Parse(q, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := eng.Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// The optimizer starts at f, so a row's morsel is its f's place in the
+	// scan, and each f's rows are contiguous.
+	friends, err := compile(`MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN f, id(f)`).Run(context.Background(), &exec.Env{Graph: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _, _ := st.LabelRange(dataset.SNBPerson)
+	var a, b graph.Value // a opens morsel 1, b closes morsel 0
+	for _, r := range friends {
+		if m := int(r[0].Vertex()-lo) / exec.MorselRows(exec.DefaultBatchSize); m == 0 {
+			b = r[1]
+		} else if m == 1 {
+			a = r[1]
+			break
+		}
+	}
+	if a.IsNull() || b.IsNull() {
+		t.Fatal("morsels 0 and 1 hold no friends")
+	}
+	c := compile(`MATCH (p:Person)-[:KNOWS]->(f:Person)
+WHERE 1 / (id(f) - $a) + 1 % (id(f) - $b) >= 0 RETURN id(f)`)
+	params := map[string]graph.Value{"a": a, "b": b}
+	_, serialErr := c.Run(context.Background(), &exec.Env{Graph: st, Params: params})
+	if serialErr == nil || !strings.Contains(serialErr.Error(), "modulo by zero") {
+		t.Fatalf("serial run returned %v, want the modulo error of morsel 0", serialErr)
+	}
+	for _, par := range []int{2, 4, 8} {
+		e := NewEngine(st, Options{Parallelism: par})
+		for i := 0; i < 50; i++ {
+			_, err := e.RunCompiled(context.Background(), c, params)
+			if err == nil || err.Error() != serialErr.Error() {
+				t.Fatalf("par=%d run %d: error %v, the serial driver's is %v", par, i, err, serialErr)
+			}
+		}
 	}
 }

@@ -185,8 +185,8 @@ func (q *QueryStats) StageDone(id int, name string, rowsIn, rowsOut int, start i
 	}
 }
 
-// SourceRows credits rows emitted by a source stage (sources produce rows
-// through a callback rather than an output batch).
+// SourceRows credits the rows of one batch a source stage filled; its wall
+// time and span are SourceDone's, once per segment.
 func (q *QueryStats) SourceRows(id int, rows int) {
 	if st := q.stage(id); st != nil {
 		st.rowsOut.Add(int64(rows))
@@ -196,8 +196,8 @@ func (q *QueryStats) SourceRows(id int, rows int) {
 
 // SourceDone records the end of one source run: wall time since start and
 // any error, plus the stage's trace span. Rows and batches were credited per
-// emitted batch by SourceRows. In serial drivers the span covers the
-// downstream work the emit callback performs inline.
+// filled batch by SourceRows. In every driver the span covers the source's
+// whole pipeline segment, the downstream work on its morsels included.
 func (q *QueryStats) SourceDone(id int, name string, start int64, err error) {
 	end := Now()
 	if st := q.stage(id); st != nil {
