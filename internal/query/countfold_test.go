@@ -174,6 +174,16 @@ func foldCount(p *ir.Plan) int {
 	return n
 }
 
+// viaHops returns how many hops the EXPAND_DEGREE operators of a physical
+// plan walk before the ones they count.
+func viaHops(p *ir.Plan) int {
+	n := 0
+	for _, op := range p.Ops {
+		n += len(op.Via)
+	}
+	return n
+}
+
 // countFoldStores loads one small SNB graph into the three backends of the
 // matrix: vineyard, a GART snapshot, and topology-only livegraph.
 func countFoldStores(t *testing.T) map[string]grin.Graph {
@@ -347,9 +357,10 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 
 // TestCountFoldFiresOnTheListedShapes pins the rule on the benchmark's own
 // queries — the 14 BI and 2 interactive ones that end in COUNT(leaf); C5
-// counts the middle vertex of its chain and must not fold — on the
-// must-not-fold neighbors of that shape, and on Gremlin's out().count()
-// through the shared IR.
+// counts the middle vertex of its chain and must not fold — with how many
+// hops before the counted one each EXPAND_DEGREE absorbs, on the
+// must-not-fold neighbors of that shape and of the inward fold, and on
+// Gremlin's out().count() through the shared IR.
 func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 	schema := dataset.SNBSchema()
 	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 60, Seed: 4}))
@@ -357,7 +368,9 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := optimizer.BuildCatalog(st)
-	folds := func(p *ir.Plan) bool {
+	// folds reports whether the plan folds, and how many hops its
+	// EXPAND_DEGREE walks before the counted one.
+	folds := func(p *ir.Plan) (bool, int) {
 		t.Helper()
 		phys, err := optimizer.Optimize(p, cat, optimizer.All())
 		if err != nil {
@@ -366,19 +379,23 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 		if _, err := exec.Compile(phys, exec.Options{}); err != nil {
 			t.Fatalf("%v\n%s", err, phys)
 		}
-		return foldCount(phys) == 1
+		return foldCount(phys) == 1, viaHops(phys)
 	}
 	want := map[string]bool{}
 	for _, name := range []string{"BI2", "BI4", "BI5", "BI7", "BI8", "BI10", "BI11", "BI13", "BI14", "BI16", "BI17", "BI18", "BI19", "BI20", "C10", "C13"} {
 		want[name] = true
+	}
+	wantHops := map[string]int{"BI18": 2}
+	for _, name := range []string{"BI5", "BI7", "BI13", "BI14", "BI17", "BI19", "BI20", "C13"} {
+		wantHops[name] = 1
 	}
 	for _, q := range append(procedures.BI(), procedures.Interactive()...) {
 		plan, err := cypher.Parse(q.Cypher, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := folds(plan); got != want[q.Name] {
-			t.Errorf("%s: fold=%v, want %v\n%s", q.Name, got, want[q.Name], q.Cypher)
+		if got, hops := folds(plan); got != want[q.Name] || hops != wantHops[q.Name] {
+			t.Errorf("%s: fold=%v over %d hops, want %v over %d\n%s", q.Name, got, hops, want[q.Name], wantHops[q.Name], q.Cypher)
 		}
 		// Without EdgeVertexFusion there is no EXPAND_FUSED to rewrite: the
 		// rule ablation's unoptimized arm never sees the operator.
@@ -390,24 +407,37 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 			t.Errorf("%s: folded without EdgeVertexFusion\n%s", q.Name, unfused)
 		}
 	}
+	// The inward fold's shapes: BI14's chain, whose middle vertex p2 exists
+	// only to be expanded into the counted m, and its neighbors where
+	// something else needs p2 — the leaf still folds, the hop before it not.
+	const chain = `MATCH (p1:Person)-[k:KNOWS]->(p2:Person)<-[:HAS_CREATOR]-(m:Post)`
 	for _, tc := range []struct {
 		name, lang, q string
 		fold          bool
+		hops          int
 	}{
-		{"leaf-count", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, true},
-		{"count-star", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN COUNT(*) AS c`, true},
-		{"unreferenced-edge-alias", "cypher", `MATCH (p:Person)-[k:KNOWS]->(f:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, true},
-		{"residual-elsewhere", "cypher", `MATCH (fo:Forum)-[:HAS_MEMBER]->(p:Person)-[:KNOWS]->(f:Person) WHERE id(fo) <> id(p) WITH p, COUNT(f) AS c RETURN id(p), c`, true},
-		{"gremlin-out-count", "gremlin", `g.V().hasLabel('Person').out('KNOWS').count()`, true},
-		{"predicate-on-leaf", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.birthday > 3 WITH p, COUNT(f) AS c RETURN id(p), c`, false},
-		{"leaf-in-return", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN id(f) AS k, COUNT(f) AS c`, false},
-		{"count-middle", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, false},
-		{"referenced-edge-alias", "cypher", `MATCH (p:Person)-[k:KNOWS]->(f:Person) WHERE k.creationDate > 0 WITH p, COUNT(f) AS c RETURN id(p), c`, false},
-		{"residual-on-leaf", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) <> id(f) WITH p, COUNT(f) AS c RETURN id(p), c`, false},
-		{"other-aggregate", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f) AS c, max(f.birthday) AS b RETURN id(p), c, b`, false},
-		{"count-property", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f.birthday) AS c RETURN id(p), c`, false},
-		{"limit-in-between", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, f LIMIT 5 RETURN COUNT(f) AS c`, false},
-		{"gremlin-dedup-count", "gremlin", `g.V().hasLabel('Person').out('KNOWS').dedup().count()`, false},
+		{"leaf-count", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, true, 0},
+		{"count-star", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN COUNT(*) AS c`, true, 0},
+		{"unreferenced-edge-alias", "cypher", `MATCH (p:Person)-[k:KNOWS]->(f:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, true, 0},
+		{"residual-elsewhere", "cypher", `MATCH (fo:Forum)-[:HAS_MEMBER]->(p:Person)-[:KNOWS]->(f:Person) WHERE id(fo) <> id(p) WITH p, COUNT(f) AS c RETURN id(p), c`, true, 0},
+		{"gremlin-out-count", "gremlin", `g.V().hasLabel('Person').out('KNOWS').count()`, true, 0},
+		{"gremlin-path-count", "gremlin", `g.V().hasLabel('Person').out('KNOWS').out('KNOWS').count()`, true, 1},
+		{"path-count", "cypher", chain + ` WITH p1, COUNT(m) AS c RETURN id(p1), c`, true, 1},
+		{"path-count-star", "cypher", chain + ` RETURN COUNT(*) AS c`, true, 1},
+		{"predicate-on-middle", "cypher", chain + ` WHERE p2.birthday > 3 WITH p1, COUNT(m) AS c RETURN id(p1), c`, true, 0},
+		{"middle-is-the-key", "cypher", chain + ` WITH p2, COUNT(m) AS c RETURN id(p2), c`, true, 0},
+		{"referenced-middle-edge-alias", "cypher", chain + ` WHERE k.creationDate > 0 WITH p1, COUNT(m) AS c RETURN id(p1), c`, true, 0},
+		{"residual-on-middle", "cypher", chain + ` WHERE id(p1) <> id(p2) WITH p1, COUNT(m) AS c RETURN id(p1), c`, true, 0},
+		{"second-expansion-from-middle", "cypher", chain + `, (p2)-[:IS_LOCATED_IN]->(pl:Place) WITH p1, COUNT(m) AS c RETURN id(p1), c`, true, 0},
+		{"predicate-on-leaf", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.birthday > 3 WITH p, COUNT(f) AS c RETURN id(p), c`, false, 0},
+		{"leaf-in-return", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN id(f) AS k, COUNT(f) AS c`, false, 0},
+		{"count-middle", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WITH p, COUNT(f) AS c RETURN id(p), c`, false, 0},
+		{"referenced-edge-alias", "cypher", `MATCH (p:Person)-[k:KNOWS]->(f:Person) WHERE k.creationDate > 0 WITH p, COUNT(f) AS c RETURN id(p), c`, false, 0},
+		{"residual-on-leaf", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) <> id(f) WITH p, COUNT(f) AS c RETURN id(p), c`, false, 0},
+		{"other-aggregate", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f) AS c, max(f.birthday) AS b RETURN id(p), c, b`, false, 0},
+		{"count-property", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, COUNT(f.birthday) AS c RETURN id(p), c`, false, 0},
+		{"limit-in-between", "cypher", `MATCH (p:Person)-[:KNOWS]->(f:Person) WITH p, f LIMIT 5 RETURN COUNT(f) AS c`, false, 0},
+		{"gremlin-dedup-count", "gremlin", `g.V().hasLabel('Person').out('KNOWS').dedup().count()`, false, 0},
 	} {
 		var plan *ir.Plan
 		var err error
@@ -419,8 +449,8 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := folds(plan); got != tc.fold {
-			t.Errorf("%s: fold=%v, want %v\n%s", tc.name, got, tc.fold, tc.q)
+		if got, hops := folds(plan); got != tc.fold || hops != tc.hops {
+			t.Errorf("%s: fold=%v over %d hops, want %v over %d\n%s", tc.name, got, hops, tc.fold, tc.hops, tc.q)
 		}
 	}
 }

@@ -30,7 +30,8 @@ import "repro/internal/graph"
 // layout, keeping their payload arrays: after a warm-up the arena holds one
 // buffer set sized by the largest query its owner has run — expansion
 // scratch, once by far the largest part, is sized by one chunk of a frontier
-// (see expansion.run), not by a query — and a steady procedure mix allocates
+// and, for a counted path, one chunk's reach per level (see walker), not by
+// a query — and a steady procedure mix allocates
 // only its result rows. The owner calls Reset before
 // its next query, which hands every batch back at once; everything a query
 // draws stays valid until then — a batch returned by RunBatch must be

@@ -663,12 +663,10 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 	if op.EdgeAlias != "" {
 		eIdx = c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	}
-	c.labelFilter(op.EdgeLabel)
-	c.labelFilter(op.Label)
+	h := c.hop(op.EdgeLabel, op.Dir, op.Label)
 	width := c.numCols
 	sid := len(c.Stages)
-	x := &expansion{sid: sid, from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
-		dst: -1, vIdx: vIdx, eIdx: eIdx, degIdx: -1}
+	x := &expansion{sid: sid, from: fromIdx, hop: h, dst: -1, vIdx: vIdx, eIdx: eIdx, degIdx: -1}
 	predB, err := c.bind(c.Cols, op.Pred)
 	if err != nil {
 		return err
@@ -706,10 +704,9 @@ func (c *Compiled) compileExpandEdge(op *ir.Op) error {
 	inWidth := c.numCols
 	eIdx := c.addColK(op.EdgeAlias, graph.KindEdge, op.EdgeLabel)
 	nIdx := c.addColK("#nbr:"+op.EdgeAlias, graph.KindVertex, graph.AnyLabel)
-	c.labelFilter(op.EdgeLabel)
+	h := c.hop(op.EdgeLabel, op.Dir, graph.AnyLabel)
 	width := c.numCols
-	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: graph.AnyLabel,
-		dst: -1, vIdx: nIdx, eIdx: eIdx, degIdx: -1}
+	x := &expansion{sid: len(c.Stages), from: fromIdx, hop: h, dst: -1, vIdx: nIdx, eIdx: eIdx, degIdx: -1}
 
 	c.Stages = append(c.Stages, Stage{
 		Name:    "EXPAND_EDGE(" + op.FromAlias + ")",
@@ -720,10 +717,11 @@ func (c *Compiled) compileExpandEdge(op *ir.Op) error {
 	return nil
 }
 
-// compileExpandDegree is the counting expansion: the same adjacency pass and
-// label filters as the fused expansion it replaces, but the neighbor is never
-// bound — each input row with at least one matching slot survives, widened by
-// one int column holding how many matched.
+// compileExpandDegree is the counting expansion: the same adjacency passes
+// and label filters as the fused expansions it replaces — the Via hops, then
+// the counted one — but no vertex on the path is bound: each input row with
+// at least one matching path survives, widened by one int column holding how
+// many matched.
 func (c *Compiled) compileExpandDegree(op *ir.Op) error {
 	fromIdx, ok := c.Cols[op.FromAlias]
 	if !ok {
@@ -737,13 +735,15 @@ func (c *Compiled) compileExpandDegree(op *ir.Op) error {
 	// resolution — and the count column is int by construction.
 	c.weight = ir.DegreeAlias(op.Alias)
 	dIdx := c.addColK(c.weight, graph.KindInt, graph.AnyLabel)
-	c.labelFilter(op.EdgeLabel)
-	c.labelFilter(op.Label)
-	x := &expansion{sid: len(c.Stages), from: fromIdx, dir: op.Dir, elabel: op.EdgeLabel, vlabel: c.farLabel(op.EdgeLabel, op.Dir, op.Label),
+	via := make([]hop, len(op.Via))
+	for i, h := range op.Via {
+		via[i] = c.hop(h.EdgeLabel, h.Dir, h.Label)
+	}
+	x := &expansion{sid: len(c.Stages), from: fromIdx, hop: c.hop(op.EdgeLabel, op.Dir, op.Label), via: via,
 		dst: -1, vIdx: -1, eIdx: -1, degIdx: dIdx}
 
 	c.Stages = append(c.Stages, Stage{
-		Name:    "EXPAND_DEGREE(" + op.FromAlias + "->" + op.Alias + ")",
+		Name:    "EXPAND_DEGREE(" + op.Path() + ")",
 		InWidth: inWidth, OutWidth: c.numCols,
 		OutKinds: c.kindsSnapshot(),
 		Map:      x.runMap,

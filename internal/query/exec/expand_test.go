@@ -6,14 +6,20 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/grin/grintest"
+	"repro/internal/query"
+	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
+	"repro/internal/query/gaia"
 	"repro/internal/query/ir"
+	"repro/internal/query/optimizer"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/vineyard"
 )
@@ -387,6 +393,198 @@ func TestExpansionKindsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// pathHop is one hop of a folded path under test with its reference keep
+// rule.
+type pathHop struct {
+	dir            graph.Direction
+	elabel, vlabel graph.LabelID
+}
+
+// keeps is the reference filter of one hop.
+func (h pathHop) keeps(st *vineyard.Store, nbr graph.VID, e graph.EID) bool {
+	return (h.elabel == graph.AnyLabel || st.EdgeLabel(e) == h.elabel) && (h.vlabel == graph.AnyLabel || st.VertexLabel(nbr) == h.vlabel)
+}
+
+// pathCounts is the reference for one folded path: how many slots of its
+// last hop the paths from a vertex reach, by a walk over
+// grin.Graph.Neighbors memoized per hop and vertex.
+type pathCounts struct {
+	st   *vineyard.Store
+	hops []pathHop
+	memo []map[graph.VID]int64
+}
+
+func newPathCounts(st *vineyard.Store, hops []pathHop) *pathCounts {
+	pc := &pathCounts{st: st, hops: hops, memo: make([]map[graph.VID]int64, len(hops))}
+	for i := range pc.memo {
+		pc.memo[i] = map[graph.VID]int64{}
+	}
+	return pc
+}
+
+// from counts the slots reached from v over hops[d:].
+func (pc *pathCounts) from(v graph.VID, d int) int64 {
+	if d == len(pc.hops) {
+		return 1
+	}
+	if n, ok := pc.memo[d][v]; ok {
+		return n
+	}
+	n, h := int64(0), pc.hops[d]
+	pc.st.Neighbors(v, h.dir, func(nbr graph.VID, e graph.EID) bool {
+		if h.keeps(pc.st, nbr, e) {
+			n += pc.from(nbr, d+1)
+		}
+		return true
+	})
+	pc.memo[d][v] = n
+	return n
+}
+
+// pathPlan is SCAN(a) followed by an EXPAND_DEGREE that walks every hop but
+// the last and counts the last.
+func pathPlan(hops []pathHop) *ir.Plan {
+	deg := &ir.Op{Kind: ir.OpExpandDegree, FromAlias: "a", Alias: "z"}
+	for i, h := range hops[:len(hops)-1] {
+		deg.Via = append(deg.Via, ir.Hop{Alias: fmt.Sprintf("v%d", i), EdgeLabel: h.elabel, Dir: h.dir, Label: h.vlabel})
+	}
+	last := hops[len(hops)-1]
+	deg.EdgeLabel, deg.Dir, deg.Label = last.elabel, last.dir, last.vlabel
+	return &ir.Plan{Ops: []*ir.Op{{Kind: ir.OpScan, Alias: "a", Label: hubA}, deg,
+		{Kind: ir.OpGroupBy, Aggs: []ir.Aggregate{{Fn: "count", Alias: "n"}}, CountWeight: ir.DegreeAlias("z")}}}
+}
+
+// narrowFrontier is the vertices of degree at most 129 — the first few
+// chosen ones with repeats and a NilVID, then every third pool vertex — whose
+// three-hop paths a test can afford to walk.
+func narrowFrontier() []graph.VID {
+	f := []graph.VID{0, 1, 2, 3, graph.NilVID, 3, 4, 5, 6}
+	for i := 0; i < hubPool; i += 3 {
+		f = append(f, graph.VID(len(hubDegrees)+i))
+	}
+	return f
+}
+
+// pathInput is a one-column vertex batch of frontier f, NilVID as NULL.
+func pathInput(f []graph.VID) *exec.Batch {
+	in := exec.NewBatchKinds([]graph.Kind{graph.KindVertex}, 0)
+	for _, v := range f {
+		val := graph.VertexValue(v)
+		if v == graph.NilVID {
+			val = graph.NullValue
+		}
+		in.AppendRow([]graph.Value{val})
+	}
+	return in
+}
+
+// TestExpandDegreePathMatchesBruteForce drives a folded path's EXPAND_DEGREE
+// directly on the generated frontiers — whose degrees sit around every chunk
+// bound — for two- and three-hop paths mixing both label filters and
+// directions, over the store (label segments), the store with that trait
+// hidden, and the chaos wrapper (which declines it), and compares every row's
+// count with a walk over grin.Graph.Neighbors: a row survives exactly when
+// some path reaches a kept slot, with the number of such slots.
+func TestExpandDegreePathMatchesBruteForce(t *testing.T) {
+	st, schema := hubGraph(t)
+	variants := map[string]grin.Graph{
+		"vineyard":    st,
+		"unsegmented": chaos.Wrap(grintest.Unsegmented(st), chaos.Options{}),
+		"masked":      chaos.Wrap(st, chaos.Options{}),
+	}
+	// The widest vertex's paths are too many to walk in a test, and a
+	// third hop is walked only from the narrow vertices. No path expands
+	// from in-neighbors, and every counted hop runs inward: an out-neighbor
+	// set is dominated by the chosen vertices, budgets wide.
+	wide, narrow := hubFrontiers()[2:8], [][]graph.VID{narrowFrontier()}
+	e := pathHop{graph.Out, hubE, hubA}
+	for pi, tc := range []struct {
+		hops      []pathHop
+		frontiers [][]graph.VID
+	}{
+		{[]pathHop{e, {graph.In, hubX, graph.AnyLabel}}, wide},
+		{[]pathHop{{graph.Out, hubX, hubA}, {graph.In, graph.AnyLabel, hubA}}, wide},
+		{[]pathHop{{graph.Both, hubE, hubA}, {graph.In, hubE, hubA}}, wide},
+		{[]pathHop{{graph.Out, graph.AnyLabel, hubA}, e, {graph.In, hubX, hubA}}, narrow},
+	} {
+		hops, ref := tc.hops, newPathCounts(st, tc.hops)
+		c, err := exec.Compile(pathPlan(hops), exec.Options{Schema: schema})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := &c.Stages[1]
+		for name, g := range variants {
+			if name == "masked" && !slices.ContainsFunc(hops, func(h pathHop) bool { return h.dir == graph.Both }) {
+				continue // the mask changes which trait serves a call, not what a direction means
+			}
+			env := &exec.Env{Graph: g, Arena: new(exec.Arena)}
+			out := exec.NewBatchKinds(stage.OutLayout(), 0)
+			for fi, f := range tc.frontiers {
+				out.Reset()
+				if err := stage.RunMap(env, pathInput(f), out); err != nil {
+					t.Fatalf("path %d %s frontier %d: %v", pi, name, fi, err)
+				}
+				r := 0
+				for _, v := range f {
+					if v == graph.NilVID {
+						continue
+					}
+					want := ref.from(v, 0)
+					if want == 0 {
+						continue
+					}
+					if r >= out.Len() || out.Value(r, 0).Vertex() != v || out.Value(r, 1).Int() != want {
+						t.Fatalf("path %d %s frontier %d: row %d of %d, want (%d, %d)", pi, name, fi, r, out.Len(), v, want)
+					}
+					r++
+				}
+				if r != out.Len() {
+					t.Fatalf("path %d %s frontier %d: %d rows, want %d", pi, name, fi, out.Len(), r)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldedPathAllocatesNothingWarm: on a warmed arena and output batch, a
+// folded path's EXPAND_DEGREE runs a frontier without a heap allocation —
+// answered from the store's label degrees, scanning the counted hop for a
+// vertex-label filter, and over a store without label segments.
+func TestFoldedPathAllocatesNothingWarm(t *testing.T) {
+	st, schema := hubGraph(t)
+	f := narrowFrontier()[9:29] // pool vertices only
+	for _, tc := range []struct {
+		name string
+		g    grin.Graph
+		last pathHop
+	}{
+		{"degrees", st, pathHop{graph.In, hubX, graph.AnyLabel}},
+		{"scanned", st, pathHop{graph.In, hubX, hubA}},
+		{"unsegmented", grintest.Unsegmented(st), pathHop{graph.In, hubX, graph.AnyLabel}},
+	} {
+		c, err := exec.Compile(pathPlan([]pathHop{{graph.Out, graph.AnyLabel, hubA}, {graph.Out, hubE, hubA}, tc.last}), exec.Options{Schema: schema})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := &c.Stages[1]
+		env := &exec.Env{Graph: tc.g, Arena: new(exec.Arena)}
+		in, out := pathInput(f), exec.NewBatchKinds(stage.OutLayout(), 0)
+		run := func() {
+			out.Reset()
+			if err := stage.RunMap(env, in, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if out.Len() == 0 {
+			t.Fatalf("%s: no row survives; the pin measures nothing", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per warm run", tc.name, allocs)
+		}
+	}
+}
+
 // callCounter counts ExpandBatch calls and can fire a cancellation at one.
 type callCounter struct {
 	*vineyard.Store
@@ -507,5 +705,104 @@ func TestExpansionIsCancellableBetweenChunks(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines: %d before, %d after", before, after)
+	}
+}
+
+// cancelingStore counts a store's expansion calls, labelled or not, from any
+// goroutine, and fires a cancellation from inside the at-th.
+type cancelingStore struct {
+	*vineyard.Store
+	calls  atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelingStore) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	c.Store.ExpandBatch(frontier, dir, out)
+}
+
+func (c *cancelingStore) ExpandLabelBatch(frontier []graph.VID, dir graph.Direction, elabel graph.LabelID, out *grin.AdjBatch) bool {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Store.ExpandLabelBatch(frontier, dir, elabel, out)
+}
+
+// TestHubExpansionCancelsWithinAFoldedPath: a count-only 3-hop chain over a
+// complete digraph on n A-vertices folds into one EXPAND_DEGREE that walks
+// two hops and counts the third — n⁴ paths, none of them a row. On Gaia, a
+// context fired inside the walk ends the query with ErrCanceled after at
+// most one more chunk per worker, and every goroutine unwinds. Serially, far
+// enough in that the first level has moved on to its next chunk, a level of
+// the walk holds what one chunk of the level before it reached: the path's
+// scratch stays within two slot budgets plus one vertex's adjacency, where
+// the unfolded plan would have built n³ rows.
+func TestHubExpansionCancelsWithinAFoldedPath(t *testing.T) {
+	defer query.CheckLeaks(t)()
+	// Beside the A-vertices, 2n B vertices nothing points at (too many to be
+	// the cheaper scan), and one edge label whose endpoints the schema
+	// leaves open, so every hop into A filters by vertex label and the
+	// counted hop scans its slots.
+	const n = 300
+	schema := graph.NewSchema(
+		[]graph.VertexLabel{{Name: "A"}, {Name: "B"}},
+		[]graph.EdgeLabel{{Name: "E", Src: graph.AnyLabel, Dst: graph.AnyLabel}},
+	)
+	b := graph.NewBatch(schema)
+	for v := 0; v < 3*n; v++ {
+		b.AddVertex(graph.LabelID(min(1, v/n)), int64(v))
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			b.AddEdge(0, int64(u), int64(v))
+		}
+	}
+	st, err := vineyard.Load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cypher.Parse(`MATCH (a:A)-[:E]->(b:A)-[:E]->(c:A)-[:E]->(d:A) RETURN COUNT(*) AS paths`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const par, at = 2, 6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cs := &cancelingStore{Store: st, at: at, cancel: cancel}
+	eng := gaia.NewEngine(cs, gaia.Options{Parallelism: par, BatchSize: 1 << 16})
+	phys, err := optimizer.Optimize(plan, eng.Catalog(), optimizer.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(phys.Ops) != 3 || phys.Ops[1].Kind != ir.OpExpandDegree || len(phys.Ops[1].Via) != 2 {
+		t.Fatalf("the chain should fold into one EXPAND_DEGREE over two hops:\n%s", phys)
+	}
+	if _, _, err := eng.Submit(ctx, plan, nil); !errors.Is(err, exec.ErrCanceled) {
+		t.Fatalf("error %v, want ErrCanceled", err)
+	}
+	if got := cs.calls.Load(); got > at+par {
+		t.Fatalf("%d store calls after a cancellation at call %d with %d workers", got, at, par)
+	}
+
+	const late = 1000
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cs = &cancelingStore{Store: st, at: late, cancel: cancel}
+	c, err := exec.Compile(phys, exec.Options{Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := new(exec.Arena)
+	if _, err := c.Run(ctx, &exec.Env{Graph: cs, BatchSize: 1 << 16, Arena: arena}); !errors.Is(err, exec.ErrCanceled) {
+		t.Fatalf("serial: error %v, want ErrCanceled", err)
+	}
+	if got := cs.calls.Load(); got != late {
+		t.Fatalf("serial: %d store calls after a cancellation at call %d", got, late)
+	}
+	if got, bound := arena.PathSlotCap(), 2*exec.SlotBudget+n; got > bound {
+		t.Fatalf("the walk's levels hold %d vertices, bound %d", got, bound)
 	}
 }

@@ -42,6 +42,16 @@ const (
 // expansion scratch.
 func (a *Arena) ExpandSlotCap() int { return cap(a.expand.adj.Nbrs) }
 
+// PathSlotCap returns the capacity, in vertices, of the levels a counted
+// path's walk keeps in the arena's expansion scratch.
+func (a *Arena) PathSlotCap() int {
+	n := 0
+	for _, l := range a.expand.path {
+		n += cap(l.vids)
+	}
+	return n
+}
+
 // OrderKeysTyped reports, per sort key of the last ORDER run on the arena,
 // whether it compared raw payloads (true) or boxed values.
 func (a *Arena) OrderKeysTyped() []bool {

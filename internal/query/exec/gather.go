@@ -30,8 +30,9 @@ const firstChunk = 64
 // serves, the CSR-style adjacency arena of the current chunk, label columns
 // for pushed edge/vertex label filters, and the emission lists — surviving
 // adjacency slots (ts) with the physical input row each came from (srcRows),
-// or in counting mode one count per surviving row (degs: the per-vertex
-// degrees a label-segmented store returned for a whole frontier).
+// or in counting mode one count per surviving row. A count keeps its sum per
+// frontier element (sums), the degrees a store returned for a whole level
+// (degs), and one level per hop of its path (path).
 type expandScratch struct {
 	frontier []graph.VID
 	rows     []int32
@@ -43,20 +44,37 @@ type expandScratch struct {
 	srcRows  []int32
 	counts   []int64
 	degs     []int
+	sums     []int64
+	path     []pathLevel
+}
+
+// pathLevel is what one chunk of a counted path's previous level reached
+// over one hop: the kept neighbors, each with the frontier element it
+// started from.
+type pathLevel struct {
+	vids []graph.VID
+	from []int32
+}
+
+// hop is one adjacency step: a direction and the label filters pushed into
+// it (AnyLabel: none).
+type hop struct {
+	dir            graph.Direction
+	elabel, vlabel graph.LabelID
 }
 
 // expansion is the compiled shape EXPAND_FUSED, EXPAND_EDGE, ADJ_CHECK and
 // EXPAND_DEGREE share; they differ only in the per-slot keep test and in what
 // the surviving slots become — neighbor/edge columns, or one count per row.
 type expansion struct {
-	sid            int // stage ID, for the slots counter
-	from           int // frontier column
-	dir            graph.Direction
-	elabel, vlabel graph.LabelID // pushed label filters (AnyLabel: none)
-	dst            int           // >= 0: keep only slots whose neighbor is this column's vertex
-	first          bool          // keep at most one slot per input row (existence check)
-	vIdx, eIdx     int           // output neighbor / edge column (-1: not emitted)
-	degIdx         int           // >= 0: count the kept slots into this column instead of emitting them
+	sid        int   // stage ID, for the slots counter
+	from       int   // frontier column
+	hop              // the expanded or counted hop
+	via        []hop // EXPAND_DEGREE: the hops walked before the counted one
+	dst        int   // >= 0: keep only slots whose neighbor is this column's vertex
+	first      bool  // keep at most one slot per input row (existence check)
+	vIdx, eIdx int   // output neighbor / edge column (-1: not emitted)
+	degIdx     int   // >= 0: count the kept slots into this column instead of emitting them
 }
 
 // farLabel is the vertex-label filter an expansion over elabel edges in dir
@@ -75,25 +93,32 @@ func (c *Compiled) farLabel(elabel graph.LabelID, dir graph.Direction, vlabel gr
 	return vlabel
 }
 
+// hop compiles one step of the pattern into its pushed label filters.
+func (c *Compiled) hop(elabel graph.LabelID, dir graph.Direction, vlabel graph.LabelID) hop {
+	c.labelFilter(elabel)
+	c.labelFilter(vlabel)
+	return hop{dir: dir, elabel: elabel, vlabel: c.farLabel(elabel, dir, vlabel)}
+}
+
 // run expands in's frontier into out, reporting whether any row was
 // appended. The frontier crosses the storage boundary chunk by chunk — never
-// as a whole — so scratch is bounded by what one chunk holds: a run's first
-// chunk is firstChunk vertices, every later one is sized from the degrees
-// seen so far to fill half the slot budget (degrees are not asked for up
-// front: a store call per frontier vertex is what the batch traits exist to
-// avoid). Per chunk one expansion call, one gather per label filter the store
-// did not apply itself, the keep loop, and one columnar emission; output
-// order is the frontier's, so results do not depend on where chunks end.
-// Consecutive input rows on one vertex share its adjacency (and, counting,
-// its count). The query's context is checked between chunks.
+// as a whole — so scratch is bounded by what one chunk holds (see walker).
+// Per chunk one expansion call, one gather per label filter the store did
+// not apply itself, the keep loop, and one columnar emission (scan); a count
+// instead sums its kept slots per frontier element, over every path when it
+// walks hops first, and emits once (countPaths). Output order is the
+// frontier's, so results do not depend on where chunks end. Consecutive
+// input rows on one vertex share its adjacency (and, counting, its count).
+// The query's context is checked between chunks.
 //
 // What the store is asked depends on one capability, looked up once per run.
 // A store whose adjacency is segmented by edge label (grin.LabelAdjacency)
 // takes the edge-label filter itself: a chunk holds only the slots that pass
 // it, and a count with no vertex-label filter left is one LabelDegrees call
-// for the whole frontier that moves no adjacency. Any other store — and a
-// call a tapped store declines — is asked for whole adjacencies, which are
-// filtered here; a count that keeps every slot asks it for Degree per vertex.
+// for the whole frontier (or level of a path) that moves no adjacency. Any
+// other store — and a call a tapped store declines — is asked for whole
+// adjacencies, which are filtered here; a count that keeps every slot asks
+// it for Degree per vertex.
 func (x *expansion) run(env *Env, in, out *Batch) (bool, error) {
 	s := &env.Arena.expand
 	s.frontier, s.rows = frontierFrom(in, x.from, s.frontier[:0], s.rows[:0])
@@ -114,20 +139,19 @@ func (x *expansion) run(env *Env, in, out *Batch) (bool, error) {
 
 	pr, _ := grin.AsPropertyReader(env.Graph)
 	la, _ := grin.AsLabelAdjacency(env.Graph)
-	byEdge := pr != nil && x.elabel != graph.AnyLabel
-	byVertex := pr != nil && x.vlabel != graph.AnyLabel
+	w := walker{env: env, s: s, la: la, labeled: pr != nil, k: firstChunk}
 	base := out.rows
-	slots := 0
-	if x.degIdx >= 0 && !byVertex && x.degrees(env, s, la, frontier, byEdge) {
-		x.emit(s, in, out)
+	var err error
+	if x.degIdx >= 0 {
+		err = x.countPaths(&w, frontier, in, out)
 	} else {
-		var err error
-		if slots, err = x.scan(env, s, la, frontier, byEdge, byVertex, in, out); err != nil {
-			return false, err
-		}
+		err = x.scan(&w, frontier, in, out)
+	}
+	if err != nil {
+		return false, err
 	}
 	if obs := env.Obs; obs != nil {
-		obs.StageSlots(x.sid, slots)
+		obs.StageSlots(x.sid, w.slots)
 	}
 	return out.rows > base, nil
 }
@@ -139,69 +163,81 @@ func (x *expansion) runMap(env *Env, in, out *Batch) error {
 	return err
 }
 
-// degrees answers a count whose only filter, if any, is the edge label
-// without moving adjacency: from the store's label boundaries when it keeps
-// them, from Degree when it does not and every slot counts. It reports false
-// when neither applies and the slots have to be scanned.
-func (x *expansion) degrees(env *Env, s *expandScratch, la grin.LabelAdjacency, frontier []graph.VID, byEdge bool) bool {
-	s.srcRows, s.counts = s.srcRows[:0], s.counts[:0]
-	elabel := graph.AnyLabel
-	if byEdge {
-		elabel = x.elabel
-	}
-	if la != nil {
-		s.degs = growInts(s.degs, len(frontier))
-		if la.LabelDegrees(frontier, x.dir, elabel, s.degs) {
-			for j, d := range s.degs {
-				x.count(s, j, d)
-			}
-			return true
-		}
-	}
-	if byEdge {
-		return false
-	}
-	for j, v := range frontier {
-		x.count(s, j, env.Graph.Degree(v, x.dir))
-	}
-	return true
+// walker is one run of an expansion: its store, its scratch, whether the
+// store reports labels at all (label filters apply only if it does), and the
+// chunk sizing. A run's first chunk is firstChunk vertices; every later one —
+// on any level of a counted path — holds as many as fill half the slot
+// budget at the density seen so far (taken as at least one slot per vertex),
+// growing at most fourfold per step. Degrees are not asked for up front: a
+// store call per frontier vertex is what the batch traits exist to avoid.
+type walker struct {
+	env     *Env
+	s       *expandScratch
+	la      grin.LabelAdjacency
+	labeled bool
+	k       int // vertices in the next chunk
+	seen    int // vertices expanded so far
+	slots   int // adjacency slots the store handed over so far
 }
 
-// scan is the chunk loop of run: it expands frontier chunk by chunk, keeps or
-// counts each chunk's slots and emits its rows, returning the adjacency slots
-// the store handed over.
-func (x *expansion) scan(env *Env, s *expandScratch, la grin.LabelAdjacency, frontier []graph.VID, byEdge, byVertex bool, in, out *Batch) (slots int, err error) {
-	for lo, k := 0, firstChunk; lo < len(frontier); {
-		if lo > 0 {
-			if err := env.Alive(); err != nil {
-				return slots, err
-			}
+// next returns the end of the chunk of n vertices that starts at lo, after
+// checking the query's context unless this is the run's first chunk.
+func (w *walker) next(lo, n int) (int, error) {
+	if w.seen > 0 {
+		if err := w.env.Alive(); err != nil {
+			return 0, err
 		}
-		hi := min(lo+k, len(frontier))
-		pushed := byEdge && la != nil && la.ExpandLabelBatch(frontier[lo:hi], x.dir, x.elabel, &s.adj)
-		if !pushed {
-			grin.ExpandBatch(env.Graph, frontier[lo:hi], x.dir, &s.adj)
+	}
+	return min(lo+w.k, n), nil
+}
+
+// fetch expands vs, one chunk, over h into the adjacency arena and gathers
+// the label columns of the filters the store did not apply itself, returning
+// them (nil: no filter left). A label-segmented store takes the edge-label
+// filter unless it declines the call.
+func (w *walker) fetch(h hop, vs []graph.VID) (eLabs, vLabs []graph.LabelID) {
+	s, g := w.s, w.env.Graph
+	byEdge := w.labeled && h.elabel != graph.AnyLabel
+	pushed := byEdge && w.la != nil && w.la.ExpandLabelBatch(vs, h.dir, h.elabel, &s.adj)
+	if !pushed {
+		grin.ExpandBatch(g, vs, h.dir, &s.adj)
+	}
+	n := len(s.adj.Nbrs)
+	if byEdge && !pushed {
+		s.elabels = growLabels(s.elabels, n)
+		grin.GatherEdgeLabels(g, s.adj.Edges, s.elabels)
+		eLabs = s.elabels
+	}
+	if w.labeled && h.vlabel != graph.AnyLabel {
+		s.vlabels = growLabels(s.vlabels, n)
+		grin.GatherVertexLabels(g, s.adj.Nbrs, s.vlabels)
+		vLabs = s.vlabels
+	}
+	w.seen += len(vs)
+	w.slots += n
+	w.k = max(1, min(4*w.k, w.seen*(slotBudget/2)/max(w.slots, w.seen)))
+	return eLabs, vLabs
+}
+
+// keeps reports whether adjacency slot t passes the label columns fetch
+// returned.
+func (h hop) keeps(t int, eLabs, vLabs []graph.LabelID) bool {
+	return (eLabs == nil || eLabs[t] == h.elabel) && (vLabs == nil || vLabs[t] == h.vlabel)
+}
+
+// scan is the emitting run: it expands frontier chunk by chunk, keeps each
+// chunk's slots and emits their rows.
+func (x *expansion) scan(w *walker, frontier []graph.VID, in, out *Batch) error {
+	s := w.s
+	for lo := 0; lo < len(frontier); {
+		hi, err := w.next(lo, len(frontier))
+		if err != nil {
+			return err
 		}
-		n := len(s.adj.Nbrs)
-		slots += n
-		var eLabs, vLabs []graph.LabelID
-		if byEdge && !pushed {
-			s.elabels = growLabels(s.elabels, n)
-			grin.GatherEdgeLabels(env.Graph, s.adj.Edges, s.elabels)
-			eLabs = s.elabels
-		}
-		if byVertex {
-			s.vlabels = growLabels(s.vlabels, n)
-			grin.GatherVertexLabels(env.Graph, s.adj.Nbrs, s.vlabels)
-			vLabs = s.vlabels
-		}
-		s.ts, s.srcRows, s.counts = s.ts[:0], s.srcRows[:0], s.counts[:0]
+		eLabs, vLabs := w.fetch(x.hop, frontier[lo:hi])
+		s.ts, s.srcRows = s.ts[:0], s.srcRows[:0]
 		for j := lo; j < hi; j++ {
 			alo, ahi := s.adj.Range(j - lo)
-			if x.degIdx >= 0 {
-				x.count(s, j, x.keep(s, alo, ahi, graph.NilVID, eLabs, vLabs, 0))
-				continue
-			}
 			for _, ri := range s.rows[s.runs[j]:s.runs[j+1]] {
 				var want graph.VID
 				if x.dst >= 0 {
@@ -212,53 +248,160 @@ func (x *expansion) scan(env *Env, s *expandScratch, la grin.LabelAdjacency, fro
 		}
 		x.emit(s, in, out)
 		lo = hi
-		// Next chunk: as many vertices as fill half the budget at the
-		// density seen so far (taken as at least one slot per vertex),
-		// growing at most fourfold per step.
-		k = max(1, min(4*k, hi*(slotBudget/2)/max(slots, hi)))
 	}
-	return slots, nil
+	return nil
 }
 
-// keep is the one per-slot test: it scans adjacency slots [lo, hi) of the
-// current chunk for input row ri and returns how many pass the endpoint and
-// label filters, recording each (slot, row) pair for emission unless the
-// expansion only counts.
-func (x *expansion) keep(s *expandScratch, lo, hi int, want graph.VID, eLabs, vLabs []graph.LabelID, ri int32) int {
-	n := 0
+// keep is the one per-slot test of an emitting run: it scans adjacency slots
+// [lo, hi) of the current chunk for input row ri and records each (slot, row)
+// pair that passes the endpoint and label filters for emission.
+func (x *expansion) keep(s *expandScratch, lo, hi int, want graph.VID, eLabs, vLabs []graph.LabelID, ri int32) {
 	for t := lo; t < hi; t++ {
 		if x.dst >= 0 && s.adj.Nbrs[t] != want {
 			continue
 		}
-		if eLabs != nil && eLabs[t] != x.elabel {
+		if !x.keeps(t, eLabs, vLabs) {
 			continue
 		}
-		if vLabs != nil && vLabs[t] != x.vlabel {
-			continue
-		}
-		n++
-		if x.degIdx < 0 {
-			s.ts = append(s.ts, int32(t))
-			s.srcRows = append(s.srcRows, ri)
-		}
+		s.ts = append(s.ts, int32(t))
+		s.srcRows = append(s.srcRows, ri)
 		if x.first {
 			break
 		}
 	}
-	return n
 }
 
-// count records n kept slots for every input row frontier element j serves;
-// rows whose count is 0 are dropped, as the expansion they replace would have
-// emitted nothing for them.
-func (x *expansion) count(s *expandScratch, j, n int) {
-	if n == 0 {
-		return
+// countPaths is the counting run: it sums, per frontier element, the counted
+// hop's kept slots over every path through x.via — the rows the unfolded
+// chain would have emitted for it — and emits each input row with its
+// element's sum, dropping rows whose sum is 0 (the chain would have emitted
+// nothing for them).
+func (x *expansion) countPaths(w *walker, frontier []graph.VID, in, out *Batch) error {
+	s := w.s
+	s.sums = growInt64s(s.sums, len(frontier))
+	clear(s.sums)
+	for len(s.path) < len(x.via) {
+		s.path = append(s.path, pathLevel{})
 	}
-	for _, ri := range s.rows[s.runs[j]:s.runs[j+1]] {
-		s.srcRows = append(s.srcRows, ri)
-		s.counts = append(s.counts, int64(n))
+	if err := x.walk(w, 0, frontier, nil); err != nil {
+		return err
 	}
+	s.srcRows, s.counts = s.srcRows[:0], s.counts[:0]
+	for j, n := range s.sums {
+		if n == 0 {
+			continue
+		}
+		for _, ri := range s.rows[s.runs[j]:s.runs[j+1]] {
+			s.srcRows = append(s.srcRows, ri)
+			s.counts = append(s.counts, n)
+		}
+	}
+	x.emit(s, in, out)
+	return nil
+}
+
+// walk adds to the sum of each of vs's frontier elements (from[i], or i
+// itself when from is nil) the counted hop's kept slots over every path
+// through x.via[d:]. A via hop expands vs chunk by chunk into level d and
+// walks that level before the next chunk, so a level holds what one chunk
+// reaches and the path's scratch stays near the slot budget per level.
+func (x *expansion) walk(w *walker, d int, vs []graph.VID, from []int32) error {
+	if d == len(x.via) {
+		return x.tally(w, vs, from)
+	}
+	h, s, next := x.via[d], w.s, &w.s.path[d]
+	for lo := 0; lo < len(vs); {
+		hi, err := w.next(lo, len(vs))
+		if err != nil {
+			return err
+		}
+		eLabs, vLabs := w.fetch(h, vs[lo:hi])
+		if n := len(s.adj.Nbrs); cap(next.vids) < n { // kept slots at most: the level never regrows
+			next.vids, next.from = make([]graph.VID, 0, n), make([]int32, 0, n)
+		}
+		next.vids, next.from = next.vids[:0], next.from[:0]
+		for j := lo; j < hi; j++ {
+			o := origin(from, j)
+			alo, ahi := s.adj.Range(j - lo)
+			for t := alo; t < ahi; t++ {
+				if h.keeps(t, eLabs, vLabs) {
+					next.vids = append(next.vids, s.adj.Nbrs[t])
+					next.from = append(next.from, o)
+				}
+			}
+		}
+		if err := x.walk(w, d+1, next.vids, next.from); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// origin is the frontier element vs[i] of a walk level started from.
+func origin(from []int32, i int) int32 {
+	if from == nil {
+		return int32(i)
+	}
+	return from[i]
+}
+
+// tally adds the counted hop's kept slots at each of vs to its frontier
+// element's sum: from the store's degrees when no vertex-label filter is
+// left and the store can answer without moving adjacency, else by scanning
+// vs's adjacency chunk by chunk.
+func (x *expansion) tally(w *walker, vs []graph.VID, from []int32) error {
+	s := w.s
+	if !(w.labeled && x.vlabel != graph.AnyLabel) && x.degrees(w, vs) {
+		for i, n := range s.degs {
+			s.sums[origin(from, i)] += int64(n)
+		}
+		return nil
+	}
+	for lo := 0; lo < len(vs); {
+		hi, err := w.next(lo, len(vs))
+		if err != nil {
+			return err
+		}
+		eLabs, vLabs := w.fetch(x.hop, vs[lo:hi])
+		for j := lo; j < hi; j++ {
+			alo, ahi := s.adj.Range(j - lo)
+			n := 0
+			for t := alo; t < ahi; t++ {
+				if x.keeps(t, eLabs, vLabs) {
+					n++
+				}
+			}
+			s.sums[origin(from, j)] += int64(n)
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// degrees fills s.degs with the counted hop's slots at each of vs, whose only
+// filter, if any, is the edge label, without moving adjacency: from the
+// store's label boundaries when it keeps them, from Degree when it does not
+// and every slot counts. It reports false when neither applies and the slots
+// have to be scanned.
+func (x *expansion) degrees(w *walker, vs []graph.VID) bool {
+	s := w.s
+	byEdge := w.labeled && x.elabel != graph.AnyLabel
+	elabel := graph.AnyLabel
+	if byEdge {
+		elabel = x.elabel
+	}
+	s.degs = growInts(s.degs, len(vs))
+	if w.la != nil && w.la.LabelDegrees(vs, x.dir, elabel, s.degs) {
+		return true
+	}
+	if byEdge {
+		return false
+	}
+	for i, v := range vs {
+		s.degs[i] = w.env.Graph.Degree(v, x.dir)
+	}
+	return true
 }
 
 // emit materializes one chunk's output: the surviving input rows (srcRows,
@@ -360,6 +503,13 @@ func growLabels(s []graph.LabelID, n int) []graph.LabelID {
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growInt64s(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
 	return s[:n]
 }

@@ -1190,11 +1190,11 @@ func (c *Compiled) compileAdjacencyCheck(pe ir.PatternEdge) error {
 	if pe.EdgeAlias != "" {
 		eIdx = c.addColK(pe.EdgeAlias, graph.KindEdge, pe.EdgeLabel)
 	}
-	c.labelFilter(pe.EdgeLabel)
+	h := c.hop(pe.EdgeLabel, pe.Dir, graph.AnyLabel)
 	width := c.numCols
 	// Without an edge alias existence is enough; with one, every matching
 	// parallel edge is emitted.
-	x := &expansion{sid: len(c.Stages), from: srcIdx, dir: pe.Dir, elabel: pe.EdgeLabel, vlabel: graph.AnyLabel,
+	x := &expansion{sid: len(c.Stages), from: srcIdx, hop: h,
 		dst: dstIdx, first: eIdx < 0, vIdx: -1, eIdx: eIdx, degIdx: -1}
 	c.Stages = append(c.Stages, Stage{
 		Name:    "ADJ_CHECK(" + pe.SrcAlias + "," + pe.DstAlias + ")",

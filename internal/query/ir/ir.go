@@ -44,9 +44,14 @@ const (
 	// OpExpandDegree is a fused expansion with ExpandOpt = DEGREE: instead
 	// of binding the neighbor it appends one int column (DegreeAlias) holding
 	// the number of adjacency slots that pass the label filters, and drops
-	// input rows whose count is 0 (inner-join semantics). The optimizer emits
-	// it for an expansion whose neighbor is only ever counted; the GROUP
-	// that consumes the column names it in CountWeight.
+	// input rows whose count is 0 (inner-join semantics). With Via it counts
+	// over a hop path: it walks Via from FromAlias, binding none of the
+	// vertices on the way, and the column holds the sum over every path of
+	// the last hop's matching slots — the rows the unfolded chain would have
+	// emitted, counted in int64. The optimizer emits it for an expansion
+	// whose neighbor is only ever counted, and absorbs into Via the fused
+	// expansions before it whose neighbors nothing else references; the
+	// GROUP that consumes the column names it in CountWeight.
 	OpExpandDegree
 )
 
@@ -109,6 +114,15 @@ type Aggregate struct {
 	Alias string
 }
 
+// Hop is one step of an ExpandDegree's Via path: the edges of EdgeLabel in
+// Dir to a vertex of Label, which binds Alias in the unfolded plan.
+type Hop struct {
+	Alias     string
+	EdgeLabel graph.LabelID
+	Dir       graph.Direction
+	Label     graph.LabelID
+}
+
 // ProjItem is one output column of PROJECT.
 type ProjItem struct {
 	Expr  *expr.Expr
@@ -140,6 +154,9 @@ type Op struct {
 	// GetVertex
 	End EndOpt
 
+	// ExpandDegree: the hops walked from FromAlias before the counted one
+	Via []Hop
+
 	// Match
 	Pattern []PatternEdge
 
@@ -160,6 +177,16 @@ type Op struct {
 
 	// Dedup
 	DedupAliases []string
+}
+
+// Path renders an ExpandDegree's aliases from FromAlias through Via to the
+// counted neighbor, as in "p1->p2->m".
+func (o *Op) Path() string {
+	s := o.FromAlias
+	for _, h := range o.Via {
+		s += "->" + h.Alias
+	}
+	return s + "->" + o.Alias
 }
 
 // DegreeAlias names the hidden int column an ExpandDegree of the given
@@ -265,7 +292,11 @@ func (o *Op) String() string {
 		}
 		return s
 	case OpExpandDegree:
-		return fmt.Sprintf("EXPAND_DEGREE from=%s elabel=%d dir=%s count=%s vlabel=%d", o.FromAlias, o.EdgeLabel, o.Dir, o.Alias, o.Label)
+		s := "EXPAND_DEGREE from=" + o.FromAlias
+		for _, h := range o.Via {
+			s += fmt.Sprintf(" via=%s(elabel=%d dir=%s vlabel=%d)", h.Alias, h.EdgeLabel, h.Dir, h.Label)
+		}
+		return s + fmt.Sprintf(" elabel=%d dir=%s count=%s vlabel=%d", o.EdgeLabel, o.Dir, o.Alias, o.Label)
 	case OpDedup:
 		return "DEDUP " + strings.Join(o.DedupAliases, ",")
 	}

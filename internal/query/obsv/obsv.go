@@ -64,11 +64,11 @@ type StageSnapshot struct {
 	SelCandidates int64
 	SelSurvivors  int64
 	// Expands marks an expansion stage that ran; Slots is then the number of
-	// adjacency slots the store handed it and it scanned — the work behind
-	// its rows, which for a counting expansion (EXPAND_DEGREE) the row
-	// counts no longer show. A label-segmented store hands over only the
-	// slots of the stage's edge label; a count answered from degrees (Degree,
-	// LabelDegrees) scans none.
+	// adjacency slots the store handed it and it scanned, over every hop it
+	// walked — the work behind its rows, which for a counting expansion
+	// (EXPAND_DEGREE) the row counts no longer show. A label-segmented
+	// store hands over only the slots of the stage's edge label; a count
+	// answered from degrees (Degree, LabelDegrees) scans none.
 	Expands   bool
 	Slots     int64
 	Errors    int64

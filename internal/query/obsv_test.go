@@ -201,9 +201,10 @@ WHERE p.creationDate > 5 RETURN f.firstName, po.creationDate`,
 // (wall times suppressed) and cross-checks the per-stage rows against the
 // query's final cardinality: an SNB two-hop expand over vineyard, whose label
 // segments hand each hop only its label's slots, and over the same store
-// with that trait hidden, where each hop is handed whole adjacencies; and a
+// with that trait hidden, where each hop is handed whole adjacencies; a
 // keyed COUNT, whose GROUP(partial) rows show what each morsel folds to
-// before the barrier.
+// before the barrier; and a count-only chain folded into one EXPAND_DEGREE
+// over a hop path.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
 	st, err := vineyard.Load(b)
@@ -221,6 +222,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{"unsegmented", twoHop, grintest.Unsegmented(st), goldenExplain},
 		{"keyed count", `MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post) WITH p, COUNT(m) AS posts RETURN id(p), posts`,
 			st, goldenExplainCount},
+		{"folded path", `MATCH (p:Person)<-[:HAS_CREATOR]-(m:Post)<-[:REPLY_OF]-(c:Comment)-[:COMMENT_HAS_CREATOR]->(r:Person) WITH p, COUNT(r) AS replies RETURN id(p), replies`,
+			st, goldenExplainPath},
 	} {
 		plan, err := cypher.Parse(tc.q, dataset.SNBSchema())
 		if err != nil {
@@ -290,6 +293,25 @@ const goldenExplainCount = `PROJECT [MAP width=2]
           rows: in=120 out=2162  batches=2  slots=2162
           SCAN(f) [SOURCE width=1]
             rows: in=0 out=120  batches=1
+`
+
+// goldenExplainPath is BI18's shape, whose count-only chain folds whole:
+// one EXPAND_DEGREE walks each person's posts and their replies and sums the
+// replies' creator degrees, so no (p, m) or (p, m, c) row is built — 120
+// persons in, the 91 with a reply out, one per person, so GROUP(partial)
+// folds nothing away. Its slots are the two walked hops' (360 posts, 600
+// replies); the counted hop is answered by LabelDegrees and hands over
+// none.
+const goldenExplainPath = `PROJECT [MAP width=2]
+  rows: in=91 out=91  batches=2
+  GROUP [BLOCKING width=2]
+    rows: in=91 out=91  batches=1
+    GROUP(partial) [MAP width=2]
+      rows: in=91 out=91  batches=2
+      EXPAND_DEGREE(p->m->c->r) [MAP width=2]
+        rows: in=120 out=91  batches=2  slots=960
+        SCAN(p) [SOURCE width=1]
+          rows: in=0 out=120  batches=1
 `
 
 // pathSplit is the part of a query's stats that shows which path it took.
@@ -369,7 +391,7 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 // and vineyard with the trait hidden behind the tap — is asked exactly what it
 // was asked before the trait existed. The counts are the metered profile of a
 // catalog build plus one pass over BI1–BI20 at the commit before the trait
-// (7b76bdf), site by site, with two exceptions. BI1's avg(m.length): GROUP
+// (7b76bdf), site by site, with three exceptions. BI1's avg(m.length): GROUP
 // gathers that argument as one column, so its scalar VertexProp reads (one
 // per post) are one GatherVertexProp call. And the predicated starts — BI12's
 // `m.length > 100` over every post, then the `name` starts of BI3, BI6, BI7
@@ -379,7 +401,23 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 // one scalar VertexProp read per candidate on GART, which does not, so GART
 // keeps the scan's old profile (at this scale 360 posts, 16 tags and 12 places:
 // 436 VertexProp reads on GART, 6 + 4 + 1 more column gathers on vineyard,
-// 64 rows to a morsel). On vineyard itself the same pass must go
+// 64 rows to a morsel). And the inward fold: BI5, BI7, BI13, BI14, BI17,
+// BI18, BI19 and BI20 run as one EXPAND_DEGREE that walks its Via hops, whose
+// levels are cut into chunks by one sizing per morsel — a level's first chunk
+// holds as many vertices as the density seen on the levels before it allows
+// (at most 4 × 64), where the unfolded stage started again at 64. Per 64-row
+// morsel, one ExpandBatch (and GatherEdgeLabels) call per chunk, first level
+// + the rest, unfolded → folded: BI13 and BI19, 12 places reaching 120
+// persons, 1 + 2 (64, 56) → 1 + 1 (120); BI20, 13 forums reaching 360 posts,
+// 1 + 3 (64, 256, 40) → 1 + 2 (226, 134); BI5, 64 then 56 persons reaching
+// 272 and 88 posts, 1 + 2 (64, 208) → 1 + 2 (256, 16) and 1 + 2 (64, 24) →
+// 1 + 1; BI14, 64 then 56 persons reaching 954 and 758 friends, 1 + 5 (64,
+// 256, 292, 301, 41) → 1 + 4 (256, 304, 304, 90) and 1 + 4 (64, 256, 300,
+// 138) → 1 + 3 (256, 315, 187); BI18 as BI5 for its posts, then the 467 and
+// 133 comments those reach in 3 (64, 256, 147) → 2 (441 from the first
+// chunk of posts, 26 from the second) and 2 (64, 69) → 1 chunks. BI7 and
+// BI17 cross their levels in the same chunks as before. That is 1 + 1 + 1 +
+// 1 + 2 + 3 = 9 fewer calls. On vineyard itself the same pass must go
 // through the label sites and gather no edge label.
 func TestUnsegmentedStoresKeepTheirCallProfile(t *testing.T) {
 	const persons = 120
@@ -398,8 +436,10 @@ func TestUnsegmentedStoresKeepTheirCallProfile(t *testing.T) {
 	}
 	posts, tags, places := count(dataset.SNBPost), count(dataset.SNBTag), count(dataset.SNBPlace)
 	morsels := func(n int64) int64 { m := int64(exec.MorselRows(exec.DefaultBatchSize)); return (n + m - 1) / m }
+	// The chunks the inward fold saves (BI5, BI13, BI14, BI18, BI19, BI20).
+	const inward = 1 + 1 + 2 + 3 + 1 + 1
 	shared := map[grin.Site]int64{
-		grin.SiteLabelRange: 6, grin.SiteExpandBatch: 62, grin.SiteGatherELabels: 62, grin.SiteScanBatch: 20,
+		grin.SiteLabelRange: 6, grin.SiteExpandBatch: 62 - inward, grin.SiteGatherELabels: 62 - inward, grin.SiteScanBatch: 20,
 	}
 	// The column gathers before the trait existed, plus BI1's avg column.
 	const gathers = 10 + 1

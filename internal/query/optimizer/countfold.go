@@ -13,8 +13,14 @@ import (
 // rule has two halves: a hint that keeps the pattern order from starting at
 // the counted neighbor (countedLeaf, consulted by lowerMatch), and the
 // rewrite itself over the physical plan (foldCountedExpansions), which alone
-// decides eligibility. It only ever matches EXPAND_FUSED, so it rides on
-// EdgeVertexFusion and needs no toggle of its own.
+// decides eligibility. The rewrite then extends inward (absorbHops): a fused
+// expansion whose neighbor exists only to be expanded into the counted one
+// becomes a hop of the EXPAND_DEGREE's Via path, so a count-only chain such
+// as BI14's (p1)-[:KNOWS]->(p2)<-[:HAS_CREATOR]-(m) counted per p1 is one
+// EXPAND_DEGREE(p1->p2->m) that sums degrees over the paths and never builds
+// a (p1, p2) row — factorized counting, exact in int64. It only ever matches
+// EXPAND_FUSED, so it rides on EdgeVertexFusion and needs no toggle of its
+// own.
 
 // countTarget reports what a GROUP's aggregates count. ok is false unless
 // every aggregate is COUNT(*) or COUNT over one bare alias — the same one
@@ -113,9 +119,11 @@ func countedLeaf(ops []*ir.Op, mi int, pushed map[string]*expr.Expr, bound map[s
 // pushed predicate, and neither its neighbor nor its edge alias is
 // referenced by a group key or by any operator in between — which may only
 // be SELECTs and further fused expansions (they carry the weight column
-// along; anything else ends the search).
+// along; anything else ends the search). The EXPAND_DEGREE then absorbs the
+// hops before it (absorbHops).
 func foldCountedExpansions(p *ir.Plan) {
-	for g, gop := range p.Ops {
+	for g := 0; g < len(p.Ops); g++ {
+		gop := p.Ops[g]
 		if gop.Kind != ir.OpGroupBy {
 			continue
 		}
@@ -136,18 +144,12 @@ func foldCountedExpansions(p *ir.Plan) {
 			if x.Pred != nil || (target != "" && x.Alias != target) || keysMention(gop, x.Alias, x.EdgeAlias) {
 				continue
 			}
-			used := false
-			for _, mid := range p.Ops[i+1 : g] {
-				if mid.FromAlias == x.Alias || mentions(mid.Pred, x.Alias, x.EdgeAlias) {
-					used = true
-					break
-				}
-			}
-			if used {
+			if referenced(p.Ops[i+1:g], nil, x) {
 				continue
 			}
-			p.Ops[i] = &ir.Op{Kind: ir.OpExpandDegree, FromAlias: x.FromAlias, EdgeLabel: x.EdgeLabel,
+			deg := &ir.Op{Kind: ir.OpExpandDegree, FromAlias: x.FromAlias, EdgeLabel: x.EdgeLabel,
 				Dir: x.Dir, Alias: x.Alias, Label: x.Label}
+			p.Ops[i] = deg
 			folded := *gop
 			folded.CountWeight = ir.DegreeAlias(x.Alias)
 			folded.Aggs = append([]ir.Aggregate(nil), gop.Aggs...)
@@ -155,7 +157,49 @@ func foldCountedExpansions(p *ir.Plan) {
 				folded.Aggs[j].Arg = nil // the neighbor is never NULL: COUNT(leaf) = COUNT(*)
 			}
 			p.Ops[g] = &folded
+			g -= absorbHops(p, i, g)
 			break
 		}
 	}
+}
+
+// absorbHops folds into the EXPAND_DEGREE at ops[d] the chain of fused
+// expansions that leads to it, nearest first, and returns how many it
+// deleted. The nearest EXPAND_FUSED y before it (past SELECTs only) is
+// absorbed while it binds the degree's start, carries no pushed predicate,
+// and neither its neighbor nor its edge alias is a key of the GROUP at
+// ops[g] or referenced by any operator up to that GROUP but the degree: its
+// rows exist only to be counted, so the degree walks its hop instead —
+// prepended to Via, the start moved to y's — and y goes.
+func absorbHops(p *ir.Plan, d, g int) int {
+	deg, removed := p.Ops[d], 0
+	for {
+		i := d - 1
+		for i >= 0 && p.Ops[i].Kind == ir.OpSelect {
+			i--
+		}
+		if i < 0 {
+			return removed
+		}
+		y := p.Ops[i]
+		if y.Kind != ir.OpExpandFused || y.Alias != deg.FromAlias || y.Pred != nil ||
+			keysMention(p.Ops[g], y.Alias, y.EdgeAlias) || referenced(p.Ops[i+1:g], deg, y) {
+			return removed
+		}
+		deg.Via = append([]ir.Hop{{Alias: y.Alias, EdgeLabel: y.EdgeLabel, Dir: y.Dir, Label: y.Label}}, deg.Via...)
+		deg.FromAlias = y.FromAlias
+		p.Ops = append(p.Ops[:i], p.Ops[i+1:]...)
+		d, g, removed = d-1, g-1, removed+1
+	}
+}
+
+// referenced reports whether any of ops but skip expands from x's neighbor or
+// mentions it or x's edge alias in a predicate.
+func referenced(ops []*ir.Op, skip, x *ir.Op) bool {
+	for _, op := range ops {
+		if op != skip && (op.FromAlias == x.Alias || mentions(op.Pred, x.Alias, x.EdgeAlias)) {
+			return true
+		}
+	}
+	return false
 }

@@ -204,7 +204,8 @@ func TestEmptyMatchRejected(t *testing.T) {
 // TestCountedLeafFoldsIntoExpandDegree pins the EXPAND_DEGREE rule on BI5's
 // shape, whose counted leaf the cost model used to start from: the leaf is
 // never the scan, its edge is scheduled last, the expansion into it becomes
-// EXPAND_DEGREE, and the GROUP counts by its weight column.
+// EXPAND_DEGREE, the expansion into m — referenced by nothing else — becomes
+// the degree's one Via hop, and the GROUP counts by its weight column.
 func TestCountedLeafFoldsIntoExpandDegree(t *testing.T) {
 	cat := snbCatalog(t)
 	schema := dataset.SNBSchema()
@@ -225,13 +226,15 @@ RETURN id(p), likes`, schema)
 	s := opt.String()
 	for _, want := range []string{
 		"SCAN label=0 alias=p",
-		"EXPAND_FUSED from=p",
-		"EXPAND_DEGREE from=m elabel=6 dir=in count=liker vlabel=0",
+		"EXPAND_DEGREE from=p via=m(elabel=1 dir=in vlabel=2) elabel=6 dir=in count=liker vlabel=0",
 		"GROUP keys=[p] aggs=[count(*) AS likes] weight=#deg:liker",
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("plan lacks %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "EXPAND_FUSED") {
+		t.Fatalf("the expansion into m should be a hop of the degree:\n%s", s)
 	}
 	// Without the CBO the written order stands: where that scans the counted
 	// vertex there is no expansion into it, and nothing folds.
