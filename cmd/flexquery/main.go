@@ -40,6 +40,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/grin"
 	"repro/internal/query/cypher"
+	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
 	"repro/internal/query/gremlin"
 	"repro/internal/query/ir"
@@ -145,7 +146,7 @@ func main() {
 		os.Exit(1)
 	}
 	// The observability collector is attached only when asked for: the plain
-	// path runs with Env.Obs == nil, the disabled fast path.
+	// path runs with Request.Obs == nil, the disabled fast path.
 	var obs *obsv.QueryStats
 	if *explain || *tracePath != "" {
 		obs = obsv.NewQueryStats()
@@ -167,13 +168,13 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: *par, BatchSize: *batch})
+	eng := gaia.NewEngine(st, gaia.Options{Parallelism: *par})
 	c, err := eng.Compile(plan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rows, err := eng.RunCompiledObserved(ctx, c, nil, obs)
+	rows, err := eng.Run(ctx, c, exec.Request{BatchSize: *batch, Obs: obs})
 	if *tracePath != "" && obs != nil && obs.Trace != nil {
 		// The trace is written even when the query failed: a trace of the
 		// run up to the failure is exactly what the flag is for.

@@ -12,9 +12,10 @@
 // the query-lifecycle contract (deadlines, cancellation, budgets, panic
 // isolation; internal/query/exec), the one GRIN interposition wrapper
 // (grin.Tap, internal/grin/tap.go), its deterministic fault-injecting hook
-// (internal/storage/chaos) and the retry layer (internal/retry). The
-// "Observability" section covers the measurement layer: per-stage runtime
-// stats and trace export (internal/query/obsv), the tap's call-counting hook
+// (internal/storage/chaos) and the bounded retry the fault matrix drives
+// (internal/query/retry_test.go). The "Observability" section covers the
+// measurement layer: per-stage runtime stats and trace export
+// (internal/query/obsv), the tap's call-counting hook
 // (internal/storage/meter), and EXPLAIN ANALYZE (flexquery -explain).
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation.

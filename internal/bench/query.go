@@ -10,8 +10,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/cypher"
+	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
+	"repro/internal/query/ir"
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
@@ -71,6 +73,36 @@ func optArm(set string, enabled bool) optimizer.Options {
 	return optimizer.All()
 }
 
+// runArm optimizes plan under one optimizer rule set, compiles it and runs it
+// on eng.
+func runArm(eng *gaia.Engine, plan *ir.Plan, schema *graph.Schema, opt optimizer.Options) error {
+	phys, err := optimizer.Optimize(plan, eng.Catalog(), opt)
+	if err != nil {
+		return err
+	}
+	c, err := exec.Compile(phys, exec.Options{Schema: schema})
+	if err != nil {
+		return err
+	}
+	_, err = eng.Run(benchCtx, c, exec.Request{})
+	return err
+}
+
+// observe runs plan once on eng with a stats collector and folds its stage
+// counters into tab.
+func observe(tab *Table, eng *gaia.Engine, plan *ir.Plan, params map[string]graph.Value) error {
+	c, err := eng.Compile(plan)
+	if err != nil {
+		return err
+	}
+	obs := obsv.NewQueryStats()
+	if _, err := eng.Run(benchCtx, c, exec.Request{Params: params, Obs: obs}); err != nil {
+		return err
+	}
+	foldCounters(tab, obs)
+	return nil
+}
+
 // Fig7e measures each optimization rule's gain on its query set.
 func Fig7e() (*Table, error) {
 	b := dataset.SNB(dataset.SNBOptions{Persons: scaled(500, 120), Seed: 51})
@@ -90,7 +122,7 @@ func Fig7e() (*Table, error) {
 			}
 			run := func(opt optimizer.Options) time.Duration {
 				return timeIt(2, func() {
-					if _, _, err2 := eng.SubmitWith(benchCtx, plan, nil, opt); err2 != nil {
+					if err2 := runArm(eng, plan, st.Schema(), opt); err2 != nil {
 						err = err2
 					}
 				})
@@ -102,11 +134,9 @@ func Fig7e() (*Table, error) {
 			}
 			// One observed run per query (fully optimized arm, outside the
 			// timed loops) feeds the experiment's stage-stats counters.
-			obs := obsv.NewQueryStats()
-			if _, _, err := eng.SubmitObserved(benchCtx, plan, nil, obs); err != nil {
+			if err := observe(tab, eng, plan, nil); err != nil {
 				return nil, fmt.Errorf("%s.%d: %w", set, i+1, err)
 			}
-			foldCounters(tab, obs)
 			tab.Rows = append(tab.Rows, []string{
 				fmt.Sprintf("%s.%d", set, i+1), ms(dOn), ms(dOff), speedup(dOff, dOn),
 			})
@@ -246,11 +276,9 @@ func Fig7g() (*Table, error) {
 		}
 		// One observed run per query, outside the timed loops, feeds the
 		// experiment's stage-stats counters.
-		obs := obsv.NewQueryStats()
-		if _, _, err := eng.SubmitObserved(benchCtx, plan, params, obs); err != nil {
+		if err := observe(tab, eng, plan, params); err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
-		foldCounters(tab, obs)
 		tab.Rows = append(tab.Rows, []string{q.Name, ms(dFlex), ms(dBase), speedup(dBase, dFlex)})
 	}
 	tab.Notes = append(tab.Notes, "paper: Flex(Gaia) ~10x faster than TigerGraph on SNB-BI")

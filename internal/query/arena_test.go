@@ -83,12 +83,12 @@ RETURN f.firstName, f.birthday + p.creationDate, coalesce(f.lastName, 'x'), p.br
 				sort.Strings(got)
 				mustExactEqual(t, fmt.Sprintf("%s %s bs=%d", name, engine, bs), got, want)
 			}
-			rows, _, err := naive.RunWith(context.Background(), plan, g, nil, naive.Options{BatchSize: bs})
+			rows, _, err := naive.RunWith(context.Background(), plan, g, exec.Request{BatchSize: bs})
 			check("naive", rows, err)
-			rows, _, err = gaia.NewEngine(g, gaia.Options{Parallelism: 2, BatchSize: bs}).Submit(context.Background(), plan, nil)
+			rows, _, err = submit(context.Background(), gaia.NewEngine(g, gaia.Options{Parallelism: 2}), plan, exec.Request{BatchSize: bs})
 			check("gaia", rows, err)
-			he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 1, BatchSize: bs})
-			rows, _, err = he.Submit(context.Background(), plan, nil)
+			he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 1})
+			rows, _, err = submit(context.Background(), he, plan, exec.Request{BatchSize: bs})
 			he.Close()
 			check("hiactor", rows, err)
 		}

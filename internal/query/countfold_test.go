@@ -232,7 +232,7 @@ func (c *countFoldCell) serial(p *ir.Plan, obs *obsv.QueryStats) ([]exec.Row, []
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := compiled.Run(context.Background(), &exec.Env{Graph: c.g, BatchSize: c.bs, Obs: obs})
+	rows, err := compiled.Run(context.Background(), &exec.Env{Graph: c.g, Request: exec.Request{BatchSize: c.bs, Obs: obs}})
 	return rows, compiled.Out, err
 }
 
@@ -265,10 +265,10 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 			for _, bs := range []int{1, 7, 1024} {
 				c := &countFoldCell{name: fmt.Sprintf("%s %s bs=%d", sname, view, bs), store: sname, view: view, g: g, bs: bs,
 					cat:     optimizer.BuildCatalog(g),
-					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})}
+					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})}
 				defer c.hiactor.Close()
 				for _, par := range []int{1, 2} {
-					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par, BatchSize: bs}))
+					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par}))
 				}
 				cells = append(cells, c)
 			}
@@ -331,10 +331,10 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 				}
 			}
 			for _, eng := range c.gaias {
-				rows, out, err := eng.Submit(context.Background(), plan, nil)
+				rows, out, err := submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
 				check("gaia", rows, out, err)
 			}
-			rows, out, err := c.hiactor.Submit(context.Background(), plan, nil)
+			rows, out, err := submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
 			check("hiactor", rows, out, err)
 			obs := obsv.NewQueryStats()
 			rows, out, err = c.serial(plan, obs)
@@ -496,7 +496,7 @@ RETURN COUNT(m) AS c, COUNT(*) AS n, sum(m.length) AS s, avg(m.length) AS a, min
 			check("gaia", rows, err)
 		}
 		he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})
-		rows, _, err = he.Submit(context.Background(), plan, nil)
+		rows, _, err = submit(context.Background(), he, plan, exec.Request{})
 		he.Close()
 		check("hiactor", rows, err)
 	}
@@ -564,8 +564,8 @@ func TestHubExpansionCancelsWithinAChunk(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cs := &cancelingStore{Store: st, at: at, cancel: cancel}
-	eng := gaia.NewEngine(cs, gaia.Options{Parallelism: par, BatchSize: 1 << 16})
-	_, _, err = eng.Submit(ctx, plan, nil)
+	eng := gaia.NewEngine(cs, gaia.Options{Parallelism: par})
+	_, _, err = submit(ctx, eng, plan, exec.Request{BatchSize: 1 << 16})
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("error %v, want ErrCanceled", err)
 	}
@@ -586,7 +586,7 @@ func TestCountFoldUnderEveryRuleSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 2, BatchSize: 7})
+	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
 	for _, q := range []string{
 		`MATCH (p:Person)-[:KNOWS]->(f:Person), (p)-[:IS_LOCATED_IN]->(pl:Place) RETURN pl.name, COUNT(f) AS c`,
 		`MATCH (p:Person)-[:KNOWS]->(f:Person), (p)-[:IS_LOCATED_IN]->(pl:Place) WHERE pl.name <> 'Berlin' RETURN COUNT(*) AS c`,
@@ -615,7 +615,7 @@ func TestCountFoldUnderEveryRuleSubset(t *testing.T) {
 				}
 				folded++
 			}
-			rows, out, err := eng.SubmitWith(context.Background(), plan, nil, opt)
+			rows, out, err := submitWith(context.Background(), eng, st, plan, opt, exec.Request{BatchSize: 7})
 			if err != nil {
 				t.Fatalf("%+v: %v\n%s", opt, err, q)
 			}

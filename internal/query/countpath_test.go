@@ -91,10 +91,10 @@ func TestGeneratedCountPathParity(t *testing.T) {
 			for _, bs := range []int{1, 7, 1024} {
 				c := &countFoldCell{name: fmt.Sprintf("%s %s bs=%d", sname, view, bs), store: sname, view: view, g: g, bs: bs,
 					cat:     optimizer.BuildCatalog(g),
-					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})}
+					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})}
 				defer c.hiactor.Close()
 				for _, par := range []int{1, 2} {
-					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par, BatchSize: bs}))
+					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par}))
 				}
 				cells = append(cells, c)
 			}
@@ -144,10 +144,10 @@ func TestGeneratedCountPathParity(t *testing.T) {
 				}
 			}
 			for _, eng := range c.gaias {
-				rows, out, err := eng.Submit(context.Background(), plan, nil)
+				rows, out, err := submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
 				check("gaia", rows, out, err)
 			}
-			rows, out, err := c.hiactor.Submit(context.Background(), plan, nil)
+			rows, out, err := submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
 			check("hiactor", rows, out, err)
 			rows, out, err = c.serial(plan, nil)
 			check("serial", rows, out, err)

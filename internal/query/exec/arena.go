@@ -34,7 +34,7 @@ import "repro/internal/graph"
 // a query — and a steady procedure mix allocates
 // only its result rows. The owner calls Reset before
 // its next query, which hands every batch back at once; everything a query
-// draws stays valid until then — a batch returned by RunBatch must be
+// draws stays valid until then — the final batch Drive returns must be
 // consumed (Rows) first. A query that panicked or was abandoned mid-flight
 // may leave buffers half-written; the reshape on the next draw and the
 // truncate-before-use of every scratch slice restore them, so the arena needs

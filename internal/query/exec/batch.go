@@ -7,8 +7,8 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultBatchSize is the target row count per batch when Env.BatchSize is
-// unset. ~1K rows amortizes per-batch overhead while keeping a batch's
+// DefaultBatchSize is the target row count per batch when Request.BatchSize
+// is unset. ~1K rows amortizes per-batch overhead while keeping a batch's
 // column payloads comfortably cache-resident.
 const DefaultBatchSize = 1024
 

@@ -169,9 +169,11 @@ type Compiled struct {
 	schema *graph.Schema
 }
 
-// Env carries per-execution state.
-type Env struct {
-	Graph  grin.Graph
+// Request is what a caller hands an engine with each query — Gaia's,
+// HiActor's and naive's Run all take one. The zero Request binds no
+// parameters, uses DefaultBatchSize, sets no row budget and observes
+// nothing.
+type Request struct {
 	Params map[string]graph.Value
 	// BatchSize is the target rows per batch (0: DefaultBatchSize).
 	BatchSize int
@@ -187,6 +189,13 @@ type Env struct {
 	// this pointer, so the disabled case costs a single predictable branch
 	// and no allocation.
 	Obs *obsv.QueryStats
+}
+
+// Env carries per-execution state: the store, the caller's Request and the
+// running goroutine's memory.
+type Env struct {
+	Graph grin.Graph
+	Request
 	// Arena is the reusable memory of the goroutine running with this Env:
 	// driver buffers and operator scratch (see Arena). An owner that runs
 	// many queries installs its own and resets it between them; Drive

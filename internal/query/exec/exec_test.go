@@ -196,7 +196,7 @@ func TestLimitShortCircuitsSource(t *testing.T) {
 	}
 	for _, bs := range []int{1, 64, 1024} {
 		cs.scanned.Store(0)
-		rows, err := c.Run(context.Background(), &exec.Env{Graph: cs, BatchSize: bs})
+		rows, err := c.Run(context.Background(), &exec.Env{Graph: cs, Request: exec.Request{BatchSize: bs}})
 		if err != nil {
 			t.Fatalf("bs=%d: %v", bs, err)
 		}

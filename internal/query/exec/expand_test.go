@@ -685,7 +685,7 @@ func TestExpansionIsCancellableBetweenChunks(t *testing.T) {
 	// few vertices at a time, in dozens of chunks.
 	const bs = 1 << 16
 	clean := &callCounter{Store: st}
-	if _, err := c.Run(context.Background(), &exec.Env{Graph: clean, BatchSize: bs}); err != nil {
+	if _, err := c.Run(context.Background(), &exec.Env{Graph: clean, Request: exec.Request{BatchSize: bs}}); err != nil {
 		t.Fatal(err)
 	}
 	const at = 5
@@ -696,7 +696,7 @@ func TestExpansionIsCancellableBetweenChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cc := &callCounter{Store: st, cancelAt: at, cancel: cancel}
-	_, err = c.Run(ctx, &exec.Env{Graph: cc, BatchSize: bs})
+	_, err = c.Run(ctx, &exec.Env{Graph: cc, Request: exec.Request{BatchSize: bs}})
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("error %v, want ErrCanceled", err)
 	}
@@ -772,7 +772,7 @@ func TestHubExpansionCancelsWithinAFoldedPath(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cs := &cancelingStore{Store: st, at: at, cancel: cancel}
-	eng := gaia.NewEngine(cs, gaia.Options{Parallelism: par, BatchSize: 1 << 16})
+	eng := gaia.NewEngine(cs, gaia.Options{Parallelism: par})
 	phys, err := optimizer.Optimize(plan, eng.Catalog(), optimizer.All())
 	if err != nil {
 		t.Fatal(err)
@@ -780,7 +780,11 @@ func TestHubExpansionCancelsWithinAFoldedPath(t *testing.T) {
 	if len(phys.Ops) != 3 || phys.Ops[1].Kind != ir.OpExpandDegree || len(phys.Ops[1].Via) != 2 {
 		t.Fatalf("the chain should fold into one EXPAND_DEGREE over two hops:\n%s", phys)
 	}
-	if _, _, err := eng.Submit(ctx, plan, nil); !errors.Is(err, exec.ErrCanceled) {
+	compiled, err := eng.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(ctx, compiled, exec.Request{BatchSize: 1 << 16}); !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("error %v, want ErrCanceled", err)
 	}
 	if got := cs.calls.Load(); got > at+par {
@@ -796,7 +800,7 @@ func TestHubExpansionCancelsWithinAFoldedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena := new(exec.Arena)
-	if _, err := c.Run(ctx, &exec.Env{Graph: cs, BatchSize: 1 << 16, Arena: arena}); !errors.Is(err, exec.ErrCanceled) {
+	if _, err := c.Run(ctx, &exec.Env{Graph: cs, Request: exec.Request{BatchSize: 1 << 16}, Arena: arena}); !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("serial: error %v, want ErrCanceled", err)
 	}
 	if got := cs.calls.Load(); got != late {

@@ -32,7 +32,7 @@ var ErrDeadlineExceeded = fmt.Errorf("exec: query deadline exceeded: %w", contex
 var ErrCanceled = fmt.Errorf("exec: query canceled: %w", context.Canceled)
 
 // ErrBudgetExceeded reports that the query processed more rows than its
-// Env.MaxRows budget allows — the admission-control degradation path: the
+// Request.MaxRows budget allows — the admission-control degradation path: the
 // query fails cleanly instead of monopolizing the engine.
 var ErrBudgetExceeded = errors.New("exec: query row budget exceeded")
 

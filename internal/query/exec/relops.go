@@ -1452,15 +1452,10 @@ func (c *Compiled) Drive(ctx context.Context, env *Env, run SegmentRunner) (*Bat
 	return acc, nil
 }
 
-// RunBatch drives the compiled plan serially — the execution mode of the
-// naive engine and of one HiActor actor — returning the final batch.
-func (c *Compiled) RunBatch(ctx context.Context, env *Env) (*Batch, error) {
-	return c.Drive(ctx, env, runSegmentSerial)
-}
-
-// Run drives the compiled plan serially and materializes the result rows.
+// Run drives the compiled plan serially — the execution mode of the naive
+// engine and of one HiActor actor — and materializes the result rows.
 func (c *Compiled) Run(ctx context.Context, env *Env) ([]Row, error) {
-	acc, err := c.RunBatch(ctx, env)
+	acc, err := c.Drive(ctx, env, runSegmentSerial)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
-	"repro/internal/retry"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/gart"
 	"repro/internal/storage/livegraph"
@@ -78,16 +77,16 @@ func runOn(engine string, g grin.Graph, p *ir.Plan, maxRows int64, ctx context.C
 func runOnObserved(engine string, g grin.Graph, p *ir.Plan, maxRows int64, ctx context.Context, obs *obsv.QueryStats) ([]exec.Row, error) {
 	switch engine {
 	case "naive":
-		rows, _, err := naive.RunWith(ctx, p, g, nil, naive.Options{BatchSize: 16, MaxRows: maxRows, Obs: obs})
+		rows, _, err := naive.RunWith(ctx, p, g, exec.Request{BatchSize: 16, MaxRows: maxRows, Obs: obs})
 		return rows, err
 	case "gaia":
-		e := gaia.NewEngine(g, gaia.Options{Parallelism: 4, BatchSize: 16, MaxRows: maxRows})
-		rows, _, err := e.SubmitObserved(ctx, p, nil, obs)
+		e := gaia.NewEngine(g, gaia.Options{Parallelism: 4})
+		rows, _, err := submit(ctx, e, p, exec.Request{BatchSize: 16, MaxRows: maxRows, Obs: obs})
 		return rows, err
 	case "hiactor":
-		e := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: 16, MaxRows: maxRows})
+		e := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})
 		defer e.Close()
-		rows, _, err := e.SubmitObserved(ctx, p, nil, obs)
+		rows, _, err := submit(ctx, e, p, exec.Request{BatchSize: 16, MaxRows: maxRows, Obs: obs})
 		return rows, err
 	}
 	panic("unknown engine " + engine)
@@ -120,7 +119,7 @@ func TestFaultMatrix(t *testing.T) {
 			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindError, N: 2},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
-				return errors.As(err, &ce) && !retry.Transient(err)
+				return errors.As(err, &ce) && !retryTransient(err)
 			},
 		},
 		{
@@ -136,7 +135,7 @@ func TestFaultMatrix(t *testing.T) {
 			fault: chaos.Fault{Site: grin.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
-				return errors.As(err, &ce) && retry.Transient(err)
+				return errors.As(err, &ce) && retryTransient(err)
 			},
 		},
 		{
@@ -228,7 +227,7 @@ func TestTransientFaultRetries(t *testing.T) {
 			}})
 			attempts := 0
 			var rows []exec.Row
-			err = retry.Do(context.Background(), retry.Policy{Attempts: 3, BaseDelay: time.Microsecond, Seed: 5}, func() error {
+			err = retryDo(context.Background(), retryPolicy{Attempts: 3, BaseDelay: time.Microsecond, Seed: 5}, func() error {
 				attempts++
 				var rerr error
 				rows, rerr = runOn(engine, faulty, plan, 0, context.Background())
@@ -375,13 +374,13 @@ func TestFaultInsideServedTypedGather(t *testing.T) {
 			name := fmt.Sprintf("%s/%T", engine, val)
 			hook := &gatherFault{val: val}
 			g := grin.Tap(st, "fault", hook)
-			submit := gaia.NewEngine(g, gaia.Options{Parallelism: 2}).Submit
+			var eng queryEngine = gaia.NewEngine(g, gaia.Options{Parallelism: 2})
 			if engine == "hiactor" {
 				e := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 1})
 				defer e.Close()
-				submit = e.Submit
+				eng = e
 			}
-			_, _, err := submit(context.Background(), plan, nil)
+			_, _, err := submit(context.Background(), eng, plan, exec.Request{})
 			var ce *chaos.Error
 			var pe *exec.PanicError
 			switch {
@@ -390,7 +389,7 @@ func TestFaultInsideServedTypedGather(t *testing.T) {
 			case val != any(injected) && !errors.As(err, &pe):
 				t.Errorf("%s: got %v, want *exec.PanicError", name, err)
 			}
-			rows, _, err := submit(context.Background(), plan, nil)
+			rows, _, err := submit(context.Background(), eng, plan, exec.Request{})
 			if err != nil {
 				t.Fatalf("%s: query after the fault: %v", name, err)
 			}
@@ -425,7 +424,7 @@ func TestFaultsAtTheLabelSites(t *testing.T) {
 		wantTyped func(error) bool // nil: the run must succeed with the clean rows
 	}{
 		{chaos.KindError, typedAs(&ce)},
-		{chaos.KindTransientError, retry.Transient},
+		{chaos.KindTransientError, retryTransient},
 		{chaos.KindPanic, typedAs(&pe)},
 		{chaos.KindLatency, nil},
 		{chaos.KindShortRead, nil},

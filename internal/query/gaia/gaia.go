@@ -10,7 +10,7 @@
 // whichever worker completes the in-order prefix appends it to the
 // accumulator. The feed is the morsel authority the serial driver uses too,
 // so results are row-for-row identical to serial execution at any
-// Parallelism and BatchSize. A LIMIT after a segment stops the claims as
+// Parallelism and batch size. A LIMIT after a segment stops the claims as
 // soon as the in-order prefix holds enough rows; a failing or panicking
 // operator, a fired deadline or an exhausted row budget stops them too, and
 // the error returned is the earliest failed morsel's, the serial driver's
@@ -46,16 +46,11 @@ import (
 	"repro/internal/query/optimizer"
 )
 
-// Options configures the engine.
+// Options configures the engine; the per-query knobs ride on each call's
+// exec.Request.
 type Options struct {
 	// Parallelism is the worker count per pipeline segment (0: GOMAXPROCS).
 	Parallelism int
-	// BatchSize is the target rows per batch (0: exec.DefaultBatchSize).
-	BatchSize int
-	// MaxRows caps the rows one query may process (0: unlimited); exceeding
-	// it fails the query with exec.ErrBudgetExceeded. A predicated SCAN
-	// charges every candidate its source proposes (see exec.Env.MaxRows).
-	MaxRows int64
 }
 
 // Engine executes optimized plans data-parallel.
@@ -106,52 +101,11 @@ func (e *Engine) putArena(a *exec.Arena) {
 // Catalog exposes the engine's statistics catalog.
 func (e *Engine) Catalog() *optimizer.Catalog { return e.cat }
 
-// Submit optimizes and executes a logical plan under ctx, returning rows and
-// output column names. The context is the query's lifecycle authority: its
-// deadline or cancellation stops all workers cooperatively (once per morsel)
-// and surfaces as exec.ErrDeadlineExceeded/exec.ErrCanceled.
-func (e *Engine) Submit(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, []string, error) {
-	return e.SubmitWith(ctx, p, params, optimizer.All())
-}
-
-// SubmitWith executes with explicit optimizer options (used by the Fig 7e
-// rule ablation).
-func (e *Engine) SubmitWith(ctx context.Context, p *ir.Plan, params map[string]graph.Value, opt optimizer.Options) ([]exec.Row, []string, error) {
-	c, err := e.compileWith(p, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := e.RunCompiled(ctx, c, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, c.Out, nil
-}
-
-// SubmitObserved is Submit with an observability collector attached: stats
-// and trace spans land in obs while results stay row-for-row identical to
-// Submit. A nil obs degrades to plain Submit.
-func (e *Engine) SubmitObserved(ctx context.Context, p *ir.Plan, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, []string, error) {
-	c, err := e.Compile(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := e.RunCompiledObserved(ctx, c, params, obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, c.Out, nil
-}
-
-// Compile optimizes and lowers a logical plan without executing it — the
-// entry point EXPLAIN (ANALYZE) uses so it can keep the Compiled around for
-// rendering after the run.
+// Compile optimizes and lowers a logical plan without executing it, for Run
+// to execute — EXPLAIN (ANALYZE) keeps the Compiled around for rendering
+// after the run.
 func (e *Engine) Compile(p *ir.Plan) (*exec.Compiled, error) {
-	return e.compileWith(p, optimizer.All())
-}
-
-func (e *Engine) compileWith(p *ir.Plan, opt optimizer.Options) (*exec.Compiled, error) {
-	phys, err := optimizer.Optimize(p, e.cat, opt)
+	phys, err := optimizer.Optimize(p, e.cat, optimizer.All())
 	if err != nil {
 		return nil, err
 	}
@@ -164,21 +118,20 @@ func (e *Engine) compileWith(p *ir.Plan, opt optimizer.Options) (*exec.Compiled,
 	return exec.Compile(phys, copts)
 }
 
-// RunCompiled executes a compiled plan data-parallel: exec.Drive cuts the
+// Run executes a compiled plan data-parallel under ctx: exec.Drive cuts the
 // plan into pipeline segments and morsels, parallelSegment runs each segment
-// across workers, blocking stages run at barriers.
-func (e *Engine) RunCompiled(ctx context.Context, c *exec.Compiled, params map[string]graph.Value) ([]exec.Row, error) {
-	return e.RunCompiledObserved(ctx, c, params, nil)
-}
-
-// RunCompiledObserved is RunCompiled with an observability collector: per-
-// stage stats flow through the exec hooks, and the engine adds its own
-// gauges (worker busy/idle split, segment count, pool hit/miss, boxed result
-// rows). A nil obs is the zero-overhead disabled path.
-func (e *Engine) RunCompiledObserved(ctx context.Context, c *exec.Compiled, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
-	env := &exec.Env{Graph: e.g, Params: params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: obs, Arena: e.getArena()}
+// across workers, blocking stages run at barriers. The context is the
+// query's lifecycle authority: its deadline or cancellation stops all workers
+// cooperatively (once per morsel) and surfaces as
+// exec.ErrDeadlineExceeded/exec.ErrCanceled. With a non-nil req.Obs, per-
+// stage stats flow through the exec hooks and the engine adds its own gauges
+// (worker busy/idle split, segment count, pool hit/miss, boxed result rows);
+// a nil Obs is the zero-overhead disabled path.
+func (e *Engine) Run(ctx context.Context, c *exec.Compiled, req exec.Request) ([]exec.Row, error) {
+	env := &exec.Env{Graph: e.g, Request: req, Arena: e.getArena()}
 	// Every goroutine of the query has been joined when Drive returns.
 	defer e.putArena(env.Arena)
+	obs := req.Obs
 	if obs != nil {
 		obs.SetEngine("gaia", e.opt.Parallelism)
 	}
@@ -195,6 +148,38 @@ func (e *Engine) RunCompiledObserved(ctx context.Context, c *exec.Compiled, para
 	// accumulator from zero on every query.
 	e.pool.Put(acc)
 	return rows, nil
+}
+
+// Submit is Compile then Run with params bound, returning the rows and the
+// output column names.
+func (e *Engine) Submit(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, []string, error) {
+	return e.submit(ctx, p, exec.Request{Params: params})
+}
+
+// SubmitObserved is Submit with req.Obs set.
+//
+// Deprecated: use Compile and Run with a non-nil exec.Request.Obs.
+func (e *Engine) SubmitObserved(ctx context.Context, p *ir.Plan, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, []string, error) {
+	return e.submit(ctx, p, exec.Request{Params: params, Obs: obs})
+}
+
+// RunCompiledObserved is Run with params and obs set.
+//
+// Deprecated: use Run with a non-nil exec.Request.Obs.
+func (e *Engine) RunCompiledObserved(ctx context.Context, c *exec.Compiled, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
+	return e.Run(ctx, c, exec.Request{Params: params, Obs: obs})
+}
+
+func (e *Engine) submit(ctx context.Context, p *ir.Plan, req exec.Request) ([]exec.Row, []string, error) {
+	c, err := e.Compile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := e.Run(ctx, c, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, c.Out, nil
 }
 
 // poolGet draws from the engine's batch pool, reporting hit/miss to the

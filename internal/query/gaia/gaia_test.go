@@ -65,9 +65,9 @@ WHERE 1 % (id(f) - $k) = 0 RETURN id(f)`, schema)
 	// Every worker must have wound down by test end.
 	defer query.CheckLeaks(t)()
 	for _, par := range []int{1, 2, runtime.NumCPU()} {
-		e := NewEngine(st, Options{Parallelism: par, BatchSize: 7})
+		e := NewEngine(st, Options{Parallelism: par})
 		for i := 0; i < 10; i++ {
-			if _, _, err := e.Submit(context.Background(), bad, params); err == nil {
+			if _, _, err := e.submit(context.Background(), bad, exec.Request{Params: params, BatchSize: 7}); err == nil {
 				t.Fatalf("par=%d: mid-stream predicate error was swallowed", par)
 			}
 		}
@@ -112,10 +112,10 @@ WHERE 1 % (id(f) - $k) = 0 OR id(f) >= 0 RETURN id(f) LIMIT 5`, schema)
 	// Victims early (before the limit) and late (after it) in stream order.
 	for _, victim := range []graph.Value{friends[0][0], friends[len(friends)-1][0]} {
 		params := map[string]graph.Value{"k": victim}
-		serialRows, serialErr := c.Run(context.Background(), &exec.Env{Graph: st, Params: params})
+		serialRows, serialErr := c.Run(context.Background(), &exec.Env{Graph: st, Request: exec.Request{Params: params}})
 		for _, par := range []int{1, 2, runtime.NumCPU()} {
 			e := NewEngine(st, Options{Parallelism: par})
-			gaiaRows, gaiaErr := e.RunCompiled(context.Background(), c, params)
+			gaiaRows, gaiaErr := e.Run(context.Background(), c, exec.Request{Params: params})
 			if (serialErr != nil) != (gaiaErr != nil) {
 				t.Fatalf("victim=%v par=%d: serial err=%v, gaia err=%v", victim, par, serialErr, gaiaErr)
 			}
@@ -151,8 +151,8 @@ RETURN f.firstName, m.creationDate`, schema)
 		t.Fatal(err)
 	}
 	for _, bs := range []int{1, 64, 1024} {
-		par := NewEngine(st, Options{Parallelism: runtime.NumCPU(), BatchSize: bs})
-		got, _, err := par.Submit(context.Background(), plan, nil)
+		par := NewEngine(st, Options{Parallelism: runtime.NumCPU()})
+		got, _, err := par.submit(context.Background(), plan, exec.Request{BatchSize: bs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestConcurrentQueriesRecycleArenas(t *testing.T) {
 			t.Fatalf("query %d returns no rows", i)
 		}
 	}
-	e := NewEngine(st, Options{Parallelism: 2, BatchSize: 64})
+	e := NewEngine(st, Options{Parallelism: 2})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -212,7 +212,7 @@ func TestConcurrentQueriesRecycleArenas(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6*len(plans); i++ {
 				q := (g + i) % len(plans)
-				got, _, err := e.Submit(context.Background(), plans[q], nil)
+				got, _, err := e.submit(context.Background(), plans[q], exec.Request{BatchSize: 64})
 				if err != nil {
 					t.Errorf("goroutine %d query %d: %v", g, q, err)
 					return
@@ -271,7 +271,7 @@ func TestWarmedQueryAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := e.RunCompiled(context.Background(), c, nil); err != nil {
+		if _, err := e.Run(context.Background(), c, exec.Request{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,14 +326,14 @@ func TestParallelErrorIsTheSerialError(t *testing.T) {
 	c := compile(`MATCH (p:Person)-[:KNOWS]->(f:Person)
 WHERE 1 / (id(f) - $a) + 1 % (id(f) - $b) >= 0 RETURN id(f)`)
 	params := map[string]graph.Value{"a": a, "b": b}
-	_, serialErr := c.Run(context.Background(), &exec.Env{Graph: st, Params: params})
+	_, serialErr := c.Run(context.Background(), &exec.Env{Graph: st, Request: exec.Request{Params: params}})
 	if serialErr == nil || !strings.Contains(serialErr.Error(), "modulo by zero") {
 		t.Fatalf("serial run returned %v, want the modulo error of morsel 0", serialErr)
 	}
 	for _, par := range []int{2, 4, 8} {
 		e := NewEngine(st, Options{Parallelism: par})
 		for i := 0; i < 50; i++ {
-			_, err := e.RunCompiled(context.Background(), c, params)
+			_, err := e.Run(context.Background(), c, exec.Request{Params: params})
 			if err == nil || err.Error() != serialErr.Error() {
 				t.Fatalf("par=%d run %d: error %v, the serial driver's is %v", par, i, err, serialErr)
 			}

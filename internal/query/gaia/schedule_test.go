@@ -47,7 +47,7 @@ MATCH (f)-[:KNOWS]->(g:Person) ` + pred + ` RETURN id(f), c, id(g), g.lastName`
 		return c
 	}
 	serial := func(c *exec.Compiled, params map[string]graph.Value, bs int) ([]exec.Row, error) {
-		return c.Run(context.Background(), &exec.Env{Graph: st, Params: params, BatchSize: bs})
+		return c.Run(context.Background(), &exec.Env{Graph: st, Request: exec.Request{Params: params, BatchSize: bs}})
 	}
 	clean := map[string]graph.Value{"a": graph.IntValue(-1), "b": graph.IntValue(-2)}
 
@@ -110,8 +110,8 @@ MATCH (f)-[:KNOWS]->(g:Person) ` + pred + ` RETURN id(f), c, id(g), g.lastName`
 						faults = append(faults, chaos.Fault{Site: site, Kind: chaos.KindLatency,
 							N: 1 + rng.Int63n(8), Latency: time.Duration(rng.Int63n(200)) * time.Microsecond})
 					}
-					e := NewEngine(chaos.Wrap(st, chaos.Options{Faults: faults}), Options{Parallelism: par, BatchSize: bs})
-					got, err := e.RunCompiled(context.Background(), sh.c, params)
+					e := NewEngine(chaos.Wrap(st, chaos.Options{Faults: faults}), Options{Parallelism: par})
+					got, err := e.Run(context.Background(), sh.c, exec.Request{Params: params, BatchSize: bs})
 					cell := fmt.Sprintf("%s, %d victims, batch %d, P=%d, faults %v", sh.name, victims, bs, par, faults)
 					switch {
 					case wantErr != nil:

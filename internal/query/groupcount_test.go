@@ -115,10 +115,10 @@ func TestGeneratedGroupCountOracle(t *testing.T) {
 	cells := map[string][]*cell{}
 	for sname, st := range stores {
 		for _, bs := range []int{1, 7, 1024} {
-			c := &cell{bs: bs, hiactor: hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2, BatchSize: bs})}
+			c := &cell{bs: bs, hiactor: hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})}
 			defer c.hiactor.Close()
 			for _, par := range []int{1, 2} {
-				c.gaias = append(c.gaias, gaia.NewEngine(st, gaia.Options{Parallelism: par, BatchSize: bs}))
+				c.gaias = append(c.gaias, gaia.NewEngine(st, gaia.Options{Parallelism: par}))
 			}
 			cells[sname] = append(cells[sname], c)
 		}
@@ -181,13 +181,13 @@ func TestGeneratedGroupCountOracle(t *testing.T) {
 				}
 			}
 			for _, c := range cells[sname] {
-				rows, out, err := naive.RunWith(context.Background(), plan, st, nil, naive.Options{BatchSize: c.bs})
+				rows, out, err := naive.RunWith(context.Background(), plan, st, exec.Request{BatchSize: c.bs})
 				check("naive", c.bs, rows, out, err)
 				for _, eng := range c.gaias {
-					rows, out, err = eng.Submit(context.Background(), plan, nil)
+					rows, out, err = submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
 					check("gaia", c.bs, rows, out, err)
 				}
-				rows, out, err = c.hiactor.Submit(context.Background(), plan, nil)
+				rows, out, err = submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
 				check("hiactor", c.bs, rows, out, err)
 			}
 		}

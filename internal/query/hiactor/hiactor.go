@@ -4,15 +4,21 @@
 // small queries in flight across shards — the design point of the
 // fraud-detection deployment (Exp-5, Table 2).
 //
-// The actors drain one bounded run queue (capacity Shards × MailboxDepth):
-// k actors behind one queue are a k-server queue, so a request never waits
-// while an actor is idle — a 10 ms complex read occupies one actor and the
-// short reads behind it flow through the others. Tasks start in arrival
-// order. Each actor owns a query-scoped exec.Arena: the serial driver draws
-// its accumulators and stage buffers from it and the operators their scratch,
-// the actor resets it before its next task, and after warm-up a query allocates little beyond its result
-// rows. An arena retains one buffer set, sized by the largest query its actor
-// has run.
+// A query runs as Compile then Run(ctx, c, req), where req is the caller's
+// exec.Request: parameters, batch size, row budget and an optional stats
+// collector, all per call. Install compiles a plan once and registers it as
+// a stored procedure; Procedure looks it up for Run, and Call does both.
+//
+// The actors drain one bounded run queue of Shards × 128 tasks: k actors
+// behind one queue are a k-server queue, so a request never waits while an
+// actor is idle — a 10 ms complex read occupies one actor and the short
+// reads behind it flow through the others. Tasks start in arrival order.
+// Each actor owns a query-scoped exec.Arena: the serial driver draws its
+// accumulators and stage buffers from it and the operators their scratch,
+// the actor resets it before its next task, and after warm-up a query
+// allocates little beyond its result rows. An arena retains one buffer set,
+// sized by the largest query its actor has run, whatever batch size each
+// call asked for.
 //
 // Every call carries a context: enqueueing respects it (a full run queue plus
 // a deadline is the admission-control path — the caller gets a typed error
@@ -42,21 +48,18 @@ import (
 // consistent version while writers proceed.
 type GraphProvider func() grin.Graph
 
-// Options configures the engine.
+// Options configures the engine; the per-query knobs ride on each call's
+// exec.Request.
 type Options struct {
 	// Shards is the actor count (0: GOMAXPROCS).
 	Shards int
-	// MailboxDepth is each actor's share of the shared run queue, which holds
-	// Shards × MailboxDepth waiting tasks (0: 128).
-	MailboxDepth int
-	// BatchSize is the target rows per batch in the shared batch runtime
-	// (0: exec.DefaultBatchSize).
-	BatchSize int
-	// MaxRows caps the rows one query may process (0: unlimited); exceeding
-	// it fails the query with exec.ErrBudgetExceeded. A predicated SCAN
-	// charges every candidate its source proposes (see exec.Env.MaxRows).
-	MaxRows int64
 }
+
+// queuePerShard is each actor's share of the shared run queue, which holds
+// Shards × queuePerShard waiting tasks. That is the admission bound: past
+// it a call waits under its context, and is shed when the context fires,
+// instead of queueing.
+const queuePerShard = 128
 
 // Engine is the actor pool plus the stored-procedure registry.
 type Engine struct {
@@ -85,11 +88,10 @@ type Engine struct {
 }
 
 type task struct {
-	ctx    context.Context
-	c      *exec.Compiled
-	params map[string]graph.Value
-	reply  chan result
-	obs    *obsv.QueryStats
+	ctx   context.Context
+	c     *exec.Compiled
+	req   exec.Request
+	reply chan result
 }
 
 type result struct {
@@ -100,11 +102,13 @@ type result struct {
 // NewEngine starts the actor pool. The catalog is built once from the
 // provider's current view.
 func NewEngine(provider GraphProvider, opt Options) *Engine {
+	return newEngine(provider, opt, queuePerShard)
+}
+
+// newEngine is NewEngine with each actor's share of the run queue given.
+func newEngine(provider GraphProvider, opt Options, perShard int) *Engine {
 	if opt.Shards <= 0 {
 		opt.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opt.MailboxDepth <= 0 {
-		opt.MailboxDepth = 128
 	}
 	e := &Engine{
 		provider: provider,
@@ -112,9 +116,7 @@ func NewEngine(provider GraphProvider, opt Options) *Engine {
 		opt:      opt,
 		procs:    map[string]*exec.Compiled{},
 	}
-	// One MailboxDepth share per actor: the admission bound the per-actor
-	// mailboxes gave the pool as a whole.
-	e.queue = make(chan task, opt.Shards*opt.MailboxDepth)
+	e.queue = make(chan task, opt.Shards*perShard)
 	for i := 0; i < opt.Shards; i++ {
 		e.wg.Add(1)
 		go e.actor()
@@ -136,8 +138,8 @@ func (e *Engine) actor() {
 		// without executing — the admission-control degradation path.
 		if err := t.ctx.Err(); err != nil {
 			e.shed.Add(1)
-			if t.obs != nil {
-				t.obs.Mailbox(0, 1)
+			if obs := t.req.Obs; obs != nil {
+				obs.Mailbox(0, 1)
 			}
 			t.reply <- result{err: ctxError(t.ctx)}
 			continue
@@ -158,10 +160,10 @@ func (e *Engine) runTask(t task, arena *exec.Arena) (rows []exec.Row, err error)
 			rows, err = nil, &exec.PanicError{Stage: "hiactor:actor", Value: r}
 		}
 	}()
-	if t.obs != nil {
-		t.obs.SetEngine("hiactor", e.opt.Shards)
+	if obs := t.req.Obs; obs != nil {
+		obs.SetEngine("hiactor", e.opt.Shards)
 	}
-	env := &exec.Env{Graph: e.provider(), Params: t.params, BatchSize: e.opt.BatchSize, MaxRows: e.opt.MaxRows, Obs: t.obs, Arena: arena}
+	env := &exec.Env{Graph: e.provider(), Request: t.req, Arena: arena}
 	return t.c.Run(t.ctx, env)
 }
 
@@ -209,27 +211,27 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// compileOptions captures the current snapshot's schema so compiled plans
-// carry typed column layouts. A precompiled plan may later run against a
-// newer snapshot; the kinds are hints — runtime mismatches demote to boxed
-// columns, never misread payloads.
-func (e *Engine) compileOptions() exec.Options {
+// Compile optimizes and lowers a plan against the current snapshot's schema,
+// so the compiled plan carries typed column layouts. It may later run
+// against a newer snapshot; the kinds are hints — runtime mismatches demote
+// to boxed columns, never misread payloads.
+func (e *Engine) Compile(p *ir.Plan) (*exec.Compiled, error) {
+	phys, err := optimizer.Optimize(p, e.cat, optimizer.All())
+	if err != nil {
+		return nil, err
+	}
 	opts := exec.Options{}
 	if pr, ok := grin.AsPropertyReader(e.provider()); ok {
 		opts.Schema = pr.Schema()
 	}
-	return opts
+	return exec.Compile(phys, opts)
 }
 
 // Install compiles and registers a stored procedure under a name. The plan
 // is optimized once; Call then binds parameters per invocation — the
 // parameterized-query pattern of §2.3.
 func (e *Engine) Install(name string, p *ir.Plan) error {
-	phys, err := optimizer.Optimize(p, e.cat, optimizer.All())
-	if err != nil {
-		return err
-	}
-	c, err := exec.Compile(phys, e.compileOptions())
+	c, err := e.Compile(p)
 	if err != nil {
 		return err
 	}
@@ -239,66 +241,43 @@ func (e *Engine) Install(name string, p *ir.Plan) error {
 	return nil
 }
 
-// OutputOf reports a stored procedure's output columns.
-func (e *Engine) OutputOf(name string) ([]string, error) {
+// Procedure returns the stored procedure installed under name, for Run; its
+// Out names the output columns.
+func (e *Engine) Procedure(name string) (*exec.Compiled, error) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	c, ok := e.procs[name]
+	e.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("hiactor: unknown procedure %q", name)
 	}
-	return c.Out, nil
+	return c, nil
 }
 
-// Call invokes a stored procedure under ctx on the first actor to come free
-// and waits for the result.
+// Call is Procedure then Run with params bound.
 func (e *Engine) Call(ctx context.Context, name string, params map[string]graph.Value) ([]exec.Row, error) {
-	e.mu.RLock()
-	c, ok := e.procs[name]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hiactor: unknown procedure %q", name)
-	}
-	return e.submit(ctx, c, params, nil)
+	return e.call(ctx, name, exec.Request{Params: params})
 }
 
-// CallObserved is Call with a stats collector attached: per-stage counters,
-// the mailbox gauge for this invocation, and trace spans (when obs carries a
-// Trace) are recorded into obs.
+// CallObserved is Call with req.Obs set.
+//
+// Deprecated: use Procedure and Run with a non-nil exec.Request.Obs.
 func (e *Engine) CallObserved(ctx context.Context, name string, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
-	e.mu.RLock()
-	c, ok := e.procs[name]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hiactor: unknown procedure %q", name)
-	}
-	return e.submit(ctx, c, params, obs)
+	return e.call(ctx, name, exec.Request{Params: params, Obs: obs})
 }
 
-// Submit optimizes, compiles and executes an ad-hoc plan on one actor.
-func (e *Engine) Submit(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, []string, error) {
-	return e.SubmitObserved(ctx, p, params, nil)
+func (e *Engine) call(ctx context.Context, name string, req exec.Request) ([]exec.Row, error) {
+	c, err := e.Procedure(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, c, req)
 }
 
-// SubmitObserved is Submit with a stats collector attached (nil obs is
-// identical to Submit).
-func (e *Engine) SubmitObserved(ctx context.Context, p *ir.Plan, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, []string, error) {
-	phys, err := optimizer.Optimize(p, e.cat, optimizer.All())
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := exec.Compile(phys, e.compileOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := e.submit(ctx, c, params, obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, c.Out, nil
-}
-
-func (e *Engine) submit(ctx context.Context, c *exec.Compiled, params map[string]graph.Value, obs *obsv.QueryStats) ([]exec.Row, error) {
+// Run executes a compiled plan under ctx on the first actor to come free and
+// waits for the result. With a non-nil req.Obs, the per-stage counters, this
+// call's run-queue gauge and trace spans (when Obs carries a Trace) are
+// recorded into it.
+func (e *Engine) Run(ctx context.Context, c *exec.Compiled, req exec.Request) ([]exec.Row, error) {
 	if ctx == nil {
 		ctx = background
 	}
@@ -324,16 +303,16 @@ func (e *Engine) submit(ctx context.Context, c *exec.Compiled, params map[string
 	// context decides how long to wait — backpressure with a typed timeout
 	// instead of an unbounded block.
 	select {
-	case e.queue <- task{ctx: ctx, c: c, params: params, reply: reply, obs: obs}:
+	case e.queue <- task{ctx: ctx, c: c, req: req, reply: reply}:
 		e.closeMu.RUnlock()
 		e.enqueued.Add(1)
-		if obs != nil {
+		if obs := req.Obs; obs != nil {
 			obs.Mailbox(depth, 0)
 		}
 	case <-ctx.Done():
 		e.closeMu.RUnlock()
 		e.shed.Add(1)
-		if obs != nil {
+		if obs := req.Obs; obs != nil {
 			obs.Mailbox(depth, 1)
 		}
 		return nil, ctxError(ctx)

@@ -132,7 +132,11 @@ func TestActorSurvivesPanickingQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Submit(context.Background(), plan, nil); err == nil {
+	c, err := e.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), c, exec.Request{}); err == nil {
 		t.Fatal("poisoned query succeeded")
 	} else {
 		var pe *exec.PanicError
@@ -142,7 +146,7 @@ func TestActorSurvivesPanickingQuery(t *testing.T) {
 	}
 	// The fault fired once; the same actor must now serve clean queries.
 	for i := 0; i < 3; i++ {
-		if _, _, err := e.Submit(context.Background(), plan, nil); err != nil {
+		if _, err := e.Run(context.Background(), c, exec.Request{}); err != nil {
 			t.Fatalf("query %d after the panic failed: %v", i, err)
 		}
 	}
@@ -166,11 +170,11 @@ func TestClosedEngineRejectsCalls(t *testing.T) {
 	if _, err := e.Call(context.Background(), "count", nil); err == nil {
 		t.Fatal("closed engine accepted a call")
 	}
-	if _, err := e.OutputOf("nope"); err == nil {
+	if _, err := e.Procedure("nope"); err == nil {
 		t.Fatal("unknown procedure output resolved")
 	}
-	if out, err := e.OutputOf("count"); err != nil || len(out) != 1 {
-		t.Fatalf("OutputOf: %v %v", out, err)
+	if c, err := e.Procedure("count"); err != nil || len(c.Out) != 1 {
+		t.Fatalf("Procedure: %v %v", c, err)
 	}
 }
 
@@ -235,19 +239,19 @@ func pidParam(pid int64) map[string]graph.Value {
 // gatedEngine builds an engine over a 100-person GART store whose provider
 // parks on g, with the given procedures installed (the gate is armed by the
 // test, after installation).
-func gatedEngine(t *testing.T, g *gate, opt Options, hooks hookedSnap, procs map[string]string) (*Engine, *gart.Store) {
+func gatedEngine(t *testing.T, g *gate, opt Options, perShard int, hooks hookedSnap, procs map[string]string) (*Engine, *gart.Store) {
 	t.Helper()
 	b := dataset.SNB(dataset.SNBOptions{Persons: 100, Seed: 4})
 	gs := gart.NewStore(dataset.SNBSchema(), 0)
 	if err := gs.LoadBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(func() grin.Graph {
+	e := newEngine(func() grin.Graph {
 		g.wait()
 		h := hooks
 		h.Snapshot = gs.Latest()
 		return h
-	}, opt)
+	}, opt, perShard)
 	t.Cleanup(e.Close)
 	for name, q := range procs {
 		plan, err := cypher.Parse(q, dataset.SNBSchema())
@@ -280,7 +284,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // call behind the parked actor.)
 func TestWorkConservingDispatch(t *testing.T) {
 	g := newGate()
-	e, _ := gatedEngine(t, g, Options{Shards: 2}, hookedSnap{}, map[string]string{"friends": friendsQuery})
+	e, _ := gatedEngine(t, g, Options{Shards: 2}, queuePerShard, hookedSnap{}, map[string]string{"friends": friendsQuery})
 	g.armed.Store(1)
 	parkedDone := make(chan error, 1)
 	go func() {
@@ -322,7 +326,7 @@ func TestSharedQueueDrainsFIFO(t *testing.T) {
 		mu.Unlock()
 	}}
 	g := newGate()
-	e, _ := gatedEngine(t, g, Options{Shards: 2}, hooks, map[string]string{"friends": friendsQuery})
+	e, _ := gatedEngine(t, g, Options{Shards: 2}, queuePerShard, hooks, map[string]string{"friends": friendsQuery})
 	g.armed.Store(2)
 	var wg sync.WaitGroup
 	call := func(pid int64) {
@@ -364,14 +368,14 @@ func TestSharedQueueDrainsFIFO(t *testing.T) {
 }
 
 // TestFullQueueShedsWithDeadline is the admission-control path on the shared
-// queue: with the only actor busy and the queue (Shards × MailboxDepth = 1)
+// queue: with the only actor busy and the queue (one shard × one slot = 1)
 // full, a call with a deadline is rejected at enqueue with the typed error,
 // and a queued call whose deadline passes is shed by the actor unexecuted.
 // Both count in Metrics().Shed.
 func TestFullQueueShedsWithDeadline(t *testing.T) {
 	checkLeaks := query.CheckLeaks(t)
 	g := newGate()
-	e, _ := gatedEngine(t, g, Options{Shards: 1, MailboxDepth: 1}, hookedSnap{}, map[string]string{"friends": friendsQuery})
+	e, _ := gatedEngine(t, g, Options{Shards: 1}, 1, hookedSnap{}, map[string]string{"friends": friendsQuery})
 	g.armed.Store(1)
 	running := make(chan error, 1)
 	go func() {
@@ -418,7 +422,7 @@ func TestFullQueueShedsWithDeadline(t *testing.T) {
 // given: Drive then installs a fresh one per run, and every accumulator, stage
 // buffer and scratch slice is grown afresh.
 func TestArenaReuseAllocations(t *testing.T) {
-	e, gs := gatedEngine(t, newGate(), Options{Shards: 1}, hookedSnap{}, map[string]string{"twohop": twoHopQuery})
+	e, gs := gatedEngine(t, newGate(), Options{Shards: 1}, queuePerShard, hookedSnap{}, map[string]string{"twohop": twoHopQuery})
 	params := pidParam(1)
 	ctx := context.Background()
 	rows, err := e.Call(ctx, "twohop", params)
@@ -435,7 +439,7 @@ func TestArenaReuseAllocations(t *testing.T) {
 	c := e.procs["twohop"]
 	e.mu.RUnlock()
 	noArena := testing.AllocsPerRun(200, func() {
-		env := &exec.Env{Graph: gs.Latest(), Params: params}
+		env := &exec.Env{Graph: gs.Latest(), Request: exec.Request{Params: params}}
 		if _, err := c.Run(ctx, env); err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +458,7 @@ func TestArenaReuseAllocations(t *testing.T) {
 // untouched — no allocation beyond the parent commit's count, which drew the
 // same scratch from sync.Pools.
 func TestShortAfterComplexAllocations(t *testing.T) {
-	e, _ := gatedEngine(t, newGate(), Options{Shards: 1}, hookedSnap{}, map[string]string{
+	e, _ := gatedEngine(t, newGate(), Options{Shards: 1}, queuePerShard, hookedSnap{}, map[string]string{
 		"short": `MATCH (p:Person) WHERE id(p) = $pid RETURN p.firstName, p.lastName, p.birthday + 1`,
 		"complex": `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(h:Person)-[:KNOWS]->(g:Person)
 WHERE id(p) = $pid RETURN g.firstName, g.birthday + 1`,
@@ -511,12 +515,12 @@ WHERE id(p) = $pid WITH f, COUNT(g) AS c RETURN f.firstName, c ORDER BY c DESC`,
 // a fresh arena.
 func TestArenaResultsMatchNaive(t *testing.T) {
 	checkLeaks := query.CheckLeaks(t)
-	e, gs := gatedEngine(t, newGate(), Options{Shards: 1, BatchSize: 16}, hookedSnap{}, arenaProcs)
+	e, gs := gatedEngine(t, newGate(), Options{Shards: 1}, queuePerShard, hookedSnap{}, arenaProcs)
 	names := []string{"twohop", "friends", "posts", "grouped", "friends", "twohop", "grouped", "posts"}
 	for round := 0; round < 3; round++ {
 		for i, name := range names {
 			params := pidParam(int64((7*round + 3*i) % 100))
-			got, err := e.Call(context.Background(), name, params)
+			got, err := e.call(context.Background(), name, exec.Request{Params: params, BatchSize: 16})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -556,11 +560,11 @@ func TestArenaSurvivesPanicAndAbandonedQuery(t *testing.T) {
 			stall.wait()
 		}
 	}}
-	e, _ := gatedEngine(t, newGate(), Options{Shards: 1, BatchSize: 16}, hooks, arenaProcs)
+	e, _ := gatedEngine(t, newGate(), Options{Shards: 1}, queuePerShard, hooks, arenaProcs)
 	ctx := context.Background()
 	call := func(ctx context.Context, name string, pid int64) ([]exec.Row, error) {
 		expands.Store(0)
-		return e.Call(ctx, name, pidParam(pid))
+		return e.call(ctx, name, exec.Request{Params: pidParam(pid), BatchSize: 16})
 	}
 	want := map[string][]exec.Row{}
 	for name := range arenaProcs {

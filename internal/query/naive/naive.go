@@ -13,30 +13,17 @@ import (
 	"repro/internal/grin"
 	"repro/internal/query/exec"
 	"repro/internal/query/ir"
-	"repro/internal/query/obsv"
 )
 
-// Options tunes the baseline run.
-type Options struct {
-	// BatchSize is the target rows per batch (0: exec.DefaultBatchSize).
-	BatchSize int
-	// MaxRows caps the rows one query may process (0: unlimited). A
-	// predicated SCAN charges every candidate its source proposes (see
-	// exec.Env.MaxRows).
-	MaxRows int64
-	// Obs, when non-nil, collects per-stage runtime counters and trace spans
-	// for the run (EXPLAIN ANALYZE / trace export).
-	Obs *obsv.QueryStats
-}
-
-// Run interprets a logical plan serially under ctx; a fired deadline or
-// cancellation surfaces as exec.ErrDeadlineExceeded/exec.ErrCanceled.
+// Run interprets a logical plan serially under ctx with params bound; a
+// fired deadline or cancellation surfaces as
+// exec.ErrDeadlineExceeded/exec.ErrCanceled.
 func Run(ctx context.Context, p *ir.Plan, g grin.Graph, params map[string]graph.Value) ([]exec.Row, []string, error) {
-	return RunWith(ctx, p, g, params, Options{})
+	return RunWith(ctx, p, g, exec.Request{Params: params})
 }
 
-// RunWith interprets a logical plan serially with explicit options.
-func RunWith(ctx context.Context, p *ir.Plan, g grin.Graph, params map[string]graph.Value, o Options) ([]exec.Row, []string, error) {
+// RunWith interprets a logical plan serially under ctx for req.
+func RunWith(ctx context.Context, p *ir.Plan, g grin.Graph, req exec.Request) ([]exec.Row, []string, error) {
 	copts := exec.Options{NoIndexLookup: true}
 	if pr, ok := grin.AsPropertyReader(g); ok {
 		// The schema types batch columns and predicate kernels; the baseline
@@ -47,10 +34,10 @@ func RunWith(ctx context.Context, p *ir.Plan, g grin.Graph, params map[string]gr
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.Obs != nil {
-		o.Obs.SetEngine("naive", 1)
+	if req.Obs != nil {
+		req.Obs.SetEngine("naive", 1)
 	}
-	rows, err := c.Run(ctx, &exec.Env{Graph: g, Params: params, BatchSize: o.BatchSize, MaxRows: o.MaxRows, Obs: o.Obs})
+	rows, err := c.Run(ctx, &exec.Env{Graph: g, Request: req})
 	if err != nil {
 		return nil, nil, err
 	}

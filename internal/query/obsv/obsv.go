@@ -90,10 +90,11 @@ type EngineSnapshot struct {
 	// and waiting on the feed (gaia; serial drivers report busy only).
 	BusyNanos int64
 	IdleNanos int64
-	// MailboxDepth is the shard mailbox depth observed at enqueue and Shed
-	// the engine's total shed count at that moment (hiactor).
-	MailboxDepth int64
-	Shed         int64
+	// QueueDepth is the number of tasks waiting in the engine's shared run
+	// queue when this query was enqueued, and Shed is 1 when this query was
+	// shed — rejected at enqueue or expired while queued — else 0 (hiactor).
+	QueueDepth int64
+	Shed       int64
 }
 
 // Snapshot is a full point-in-time dump of one query's stats.
@@ -290,8 +291,9 @@ func (q *QueryStats) WorkerDone(busyNanos, idleNanos int64) {
 	q.idleNanos.Add(idleNanos)
 }
 
-// Mailbox records the shard mailbox depth observed at enqueue and the
-// engine's shed total (hiactor). Depth keeps the maximum seen.
+// Mailbox records the run-queue depth this query met at enqueue and whether
+// it was shed: 1 when it was rejected at enqueue or expired while queued,
+// else 0 (hiactor). Depth keeps the maximum seen.
 func (q *QueryStats) Mailbox(depth, shed int64) {
 	for {
 		cur := q.mboxDepth.Load()
@@ -332,14 +334,14 @@ func (q *QueryStats) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Stages: q.StageSnapshots(),
 		Engine: EngineSnapshot{
-			Engine:       q.engName,
-			Workers:      q.engWorkers,
-			Segments:     q.segments.Load(),
-			Morsels:      q.morsels.Load(),
-			BusyNanos:    q.busyNanos.Load(),
-			IdleNanos:    q.idleNanos.Load(),
-			MailboxDepth: q.mboxDepth.Load(),
-			Shed:         q.mboxShed.Load(),
+			Engine:     q.engName,
+			Workers:    q.engWorkers,
+			Segments:   q.segments.Load(),
+			Morsels:    q.morsels.Load(),
+			BusyNanos:  q.busyNanos.Load(),
+			IdleNanos:  q.idleNanos.Load(),
+			QueueDepth: q.mboxDepth.Load(),
+			Shed:       q.mboxShed.Load(),
 		},
 		PoolHits:        q.poolHits.Load(),
 		PoolMisses:      q.poolMisses.Load(),

@@ -131,8 +131,8 @@ func TestEngineGauges(t *testing.T) {
 	if e.BusyNanos != 150 || e.IdleNanos != 100 {
 		t.Errorf("busy=%d idle=%d, want 150/100", e.BusyNanos, e.IdleNanos)
 	}
-	if e.MailboxDepth != 3 {
-		t.Errorf("mailbox depth = %d, want max 3", e.MailboxDepth)
+	if e.QueueDepth != 3 {
+		t.Errorf("queue depth = %d, want max 3", e.QueueDepth)
 	}
 	if s.PoolHits != 2 || s.PoolMisses != 1 {
 		t.Errorf("pool hits=%d misses=%d, want 2/1", s.PoolHits, s.PoolMisses)

@@ -65,12 +65,12 @@ func TestObservedParityMatrix(t *testing.T) {
 					}
 
 					// naive: observed vs unobserved.
-					want, _, err := naive.RunWith(context.Background(), plan, st, tc.params, naive.Options{BatchSize: bs})
+					want, _, err := naive.RunWith(context.Background(), plan, st, exec.Request{Params: tc.params, BatchSize: bs})
 					if err != nil {
 						t.Fatal(err)
 					}
 					obs, mst := newObserved(st)
-					got, _, err := naive.RunWith(context.Background(), plan, mst, tc.params, naive.Options{BatchSize: bs, Obs: obs})
+					got, _, err := naive.RunWith(context.Background(), plan, mst, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,14 +79,14 @@ func TestObservedParityMatrix(t *testing.T) {
 
 					// gaia at serial and full parallelism.
 					for _, par := range []int{1, runtime.NumCPU()} {
-						eng := gaia.NewEngine(st, gaia.Options{Parallelism: par, BatchSize: bs})
-						wantG, _, err := eng.Submit(context.Background(), plan, tc.params)
+						eng := gaia.NewEngine(st, gaia.Options{Parallelism: par})
+						wantG, _, err := submit(context.Background(), eng, plan, exec.Request{Params: tc.params, BatchSize: bs})
 						if err != nil {
 							t.Fatal(err)
 						}
 						obs, mst := newObserved(st)
-						engO := gaia.NewEngine(mst, gaia.Options{Parallelism: par, BatchSize: bs})
-						gotG, _, err := engO.SubmitObserved(context.Background(), plan, tc.params, obs)
+						engO := gaia.NewEngine(mst, gaia.Options{Parallelism: par})
+						gotG, _, err := submit(context.Background(), engO, plan, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -95,15 +95,15 @@ func TestObservedParityMatrix(t *testing.T) {
 					}
 
 					// hiactor through its actor pool.
-					he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2, BatchSize: bs})
-					wantH, _, err := he.Submit(context.Background(), plan, tc.params)
+					he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})
+					wantH, _, err := submit(context.Background(), he, plan, exec.Request{Params: tc.params, BatchSize: bs})
 					he.Close()
 					if err != nil {
 						t.Fatal(err)
 					}
 					obs, mst = newObserved(st)
-					heO := hiactor.NewEngine(func() grin.Graph { return mst }, hiactor.Options{Shards: 2, BatchSize: bs})
-					gotH, _, err := heO.SubmitObserved(context.Background(), plan, tc.params, obs)
+					heO := hiactor.NewEngine(func() grin.Graph { return mst }, hiactor.Options{Shards: 2})
+					gotH, _, err := submit(context.Background(), heO, plan, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
 					heO.Close()
 					if err != nil {
 						t.Fatal(err)
@@ -180,8 +180,8 @@ WHERE p.creationDate > 5 RETURN f.firstName, po.creationDate`,
 			var ref []obsv.StageSnapshot
 			for _, par := range []int{1, runtime.NumCPU()} {
 				obs := obsv.NewQueryStats()
-				eng := gaia.NewEngine(st, gaia.Options{Parallelism: par, BatchSize: bs})
-				if _, _, err := eng.SubmitObserved(context.Background(), plan, nil, obs); err != nil {
+				eng := gaia.NewEngine(st, gaia.Options{Parallelism: par})
+				if _, _, err := submit(context.Background(), eng, plan, exec.Request{BatchSize: bs, Obs: obs}); err != nil {
 					t.Fatal(err)
 				}
 				det := obs.Deterministic()
@@ -235,7 +235,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		obs := obsv.NewQueryStats()
-		rows, err := eng.RunCompiledObserved(context.Background(), c, nil, obs)
+		rows, err := eng.Run(context.Background(), c, exec.Request{Obs: obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,11 +362,11 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 			t.Fatal(err)
 		}
 		obsPlain, obsWrapped := obsv.NewQueryStats(), obsv.NewQueryStats()
-		want, _, err := plain.SubmitObserved(context.Background(), plan, q.params, obsPlain)
+		want, _, err := submit(context.Background(), plain, plan, exec.Request{Params: q.params, Obs: obsPlain})
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
-		got, _, err := wrapped.SubmitObserved(context.Background(), plan, q.params, obsWrapped)
+		got, _, err := submit(context.Background(), wrapped, plan, exec.Request{Params: q.params, Obs: obsWrapped})
 		if err != nil {
 			t.Fatalf("%s metered: %v", q.name, err)
 		}

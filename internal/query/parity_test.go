@@ -95,15 +95,15 @@ func runParityMatrix(t *testing.T, st grin.Graph, schema *graph.Schema, cases []
 			var refGaiaRows []exec.Row
 			var refGaiaOut []string
 			for _, bs := range batchSizes {
-				rowsN, _, err := naive.RunWith(context.Background(), plan, st, tc.params, naive.Options{BatchSize: bs})
+				rowsN, _, err := naive.RunWith(context.Background(), plan, st, exec.Request{Params: tc.params, BatchSize: bs})
 				if err != nil {
 					t.Fatalf("naive bs=%d: %v", bs, err)
 				}
 				mustExactEqual(t, fmt.Sprintf("naive bs=%d", bs), renderRows(rowsN), refNaive)
 
 				for _, par := range pars {
-					eng := gaia.NewEngine(st, gaia.Options{Parallelism: par, BatchSize: bs})
-					rowsG, outG, err := eng.Submit(context.Background(), plan, tc.params)
+					eng := gaia.NewEngine(st, gaia.Options{Parallelism: par})
+					rowsG, outG, err := submit(context.Background(), eng, plan, exec.Request{Params: tc.params, BatchSize: bs})
 					if err != nil {
 						t.Fatalf("gaia bs=%d par=%d: %v", bs, par, err)
 					}
@@ -115,8 +115,8 @@ func runParityMatrix(t *testing.T, st grin.Graph, schema *graph.Schema, cases []
 					mustExactEqual(t, fmt.Sprintf("gaia bs=%d par=%d", bs, par), got, refGaia)
 				}
 
-				he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2, BatchSize: bs})
-				rowsH, _, err := he.Submit(context.Background(), plan, tc.params)
+				he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})
+				rowsH, _, err := submit(context.Background(), he, plan, exec.Request{Params: tc.params, BatchSize: bs})
 				he.Close()
 				if err != nil {
 					t.Fatalf("hiactor bs=%d: %v", bs, err)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/grin"
 	"repro/internal/grin/grintest"
 	"repro/internal/query/cypher"
+	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
 	"repro/internal/query/optimizer"
@@ -121,13 +122,13 @@ func BenchmarkGaiaCountFold(b *testing.B) {
 			{"unfused", segmented, optimizer.Options{FilterPushIntoMatch: true, CBO: true}},
 		} {
 			b.Run(q.Name+"/"+arm.name, func(b *testing.B) {
-				if _, _, err := arm.eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+				if _, _, err := submitWith(context.Background(), arm.eng, st, plan, arm.opt, exec.Request{Params: params}); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := arm.eng.SubmitWith(context.Background(), plan, params, arm.opt); err != nil {
+					if _, _, err := submitWith(context.Background(), arm.eng, st, plan, arm.opt, exec.Request{Params: params}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -248,7 +249,7 @@ func BenchmarkHiActorShortAfterComplex(b *testing.B) {
 	}
 	for i, match := range hops {
 		b.Run(fmt.Sprintf("complex=%dhop", i+1), func(b *testing.B) {
-			he := hiactor.NewEngine(func() grin.Graph { return gs.Latest() }, hiactor.Options{Shards: 1, BatchSize: 1 << 16})
+			he := hiactor.NewEngine(func() grin.Graph { return gs.Latest() }, hiactor.Options{Shards: 1})
 			defer he.Close()
 			for name, q := range map[string]string{
 				"short":   short,
@@ -263,7 +264,11 @@ func BenchmarkHiActorShortAfterComplex(b *testing.B) {
 				}
 			}
 			call := func(name string, pid int) int {
-				rows, err := he.Call(context.Background(), name, map[string]graph.Value{"pid": graph.IntValue(int64(pid % 300))})
+				c, err := he.Procedure(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := he.Run(context.Background(), c, exec.Request{Params: map[string]graph.Value{"pid": graph.IntValue(int64(pid % 300))}, BatchSize: 1 << 16})
 				if err != nil {
 					b.Fatal(err)
 				}

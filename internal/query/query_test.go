@@ -151,8 +151,11 @@ func TestPaperExampleBothLanguagesAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := he.OutputOf("q")
-	mustEqual(t, "hiactor", canonical(rows, out, st), want)
+	proc, err := he.Procedure("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, "hiactor", canonical(rows, proc.Out, st), want)
 }
 
 func TestOptimizerRuleArmsAgree(t *testing.T) {
@@ -171,7 +174,7 @@ func TestOptimizerRuleArmsAgree(t *testing.T) {
 		optimizer.All(),
 	}
 	for i, arm := range arms {
-		rows, out, err := eng.SubmitWith(context.Background(), plan, nil, arm)
+		rows, out, err := submitWith(context.Background(), eng, st, plan, arm, exec.Request{})
 		if err != nil {
 			t.Fatalf("arm %d: %v", i, err)
 		}

@@ -114,7 +114,7 @@ func TestEngineParityIDLookupKeys(t *testing.T) {
 			defer he.Close()
 			engines = append(engines,
 				engine{"hiactor", func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error) {
-					rows, _, err := he.Submit(ctx, p, params)
+					rows, _, err := submit(ctx, he, p, exec.Request{Params: params})
 					return rows, err
 				}},
 				engine{"naive", func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error) {
@@ -218,7 +218,7 @@ func TestPredicatedScanIsScanPlusSelect(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					obs := obsv.NewQueryStats()
-					rows, err := c.Run(context.Background(), &exec.Env{Graph: st.g, BatchSize: 64, Obs: obs})
+					rows, err := c.Run(context.Background(), &exec.Env{Graph: st.g, Request: exec.Request{BatchSize: 64, Obs: obs}})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -270,7 +270,7 @@ func TestPredicatedScanIsScanPlusSelect(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats, obs := &obsv.StoreStats{}, obsv.NewQueryStats()
-		rows, _, err := gaia.NewEngine(meter.Wrap(vy, stats), gaia.Options{Parallelism: par}).SubmitObserved(context.Background(), plan, nil, obs)
+		rows, _, err := submit(context.Background(), gaia.NewEngine(meter.Wrap(vy, stats), gaia.Options{Parallelism: par}), plan, exec.Request{Obs: obs})
 		if err != nil {
 			t.Fatal(err)
 		}

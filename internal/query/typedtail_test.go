@@ -196,13 +196,13 @@ func TestTypedTailMatchesStoreOracle(t *testing.T) {
 			var engines []engine
 			for _, par := range []int{1, 2} {
 				for _, bs := range []int{1, 7, 1024} {
-					e := gaia.NewEngine(view.g, gaia.Options{Parallelism: par, BatchSize: bs})
+					e := gaia.NewEngine(view.g, gaia.Options{Parallelism: par})
 					engines = append(engines, engine{fmt.Sprintf("gaia P=%d bs=%d", par, bs), func(ctx context.Context, text string) ([]exec.Row, error) {
 						plan, err := cypher.Parse(text, schema)
 						if err != nil {
 							return nil, err
 						}
-						rows, _, err := e.Submit(ctx, plan, nil)
+						rows, _, err := submit(ctx, e, plan, exec.Request{BatchSize: bs})
 						return rows, err
 					}})
 				}
@@ -215,7 +215,7 @@ func TestTypedTailMatchesStoreOracle(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				rows, _, err := he.Submit(ctx, plan, nil)
+				rows, _, err := submit(ctx, he, plan, exec.Request{})
 				return rows, err
 			}})
 			for _, eng := range engines {
