@@ -16,7 +16,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/query/cypher"
 	"repro/internal/query/gaia"
-	"repro/internal/storage/csr"
 	"repro/internal/storage/gart"
 	"repro/internal/storage/graphar"
 	"repro/internal/storage/livegraph"
@@ -333,6 +332,3 @@ func Fig7d() (*Table, error) {
 	tab.Notes = append(tab.Notes, "paper: ~5x loading speedup on all datasets")
 	return tab, nil
 }
-
-// use csr to keep the import for the upper-bound scan type visible.
-var _ = csr.Options{}

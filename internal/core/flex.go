@@ -53,7 +53,7 @@ var Registry = []Component{
 	{Name: "compiler", Layer: LayerEngine, Provides: []string{"graphir"}, Doc: "GraphIR parser/optimizer/codegen (ir, optimizer, exec)"},
 	{Name: "gaia", Layer: LayerEngine, Provides: []string{"olap"}, RequiresComponents: []string{"compiler"}, RequiresTraits: []grin.Trait{grin.TraitTopology, grin.TraitProperty}, Doc: "Dataflow engine for OLAP queries"},
 	{Name: "hiactor", Layer: LayerEngine, Provides: []string{"oltp"}, RequiresComponents: []string{"compiler"}, RequiresTraits: []grin.Trait{grin.TraitTopology, grin.TraitProperty, grin.TraitIndex}, Doc: "Actor engine for high-QPS OLTP queries"},
-	{Name: "grape", Layer: LayerEngine, Provides: []string{"analytics"}, RequiresTraits: []grin.Trait{grin.TraitTopology}, Doc: "PIE-model analytical engine (+Pregel, FLASH)"},
+	{Name: "grape", Layer: LayerEngine, Provides: []string{"analytics"}, RequiresTraits: []grin.Trait{grin.TraitTopology}, Doc: "PIE-model analytical engine (+Pregel)"},
 	{Name: "grape-gpu", Layer: LayerEngine, Provides: []string{"analytics-gpu"}, RequiresTraits: []grin.Trait{grin.TraitTopology, grin.TraitAdjArray}, Doc: "Simulated GPU analytics backend"},
 	{Name: "obsv", Layer: LayerEngine, Provides: []string{"observability"}, RequiresComponents: []string{"compiler"}, Doc: "Query observability: per-stage runtime stats, EXPLAIN ANALYZE, trace export, store call metering"},
 	{Name: "graphlearn", Layer: LayerEngine, Provides: []string{"learning"}, RequiresTraits: []grin.Trait{grin.TraitTopology}, Doc: "Decoupled sampling/training stack"},

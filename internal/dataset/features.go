@@ -78,12 +78,6 @@ type errUnknownGNN string
 
 func (e errUnknownGNN) Error() string { return "dataset: unknown GNN dataset " + string(e) }
 
-// SocialRelation generates the in-house social-relation graph of Exp-7 at
-// reduced scale: a power-law friendship graph for NCN link prediction.
-func SocialRelation(persons int, seed int64) *Simple {
-	return Datagen("social-relation", persons, 10, seed)
-}
-
 // TrainTestEdges splits a graph's edges for link prediction: frac of edges
 // become test positives (removed from the training graph), matched with an
 // equal number of random non-edge negatives.

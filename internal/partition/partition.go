@@ -1,7 +1,7 @@
 // Package partition splits a vertex set into fragments for the simulated
 // distributed engines. It implements the edge-cut range partitioning used by
 // Vineyard/GRAPE (contiguous, weight-balanced vertex ranges; edges crossing
-// ranges become messages) and a hash partitioner for comparison.
+// ranges become messages).
 package partition
 
 import (
@@ -74,26 +74,3 @@ func (r *Range) Owner(v graph.VID) int {
 
 // Bounds returns fragment f's vertex range [lo, hi).
 func (r *Range) Bounds(f int) (lo, hi graph.VID) { return r.cuts[f], r.cuts[f+1] }
-
-// Hash assigns vertices to fragments by ID hash; used to contrast locality
-// behaviour against Range in tests and ablations.
-type Hash struct {
-	parts int
-}
-
-// NewHash builds a hash partitioning into parts fragments.
-func NewHash(parts int) (*Hash, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("partition: invalid parts=%d", parts)
-	}
-	return &Hash{parts: parts}, nil
-}
-
-// Parts returns the fragment count.
-func (h *Hash) Parts() int { return h.parts }
-
-// Owner returns the fragment owning v (multiplicative hash).
-func (h *Hash) Owner(v graph.VID) int {
-	x := uint64(v) * 0x9E3779B97F4A7C15
-	return int(x % uint64(h.parts))
-}

@@ -169,33 +169,3 @@ func TestRangeErrors(t *testing.T) {
 		t.Fatal("negative n accepted")
 	}
 }
-
-func TestHashPartitionStableAndInRange(t *testing.T) {
-	h, err := NewHash(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Parts() != 5 {
-		t.Fatal("parts")
-	}
-	counts := make([]int, 5)
-	for v := 0; v < 10000; v++ {
-		o := h.Owner(graph.VID(v))
-		if o < 0 || o >= 5 {
-			t.Fatalf("owner out of range: %d", o)
-		}
-		if o != h.Owner(graph.VID(v)) {
-			t.Fatal("owner not stable")
-		}
-		counts[o]++
-	}
-	// Multiplicative hashing should be roughly balanced.
-	for i, c := range counts {
-		if c < 1000 || c > 3000 {
-			t.Fatalf("hash imbalance at %d: %d", i, c)
-		}
-	}
-	if _, err := NewHash(0); err == nil {
-		t.Fatal("zero parts accepted")
-	}
-}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"repro/internal/graph"
-	"repro/internal/grin"
 	"repro/internal/query/expr"
 	"repro/internal/storage/column"
 )
@@ -77,13 +76,13 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 }
 
 // filterScratch holds the per-pass gather buffers of the running goroutine's
-// arena.
+// arena. Its gatherScratch (candidate element IDs, boxed row bridge for the
+// per-row fallback) is FILTER's own: GET_VERTEX holds the arena's gather
+// while its fused filter runs.
 type filterScratch struct {
-	vids []graph.VID
-	eids []graph.EID
-	idx  []int32       // kernel output over gathered scratch columns
-	col  column.Column // gathered property values
-	row  []graph.Value // boxed row bridge for per-row fallback
+	gatherScratch
+	idx []int32       // kernel output over gathered scratch columns
+	col column.Column // gathered property values
 }
 
 // emptySel is the shared zero-length non-nil selection (no survivors).
@@ -237,23 +236,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 				m = b.rows
 			}
 			ss.col.Reset(st.colKind)
-			gathered := false
-			if st.elemKind == graph.KindVertex {
-				ss.vids = growVIDs(ss.vids, m)
-				ints := t.RawInts()
-				for j := 0; j < m; j++ {
-					ss.vids[j] = graph.VID(ints[candAt(int32(j))])
-				}
-				gathered = grin.GatherVertexPropCol(env.Graph, ss.vids, st.leaf.Prop, &ss.col)
-			} else {
-				ss.eids = growEIDs(ss.eids, m)
-				ints := t.RawInts()
-				for j := 0; j < m; j++ {
-					ss.eids[j] = graph.EID(ints[candAt(int32(j))])
-				}
-				gathered = grin.GatherEdgePropCol(env.Graph, ss.eids, st.leaf.Prop, &ss.col)
-			}
-			if gathered {
+			if gatherCol(env.Graph, &ss.gatherScratch, st.elemKind, t.RawInts(), cand, m, st.leaf.Prop, &ss.col) {
 				if kern, ok := expr.CompileSelKernel(st.colKind, st.leaf.Op, arg); ok {
 					ss.idx = kern(&ss.col, nil, ss.idx[:0])
 					sl := takeSlot()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -22,73 +20,6 @@ import (
 	"repro/internal/storage/vineyard"
 )
 
-// benchStore builds one SNB store shared by all query benchmarks.
-var benchStore = struct {
-	once sync.Once
-	st   *vineyard.Store
-}{}
-
-func benchSNB(b *testing.B) *vineyard.Store {
-	b.Helper()
-	benchStore.once.Do(func() {
-		batch := dataset.SNB(dataset.SNBOptions{Persons: 300, Seed: 17})
-		st, err := vineyard.Load(batch)
-		if err != nil {
-			panic(err)
-		}
-		benchStore.st = st
-	})
-	return benchStore.st
-}
-
-func benchGaia(b *testing.B, q string, params map[string]graph.Value) {
-	b.Helper()
-	st := benchSNB(b)
-	plan, err := cypher.Parse(q, dataset.SNBSchema())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 4})
-	// One untimed warmup run: lets the engine's batch pools and the heap
-	// reach steady state so short -benchtime runs measure the same regime as
-	// long ones.
-	if _, _, err := eng.Submit(context.Background(), plan, params); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Submit(context.Background(), plan, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGaiaQueryExpand is the expand-heavy shape: two full KNOWS hops with
-// a projection, no selective predicate — the allocation hot path of EXPAND.
-func BenchmarkGaiaQueryExpand(b *testing.B) {
-	benchGaia(b, `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)
-RETURN g.firstName`, nil)
-}
-
-// BenchmarkGaiaQueryExpandFilter adds a per-row predicate over the expanded
-// stream, stressing expression evaluation.
-func BenchmarkGaiaQueryExpandFilter(b *testing.B) {
-	benchGaia(b, `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)
-WHERE g.creationDate > 20 AND f.creationDate > 10
-RETURN g.firstName`, nil)
-}
-
-// BenchmarkGaiaQueryAggregate groups the two-hop expansion, stressing
-// group-key construction.
-func BenchmarkGaiaQueryAggregate(b *testing.B) {
-	benchGaia(b, `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)
-WITH f, COUNT(g) AS c
-RETURN f.firstName, c
-ORDER BY c DESC
-LIMIT 10`, nil)
-}
-
 // BenchmarkGaiaCountFold runs the count-shaped queries that were most of a
 // snb_bi pass — BI5 (likes counted per post creator), BI10 (one tag's posts
 // counted per interested person) and BI14 (friends' posts counted per person)
@@ -100,7 +31,10 @@ LIMIT 10`, nil)
 // GROUP then counts. It explains each step's share of a benchmark number;
 // benchmark/ decides it.
 func BenchmarkGaiaCountFold(b *testing.B) {
-	st := benchSNB(b)
+	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 300, Seed: 17}))
+	if err != nil {
+		b.Fatal(err)
+	}
 	segmented := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
 	unsegmented := gaia.NewEngine(grintest.Unsegmented(st), gaia.Options{Parallelism: 2})
 	for _, q := range procedures.BI() {
@@ -135,98 +69,6 @@ func BenchmarkGaiaCountFold(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkGaiaQueryOrderLimit sorts a full expansion and keeps the top rows —
-// the ORDER BY ... LIMIT path.
-func BenchmarkGaiaQueryOrderLimit(b *testing.B) {
-	benchGaia(b, `MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post)
-RETURN f.firstName, m.creationDate
-ORDER BY m.creationDate DESC
-LIMIT 20`, nil)
-}
-
-// BenchmarkHiActorThroughput measures the OLTP design point: many small
-// parameterized point queries in flight across shards.
-func BenchmarkHiActorThroughput(b *testing.B) {
-	st := benchSNB(b)
-	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post)
-WHERE id(p) = $pid
-RETURN f.firstName, m.creationDate`, dataset.SNBSchema())
-	if err != nil {
-		b.Fatal(err)
-	}
-	he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 4})
-	defer he.Close()
-	if err := he.Install("q", plan); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		pid := int64(0)
-		for pb.Next() {
-			pid = (pid + 7) % 300
-			if _, err := he.Call(context.Background(), "q", map[string]graph.Value{"pid": graph.IntValue(pid)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkHiActorMixedParallel is the OLTP serving shape in miniature: more
-// closed-loop clients than actors (4 on 2 shards) issuing 70 % short point
-// reads and 30 % heavy three-hop reads against GART. With a work-conserving
-// run queue the short reads flow past a heavy one instead of queueing behind
-// it; ops/s is the headline, -benchmem shows the arena's effect.
-func BenchmarkHiActorMixedParallel(b *testing.B) {
-	gs := gart.NewStore(dataset.SNBSchema(), 0)
-	if err := gs.LoadBatch(dataset.SNB(dataset.SNBOptions{Persons: 300, Seed: 17})); err != nil {
-		b.Fatal(err)
-	}
-	he := hiactor.NewEngine(func() grin.Graph { return gs.Latest() }, hiactor.Options{Shards: 2})
-	defer he.Close()
-	for name, q := range map[string]string{
-		"short": `MATCH (p:Person)-[:KNOWS]->(f:Person)
-WHERE id(p) = $pid RETURN id(f), f.firstName`,
-		"heavy": `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)<-[:HAS_CREATOR]-(m:Post)
-WHERE id(p) = $pid RETURN g.firstName, m.creationDate
-ORDER BY m.creationDate DESC LIMIT 20`,
-	} {
-		plan, err := cypher.Parse(q, dataset.SNBSchema())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := he.Install(name, plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-	call := func(i int64) error {
-		name := "short"
-		if i%10 >= 7 {
-			name = "heavy"
-		}
-		_, err := he.Call(context.Background(), name, map[string]graph.Value{"pid": graph.IntValue((i * 7) % 300)})
-		return err
-	}
-	// Untimed warmup: every actor grows its arena on both shapes.
-	for i := int64(0); i < 40; i++ {
-		if err := call(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var next atomic.Int64
-	b.SetParallelism(2) // 2 × GOMAXPROCS clients
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := call(next.Add(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
 // BenchmarkHiActorShortAfterComplex times a point read on an actor whose

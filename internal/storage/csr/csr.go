@@ -6,7 +6,6 @@ package csr
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -26,7 +25,6 @@ type Graph struct {
 	in     []grin.Target // nil unless built with CSC
 
 	weights []float64 // indexed by EID; nil for unweighted
-	sorted  bool      // adjacency lists ordered by neighbor ID
 }
 
 var (
@@ -50,9 +48,6 @@ type Options struct {
 	BuildCSC bool
 	// Weighted stores per-edge weights.
 	Weighted bool
-	// SortAdjacency orders each adjacency list by neighbor ID, enabling
-	// binary-searched edge existence checks.
-	SortAdjacency bool
 	// Workers bounds Build's parallelism: 0 selects GOMAXPROCS, 1 forces the
 	// sequential path. The resulting layout is identical for every worker
 	// count (parallel counting sort preserves input edge order per vertex).
@@ -109,11 +104,10 @@ func buildAdj(n, m, workers int, key func(i int) graph.VID, place func(i int, sl
 // Build constructs a CSR graph over n vertices from an edge list. Edge IDs
 // are assigned in out-CSR order: the EID of the k-th slot of the out
 // adjacency is k, and the CSC mirrors reference the same IDs. Construction
-// runs on opt.Workers workers (degree counting, placement, per-vertex sorts
-// and the CSC pass are all parallel) and produces the same graph at every
-// worker count.
+// runs on opt.Workers workers (degree counting, placement and the CSC pass
+// are all parallel) and produces the same graph at every worker count.
 func Build(n int, edges []Edge, opt Options) (*Graph, error) {
-	g := &Graph{n: n, m: len(edges), sorted: opt.SortAdjacency}
+	g := &Graph{n: n, m: len(edges)}
 	m := len(edges)
 
 	// Validation: each worker reports the first bad edge of its chunk; the
@@ -151,30 +145,6 @@ func Build(n int, edges []Edge, opt Options) (*Graph, error) {
 				g.weights[slot] = edges[i].Weight
 			}
 		})
-
-	if opt.SortAdjacency {
-		// Per-vertex segments are disjoint; dynamic chunking rides out the
-		// degree skew of power-law graphs.
-		parallel.ForDynamic(n, opt.Workers, 0, func(_, vlo, vhi int) {
-			for v := vlo; v < vhi; v++ {
-				lo, hi := g.outOff[v], g.outOff[v+1]
-				seg := g.out[lo:hi]
-				sort.Slice(seg, func(i, j int) bool { return seg[i].Nbr < seg[j].Nbr })
-				// Re-key edge IDs and weights to the sorted order so that the
-				// EID of slot k stays k (weights move with their edge).
-				if opt.Weighted {
-					ws := make([]float64, len(seg))
-					for i, t := range seg {
-						ws[i] = g.weights[t.Edge]
-					}
-					copy(g.weights[lo:hi], ws)
-				}
-				for i := range seg {
-					seg[i].Edge = graph.EID(lo + uint64(i))
-				}
-			}
-		})
-	}
 
 	if opt.BuildCSC {
 		// Source vertex of every out slot, for the slot-chunked CSC pass.
@@ -260,26 +230,6 @@ func (g *Graph) EdgeWeight(e graph.EID) float64 {
 	}
 	return g.weights[e]
 }
-
-// HasEdge reports whether (src, dst) exists. O(log d) when built with
-// SortAdjacency, O(d) otherwise.
-func (g *Graph) HasEdge(src, dst graph.VID) bool {
-	adj := g.AdjSlice(src, graph.Out)
-	if g.sorted {
-		i := sort.Search(len(adj), func(i int) bool { return adj[i].Nbr >= dst })
-		return i < len(adj) && adj[i].Nbr == dst
-	}
-	for _, t := range adj {
-		if t.Nbr == dst {
-			return true
-		}
-	}
-	return false
-}
-
-// Sorted reports whether adjacency lists are ordered by neighbor ID (the
-// SortAdjacency build option).
-func (g *Graph) Sorted() bool { return g.sorted }
 
 // ScanVertices implements grin.PredicatePush; simple graphs ignore label.
 func (g *Graph) ScanVertices(_ graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {

@@ -34,8 +34,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		{},
 		{BuildCSC: true},
 		{Weighted: true},
-		{SortAdjacency: true, Weighted: true},
-		{BuildCSC: true, SortAdjacency: true, Weighted: true},
+		{BuildCSC: true, Weighted: true},
 	} {
 		seqOpt := opt
 		seqOpt.Workers = 1
@@ -72,7 +71,7 @@ func TestParallelBuildEdgeCases(t *testing.T) {
 	if g, err := Build(0, nil, Options{Workers: 4}); err != nil || g.NumVertices() != 0 {
 		t.Fatalf("empty graph: %v %v", g, err)
 	}
-	if g, err := Build(10, []Edge{{Src: 1, Dst: 2}}, Options{Workers: 16, BuildCSC: true, SortAdjacency: true}); err != nil || g.NumEdges() != 1 {
+	if g, err := Build(10, []Edge{{Src: 1, Dst: 2}}, Options{Workers: 16, BuildCSC: true}); err != nil || g.NumEdges() != 1 {
 		t.Fatalf("one edge, many workers: %v %v", g, err)
 	}
 }
@@ -93,52 +92,7 @@ func TestParallelBuildReportsFirstBadEdge(t *testing.T) {
 	}
 }
 
-// TestHasEdgeUnsorted: without SortAdjacency, HasEdge must still be correct
-// (linear scan, no binary search over an unsorted list).
-func TestHasEdgeUnsorted(t *testing.T) {
-	// Deliberately descending adjacency: binary search on it would miss.
-	g, err := Build(5, []Edge{
-		{Src: 0, Dst: 4},
-		{Src: 0, Dst: 2},
-		{Src: 0, Dst: 1},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Sorted() {
-		t.Fatal("graph should not report sorted adjacency")
-	}
-	for _, dst := range []graph.VID{1, 2, 4} {
-		if !g.HasEdge(0, dst) {
-			t.Fatalf("HasEdge(0,%d) = false on unsorted adjacency", dst)
-		}
-	}
-	if g.HasEdge(0, 3) || g.HasEdge(0, 0) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge reported a nonexistent edge")
-	}
-
-	gs, err := Build(5, []Edge{
-		{Src: 0, Dst: 4},
-		{Src: 0, Dst: 2},
-		{Src: 0, Dst: 1},
-	}, Options{SortAdjacency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gs.Sorted() {
-		t.Fatal("graph should report sorted adjacency")
-	}
-	for _, dst := range []graph.VID{1, 2, 4} {
-		if !gs.HasEdge(0, dst) {
-			t.Fatalf("HasEdge(0,%d) = false on sorted adjacency", dst)
-		}
-	}
-	if gs.HasEdge(0, 3) {
-		t.Fatal("sorted HasEdge reported a nonexistent edge")
-	}
-}
-
-// BenchmarkBuild measures the full Build (CSC + sorted adjacency + weights)
+// BenchmarkBuild measures the full Build (CSC + weights)
 // at workers=1 vs workers=NumCPU; the acceptance gate for the parallel
 // runtime on the storage path.
 func BenchmarkBuild(b *testing.B) {
@@ -146,7 +100,7 @@ func BenchmarkBuild(b *testing.B) {
 	edges := randomEdges(n, m, 11)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := Options{BuildCSC: true, SortAdjacency: true, Weighted: true, Workers: workers}
+			opt := Options{BuildCSC: true, Weighted: true, Workers: workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(n, edges, opt); err != nil {

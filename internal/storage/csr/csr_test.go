@@ -100,27 +100,6 @@ func TestNoCSCDegrees(t *testing.T) {
 	}
 }
 
-func TestSortAdjacencyAndHasEdge(t *testing.T) {
-	g, err := Build(3, []Edge{
-		{Src: 0, Dst: 2, Weight: 20},
-		{Src: 0, Dst: 1, Weight: 10},
-	}, Options{SortAdjacency: true, Weighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj := g.AdjSlice(0, graph.Out)
-	if adj[0].Nbr != 1 || adj[1].Nbr != 2 {
-		t.Fatalf("adjacency not sorted: %v", adj)
-	}
-	// Weights must follow their edges through the sort.
-	if g.EdgeWeight(adj[0].Edge) != 10 || g.EdgeWeight(adj[1].Edge) != 20 {
-		t.Fatal("weights lost during sort")
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(0, 2) || g.HasEdge(1, 0) || g.HasEdge(0, 0) {
-		t.Fatal("HasEdge wrong")
-	}
-}
-
 func TestUnweightedDefaultsToOne(t *testing.T) {
 	g := diamond(t, Options{})
 	if grin.Weight(g, 0) != 1.0 {
