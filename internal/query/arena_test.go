@@ -16,7 +16,6 @@ import (
 	"repro/internal/query/naive"
 	"repro/internal/storage/chaos"
 	"repro/internal/storage/column"
-	"repro/internal/storage/vineyard"
 )
 
 // TestProjectScratchRolesDoNotAlias pins the role separation of the arena's
@@ -30,10 +29,7 @@ import (
 // gather trait (vineyard) and without it (the chaos hook declines every typed
 // gather, sending it through the boxed path).
 func TestProjectScratchRolesDoNotAlias(t *testing.T) {
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(120, 9).vineyard(t)
 	schema := dataset.SNBSchema()
 	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.birthday % 3 = 0
 RETURN f.firstName, f.birthday + p.creationDate, coalesce(f.lastName, 'x'), p.browserUsed`, schema)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
-	"repro/internal/grin/grintest"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
@@ -32,10 +31,6 @@ import (
 	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
 	"repro/internal/query/procedures"
-	"repro/internal/storage/chaos"
-	"repro/internal/storage/gart"
-	"repro/internal/storage/livegraph"
-	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
 
@@ -184,58 +179,6 @@ func viaHops(p *ir.Plan) int {
 	return n
 }
 
-// countFoldStores loads one small SNB graph into the three backends of the
-// matrix: vineyard, a GART snapshot, and topology-only livegraph.
-func countFoldStores(t *testing.T) map[string]grin.Graph {
-	t.Helper()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 16, Seed: 4})
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := gart.NewStore(dataset.SNBSchema(), 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	lg, err := livegraph.LoadBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]grin.Graph{"vineyard": vy, "gart": gs.Latest(), "livegraph": lg}
-}
-
-// countFoldCell is one store × wrapper × batch size cell of the matrix with
-// its engines, built once and reused by every generated query.
-type countFoldCell struct {
-	name    string
-	store   string
-	view    string // bare, wrapped (chaos), unsegmented (vineyard without grin.LabelAdjacency, metered)
-	g       grin.Graph
-	bs      int
-	cat     *optimizer.Catalog
-	gaias   []*gaia.Engine // parallelism 1 and 2
-	hiactor *hiactor.Engine
-}
-
-// serial runs the *optimized* plan — the physical plan Gaia and HiActor run —
-// on the calling goroutine, reporting per-stage stats to obs when it is set.
-func (c *countFoldCell) serial(p *ir.Plan, obs *obsv.QueryStats) ([]exec.Row, []string, error) {
-	phys, err := optimizer.Optimize(p, c.cat, optimizer.All())
-	if err != nil {
-		return nil, nil, err
-	}
-	opt := exec.Options{}
-	if pr, ok := grin.AsPropertyReader(c.g); ok {
-		opt.Schema = pr.Schema()
-	}
-	compiled, err := exec.Compile(phys, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := compiled.Run(context.Background(), &exec.Env{Graph: c.g, Request: exec.Request{BatchSize: c.bs, Obs: obs}})
-	return rows, compiled.Out, err
-}
-
 // stageStats is what a serial run's stages did, minus what only says how: the
 // wall times, and the adjacency slots the store handed over — the one number
 // a store's layout is allowed to change.
@@ -252,28 +195,13 @@ func stageStats(obs *obsv.QueryStats) []obsv.StageSnapshot {
 // EXPAND_DEGREE when eligible, none otherwise), then every engine must return
 // naive's multiset.
 func TestGeneratedCountFoldParity(t *testing.T) {
-	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
-	stores := countFoldStores(t)
-	var cells []*countFoldCell
-	for sname, st := range stores {
-		views := map[string]grin.Graph{"bare": st, "wrapped": chaos.Wrap(st, chaos.Options{})}
-		if vy, ok := st.(*vineyard.Store); ok {
-			views["unsegmented"] = meter.Wrap(grintest.Unsegmented(vy), &obsv.StoreStats{})
-		}
-		for view, g := range views {
-			for _, bs := range []int{1, 7, 1024} {
-				c := &countFoldCell{name: fmt.Sprintf("%s %s bs=%d", sname, view, bs), store: sname, view: view, g: g, bs: bs,
-					cat:     optimizer.BuildCatalog(g),
-					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})}
-				defer c.hiactor.Close()
-				for _, par := range []int{1, 2} {
-					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par}))
-				}
-				cells = append(cells, c)
-			}
-		}
-	}
+	f := snbFixture(16, 4)
+	cells := grid{
+		stores: []string{"vineyard", "gart", "livegraph"},
+		views:  []view{bareView, chaosView, unsegmentedView},
+		runs:   runHiActor | runSerial,
+	}.cells(t, f)
 
 	rng := rand.New(rand.NewSource(20260926))
 	var queries []countQuery
@@ -288,7 +216,7 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 	if folds < 12 || folds > 36 {
 		t.Fatalf("%d of %d generated queries fold; the generator covers one side only", folds, len(queries))
 	}
-	cat := optimizer.BuildCatalog(stores["vineyard"])
+	cat := optimizer.BuildCatalog(f.store(t, "vineyard"))
 	for qi, q := range queries {
 		plan, err := cypher.Parse(q.text, schema)
 		if err != nil {
@@ -306,50 +234,36 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 		}
 		want := map[string]string{}
 		stats := map[string][]obsv.StageSnapshot{}
-		for sname, st := range stores {
-			if q.props && sname == "livegraph" {
+		for _, c := range cells {
+			if q.props && c.store == "livegraph" {
 				continue
 			}
-			rows, out, err := naive.Run(context.Background(), plan, st, nil)
-			if err != nil {
-				t.Fatalf("query %d naive on %s: %v\n%s", qi, sname, err, q.text)
-			}
-			want[sname] = strings.Join(canonical(rows, out, st), "\n")
-		}
-		for _, c := range cells {
 			ref, ok := want[c.store]
 			if !ok {
-				continue
+				rows, out := f.ref(t, c.store, plan, q.text, nil)
+				ref = strings.Join(canonical(rows, out, c.st), "\n")
+				want[c.store] = ref
 			}
-			check := func(engine string, rows []exec.Row, out []string, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("query %d %s on %s: %v\n%s", qi, engine, c.name, err, q.text)
+			for _, a := range c.run(plan, exec.Request{}, nil) {
+				if a.err != nil {
+					t.Fatalf("query %d %s on %s: %v\n%s", qi, a, c, a.err, q.text)
 				}
-				if got := strings.Join(canonical(rows, out, stores[c.store]), "\n"); got != ref {
-					t.Fatalf("query %d %s on %s:\n%s\ngot\n%s\nwant\n%s", qi, engine, c.name, q.text, got, ref)
+				if got := strings.Join(canonical(a.rows, a.out, c.st), "\n"); got != ref {
+					t.Fatalf("query %d %s on %s:\n%s\ngot\n%s\nwant\n%s", qi, a, c, q.text, got, ref)
 				}
-			}
-			for _, eng := range c.gaias {
-				rows, out, err := submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
-				check("gaia", rows, out, err)
-			}
-			rows, out, err := submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
-			check("hiactor", rows, out, err)
-			obs := obsv.NewQueryStats()
-			rows, out, err = c.serial(plan, obs)
-			check("serial", rows, out, err)
-			// Whether the store's label segments or the skeleton filters by
-			// edge label, the stages see the same rows in the same batches
-			// (the chaos view differs by design: it gathers boxed).
-			if c.view == "wrapped" {
-				continue
-			}
-			key := fmt.Sprintf("%s bs=%d", c.store, c.bs)
-			if ref, ok := stats[key]; !ok {
-				stats[key] = stageStats(obs)
-			} else if got := stageStats(obs); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("query %d serial on %s: stage stats\n%+v\nanother view of the store gave\n%+v\n%s", qi, c.name, got, ref, q.text)
+				// Whether the store's label segments or the skeleton filters by
+				// edge label, the serial driver's stages see the same rows in
+				// the same batches (the chaos view differs by design: it
+				// gathers boxed).
+				if a.engine != "serial" || c.view == "chaos" {
+					continue
+				}
+				key := fmt.Sprintf("%s bs=%d", c.store, c.bs)
+				if ref, ok := stats[key]; !ok {
+					stats[key] = stageStats(a.obs)
+				} else if got := stageStats(a.obs); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("query %d serial on %s: stage stats\n%+v\nanother view of the store gave\n%+v\n%s", qi, c, got, ref, q.text)
+				}
 			}
 		}
 	}
@@ -363,10 +277,7 @@ func TestGeneratedCountFoldParity(t *testing.T) {
 // Gremlin's out().count() through the shared IR.
 func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 	schema := dataset.SNBSchema()
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 60, Seed: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(60, 4).vineyard(t)
 	cat := optimizer.BuildCatalog(st)
 	// folds reports whether the plan folds, and how many hops its
 	// EXPAND_DEGREE walks before the counted one.
@@ -461,10 +372,7 @@ func TestCountFoldFiresOnTheListedShapes(t *testing.T) {
 func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 60, Seed: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(60, 4).vineyard(t)
 	for _, tc := range []struct{ q, want string }{
 		{`MATCH (t:Tag)<-[:HAS_TAG]-(m:Post) WHERE t.name = "nonexistent" RETURN COUNT(m) AS c`, "0"},
 		{`MATCH (t:Tag)<-[:HAS_TAG]-(m:Post) WHERE t.name = "nonexistent"
@@ -582,10 +490,7 @@ func TestHubExpansionCancelsWithinAChunk(t *testing.T) {
 func TestCountFoldUnderEveryRuleSubset(t *testing.T) {
 	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(40, 4).vineyard(t)
 	eng := gaia.NewEngine(st, gaia.Options{Parallelism: 2})
 	for _, q := range []string{
 		`MATCH (p:Person)-[:KNOWS]->(f:Person), (p)-[:IS_LOCATED_IN]->(pl:Place) RETURN pl.name, COUNT(f) AS c`,

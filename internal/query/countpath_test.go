@@ -5,7 +5,6 @@
 package query_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,15 +12,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/grin"
-	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
-	"repro/internal/query/gaia"
-	"repro/internal/query/hiactor"
-	"repro/internal/query/naive"
 	"repro/internal/query/optimizer"
-	"repro/internal/storage/chaos"
 )
 
 // genCountPath draws one count-only chain of 2–4 hops over the SNB schema
@@ -82,27 +75,16 @@ func genCountPath(rng *rand.Rand, schema *graph.Schema) string {
 // them must fold a hop before the counted one, and every engine must return
 // naive's multiset on every cell.
 func TestGeneratedCountPathParity(t *testing.T) {
-	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
-	stores := countFoldStores(t)
-	var cells []*countFoldCell
-	for sname, st := range stores {
-		for view, g := range map[string]grin.Graph{"bare": st, "wrapped": chaos.Wrap(st, chaos.Options{})} {
-			for _, bs := range []int{1, 7, 1024} {
-				c := &countFoldCell{name: fmt.Sprintf("%s %s bs=%d", sname, view, bs), store: sname, view: view, g: g, bs: bs,
-					cat:     optimizer.BuildCatalog(g),
-					hiactor: hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})}
-				defer c.hiactor.Close()
-				for _, par := range []int{1, 2} {
-					c.gaias = append(c.gaias, gaia.NewEngine(g, gaia.Options{Parallelism: par}))
-				}
-				cells = append(cells, c)
-			}
-		}
-	}
+	f := snbFixture(16, 4)
+	cells := grid{
+		stores: []string{"vineyard", "gart", "livegraph"},
+		views:  []view{bareView, chaosView},
+		runs:   runHiActor | runSerial,
+	}.cells(t, f)
 
 	rng := rand.New(rand.NewSource(20261017))
-	cat := optimizer.BuildCatalog(stores["vineyard"])
+	cat := optimizer.BuildCatalog(f.store(t, "vineyard"))
 	const n = 16
 	pathFolds, byHops := 0, map[int]int{}
 	for qi := 0; qi < n; qi++ {
@@ -126,31 +108,21 @@ func TestGeneratedCountPathParity(t *testing.T) {
 			pathFolds++
 		}
 		want := map[string]string{}
-		for sname, st := range stores {
-			rows, out, err := naive.Run(context.Background(), plan, st, nil)
-			if err != nil {
-				t.Fatalf("query %d naive on %s: %v\n%s", qi, sname, err, text)
-			}
-			want[sname] = strings.Join(canonical(rows, out, st), "\n")
-		}
 		for _, c := range cells {
-			check := func(engine string, rows []exec.Row, out []string, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("query %d %s on %s: %v\n%s", qi, engine, c.name, err, text)
+			ref, ok := want[c.store]
+			if !ok {
+				rows, out := f.ref(t, c.store, plan, text, nil)
+				ref = strings.Join(canonical(rows, out, c.st), "\n")
+				want[c.store] = ref
+			}
+			for _, a := range c.run(plan, exec.Request{}, nil) {
+				if a.err != nil {
+					t.Fatalf("query %d %s on %s: %v\n%s", qi, a, c, a.err, text)
 				}
-				if got := strings.Join(canonical(rows, out, stores[c.store]), "\n"); got != want[c.store] {
-					t.Fatalf("query %d %s on %s:\n%s\n%s\ngot\n%s\nwant\n%s", qi, engine, c.name, text, phys, got, want[c.store])
+				if got := strings.Join(canonical(a.rows, a.out, c.st), "\n"); got != ref {
+					t.Fatalf("query %d %s on %s:\n%s\n%s\ngot\n%s\nwant\n%s", qi, a, c, text, phys, got, ref)
 				}
 			}
-			for _, eng := range c.gaias {
-				rows, out, err := submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
-				check("gaia", rows, out, err)
-			}
-			rows, out, err := submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
-			check("hiactor", rows, out, err)
-			rows, out, err = c.serial(plan, nil)
-			check("serial", rows, out, err)
 		}
 	}
 	if pathFolds < n/2 {

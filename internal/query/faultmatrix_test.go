@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query"
@@ -28,40 +27,15 @@ import (
 	"repro/internal/query/obsv"
 	"repro/internal/query/optimizer"
 	"repro/internal/storage/chaos"
-	"repro/internal/storage/gart"
-	"repro/internal/storage/livegraph"
-	"repro/internal/storage/vineyard"
 )
 
-// matrixStores builds the same simple graph in all three dynamic-capability
+// matrixStores is the same simple graph in all three dynamic-capability
 // backends: vineyard (full trait set), gart (MVCC snapshot), livegraph
 // (topology only — the wrapper must keep masking its missing traits).
 func matrixStores(t *testing.T) (map[string]grin.Graph, *graph.Schema) {
 	t.Helper()
-	simple := dataset.Datagen("faultmatrix", 200, 4, 3)
-	b := simple.ToBatch()
-
-	stores := map[string]grin.Graph{}
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["vineyard"] = vy
-
-	gs := gart.NewStore(b.Schema, 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	stores["gart"] = gs.Latest()
-
-	lg := livegraph.NewStore(simple.N)
-	for i := range simple.Src {
-		if err := lg.AddEdge(simple.Src[i], simple.Dst[i], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stores["livegraph"] = lg
-	return stores, b.Schema
+	f := datagenFixture(200, 4, 3)
+	return f.storeMap(t, "vineyard", "gart", "livegraph"), f.schema()
 }
 
 // runOn executes the plan on a fresh engine of the named kind over g. A new
@@ -353,10 +327,7 @@ func (h *gatherFault) After(s grin.Site, _ int64, rows int) {
 // through the unwinding — answers the next query correctly.
 func TestFaultInsideServedTypedGather(t *testing.T) {
 	defer query.CheckLeaks(t)()
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(120, 5).vineyard(t)
 	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.creationDate > 10 RETURN f.firstName, f.creationDate`, st.Schema())
 	if err != nil {
 		t.Fatal(err)

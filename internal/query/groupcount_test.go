@@ -7,7 +7,6 @@
 package query_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,13 +16,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/grin"
-	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
-	"repro/internal/query/gaia"
-	"repro/internal/query/hiactor"
-	"repro/internal/query/naive"
 )
 
 // rawCountQuery is the un-aggregated form of a count query: the grouped
@@ -87,9 +81,13 @@ func countRows(rows []exec.Row, out []string) []string {
 // GROUP(partial) + merge or not — plus global counts over an empty match,
 // which must yield exactly one row, 0.
 func TestGeneratedGroupCountOracle(t *testing.T) {
-	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
-	stores := countFoldStores(t)
+	f := snbFixture(16, 4)
+	cells := grid{
+		stores: []string{"vineyard", "gart", "livegraph"},
+		views:  []view{bareView},
+		runs:   runNaive | runHiActor,
+	}.cells(t, f)
 	rng := rand.New(rand.NewSource(20261015))
 	var queries []countQuery
 	for len(queries) < 40 {
@@ -107,23 +105,6 @@ func TestGeneratedGroupCountOracle(t *testing.T) {
 		match: empty, key: "v0", counted: "v2",
 	})
 
-	type cell struct {
-		bs      int
-		gaias   []*gaia.Engine // parallelism 1 and 2
-		hiactor *hiactor.Engine
-	}
-	cells := map[string][]*cell{}
-	for sname, st := range stores {
-		for _, bs := range []int{1, 7, 1024} {
-			c := &cell{bs: bs, hiactor: hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})}
-			defer c.hiactor.Close()
-			for _, par := range []int{1, 2} {
-				c.gaias = append(c.gaias, gaia.NewEngine(st, gaia.Options{Parallelism: par}))
-			}
-			cells[sname] = append(cells[sname], c)
-		}
-	}
-
 	var split, star, alias, folded, global int
 	for qi, q := range queries {
 		plan, err := cypher.Parse(q.text, schema)
@@ -134,7 +115,7 @@ func TestGeneratedGroupCountOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d raw: %v\n%s", qi, err, rawCountQuery(q))
 		}
-		compiled, err := cells["vineyard"][0].gaias[0].Compile(plan)
+		compiled, err := cells[0].gaia[0].Compile(plan) // vineyard
 		if err != nil {
 			t.Fatalf("query %d: %v\n%s", qi, err, q.text)
 		}
@@ -152,43 +133,33 @@ func TestGeneratedGroupCountOracle(t *testing.T) {
 		if q.key == "" {
 			global++
 		}
-		for sname, st := range stores {
-			if q.props && sname == "livegraph" {
+		want := map[string][]string{}  // by store
+		order := map[string][]string{} // by store and engine
+		for _, c := range cells {
+			if q.props && c.store == "livegraph" {
 				continue
 			}
-			rawRows, rawOut, err := naive.Run(context.Background(), raw, st, nil)
-			if err != nil {
-				t.Fatalf("query %d raw on %s: %v\n%s", qi, sname, err, rawCountQuery(q))
+			if _, ok := want[c.store]; !ok {
+				rawRows, rawOut := f.ref(t, c.store, raw, rawCountQuery(q), nil)
+				want[c.store] = foldCounts(rawRows, rawOut, q.key != "")
 			}
-			want := foldCounts(rawRows, rawOut, q.key != "")
-			order := map[string][]string{}
-			check := func(engine string, bs int, rows []exec.Row, out []string, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("query %d %s on %s bs=%d: %v\n%s", qi, engine, sname, bs, err, q.text)
+			for _, a := range c.run(plan, exec.Request{}, nil) {
+				if a.err != nil {
+					t.Fatalf("query %d %s on %s: %v\n%s", qi, a, c, a.err, q.text)
 				}
-				got := countRows(rows, out)
+				got := countRows(a.rows, a.out)
 				sorted := slices.Sorted(slices.Values(got))
-				if !slices.Equal(sorted, want) {
-					t.Fatalf("query %d %s on %s bs=%d:\n%s\ngot\n%s\nfolded from the un-aggregated rows\n%s",
-						qi, engine, sname, bs, q.text, strings.Join(sorted, "\n"), strings.Join(want, "\n"))
+				if !slices.Equal(sorted, want[c.store]) {
+					t.Fatalf("query %d %s on %s:\n%s\ngot\n%s\nfolded from the un-aggregated rows\n%s",
+						qi, a, c, q.text, strings.Join(sorted, "\n"), strings.Join(want[c.store], "\n"))
 				}
-				if ref, ok := order[engine]; !ok {
-					order[engine] = got
+				key := c.store + " " + a.engine
+				if ref, ok := order[key]; !ok {
+					order[key] = got
 				} else if !slices.Equal(got, ref) {
-					t.Fatalf("query %d %s on %s bs=%d: row order\n%s\nanother batch size or parallelism gave\n%s\n%s",
-						qi, engine, sname, bs, strings.Join(got, "\n"), strings.Join(ref, "\n"), q.text)
+					t.Fatalf("query %d %s on %s: row order\n%s\nanother batch size or parallelism gave\n%s\n%s",
+						qi, a, c, strings.Join(got, "\n"), strings.Join(ref, "\n"), q.text)
 				}
-			}
-			for _, c := range cells[sname] {
-				rows, out, err := naive.RunWith(context.Background(), plan, st, exec.Request{BatchSize: c.bs})
-				check("naive", c.bs, rows, out, err)
-				for _, eng := range c.gaias {
-					rows, out, err = submit(context.Background(), eng, plan, exec.Request{BatchSize: c.bs})
-					check("gaia", c.bs, rows, out, err)
-				}
-				rows, out, err = submit(context.Background(), c.hiactor, plan, exec.Request{BatchSize: c.bs})
-				check("hiactor", c.bs, rows, out, err)
 			}
 		}
 	}

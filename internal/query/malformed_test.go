@@ -56,7 +56,7 @@ func TestMalformedQueriesEndInCompileErrors(t *testing.T) {
 		entries = append(entries, entry{name, p, false})
 	}
 
-	stores := countFoldStores(t)
+	stores := snbFixture(16, 4).storeMap(t, "vineyard", "gart")
 	for _, sname := range []string{"vineyard", "gart"} {
 		g := stores[sname]
 		gaiaEng := gaia.NewEngine(g, gaia.Options{Parallelism: 2})

@@ -6,6 +6,7 @@
 package query_test
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -21,95 +22,33 @@ import (
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
-	"repro/internal/query/gremlin"
-	"repro/internal/query/hiactor"
-	"repro/internal/query/ir"
-	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
 	"repro/internal/query/procedures"
-	"repro/internal/storage/gart"
 	"repro/internal/storage/meter"
-	"repro/internal/storage/vineyard"
 )
-
-// newObserved builds a collector with tracing enabled and a metered view of
-// the store feeding its Store section.
-func newObserved(st grin.Graph) (*obsv.QueryStats, grin.Graph) {
-	obs := obsv.NewQueryStats()
-	obs.Trace = obsv.NewTrace()
-	obs.Store = &obsv.StoreStats{}
-	return obs, meter.Wrap(st, obs.Store)
-}
 
 // TestObservedParityMatrix reruns the SNB parity mix with full observability
 // attached — stats, tracing, and a metering store wrapper — and asserts every
 // engine returns rows identical to its unobserved run. Collection must be
 // purely passive; the leak check pins that observed runs also unwind clean.
 func TestObservedParityMatrix(t *testing.T) {
-	defer query.CheckLeaks(t)()
-	schema := dataset.SNBSchema()
-	const bs = 16
-	for name, st := range snbBackends(t) {
+	f := snbFixture(120, 9)
+	stores := []string{"vineyard", "gart", "graphar"}
+	cells := grid{stores: stores, views: []view{bareView, meteredView}, batches: []int{16}, runs: runAll}.cells(t, f)
+	for i, name := range stores {
+		plain, observed := cells[2*i], cells[2*i+1] // bare, metered
 		t.Run(name, func(t *testing.T) {
 			for _, tc := range snbParityCases {
 				t.Run(tc.name, func(t *testing.T) {
-					var plan *ir.Plan
-					var err error
-					if tc.lang == "gremlin" {
-						plan, err = gremlin.Parse(tc.q, schema)
-					} else {
-						plan, err = cypher.Parse(tc.q, schema)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					// naive: observed vs unobserved.
-					want, _, err := naive.RunWith(context.Background(), plan, st, exec.Request{Params: tc.params, BatchSize: bs})
-					if err != nil {
-						t.Fatal(err)
-					}
-					obs, mst := newObserved(st)
-					got, _, err := naive.RunWith(context.Background(), plan, mst, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustExactEqual(t, "naive observed", renderRows(got), renderRows(want))
-					assertCollected(t, obs, len(got))
-
-					// gaia at serial and full parallelism.
-					for _, par := range []int{1, runtime.NumCPU()} {
-						eng := gaia.NewEngine(st, gaia.Options{Parallelism: par})
-						wantG, _, err := submit(context.Background(), eng, plan, exec.Request{Params: tc.params, BatchSize: bs})
-						if err != nil {
-							t.Fatal(err)
+					plan := parse(t, tc.lang, tc.q, f.schema())
+					want := plain.run(plan, exec.Request{Params: tc.params}, nil)
+					for j, a := range observed.run(plan, exec.Request{Params: tc.params}, observed.observe) {
+						if err := cmp.Or(want[j].err, a.err); err != nil {
+							t.Fatalf("%s on %s: %v", a, observed, err)
 						}
-						obs, mst := newObserved(st)
-						engO := gaia.NewEngine(mst, gaia.Options{Parallelism: par})
-						gotG, _, err := submit(context.Background(), engO, plan, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
-						if err != nil {
-							t.Fatal(err)
-						}
-						mustExactEqual(t, "gaia observed", renderRows(gotG), renderRows(wantG))
-						assertCollected(t, obs, len(gotG))
+						mustExactEqual(t, fmt.Sprintf("%s on %s", a, observed), renderRows(a.rows), renderRows(want[j].rows))
+						assertCollected(t, a.obs, len(a.rows))
 					}
-
-					// hiactor through its actor pool.
-					he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})
-					wantH, _, err := submit(context.Background(), he, plan, exec.Request{Params: tc.params, BatchSize: bs})
-					he.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					obs, mst = newObserved(st)
-					heO := hiactor.NewEngine(func() grin.Graph { return mst }, hiactor.Options{Shards: 2})
-					gotH, _, err := submit(context.Background(), heO, plan, exec.Request{Params: tc.params, BatchSize: bs, Obs: obs})
-					heO.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustExactEqual(t, "hiactor observed", renderRows(gotH), renderRows(wantH))
-					assertCollected(t, obs, len(gotH))
 				})
 			}
 		})
@@ -160,11 +99,7 @@ func assertCollected(t *testing.T, obs *obsv.QueryStats, rows int) {
 // driver-independent and every counter merges commutatively.
 func TestStatsDeterministicMerge(t *testing.T) {
 	defer query.CheckLeaks(t)()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
-	st, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(120, 9).vineyard(t)
 	schema := dataset.SNBSchema()
 	queries := []string{
 		`MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN f.firstName`,
@@ -206,11 +141,7 @@ WHERE p.creationDate > 5 RETURN f.firstName, po.creationDate`,
 // before the barrier; and a count-only chain folded into one EXPAND_DEGREE
 // over a hop path.
 func TestExplainAnalyzeGolden(t *testing.T) {
-	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
-	st, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(120, 9).vineyard(t)
 	const twoHop = `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post) RETURN id(po)`
 	for _, tc := range []struct {
 		name string
@@ -332,10 +263,7 @@ func pathSplit(s *obsv.Snapshot) string {
 // through the boxed per-row evaluator), and for every BI query.
 func TestMeteredRunsTakeTheSamePath(t *testing.T) {
 	const persons = 120
-	st, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: persons, Seed: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(persons, 5).vineyard(t)
 	type testQuery struct {
 		name, text string
 		params     map[string]graph.Value
@@ -421,15 +349,8 @@ WHERE m.creationDate >= $since RETURN f.firstName, m.creationDate`,
 // through the label sites and gather no edge label.
 func TestUnsegmentedStoresKeepTheirCallProfile(t *testing.T) {
 	const persons = 120
-	b := dataset.SNB(dataset.SNBOptions{Persons: persons, Seed: 5})
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := gart.NewStore(dataset.SNBSchema(), 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
+	f := snbFixture(persons, 5)
+	vy, gs := f.vineyard(t), f.store(t, "gart")
 	count := func(l graph.LabelID) (n int64) {
 		grin.ScanLabel(vy, l, func(graph.VID) bool { n++; return true })
 		return n
@@ -467,7 +388,7 @@ func TestUnsegmentedStoresKeepTheirCallProfile(t *testing.T) {
 			grin.SiteAdjSlice:    1121,
 			grin.SiteGatherVProp: gathers + morsels(posts) + 4*morsels(tags) + morsels(places),
 		}},
-		{"gart", gs.Latest(), map[grin.Site]int64{
+		{"gart", gs, map[grin.Site]int64{
 			grin.SiteNeighbors: 1121, grin.SiteScanVertices: 6,
 			grin.SiteVertexProp: posts + 4*tags + places, grin.SiteGatherVProp: gathers,
 		}},

@@ -1,27 +1,12 @@
 package query_test
 
 import (
-	"context"
-
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/grin"
-	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
-	"repro/internal/query/gaia"
-	"repro/internal/query/gremlin"
-	"repro/internal/query/hiactor"
-	"repro/internal/query/ir"
-	"repro/internal/query/naive"
-	"repro/internal/storage/gart"
-	"repro/internal/storage/graphar"
-	"repro/internal/storage/livegraph"
-	"repro/internal/storage/vineyard"
 )
 
 // renderRows serializes result rows in order for exact (order-sensitive)
@@ -61,67 +46,47 @@ type parityCase struct {
 	crossEngine bool
 }
 
-// runParityMatrix runs every case over the full engine × batch-size ×
-// parallelism matrix against one store: naive against itself, Gaia against
-// itself and against HiActor (same physical plan, serial vs data-parallel),
+// parityEngines are the parity matrix's engines: HiActor runs the serial
+// driver, so a serial cell would repeat it.
+const parityEngines = runNaive | runHiActor
+
+// runParityMatrix runs every case on the named store's cells: naive against
+// itself at every batch size, Gaia at each P and HiActor (the same physical
+// plan, data-parallel vs serial) row for row against Gaia's first answer,
 // and naive against Gaia as an order-insensitive multiset. This is what pins
 // the batched storage paths row-for-row: a backend with native
 // BatchAdjacency/BatchProps/BatchScan traits must produce exactly what the
 // generic fallbacks produce.
-func runParityMatrix(t *testing.T, st grin.Graph, schema *graph.Schema, cases []parityCase) {
-	batchSizes := []int{1, 7, 1024}
-	pars := []int{1, runtime.NumCPU()}
-
+func runParityMatrix(t *testing.T, f *fixture, store string, cells []*cell, cases []parityCase) {
+	st := f.store(t, store)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var plan *ir.Plan
-			var err error
-			if tc.lang == "gremlin" {
-				plan, err = gremlin.Parse(tc.q, schema)
-			} else {
-				plan, err = cypher.Parse(tc.q, schema)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			refRows, refOut, err := naive.Run(context.Background(), plan, st, tc.params)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := parse(t, tc.lang, tc.q, f.schema())
+			refRows, refOut := f.ref(t, store, plan, tc.q, tc.params)
 			refNaive := renderRows(refRows)
 
 			var refGaia []string
 			var refGaiaRows []exec.Row
 			var refGaiaOut []string
-			for _, bs := range batchSizes {
-				rowsN, _, err := naive.RunWith(context.Background(), plan, st, exec.Request{Params: tc.params, BatchSize: bs})
-				if err != nil {
-					t.Fatalf("naive bs=%d: %v", bs, err)
+			for _, c := range cells {
+				if c.store != store {
+					continue
 				}
-				mustExactEqual(t, fmt.Sprintf("naive bs=%d", bs), renderRows(rowsN), refNaive)
-
-				for _, par := range pars {
-					eng := gaia.NewEngine(st, gaia.Options{Parallelism: par})
-					rowsG, outG, err := submit(context.Background(), eng, plan, exec.Request{Params: tc.params, BatchSize: bs})
-					if err != nil {
-						t.Fatalf("gaia bs=%d par=%d: %v", bs, par, err)
+				for _, a := range c.run(plan, exec.Request{Params: tc.params}, nil) {
+					name := fmt.Sprintf("%s on %s", a, c)
+					if a.err != nil {
+						t.Fatalf("%s: %v", name, a.err)
 					}
-					got := renderRows(rowsG)
-					if refGaia == nil {
-						refGaia, refGaiaRows, refGaiaOut = got, rowsG, outG
-						continue
+					got := renderRows(a.rows)
+					switch {
+					case a.engine == "naive":
+						mustExactEqual(t, name, got, refNaive)
+					case refGaia == nil:
+						refGaia, refGaiaRows, refGaiaOut = got, a.rows, a.out
+					default:
+						mustExactEqual(t, name, got, refGaia)
 					}
-					mustExactEqual(t, fmt.Sprintf("gaia bs=%d par=%d", bs, par), got, refGaia)
 				}
-
-				he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2})
-				rowsH, _, err := submit(context.Background(), he, plan, exec.Request{Params: tc.params, BatchSize: bs})
-				he.Close()
-				if err != nil {
-					t.Fatalf("hiactor bs=%d: %v", bs, err)
-				}
-				mustExactEqual(t, fmt.Sprintf("hiactor bs=%d", bs), renderRows(rowsH), refGaia)
 			}
 
 			if tc.crossEngine {
@@ -182,46 +147,17 @@ LIMIT 13`,
 	},
 }
 
-// snbBackends loads the same SNB batch into every property-bearing backend:
-// vineyard (CSR + columns, all batch traits native), GART (MVCC snapshot,
-// native batch traits over dynamic segments), and GraphAr (disk chunks, pure
-// generic fallbacks).
-func snbBackends(t *testing.T) map[string]grin.Graph {
-	t.Helper()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 120, Seed: 9})
-
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gs := gart.NewStore(dataset.SNBSchema(), 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	if err := graphar.Write(dir, b, graphar.Options{ChunkSize: 64}); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := graphar.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ga.Close() })
-
-	return map[string]grin.Graph{"vineyard": vy, "gart": gs.Latest(), "graphar": ga}
-}
-
 // TestEngineParityAcrossBatchSizesAndParallelism is the determinism contract
 // of the batch runtime: over an SNB-style query mix, every engine returns
 // row-for-row identical results at batch sizes {1, 7, 1024} and any
 // parallelism, on every property-bearing storage backend.
 func TestEngineParityAcrossBatchSizesAndParallelism(t *testing.T) {
-	schema := dataset.SNBSchema()
-	for name, st := range snbBackends(t) {
+	f := snbFixture(120, 9)
+	stores := []string{"vineyard", "gart", "graphar"}
+	cells := grid{stores: stores, views: []view{bareView}, runs: parityEngines}.cells(t, f)
+	for _, name := range stores {
 		t.Run(name, func(t *testing.T) {
-			runParityMatrix(t, st, schema, snbParityCases)
+			runParityMatrix(t, f, name, cells, snbParityCases)
 		})
 	}
 }
@@ -233,48 +169,9 @@ func TestEngineParityAcrossBatchSizesAndParallelism(t *testing.T) {
 // and id() degrades to internal IDs where the index trait is absent. This
 // pins the graceful-degradation matrix end to end.
 func TestEngineParityStructuralAllBackends(t *testing.T) {
-	simple := dataset.Datagen("parity", 200, 4, 3)
-	b := simple.ToBatch()
-	schema := b.Schema
-
-	stores := map[string]grin.Graph{}
-
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["vineyard"] = vy
-
-	gs := gart.NewStore(schema, 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	stores["gart"] = gs.Latest()
-
-	dir := t.TempDir()
-	if err := graphar.Write(dir, b, graphar.Options{ChunkSize: 64}); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := graphar.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ga.Close() })
-	stores["graphar"] = ga
-
-	cg, err := simple.ToCSR(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["csr"] = cg
-
-	lg := livegraph.NewStore(simple.N)
-	for i := range simple.Src {
-		if err := lg.AddEdge(simple.Src[i], simple.Dst[i], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stores["livegraph"] = lg
+	f := datagenFixture(200, 4, 3)
+	stores := []string{"vineyard", "gart", "graphar", "csr", "livegraph"}
+	cells := grid{stores: stores, views: []view{bareView}, runs: parityEngines}.cells(t, f)
 
 	cases := []parityCase{
 		{
@@ -303,9 +200,9 @@ func TestEngineParityStructuralAllBackends(t *testing.T) {
 		},
 	}
 
-	for name, st := range stores {
+	for _, name := range stores {
 		t.Run(name, func(t *testing.T) {
-			runParityMatrix(t, st, schema, cases)
+			runParityMatrix(t, f, name, cells, cases)
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/cypher"
@@ -412,11 +411,7 @@ func TestParserErrors(t *testing.T) {
 
 func TestLargerGraphConsistency(t *testing.T) {
 	// A bigger SNB store: all engines must agree on a 2-hop aggregate.
-	b := dataset.SNB(dataset.SNBOptions{Persons: 150, Seed: 7})
-	st, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := snbFixture(150, 7).vineyard(t)
 	q := `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post)
 WHERE id(p) = $pid
 RETURN COUNT(po) AS c`

@@ -18,24 +18,7 @@ import (
 	"repro/internal/query/gaia"
 	"repro/internal/query/hiactor"
 	"repro/internal/query/naive"
-	"repro/internal/storage/gart"
-	"repro/internal/storage/vineyard"
 )
-
-// requestStores loads one SNB batch into vineyard and a GART snapshot.
-func requestStores(t *testing.T) map[string]grin.Graph {
-	t.Helper()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 60, Seed: 31})
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := gart.NewStore(dataset.SNBSchema(), 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]grin.Graph{"vineyard": vy, "gart": gs.Latest()}
-}
 
 // TestPerCallBatchSize runs a query set on one Gaia engine (P = 2) and one
 // HiActor engine per store, and changes the batch size from call to call:
@@ -56,7 +39,7 @@ func TestPerCallBatchSize(t *testing.T) {
 		{`MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) = $pid RETURN f.firstName, f.birthday`,
 			map[string]graph.Value{"pid": graph.IntValue(3)}},
 	}
-	for sname, g := range requestStores(t) {
+	for sname, g := range snbFixture(60, 31).storeMap(t, "vineyard", "gart") {
 		ge := gaia.NewEngine(g, gaia.Options{Parallelism: 2})
 		he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 1})
 		defer he.Close()
@@ -98,7 +81,7 @@ func TestPerCallBatchSize(t *testing.T) {
 // with exec.ErrBudgetExceeded, and the other returns naive's rows.
 func TestMaxRowsIsPerCall(t *testing.T) {
 	defer query.CheckLeaks(t)()
-	for sname, g := range requestStores(t) {
+	for sname, g := range snbFixture(60, 31).storeMap(t, "vineyard", "gart") {
 		plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) RETURN id(p), id(g)`, dataset.SNBSchema())
 		if err != nil {
 			t.Fatal(err)

@@ -15,19 +15,13 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
-	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
 	"repro/internal/query/expr"
 	"repro/internal/query/gaia"
-	"repro/internal/query/hiactor"
 	"repro/internal/query/ir"
-	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
-	"repro/internal/storage/chaos"
-	"repro/internal/storage/gart"
 	"repro/internal/storage/meter"
-	"repro/internal/storage/vineyard"
 )
 
 // idKeyOracle is `MATCH (p:Person) WHERE id(p) = key RETURN id(p)` computed
@@ -60,23 +54,18 @@ func idKeyOracle(t *testing.T, g grin.Graph, key graph.Value) []string {
 
 // TestEngineParityIDLookupKeys: an `id(p) = key` start returns the person
 // whose ID equals the key and nothing else, for every kind of key, given as a
-// parameter or as a literal, on Gaia at parallelism 1 and 2, on HiActor and
-// on naive (which never looks up), over vineyard and GART, each bare and
+// parameter or as a literal, on every engine of the grid (naive never looks
+// up) at batch sizes 1, 7 and 1024, over vineyard and GART, each bare and
 // behind the chaos tap. The lookup coerces its key to an int; a result that
 // trusted it would return person 3 for 3.5, person 0 for "x" and NULL, and
 // person 1 for true.
 func TestEngineParityIDLookupKeys(t *testing.T) {
-	defer query.CheckLeaks(t)()
-	schema := dataset.SNBSchema()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 9})
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := gart.NewStore(schema, 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
+	f := snbFixture(40, 9)
+	cells := grid{
+		stores: []string{"vineyard", "gart"},
+		views:  []view{bareView, chaosView},
+		runs:   runAll,
+	}.cells(t, f)
 	keys := []struct {
 		lit string
 		val graph.Value
@@ -89,59 +78,23 @@ func TestEngineParityIDLookupKeys(t *testing.T) {
 		{"true", graph.BoolValue(true)},
 		{"1099511627776", graph.IntValue(1 << 40)}, // no such person
 	}
-	type engine struct {
-		name string
-		run  func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error)
-	}
-	for _, st := range []struct {
-		name string
-		g    grin.Graph
-	}{{"vineyard", vy}, {"gart", gs.Latest()}} {
-		for _, view := range []struct {
-			name string
-			g    grin.Graph
-		}{{"bare", st.g}, {"chaos", chaos.Wrap(st.g, chaos.Options{})}} {
-			g := view.g
-			var engines []engine
-			for _, par := range []int{1, 2} {
-				e := gaia.NewEngine(g, gaia.Options{Parallelism: par})
-				engines = append(engines, engine{fmt.Sprintf("gaia P=%d", par), func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error) {
-					rows, _, err := e.Submit(ctx, p, params)
-					return rows, err
-				}})
-			}
-			he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})
-			defer he.Close()
-			engines = append(engines,
-				engine{"hiactor", func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error) {
-					rows, _, err := submit(ctx, he, p, exec.Request{Params: params})
-					return rows, err
-				}},
-				engine{"naive", func(ctx context.Context, p *ir.Plan, params map[string]graph.Value) ([]exec.Row, error) {
-					rows, _, err := naive.Run(ctx, p, g, params)
-					return rows, err
-				}})
-			for _, k := range keys {
-				want := idKeyOracle(t, st.g, k.val)
-				for _, form := range []struct {
-					name, text string
-					params     map[string]graph.Value
-				}{
-					{"$x", `MATCH (p:Person) WHERE id(p) = $x RETURN id(p)`, map[string]graph.Value{"x": k.val}},
-					{"literal", `MATCH (p:Person) WHERE id(p) = ` + k.lit + ` RETURN id(p)`, nil},
-				} {
-					for _, eng := range engines {
-						name := fmt.Sprintf("%s %s, %s, %s with %s", st.name, view.name, eng.name, form.name, k.lit)
-						plan, err := cypher.Parse(form.text, schema)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						rows, err := eng.run(context.Background(), plan, form.params)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						mustExactEqual(t, name, renderRows(rows), want)
+	for _, c := range cells {
+		for _, k := range keys {
+			want := idKeyOracle(t, c.st, k.val)
+			for _, form := range []struct {
+				name, text string
+				params     map[string]graph.Value
+			}{
+				{"$x", `MATCH (p:Person) WHERE id(p) = $x RETURN id(p)`, map[string]graph.Value{"x": k.val}},
+				{"literal", `MATCH (p:Person) WHERE id(p) = ` + k.lit + ` RETURN id(p)`, nil},
+			} {
+				plan := parse(t, "cypher", form.text, f.schema())
+				for _, a := range c.run(plan, exec.Request{Params: form.params}, nil) {
+					name := fmt.Sprintf("%s, %s, %s with %s", c, a, form.name, k.lit)
+					if a.err != nil {
+						t.Fatalf("%s: %v", name, a.err)
 					}
+					mustExactEqual(t, name, renderRows(a.rows), want)
 				}
 			}
 		}
@@ -158,10 +111,7 @@ func TestEngineParityIDLookupKeys(t *testing.T) {
 // post, and the SELECT still decides.
 func TestPredicatedScanIsScanPlusSelect(t *testing.T) {
 	schema := dataset.SNBSchema()
-	vy, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vy := snbFixture(40, 9).vineyard(t)
 	idx, _ := grin.AsIndex(vy)
 	// A post whose internal ID is not its external one, so a store that
 	// answered id() with the wrong one would return no row.

@@ -16,27 +16,13 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
-	"repro/internal/query"
 	"repro/internal/query/cypher"
 	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
-	"repro/internal/query/hiactor"
+	"repro/internal/query/ir"
 	"repro/internal/query/obsv"
-	"repro/internal/storage/chaos"
-	"repro/internal/storage/gart"
 	"repro/internal/storage/meter"
-	"repro/internal/storage/vineyard"
 )
-
-// indexless is a store without grin.Index: id() yields internal IDs on it.
-type indexless struct {
-	grin.Graph
-	grin.PropertyReader
-	grin.BatchAdjacency
-	grin.BatchProps
-	grin.BatchPropsCol
-	grin.BatchScan
-}
 
 // typedTailQueries are the oracle's queries, by name.
 var typedTailQueries = []struct{ name, text string }{
@@ -158,82 +144,48 @@ func typedTailOracle(t *testing.T, g grin.Graph) map[string][]string {
 }
 
 // TestTypedTailMatchesStoreOracle runs the oracle's queries on vineyard,
-// GART and a store without grin.Index, each bare and behind the chaos tap
+// GART and vineyard without grin.Index, each bare and behind the chaos tap
 // (which serves no typed-column gather, so the boxed gather feeds the typed
-// fold there), on Gaia at parallelism 1 and 2 × batch sizes 1, 7 and 1024 and
-// on HiActor. Every result must be the oracle's, row for row, and the typed
-// fold's avg must carry the generic fold's bits.
+// fold there), on every engine of the grid at batch sizes 1, 7 and 1024.
+// Every result must be the oracle's, row for row, and the typed fold's avg
+// must carry the generic fold's bits.
 func TestTypedTailMatchesStoreOracle(t *testing.T) {
-	defer query.CheckLeaks(t)()
-	schema := dataset.SNBSchema()
-	b := dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 9})
-	vy, err := vineyard.Load(b)
-	if err != nil {
-		t.Fatal(err)
+	f := snbFixture(40, 9)
+	cells := grid{
+		stores: []string{"vineyard", "gart"},
+		views:  []view{bareView, chaosView, noIndexView, noIndexChaosView},
+		runs:   runAll,
+	}.cells(t, f)
+	plans := make([]*ir.Plan, len(typedTailQueries))
+	for i, q := range typedTailQueries {
+		plans[i] = parse(t, "cypher", q.text, f.schema())
 	}
-	gs := gart.NewStore(schema, 0)
-	if err := gs.LoadBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	stores := []struct {
-		name string
-		g    grin.Graph
-	}{
-		{"vineyard", vy},
-		{"gart", gs.Latest()},
-		{"no index", indexless{vy, vy, vy, vy, vy, vy}},
-	}
-	type engine struct {
-		name string
-		run  func(ctx context.Context, text string) ([]exec.Row, error)
-	}
-	for _, st := range stores {
-		want := typedTailOracle(t, st.g)
-		for _, view := range []struct {
-			name string
-			g    grin.Graph
-		}{{"bare", st.g}, {"chaos", chaos.Wrap(st.g, chaos.Options{})}} {
-			var engines []engine
-			for _, par := range []int{1, 2} {
-				for _, bs := range []int{1, 7, 1024} {
-					e := gaia.NewEngine(view.g, gaia.Options{Parallelism: par})
-					engines = append(engines, engine{fmt.Sprintf("gaia P=%d bs=%d", par, bs), func(ctx context.Context, text string) ([]exec.Row, error) {
-						plan, err := cypher.Parse(text, schema)
-						if err != nil {
-							return nil, err
-						}
-						rows, _, err := submit(ctx, e, plan, exec.Request{BatchSize: bs})
-						return rows, err
-					}})
+	oracles := map[*engines]map[string][]string{}
+	for _, c := range cells {
+		want, ok := oracles[c.engines]
+		if !ok {
+			want = typedTailOracle(t, c.g)
+			oracles[c.engines] = want
+		}
+		avgBits := map[string]map[string]uint64{} // by engine, then query
+		for i, q := range typedTailQueries {
+			for _, a := range c.run(plans[i], exec.Request{}, nil) {
+				name := fmt.Sprintf("%s, %s: %s", c, a, q.name)
+				if a.err != nil {
+					t.Fatalf("%s: %v", name, a.err)
+				}
+				mustExactEqual(t, name, renderRows(a.rows), want[q.name])
+				if strings.HasPrefix(q.name, "post length") {
+					if avgBits[a.String()] == nil {
+						avgBits[a.String()] = map[string]uint64{}
+					}
+					avgBits[a.String()][q.name] = math.Float64bits(a.rows[0][2].Float())
 				}
 			}
-			g := view.g
-			he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2})
-			defer he.Close()
-			engines = append(engines, engine{"hiactor", func(ctx context.Context, text string) ([]exec.Row, error) {
-				plan, err := cypher.Parse(text, schema)
-				if err != nil {
-					return nil, err
-				}
-				rows, _, err := submit(ctx, he, plan, exec.Request{})
-				return rows, err
-			}})
-			for _, eng := range engines {
-				avgBits := map[string]uint64{}
-				for _, q := range typedTailQueries {
-					name := fmt.Sprintf("%s %s, %s: %s", st.name, view.name, eng.name, q.name)
-					rows, err := eng.run(context.Background(), q.text)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					mustExactEqual(t, name, renderRows(rows), want[q.name])
-					if strings.HasPrefix(q.name, "post length") {
-						avgBits[q.name] = math.Float64bits(rows[0][2].Float())
-					}
-				}
-				if typed, generic := avgBits["post length"], avgBits["post length generic"]; typed != generic {
-					t.Errorf("%s %s, %s: typed avg bits %x, generic fold's %x", st.name, view.name, eng.name, typed, generic)
-				}
+		}
+		for eng, bits := range avgBits {
+			if typed, generic := bits["post length"], bits["post length generic"]; typed != generic {
+				t.Errorf("%s, %s: typed avg bits %x, generic fold's %x", c, eng, typed, generic)
 			}
 		}
 	}
@@ -243,10 +195,7 @@ func TestTypedTailMatchesStoreOracle(t *testing.T) {
 // property as one column gather per fold, not one scalar read per post (the
 // meter counts a typed-column gather at its boxed site).
 func TestPropertyAggregateGathersOneColumn(t *testing.T) {
-	vy, err := vineyard.Load(dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vy := snbFixture(40, 9).vineyard(t)
 	plan, err := cypher.Parse(typedTailQueries[2].text, dataset.SNBSchema()) // bi1
 	if err != nil {
 		t.Fatal(err)
