@@ -226,18 +226,20 @@ func parse(t *testing.T, lang, text string, schema *graph.Schema) *ir.Plan {
 	return p
 }
 
-// view is one way to show a store to the engines. of returns nil for a
-// store the view does not apply to; a metered view is counted by meter into
-// its cell's StoreStats.
+// view is one way to show a store to the engines. of gives the store under
+// the view, which an oracle reads, or nil for a store the view does not apply
+// to; with chaos set the engines see that store behind the chaos tap, and a
+// metered view is counted by meter into its cell's StoreStats.
 type view struct {
 	name    string
 	of      func(grin.Graph) grin.Graph
+	chaos   bool
 	metered bool
 }
 
 var (
 	bareView  = view{name: "bare", of: func(g grin.Graph) grin.Graph { return g }}
-	chaosView = view{name: "chaos", of: func(g grin.Graph) grin.Graph { return chaos.Wrap(g, chaos.Options{}) }}
+	chaosView = view{name: "chaos", of: bareView.of, chaos: true}
 	// meteredView is the bare store, metered.
 	meteredView = view{name: "metered", of: bareView.of, metered: true}
 	// unsegmentedView is vineyard without grin.LabelAdjacency, metered.
@@ -254,12 +256,7 @@ var (
 		}
 		return nil
 	}}
-	noIndexChaosView = view{name: "no index, chaos", of: func(g grin.Graph) grin.Graph {
-		if g := noIndexView.of(g); g != nil {
-			return chaosView.of(g)
-		}
-		return nil
-	}}
+	noIndexChaosView = view{name: "no index, chaos", of: noIndexView.of, chaos: true}
 )
 
 // indexless is a store without grin.Index.
@@ -290,7 +287,6 @@ const (
 	runNaive engineSet = 1 << iota
 	runHiActor
 	runSerial
-	runAll = runNaive | runHiActor | runSerial
 )
 
 // grid names a test's cells: stores × views × batch sizes over one fixture,
@@ -318,13 +314,17 @@ func (gr grid) cells(t *testing.T, f *fixture) []*cell {
 	for _, s := range gr.stores {
 		st := f.store(t, s)
 		for _, v := range gr.views {
-			g := v.of(st)
-			if g == nil {
+			plain := v.of(st)
+			if plain == nil {
 				continue
 			}
-			e := &engines{runs: gr.runs}
+			g := plain
+			if v.chaos {
+				g = chaos.Wrap(g, chaos.Options{})
+			}
+			e := &engines{runs: gr.runs, plain: plain}
 			if v.metered {
-				e.stats, e.unmetered = &obsv.StoreStats{}, g
+				e.stats = &obsv.StoreStats{}
 				g = meter.Wrap(g, e.stats)
 			}
 			for _, p := range pars() {
@@ -356,11 +356,10 @@ func (c *cell) String() string { return fmt.Sprintf("%s %s bs=%d", c.store, c.vi
 // engines are one (store, view)'s engines, shared by its cells.
 type engines struct {
 	runs    engineSet
+	plain   grin.Graph     // view.of's store, without chaos tap or meter
 	gaia    []*gaia.Engine // one per pars()
 	hiactor *hiactor.Engine
-	// On a metered view: the meter's sink, and the view it counts.
-	stats     *obsv.StoreStats
-	unmetered grin.Graph
+	stats   *obsv.StoreStats // on a metered view, the meter's sink
 }
 
 // answer is one engine's result in a cell.
@@ -371,6 +370,7 @@ type answer struct {
 	out    []string
 	err    error
 	obs    *obsv.QueryStats
+	snap   *obsv.Snapshot // obs straight after this run, before the next engine's
 }
 
 func (a answer) String() string {
@@ -384,39 +384,38 @@ func (a answer) String() string {
 // naive, Gaia at each P, HiActor, then the serial driver, and returns their
 // answers in that order. With observe set each run gets a collector of its
 // own from it; the serial driver always runs with one, so a test can compare
-// what its stages did.
+// what its stages did. An observed answer's snap is taken before the next
+// engine runs: on a metered view the engines share one meter.
 func (c *cell) run(p *ir.Plan, req exec.Request, observe func() *obsv.QueryStats) []answer {
 	ctx := context.Background()
 	req.BatchSize = c.bs
-	with := func() exec.Request {
-		if observe != nil {
-			req.Obs = observe()
-		}
-		return req
-	}
 	var as []answer
-	if c.runs&runNaive != 0 {
-		r := with()
-		rows, out, err := naive.RunWith(ctx, p, c.g, r)
-		as = append(as, answer{"naive", 0, rows, out, err, r.Obs})
-	}
-	for i, e := range c.gaia {
-		r := with()
-		rows, out, err := submit(ctx, e, p, r)
-		as = append(as, answer{"gaia", pars()[i], rows, out, err, r.Obs})
-	}
-	if c.runs&runHiActor != 0 {
-		r := with()
-		rows, out, err := submit(ctx, c.hiactor, p, r)
-		as = append(as, answer{"hiactor", 0, rows, out, err, r.Obs})
-	}
-	if c.runs&runSerial != 0 {
-		r := with()
-		if r.Obs == nil {
+	do := func(engine string, par int, run func(exec.Request) ([]exec.Row, []string, error)) {
+		r := req
+		if observe != nil {
+			r.Obs = observe()
+		}
+		if engine == "serial" && r.Obs == nil {
 			r.Obs = obsv.NewQueryStats()
 		}
-		rows, out, err := c.serial(ctx, p, r)
-		as = append(as, answer{"serial", 0, rows, out, err, r.Obs})
+		a := answer{engine: engine, p: par, obs: r.Obs}
+		a.rows, a.out, a.err = run(r)
+		if a.obs != nil {
+			a.snap = a.obs.Snapshot()
+		}
+		as = append(as, a)
+	}
+	if c.runs&runNaive != 0 {
+		do("naive", 0, func(r exec.Request) ([]exec.Row, []string, error) { return naive.RunWith(ctx, p, c.g, r) })
+	}
+	for i, e := range c.gaia {
+		do("gaia", pars()[i], func(r exec.Request) ([]exec.Row, []string, error) { return submit(ctx, e, p, r) })
+	}
+	if c.runs&runHiActor != 0 {
+		do("hiactor", 0, func(r exec.Request) ([]exec.Row, []string, error) { return submit(ctx, c.hiactor, p, r) })
+	}
+	if c.runs&runSerial != 0 {
+		do("serial", 0, func(r exec.Request) ([]exec.Row, []string, error) { return c.serial(ctx, p, r) })
 	}
 	return as
 }
@@ -438,7 +437,7 @@ func (c *cell) observe() *obsv.QueryStats {
 	obs.Trace = obsv.NewTrace()
 	if c.stats != nil {
 		*c.stats = obsv.StoreStats{}
-		meter.Wrap(c.unmetered, c.stats) // records the backend and the native sites again
+		meter.Wrap(c.plain, c.stats) // records the backend and the native sites again
 		obs.Store = c.stats
 	}
 	return obs

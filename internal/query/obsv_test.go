@@ -34,7 +34,7 @@ import (
 func TestObservedParityMatrix(t *testing.T) {
 	f := snbFixture(120, 9)
 	stores := []string{"vineyard", "gart", "graphar"}
-	cells := grid{stores: stores, views: []view{bareView, meteredView}, batches: []int{16}, runs: runAll}.cells(t, f)
+	cells := grid{stores: stores, views: []view{bareView, meteredView}, batches: []int{16}, runs: parityEngines}.cells(t, f)
 	for i, name := range stores {
 		plain, observed := cells[2*i], cells[2*i+1] // bare, metered
 		t.Run(name, func(t *testing.T) {
@@ -43,11 +43,12 @@ func TestObservedParityMatrix(t *testing.T) {
 					plan := parse(t, tc.lang, tc.q, f.schema())
 					want := plain.run(plan, exec.Request{Params: tc.params}, nil)
 					for j, a := range observed.run(plan, exec.Request{Params: tc.params}, observed.observe) {
+						name := fmt.Sprintf("%s on %s", a, observed)
 						if err := cmp.Or(want[j].err, a.err); err != nil {
-							t.Fatalf("%s on %s: %v", a, observed, err)
+							t.Fatalf("%s: %v", name, err)
 						}
-						mustExactEqual(t, fmt.Sprintf("%s on %s", a, observed), renderRows(a.rows), renderRows(want[j].rows))
-						assertCollected(t, a.obs, len(a.rows))
+						mustExactEqual(t, name, renderRows(a.rows), renderRows(want[j].rows))
+						assertCollected(t, name, a)
 					}
 				})
 			}
@@ -57,23 +58,25 @@ func TestObservedParityMatrix(t *testing.T) {
 
 // assertCollected sanity-checks that an observed run actually collected data:
 // the final stage produced the result cardinality, batches were counted, the
-// metered store saw calls, and trace spans were recorded.
-func assertCollected(t *testing.T, obs *obsv.QueryStats, rows int) {
+// metered store saw calls, and trace spans were recorded. It reads the
+// snapshot taken straight after a's run, so the store calls are a's own;
+// name prefixes a failure.
+func assertCollected(t *testing.T, name string, a answer) {
 	t.Helper()
-	snap := obs.Snapshot()
+	snap, rows := a.snap, len(a.rows)
 	if len(snap.Stages) == 0 {
-		t.Fatal("observed run bound no stages")
+		t.Fatal(name + ": observed run bound no stages")
 	}
 	last := snap.Stages[len(snap.Stages)-1]
 	if last.RowsOut != int64(rows) {
-		t.Fatalf("final stage RowsOut = %d, want result cardinality %d", last.RowsOut, rows)
+		t.Fatalf("%s: final stage RowsOut = %d, want result cardinality %d", name, last.RowsOut, rows)
 	}
 	var batches int64
 	for _, s := range snap.Stages {
 		batches += s.Batches
 	}
 	if batches == 0 {
-		t.Fatal("observed run counted no batches")
+		t.Fatal(name + ": observed run counted no batches")
 	}
 	if snap.Store != nil {
 		var calls int64
@@ -81,14 +84,14 @@ func assertCollected(t *testing.T, obs *obsv.QueryStats, rows int) {
 			calls += site.Calls
 		}
 		if calls == 0 {
-			t.Fatal("metered store saw no trait calls")
+			t.Fatal(name + ": metered store saw no trait calls")
 		}
 	}
-	if obs.Trace != nil && len(obs.Trace.Events()) == 0 {
-		t.Fatal("trace recorded no events")
+	if a.obs.Trace != nil && len(a.obs.Trace.Events()) == 0 {
+		t.Fatal(name + ": trace recorded no events")
 	}
 	if snap.BoxedResultRows != int64(rows) {
-		t.Fatalf("BoxedResultRows = %d, want %d (one boxing per result row)", snap.BoxedResultRows, rows)
+		t.Fatalf("%s: BoxedResultRows = %d, want %d (one boxing per result row)", name, snap.BoxedResultRows, rows)
 	}
 }
 

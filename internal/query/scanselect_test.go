@@ -64,7 +64,7 @@ func TestEngineParityIDLookupKeys(t *testing.T) {
 	cells := grid{
 		stores: []string{"vineyard", "gart"},
 		views:  []view{bareView, chaosView},
-		runs:   runAll,
+		runs:   parityEngines,
 	}.cells(t, f)
 	keys := []struct {
 		lit string
