@@ -1,9 +1,11 @@
 // Command flexlint is the multichecker for the repository's architectural
-// invariants: trait-only storage access (grinboundary), reproducible
-// execution (determinism), goroutines with a join path (parallelsafety),
-// locks released on every path (lockflow), and backends that serve every
-// scalar GRIN trait in batches too (traitcomplete). Copied locks are left
-// to go vet and boxed hot-path allocations to the -allocs budget below.
+// invariants: the GRIN boundary — trait-only storage access, interposition
+// only through grin.Tap (grinboundary) — reproducible execution
+// (determinism), goroutines with a join path (parallelsafety) and locks
+// released on every path (lockflow). Copied locks are left to go vet, boxed
+// hot-path allocations to the -allocs budget below, and whether backends
+// batch their scalar GRIN traits to a test over the capability table in
+// internal/core.
 //
 // Usage:
 //
@@ -127,8 +129,8 @@ func runLint(only string, patterns []string, asJSON, timed bool) int {
 		analyzers = selected
 	}
 	// With no explicit patterns, load only what the selected analyzers
-	// declare they look at: a `-only grinboundary` run loads the query and
-	// analytics trees, not the whole module. An analyzer without Targets
+	// declare they look at: a `-only determinism` run loads the query tree
+	// and internal/parallel, not the whole module. An analyzer without Targets
 	// falls back to everything.
 	if len(patterns) == 0 {
 		seen := map[string]bool{}

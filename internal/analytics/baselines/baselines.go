@@ -119,32 +119,6 @@ func defaultWorkers(w int) int {
 	return w
 }
 
-// edgeCut splits [0,n) into contiguous worker ranges (Gemini's layout).
-func edgeCut(n, workers int) []graph.VID {
-	bounds := make([]graph.VID, workers+1)
-	per := (n + workers - 1) / workers
-	for w := 0; w <= workers; w++ {
-		b := w * per
-		if b > n {
-			b = n
-		}
-		bounds[w] = graph.VID(b)
-	}
-	return bounds
-}
-
-func owner(bounds []graph.VID, v graph.VID) int {
-	per := int(bounds[1] - bounds[0])
-	if per == 0 {
-		return 0
-	}
-	o := int(v) / per
-	if o >= len(bounds)-1 {
-		o = len(bounds) - 2
-	}
-	return o
-}
-
 // collectEdges materializes the edge list for the vertex-cut engines.
 func collectEdges(g grin.Graph) (src, dst []graph.VID, eid []graph.EID) {
 	n := g.NumVertices()

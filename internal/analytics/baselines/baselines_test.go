@@ -100,14 +100,25 @@ func TestRouterBatching(t *testing.T) {
 	}
 }
 
+// TestEdgeCutOwner pins Gemini's layout: contiguous ranges of stride
+// ⌈n/workers⌉, each vertex owned by the range holding it.
 func TestEdgeCutOwner(t *testing.T) {
-	b := edgeCut(10, 3)
-	if owner(b, 0) != 0 || owner(b, 9) != 2 {
+	g, err := dataset.Datagen("t", 10, 2, 1).ToCSR(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewGemini(g, 3).parts
+	if r.Owner(0) != 0 || r.Owner(9) != 2 {
 		t.Fatal("owner ranges wrong")
 	}
+	for f, want := range [][2]graph.VID{{0, 4}, {4, 8}, {8, 10}} {
+		if lo, hi := r.Bounds(f); lo != want[0] || hi != want[1] {
+			t.Fatalf("range %d = [%d, %d), want %v", f, lo, hi, want)
+		}
+	}
 	for v := 0; v < 10; v++ {
-		o := owner(b, graph.VID(v))
-		if graph.VID(v) < b[o] || graph.VID(v) >= b[o+1] {
+		lo, hi := r.Bounds(r.Owner(graph.VID(v)))
+		if graph.VID(v) < lo || graph.VID(v) >= hi {
 			t.Fatalf("vertex %d assigned outside its range", v)
 		}
 	}

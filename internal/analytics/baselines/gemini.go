@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/partition"
 )
 
 // geminiChunk is Gemini's mirror-synchronization granularity: raw message
@@ -19,13 +20,18 @@ type Gemini struct {
 	g       grin.Graph
 	workers int
 	n       int
-	bounds  []graph.VID
+	parts   *partition.Range
 }
 
-// NewGemini range-partitions the graph across workers.
+// NewGemini range-partitions the graph across workers: equal vertex counts,
+// stride ⌈n/workers⌉.
 func NewGemini(g grin.Graph, workers int) *Gemini {
 	workers = defaultWorkers(workers)
-	return &Gemini{g: g, workers: workers, n: g.NumVertices(), bounds: edgeCut(g.NumVertices(), workers)}
+	parts, err := partition.NewRange(g.NumVertices(), workers, nil)
+	if err != nil {
+		panic(err) // workers >= 1 and n >= 0: NewRange cannot refuse them
+	}
+	return &Gemini{g: g, workers: workers, n: g.NumVertices(), parts: parts}
 }
 
 // PageRank runs fixed-iteration PageRank in pull (dense) mode: each worker
@@ -47,7 +53,7 @@ func (ge *Gemini) PageRank(damping float64, iters int) []float64 {
 		// Broadcast contributions of the inner range to every peer (and
 		// apply locally); one message per (vertex, peer).
 		router.exchange(func(w int, s *sender) {
-			lo, hi := ge.bounds[w], ge.bounds[w+1]
+			lo, hi := ge.parts.Bounds(w)
 			for v := lo; v < hi; v++ {
 				c := 0.0
 				if outDeg[v] > 0 {
@@ -80,7 +86,7 @@ func (ge *Gemini) PageRank(damping float64, iters int) []float64 {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				lo, hi := ge.bounds[w], ge.bounds[w+1]
+				lo, hi := ge.parts.Bounds(w)
 				for v := lo; v < hi; v++ {
 					sum := 0.0
 					grin.ForEachNeighbor(ge.g, v, graph.In, func(u graph.VID, _ graph.EID) bool {
@@ -111,13 +117,13 @@ func (ge *Gemini) BFS(root graph.VID) []float64 {
 	for len(frontier) > 0 {
 		var next []graph.VID
 		router.exchange(func(w int, s *sender) {
-			lo, hi := ge.bounds[w], ge.bounds[w+1]
+			lo, hi := ge.parts.Bounds(w)
 			for _, v := range frontier {
 				if v < lo || v >= hi {
 					continue // each worker expands its own frontier slice
 				}
 				grin.ForEachNeighbor(ge.g, v, graph.Out, func(u graph.VID, _ graph.EID) bool {
-					s.send(owner(ge.bounds, u), msg{target: u, value: level})
+					s.send(ge.parts.Owner(u), msg{target: u, value: level})
 					return true
 				})
 			}

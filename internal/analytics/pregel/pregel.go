@@ -69,9 +69,8 @@ type Program interface {
 
 // Options configures a Pregel run.
 type Options struct {
-	Fragments     int
-	Combine       grape.Combiner
-	MaxSupersteps int
+	Fragments int
+	Combine   grape.Combiner
 }
 
 // Run executes a Pregel program and returns the final vertex values and the
@@ -80,9 +79,8 @@ func Run(g grin.Graph, p Program, opt Options) ([]float64, int, error) {
 	n := g.NumVertices()
 	values := make([]float64, n)
 	eng, err := grape.NewEngine(g, grape.Options{
-		Fragments:     opt.Fragments,
-		Combine:       opt.Combine,
-		MaxSupersteps: opt.MaxSupersteps,
+		Fragments: opt.Fragments,
+		Combine:   opt.Combine,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/analytics/algorithms"
 	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -158,5 +157,3 @@ func AblationPipeline() (*Table, error) {
 	)
 	return tab, nil
 }
-
-var _ = algorithms.PageRankOptions{}

@@ -319,7 +319,7 @@ func Fig7d() (*Table, error) {
 			}
 		})
 		dAR := timeIt(2, func() {
-			if _, err2 := graphar.LoadBatch(arDir, 0); err2 != nil {
+			if _, err2 := graphar.LoadBatch(arDir); err2 != nil {
 				err = err2
 			}
 		})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -117,6 +119,115 @@ func TestStoreTraitsMatchImplementations(t *testing.T) {
 			if !slices.Contains(want, tr) {
 				t.Errorf("%s: table claims trait %v the live backend lacks", name, tr)
 			}
+		}
+	}
+}
+
+// declaredGaps lists the batched traits a backend leaves to grin's generic
+// fallbacks although it has the scalar traits they batch, each with its
+// reason. README's capability matrix points its "fallback" cells here.
+var declaredGaps = map[string]map[grin.Trait]string{
+	"graphar": {
+		grin.TraitBatchAdjacency: chunkFaults,
+		grin.TraitBatchProps:     chunkFaults,
+		grin.TraitBatchScan:      chunkFaults,
+	},
+	"gart": {
+		grin.TraitLabelAdjacency: "a vertex's adjacency is one append-only chain in commit order " +
+			"for every edge label, so there is no label boundary to jump to: engines expand it " +
+			"whole and filter by GatherEdgeLabels",
+	},
+}
+
+const chunkFaults = "every access may fault a chunk in from disk, so a native batch path " +
+	"would still pay a cache lookup per element"
+
+// batchedOf returns the batched traits a backend with traits have must serve
+// or declare: topology batches as BatchAdjacency, property as BatchProps, a
+// scan (index or predicate) as BatchScan, and a batched expansion over
+// labelled edges (BatchAdjacency with property) segments by label.
+func batchedOf(have []grin.Trait) []grin.Trait {
+	var need []grin.Trait
+	add := func(when bool, batched grin.Trait) {
+		if when {
+			need = append(need, batched)
+		}
+	}
+	has := func(t grin.Trait) bool { return slices.Contains(have, t) }
+	add(has(grin.TraitTopology), grin.TraitBatchAdjacency)
+	add(has(grin.TraitProperty), grin.TraitBatchProps)
+	add(has(grin.TraitIndex) || has(grin.TraitPredicate), grin.TraitBatchScan)
+	add(has(grin.TraitBatchAdjacency) && has(grin.TraitProperty), grin.TraitLabelAdjacency)
+	return need
+}
+
+// gapProblems returns one line per broken rule: a batched trait a backend
+// neither serves nor declares with a reason, or a declared gap that is not
+// one.
+func gapProblems(table map[string][]grin.Trait, declared map[string]map[grin.Trait]string) []string {
+	var out []string
+	for _, backend := range slices.Sorted(maps.Keys(table)) {
+		have, need := table[backend], batchedOf(table[backend])
+		for _, tr := range need {
+			if !slices.Contains(have, tr) && declared[backend][tr] == "" {
+				out = append(out, fmt.Sprintf("%s: has no %v and declares no gap for it", backend, tr))
+			}
+		}
+		for _, tr := range slices.Sorted(maps.Keys(declared[backend])) {
+			if !slices.Contains(need, tr) || slices.Contains(have, tr) {
+				out = append(out, fmt.Sprintf("%s: stale declaration: %v is not a gap", backend, tr))
+			}
+		}
+	}
+	for _, backend := range slices.Sorted(maps.Keys(declared)) {
+		if _, ok := table[backend]; !ok {
+			out = append(out, fmt.Sprintf("%s: stale declaration: no such backend", backend))
+		}
+	}
+	return out
+}
+
+// TestScalarTraitsAreBatchedOrDeclared holds the capability table to the
+// batch runtime's contract: engines dispatch the batched traits once per
+// frontier, so a backend with a scalar trait serves its batched counterpart
+// or declares the gap in declaredGaps. The cases pin the rule itself.
+func TestScalarTraitsAreBatchedOrDeclared(t *testing.T) {
+	for _, p := range gapProblems(storeTraits, declaredGaps) {
+		t.Error(p)
+	}
+	const (
+		topo, prop, idx, pred = grin.TraitTopology, grin.TraitProperty, grin.TraitIndex, grin.TraitPredicate
+		badj, bprop, bscan    = grin.TraitBatchAdjacency, grin.TraitBatchProps, grin.TraitBatchScan
+		ladj                  = grin.TraitLabelAdjacency
+	)
+	for _, c := range []struct {
+		name     string
+		have     []grin.Trait
+		declared map[grin.Trait]string
+		want     []string // one substring per expected problem, in order
+	}{
+		{"topology gap", []grin.Trait{topo}, nil, []string{"no batch_adjacency"}},
+		{"topology batched", []grin.Trait{topo, badj}, nil, nil},
+		{"topology declared", []grin.Trait{topo}, map[grin.Trait]string{badj: "why"}, nil},
+		{"declaration needs a reason", []grin.Trait{topo}, map[grin.Trait]string{badj: ""}, []string{"no batch_adjacency"}},
+		{"property gap", []grin.Trait{prop}, nil, []string{"no batch_props"}},
+		{"index gap", []grin.Trait{idx}, nil, []string{"no batch_scan"}},
+		{"scan batched", []grin.Trait{idx, pred, bscan}, nil, nil},
+		{"labelled gap", []grin.Trait{badj, prop, bprop}, nil, []string{"no label_adjacency"}},
+		{"labelled served", []grin.Trait{badj, prop, bprop, ladj}, nil, nil},
+		{"one gap declared, another still fires", []grin.Trait{badj, prop, bprop, idx},
+			map[grin.Trait]string{ladj: "why"}, []string{"no batch_scan"}},
+		{"unlabelled batched expansion", []grin.Trait{badj}, nil, nil},
+		{"stale: served", []grin.Trait{topo, badj}, map[grin.Trait]string{badj: "why"}, []string{"stale declaration: batch_adjacency"}},
+		{"stale: not needed", nil, map[grin.Trait]string{ladj: "why"}, []string{"stale declaration: label_adjacency"}},
+	} {
+		got := gapProblems(map[string][]grin.Trait{"x": c.have}, map[string]map[grin.Trait]string{"x": c.declared})
+		ok := len(got) == len(c.want)
+		for i := 0; ok && i < len(got); i++ {
+			ok = strings.Contains(got[i], c.want[i])
+		}
+		if !ok {
+			t.Errorf("%s: problems %q, want %q", c.name, got, c.want)
 		}
 	}
 }

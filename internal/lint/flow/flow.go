@@ -97,9 +97,6 @@ func sameSet(a, b []*analysis.Package) bool {
 	return len(a) > 0
 }
 
-// FuncOf resolves a declared function object to its graph node.
-func (g *Graph) FuncOf(obj *types.Func) *Func { return g.byObj[obj] }
-
 func build(pkgs []*analysis.Package) *Graph {
 	g := &Graph{byObj: map[*types.Func]*Func{}, pkgs: pkgs}
 	// Pass 1: nodes.

@@ -12,5 +12,6 @@ func TestGrinBoundary(t *testing.T) {
 		"repro/internal/query/badimport", // runtime package importing backends
 		"repro/internal/query/cleanok",   // runtime package on the trait path
 		"repro/internal/loaderfix",       // non-runtime package: backends allowed
+		"repro/internal/tools/maskfix",   // a masking wrapper outside internal/grin
 	)
 }

@@ -29,18 +29,9 @@ type Env struct {
 	Params  map[string]graph.Value
 }
 
-// PropValue reads a property of a bound vertex or edge element by name,
-// resolving the property ID through the element's label.
-func PropValue(g grin.Graph, elem graph.Value, prop string) (graph.Value, error) {
-	pr, ok := grin.AsPropertyReader(g)
-	if !ok {
-		return graph.NullValue, fmt.Errorf("expr: store lacks property trait")
-	}
-	return propValueVia(pr, elem, prop)
-}
-
-// propValueVia is PropValue with the property trait already resolved — the
-// per-row path for bound programs, which memoize the trait per batch.
+// propValueVia reads a property of a bound vertex or edge element by name,
+// resolving the property ID through the element's label — the per-row path
+// for bound programs, which memoize the property trait per batch.
 func propValueVia(pr grin.PropertyReader, elem graph.Value, prop string) (graph.Value, error) {
 	switch elem.K {
 	case graph.KindVertex:

@@ -196,8 +196,8 @@ ORDER BY c.creationDate DESC LIMIT 10`,
 // subset of dynamic-store operations U1–U8 need. gart.Store satisfies it;
 // expressing updates against the interface keeps this runtime package on
 // the engine side of the GRIN storage boundary (the workload compiles
-// against any MVCC store, and flexlint's grinboundary analyzer stays
-// clean without an allowlist entry).
+// against any MVCC store, and flexlint's grinboundary analyzer, which has
+// no exceptions, stays clean).
 type MutableGraph interface {
 	// AddVertex inserts a vertex with properties in schema order.
 	AddVertex(label graph.LabelID, extID int64, props ...graph.Value) error

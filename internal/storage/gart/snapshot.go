@@ -10,9 +10,10 @@ import (
 // published vertex table lock-free; property reads, edge labels and
 // external-ID lookups take the store's read lock.
 //
-// grin:fallback ExpandLabelBatch — a vertex's adjacency is an append-only
+// It does not serve LabelAdjacency: a vertex's adjacency is an append-only
 // chain in commit order, one chain for every edge label, so there is no label
 // boundary to jump to: engines expand it whole and filter by GatherEdgeLabels.
+// The gap is declared, with this reason, in internal/core's declaredGaps.
 type Snapshot struct {
 	s   *Store
 	ver uint64

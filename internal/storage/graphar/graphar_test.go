@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,7 +91,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err := Write(dir, b, Options{ChunkSize: 16}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadBatch(dir, 4)
+	got, err := LoadBatch(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +137,58 @@ func TestCorruptColumnFile(t *testing.T) {
 	path := filepath.Join(dir, vertexExtFile(0))
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)/2], 0o644)
-	if _, err := LoadBatch(dir, 2); err == nil {
+	if _, err := LoadBatch(dir); err == nil {
 		t.Fatal("truncated column accepted")
 	}
 	// Bad magic.
 	os.WriteFile(path, []byte("XXXX???"), 0o644)
-	if _, err := LoadBatch(dir, 2); err == nil {
+	if _, err := LoadBatch(dir); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestLoadBatchReportsFirstFailingColumn corrupts two column files: the
+// first in task order fails only at its last chunk, after a long decode,
+// and a later one fails at once. LoadBatch must report the first one's
+// error on every run, not whichever failure finished first.
+func TestLoadBatchReportsFirstFailingColumn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	s := graph.NewSchema(
+		[]graph.VertexLabel{{Name: "Big"}, {Name: "Small", Props: []graph.PropDef{{Name: "x", Kind: graph.KindInt}}}},
+		[]graph.EdgeLabel{{Name: "Link", Src: 1, Dst: 1}},
+	)
+	b := graph.NewBatch(s)
+	for i := 0; i < 200_000; i++ {
+		b.AddVertex(0, int64(i))
+	}
+	for i := 0; i < 10; i++ {
+		b.AddVertex(1, int64(i), graph.IntValue(int64(i)))
+		b.AddEdge(0, int64(i), int64((i+1)%10))
+	}
+	dir := t.TempDir()
+	if err := Write(dir, b, Options{ChunkSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	late, early := filepath.Join(dir, vertexExtFile(0)), filepath.Join(dir, vertexPropFile(1, 0))
+	if err := os.WriteFile(early, []byte("XXXX???"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBatch(dir); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("bad magic in %s: got %v", early, err)
+	}
+	data, err := os.ReadFile(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] |= 0x80 // the last varint now runs off the payload
+	if err := os.WriteFile(late, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 50; run++ {
+		_, err := LoadBatch(dir)
+		if err == nil || !strings.Contains(err.Error(), vertexExtFile(0)+": graphar: truncated int chunk") {
+			t.Fatalf("run %d: got %v, want %s's truncated chunk", run, err, vertexExtFile(0))
+		}
 	}
 }
 

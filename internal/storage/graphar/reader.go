@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // LoadBatch reads a whole archive into a Batch, decoding column files in
-// parallel. parallelism <= 0 selects GOMAXPROCS. This is the bulk-load path
-// measured in Exp-1d (Fig 7d) against the CSV baseline.
-func LoadBatch(dir string, parallelism int) (*graph.Batch, error) {
+// parallel on GOMAXPROCS workers. When several files fail, the error is the
+// one of the first in task order (vertex labels, then edge labels; the
+// structural columns of a label before its properties), whatever the
+// schedule. This is the bulk-load path measured in Exp-1d (Fig 7d) against
+// the CSV baseline.
+func LoadBatch(dir string) (*graph.Batch, error) {
 	m, err := ReadMeta(dir)
 	if err != nil {
 		return nil, err
@@ -22,45 +24,25 @@ func LoadBatch(dir string, parallelism int) (*graph.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-
-	// Plan one decode task per column file.
-	type task func() error
-	var tasks []task
-	var mu sync.Mutex // guards result slices during assembly
+	// Plan one decode task per column file; each writes only its own slot.
+	var tasks []func() error
 
 	vertexExt := make([][]int64, len(m.VertexLabels))
 	vertexProps := make([][][]graph.Value, len(m.VertexLabels))
 	for l := range m.VertexLabels {
-		l := l
 		vertexProps[l] = make([][]graph.Value, len(m.VertexLabels[l].Props))
-		tasks = append(tasks, func() error {
-			vals, err := readIntFile(filepath.Join(dir, vertexExtFile(l)), m.VertexLabels[l].Count)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			vertexExt[l] = vals
-			mu.Unlock()
-			return nil
+		tasks = append(tasks, func() (err error) {
+			vertexExt[l], err = readIntFile(filepath.Join(dir, vertexExtFile(l)), m.VertexLabels[l].Count)
+			return err
 		})
 		for pi := range m.VertexLabels[l].Props {
-			pi := pi
 			kind, err := kindFromName(m.VertexLabels[l].Props[pi].Kind)
 			if err != nil {
 				return nil, err
 			}
-			tasks = append(tasks, func() error {
-				vals, err := readValueFile(filepath.Join(dir, vertexPropFile(l, pi)), kind, m.VertexLabels[l].Count)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				vertexProps[l][pi] = vals
-				mu.Unlock()
-				return nil
+			tasks = append(tasks, func() (err error) {
+				vertexProps[l][pi], err = readValueFile(filepath.Join(dir, vertexPropFile(l, pi)), kind, m.VertexLabels[l].Count)
+				return err
 			})
 		}
 	}
@@ -69,67 +51,37 @@ func LoadBatch(dir string, parallelism int) (*graph.Batch, error) {
 	edgeDst := make([][]int64, len(m.EdgeLabels))
 	edgeProps := make([][][]graph.Value, len(m.EdgeLabels))
 	for l := range m.EdgeLabels {
-		l := l
 		edgeProps[l] = make([][]graph.Value, len(m.EdgeLabels[l].Props))
-		tasks = append(tasks, func() error {
-			vals, err := readIntFile(filepath.Join(dir, edgeSrcFile(l)), m.EdgeLabels[l].Count)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			edgeSrc[l] = vals
-			mu.Unlock()
-			return nil
+		tasks = append(tasks, func() (err error) {
+			edgeSrc[l], err = readIntFile(filepath.Join(dir, edgeSrcFile(l)), m.EdgeLabels[l].Count)
+			return err
 		})
-		tasks = append(tasks, func() error {
-			vals, err := readIntFile(filepath.Join(dir, edgeDstFile(l)), m.EdgeLabels[l].Count)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			edgeDst[l] = vals
-			mu.Unlock()
-			return nil
+		tasks = append(tasks, func() (err error) {
+			edgeDst[l], err = readIntFile(filepath.Join(dir, edgeDstFile(l)), m.EdgeLabels[l].Count)
+			return err
 		})
 		for pi := range m.EdgeLabels[l].Props {
-			pi := pi
 			kind, err := kindFromName(m.EdgeLabels[l].Props[pi].Kind)
 			if err != nil {
 				return nil, err
 			}
-			tasks = append(tasks, func() error {
-				vals, err := readValueFile(filepath.Join(dir, edgePropFile(l, pi)), kind, m.EdgeLabels[l].Count)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				edgeProps[l][pi] = vals
-				mu.Unlock()
-				return nil
+			tasks = append(tasks, func() (err error) {
+				edgeProps[l][pi], err = readValueFile(filepath.Join(dir, edgePropFile(l, pi)), kind, m.EdgeLabels[l].Count)
+				return err
 			})
 		}
 	}
 
-	// Run tasks on a bounded worker pool, capturing the first error.
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	for _, tk := range tasks {
-		tk := tk
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := tk(); err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := make([]error, len(tasks))
+	parallel.ForDynamic(len(tasks), 0, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = tasks[i]()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Assemble the batch.

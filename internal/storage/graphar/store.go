@@ -18,10 +18,11 @@ import (
 // This is the "GraphAr as a direct GRIN data source" configuration of
 // Fig 7(a): correct on every workload, slowest backend by design.
 //
-// grin:fallback — the batched traits deliberately stay on the generic
-// helpers: every access may fault a chunk in from disk, so a native batch
-// path would still pay per-element cache lookups and README's capability
-// matrix documents the backend as "fallback" across the board.
+// The batched traits deliberately stay on the generic helpers: every access
+// may fault a chunk in from disk, so a native batch path would still pay
+// per-element cache lookups. The three gaps are declared, with this reason,
+// in internal/core's declaredGaps, which README's capability matrix points
+// its "fallback" cells at.
 type Store struct {
 	dir    string
 	meta   *Meta
