@@ -171,6 +171,21 @@ func TestSSSPMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTraversalRejectsRootOutsideGraph: a root no fragment owns is an
+// error, not an all-Unreached answer.
+func TestTraversalRejectsRootOutsideGraph(t *testing.T) {
+	g := testGraph(t)
+	n := graph.VID(g.NumVertices())
+	for _, root := range []graph.VID{n, n + 1, graph.NilVID} {
+		if dist, err := BFS(g, root, 2); err == nil {
+			t.Errorf("BFS from %d: nil error, %d distances", root, len(dist))
+		}
+		if dist, err := SSSP(g, root, 2); err == nil {
+			t.Errorf("SSSP from %d: nil error, %d distances", root, len(dist))
+		}
+	}
+}
+
 // refWCC via union-find.
 func refWCC(g grin.Graph) []float64 {
 	n := g.NumVertices()
@@ -283,86 +298,6 @@ func TestModeLabel(t *testing.T) {
 	}
 }
 
-// refKCore peels sequentially.
-func refKCore(g grin.Graph, k int) []bool {
-	n := g.NumVertices()
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(graph.VID(v), graph.Both)
-	}
-	for {
-		changed := false
-		for v := 0; v < n; v++ {
-			if !removed[v] && deg[v] < k {
-				removed[v] = true
-				changed = true
-				g.Neighbors(graph.VID(v), graph.Both, func(u graph.VID, _ graph.EID) bool {
-					if !removed[u] {
-						deg[u]--
-					}
-					return true
-				})
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	in := make([]bool, n)
-	for v := range in {
-		in[v] = !removed[v]
-	}
-	return in
-}
-
-func TestKCoreMatchesReference(t *testing.T) {
-	g := testGraph(t)
-	for _, k := range []int{2, 4, 8} {
-		got, err := KCore(g, k, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refKCore(g, k)
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("k=%d: vertex %d: got %v want %v", k, v, got[v], want[v])
-			}
-		}
-	}
-}
-
-func TestTriangleCount(t *testing.T) {
-	// K4 has 4 triangles.
-	var edges []csr.Edge
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			edges = append(edges, csr.Edge{Src: graph.VID(i), Dst: graph.VID(j)})
-		}
-	}
-	g, err := csr.Build(4, edges, csr.Options{BuildCSC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc := TriangleCount(g, 2); tc != 4 {
-		t.Fatalf("K4 triangles = %d", tc)
-	}
-	// A 4-cycle has none.
-	g2, _ := csr.Build(4, []csr.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}}, csr.Options{BuildCSC: true})
-	if tc := TriangleCount(g2, 2); tc != 0 {
-		t.Fatalf("C4 triangles = %d", tc)
-	}
-	// Duplicate/bidirectional edges must not double count.
-	g3, _ := csr.Build(3, []csr.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 0},
-		{Src: 1, Dst: 2}, {Src: 2, Dst: 1},
-		{Src: 0, Dst: 2}, {Src: 2, Dst: 0},
-	}, csr.Options{BuildCSC: true})
-	if tc := TriangleCount(g3, 2); tc != 1 {
-		t.Fatalf("bidirectional triangle = %d", tc)
-	}
-}
-
 func TestEquityHandExample(t *testing.T) {
 	// P0 owns 0.8 of C1; P1 owns 0.2 of C1; C1 owns 0.6 of C0; P1 owns 0.4
 	// of C0. Effective: C0 -> P1 with 0.4 + 0.2*0.6 = 0.52 (controller);
@@ -407,6 +342,67 @@ func TestEquityHandExample(t *testing.T) {
 	// Persons have no controller.
 	if res.Controller[p0] != graph.NilVID {
 		t.Fatal("person should have no controller")
+	}
+}
+
+// TestEquityDepthCapOnCycle: two companies own each other and one person
+// owns one of them, so shares circle until MaxDepth stops them (Epsilon is
+// far below every share that flows). P0 owns 0.6 of C0, C0 owns 0.5 of C1,
+// C1 owns 0.4 of C0; a share reaches MaxDepth-1 edges from P0, so the
+// series are truncated by hand: C0 gets 0.6, +0.12 at depth 3, +0.024 at
+// depth 5; C1 gets 0.3 at depth 2, +0.06 at depth 4.
+func TestEquityDepthCapOnCycle(t *testing.T) {
+	s := dataset.EquitySchema()
+	b := graph.NewBatch(s)
+	base := int64(dataset.EquityCompanyExtBase)
+	b.AddVertex(dataset.EquityPerson, 0, graph.StringValue("P0"))
+	b.AddVertex(dataset.EquityCompany, base+0, graph.StringValue("C0"))
+	b.AddVertex(dataset.EquityCompany, base+1, graph.StringValue("C1"))
+	b.AddEdge(dataset.EquityOwns, 0, base+0, graph.FloatValue(0.6))
+	b.AddEdge(dataset.EquityOwns, base+0, base+1, graph.FloatValue(0.5))
+	b.AddEdge(dataset.EquityOwns, base+1, base+0, graph.FloatValue(0.4))
+	st, err := vineyard.Load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pLo, pHi, _ := st.LabelRange(dataset.EquityPerson)
+	p0, _ := st.LookupVertex(dataset.EquityPerson, 0)
+	c0, _ := st.LookupVertex(dataset.EquityCompany, base+0)
+	c1, _ := st.LookupVertex(dataset.EquityCompany, base+1)
+	for _, tc := range []struct {
+		depth  int
+		c0, c1 float64 // P0's share; 0 means P0 never reached the company
+	}{
+		{1, 0, 0},
+		{2, 0.6, 0},
+		{3, 0.6, 0.3},
+		{4, 0.72, 0.3},
+		{6, 0.744, 0.36},
+	} {
+		for _, frags := range []int{1, 2, 3} {
+			res, err := Equity(st, pLo, pHi, EquityOptions{Epsilon: 1e-12, MaxDepth: tc.depth, Fragments: frags})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				v    graph.VID
+				want float64
+			}{{c0, tc.c0}, {c1, tc.c1}} {
+				got := res.Shares[c.v]
+				if c.want == 0 {
+					if len(got) != 0 {
+						t.Errorf("depth=%d frags=%d: vertex %d shares %v, want none", tc.depth, frags, c.v, got)
+					}
+					continue
+				}
+				if len(got) != 1 || math.Abs(got[uint32(p0)]-c.want) > 1e-12 {
+					t.Errorf("depth=%d frags=%d: vertex %d shares %v, want P0 %v", tc.depth, frags, c.v, got, c.want)
+				}
+			}
+			if len(res.Shares[p0]) != 0 {
+				t.Errorf("depth=%d frags=%d: the person was reached: %v", tc.depth, frags, res.Shares[p0])
+			}
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ type EquityOptions struct {
 	Threshold float64
 	// Epsilon prunes propagation of negligible shares.
 	Epsilon float64
-	// MaxDepth bounds propagation on (unexpected) cyclic ownership.
+	// MaxDepth bounds propagation on (unexpected) cyclic ownership: the
+	// run ends after at most MaxDepth supersteps, so a share reaches at most
+	// MaxDepth-1 OWNS edges from its holder.
 	MaxDepth  int
 	Fragments int
 }
@@ -56,10 +58,7 @@ func Equity(g grin.Graph, holderLo, holderHi graph.VID, opt EquityOptions) (*Equ
 		holderHi: holderHi,
 		acc:      make([]map[uint32]float64, n),
 	}
-	eng, err := grape.NewEngine(g, grape.Options{
-		Fragments:     opt.Fragments,
-		MaxSupersteps: opt.MaxDepth,
-	})
+	eng, err := grape.NewEngine(g, grape.Options{Fragments: opt.Fragments})
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +94,18 @@ type equityPIE struct {
 	acc      []map[uint32]float64
 }
 
+// lastStep reports whether ctx's superstep is the last MaxDepth allows: it
+// still accumulates what arrives but forwards nothing, so the run ends there.
+func (p *equityPIE) lastStep(ctx *grape.Context) bool {
+	return p.opt.MaxDepth > 0 && ctx.Superstep()+1 >= p.opt.MaxDepth
+}
+
 // PEval seeds direct holdings: every holder sends its share along OWNS
 // edges.
 func (p *equityPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
+	if p.lastStep(ctx) {
+		return
+	}
 	lo, hi := f.Bounds()
 	g := p.g
 	for v := lo; v < hi; v++ {
@@ -112,18 +120,18 @@ func (p *equityPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 }
 
 // IncEval accumulates incoming (holder, share) pairs and forwards diluted
-// shares downstream; negligible deltas are pruned by Epsilon. The engine
-// runs without a combiner here: several holders message the same company,
-// so targets repeat.
+// shares downstream; negligible deltas are pruned by Epsilon, and nothing
+// is forwarded from the last step. The engine runs without a combiner here:
+// several holders message the same company, so targets repeat.
 func (p *equityPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	g := p.g
+	g, last := p.g, p.lastStep(ctx)
 	for _, m := range msgs {
 		v := m.Target
 		if p.acc[v] == nil {
 			p.acc[v] = make(map[uint32]float64, 4)
 		}
 		p.acc[v][m.Aux] += m.Value
-		if m.Value < p.opt.Epsilon {
+		if last || m.Value < p.opt.Epsilon {
 			continue
 		}
 		grin.ForEachNeighbor(g, v, graph.Out, func(c graph.VID, e graph.EID) bool {

@@ -1,7 +1,6 @@
 // Package algorithms provides the built-in graph analytics library of §6:
-// PageRank, BFS, SSSP, WCC, CDLP, k-core, triangle counting and the equity
-// propagation of the case studies, implemented over the GRAPE engine's PIE
-// and Pregel models.
+// PageRank, BFS, SSSP, WCC, CDLP and the equity propagation of the case
+// studies, implemented over the GRAPE engine's PIE and Pregel models.
 package algorithms
 
 import (

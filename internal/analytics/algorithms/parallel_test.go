@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/graph"
-	"repro/internal/grin"
 )
 
 // withGOMAXPROCS sets GOMAXPROCS for fn, then restores it.
@@ -41,7 +39,6 @@ func TestAlgorithmsMatchReferenceWithIntraParallelism(t *testing.T) {
 		{"SSSP", func() (any, error) { return SSSP(g, 0, 2) }},
 		{"WCC", func() (any, error) { return WCC(wg, 2) }},
 		{"CDLP", func() (any, error) { return CDLP(g, 5, 2) }},
-		{"KCore", func() (any, error) { return KCore(g, 4, 2) }},
 		{"Equity", func() (any, error) {
 			return Equity(g, 0, 125, EquityOptions{Epsilon: 0.3, MaxDepth: 4, Fragments: 2})
 		}},
@@ -74,79 +71,6 @@ func TestAlgorithmsMatchReferenceWithIntraParallelism(t *testing.T) {
 	}
 	if err := sameFloats(wide["WCC"].([]float64), refWCC(wg), true); err != nil {
 		t.Errorf("WCC: %v", err)
-	}
-	kc, want := wide["KCore"].([]bool), refKCore(g, 4)
-	for v := range kc {
-		if kc[v] != want[v] {
-			t.Fatalf("KCore: vertex %d got %v want %v", v, kc[v], want[v])
-		}
-	}
-}
-
-// refTriangles is a brute-force O(n^3) triangle counter over the undirected
-// deduplicated view.
-func refTriangles(g grin.Graph) int64 {
-	n := g.NumVertices()
-	has := make(map[[2]graph.VID]bool)
-	for v := 0; v < n; v++ {
-		grin.ForEachNeighbor(g, graph.VID(v), graph.Both, func(u graph.VID, _ graph.EID) bool {
-			a, b := graph.VID(v), u
-			if a > b {
-				a, b = b, a
-			}
-			if a != b {
-				has[[2]graph.VID{a, b}] = true
-			}
-			return true
-		})
-	}
-	var c int64
-	for u := graph.VID(0); int(u) < n; u++ {
-		for v := u + 1; int(v) < n; v++ {
-			if !has[[2]graph.VID{u, v}] {
-				continue
-			}
-			for w := v + 1; int(w) < n; w++ {
-				if has[[2]graph.VID{u, w}] && has[[2]graph.VID{v, w}] {
-					c++
-				}
-			}
-		}
-	}
-	return c
-}
-
-// TestTriangleCountWorkersAgree: every worker count must produce the exact
-// reference count on a random power-law graph.
-func TestTriangleCountWorkersAgree(t *testing.T) {
-	g, err := dataset.Datagen("t", 150, 8, 77).ToCSR(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refTriangles(g)
-	if want == 0 {
-		t.Fatal("degenerate test graph: no triangles")
-	}
-	for _, workers := range []int{0, 1, 2, 3, 16} {
-		if got := TriangleCount(g, workers); got != want {
-			t.Fatalf("workers=%d: %d triangles, want %d", workers, got, want)
-		}
-	}
-}
-
-// BenchmarkTriangleCount measures workers=1 vs workers=NumCPU; the
-// acceptance gate for the parallel runtime on the analytics path.
-func BenchmarkTriangleCount(b *testing.B) {
-	g, err := dataset.Datagen("bench", 20_000, 12, 5).ToCSR(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				TriangleCount(g, workers)
-			}
-		})
 	}
 }
 

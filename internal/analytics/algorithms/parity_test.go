@@ -134,7 +134,6 @@ func TestGeneratedParity(t *testing.T) {
 	const (
 		prIters   = 5
 		cdlpRound = 4
-		kcoreK    = 3
 		eqEps     = 0.3
 		eqDepth   = 4
 	)
@@ -143,7 +142,7 @@ func TestGeneratedParity(t *testing.T) {
 		holders := graph.VID(max(n/4, 1))
 		wantPR := refPageRank(g, 0.85, prIters)
 		wantBFS, wantSSSP, wantWCC := refBFS(g, 0), refSSSP(g, 0), refWCC(g)
-		wantCDLP, wantKCore := refCDLP(g, cdlpRound), refKCore(g, kcoreK)
+		wantCDLP := refCDLP(g, cdlpRound)
 		wantEq := refEquity(g, 0, holders, eqEps, eqDepth)
 
 		stores := map[string]grin.Graph{
@@ -189,16 +188,6 @@ func TestGeneratedParity(t *testing.T) {
 								}
 								if err != nil {
 									t.Errorf("%s: %v", alg.name, err)
-								}
-							}
-							kc, err := KCore(store, kcoreK, frags)
-							if err != nil {
-								t.Errorf("KCore: %v", err)
-							}
-							for v := range kc {
-								if kc[v] != wantKCore[v] {
-									t.Errorf("KCore: vertex %d: got %v want %v", v, kc[v], wantKCore[v])
-									break
 								}
 							}
 							eq, err := Equity(store, 0, holders, EquityOptions{Epsilon: eqEps, MaxDepth: eqDepth, Fragments: frags})

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/analytics/grape"
@@ -11,9 +12,17 @@ import (
 // Unreached marks vertices not reached by BFS/SSSP.
 const Unreached = math.MaxFloat64
 
+// errRootNotVertex rejects a traversal root that is not a vertex of the
+// graph: no fragment owns it, so the run would report every vertex
+// Unreached.
+var errRootNotVertex = errors.New("algorithms: root is not a vertex of the graph")
+
 // BFS computes level-synchronous breadth-first levels from root over
 // out-edges. Unreached vertices get Unreached.
 func BFS(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
+	if int(root) >= g.NumVertices() {
+		return nil, errRootNotVertex
+	}
 	prog := newBFSPIE(g, root)
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
@@ -65,6 +74,9 @@ func (p *bfsPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Mes
 // SSSP computes single-source shortest paths over weighted out-edges
 // (Bellman-Ford style label correcting with min-combined messages).
 func SSSP(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
+	if int(root) >= g.NumVertices() {
+		return nil, errRootNotVertex
+	}
 	prog := &ssspPIE{g: g, root: root, dist: make([]float64, g.NumVertices())}
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,

@@ -88,7 +88,7 @@ type Combiner uint8
 const (
 	// NoCombine delivers every message individually, Aux included.
 	NoCombine Combiner = iota
-	// Sum delivers the sum of the values sent to a target (PageRank, k-core).
+	// Sum delivers the sum of the values sent to a target (PageRank).
 	Sum
 	// Min delivers the smallest value sent to a target (BFS, SSSP, WCC).
 	Min
@@ -117,8 +117,6 @@ type Options struct {
 	Fragments int
 	// Combine merges message values directed at the same target.
 	Combine Combiner
-	// MaxSupersteps bounds execution; 0 means unbounded.
-	MaxSupersteps int
 	// PerMessageChannels disables sender-side aggregation and ships each
 	// message through a channel individually — the negative ablation arm.
 	PerMessageChannels bool
@@ -561,7 +559,7 @@ func (r *run) fragment(i int) int {
 		for _, o := range r.ctxs {
 			more = more || o.more
 		}
-		if !more || (e.opt.MaxSupersteps > 0 && step+1 >= e.opt.MaxSupersteps) {
+		if !more {
 			return step + 1
 		}
 	}

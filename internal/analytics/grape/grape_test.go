@@ -184,22 +184,6 @@ func TestRerunVote(t *testing.T) {
 	}
 }
 
-func TestMaxSupersteps(t *testing.T) {
-	g, _ := dataset.Datagen("t", 32, 2, 3).ToCSR(false)
-	eng, err := NewEngine(g, Options{Fragments: 2, MaxSupersteps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &rerunProgram{target: 100, runs: make([]int, 2)}
-	steps, err := eng.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps != 3 {
-		t.Fatalf("steps = %d want 3", steps)
-	}
-}
-
 // fanInProgram makes every exchange arm combine: every vertex sends its ID
 // to v/3 and to a far vertex in PEval, targets forward what they got once,
 // and IncEval records (per target) how many messages arrived and their sum.
@@ -270,22 +254,22 @@ func TestExchangeArmsAgree(t *testing.T) {
 	}
 }
 
-// TestEngineReusableAcrossRuns: a second Run on the same engine — including
-// one cut short by MaxSupersteps — starts from clean accumulators.
+// TestEngineReusableAcrossRuns: a second Run on the same engine starts from
+// clean accumulators.
 func TestEngineReusableAcrossRuns(t *testing.T) {
 	const n = 300
 	g, err := dataset.Datagen("t", n, 4, 4).ToCSR(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, Options{Fragments: 3, Combine: Sum, MaxSupersteps: 2})
+	eng, err := NewEngine(g, Options{Fragments: 3, Combine: Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first *fanInProgram
 	for i := 0; i < 3; i++ {
 		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n)}
-		if steps, err := eng.Run(p); err != nil || steps != 2 {
+		if steps, err := eng.Run(p); err != nil || steps != 3 {
 			t.Fatalf("run %d: steps=%d err=%v", i, steps, err)
 		}
 		if first == nil {

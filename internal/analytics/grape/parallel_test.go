@@ -166,3 +166,94 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 		}
 	}
 }
+
+// shrinkProgram sends Sum-combined counts to both directions' neighbours
+// over supersteps whose sender sets shrink: every vertex in PEval, then at
+// step s only the receivers divisible by 2^s, until step shrinkSteps.
+type shrinkProgram struct {
+	sums [][]float64 // sums[s][v]: the combined value v received at step s
+}
+
+const shrinkSteps = 4
+
+func (p *shrinkProgram) PEval(f *Fragment, ctx *Context) {
+	lo, hi := f.Bounds()
+	for v := lo; v < hi; v++ {
+		ctx.SendToNeighbors(v, graph.Both, 1)
+	}
+}
+
+func (p *shrinkProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
+	s := ctx.Superstep()
+	for _, m := range msgs {
+		p.sums[s][m.Target] = m.Value
+		if s < shrinkSteps && m.Target%(1<<s) == 0 {
+			ctx.SendToNeighbors(m.Target, graph.Both, 1)
+		}
+	}
+}
+
+// iteratorOnly hides every trait but the iterator, so the engine takes its
+// Neighbors fallback.
+type iteratorOnly struct{ grin.Graph }
+
+// TestSumBothShrinkingSends: Sum-combined Both sends, with fewer senders each
+// superstep, deliver the sequential counts through the adjacency arrays and
+// through the Neighbors fallback at every fragment count.
+func TestSumBothShrinkingSends(t *testing.T) {
+	const n = 300
+	g, err := dataset.Datagen("t", n, 5, 31).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := grin.AsAdjArray(iteratorOnly{g}); ok {
+		t.Fatal("iteratorOnly still offers the array trait")
+	}
+	// Reference: replay the sender sets sequentially.
+	want := make([][]float64, shrinkSteps+1)
+	senders := make([]bool, n)
+	for v := range senders {
+		senders[v] = true
+	}
+	last := n + 1
+	for s := 1; s <= shrinkSteps; s++ {
+		want[s] = make([]float64, n)
+		count := 0
+		for v, ok := range senders {
+			if ok {
+				count++
+				g.Neighbors(graph.VID(v), graph.Both, func(u graph.VID, _ graph.EID) bool {
+					want[s][u]++
+					return true
+				})
+			}
+		}
+		if count == 0 || count >= last {
+			t.Fatalf("step %d: %d senders after %d, want fewer but some", s, count, last)
+		}
+		last = count
+		for v := range senders {
+			senders[v] = want[s][v] > 0 && v%(1<<s) == 0
+		}
+	}
+	for name, store := range map[string]grin.Graph{"arrays": g, "neighbors": iteratorOnly{g}} {
+		for _, frags := range []int{1, 2, 3} {
+			p := &shrinkProgram{sums: make([][]float64, shrinkSteps+1)}
+			for s := range p.sums {
+				p.sums[s] = make([]float64, n)
+			}
+			eng, err := NewEngine(store, Options{Fragments: frags, Combine: Sum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			for s := 1; s <= shrinkSteps; s++ {
+				if !reflect.DeepEqual(p.sums[s], want[s]) {
+					t.Fatalf("%s frags=%d: step %d sums differ from the sequential replay", name, frags, s)
+				}
+			}
+		}
+	}
+}

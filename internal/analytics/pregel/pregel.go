@@ -43,15 +43,6 @@ func (vc *VertexContext) SendToNeighbors(dir graph.Direction, val float64) {
 	vc.ctx.SendToNeighbors(vc.v, dir, val)
 }
 
-// SendWeightedToNeighbors sends val scaled by each edge's weight.
-func (vc *VertexContext) SendWeightedToNeighbors(dir graph.Direction, val float64) {
-	g := vc.g
-	grin.ForEachNeighbor(g, vc.v, dir, func(n graph.VID, e graph.EID) bool {
-		vc.ctx.Send(n, val*grin.Weight(g, e))
-		return true
-	})
-}
-
 // Send sends a message to an arbitrary vertex.
 func (vc *VertexContext) Send(to graph.VID, val float64) { vc.ctx.Send(to, val) }
 

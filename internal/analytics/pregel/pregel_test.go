@@ -93,7 +93,8 @@ func TestImmediateHalt(t *testing.T) {
 	}
 }
 
-// weightedSpread exercises SendWeightedToNeighbors and Send.
+// weightedSpread sends per neighbour, scaled by the edge weight, and to an
+// arbitrary vertex.
 type weightedSpread struct{ sink graph.VID }
 
 func (weightedSpread) Init(graph.VID, grin.Graph) float64 { return 0 }
@@ -102,7 +103,11 @@ func (p weightedSpread) Compute(vc *VertexContext, msgs []float64) {
 	case 0:
 		if vc.Vertex() == 0 {
 			vc.SetValue(10)
-			vc.SendWeightedToNeighbors(graph.Out, vc.Value())
+			g := vc.g
+			grin.ForEachNeighbor(g, vc.Vertex(), graph.Out, func(n graph.VID, e graph.EID) bool {
+				vc.Send(n, vc.Value()*grin.Weight(g, e))
+				return true
+			})
 			vc.Send(p.sink, 1)
 		}
 		vc.VoteToHalt()

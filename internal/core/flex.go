@@ -46,7 +46,7 @@ var Registry = []Component{
 	{Name: "restful", Layer: LayerApplication, Provides: []string{"api"}, RequiresComponents: []string{"hiactor"}, Doc: "RESTful endpoint adapter"},
 	{Name: "gremlin", Layer: LayerApplication, Provides: []string{"query-language"}, RequiresComponents: []string{"compiler"}, Doc: "Gremlin traversal front-end"},
 	{Name: "cypher", Layer: LayerApplication, Provides: []string{"query-language"}, RequiresComponents: []string{"compiler"}, Doc: "Cypher front-end"},
-	{Name: "builtin-apps", Layer: LayerApplication, Provides: []string{"algorithms"}, RequiresComponents: []string{"grape"}, Doc: "Built-in analytics library (PageRank, BFS, SSSP, WCC, CDLP, k-core, triangles, equity)"},
+	{Name: "builtin-apps", Layer: LayerApplication, Provides: []string{"algorithms"}, RequiresComponents: []string{"grape"}, Doc: "Built-in analytics library (PageRank, BFS, SSSP, WCC, CDLP, equity)"},
 	{Name: "gnn-models", Layer: LayerApplication, Provides: []string{"models"}, RequiresComponents: []string{"graphlearn"}, Doc: "GraphSAGE and NCN models"},
 
 	// Engine layer.

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VertexRecord is one vertex in a load batch, identified by the external
 // (application) ID that edges reference. Internal IDs are assigned by stores.
@@ -101,29 +98,6 @@ func (b *Batch) Validate() error {
 type labeledExt struct {
 	label LabelID
 	ext   int64
-}
-
-// SortForLoad orders vertices by (label, extID) and edges by (label, src, dst)
-// so that loaders produce deterministic internal ID assignments regardless of
-// generator emission order.
-func (b *Batch) SortForLoad() {
-	sort.Slice(b.Vertices, func(i, j int) bool {
-		a, c := b.Vertices[i], b.Vertices[j]
-		if a.Label != c.Label {
-			return a.Label < c.Label
-		}
-		return a.ExtID < c.ExtID
-	})
-	sort.Slice(b.Edges, func(i, j int) bool {
-		a, c := b.Edges[i], b.Edges[j]
-		if a.Label != c.Label {
-			return a.Label < c.Label
-		}
-		if a.Src != c.Src {
-			return a.Src < c.Src
-		}
-		return a.Dst < c.Dst
-	})
 }
 
 // Stats summarizes a batch for logging and experiment tables.

@@ -116,7 +116,7 @@ func TestBatchNullPropsAllowed(t *testing.T) {
 	}
 }
 
-func TestBatchSortForLoad(t *testing.T) {
+func TestBatchStats(t *testing.T) {
 	s := testSchema()
 	b := NewBatch(s)
 	b.AddVertex(1, 5, FloatValue(1))
@@ -125,14 +125,7 @@ func TestBatchSortForLoad(t *testing.T) {
 	b.AddEdge(1, 9, 5, IntValue(1))
 	b.AddEdge(0, 9, 2)
 	b.AddEdge(0, 2, 9)
-	b.SortForLoad()
-	if b.Vertices[0].ExtID != 2 || b.Vertices[1].ExtID != 9 || b.Vertices[2].Label != 1 {
-		t.Fatalf("vertices not sorted: %+v", b.Vertices)
-	}
-	if b.Edges[0].Label != 0 || b.Edges[0].Src != 2 || b.Edges[2].Label != 1 {
-		t.Fatalf("edges not sorted: %+v", b.Edges)
-	}
-	if b.Stats() == "" {
-		t.Fatal("Stats empty")
+	if got, want := b.Stats(), "|V|=3 |E|=3 labels=3/3"; got != want {
+		t.Fatalf("Stats = %q, want %q", got, want)
 	}
 }

@@ -71,8 +71,8 @@ func For(n, workers int, body func(worker, lo, hi int)) {
 }
 
 // ForDynamic schedules [0, n) in grain-sized chunks handed to workers from an
-// atomic cursor — for skewed per-index costs (per-vertex adjacency sorts,
-// triangle counting on power-law graphs) where static chunking load-
+// atomic cursor — for skewed per-index costs (per-vertex scans on power-law
+// graphs, column files of uneven size) where static chunking load-
 // imbalances. grain <= 0 picks n/(8*workers), clamped to at least 1. body
 // receives the worker index (stable per goroutine, usable to index partial
 // results) and a chunk range. Chunk-to-worker assignment is nondeterministic;

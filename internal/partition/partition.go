@@ -53,9 +53,6 @@ func NewRange(n, parts int, weight func(graph.VID) int) (*Range, error) {
 	return r, nil
 }
 
-// Parts returns the fragment count.
-func (r *Range) Parts() int { return len(r.cuts) - 1 }
-
 // Owner returns the fragment owning v: the number of interior cuts at or
 // below v, found by binary search. Where empty fragments share a cut, the
 // owner is the last of them — the one whose range is not empty.

@@ -88,15 +88,6 @@ func (b *Batch) SetSel(sel []int32) {
 // Col returns column c for direct typed access.
 func (b *Batch) Col(c int) *Vec { return &b.cols[c] }
 
-// Kinds appends the per-column kind layout to dst — the shape a pool Get
-// needs to build a compatible batch.
-func (b *Batch) Kinds(dst []graph.Kind) []graph.Kind {
-	for i := range b.cols {
-		dst = append(dst, b.cols[i].kind)
-	}
-	return dst
-}
-
 // physRow maps a logical row index through the selection.
 func (b *Batch) physRow(i int) int {
 	if b.sel != nil {

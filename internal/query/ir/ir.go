@@ -302,46 +302,3 @@ func (o *Op) String() string {
 	}
 	return o.Kind.String()
 }
-
-// OutputAliases computes the alias set visible after the plan runs; used by
-// validation and projection checking.
-func (p *Plan) OutputAliases() map[string]bool {
-	out := map[string]bool{}
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpScan, OpGetVertex:
-			out[op.Alias] = true
-		case OpExpandEdge:
-			out[op.EdgeAlias] = true
-		case OpExpandDegree:
-			out[DegreeAlias(op.Alias)] = true
-		case OpExpandFused:
-			out[op.Alias] = true
-			if op.EdgeAlias != "" {
-				out[op.EdgeAlias] = true
-			}
-		case OpMatch:
-			for _, pe := range op.Pattern {
-				out[pe.SrcAlias] = true
-				out[pe.DstAlias] = true
-				if pe.EdgeAlias != "" {
-					out[pe.EdgeAlias] = true
-				}
-			}
-		case OpProject:
-			out = map[string]bool{}
-			for _, it := range op.Items {
-				out[it.Alias] = true
-			}
-		case OpGroupBy:
-			out = map[string]bool{}
-			for _, k := range op.GroupKeys {
-				out[k.Alias] = true
-			}
-			for _, a := range op.Aggs {
-				out[a.Alias] = true
-			}
-		}
-	}
-	return out
-}

@@ -45,33 +45,6 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-func TestOutputAliases(t *testing.T) {
-	out := samplePlan().OutputAliases()
-	if !out["name"] || !out["price"] {
-		t.Fatalf("projection outputs missing: %v", out)
-	}
-	if out["a"] || out["b"] {
-		t.Fatalf("pre-projection aliases leaked: %v", out)
-	}
-	// Without projection, pattern aliases are visible.
-	p := &Plan{Ops: samplePlan().Ops[:2]}
-	out = p.OutputAliases()
-	if !out["a"] || !out["b"] || !out["c"] {
-		t.Fatalf("pattern aliases missing: %v", out)
-	}
-	// GroupBy replaces outputs.
-	p2 := &Plan{Ops: []*Op{
-		samplePlan().Ops[0],
-		{Kind: OpGroupBy,
-			GroupKeys: []ProjItem{{Expr: expr.Var("a", ""), Alias: "a"}},
-			Aggs:      []Aggregate{{Fn: "count", Alias: "cnt"}}},
-	}}
-	out = p2.OutputAliases()
-	if !out["a"] || !out["cnt"] || out["b"] {
-		t.Fatalf("group outputs wrong: %v", out)
-	}
-}
-
 func TestOpStringCoversEveryKind(t *testing.T) {
 	ops := []*Op{
 		{Kind: OpScan, Alias: "a", Pred: expr.MustParse("a.x = 1")},

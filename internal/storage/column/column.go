@@ -92,24 +92,6 @@ func (c *Column) AppendInt(v int64) {
 	c.numRows++
 }
 
-// AppendFloat appends one float64 to a float column without boxing.
-func (c *Column) AppendFloat(v float64) {
-	c.floats = append(c.floats, v)
-	c.numRows++
-}
-
-// AppendString appends one string to a string column without boxing.
-func (c *Column) AppendString(v string) {
-	c.strs = append(c.strs, v)
-	c.numRows++
-}
-
-// AppendBool appends one bool to a bool column without boxing.
-func (c *Column) AppendBool(v bool) {
-	c.bools = append(c.bools, v)
-	c.numRows++
-}
-
 // AppendVertex appends one vertex ID to a vertex column without boxing.
 func (c *Column) AppendVertex(v graph.VID) {
 	c.ints = append(c.ints, int64(v))
@@ -388,23 +370,6 @@ func (c *Column) Gather(rows []int, out []graph.Value) {
 		for i := range rows {
 			out[i] = graph.NullValue
 		}
-	}
-}
-
-// GatherSel fills out[i] with the value at rows[i] — Gather over a
-// selection vector. A nil rows gathers the whole column densely into
-// out[0:Len].
-func (c *Column) GatherSel(rows []int32, out []graph.Value) {
-	if rows == nil {
-		for i := 0; i < c.numRows; i++ {
-			v, _ := c.Get(i)
-			out[i] = v
-		}
-		return
-	}
-	for i, r := range rows {
-		v, _ := c.Get(int(r))
-		out[i] = v
 	}
 }
 

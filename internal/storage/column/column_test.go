@@ -176,8 +176,6 @@ func TestZeroLengthGathers(t *testing.T) {
 	col := New(graph.KindString)
 	col.Gather(nil, nil)
 	col.Gather([]int{}, []graph.Value{})
-	col.GatherSel([]int32{}, nil)
-	col.GatherSel(nil, nil) // dense gather of an empty column
 	dst := New(graph.KindString)
 	if err := dst.AppendRows(col, nil); err != nil {
 		t.Fatal(err)
@@ -208,9 +206,9 @@ func TestSelectionGatherOverNulls(t *testing.T) {
 
 	sel := []int32{3, 1, 0}
 	out := make([]graph.Value, len(sel))
-	col.GatherSel(sel, out)
+	col.Gather([]int{3, 1, 0}, out)
 	if out[0].Int() != 40 || !out[1].IsNull() || out[2].Int() != 10 {
-		t.Fatalf("GatherSel over nulls: %v", out)
+		t.Fatalf("Gather over nulls: %v", out)
 	}
 
 	dst := New(graph.KindInt)

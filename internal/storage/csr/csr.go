@@ -242,6 +242,3 @@ func (g *Graph) ScanVertices(_ graph.LabelID, pred func(graph.VID) bool, yield f
 		}
 	}
 }
-
-// HasCSC reports whether the in-adjacency was materialized.
-func (g *Graph) HasCSC() bool { return g.in != nil }

@@ -36,8 +36,12 @@ func TestBuildBasics(t *testing.T) {
 	if g.BackendName() != "csr" {
 		t.Fatal("backend name")
 	}
-	if !g.HasCSC() {
-		t.Fatal("CSC missing")
+	in := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		in += g.Degree(graph.VID(v), graph.In)
+	}
+	if in != g.NumEdges() {
+		t.Fatalf("CSC holds %d of %d edges", in, g.NumEdges())
 	}
 }
 
