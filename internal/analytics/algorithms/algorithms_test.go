@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -428,5 +429,32 @@ func TestEquityGeneratedConservation(t *testing.T) {
 		if math.Abs(sum-1) > 1e-6 {
 			t.Fatalf("company %d person-shares sum to %v", c, sum)
 		}
+	}
+}
+
+// TestEquityDeliveryBoundedByDepth: each (company, holder) pair forwards at
+// most once per superstep, so a run delivers at most MaxDepth × edges ×
+// holders messages however many ownership paths there are. Forwarding every
+// arriving message on its own delivered 6 038 426 here.
+func TestEquityDeliveryBoundedByDepth(t *testing.T) {
+	g, err := dataset.Datagen("t", 500, 6, 42).Weighted(15).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const holders = 125
+	opt := EquityOptions{Epsilon: 0.05, MaxDepth: 7, Fragments: 2}
+	opt.defaults()
+	eng, err := grape.NewEngine(g, grape.Options{Fragments: opt.Fragments})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st grape.RunStats
+	eng.CollectStats(&st)
+	prog := &equityPIE{g: g, opt: opt, holderLo: 0, holderHi: holders, acc: make([]map[uint32]float64, g.NumVertices())}
+	if _, err := eng.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	if bound := int64(opt.MaxDepth) * int64(g.NumEdges()) * holders; st.Delivered > bound {
+		t.Fatalf("delivered %d messages, bound %d", st.Delivered, bound)
 	}
 }

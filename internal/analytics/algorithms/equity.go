@@ -1,6 +1,9 @@
 package algorithms
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/analytics/grape"
 	"repro/internal/graph"
 	"repro/internal/grin"
@@ -11,7 +14,9 @@ type EquityOptions struct {
 	// Threshold is the cumulative share that makes a holder the controller
 	// (0.51 in the paper's example).
 	Threshold float64
-	// Epsilon prunes propagation of negligible shares.
+	// Epsilon prunes propagation of negligible shares: a holder's share
+	// of a company that arrives in one superstep, summed over the paths it
+	// came by, is forwarded only if it reaches Epsilon.
 	Epsilon float64
 	// MaxDepth bounds propagation on (unexpected) cyclic ownership: the
 	// run ends after at most MaxDepth supersteps, so a share reaches at most
@@ -120,22 +125,32 @@ func (p *equityPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 }
 
 // IncEval accumulates incoming (holder, share) pairs and forwards diluted
-// shares downstream; negligible deltas are pruned by Epsilon, and nothing
-// is forwarded from the last step. The engine runs without a combiner here:
-// several holders message the same company, so targets repeat.
+// shares downstream. The engine runs without a combiner here (several
+// holders message the same company, and Aux names the holder), so msgs is
+// first grouped by (company, holder) in place — stably, so a group sums in
+// arrival order — and each pair forwards its superstep's sum once: the work
+// per superstep is bounded by the pairs, not by the ownership paths. Epsilon
+// prunes that sum, and nothing is forwarded from the last step.
 func (p *equityPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
 	g, last := p.g, p.lastStep(ctx)
-	for _, m := range msgs {
-		v := m.Target
+	slices.SortStableFunc(msgs, func(a, b grape.Message) int {
+		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Aux, b.Aux))
+	})
+	for i := 0; i < len(msgs); {
+		v, holder := msgs[i].Target, msgs[i].Aux
+		share := 0.0
+		for ; i < len(msgs) && msgs[i].Target == v && msgs[i].Aux == holder; i++ {
+			share += msgs[i].Value
+		}
 		if p.acc[v] == nil {
 			p.acc[v] = make(map[uint32]float64, 4)
 		}
-		p.acc[v][m.Aux] += m.Value
-		if last || m.Value < p.opt.Epsilon {
+		p.acc[v][holder] += share
+		if last || share < p.opt.Epsilon {
 			continue
 		}
 		grin.ForEachNeighbor(g, v, graph.Out, func(c graph.VID, e graph.EID) bool {
-			ctx.SendAux(c, m.Aux, m.Value*grin.Weight(g, e))
+			ctx.SendAux(c, holder, share*grin.Weight(g, e))
 			return true
 		})
 	}

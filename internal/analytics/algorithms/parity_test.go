@@ -1,8 +1,10 @@
 package algorithms
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,7 +76,8 @@ func refCDLP(g grin.Graph, rounds int) []float64 {
 }
 
 // refEquity propagates (holder, share) pairs level by level, as Equity's
-// supersteps do: PEval is the first of maxDepth supersteps.
+// supersteps do: PEval is the first of maxDepth supersteps, and each level's
+// shares are summed per (company, holder) before eps prunes them.
 func refEquity(g grin.Graph, lo, hi graph.VID, eps float64, maxDepth int) []map[uint32]float64 {
 	type holding struct {
 		v      graph.VID
@@ -91,7 +94,14 @@ func refEquity(g grin.Graph, lo, hi graph.VID, eps float64, maxDepth int) []map[
 	acc := make([]map[uint32]float64, g.NumVertices())
 	for step := 1; len(cur) > 0 && step < maxDepth; step++ {
 		var next []holding
-		for _, h := range cur {
+		slices.SortStableFunc(cur, func(a, b holding) int {
+			return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.holder, b.holder))
+		})
+		for i := 0; i < len(cur); {
+			h := cur[i]
+			for i++; i < len(cur) && cur[i].v == h.v && cur[i].holder == h.holder; i++ {
+				h.share += cur[i].share
+			}
 			if acc[h.v] == nil {
 				acc[h.v] = map[uint32]float64{}
 			}

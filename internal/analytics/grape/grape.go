@@ -4,7 +4,7 @@
 //
 // The paper's GRAPE runs fragments on cluster nodes over MPI; here each
 // fragment runs on its own goroutine for the whole run, the fragments meet at
-// two barriers per superstep, and "the network" is the shared address space.
+// one barrier per superstep, and "the network" is the shared address space.
 // Fragments are the engine's only parallelism: PEval and IncEval are the
 // sequential code the PIE model promises, and a program uses more cores by
 // running more fragments. What §6 asks of the message path — combine at the
@@ -12,26 +12,43 @@
 // at the cost of the loop it replaces:
 //
 //   - Fragments are contiguous vertex ranges cut so each holds an equal share
-//     of Σ(1 + outdeg + indeg) (libgrape-lite's rebalance rule), not an equal
-//     vertex count: a generator that puts every out-edge in the first half of
-//     the ID range would otherwise leave half the fragments idle.
+//     of the work a superstep does on it, not an equal vertex count: a
+//     generator that puts every out-edge in the first half of the ID range
+//     would otherwise leave half the fragments idle. With a combiner a vertex
+//     weighs vertexWork + outdeg (an in-edge costs its receiver nothing: the
+//     gather is per target); without one, 1 + outdeg + indeg, since every
+//     in-edge becomes a delivered Message.
 //   - The combiner is a closed type (NoCombine, Sum, Min), so folding a
 //     message is inlined arithmetic, never an indirect call.
 //   - With a combiner every source fragment folds its sends into one flat
 //     accumulator over all n vertices — a float64 cell per vertex holding the
-//     combiner's identity until touched, plus a touched bitmap of n/8 bytes.
-//     A fold is `cell[t] = comb(cell[t], val); bits[t>>6] |= 1<<(t&63)`: no
-//     owner lookup, no per-destination buffer, no append.
+//     combiner's identity (−0 for Sum, +Inf for Min) until touched, plus a
+//     touched bitmap of n/8 bytes. A fold is `cell[t] = comb(cell[t], val)`
+//     and, while the superstep is sparse, `bits[t>>6] |= 1<<(t&63)`: no owner
+//     lookup, no per-destination buffer, no append.
 //   - SendToNeighbors is the bulk form of Send: the engine resolves the array
 //     trait once, walks AdjSlice itself and folds with the combiner hoisted
 //     out of the loop — no closure per vertex, no call per edge. Per-edge
 //     Send/SendAux remain for values that depend on the edge.
-//   - The exchange copies nothing: after the first barrier destination d
-//     reads range [lo_d, hi_d) of every source's bitmap, combines the touched
-//     cells across sources in source order, resets them, and appends to an
-//     inbox it owns and reuses. Inboxes therefore arrive in ascending target
-//     order with at most one message per target — a guarantee of the combiner
-//     path that Program.IncEval states.
+//   - Dense supersteps do plain array work, sparse ones bookkeeping (as
+//     Gemini switches its dense and sparse modes): once a source has sent n
+//     messages in a superstep its bulk sends stop setting bits,
+//     and the gather scans the cells of its range, taking any cell whose bits
+//     are not the identity's. A send of a value the identity absorbs (−0
+//     under Sum; +Inf or NaN under Min) still sets its bit, so it is still
+//     delivered. A sparse superstep — a BFS frontier, a late WCC round — keeps
+//     the bitmap, and its gather costs what was touched plus n/64 words.
+//   - The exchange copies nothing, and fragments meet once per superstep.
+//     Every buffer the exchange reads — accumulators, materialised messages,
+//     encoded hand-offs, the continue-vote — exists twice, by superstep
+//     parity. After superstep s's barrier destination d reads range
+//     [lo_d, hi_d) of every source's parity-s accumulator, combines the
+//     touched cells in source order, resets them, and appends to an inbox it
+//     owns and reuses, while a faster fragment already runs s+1 into the
+//     other parity; the barrier of s+1 is what lets a source reuse parity s.
+//     Inboxes therefore arrive in ascending target order with at most one
+//     message per target — a guarantee of the combiner path that
+//     Program.IncEval states.
 //
 // Without a combiner, sends are buffered per destination fragment as
 // Messages (Aux is carried only here) and the destination concatenates them
@@ -88,18 +105,30 @@ type Combiner uint8
 const (
 	// NoCombine delivers every message individually, Aux included.
 	NoCombine Combiner = iota
-	// Sum delivers the sum of the values sent to a target (PageRank).
+	// Sum delivers the sum of the values sent to a target (PageRank); a sum
+	// of zeros is delivered as +0.
 	Sum
 	// Min delivers the smallest value sent to a target (BFS, SSSP, WCC).
 	Min
 )
 
-// identity is the value an untouched accumulator cell holds.
+// identity is the value an untouched accumulator cell holds: −0 under Sum,
+// the exact additive identity, so that no sum lands back on it unless every
+// addend was −0.
 func (c Combiner) identity() float64 {
 	if c == Min {
 		return math.Inf(1)
 	}
-	return 0
+	return math.Copysign(0, -1)
+}
+
+// absorbs reports whether folding val leaves an identity cell unchanged, so
+// that only a touched bit can tell the target was sent to.
+func (c Combiner) absorbs(val float64) bool {
+	if c == Min {
+		return !(val < math.Inf(1))
+	}
+	return math.Float64bits(val) == math.Float64bits(c.identity())
 }
 
 func (c Combiner) apply(a, b float64) float64 {
@@ -133,32 +162,43 @@ type Engine struct {
 	opt  Options
 	part *partition.Range
 	fr   []*Fragment
-	// acc[f] is fragment f's flat accumulator (nil under NoCombine). All
-	// cells hold the identity and all bits are clear between runs.
-	acc   []*accum
+	// acc[p][f] is fragment f's flat accumulator for supersteps of parity p
+	// (nil under NoCombine). All cells hold the identity between runs.
+	acc   [2][]*accum
 	stats *RunStats
 }
 
+// vertexWork is what one vertex costs a combined superstep, in out-edges
+// scattered: its IncEval loop iteration, its inbox message and its share of
+// the gather. It was measured from RunStats on a 2-vCPU x86 VM: PageRank at
+// one fragment over Datagen 20 000 × {4, 8, 16, 32}, the median ComputeNs +
+// ExchangeNs of a superstep fitted to a·n + b·edges, gave a = 15–21 ns and
+// b = 1.6–1.8 ns, a/b = 9.5–11.8 in four fits. On the graphalytics graph at
+// two fragments the fragments' busy times (µs per superstep, fragment 0 /
+// 1) read 429 / 487 at 9, 513 / 537 and 447 / 418 at 10, 490 / 408 at 14;
+// whole runs at 6, 8 and 10 differed by less than the VM's noise.
+const vertexWork = 10
+
 // accum is a flat combining accumulator over the whole vertex range: a cell
 // per vertex holding the combiner's identity until touched, and a bitmap of
-// the touched cells.
+// the touched cells that dense bulk sends leave unset.
 type accum struct {
-	comb Combiner
-	cell []float64
-	bits []uint64
+	comb  Combiner
+	dense bool // this superstep's bulk sends stopped setting bits
+	cell  []float64
+	bits  []uint64
 }
 
 func newAccum(n int, comb Combiner) *accum {
 	a := &accum{comb: comb, cell: make([]float64, n), bits: make([]uint64, (n+63)/64)}
-	if id := comb.identity(); id != 0 {
-		for i := range a.cell {
-			a.cell[i] = id
-		}
+	id := comb.identity()
+	for i := range a.cell {
+		a.cell[i] = id
 	}
 	return a
 }
 
-// fold merges one value into the target's cell.
+// fold merges one value into the target's cell and marks it touched.
 func (a *accum) fold(t graph.VID, val float64) {
 	if a.comb == Sum {
 		a.cell[t] += val
@@ -169,42 +209,46 @@ func (a *accum) fold(t graph.VID, val float64) {
 }
 
 // scatter folds val into every target of an adjacency slice, the combiner
-// chosen once outside the loop.
+// chosen once outside the loop. A dense superstep updates cells only, unless
+// the identity absorbs val. Its Min compares orderedKeys, so that the update
+// compiles to a select rather than a branch the random targets mispredict; a
+// zero, whose sign `<` ignores and the keys do not, takes the bitmap loop.
 func (a *accum) scatter(adj []grin.Target, val float64) {
 	cell, bm := a.cell, a.bits
-	if a.comb == Sum {
+	dense := a.dense && !a.comb.absorbs(val)
+	switch {
+	case dense && a.comb == Sum:
+		for _, t := range adj {
+			cell[t.Nbr] += val
+		}
+	case dense && val != 0:
+		vb := math.Float64bits(val)
+		vk := orderedKey(vb)
+		for _, t := range adj {
+			cb := math.Float64bits(cell[t.Nbr])
+			if vk < orderedKey(cb) {
+				cb = vb
+			}
+			cell[t.Nbr] = math.Float64frombits(cb)
+		}
+	case a.comb == Sum:
 		for _, t := range adj {
 			cell[t.Nbr] += val
 			bm[t.Nbr>>6] |= 1 << (t.Nbr & 63)
 		}
-		return
-	}
-	for _, t := range adj {
-		if val < cell[t.Nbr] {
-			cell[t.Nbr] = val
+	default:
+		for _, t := range adj {
+			if val < cell[t.Nbr] {
+				cell[t.Nbr] = val
+			}
+			bm[t.Nbr>>6] |= 1 << (t.Nbr & 63)
 		}
-		bm[t.Nbr>>6] |= 1 << (t.Nbr & 63)
 	}
 }
 
-// drain moves every touched cell of [lo, hi) into sink in ascending target
-// order, resetting the cells and clearing the bits it visits.
-func (a *accum) drain(lo, hi graph.VID, sink func(t graph.VID, val float64)) {
-	if lo >= hi {
-		return
-	}
-	id := a.comb.identity()
-	w0, w1 := int(lo>>6), int((hi-1)>>6)
-	for w := w0; w <= w1; w++ {
-		m := a.bits[w] & rangeMask(w, w0, w1, lo, hi)
-		a.bits[w] &^= m
-		for ; m != 0; m &= m - 1 {
-			t := graph.VID(w<<6 | bits.TrailingZeros64(m))
-			sink(t, a.cell[t])
-			a.cell[t] = id
-		}
-	}
-}
+// orderedKey maps the bits of a float64 other than NaN to an int64 that
+// orders as the floats do, except that −0 sorts below +0.
+func orderedKey(b uint64) int64 { return int64(b ^ uint64(int64(b)>>63)>>1) }
 
 // rangeMask selects, in bitmap word w of [w0, w1], the bits of [lo, hi).
 func rangeMask(w, w0, w1 int, lo, hi graph.VID) uint64 {
@@ -237,11 +281,14 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if opt.Combine > Min {
 		return nil, fmt.Errorf("grape: unknown combiner %d", opt.Combine)
 	}
-	// A fragment's work is its vertices plus the edges it scatters along and
-	// the messages it receives, so that is what the cuts balance.
-	part, err := partition.NewRange(n, opt.Fragments, func(v graph.VID) int {
-		return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In)
-	})
+	// A fragment's work is its vertices plus the edges it scatters along and,
+	// without a combiner, the messages it receives: that is what the cuts
+	// balance.
+	weight := func(v graph.VID) int { return vertexWork + g.Degree(v, graph.Out) }
+	if opt.Combine == NoCombine {
+		weight = func(v graph.VID) int { return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In) }
+	}
+	part, err := partition.NewRange(n, opt.Fragments, weight)
 	if err != nil {
 		return nil, err
 	}
@@ -252,10 +299,11 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 		e.fr = append(e.fr, &Fragment{id: f, total: opt.Fragments, lo: lo, hi: hi, g: g, part: part})
 	}
 	if opt.Combine != NoCombine {
-		e.acc = make([]*accum, opt.Fragments)
-		for f := range e.acc {
-			e.acc[f] = newAccum(n, opt.Combine)
+		accs := make([]*accum, 2*opt.Fragments)
+		for i := range accs {
+			accs[i] = newAccum(n, opt.Combine)
 		}
+		e.acc = [2][]*accum{accs[:opt.Fragments], accs[opt.Fragments:]}
 	}
 	return e, nil
 }
@@ -296,25 +344,25 @@ func (f *Fragment) Graph() grin.Graph { return f.g }
 
 // outbox is where a fragment's sends land until the exchange: folded into a
 // flat accumulator when the engine combines at the sender, otherwise
-// buffered as Messages per destination fragment.
+// buffered as Messages per destination fragment. acc and out are the current
+// superstep's parity of the buffers the Context holds.
 type outbox struct {
 	e    *Engine
 	acc  *accum      // sender-side combining; nil on the materialised path
 	out  [][]Message // per destination fragment (materialised path)
 	sent int64       // sends since the run began (RunStats.Folded)
+	// denseAt is the sent count at which this superstep's bulk sends turn
+	// dense: n sends after it began. By then about 1 − 1/e of the cells a
+	// random scatter covers are touched, and a scan of the gathered range
+	// costs less than a bit per further send (BFS at two fragments on the
+	// graphalytics graph, p50 of 30 interleaved runs: 2.44 ms never dense,
+	// 2.05 / 1.87 / 1.90 / 1.76 ms from n/8 / n/4 / n/2 / n sends).
+	denseAt int64
 
 	// Iterator-trait fallback of SendToNeighbors: one closure per outbox,
 	// reading the value in flight from val.
 	yield func(graph.VID, graph.EID) bool
 	val   float64
-}
-
-func newOutbox(e *Engine, acc *accum) *outbox {
-	o := &outbox{e: e, acc: acc}
-	if acc == nil {
-		o.out = make([][]Message, len(e.fr))
-	}
-	return o
 }
 
 // Send directs a value at a vertex; it reaches the owner fragment's IncEval
@@ -364,8 +412,9 @@ func (o *outbox) SendToNeighbors(v graph.VID, dir graph.Direction, val float64) 
 
 func (o *outbox) scatter(adj []grin.Target, val float64) {
 	o.sent += int64(len(adj))
-	if o.acc != nil {
-		o.acc.scatter(adj, val)
+	if a := o.acc; a != nil {
+		a.dense = a.dense || o.sent >= o.denseAt
+		a.scatter(adj, val)
 		return
 	}
 	for _, t := range adj {
@@ -380,10 +429,16 @@ type Context struct {
 	frag  *Fragment
 	rerun bool
 	step  int
-	// more is this fragment's wish for another superstep: written by it
-	// between the two barriers, read by every fragment after the second.
-	more      bool
+	// stepSent is sent when the current superstep began.
+	stepSent int64
+	// more[p] is this fragment's wish for another superstep after the last
+	// superstep of parity p: written by it before that superstep's barrier,
+	// read by every fragment after.
+	more      [2]bool
 	delivered int64 // messages handed to IncEval so far (RunStats.Delivered)
+	// outs[p] holds the per-destination Message buffers of parity p
+	// (materialised path).
+	outs [2][][]Message
 
 	// inbox is the buffer IncEval's msgs alias, reused across supersteps;
 	// words is gather's merged-bitmap scratch.
@@ -421,8 +476,8 @@ type FragmentStep struct {
 	// ExchangeNs is the engine's own message work: encoding, gathering and
 	// combining this fragment's inbox.
 	ExchangeNs int64
-	// WaitNs is the time blocked at the superstep's two barriers — what the
-	// fragment lost to slower fragments.
+	// WaitNs is the time blocked at the superstep's one barrier — what the
+	// fragment lost to the slowest fragment's compute.
 	WaitNs int64
 }
 
@@ -437,9 +492,12 @@ type run struct {
 	p    Program
 	ctxs []*Context
 	bar  barrier
-	// Hand-off buffers of the ablation arms: enc[src][dst] under WireCodec,
-	// one channel per destination under PerMessageChannels.
-	enc   [][][]byte
+	// senderSide: sources fold into their own accumulators (a combiner, and
+	// not the per-message arm).
+	senderSide bool
+	// Hand-off buffers of the ablation arms: enc[p][src][dst] under
+	// WireCodec, one channel per destination under PerMessageChannels.
+	enc   [2][][][]byte
 	chans []chan Message
 	// steps[f] is fragment f's wall-clock record; nil when nobody collects.
 	steps [][]FragmentStep
@@ -450,18 +508,21 @@ func (e *Engine) Run(p Program) (int, error) {
 	nf := len(e.fr)
 	r := &run{e: e, p: p, ctxs: make([]*Context, nf)}
 	r.bar.init(nf)
-	senderSide := e.acc != nil && !e.opt.PerMessageChannels
+	r.senderSide = e.acc[0] != nil && !e.opt.PerMessageChannels
 	for i := range r.ctxs {
-		var acc *accum
-		if senderSide {
-			acc = e.acc[i]
+		c := &Context{outbox: &outbox{e: e}, frag: e.fr[i]}
+		if !r.senderSide {
+			outs := make([][]Message, 2*nf)
+			c.outs = [2][][]Message{outs[:nf], outs[nf:]}
 		}
-		r.ctxs[i] = &Context{outbox: newOutbox(e, acc), frag: e.fr[i]}
+		r.ctxs[i] = c
 	}
 	if e.opt.WireCodec && !e.opt.PerMessageChannels {
-		r.enc = make([][][]byte, nf)
-		for s := range r.enc {
-			r.enc[s] = make([][]byte, nf)
+		for p := range r.enc {
+			r.enc[p] = make([][][]byte, nf)
+			for s := range r.enc[p] {
+				r.enc[p][s] = make([][]byte, nf)
+			}
 		}
 	}
 	if e.opt.PerMessageChannels {
@@ -503,12 +564,12 @@ func (e *Engine) Run(p Program) (int, error) {
 	return steps, nil
 }
 
-// fragment is the life of fragment i's goroutine: compute, meet the others,
-// collect the inbox, meet again, and decide — identically on every fragment,
-// from the shared votes — whether another superstep follows. It returns the
-// superstep count.
+// fragment is the life of fragment i's goroutine: compute into this
+// superstep's parity, vote, meet the others, decide — identically on every
+// fragment, from the shared votes — whether another superstep follows, and
+// collect the inbox. It returns the superstep count.
 func (r *run) fragment(i int) int {
-	e, c := r.e, r.ctxs[i]
+	c := r.ctxs[i]
 	// lap charges the time since the previous lap to one field of the
 	// current FragmentStep; with nobody collecting, fs stays on a throwaway
 	// and no clock is read.
@@ -527,86 +588,107 @@ func (r *run) fragment(i int) int {
 			r.steps[i] = append(r.steps[i], FragmentStep{})
 			fs, t0 = &r.steps[i][step], time.Now()
 		}
-		// Whoever gathered from this fragment last superstep is past the
-		// second barrier, so its touched bits and buffers are ours again.
-		if e.acc != nil {
-			clear(e.acc[i].bits)
-		}
-		for d := range c.out {
-			c.out[d] = c.out[d][:0]
-		}
-		c.step, c.rerun = step, false
+		par := r.begin(i, step)
 		if step == 0 {
 			r.p.PEval(c.frag, c)
 		} else {
 			r.p.IncEval(c.frag, c, c.inbox)
 		}
 		lap(&fs.ComputeNs)
-		if r.enc != nil {
-			r.encode(i)
+		if r.enc[par] != nil {
+			r.encode(i, par)
 			lap(&fs.ExchangeNs)
 		}
-		r.bar.wait()
-		lap(&fs.WaitNs)
-		r.receive(i)
-		c.delivered += int64(len(c.inbox))
-		c.more = len(c.inbox) > 0 || c.rerun
-		lap(&fs.ExchangeNs)
+		// Sent anything ⇔ some inbox of this superstep is non-empty.
+		c.more[par] = c.sent > c.stepSent || c.rerun
 		r.bar.wait()
 		lap(&fs.WaitNs)
 
 		more := false
 		for _, o := range r.ctxs {
-			more = more || o.more
+			more = more || o.more[par]
 		}
 		if !more {
 			return step + 1
 		}
+		r.receive(i, par)
+		c.delivered += int64(len(c.inbox))
+		lap(&fs.ExchangeNs)
 	}
 }
 
-// receive builds fragment d's inbox once every fragment has finished
-// sending. The default path with a combiner reads the sources' accumulators
-// in place. The other paths take delivery of materialised messages in source
-// order; with a combiner those are then folded into d's own accumulator —
-// which only d touches on these paths — and gathered from there.
-func (r *run) receive(d int) {
+// begin points fragment i's outbox at the buffers of step's parity and
+// returns it. Whoever gathered from them did so before the previous
+// superstep's barrier, which this fragment has passed, so they are its own
+// again: it clears the touched bits and empties the message buffers.
+func (r *run) begin(i, step int) int {
+	e, c, par := r.e, r.ctxs[i], step&1
+	c.step, c.rerun, c.stepSent = step, false, c.sent
+	if accs := e.acc[par]; accs != nil {
+		a := accs[i]
+		clear(a.bits)
+		a.dense = false
+		if r.senderSide {
+			c.acc = a
+			c.denseAt = c.sent + int64(len(a.cell))
+		}
+	}
+	for d := range c.outs[par] {
+		c.outs[par][d] = c.outs[par][d][:0]
+	}
+	c.out = c.outs[par]
+	return par
+}
+
+// receive builds fragment d's inbox from the sources' parity par once every
+// fragment has finished sending. The default path with a combiner reads the
+// sources' accumulators in place. The other paths take delivery of
+// materialised messages in source order; with a combiner those are then
+// folded into d's own accumulator — which only d touches on these paths —
+// and gathered from there.
+func (r *run) receive(d, par int) {
 	e, c := r.e, r.ctxs[d]
 	c.inbox = c.inbox[:0]
 	switch {
 	case r.chans != nil:
-		r.shipPerMessage(d)
-	case r.enc != nil || e.acc == nil:
+		r.shipPerMessage(d, par)
+	case r.enc[par] != nil || e.acc[par] == nil:
 		for s, src := range r.ctxs {
-			if s != d && r.enc != nil {
-				c.inbox = decodeMessages(r.enc[s][d], c.inbox)
-			} else if src.acc == nil {
-				c.inbox = append(c.inbox, src.out[d]...)
+			if s != d && r.enc[par] != nil {
+				c.inbox = decodeMessages(r.enc[par][s][d], c.inbox)
+			} else if !r.senderSide {
+				c.inbox = append(c.inbox, src.outs[par][d]...)
 			}
 		}
 	default:
-		c.gather(e.acc)
+		c.gather(e.acc[par], c.frag.lo, c.frag.hi)
 		return
 	}
-	if e.acc != nil {
-		own := e.acc[d]
+	if accs := e.acc[par]; accs != nil {
+		own := accs[d]
 		for _, m := range c.inbox {
 			own.fold(m.Target, m.Value)
 		}
-		c.inbox = c.inbox[:0]
-		c.gather(e.acc[d : d+1])
+		c.gather(accs[d:d+1], c.frag.lo, c.frag.hi)
 	}
 }
 
-// gather appends to the inbox one message per vertex of this fragment's
-// range that any source accumulator touched, in ascending vertex order:
-// the touched cells combined in source order, and reset. The sources' bits
-// are left for their owners to clear, because two destinations' ranges can
-// meet inside one bitmap word.
-func (c *Context) gather(srcs []*accum) {
-	lo, hi := c.frag.lo, c.frag.hi
+// gather replaces the inbox with one message per vertex of [lo, hi) that any
+// source accumulator touched, in ascending vertex order: the cells combined
+// in source order (an untouched cell holds the identity, which combines
+// exactly), and reset. While every source is sparse the merged bitmap names
+// the touched vertices; once one is dense every vertex of the range is
+// scanned and taken if a bit is set or the combined value is not the
+// identity. The sources' bits are left for their owners to clear, because two
+// destinations' ranges can meet inside one bitmap word.
+func (c *Context) gather(srcs []*accum, lo, hi graph.VID) {
+	c.inbox = c.inbox[:0]
 	if lo >= hi {
 		return
+	}
+	dense := false
+	for _, a := range srcs {
+		dense = dense || a.dense
 	}
 	w0, w1 := int(lo>>6), int((hi-1)>>6)
 	c.words = resized(c.words, w1-w0+1)[:0]
@@ -620,59 +702,118 @@ func (c *Context) gather(srcs []*accum) {
 		c.words = append(c.words, m)
 		count += bits.OnesCount64(m)
 	}
+	if dense {
+		count = int(hi - lo)
+	}
 	if count > cap(c.inbox) {
 		c.inbox = make([]Message, 0, min(max(count, 2*cap(c.inbox)), int(hi-lo)))
+	}
+	if dense {
+		c.gatherDense(srcs, lo, hi)
+		return
 	}
 	comb := srcs[0].comb
 	id := comb.identity()
 	for i, m := range c.words {
 		for ; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			t := graph.VID((w0+i)<<6 | b)
+			t := graph.VID((w0+i)<<6 | bits.TrailingZeros64(m))
 			val := id
 			for _, a := range srcs {
-				if a.bits[w0+i]>>b&1 != 0 {
-					val = comb.apply(val, a.cell[t])
-					a.cell[t] = id
-				}
+				val = comb.apply(val, a.cell[t])
+				a.cell[t] = id
+			}
+			if comb == Sum && val == 0 {
+				val = 0 // a Sum of zeros arrives as +0, whatever their signs
 			}
 			c.inbox = append(c.inbox, Message{Target: t, Value: val})
 		}
 	}
 }
 
-// encode is the WireCodec send side, run by source s before the first
-// barrier: everything pending for another fragment is serialised into one
-// compact buffer per destination. Messages to s itself skip the wire, as
-// they would on a real cluster.
-func (r *run) encode(s int) {
+// gatherDense is gather's dense scan, in plain array passes that reset the
+// cells they read: the sources but the last combine into one inbox slot per
+// vertex in source order, and the last one's pass also keeps, in place, the
+// slots of the vertices that were touched.
+func (c *Context) gatherDense(srcs []*accum, lo, hi graph.VID) {
+	comb := srcs[0].comb
+	id := comb.identity()
+	in := c.inbox[:hi-lo]
+	last := len(srcs) - 1
+	for i, a := range srcs[:last] {
+		cell := a.cell[lo:hi]
+		in := in[:len(cell)]
+		switch {
+		case i == 0:
+			for j, x := range cell {
+				in[j].Value = x
+				cell[j] = id
+			}
+		case comb == Sum:
+			for j, x := range cell {
+				in[j].Value += x
+				cell[j] = id
+			}
+		default:
+			for j, x := range cell {
+				in[j].Value = min(in[j].Value, x)
+				cell[j] = id
+			}
+		}
+	}
+	idBits, w0 := math.Float64bits(id), int(lo>>6)
+	cell := srcs[last].cell[lo:hi]
+	in = in[:len(cell)]
+	k := 0
+	for j, val := range cell {
+		cell[j] = id
+		if last > 0 {
+			val = comb.apply(in[j].Value, val)
+		}
+		t := lo + graph.VID(j)
+		if c.words[int(t>>6)-w0]>>(t&63)&1 == 0 && math.Float64bits(val) == idBits {
+			continue
+		}
+		if comb == Sum && val == 0 {
+			val = 0
+		}
+		in[k] = Message{Target: t, Value: val}
+		k++
+	}
+	c.inbox = in[:k]
+}
+
+// encode is the WireCodec send side, run by source s before the barrier:
+// everything pending for another fragment is serialised into one compact
+// buffer per destination, a combined range gathered through the inbox, which
+// IncEval has finished with. Messages to s itself skip the wire, as they
+// would on a real cluster.
+func (r *run) encode(s, par int) {
 	c := r.ctxs[s]
 	for d, f := range r.e.fr {
 		if d == s {
 			continue
 		}
-		buf := r.enc[s][d][:0]
+		var msgs []Message
 		if c.acc != nil {
-			prev := uint64(0)
-			c.acc.drain(f.lo, f.hi, func(t graph.VID, val float64) {
-				buf, prev = appendMessage(buf, prev, Message{Target: t, Value: val})
-			})
+			c.gather(r.e.acc[par][s:s+1], f.lo, f.hi)
+			msgs = c.inbox
 		} else {
-			buf = encodeMessages(buf, c.out[d])
+			msgs = c.out[d]
 		}
-		r.enc[s][d] = buf
+		r.enc[par][s][d] = encodeMessages(r.enc[par][s][d][:0], msgs)
 	}
 }
 
 // shipPerMessage is the ablation arm: every message is an individual channel
 // send, the "fragmented, randomly distributed small messages" §6 warns
-// about. Fragment i pushes its messages from a helper goroutine while it
-// drains its own channel into its inbox, until every source has signed off
-// with a NilVID sentinel; the second barrier then guarantees every helper
-// has finished.
-func (r *run) shipPerMessage(i int) {
+// about. Fragment i pushes its parity-par messages from a helper goroutine
+// while it drains its own channel into its inbox, until every source has
+// signed off with a NilVID sentinel. No fragment can start the next
+// exchange before every channel has delivered this one's sentinels, since
+// every destination drains them before it reaches the next barrier.
+func (r *run) shipPerMessage(i, par int) {
 	c := r.ctxs[i]
-	out := c.out
+	out := c.outs[par]
 	go func() {
 		for d, ch := range r.chans {
 			for _, m := range out[d] {
@@ -691,12 +832,11 @@ func (r *run) shipPerMessage(i int) {
 }
 
 // barrier is a reusable rendezvous of the run's fragment goroutines. An
-// arrival yields for up to barrierSpin before it parks: a superstep of the
-// analytics library lasts a few hundred microseconds, and waking a parked
-// goroutine — an idle P, a sleeping thread, on a VM a halted vCPU — was
-// measured to cost about as much, which ran two fragments back to back
-// instead of side by side (PageRank on two fragments 20.5 → 13.0 ms when the
-// waits stopped parking).
+// arrival yields for up to barrierSpin before it parks: waking a parked
+// goroutine — an idle P, a sleeping thread, on a VM a halted vCPU — costs
+// about 250 µs on the 2-vCPU VM the analytics numbers come from, as long as
+// a whole superstep of the graphalytics PageRank, so a fragment that parked
+// ran behind the other instead of beside it.
 type barrier struct {
 	n       int32
 	waiting atomic.Int32
@@ -738,32 +878,29 @@ func (b *barrier) wait() {
 	b.mu.Unlock()
 }
 
-// appendMessage packs one message after a message whose target was prev:
-// zigzag uvarint target delta (buffers are mostly ascending) + uvarint aux +
-// raw float64 payload.
-func appendMessage(buf []byte, prev uint64, m Message) ([]byte, uint64) {
-	t := uint64(m.Target)
-	var d uint64
-	if t >= prev {
-		d = (t - prev) << 1
-	} else {
-		d = ((prev - t) << 1) | 1
-	}
-	buf = binary.AppendUvarint(buf, d)
-	buf = binary.AppendUvarint(buf, uint64(m.Aux))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Value)), t
-}
-
-// encodeMessages appends the packed messages to buf.
+// encodeMessages appends the packed messages to buf, each as a zigzag
+// uvarint target delta from the previous message (buffers are mostly
+// ascending) + uvarint aux + raw float64 payload.
 func encodeMessages(buf []byte, ms []Message) []byte {
 	prev := uint64(0)
 	for _, m := range ms {
-		buf, prev = appendMessage(buf, prev, m)
+		t := uint64(m.Target)
+		var d uint64
+		if t >= prev {
+			d = (t - prev) << 1
+		} else {
+			d = (prev-t)<<1 | 1
+		}
+		buf = binary.AppendUvarint(buf, d)
+		buf = binary.AppendUvarint(buf, uint64(m.Aux))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Value))
+		prev = t
 	}
 	return buf
 }
 
-// decodeMessages unpacks a buffer of appendMessage records, appending to dst.
+// decodeMessages unpacks a buffer of encodeMessages records, appending to
+// dst.
 func decodeMessages(buf []byte, dst []Message) []Message {
 	prev := uint64(0)
 	for len(buf) > 0 {

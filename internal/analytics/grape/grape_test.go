@@ -1,12 +1,14 @@
 package grape
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/grin"
 )
 
 func TestMessageCodecRoundTrip(t *testing.T) {
@@ -34,8 +36,9 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAccumFoldDrain: folds combine per target, drain yields ascending
-// targets of the asked range only, and what it visits is left clean.
+// TestAccumFoldDrain: folds and bulk sends combine per target, sparse or
+// dense; a gather yields ascending targets of the asked range only, and
+// leaves every cell it visits at the identity and the bits to their owner.
 func TestAccumFoldDrain(t *testing.T) {
 	for _, tc := range []struct {
 		comb Combiner
@@ -44,36 +47,60 @@ func TestAccumFoldDrain(t *testing.T) {
 		{Sum, map[graph.VID]float64{1: 5, 63: 7, 64: 5, 130: 1}},
 		{Min, map[graph.VID]float64{1: 2, 63: 7, 64: 5, 130: 1}},
 	} {
-		a := newAccum(200, tc.comb)
-		a.fold(1, 2)
-		a.fold(64, 5)
-		a.fold(1, 3)
-		a.fold(63, 7)
-		a.fold(130, 1)
-		a.fold(199, 9) // outside the drained range
-		var order []graph.VID
-		a.drain(1, 131, func(v graph.VID, val float64) {
-			order = append(order, v)
-			if val != tc.want[v] {
-				t.Fatalf("comb %d target %d: %v want %v", tc.comb, v, val, tc.want[v])
+		for _, dense := range []bool{false, true} {
+			a := newAccum(200, tc.comb)
+			a.fold(1, 2)
+			a.fold(64, 5)
+			a.dense = dense // bulk sends from here on set no bits
+			a.scatter([]grin.Target{{Nbr: 1}}, 3)
+			a.scatter([]grin.Target{{Nbr: 63}}, 7)
+			a.scatter([]grin.Target{{Nbr: 130}, {Nbr: 199}}, 1)
+			a.fold(199, 8) // outside the gathered range
+			c := &Context{}
+			c.gather([]*accum{a}, 1, 131)
+			var order []graph.VID
+			for _, m := range c.inbox {
+				order = append(order, m.Target)
+				if m.Value != tc.want[m.Target] {
+					t.Fatalf("comb %d dense=%v target %d: %v want %v", tc.comb, dense, m.Target, m.Value, tc.want[m.Target])
+				}
 			}
-		})
-		if !reflect.DeepEqual(order, []graph.VID{1, 63, 64, 130}) {
-			t.Fatalf("comb %d: drained %v", tc.comb, order)
+			if !reflect.DeepEqual(order, []graph.VID{1, 63, 64, 130}) {
+				t.Fatalf("comb %d dense=%v: gathered %v", tc.comb, dense, order)
+			}
+			wantBits := a.bits[0]
+			c.gather([]*accum{a}, 131, 200)
+			if want := tc.comb.apply(1, 8); len(c.inbox) != 1 || c.inbox[0] != (Message{Target: 199, Value: want}) {
+				t.Fatalf("comb %d dense=%v: leftover %v, want 199=%v", tc.comb, dense, c.inbox, want)
+			}
+			for v, x := range a.cell {
+				if math.Float64bits(x) != math.Float64bits(tc.comb.identity()) {
+					t.Fatalf("comb %d dense=%v: cell %d not reset: %v", tc.comb, dense, v, x)
+				}
+			}
+			if a.bits[0] != wantBits || a.bits[0] == 0 {
+				t.Fatalf("comb %d dense=%v: gather changed the owner's bits", tc.comb, dense)
+			}
 		}
-		a.drain(0, 200, func(v graph.VID, val float64) {
-			if v != 199 || val != 9 {
-				t.Fatalf("comb %d: leftover %d=%v", tc.comb, v, val)
+	}
+}
+
+// TestOrderedKey: the dense Min scatter's integer keys order floats as `<`
+// does, apart from −0 sorting below +0.
+func TestOrderedKey(t *testing.T) {
+	vals := []float64{math.Inf(-1), -math.MaxFloat64, -3.5, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, 2.25, math.MaxFloat64, math.Inf(1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			ka, kb := orderedKey(math.Float64bits(a)), orderedKey(math.Float64bits(b))
+			if a == 0 && b == 0 {
+				if (ka < kb) != (math.Signbit(a) && !math.Signbit(b)) {
+					t.Fatalf("keys of %v and %v misorder the zeros", a, b)
+				}
+				continue
 			}
-		})
-		for v, c := range a.cell {
-			if c != tc.comb.identity() {
-				t.Fatalf("comb %d: cell %d not reset: %v", tc.comb, v, c)
-			}
-		}
-		for w, b := range a.bits {
-			if b != 0 {
-				t.Fatalf("comb %d: word %d not cleared: %x", tc.comb, w, b)
+			if (ka < kb) != (a < b) {
+				t.Fatalf("key(%v) < key(%v) is %v, want %v", a, b, ka < kb, a < b)
 			}
 		}
 	}
@@ -252,6 +279,195 @@ func TestExchangeArmsAgree(t *testing.T) {
 			}
 		}
 	}
+
+	// Values the combiner's identity absorbs — −0 under Sum, +Inf and NaN
+	// under Min — sent beside ordinary ones through Send and SendToNeighbors,
+	// enough of them for every source to turn dense: on every arm each
+	// delivered message's bits and the exact counters are those of a
+	// sequential replay, and a target sent nothing but −0 receives +0.
+	dg, err := dataset.Datagen("t", n, 8, 4).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, comb := range []Combiner{Sum, Min} {
+		want, folded, delivered, zeroOnly := replayAbsorbed(dg, comb)
+		if comb == Sum && zeroOnly == 0 {
+			t.Fatal("no target of superstep 1 was sent only −0")
+		}
+		for _, frags := range []int{1, 2, 5} {
+			for _, arm := range []Options{{}, {WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
+				arm.Fragments, arm.Combine = frags, comb
+				eng, err := NewEngine(dg, arm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st RunStats
+				eng.CollectStats(&st)
+				p := newAbsorbedProgram(n, comb)
+				steps, err := eng.Run(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if steps != absorbedSteps || st.Folded != folded || st.Delivered != delivered {
+					t.Fatalf("comb=%d frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", comb, frags, arm,
+						steps, st.Folded, st.Delivered, absorbedSteps, folded, delivered)
+				}
+				if !reflect.DeepEqual(p.got, want) {
+					t.Fatalf("comb=%d frags=%d arm=%+v: delivered bits differ from the replay", comb, frags, arm)
+				}
+			}
+		}
+	}
+}
+
+// absorbedSteps is absorbedProgram's superstep count: PEval, the forwarding
+// round, and the round that receives the forwards.
+const absorbedSteps = 3
+
+// absorbedProgram mixes values the combiner's identity absorbs with ordinary
+// ones. In PEval every vertex v sends absorbedValue(v) to its out-neighbours
+// and to v/3; in superstep 1 every target forwards what it received the same
+// way. got[s][v] holds the bits of the value v received in superstep s,
+// unsent, or twice.
+type absorbedProgram struct {
+	comb Combiner
+	got  [absorbedSteps][]uint64
+}
+
+// unsent and twice are NaN payloads no combiner delivers.
+const (
+	unsent = 0x7ff0_dead_0000_0001
+	twice  = 0x7ff0_dead_0000_0002
+)
+
+func newAbsorbedProgram(n int, comb Combiner) *absorbedProgram {
+	p := &absorbedProgram{comb: comb}
+	for s := range p.got {
+		p.got[s] = make([]uint64, n)
+		for v := range p.got[s] {
+			p.got[s][v] = unsent
+		}
+	}
+	return p
+}
+
+// absorbedValue is −0 or 1 under Sum, and +Inf, NaN or v under Min.
+func absorbedValue(comb Combiner, v graph.VID) float64 {
+	if comb == Sum {
+		if v%4 == 3 {
+			return 1
+		}
+		return math.Copysign(0, -1)
+	}
+	switch v % 4 {
+	case 0:
+		return math.Inf(1)
+	case 2:
+		return float64(v)
+	}
+	return math.NaN()
+}
+
+// sender is what absorbedProgram sends through: a Context, or the replay.
+type sender interface {
+	Send(graph.VID, float64)
+	SendToNeighbors(graph.VID, graph.Direction, float64)
+}
+
+func emitAbsorbed(s sender, v graph.VID, val float64) {
+	s.SendToNeighbors(v, graph.Out, val)
+	s.Send(v/3, val)
+}
+
+func (p *absorbedProgram) PEval(f *Fragment, ctx *Context) {
+	lo, hi := f.Bounds()
+	for v := lo; v < hi; v++ {
+		emitAbsorbed(ctx, v, absorbedValue(p.comb, v))
+	}
+}
+
+func (p *absorbedProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
+	s := ctx.Superstep()
+	for _, m := range msgs {
+		if p.got[s][m.Target] != unsent {
+			p.got[s][m.Target] = twice
+			continue
+		}
+		p.got[s][m.Target] = math.Float64bits(m.Value)
+		if s == 1 {
+			emitAbsorbed(ctx, m.Target, m.Value)
+		}
+	}
+}
+
+// replay is a sequential sender: one accumulator over all targets, folded in
+// send order from +0 under Sum and by `<` from +Inf under Min.
+type replay struct {
+	g     grin.Graph
+	comb  Combiner
+	sent  int64
+	val   map[graph.VID]float64
+	other map[graph.VID]bool // sent some value other than −0
+}
+
+func newReplay(g grin.Graph, comb Combiner) *replay {
+	return &replay{g: g, comb: comb, val: map[graph.VID]float64{}, other: map[graph.VID]bool{}}
+}
+
+func (r *replay) Send(v graph.VID, x float64) {
+	r.sent++
+	cur, ok := r.val[v]
+	if !ok && r.comb == Min {
+		cur = math.Inf(1)
+	}
+	if r.comb == Sum {
+		cur += x
+	} else if x < cur {
+		cur = x
+	}
+	r.val[v] = cur
+	if math.Float64bits(x) != math.Float64bits(math.Copysign(0, -1)) {
+		r.other[v] = true
+	}
+}
+
+func (r *replay) SendToNeighbors(v graph.VID, dir graph.Direction, x float64) {
+	r.g.Neighbors(v, dir, func(u graph.VID, _ graph.EID) bool {
+		r.Send(u, x)
+		return true
+	})
+}
+
+// replayAbsorbed runs absorbedProgram sequentially. It returns what each
+// superstep delivers, the exact counters, and how many targets of superstep
+// 1 were sent nothing but −0.
+func replayAbsorbed(g grin.Graph, comb Combiner) (got [absorbedSteps][]uint64, folded, delivered int64, zeroOnly int) {
+	n := g.NumVertices()
+	p := newAbsorbedProgram(n, comb)
+	r := newReplay(g, comb)
+	for v := 0; v < n; v++ {
+		emitAbsorbed(r, graph.VID(v), absorbedValue(comb, graph.VID(v)))
+	}
+	for s := 1; s < absorbedSteps; s++ {
+		folded += r.sent
+		delivered += int64(len(r.val))
+		next := newReplay(g, comb)
+		for v := 0; v < n; v++ {
+			val, ok := r.val[graph.VID(v)]
+			if !ok {
+				continue
+			}
+			p.got[s][v] = math.Float64bits(val)
+			if s == 1 {
+				if !r.other[graph.VID(v)] {
+					zeroOnly++
+				}
+				emitAbsorbed(next, graph.VID(v), val)
+			}
+		}
+		r = next
+	}
+	return p.got, folded, delivered, zeroOnly
 }
 
 // TestEngineReusableAcrossRuns: a second Run on the same engine starts from
@@ -441,11 +657,44 @@ func TestFragmentsAreDegreeBalanced(t *testing.T) {
 		}
 	}
 
+	// With a combiner an in-edge costs its receiver nothing (the gather is
+	// per target), so a vertex weighs vertexWork + outdeg. On the reversed
+	// graph every in-edge ends in the first half, where a cut that charged
+	// in-edges would leave too few vertices.
+	fwd := dataset.Datagen("t", n, 16, 3)
+	rev, err := (&dataset.Simple{N: n, Src: fwd.Dst, Dst: fwd.Src}).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cg := range []grin.Graph{g, rev} {
+		combined := func(lo, hi graph.VID) (w int) {
+			for v := lo; v < hi; v++ {
+				w += vertexWork + cg.Degree(v, graph.Out)
+			}
+			return w
+		}
+		for _, comb := range []Combiner{Sum, Min} {
+			for _, frags := range []int{2, 4} {
+				eng, err := NewEngine(cg, Options{Fragments: frags, Combine: comb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFragmentsCover(t, eng, n)
+				mean := float64(combined(0, n)) / float64(frags)
+				for id, f := range eng.fr {
+					if w := float64(combined(f.Bounds())); w > 1.25*mean {
+						t.Fatalf("comb=%d frags=%d: fragment %d weighs %.0f, mean %.0f", comb, frags, id, w, mean)
+					}
+				}
+			}
+		}
+	}
+
 	// One hub heavier than a share: the fragments it swallows are empty, and
 	// a program still runs on all of them.
 	star := &dataset.Simple{N: 40}
-	for k := 0; k < 140; k++ {
-		dst := graph.VID(5) // 100 self-loops after one edge to every vertex
+	for k := 0; k < 2000; k++ {
+		dst := graph.VID(5) // 1960 self-loops after one edge to every vertex
 		if k < 40 {
 			dst = graph.VID(k)
 		}

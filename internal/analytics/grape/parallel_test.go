@@ -3,6 +3,7 @@ package grape
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -253,6 +254,99 @@ func TestSumBothShrinkingSends(t *testing.T) {
 				if !reflect.DeepEqual(p.sums[s], want[s]) {
 					t.Fatalf("%s frags=%d: step %d sums differ from the sequential replay", name, frags, s)
 				}
+			}
+		}
+	}
+}
+
+// lagSteps is lagProgram's superstep count.
+const lagSteps = 8
+
+// lagProgram sends Sum-combined integers every superstep but the last: on
+// even supersteps every vertex to its out-neighbours and to v/2 (a dense
+// superstep), on odd ones only every 32nd vertex to its out-neighbours (a
+// sparse one). sums[s][v] is what v received in superstep s. Fragment slow
+// spins for lagSpin in every even IncEval, so the others reach that
+// barrier long before it, and each exchange runs with the fragments out of
+// step: they gather and scatter into the next parity while it still gathers
+// this one.
+type lagProgram struct {
+	slow int
+	sums [lagSteps][]float64
+}
+
+const lagSpin = 300 * time.Microsecond
+
+func (p *lagProgram) send(f *Fragment, ctx *Context) {
+	s := ctx.Superstep()
+	if s >= lagSteps-1 {
+		return
+	}
+	lo, hi := f.Bounds()
+	for v := lo; v < hi; v++ {
+		if s%2 == 0 {
+			ctx.SendToNeighbors(v, graph.Out, float64(v%5))
+			ctx.Send(v/2, 1)
+		} else if v%32 == 0 {
+			ctx.SendToNeighbors(v, graph.Out, 1)
+		}
+	}
+}
+
+func (p *lagProgram) PEval(f *Fragment, ctx *Context) { p.send(f, ctx) }
+
+func (p *lagProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
+	s := ctx.Superstep()
+	if id, _ := f.Fragment(); id == p.slow && s%2 == 0 {
+		for start := time.Now(); time.Since(start) < lagSpin; {
+		}
+	}
+	for _, m := range msgs {
+		p.sums[s][m.Target] += m.Value
+	}
+	p.send(f, ctx)
+}
+
+// TestLaggingFragment: a fragment that falls behind every other superstep
+// changes nothing a run delivers. At 2 and 3 fragments, on every exchange
+// arm, the sums of every superstep and the exact counters equal the
+// one-fragment run's.
+func TestLaggingFragment(t *testing.T) {
+	const n = 400
+	g, err := dataset.Datagen("t", n, 8, 37).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opt Options) (*lagProgram, RunStats) {
+		p := &lagProgram{slow: opt.Fragments - 1}
+		for s := range p.sums {
+			p.sums[s] = make([]float64, n)
+		}
+		eng, err := NewEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st RunStats
+		eng.CollectStats(&st)
+		if _, err := eng.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		return p, st
+	}
+	want, wantStats := run(Options{Fragments: 1, Combine: Sum})
+	if wantStats.Supersteps != lagSteps {
+		t.Fatalf("one fragment ran %d supersteps, want %d", wantStats.Supersteps, lagSteps)
+	}
+	for _, frags := range []int{2, 3} {
+		for _, arm := range []Options{{}, {WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
+			arm.Fragments, arm.Combine = frags, Sum
+			got, st := run(arm)
+			if st.Supersteps != wantStats.Supersteps || st.Folded != wantStats.Folded || st.Delivered != wantStats.Delivered {
+				t.Fatalf("frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", frags, arm, st.Supersteps, st.Folded, st.Delivered,
+					wantStats.Supersteps, wantStats.Folded, wantStats.Delivered)
+			}
+			if !reflect.DeepEqual(got.sums, want.sums) {
+				t.Fatalf("frags=%d arm=%+v: sums differ from one fragment", frags, arm)
 			}
 		}
 	}

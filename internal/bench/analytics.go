@@ -55,6 +55,11 @@ func init() {
 	register("exp7", Exp7)
 }
 
+// cpuReps is how many runs each cell of Fig 7h/7i takes the median of: the
+// jobs last 0.1–100 ms, and on a shared machine a mean of 2 swapped
+// winners between two runs of the same binary.
+const cpuReps = 7
+
 // cpuAnalytics runs one algorithm across CPU systems (Fig 7h/7i). All
 // systems get NumCPU workers so the figure measures multi-core behavior.
 func cpuAnalytics(id, algo string) (*Table, error) {
@@ -73,19 +78,19 @@ func cpuAnalytics(id, algo string) (*Table, error) {
 		var dG, dPG, dGM time.Duration
 		switch algo {
 		case "PageRank":
-			dG = timeIt(2, func() {
+			dG = timeIt(cpuReps, func() {
 				_, _ = algorithms.PageRank(cg, algorithms.PageRankOptions{Iterations: 10, Fragments: workers})
 			})
 			pg := baselines.NewPowerGraph(cg, workers)
-			dPG = timeIt(2, func() { pg.PageRank(0.85, 10) })
+			dPG = timeIt(cpuReps, func() { pg.PageRank(0.85, 10) })
 			gm := baselines.NewGemini(cg, workers)
-			dGM = timeIt(2, func() { gm.PageRank(0.85, 10) })
+			dGM = timeIt(cpuReps, func() { gm.PageRank(0.85, 10) })
 		default:
-			dG = timeIt(2, func() { _, _ = algorithms.BFS(cg, 0, workers) })
+			dG = timeIt(cpuReps, func() { _, _ = algorithms.BFS(cg, 0, workers) })
 			pg := baselines.NewPowerGraph(cg, workers)
-			dPG = timeIt(2, func() { pg.BFS(0) })
+			dPG = timeIt(cpuReps, func() { pg.BFS(0) })
 			gm := baselines.NewGemini(cg, workers)
-			dGM = timeIt(2, func() { gm.BFS(0) })
+			dGM = timeIt(cpuReps, func() { gm.BFS(0) })
 		}
 		tab.Rows = append(tab.Rows, []string{
 			name, ms(dG), ms(dPG), ms(dGM), speedup(dPG, dG), speedup(dGM, dG),
@@ -93,7 +98,7 @@ func cpuAnalytics(id, algo string) (*Table, error) {
 	}
 	tab.Notes = append(tab.Notes,
 		"paper: GRAPE avg 25.1x vs PowerGraph (up to 55.7x), 2.3x vs Gemini",
-		fmt.Sprintf("all systems run %d workers (NumCPU), each timed as the mean of 2 runs", workers),
+		fmt.Sprintf("all systems run %d workers (NumCPU), each timed as the median of %d runs", workers, cpuReps),
 		"GRAPE's time includes grape.NewEngine's partitioning; the baselines are built before their timers")
 	return tab, nil
 }

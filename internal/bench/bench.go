@@ -108,16 +108,22 @@ func scaled(full, quickVal int) int {
 	return full
 }
 
-// timeIt measures fn averaged over reps.
+// timeIt runs fn reps times and returns the median run time (the mean of
+// the middle two for an even count), so one run slowed by a neighbour on a
+// shared machine does not move the figure.
 func timeIt(reps int, fn func()) time.Duration {
-	if reps <= 0 {
-		reps = 1
-	}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
+	runs := make([]time.Duration, max(reps, 1))
+	for i := range runs {
+		start := time.Now()
 		fn()
+		runs[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(reps)
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	mid := len(runs) / 2
+	if len(runs)%2 == 0 {
+		return (runs[mid-1] + runs[mid]) / 2
+	}
+	return runs[mid]
 }
 
 func ms(d time.Duration) string {

@@ -18,10 +18,11 @@ type Range struct {
 }
 
 // NewRange cuts n vertices into parts contiguous fragments so that every
-// fragment carries an equal share of Σ weight(v) — libgrape-lite's rebalance
-// rule, with weight(v) = 1 + outdeg + indeg when the caller wants fragments
-// that do equal work rather than hold equal vertex counts. A nil weight
-// weighs every vertex 1, which splits by count with stride ⌈n/parts⌉.
+// fragment carries an equal share of Σ weight(v), weight(v) being what
+// vertex v costs the caller when it wants fragments that do equal work
+// rather than hold equal vertex counts (grape weighs a vertex by what a
+// superstep spends on it). A nil weight weighs every vertex 1, which splits
+// by count with stride ⌈n/parts⌉.
 //
 // Fragment f ends after the first vertex at which the running weight reaches
 // (f+1) shares, a share being ⌈Σ weight / parts⌉. Targets are global, not
