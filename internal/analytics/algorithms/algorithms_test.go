@@ -1,8 +1,10 @@
 package algorithms
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
@@ -169,6 +171,66 @@ func TestSSSPMatchesReference(t *testing.T) {
 	want := refSSSP(g, 0)
 	if d := maxAbsDiff(got, want); d > 1e-12 {
 		t.Fatalf("SSSP differs by %v", d)
+	}
+}
+
+// TestSSSPNegativeCycle: a negative cycle the root reaches ends the run
+// with errNegativeCycle instead of relaxing it forever.
+func TestSSSPNegativeCycle(t *testing.T) {
+	g, err := csr.Build(3, []csr.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: -2}, {Src: 2, Dst: 1, Weight: 1}},
+		csr.Options{Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for frags := 1; frags <= 3; frags++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := SSSP(g, 0, frags)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, errNegativeCycle) {
+				t.Fatalf("frags=%d: err %v, want %v", frags, err, errNegativeCycle)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("frags=%d: SSSP still running after 10 s", frags)
+		}
+	}
+}
+
+// TestSSSPNegativeWeights: negative weights without a negative cycle the
+// root reaches still give Bellman-Ford's distances, exactly (the weights
+// are integers).
+func TestSSSPNegativeWeights(t *testing.T) {
+	d := dataset.Datagen("t", 300, 5, 7)
+	var edges []csr.Edge
+	for i := range d.Src {
+		u, v := d.Src[i], d.Dst[i]
+		if u == v {
+			continue
+		}
+		if u > v { // low → high: no cycle at all
+			u, v = v, u
+		}
+		edges = append(edges, csr.Edge{Src: u, Dst: v, Weight: float64(i%11 - 5)})
+	}
+	// A negative cycle on two vertices of their own, which root 0 does not
+	// reach.
+	edges = append(edges, csr.Edge{Src: 300, Dst: 301, Weight: -2}, csr.Edge{Src: 301, Dst: 300, Weight: 1})
+	g, err := csr.Build(302, edges, csr.Options{Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refSSSP(g, 0)
+	for frags := 1; frags <= 3; frags++ {
+		got, err := SSSP(g, 0, frags)
+		if err != nil {
+			t.Fatalf("frags=%d: %v", frags, err)
+		}
+		if d := maxAbsDiff(got, want); d != 0 {
+			t.Fatalf("frags=%d: SSSP differs by %v", frags, d)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (p *pageRankPIE) nextRound(f *grape.Fragment, ctx *grape.Context) {
 // and by the interface examples of §6.
 func PageRankPregel(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 	opt.defaults()
-	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, pregel.Options{
+	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, grape.Options{
 		Fragments: opt.Fragments,
 		Combine:   grape.Sum,
 	})

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/analytics/grape"
 	"repro/internal/graph"
@@ -16,6 +17,10 @@ const Unreached = math.MaxFloat64
 // graph: no fragment owns it, so the run would report every vertex
 // Unreached.
 var errRootNotVertex = errors.New("algorithms: root is not a vertex of the graph")
+
+// errNegativeCycle reports that SSSP's root reaches a cycle of negative
+// weight, so some distances have no minimum.
+var errNegativeCycle = errors.New("algorithms: root reaches a negative cycle")
 
 // BFS computes level-synchronous breadth-first levels from root over
 // out-edges. Unreached vertices get Unreached.
@@ -72,7 +77,9 @@ func (p *bfsPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Mes
 }
 
 // SSSP computes single-source shortest paths over weighted out-edges
-// (Bellman-Ford style label correcting with min-combined messages).
+// (Bellman-Ford style label correcting with min-combined messages). Weights
+// may be negative; a negative cycle the root reaches is errNegativeCycle, and
+// so is a reached edge weighing −Inf.
 func SSSP(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
 	if int(root) >= g.NumVertices() {
 		return nil, errRootNotVertex
@@ -87,6 +94,9 @@ func SSSP(g grin.Graph, root graph.VID, fragments int) ([]float64, error) {
 	}
 	if _, err := eng.Run(prog); err != nil {
 		return nil, err
+	}
+	if slices.Contains(prog.dist, math.Inf(-1)) {
+		return nil, errNegativeCycle
 	}
 	return prog.dist, nil
 }
@@ -109,10 +119,19 @@ func (p *ssspPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	}
 }
 
-// IncEval applies improved distances and relaxes outward.
+// IncEval applies improved distances and relaxes outward. A value arriving
+// in superstep s is the weight of a walk of s edges from the root. Without a
+// negative cycle every distance is that of a path of fewer than n edges, so
+// an improvement from superstep n on proves one: the target's distance is
+// −∞, and nothing is sent, so the run ends.
 func (p *ssspPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
+	unbounded := ctx.Superstep() >= len(p.dist)
 	for _, m := range msgs {
 		if m.Value < p.dist[m.Target] {
+			if unbounded {
+				p.dist[m.Target] = math.Inf(-1)
+				continue
+			}
 			p.dist[m.Target] = m.Value
 			p.relax(ctx, m.Target, m.Value)
 		}

@@ -40,8 +40,7 @@
 //     the bitmap, and its gather costs what was touched plus n/64 words.
 //   - The exchange copies nothing, and fragments meet once per superstep.
 //     Every buffer the exchange reads — accumulators, materialised messages,
-//     encoded hand-offs, the continue-vote — exists twice, by superstep
-//     parity. After superstep s's barrier destination d reads range
+//     the continue-vote — exists twice, by superstep parity. After superstep s's barrier destination d reads range
 //     [lo_d, hi_d) of every source's parity-s accumulator, combines the
 //     touched cells in source order, resets them, and appends to an inbox it
 //     owns and reuses, while a faster fragment already runs s+1 into the
@@ -52,15 +51,10 @@
 //
 // Without a combiner, sends are buffered per destination fragment as
 // Messages (Aux is carried only here) and the destination concatenates them
-// in source order. Two ablation arms keep materialised messages on purpose:
-// WireCodec varint-encodes every cross-fragment hand-off, the serialization a
-// real network pays, and PerMessageChannels ships every message through a
-// channel individually, the un-aggregated exchange §6 warns about
-// (`flexbench ablation-msg`).
+// in source order.
 package grape
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -146,20 +140,12 @@ type Options struct {
 	Fragments int
 	// Combine merges message values directed at the same target.
 	Combine Combiner
-	// PerMessageChannels disables sender-side aggregation and ships each
-	// message through a channel individually — the negative ablation arm.
-	PerMessageChannels bool
-	// WireCodec varint-encodes each cross-fragment hand-off, simulating the
-	// serialization a real network deployment pays. Off by default:
-	// in-process fragments read each other's accumulators directly.
-	WireCodec bool
 }
 
 // Engine executes PIE programs over a partitioned graph view.
 type Engine struct {
 	g    grin.Graph
 	adj  grin.AdjArray // nil when the store lacks (or masks) the array trait
-	opt  Options
 	part *partition.Range
 	fr   []*Fragment
 	// acc[p][f] is fragment f's flat accumulator for supersteps of parity p
@@ -292,7 +278,7 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, opt: opt, part: part}
+	e := &Engine{g: g, part: part}
 	e.adj, _ = grin.AsAdjArray(g)
 	for f := 0; f < opt.Fragments; f++ {
 		lo, hi := part.Bounds(f)
@@ -343,13 +329,13 @@ func (f *Fragment) Bounds() (graph.VID, graph.VID) { return f.lo, f.hi }
 func (f *Fragment) Graph() grin.Graph { return f.g }
 
 // outbox is where a fragment's sends land until the exchange: folded into a
-// flat accumulator when the engine combines at the sender, otherwise
-// buffered as Messages per destination fragment. acc and out are the current
+// flat accumulator when the engine has a combiner, otherwise buffered as
+// Messages per destination fragment. acc and out are the current
 // superstep's parity of the buffers the Context holds.
 type outbox struct {
 	e    *Engine
-	acc  *accum      // sender-side combining; nil on the materialised path
-	out  [][]Message // per destination fragment (materialised path)
+	acc  *accum      // sender-side combining; nil under NoCombine
+	out  [][]Message // per destination fragment (NoCombine)
 	sent int64       // sends since the run began (RunStats.Folded)
 	// denseAt is the sent count at which this superstep's bulk sends turn
 	// dense: n sends after it began. By then about 1 − 1/e of the cells a
@@ -437,7 +423,7 @@ type Context struct {
 	more      [2]bool
 	delivered int64 // messages handed to IncEval so far (RunStats.Delivered)
 	// outs[p] holds the per-destination Message buffers of parity p
-	// (materialised path).
+	// (NoCombine).
 	outs [2][][]Message
 
 	// inbox is the buffer IncEval's msgs alias, reused across supersteps;
@@ -473,8 +459,8 @@ type RunStats struct {
 type FragmentStep struct {
 	// ComputeNs is the time inside the program's PEval or IncEval.
 	ComputeNs int64
-	// ExchangeNs is the engine's own message work: encoding, gathering and
-	// combining this fragment's inbox.
+	// ExchangeNs is the engine's own message work: gathering and combining
+	// this fragment's inbox.
 	ExchangeNs int64
 	// WaitNs is the time blocked at the superstep's one barrier — what the
 	// fragment lost to the slowest fragment's compute.
@@ -492,13 +478,6 @@ type run struct {
 	p    Program
 	ctxs []*Context
 	bar  barrier
-	// senderSide: sources fold into their own accumulators (a combiner, and
-	// not the per-message arm).
-	senderSide bool
-	// Hand-off buffers of the ablation arms: enc[p][src][dst] under
-	// WireCodec, one channel per destination under PerMessageChannels.
-	enc   [2][][][]byte
-	chans []chan Message
 	// steps[f] is fragment f's wall-clock record; nil when nobody collects.
 	steps [][]FragmentStep
 }
@@ -508,30 +487,13 @@ func (e *Engine) Run(p Program) (int, error) {
 	nf := len(e.fr)
 	r := &run{e: e, p: p, ctxs: make([]*Context, nf)}
 	r.bar.init(nf)
-	r.senderSide = e.acc[0] != nil && !e.opt.PerMessageChannels
 	for i := range r.ctxs {
 		c := &Context{outbox: &outbox{e: e}, frag: e.fr[i]}
-		if !r.senderSide {
+		if e.acc[0] == nil {
 			outs := make([][]Message, 2*nf)
 			c.outs = [2][][]Message{outs[:nf], outs[nf:]}
 		}
 		r.ctxs[i] = c
-	}
-	if e.opt.WireCodec && !e.opt.PerMessageChannels {
-		for p := range r.enc {
-			r.enc[p] = make([][][]byte, nf)
-			for s := range r.enc[p] {
-				r.enc[p][s] = make([][]byte, nf)
-			}
-		}
-	}
-	if e.opt.PerMessageChannels {
-		r.chans = make([]chan Message, nf)
-		for d := range r.chans {
-			// Deep enough that a sender rarely parks on a busy receiver;
-			// the cost under test is the per-message channel operation.
-			r.chans[d] = make(chan Message, 1024)
-		}
 	}
 	if e.stats != nil {
 		r.steps = make([][]FragmentStep, nf)
@@ -595,10 +557,6 @@ func (r *run) fragment(i int) int {
 			r.p.IncEval(c.frag, c, c.inbox)
 		}
 		lap(&fs.ComputeNs)
-		if r.enc[par] != nil {
-			r.encode(i, par)
-			lap(&fs.ExchangeNs)
-		}
 		// Sent anything ⇔ some inbox of this superstep is non-empty.
 		c.more[par] = c.sent > c.stepSent || c.rerun
 		r.bar.wait()
@@ -628,10 +586,8 @@ func (r *run) begin(i, step int) int {
 		a := accs[i]
 		clear(a.bits)
 		a.dense = false
-		if r.senderSide {
-			c.acc = a
-			c.denseAt = c.sent + int64(len(a.cell))
-		}
+		c.acc = a
+		c.denseAt = c.sent + int64(len(a.cell))
 	}
 	for d := range c.outs[par] {
 		c.outs[par][d] = c.outs[par][d][:0]
@@ -641,35 +597,18 @@ func (r *run) begin(i, step int) int {
 }
 
 // receive builds fragment d's inbox from the sources' parity par once every
-// fragment has finished sending. The default path with a combiner reads the
-// sources' accumulators in place. The other paths take delivery of
-// materialised messages in source order; with a combiner those are then
-// folded into d's own accumulator — which only d touches on these paths —
-// and gathered from there.
+// fragment has finished sending. With a combiner it gathers the sources'
+// accumulators in place; without one it concatenates their Message buffers
+// for d in source order.
 func (r *run) receive(d, par int) {
 	e, c := r.e, r.ctxs[d]
-	c.inbox = c.inbox[:0]
-	switch {
-	case r.chans != nil:
-		r.shipPerMessage(d, par)
-	case r.enc[par] != nil || e.acc[par] == nil:
-		for s, src := range r.ctxs {
-			if s != d && r.enc[par] != nil {
-				c.inbox = decodeMessages(r.enc[par][s][d], c.inbox)
-			} else if !r.senderSide {
-				c.inbox = append(c.inbox, src.outs[par][d]...)
-			}
-		}
-	default:
-		c.gather(e.acc[par], c.frag.lo, c.frag.hi)
+	if accs := e.acc[par]; accs != nil {
+		c.gather(accs, c.frag.lo, c.frag.hi)
 		return
 	}
-	if accs := e.acc[par]; accs != nil {
-		own := accs[d]
-		for _, m := range c.inbox {
-			own.fold(m.Target, m.Value)
-		}
-		c.gather(accs[d:d+1], c.frag.lo, c.frag.hi)
+	c.inbox = c.inbox[:0]
+	for _, src := range r.ctxs {
+		c.inbox = append(c.inbox, src.outs[par][d]...)
 	}
 }
 
@@ -782,55 +721,6 @@ func (c *Context) gatherDense(srcs []*accum, lo, hi graph.VID) {
 	c.inbox = in[:k]
 }
 
-// encode is the WireCodec send side, run by source s before the barrier:
-// everything pending for another fragment is serialised into one compact
-// buffer per destination, a combined range gathered through the inbox, which
-// IncEval has finished with. Messages to s itself skip the wire, as they
-// would on a real cluster.
-func (r *run) encode(s, par int) {
-	c := r.ctxs[s]
-	for d, f := range r.e.fr {
-		if d == s {
-			continue
-		}
-		var msgs []Message
-		if c.acc != nil {
-			c.gather(r.e.acc[par][s:s+1], f.lo, f.hi)
-			msgs = c.inbox
-		} else {
-			msgs = c.out[d]
-		}
-		r.enc[par][s][d] = encodeMessages(r.enc[par][s][d][:0], msgs)
-	}
-}
-
-// shipPerMessage is the ablation arm: every message is an individual channel
-// send, the "fragmented, randomly distributed small messages" §6 warns
-// about. Fragment i pushes its parity-par messages from a helper goroutine
-// while it drains its own channel into its inbox, until every source has
-// signed off with a NilVID sentinel. No fragment can start the next
-// exchange before every channel has delivered this one's sentinels, since
-// every destination drains them before it reaches the next barrier.
-func (r *run) shipPerMessage(i, par int) {
-	c := r.ctxs[i]
-	out := c.outs[par]
-	go func() {
-		for d, ch := range r.chans {
-			for _, m := range out[d] {
-				ch <- m
-			}
-			ch <- Message{Target: graph.NilVID}
-		}
-	}()
-	for open := len(r.chans); open > 0; {
-		if m := <-r.chans[i]; m.Target == graph.NilVID {
-			open--
-		} else {
-			c.inbox = append(c.inbox, m)
-		}
-	}
-}
-
 // barrier is a reusable rendezvous of the run's fragment goroutines. An
 // arrival yields for up to barrierSpin before it parks: waking a parked
 // goroutine — an idle P, a sleeping thread, on a VM a halted vCPU — costs
@@ -876,46 +766,4 @@ func (b *barrier) wait() {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
-}
-
-// encodeMessages appends the packed messages to buf, each as a zigzag
-// uvarint target delta from the previous message (buffers are mostly
-// ascending) + uvarint aux + raw float64 payload.
-func encodeMessages(buf []byte, ms []Message) []byte {
-	prev := uint64(0)
-	for _, m := range ms {
-		t := uint64(m.Target)
-		var d uint64
-		if t >= prev {
-			d = (t - prev) << 1
-		} else {
-			d = (prev-t)<<1 | 1
-		}
-		buf = binary.AppendUvarint(buf, d)
-		buf = binary.AppendUvarint(buf, uint64(m.Aux))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Value))
-		prev = t
-	}
-	return buf
-}
-
-// decodeMessages unpacks a buffer of encodeMessages records, appending to
-// dst.
-func decodeMessages(buf []byte, dst []Message) []Message {
-	prev := uint64(0)
-	for len(buf) > 0 {
-		d, sz := binary.Uvarint(buf)
-		buf = buf[sz:]
-		if d&1 == 1 {
-			prev -= d >> 1
-		} else {
-			prev += d >> 1
-		}
-		aux, sz := binary.Uvarint(buf)
-		buf = buf[sz:]
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		dst = append(dst, Message{Target: graph.VID(prev), Aux: uint32(aux), Value: v})
-	}
-	return dst
 }

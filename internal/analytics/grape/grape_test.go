@@ -2,7 +2,6 @@ package grape
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,31 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 )
-
-func TestMessageCodecRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := r.Intn(200)
-		msgs := make([]Message, n)
-		for i := range msgs {
-			msgs[i] = Message{
-				Target: graph.VID(r.Intn(10000)),
-				Aux:    uint32(r.Intn(1000)),
-				Value:  r.NormFloat64(),
-			}
-		}
-		got := decodeMessages(encodeMessages(nil, msgs), nil)
-		if n == 0 {
-			if len(got) != 0 {
-				t.Fatal("empty round trip")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(msgs, got) {
-			t.Fatalf("trial %d: round trip mismatch", trial)
-		}
-	}
-}
 
 // TestAccumFoldDrain: folds and bulk sends combine per target, sparse or
 // dense; a gather yields ascending targets of the asked range only, and
@@ -211,12 +185,14 @@ func TestRerunVote(t *testing.T) {
 	}
 }
 
-// fanInProgram makes every exchange arm combine: every vertex sends its ID
-// to v/3 and to a far vertex in PEval, targets forward what they got once,
-// and IncEval records (per target) how many messages arrived and their sum.
+// fanInProgram makes every exchange combine: every vertex sends its ID to
+// v/3 and to a far vertex in PEval, targets forward what they got once, and
+// IncEval records (per target) how many messages arrived and their sum and,
+// when got is set, got[s][v]: the values v received in superstep s.
 type fanInProgram struct {
 	n          int
 	count, sum []float64
+	got        [][][]float64
 }
 
 func (p *fanInProgram) PEval(f *Fragment, ctx *Context) {
@@ -231,15 +207,19 @@ func (p *fanInProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
 	for _, m := range msgs {
 		p.count[m.Target]++
 		p.sum[m.Target] += m.Value
+		if p.got != nil {
+			p.got[ctx.Superstep()][m.Target] = append(p.got[ctx.Superstep()][m.Target], m.Value)
+		}
 		if ctx.Superstep() == 1 {
 			ctx.Send(graph.VID(p.n-1)-m.Target, m.Value)
 		}
 	}
 }
 
-// TestExchangeArmsAgree: the wire-codec and per-message ablation arms must
-// deliver what the default exchange delivers, with and without a combiner
-// and at fragment counts whose ranges meet inside a bitmap word.
+// TestExchangeArmsAgree: the combined exchange delivers, per superstep and
+// target, exactly the uncombined exchange's messages folded with the
+// combiner, at fragment counts whose ranges meet inside a bitmap word. The
+// values are small integers, so every Sum is exact in any order.
 func TestExchangeArmsAgree(t *testing.T) {
 	const n = 300
 	g, err := dataset.Datagen("t", n, 4, 4).ToCSR(false)
@@ -247,34 +227,51 @@ func TestExchangeArmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(opt Options) *fanInProgram {
-		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n)}
+		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n), got: make([][][]float64, 3)}
+		for s := range p.got {
+			p.got[s] = make([][]float64, n)
+		}
 		eng, err := NewEngine(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
-			t.Fatal(err)
+		if steps, err := eng.Run(p); err != nil || steps != len(p.got) {
+			t.Fatalf("%+v: %d supersteps, err %v", opt, steps, err)
 		}
 		return p
 	}
-	for _, comb := range []Combiner{NoCombine, Sum, Min} {
-		for _, frags := range []int{1, 2, 5} {
-			want := run(Options{Fragments: frags, Combine: comb})
-			if comb == NoCombine && frags == 1 {
-				// Ground truth once: 2n sends in PEval, each forwarded once.
-				total := 0.0
-				for _, c := range want.count {
-					total += c
-				}
-				if total != 4*n {
-					t.Fatalf("default exchange delivered %v messages, want %d", total, 4*n)
-				}
+	var one *fanInProgram
+	for _, frags := range []int{1, 2, 5} {
+		all := run(Options{Fragments: frags, Combine: NoCombine})
+		if frags == 1 {
+			// Ground truth once: 2n sends in PEval, each forwarded once.
+			total := 0.0
+			for _, c := range all.count {
+				total += c
 			}
-			for _, arm := range []Options{{WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
-				arm.Fragments, arm.Combine = frags, comb
-				got := run(arm)
-				if !reflect.DeepEqual(got.count, want.count) || !reflect.DeepEqual(got.sum, want.sum) {
-					t.Fatalf("comb=%d frags=%d arm=%+v: delivery differs from the default exchange", comb, frags, arm)
+			if total != 4*n {
+				t.Fatalf("uncombined exchange delivered %v messages, want %d", total, 4*n)
+			}
+			one = all
+		} else if !reflect.DeepEqual(all.count, one.count) || !reflect.DeepEqual(all.sum, one.sum) {
+			t.Fatalf("frags=%d: uncombined delivery differs from one fragment's", frags)
+		}
+		for _, comb := range []Combiner{Sum, Min} {
+			got := run(Options{Fragments: frags, Combine: comb})
+			for s := range got.got {
+				for v, vals := range all.got[s] {
+					var want []float64
+					if len(vals) > 0 {
+						folded := vals[0]
+						for _, x := range vals[1:] {
+							folded = comb.apply(folded, x)
+						}
+						want = []float64{folded}
+					}
+					if !reflect.DeepEqual(got.got[s][v], want) {
+						t.Fatalf("comb=%d frags=%d superstep %d target %d: got %v, want %v folded from %v",
+							comb, frags, s, v, got.got[s][v], want, vals)
+					}
 				}
 			}
 		}
@@ -282,8 +279,8 @@ func TestExchangeArmsAgree(t *testing.T) {
 
 	// Values the combiner's identity absorbs — −0 under Sum, +Inf and NaN
 	// under Min — sent beside ordinary ones through Send and SendToNeighbors,
-	// enough of them for every source to turn dense: on every arm each
-	// delivered message's bits and the exact counters are those of a
+	// enough of them for every source to turn dense: each delivered
+	// message's bits and the exact counters are those of a
 	// sequential replay, and a target sent nothing but −0 receives +0.
 	dg, err := dataset.Datagen("t", n, 8, 4).ToCSR(true)
 	if err != nil {
@@ -295,26 +292,24 @@ func TestExchangeArmsAgree(t *testing.T) {
 			t.Fatal("no target of superstep 1 was sent only −0")
 		}
 		for _, frags := range []int{1, 2, 5} {
-			for _, arm := range []Options{{}, {WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
-				arm.Fragments, arm.Combine = frags, comb
-				eng, err := NewEngine(dg, arm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var st RunStats
-				eng.CollectStats(&st)
-				p := newAbsorbedProgram(n, comb)
-				steps, err := eng.Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if steps != absorbedSteps || st.Folded != folded || st.Delivered != delivered {
-					t.Fatalf("comb=%d frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", comb, frags, arm,
-						steps, st.Folded, st.Delivered, absorbedSteps, folded, delivered)
-				}
-				if !reflect.DeepEqual(p.got, want) {
-					t.Fatalf("comb=%d frags=%d arm=%+v: delivered bits differ from the replay", comb, frags, arm)
-				}
+			arm := Options{Fragments: frags, Combine: comb}
+			eng, err := NewEngine(dg, arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st RunStats
+			eng.CollectStats(&st)
+			p := newAbsorbedProgram(n, comb)
+			steps, err := eng.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if steps != absorbedSteps || st.Folded != folded || st.Delivered != delivered {
+				t.Fatalf("comb=%d frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", comb, frags, arm,
+					steps, st.Folded, st.Delivered, absorbedSteps, folded, delivered)
+			}
+			if !reflect.DeepEqual(p.got, want) {
+				t.Fatalf("comb=%d frags=%d arm=%+v: delivered bits differ from the replay", comb, frags, arm)
 			}
 		}
 	}

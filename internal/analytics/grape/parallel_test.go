@@ -262,7 +262,7 @@ func TestSumBothShrinkingSends(t *testing.T) {
 // lagSteps is lagProgram's superstep count.
 const lagSteps = 8
 
-// lagProgram sends Sum-combined integers every superstep but the last: on
+// lagProgram sends integers every superstep but the last: on
 // even supersteps every vertex to its out-neighbours and to v/2 (a dense
 // superstep), on odd ones only every 32nd vertex to its out-neighbours (a
 // sparse one). sums[s][v] is what v received in superstep s. Fragment slow
@@ -308,9 +308,10 @@ func (p *lagProgram) IncEval(f *Fragment, ctx *Context, msgs []Message) {
 }
 
 // TestLaggingFragment: a fragment that falls behind every other superstep
-// changes nothing a run delivers. At 2 and 3 fragments, on every exchange
-// arm, the sums of every superstep and the exact counters equal the
-// one-fragment run's.
+// changes nothing a run delivers. At 2 and 3 fragments, on both exchanges
+// (Sum reads accumulators in place, NoCombine concatenates Message
+// buffers), the sums of every superstep and the exact counters equal the
+// one-fragment run's on the same exchange.
 func TestLaggingFragment(t *testing.T) {
 	const n = 400
 	g, err := dataset.Datagen("t", n, 8, 37).ToCSR(true)
@@ -333,13 +334,13 @@ func TestLaggingFragment(t *testing.T) {
 		}
 		return p, st
 	}
-	want, wantStats := run(Options{Fragments: 1, Combine: Sum})
-	if wantStats.Supersteps != lagSteps {
-		t.Fatalf("one fragment ran %d supersteps, want %d", wantStats.Supersteps, lagSteps)
-	}
-	for _, frags := range []int{2, 3} {
-		for _, arm := range []Options{{}, {WireCodec: true}, {PerMessageChannels: true}, {WireCodec: true, PerMessageChannels: true}} {
-			arm.Fragments, arm.Combine = frags, Sum
+	for _, comb := range []Combiner{Sum, NoCombine} {
+		want, wantStats := run(Options{Fragments: 1, Combine: comb})
+		if wantStats.Supersteps != lagSteps {
+			t.Fatalf("comb=%d: one fragment ran %d supersteps, want %d", comb, wantStats.Supersteps, lagSteps)
+		}
+		for _, frags := range []int{2, 3} {
+			arm := Options{Fragments: frags, Combine: comb}
 			got, st := run(arm)
 			if st.Supersteps != wantStats.Supersteps || st.Folded != wantStats.Folded || st.Delivered != wantStats.Delivered {
 				t.Fatalf("frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", frags, arm, st.Supersteps, st.Folded, st.Delivered,

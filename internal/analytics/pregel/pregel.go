@@ -58,21 +58,12 @@ type Program interface {
 	Compute(vc *VertexContext, msgs []float64)
 }
 
-// Options configures a Pregel run.
-type Options struct {
-	Fragments int
-	Combine   grape.Combiner
-}
-
-// Run executes a Pregel program and returns the final vertex values and the
-// number of supersteps.
-func Run(g grin.Graph, p Program, opt Options) ([]float64, int, error) {
+// Run executes a Pregel program on a GRAPE engine built with opt and
+// returns the final vertex values and the number of supersteps.
+func Run(g grin.Graph, p Program, opt grape.Options) ([]float64, int, error) {
 	n := g.NumVertices()
 	values := make([]float64, n)
-	eng, err := grape.NewEngine(g, grape.Options{
-		Fragments: opt.Fragments,
-		Combine:   opt.Combine,
-	})
+	eng, err := grape.NewEngine(g, opt)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -41,7 +41,7 @@ func TestMaxValuePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, steps, err := Run(g, maxValueProgram{}, Options{Fragments: 4})
+	vals, steps, err := Run(g, maxValueProgram{}, grape.Options{Fragments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestImmediateHalt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, steps, err := Run(g, haltImmediately{}, Options{Fragments: 2})
+	vals, steps, err := Run(g, haltImmediately{}, grape.Options{Fragments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWeightedAndDirectSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := Run(g, weightedSpread{sink: 3}, Options{Fragments: 2, Combine: grape.Sum})
+	vals, _, err := Run(g, weightedSpread{sink: 3}, grape.Options{Fragments: 2, Combine: grape.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}

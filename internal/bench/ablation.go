@@ -19,10 +19,10 @@ func init() {
 	register("ablation-pipeline", AblationPipeline)
 }
 
-// AblationMsgAggregation contrasts GRAPE's exchange — sends combined into a
-// flat accumulator the destination reads in place — against the same
-// exchange paying a wire codec per cross-fragment hand-off, and against
-// per-message channel sends (the aggregation trade §6 describes).
+// AblationMsgAggregation contrasts GRAPE's two exchanges on one PageRank:
+// sends combined at the sender into a flat accumulator the destination reads
+// in place, against every message buffered and delivered individually (the
+// aggregation trade §6 describes).
 func AblationMsgAggregation() (*Table, error) {
 	g, err := dataset.ByName("FB0")
 	if err != nil {
@@ -32,25 +32,24 @@ func AblationMsgAggregation() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := &Table{ID: "ablation-msg", Title: "Message aggregation vs per-message sends (PageRank, FB0)",
+	tab := &Table{ID: "ablation-msg", Title: "Sender-side aggregation vs every message delivered (PageRank, FB0)",
 		Header: []string{"exchange", "runtime"}}
 	for _, arm := range []struct {
 		name string
-		opt  grape.Options
+		comb grape.Combiner
 	}{
-		{"aggregated, read in place", grape.Options{}},
-		{"aggregated + wire codec", grape.Options{WireCodec: true}},
-		{"per-message channels", grape.Options{PerMessageChannels: true}},
+		{"combined at the sender, read in place", grape.Sum},
+		{"every message delivered", grape.NoCombine},
 	} {
-		arm.opt.Fragments, arm.opt.Combine = 4, grape.Sum
-		eng, err := grape.NewEngine(cg, arm.opt)
+		eng, err := grape.NewEngine(cg, grape.Options{Fragments: 4, Combine: arm.comb})
 		if err != nil {
 			return nil, err
 		}
 		prog := &prProgram{g: cg, ranks: make([]float64, cg.NumVertices()), iters: 5}
-		dur := timeIt(1, func() { _, _ = eng.Run(prog) })
+		dur := timeIt(cpuReps, func() { _, _ = eng.Run(prog) })
 		tab.Rows = append(tab.Rows, []string{arm.name, ms(dur)})
 	}
+	tab.Notes = append(tab.Notes, fmt.Sprintf("4 fragments, each arm timed as the median of %d runs", cpuReps))
 	return tab, nil
 }
 
