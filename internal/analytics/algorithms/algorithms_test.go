@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro/internal/analytics/grape"
+	"repro/internal/analytics/pregel"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/storage/chaos"
 	"repro/internal/storage/csr"
 	"repro/internal/storage/vineyard"
 )
@@ -77,13 +79,53 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 }
 
+// pageRankPregel is PageRank expressed in the vertex-centric Pregel API,
+// to cross-validate the two programming models.
+func pageRankPregel(g grin.Graph, opt PageRankOptions) ([]float64, error) {
+	opt.defaults()
+	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, grape.Options{
+		Fragments: opt.Fragments,
+		Combine:   grape.Sum,
+	})
+	return vals, err
+}
+
+type prVertexProgram struct {
+	n   float64
+	opt PageRankOptions
+}
+
+// Init implements pregel.Program.
+func (p *prVertexProgram) Init(graph.VID, grin.Graph) float64 { return 0 }
+
+// Compute implements pregel.Program.
+func (p *prVertexProgram) Compute(vc *pregel.VertexContext, msgs []float64) {
+	switch {
+	case vc.Superstep() == 0:
+		vc.SetValue(1.0 / p.n)
+	default:
+		sum := 0.0
+		for _, m := range msgs {
+			sum += m
+		}
+		vc.SetValue((1-p.opt.Damping)/p.n + p.opt.Damping*sum)
+	}
+	if vc.Superstep() < p.opt.Iterations {
+		if d := vc.Degree(graph.Out); d > 0 {
+			vc.SendToNeighbors(graph.Out, vc.Value()/float64(d))
+		}
+	} else {
+		vc.VoteToHalt()
+	}
+}
+
 func TestPageRankPregelMatchesPIE(t *testing.T) {
 	g := testGraph(t)
 	pie, err := PageRank(g, PageRankOptions{Iterations: 8, Fragments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := PageRankPregel(g, PageRankOptions{Iterations: 8, Fragments: 4})
+	pr, err := pageRankPregel(g, PageRankOptions{Iterations: 8, Fragments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +349,121 @@ func TestWCCMatchesReference(t *testing.T) {
 	want := refWCC(g)
 	if d := maxAbsDiff(got, want); d != 0 {
 		t.Fatalf("WCC differs by %v", d)
+	}
+}
+
+// wccCutGraphs are TestWCCAcrossCuts' inputs: shapes where a label must
+// cross cuts many times, or arrive at a component member that is not its
+// fragment-local root.
+func wccCutGraphs() map[string]*dataset.Simple {
+	// 0–15–1–14–…–8, edges alternately forward and backward: every hop
+	// crosses the cut of any split into lower and upper IDs.
+	zigzag := &dataset.Simple{N: 16}
+	seq := []graph.VID{0}
+	for lo, hi := graph.VID(1), graph.VID(15); lo <= hi; lo, hi = lo+1, hi-1 {
+		seq = append(seq, hi)
+		if lo < hi {
+			seq = append(seq, lo)
+		}
+	}
+	for i := 1; i < len(seq); i++ {
+		a, b := seq[i-1], seq[i]
+		if i%2 == 0 {
+			a, b = b, a
+		}
+		zigzag.Src, zigzag.Dst = append(zigzag.Src, a), append(zigzag.Dst, b)
+	}
+	edges := func(n int, pairs ...graph.VID) *dataset.Simple {
+		s := &dataset.Simple{N: n}
+		for i := 0; i < len(pairs); i += 2 {
+			s.Src, s.Dst = append(s.Src, pairs[i]), append(s.Dst, pairs[i+1])
+		}
+		return s
+	}
+	return map[string]*dataset.Simple{
+		"zigzag": zigzag,
+		// A heavy low end, then components that live in the high IDs only:
+		// their minimum is in the last fragment. 1→21 and 3←20 land on
+		// members that are not 19's or 18's fragment-local roots.
+		"tail": edges(24,
+			0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 2, 3,
+			19, 21, 21, 22, 1, 21, // 1 reaches 19–21–22 at 21
+			18, 20, 20, 3, // 3 reaches 18–20 at 20
+			23, 17, 16, 23, // 16–23–17
+			14, 13), // 13–14
+		// Mostly isolated vertices, one long edge from the top down.
+		"isolated": edges(12, 11, 5),
+		// Hub 6 outweighs any share, so n+1 fragments leave some empty; a
+		// chain of high IDs leans back toward the hub.
+		"hub": edges(13,
+			6, 0, 6, 1, 6, 2, 6, 3, 6, 4, 6, 5, 6, 7, 6, 8,
+			12, 11, 11, 10, 10, 9, 9, 8),
+	}
+}
+
+// TestWCCAcrossCuts compares WCC exactly with refWCC where labels cross cuts
+// hop by hop, where a message reaches a component member other than its
+// root, on isolated vertices and on empty fragments, on csr and on the
+// masked store.
+func TestWCCAcrossCuts(t *testing.T) {
+	for name, s := range wccCutGraphs() {
+		g, err := s.ToCSR(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refWCC(g)
+		stores := map[string]grin.Graph{
+			"csr":    g,
+			"masked": chaos.Wrap(topologyOnly{g, g}, chaos.Options{}),
+		}
+		for storeName, store := range stores {
+			for _, frags := range []int{1, 2, 3, 7, s.N + 1} {
+				got, err := WCC(store, frags)
+				if err == nil {
+					err = sameFloats(got, want, true)
+				}
+				if err != nil {
+					t.Errorf("%s/%s/frags=%d: %v", name, storeName, frags, err)
+				}
+			}
+		}
+	}
+}
+
+// TestInEdgesRequired: WCC and CDLP send along both directions, so a store
+// that does not answer in-edges (a CSR built without them) is an error, not
+// a wrong answer: on 1→0 WCC read [0 1] and CDLP [1 1].
+func TestInEdgesRequired(t *testing.T) {
+	s := &dataset.Simple{N: 2, Src: []graph.VID{1}, Dst: []graph.VID{0}}
+	outOnly, err := s.ToCSR(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := WCC(outOnly, 1); !errors.Is(err, errNoInEdges) {
+		t.Errorf("WCC without in-edges: %v, %v; want errNoInEdges", got, err)
+	}
+	if got, err := CDLP(outOnly, 2, 1); !errors.Is(err, errNoInEdges) {
+		t.Errorf("CDLP without in-edges: %v, %v; want errNoInEdges", got, err)
+	}
+	both, err := s.ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() ([]float64, error)
+		want []float64
+	}{
+		{"WCC", func() ([]float64, error) { return WCC(both, 1) }, []float64{0, 0}},
+		{"CDLP", func() ([]float64, error) { return CDLP(both, 2, 1) }, []float64{0, 1}},
+	} {
+		got, err := tc.run()
+		if err == nil {
+			err = sameFloats(got, tc.want, true)
+		}
+		if err != nil {
+			t.Errorf("%s with in-edges: %v", tc.name, err)
+		}
 	}
 }
 

@@ -11,10 +11,14 @@ import (
 // CDLP runs community detection by synchronous label propagation (the
 // Graphalytics CDLP definition): for a fixed number of rounds, every vertex
 // adopts the most frequent label among its neighbors (both directions),
-// breaking ties toward the smaller label.
+// breaking ties toward the smaller label. A store whose in-degrees do not sum
+// to its edge count is errNoInEdges.
 func CDLP(g grin.Graph, rounds, fragments int) ([]float64, error) {
 	if rounds <= 0 {
 		rounds = 10
+	}
+	if err := requireInEdges(g); err != nil {
+		return nil, err
 	}
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: fragments})
 	if err != nil {

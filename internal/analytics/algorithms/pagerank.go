@@ -1,11 +1,15 @@
 // Package algorithms provides the built-in graph analytics library of §6:
 // PageRank, BFS, SSSP, WCC, CDLP and the equity propagation of the case
-// studies, implemented over the GRAPE engine's PIE and Pregel models.
+// studies, each a PIE program on the GRAPE engine. Most are vertex-centric
+// programs in PIE form: PEval seeds, IncEval relaxes the messages that
+// arrived. WCC is the PIE model proper (Fan et al., SIGMOD 2017): a
+// sequential union-find is its PEval on each fragment, and an incremental
+// relabelling of whole local components its IncEval. Tests cross-check
+// PageRank against the same computation in the vertex-centric Pregel API.
 package algorithms
 
 import (
 	"repro/internal/analytics/grape"
-	"repro/internal/analytics/pregel"
 	"repro/internal/graph"
 	"repro/internal/grin"
 )
@@ -90,46 +94,5 @@ func (p *pageRankPIE) nextRound(f *grape.Fragment, ctx *grape.Context) {
 			}
 		}
 		ctx.Rerun()
-	}
-}
-
-// PageRankPregel is the same computation expressed in the vertex-centric
-// Pregel API — used by tests to cross-validate the two programming models
-// and by the interface examples of §6.
-func PageRankPregel(g grin.Graph, opt PageRankOptions) ([]float64, error) {
-	opt.defaults()
-	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, grape.Options{
-		Fragments: opt.Fragments,
-		Combine:   grape.Sum,
-	})
-	return vals, err
-}
-
-type prVertexProgram struct {
-	n   float64
-	opt PageRankOptions
-}
-
-// Init implements pregel.Program.
-func (p *prVertexProgram) Init(graph.VID, grin.Graph) float64 { return 0 }
-
-// Compute implements pregel.Program.
-func (p *prVertexProgram) Compute(vc *pregel.VertexContext, msgs []float64) {
-	switch {
-	case vc.Superstep() == 0:
-		vc.SetValue(1.0 / p.n)
-	default:
-		sum := 0.0
-		for _, m := range msgs {
-			sum += m
-		}
-		vc.SetValue((1-p.opt.Damping)/p.n + p.opt.Damping*sum)
-	}
-	if vc.Superstep() < p.opt.Iterations {
-		if d := vc.Degree(graph.Out); d > 0 {
-			vc.SendToNeighbors(graph.Out, vc.Value()/float64(d))
-		}
-	} else {
-		vc.VoteToHalt()
 	}
 }

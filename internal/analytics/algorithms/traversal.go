@@ -148,10 +148,17 @@ func (p *ssspPIE) relax(ctx *grape.Context, v graph.VID, dv float64) {
 	})
 }
 
-// WCC computes weakly connected components by min-label propagation over
-// both edge directions; the result maps each vertex to its component's
-// minimum vertex ID.
+// WCC computes weakly connected components over both edge directions; the
+// result maps each vertex to its component's minimum vertex ID. It is the PIE
+// program of Fan et al. (SIGMOD 2017): PEval runs sequential union-find over
+// each fragment's inner edges, and IncEval lowers a whole local component's
+// label at once, so the supersteps count the rounds a label needs to cross
+// the cuts, not the graph's diameter. A store whose in-degrees do not sum to
+// its edge count (a CSR built without in-adjacency) is errNoInEdges.
 func WCC(g grin.Graph, fragments int) ([]float64, error) {
+	if err := requireInEdges(g); err != nil {
+		return nil, err
+	}
 	prog := newWCCPIE(g)
 	eng, err := grape.NewEngine(g, grape.Options{
 		Fragments: fragments,
@@ -166,33 +173,116 @@ func WCC(g grin.Graph, fragments int) ([]float64, error) {
 	return prog.label, nil
 }
 
+// errNoInEdges rejects a store that does not answer in-edges for a program
+// that sends along them: its components or communities would silently miss
+// every edge it sees only from the target's side.
+var errNoInEdges = errors.New("algorithms: store does not answer in-edges (in-degrees do not sum to NumEdges)")
+
+// requireInEdges checks that the store's in-degrees sum to NumEdges.
+func requireInEdges(g grin.Graph) error {
+	sum := 0
+	for v := range g.NumVertices() {
+		sum += g.Degree(graph.VID(v), graph.In)
+	}
+	if sum != g.NumEdges() {
+		return errNoInEdges
+	}
+	return nil
+}
+
+// wccPIE keeps one union-find forest per fragment, inside its own range: a
+// fragment writes parent, label and stamp only for its inner vertices, so
+// fragments never race.
 type wccPIE struct {
-	label []float64
+	g   grin.Graph
+	adj grin.AdjArray // nil when the store lacks (or masks) the array trait
+	// parent[v] ≤ v, so a root is its local component's minimum; after PEval
+	// every vertex points straight at its root.
+	parent []graph.VID
+	label  []float64
+	// stamp[r] is the superstep in which root r's label last fell.
+	stamp []int32
 }
 
 func newWCCPIE(g grin.Graph) *wccPIE {
-	return &wccPIE{label: make([]float64, g.NumVertices())}
+	n := g.NumVertices()
+	p := &wccPIE{g: g, parent: make([]graph.VID, n), label: make([]float64, n), stamp: make([]int32, n)}
+	p.adj, _ = grin.AsAdjArray(g)
+	return p
 }
 
-// PEval assigns self-labels and broadcasts them.
+// PEval joins the fragment's inner out-edges by union-find, labels every
+// vertex with its local component's minimum and sends that label along both
+// directions. A label of this fragment is at least lo, above every vertex of
+// a lower fragment, so only a higher fragment can adopt it: the last
+// fragment sends nothing, and one fragment is the sequential union-find.
 func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
+	parent := p.parent
 	for v := lo; v < hi; v++ {
-		p.label[v] = float64(v)
+		parent[v] = v
 	}
 	for v := lo; v < hi; v++ {
-		ctx.SendToNeighbors(v, graph.Both, p.label[v])
+		for _, t := range p.outEdges(v) {
+			if t.Nbr >= lo && t.Nbr < hi {
+				p.union(v, t.Nbr)
+			}
+		}
+	}
+	// A parent never exceeds its child, so in ascending order a vertex's
+	// parent already points at its root.
+	send := int(hi) < len(parent)
+	for v := lo; v < hi; v++ {
+		parent[v] = parent[parent[v]]
+		p.label[v] = float64(parent[v])
+		if send {
+			ctx.SendToNeighbors(v, graph.Both, p.label[v])
+		}
 	}
 }
 
-// IncEval adopts smaller labels and re-broadcasts.
+// IncEval lowers the label of each message target's root, then copies every
+// lowered label to the whole local component and re-sends it from there.
 func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
+	step := int32(ctx.Superstep())
 	for _, m := range msgs {
-		if m.Value < p.label[m.Target] {
-			p.label[m.Target] = m.Value
-			// Sends are unconditional: neighbor labels may live on other
-			// fragments (see bfsPIE.IncEval).
-			ctx.SendToNeighbors(m.Target, graph.Both, m.Value)
+		if r := p.parent[m.Target]; m.Value < p.label[r] {
+			p.label[r], p.stamp[r] = m.Value, step
 		}
 	}
+	lo, hi := f.Bounds()
+	for v := lo; v < hi; v++ {
+		if r := p.parent[v]; p.stamp[r] == step {
+			p.label[v] = p.label[r]
+			ctx.SendToNeighbors(v, graph.Both, p.label[v])
+		}
+	}
+}
+
+// outEdges is v's out-adjacency: the store's own slice with the array trait,
+// a copy from Neighbors without it.
+func (p *wccPIE) outEdges(v graph.VID) []grin.Target {
+	if p.adj != nil {
+		return p.adj.AdjSlice(v, graph.Out)
+	}
+	return grin.CollectNeighbors(p.g, v, graph.Out)
+}
+
+// union joins the trees of a and b under the smaller root.
+func (p *wccPIE) union(a, b graph.VID) {
+	if x, y := p.find(a), p.find(b); x < y {
+		p.parent[y] = x
+	} else {
+		p.parent[x] = y
+	}
+}
+
+// find returns v's root, halving the path on the way.
+func (p *wccPIE) find(v graph.VID) graph.VID {
+	parent := p.parent
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
 }

@@ -36,8 +36,9 @@
 //     and the gather scans the cells of its range, taking any cell whose bits
 //     are not the identity's. A send of a value the identity absorbs (−0
 //     under Sum; +Inf or NaN under Min) still sets its bit, so it is still
-//     delivered. A sparse superstep — a BFS frontier, a late WCC round — keeps
-//     the bitmap, and its gather costs what was touched plus n/64 words.
+//     delivered. A sparse superstep — a BFS frontier, a late SSSP relaxation
+//     — keeps the bitmap, and its gather costs what was touched plus n/64
+//     words.
 //   - The exchange copies nothing, and fragments meet once per superstep.
 //     Every buffer the exchange reads — accumulators, materialised messages,
 //     the continue-vote — exists twice, by superstep parity. After superstep s's barrier destination d reads range
@@ -440,9 +441,12 @@ func (c *Context) Rerun() { c.rerun = true }
 func (c *Context) Superstep() int { return c.step }
 
 // RunStats is what one Run did, for callers that ask through CollectStats.
-// Supersteps, Folded and Delivered are exact counts that depend only on the
-// program and the graph — they repeat bit-for-bit at any fragment count;
-// Steps holds wall-clock measurements.
+// Supersteps, Folded and Delivered are exact counts: at a fixed fragment
+// count they repeat bit-for-bit from run to run and at any GOMAXPROCS. A
+// program whose messages follow edges alone (PageRank, BFS) also repeats them
+// at any fragment count; one whose PEval works a whole fragment without
+// messages (WCC's union-find) sends only across the cuts, so its counts
+// depend on where they fall. Steps holds wall-clock measurements.
 type RunStats struct {
 	// Supersteps is Run's return value: PEval plus every IncEval round.
 	Supersteps int
