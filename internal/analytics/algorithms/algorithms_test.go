@@ -79,20 +79,23 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 }
 
-// pageRankPregel is PageRank expressed in the vertex-centric Pregel API,
-// to cross-validate the two programming models.
+// pageRankPregel is PageRank expressed in the vertex-centric Pregel API as
+// a push along out-edges, to cross-validate the two programming models.
 func pageRankPregel(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 	opt.defaults()
-	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt}, grape.Options{
-		Fragments: opt.Fragments,
-		Combine:   grape.Sum,
-	})
+	vals, _, err := pregel.Run(g, &prVertexProgram{n: float64(g.NumVertices()), opt: opt},
+		grape.Options{Fragments: opt.Fragments})
 	return vals, err
 }
 
 type prVertexProgram struct {
 	n   float64
 	opt PageRankOptions
+}
+
+// Exchange implements pregel.Program: Sum-combined sends along out-edges.
+func (p *prVertexProgram) Exchange() grape.Exchange {
+	return grape.Exchange{Combine: grape.Sum, Walk: graph.Out}
 }
 
 // Init implements pregel.Program.
@@ -430,9 +433,10 @@ func TestWCCAcrossCuts(t *testing.T) {
 	}
 }
 
-// TestInEdgesRequired: WCC and CDLP send along both directions, so a store
-// that does not answer in-edges (a CSR built without them) is an error, not
-// a wrong answer: on 1→0 WCC read [0 1] and CDLP [1 1].
+// TestInEdgesRequired: WCC and CDLP send along both directions and PageRank
+// pulls over in-edges, so a store that does not answer in-edges (a CSR built
+// without them) is an error, not a wrong answer: on 1→0 WCC read [0 1], CDLP
+// [1 1], and PageRank would give every vertex the base rank.
 func TestInEdgesRequired(t *testing.T) {
 	s := &dataset.Simple{N: 2, Src: []graph.VID{1}, Dst: []graph.VID{0}}
 	outOnly, err := s.ToCSR(false)
@@ -445,6 +449,9 @@ func TestInEdgesRequired(t *testing.T) {
 	if got, err := CDLP(outOnly, 2, 1); !errors.Is(err, errNoInEdges) {
 		t.Errorf("CDLP without in-edges: %v, %v; want errNoInEdges", got, err)
 	}
+	if got, err := PageRank(outOnly, PageRankOptions{Iterations: 2, Fragments: 1}); !errors.Is(err, errNoInEdges) {
+		t.Errorf("PageRank without in-edges: %v, %v; want errNoInEdges", got, err)
+	}
 	both, err := s.ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
@@ -456,6 +463,9 @@ func TestInEdgesRequired(t *testing.T) {
 	}{
 		{"WCC", func() ([]float64, error) { return WCC(both, 1) }, []float64{0, 0}},
 		{"CDLP", func() ([]float64, error) { return CDLP(both, 2, 1) }, []float64{0, 1}},
+		{"PageRank", func() ([]float64, error) {
+			return PageRank(both, PageRankOptions{Iterations: 2, Fragments: 1})
+		}, loopPageRank(both, 0.85, 2)},
 	} {
 		got, err := tc.run()
 		if err == nil {
@@ -654,7 +664,10 @@ func TestEquityGeneratedConservation(t *testing.T) {
 // TestEquityDeliveryBoundedByDepth: each (company, holder) pair forwards at
 // most once per superstep, so a run delivers at most MaxDepth × edges ×
 // holders messages however many ownership paths there are. Forwarding every
-// arriving message on its own delivered 6 038 426 here.
+// arriving message on its own delivered 6 038 426 here. The weights are not
+// share fractions (a vertex's incoming weights sum to about 3), so Equity
+// refuses the input with an *OverOwnedError; the program runs on the engine
+// directly.
 func TestEquityDeliveryBoundedByDepth(t *testing.T) {
 	g, err := dataset.Datagen("t", 500, 6, 42).Weighted(15).ToCSR(true)
 	if err != nil {
@@ -662,6 +675,18 @@ func TestEquityDeliveryBoundedByDepth(t *testing.T) {
 	}
 	const holders = 125
 	opt := EquityOptions{Epsilon: 0.05, MaxDepth: 7, Fragments: 2}
+	var over *OverOwnedError
+	if _, err := Equity(g, 0, holders, opt); !errors.As(err, &over) {
+		t.Fatalf("Equity on weights that are not fractions: %v, want an *OverOwnedError", err)
+	}
+	in := 0.0
+	g.Neighbors(over.Company, graph.In, func(_ graph.VID, e graph.EID) bool {
+		in += grin.Weight(g, e)
+		return true
+	})
+	if over.Sum <= 1+1e-9 || math.Abs(over.Sum-in) > 1e-12 {
+		t.Fatalf("%v: the company's incoming weights sum to %v", over, in)
+	}
 	opt.defaults()
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: opt.Fragments})
 	if err != nil {

@@ -38,6 +38,14 @@ type cdlpPIE struct {
 	inbox  []grape.Grouper // per fragment
 }
 
+// uncombinedBoth is the exchange of CDLP and Equity: every message delivered
+// on its own, sent along both directions (Equity's along out-edges, but a
+// company receives one message per in-edge).
+var uncombinedBoth = grape.Exchange{Combine: grape.NoCombine, Walk: graph.Both}
+
+// Exchange implements grape.Program.
+func (p *cdlpPIE) Exchange() grape.Exchange { return uncombinedBoth }
+
 // PEval self-labels and broadcasts round 0.
 func (p *cdlpPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()

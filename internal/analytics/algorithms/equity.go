@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/analytics/grape"
@@ -48,13 +49,29 @@ type EquityResult struct {
 	Shares []map[uint32]float64
 }
 
+// OverOwnedError rejects an Equity input in which a company's incoming
+// ownership weights sum above 1: its holders' shares would not be fractions
+// of it, and on cyclic ownership Epsilon would never prune them.
+type OverOwnedError struct {
+	Company graph.VID
+	Sum     float64 // the company's incoming weights
+}
+
+func (e *OverOwnedError) Error() string {
+	return fmt.Sprintf("algorithms: equity: the shares in company %d sum to %v, above 1", e.Company, e.Sum)
+}
+
 // Equity computes, for every vertex, the cumulative effective share of each
 // ultimate holder (vertices in [holderLo, holderHi)) by propagating shares
 // down weighted OWNS edges — the modified label propagation of the Exp-6
 // case study. Edge weights are share fractions read through the GRIN weight
-// trait.
+// trait: a vertex whose incoming weights sum above 1 + 1e-9 is an
+// *OverOwnedError.
 func Equity(g grin.Graph, holderLo, holderHi graph.VID, opt EquityOptions) (*EquityResult, error) {
 	opt.defaults()
+	if err := checkShares(g); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	prog := &equityPIE{
 		g:        g,
@@ -91,6 +108,24 @@ func Equity(g grin.Graph, holderLo, holderHi graph.VID, opt EquityOptions) (*Equ
 	return res, nil
 }
 
+// checkShares sums each vertex's incoming weight in one pass over the
+// out-edges and rejects the first vertex whose sum exceeds 1 + 1e-9.
+func checkShares(g grin.Graph) error {
+	in := make([]float64, g.NumVertices())
+	for v := range g.NumVertices() {
+		grin.ForEachNeighbor(g, graph.VID(v), graph.Out, func(c graph.VID, e graph.EID) bool {
+			in[c] += grin.Weight(g, e)
+			return true
+		})
+	}
+	for c, sum := range in {
+		if sum > 1+1e-9 {
+			return &OverOwnedError{Company: graph.VID(c), Sum: sum}
+		}
+	}
+	return nil
+}
+
 type equityPIE struct {
 	g        grin.Graph
 	opt      EquityOptions
@@ -98,6 +133,9 @@ type equityPIE struct {
 	holderHi graph.VID
 	acc      []map[uint32]float64
 }
+
+// Exchange implements grape.Program.
+func (p *equityPIE) Exchange() grape.Exchange { return uncombinedBoth }
 
 // lastStep reports whether ctx's superstep is the last MaxDepth allows: it
 // still accumulates what arrives but forwards nothing, so the run ends there.

@@ -2,11 +2,16 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/analytics/grape"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/grin"
+	"repro/internal/partition"
+	"repro/internal/storage/chaos"
 	"repro/internal/storage/csr"
 )
 
@@ -108,10 +113,10 @@ func loopWCC(g *csr.Graph) []float64 {
 
 // benchGraphalytics runs the loop, then the engine on one and two fragments,
 // checking every engine result against the loop's once. Each engine row also
-// reports, from one more run of the program under comb with RunStats, its
-// supersteps and the sends it folded.
+// reports, from one more run of the program with RunStats, its supersteps
+// and the sends it folded.
 func benchGraphalytics(b *testing.B, exact bool, loop func(*csr.Graph) []float64, engine func(g *csr.Graph, frags int) ([]float64, error),
-	comb grape.Combiner, prog func(g *csr.Graph) grape.Program) {
+	prog func(g *csr.Graph) grape.Program) {
 	g := graphalyticsGraph(b)
 	var want []float64
 	b.Run("Reference", func(b *testing.B) {
@@ -137,7 +142,7 @@ func benchGraphalytics(b *testing.B, exact bool, loop func(*csr.Graph) []float64
 			if err := sameFloats(got, want, exact); err != nil {
 				b.Fatal(err)
 			}
-			st := runStats(b, g, frags, comb, prog(g))
+			st := runStats(b, g, frags, prog(g))
 			b.ReportMetric(float64(st.Supersteps), "supersteps/op")
 			b.ReportMetric(float64(st.Folded), "folded/op")
 		})
@@ -145,12 +150,12 @@ func benchGraphalytics(b *testing.B, exact bool, loop func(*csr.Graph) []float64
 }
 
 func BenchmarkGraphalyticsPageRank(b *testing.B) {
-	benchGraphalytics(b, false,
+	benchGraphalytics(b, true,
 		func(g *csr.Graph) []float64 { return loopPageRank(g, 0.85, 20) },
 		func(g *csr.Graph, frags int) ([]float64, error) {
 			return PageRank(g, PageRankOptions{Damping: 0.85, Iterations: 20, Fragments: frags})
 		},
-		grape.Sum, func(g *csr.Graph) grape.Program {
+		func(g *csr.Graph) grape.Program {
 			return newPageRankPIE(g, PageRankOptions{Damping: 0.85, Iterations: 20})
 		})
 }
@@ -159,21 +164,22 @@ func BenchmarkGraphalyticsBFS(b *testing.B) {
 	benchGraphalytics(b, true,
 		func(g *csr.Graph) []float64 { return loopBFS(g, 0) },
 		func(g *csr.Graph, frags int) ([]float64, error) { return BFS(g, 0, frags) },
-		grape.Min, func(g *csr.Graph) grape.Program { return newBFSPIE(g, 0) })
+		func(g *csr.Graph) grape.Program { return newBFSPIE(g, 0) })
 }
 
 func BenchmarkGraphalyticsWCC(b *testing.B) {
 	benchGraphalytics(b, true, loopWCC,
 		func(g *csr.Graph, frags int) ([]float64, error) { return WCC(g, frags) },
-		grape.Min, func(g *csr.Graph) grape.Program { return newWCCPIE(g) })
+		func(g *csr.Graph) grape.Program { return newWCCPIE(g) })
 }
 
-// TestGraphalyticsRunStatsRepeat: what a vertex-centric graphalytics
-// program does — its supersteps, the sends it folds, the messages delivered
-// after combining — is a property of the program and the graph: PageRank's
-// and BFS's messages follow edges, not cuts, so their counters are
-// bit-identical at 1, 2 and 3 fragments and from run to run. WCC's are not
-// (TestWCCRunStatsRepeat).
+// TestGraphalyticsRunStatsRepeat: what a graphalytics program does — its
+// supersteps, the sends it folds, the messages delivered after combining —
+// is a property of the program and the graph: BFS's messages follow edges,
+// not cuts, and PageRank sends none, so their counters are bit-identical at
+// 1, 2 and 3 fragments and from run to run. PageRank pulls: it runs its 20
+// iterations in 21 supersteps and folds and delivers nothing. WCC's counters
+// depend on the cut (TestWCCRunStatsRepeat).
 func TestGraphalyticsRunStatsRepeat(t *testing.T) {
 	g, err := dataset.Datagen("t", 2_000, 8, 1).ToCSR(true)
 	if err != nil {
@@ -181,26 +187,17 @@ func TestGraphalyticsRunStatsRepeat(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		comb grape.Combiner
 		prog func() grape.Program
 	}{
-		{"PageRank", grape.Sum, func() grape.Program {
+		{"PageRank", func() grape.Program {
 			return newPageRankPIE(g, PageRankOptions{Damping: 0.85, Iterations: 20})
 		}},
-		{"BFS", grape.Min, func() grape.Program { return newBFSPIE(g, 0) }},
+		{"BFS", func() grape.Program { return newBFSPIE(g, 0) }},
 	} {
 		var want grape.RunStats
 		for _, frags := range []int{1, 2, 3} {
 			for rep := 0; rep < 3; rep++ {
-				eng, err := grape.NewEngine(g, grape.Options{Fragments: frags, Combine: tc.comb})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got grape.RunStats
-				eng.CollectStats(&got)
-				if _, err := eng.Run(tc.prog()); err != nil {
-					t.Fatal(err)
-				}
+				got := runStats(t, g, frags, tc.prog())
 				if want.Supersteps == 0 {
 					want = got
 					t.Logf("%s: %d supersteps, %d sends folded, %d messages delivered",
@@ -212,17 +209,19 @@ func TestGraphalyticsRunStatsRepeat(t *testing.T) {
 				}
 			}
 		}
-		if want.Folded == 0 || want.Delivered == 0 || want.Delivered > want.Folded {
+		switch {
+		case tc.name == "PageRank" && (want.Supersteps != 21 || want.Folded != 0 || want.Delivered != 0):
+			t.Errorf("PageRank: counters %+v, want 21 supersteps and no message", want)
+		case tc.name != "PageRank" && (want.Folded == 0 || want.Delivered == 0 || want.Delivered > want.Folded):
 			t.Errorf("%s: implausible counters %+v", tc.name, want)
 		}
 	}
 }
 
-// runStats runs prog at frags fragments under comb and returns what the run
-// did.
-func runStats(tb testing.TB, g *csr.Graph, frags int, comb grape.Combiner, prog grape.Program) grape.RunStats {
+// runStats runs prog at frags fragments and returns what the run did.
+func runStats(tb testing.TB, g *csr.Graph, frags int, prog grape.Program) grape.RunStats {
 	tb.Helper()
-	eng, err := grape.NewEngine(g, grape.Options{Fragments: frags, Combine: comb})
+	eng, err := grape.NewEngine(g, grape.Options{Fragments: frags})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func runStats(tb testing.TB, g *csr.Graph, frags int, comb grape.Combiner, prog 
 func wccStats(t *testing.T, g *csr.Graph, frags int) grape.RunStats {
 	t.Helper()
 	prog := newWCCPIE(g)
-	st := runStats(t, g, frags, grape.Min, prog)
+	st := runStats(t, g, frags, prog)
 	if err := sameFloats(prog.label, loopWCC(g), true); err != nil {
 		t.Fatalf("frags=%d: %v", frags, err)
 	}
@@ -329,6 +328,140 @@ func TestGraphalyticsSteadyStateAllocations(t *testing.T) {
 			t.Logf("%s/%s: %.0f allocations per run", tc.name, name, allocs)
 			if allocs > bound {
 				t.Errorf("%s/%s: %.0f allocations per run, bound %d", tc.name, name, allocs, bound)
+			}
+		}
+	}
+}
+
+// cutProbe runs no program: it declares ex and records the bounds of every
+// fragment the engine cut for it.
+type cutProbe struct {
+	ex     grape.Exchange
+	bounds [][2]graph.VID
+}
+
+func (p *cutProbe) Exchange() grape.Exchange { return p.ex }
+
+func (p *cutProbe) PEval(f *grape.Fragment, _ *grape.Context) {
+	id, _ := f.Fragment()
+	lo, hi := f.Bounds()
+	p.bounds[id] = [2]graph.VID{lo, hi}
+}
+
+func (p *cutProbe) IncEval(*grape.Fragment, *grape.Context, []grape.Message) {}
+
+// cutOf returns the fragment bounds the engine cuts at frags fragments for a
+// program declaring ex.
+func cutOf(tb testing.TB, g grin.Graph, frags int, ex grape.Exchange) [][2]graph.VID {
+	tb.Helper()
+	eng, err := grape.NewEngine(g, grape.Options{Fragments: frags})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &cutProbe{ex: ex, bounds: make([][2]graph.VID, eng.Fragments())}
+	if _, err := eng.Run(p); err != nil {
+		tb.Fatal(err)
+	}
+	return p.bounds
+}
+
+// hubInGraph has one vertex whose in-degree outweighs several shares of a
+// pull's cut, so that at 3 and 7 fragments some fragments are empty.
+func hubInGraph(tb testing.TB) *csr.Graph {
+	tb.Helper()
+	s := &dataset.Simple{N: 40}
+	for k := 0; k < 2000; k++ {
+		s.Src, s.Dst = append(s.Src, graph.VID(k%40)), append(s.Dst, 5)
+	}
+	for v := 0; v < 40; v += 3 {
+		s.Src, s.Dst = append(s.Src, 5), append(s.Dst, graph.VID(v))
+	}
+	g, err := s.ToCSR(true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestPageRankMatchesLoopExactly: PageRank pulls over the CSR's in-edges,
+// which list sources in ascending order, so every rank is the same sum in the
+// same order as the benchmark oracle's push loop: bit-identical at 1, 2, 3 and
+// 7 fragments and at GOMAXPROCS 1, 2 and 8, on the graphalytics graph shape
+// and on a hub graph that leaves some fragments empty. On the masked store,
+// which pulls through Neighbors, it agrees to 1e-12.
+func TestPageRankMatchesLoopExactly(t *testing.T) {
+	for name, g := range map[string]*csr.Graph{"graphalytics": graphalyticsGraph(t), "hub": hubInGraph(t)} {
+		want := loopPageRank(g, 0.85, 20)
+		if name == "hub" {
+			pull := newPageRankPIE(g, PageRankOptions{}).Exchange()
+			for _, frags := range []int{3, 7} {
+				b := cutOf(t, g, frags, pull)
+				if !slices.ContainsFunc(b, func(r [2]graph.VID) bool { return r[0] == r[1] }) {
+					t.Fatalf("hub frags=%d: no empty fragment among %v", frags, b)
+				}
+			}
+		}
+		masked := chaos.Wrap(topologyOnly{g, g}, chaos.Options{})
+		for _, frags := range []int{1, 2, 3, 7} {
+			for _, procs := range []int{1, 2, 8} {
+				withGOMAXPROCS(t, procs, func() {
+					got, err := PageRank(g, PageRankOptions{Damping: 0.85, Iterations: 20, Fragments: frags})
+					if err == nil {
+						err = sameFloats(got, want, true)
+					}
+					if err != nil {
+						t.Errorf("%s frags=%d procs=%d: %v", name, frags, procs, err)
+					}
+				})
+			}
+			got, err := PageRank(masked, PageRankOptions{Damping: 0.85, Iterations: 20, Fragments: frags})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range got {
+				if math.Abs(got[v]-want[v]) > 1e-12*math.Abs(want[v]) {
+					t.Errorf("%s masked frags=%d: vertex %d: got %v want %v", name, frags, v, got[v], want[v])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestFragmentBoundsMatchParentCuts: the programs that send declare what
+// reproduces the cuts the engine made before programs declared their
+// exchange — Σ(10 + outdeg) for the min-combined traversals, Σ(1 + outdeg +
+// indeg) for the uncombined label programs — bound for bound.
+func TestFragmentBoundsMatchParentCuts(t *testing.T) {
+	fwd := dataset.Datagen("benchmark", 20_000, 16, 1)
+	rev, err := (&dataset.Simple{N: fwd.N, Src: fwd.Dst, Dst: fwd.Src}).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi, g := range []*csr.Graph{graphalyticsGraph(t), rev, hubInGraph(t)} {
+		combined := func(v graph.VID) int { return 10 + g.Degree(v, graph.Out) }
+		uncombined := func(v graph.VID) int { return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In) }
+		for _, tc := range []struct {
+			name   string
+			prog   grape.Program
+			weight func(graph.VID) int
+		}{
+			{"BFS", newBFSPIE(g, 0), combined},
+			{"SSSP", &ssspPIE{g: g}, combined},
+			{"WCC", newWCCPIE(g), combined},
+			{"CDLP", &cdlpPIE{}, uncombined},
+			{"Equity", &equityPIE{g: g}, uncombined},
+		} {
+			for _, frags := range []int{1, 2, 3, 4, 7} {
+				part, err := partition.NewRange(g.NumVertices(), frags, tc.weight)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for f, b := range cutOf(t, g, frags, tc.prog.Exchange()) {
+					if lo, hi := part.Bounds(f); b != [2]graph.VID{lo, hi} {
+						t.Fatalf("graph %d %s frags=%d: fragment %d is %v, the parent's cut [%d, %d)", gi, tc.name, frags, f, b, lo, hi)
+					}
+				}
 			}
 		}
 	}

@@ -20,12 +20,14 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 // TestAlgorithmsMatchReferenceWithIntraParallelism runs every PIE program of
 // the library at two fragments on a "wide machine" (GOMAXPROCS 8). Fragments
 // are the engine's only parallelism, so the results must match the sequential
-// references and be bit-identical to the same calls at GOMAXPROCS 2.
+// references and be bit-identical to the same calls at GOMAXPROCS 2. Equity
+// runs on the graph with its weights made share fractions (asShares).
 func TestAlgorithmsMatchReferenceWithIntraParallelism(t *testing.T) {
 	g, err := dataset.Datagen("t", 500, 6, 42).Weighted(15).ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eg := asShares(t, g)
 	wg, err := dataset.Datagen("t", 400, 1, 9).ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,7 @@ func TestAlgorithmsMatchReferenceWithIntraParallelism(t *testing.T) {
 		{"WCC", func() (any, error) { return WCC(wg, 2) }},
 		{"CDLP", func() (any, error) { return CDLP(g, 5, 2) }},
 		{"Equity", func() (any, error) {
-			return Equity(g, 0, 125, EquityOptions{Epsilon: 0.3, MaxDepth: 4, Fragments: 2})
+			return Equity(eg, 0, 125, EquityOptions{Epsilon: 0.3, MaxDepth: 4, Fragments: 2})
 		}},
 	}
 	results := func(procs int) map[string]any {

@@ -51,6 +51,31 @@ func parityGraphs(t *testing.T) map[string]*csr.Graph {
 	return graphs
 }
 
+// asShares copies g with its weights made share fractions, as Equity
+// requires: each vertex's incoming weights are divided by their sum wherever
+// it exceeds 1.
+func asShares(t *testing.T, g grin.Graph) *csr.Graph {
+	t.Helper()
+	s := &dataset.Simple{N: g.NumVertices()}
+	in := make([]float64, s.N)
+	for v := range s.N {
+		g.Neighbors(graph.VID(v), graph.Out, func(u graph.VID, e graph.EID) bool {
+			w := grin.Weight(g, e)
+			s.Src, s.Dst, s.W = append(s.Src, graph.VID(v)), append(s.Dst, u), append(s.W, w)
+			in[u] += w
+			return true
+		})
+	}
+	for i, d := range s.Dst {
+		s.W[i] /= max(in[d], 1)
+	}
+	sg, err := s.ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}
+
 // refCDLP is synchronous label propagation over both edge directions.
 func refCDLP(g grin.Graph, rounds int) []float64 {
 	n := g.NumVertices()
@@ -139,7 +164,8 @@ func sameFloats(got, want []float64, exact bool) error {
 // TestGeneratedParity runs every PIE program of the library against a
 // sequential reference over generated graphs × fragment counts × GOMAXPROCS
 // × (the CSR itself, the CSR with its array trait masked): exact for the
-// min/label programs, 1e-9 for the sums.
+// min/label programs, 1e-9 for the sums. Equity runs on the graph with its
+// weights made share fractions (asShares).
 func TestGeneratedParity(t *testing.T) {
 	const (
 		prIters   = 5
@@ -153,11 +179,16 @@ func TestGeneratedParity(t *testing.T) {
 		wantPR := refPageRank(g, 0.85, prIters)
 		wantBFS, wantSSSP, wantWCC := refBFS(g, 0), refSSSP(g, 0), refWCC(g)
 		wantCDLP := refCDLP(g, cdlpRound)
-		wantEq := refEquity(g, 0, holders, eqEps, eqDepth)
+		eg := asShares(t, g)
+		wantEq := refEquity(eg, 0, holders, eqEps, eqDepth)
 
 		stores := map[string]grin.Graph{
 			"csr":    g,
 			"masked": chaos.Wrap(topologyOnly{g, g}, chaos.Options{}),
+		}
+		eqStores := map[string]grin.Graph{
+			"csr":    eg,
+			"masked": chaos.Wrap(topologyOnly{eg, eg}, chaos.Options{}),
 		}
 		if _, ok := grin.AsAdjArray(stores["masked"]); ok {
 			t.Fatal("masked store still offers the array trait")
@@ -200,7 +231,7 @@ func TestGeneratedParity(t *testing.T) {
 									t.Errorf("%s: %v", alg.name, err)
 								}
 							}
-							eq, err := Equity(store, 0, holders, EquityOptions{Epsilon: eqEps, MaxDepth: eqDepth, Fragments: frags})
+							eq, err := Equity(eqStores[storeName], 0, holders, EquityOptions{Epsilon: eqEps, MaxDepth: eqDepth, Fragments: frags})
 							if err != nil {
 								t.Fatalf("Equity: %v", err)
 							}

@@ -11,13 +11,18 @@
 // sender, one contiguous hand-off per fragment pair per superstep — is kept,
 // at the cost of the loop it replaces:
 //
-//   - Fragments are contiguous vertex ranges cut so each holds an equal share
-//     of the work a superstep does on it, not an equal vertex count: a
-//     generator that puts every out-edge in the first half of the ID range
-//     would otherwise leave half the fragments idle. With a combiner a vertex
-//     weighs vertexWork + outdeg (an in-edge costs its receiver nothing: the
-//     gather is per target); without one, 1 + outdeg + indeg, since every
-//     in-edge becomes a delivered Message.
+//   - Each program declares its Exchange: its combiner, and the adjacency a
+//     superstep walks per inner vertex (Out for a scatter along out-edges,
+//     In for a pull over in-edges, Both for both). Fragments are contiguous
+//     vertex ranges cut so each holds an equal share of that work, not an
+//     equal vertex count: a generator that puts every out-edge in the first
+//     half of the ID range would otherwise leave half the fragments idle. A
+//     vertex weighs vertexWork(Combine) + its degree along Walk (Both: out +
+//     in). With a combiner an in-edge costs its receiver nothing, since the
+//     gather is per target, so a scatter declares Out; without one every
+//     in-edge a vertex is sent along becomes a delivered Message, so a
+//     program that sends along Both declares Both. The engine cuts once per
+//     weight class, on the first Run that needs it, and reuses the cut.
 //   - The combiner is a closed type (NoCombine, Sum, Min), so folding a
 //     message is inlined arithmetic, never an indirect call.
 //   - With a combiner every source fragment folds its sends into one flat
@@ -53,6 +58,14 @@
 // Without a combiner, sends are buffered per destination fragment as
 // Messages (Aux is carried only here) and the destination concatenates them
 // in source order.
+//
+// A program may also exchange through state of its own instead of messages,
+// as a pull does: per-vertex state that a fragment writes for its inner
+// vertices in superstep s, double-buffered by Superstep() parity, is readable
+// by every fragment in superstep s+1. The one barrier per superstep orders
+// those accesses: no fragment begins superstep s+1 before every fragment has
+// finished superstep s, and none begins s+2 — which writes parity s again —
+// before every fragment has finished reading it in s+1.
 package grape
 
 import (
@@ -85,6 +98,9 @@ type Message struct {
 // IncEval runs on every fragment each superstep until no fragment received a
 // message or voted to rerun.
 type Program interface {
+	// Exchange declares how the program's messages combine and which
+	// adjacency its supersteps walk; Run reads it once.
+	Exchange() Exchange
 	// PEval performs partial evaluation on a fragment.
 	PEval(f *Fragment, ctx *Context)
 	// IncEval performs incremental evaluation given freshly arrived
@@ -133,38 +149,78 @@ func (c Combiner) apply(a, b float64) float64 {
 	return min(a, b)
 }
 
+// Exchange is what a program declares about its supersteps.
+type Exchange struct {
+	// Combine merges message values directed at the same target.
+	Combine Combiner
+	// Walk is the adjacency a superstep's work follows per inner vertex,
+	// and what fragments are cut by: Out for a scatter along out-edges, In
+	// for a pull over in-edges, Both when both cost (without a combiner,
+	// every in-edge a vertex is sent along arrives as a Message).
+	Walk graph.Direction
+}
+
 // Options configures an Engine.
 type Options struct {
 	// Fragments is the fragment count, one goroutine each: the engine's only
 	// parallelism. 0 selects GOMAXPROCS; a fixed count gives results that do
 	// not depend on the machine (Sum combines in fragment order).
 	Fragments int
-	// Combine merges message values directed at the same target.
-	Combine Combiner
 }
 
-// Engine executes PIE programs over a partitioned graph view.
+// Engine executes PIE programs over a partitioned graph view. Its runs must
+// not overlap: they share the cuts and the accumulators.
 type Engine struct {
-	g    grin.Graph
-	adj  grin.AdjArray // nil when the store lacks (or masks) the array trait
-	part *partition.Range
-	fr   []*Fragment
-	// acc[p][f] is fragment f's flat accumulator for supersteps of parity p
-	// (nil under NoCombine). All cells hold the identity between runs.
-	acc   [2][]*accum
+	g   grin.Graph
+	adj grin.AdjArray // nil when the store lacks (or masks) the array trait
+	nf  int
+	// cuts[k] is the cut of weight class k (see weightClass), made by the
+	// first Run of that class.
+	cuts [2 * (graph.Both + 1)]*cut
+	// acc[c][p][f] is fragment f's flat accumulator under combiner c for
+	// supersteps of parity p, made by the first Run under c (none for
+	// NoCombine). All cells hold the identity between runs.
+	acc   [Min + 1][2][]*accum
 	stats *RunStats
 }
 
-// vertexWork is what one vertex costs a combined superstep, in out-edges
+// cut is one partition of the vertex range and its fragments.
+type cut struct {
+	part *partition.Range
+	fr   []*Fragment
+}
+
+// combinedWork is what one vertex costs a combined superstep, in out-edges
 // scattered: its IncEval loop iteration, its inbox message and its share of
-// the gather. It was measured from RunStats on a 2-vCPU x86 VM: PageRank at
-// one fragment over Datagen 20 000 × {4, 8, 16, 32}, the median ComputeNs +
-// ExchangeNs of a superstep fitted to a·n + b·edges, gave a = 15–21 ns and
-// b = 1.6–1.8 ns, a/b = 9.5–11.8 in four fits. On the graphalytics graph at
-// two fragments the fragments' busy times (µs per superstep, fragment 0 /
-// 1) read 429 / 487 at 9, 513 / 537 and 447 / 418 at 10, 490 / 408 at 14;
-// whole runs at 6, 8 and 10 differed by less than the VM's noise.
-const vertexWork = 10
+// the gather. It was measured from RunStats on a 2-vCPU x86 VM, on the push
+// PageRank the library ran then: at one fragment over Datagen 20 000 × {4,
+// 8, 16, 32}, the median ComputeNs + ExchangeNs of a superstep fitted to
+// a·n + b·edges gave a = 15–21 ns and b = 1.6–1.8 ns, a/b = 9.5–11.8 in four
+// fits. On the graphalytics graph at two fragments the fragments' busy times
+// (µs per superstep, fragment 0 / 1) read 429 / 487 at 9, 513 / 537 and
+// 447 / 418 at 10, 490 / 408 at 14; whole runs at 6, 8 and 10 differed by
+// less than the VM's noise. PageRank now pulls without a combiner; the
+// constant serves the scatters that combine — BFS, SSSP and WCC.
+const combinedWork = 10
+
+// vertexWork is what one vertex costs a superstep beyond the edges it walks,
+// in walked edges: combinedWork with a combiner, 1 without.
+func vertexWork(c Combiner) int {
+	if c == NoCombine {
+		return 1
+	}
+	return combinedWork
+}
+
+// weightClass indexes Engine.cuts: exchanges that weigh vertices alike share
+// a cut.
+func weightClass(ex Exchange) int {
+	k := int(ex.Walk)
+	if ex.Combine != NoCombine {
+		k += int(graph.Both) + 1
+	}
+	return k
+}
 
 // accum is a flat combining accumulator over the whole vertex range: a cell
 // per vertex holding the combiner's identity until touched, and a bitmap of
@@ -249,8 +305,9 @@ func rangeMask(w, w0, w1 int, lo, hi graph.VID) uint64 {
 	return m
 }
 
-// NewEngine partitions the graph and prepares fragments. The topology trait
-// is required; the array trait is exploited when present.
+// NewEngine prepares an engine of opt.Fragments fragments over the graph;
+// each Run cuts them by what its program declares. The topology trait is
+// required; the array trait is exploited when present.
 func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if err := grin.Require(g, "grape"); err != nil {
 		return nil, err
@@ -265,38 +322,58 @@ func NewEngine(g grin.Graph, opt Options) (*Engine, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("grape: empty graph")
 	}
-	if opt.Combine > Min {
-		return nil, fmt.Errorf("grape: unknown combiner %d", opt.Combine)
-	}
-	// A fragment's work is its vertices plus the edges it scatters along and,
-	// without a combiner, the messages it receives: that is what the cuts
-	// balance.
-	weight := func(v graph.VID) int { return vertexWork + g.Degree(v, graph.Out) }
-	if opt.Combine == NoCombine {
-		weight = func(v graph.VID) int { return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In) }
-	}
-	part, err := partition.NewRange(n, opt.Fragments, weight)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{g: g, part: part}
+	e := &Engine{g: g, nf: opt.Fragments}
 	e.adj, _ = grin.AsAdjArray(g)
-	for f := 0; f < opt.Fragments; f++ {
-		lo, hi := part.Bounds(f)
-		e.fr = append(e.fr, &Fragment{id: f, total: opt.Fragments, lo: lo, hi: hi, g: g, part: part})
-	}
-	if opt.Combine != NoCombine {
-		accs := make([]*accum, 2*opt.Fragments)
-		for i := range accs {
-			accs[i] = newAccum(n, opt.Combine)
-		}
-		e.acc = [2][]*accum{accs[:opt.Fragments], accs[opt.Fragments:]}
-	}
 	return e, nil
 }
 
 // Fragments returns the fragment count.
-func (e *Engine) Fragments() int { return len(e.fr) }
+func (e *Engine) Fragments() int { return e.nf }
+
+// cut returns the fragments of ex's weight class, cutting them on first use
+// so that each holds an equal share of Σ vertexWork(Combine) + the degree
+// along Walk: its vertices plus the edges a superstep walks from them.
+func (e *Engine) cut(ex Exchange) (*cut, error) {
+	k := weightClass(ex)
+	if c := e.cuts[k]; c != nil {
+		return c, nil
+	}
+	g, work, walk := e.g, vertexWork(ex.Combine), ex.Walk
+	part, err := partition.NewRange(g.NumVertices(), e.nf, func(v graph.VID) int {
+		w := work
+		if walk != graph.In {
+			w += g.Degree(v, graph.Out)
+		}
+		if walk != graph.Out {
+			w += g.Degree(v, graph.In)
+		}
+		return w
+	})
+	if err != nil {
+		return nil, err
+	}
+	c := &cut{part: part, fr: make([]*Fragment, e.nf)}
+	for f := range c.fr {
+		lo, hi := part.Bounds(f)
+		c.fr[f] = &Fragment{id: f, total: e.nf, lo: lo, hi: hi, g: g, part: part}
+	}
+	e.cuts[k] = c
+	return c, nil
+}
+
+// accums returns combiner c's accumulator pair, made on first use; none for
+// NoCombine.
+func (e *Engine) accums(c Combiner) [2][]*accum {
+	if c != NoCombine && e.acc[c][0] == nil {
+		n := e.g.NumVertices()
+		accs := make([]*accum, 2*e.nf)
+		for i := range accs {
+			accs[i] = newAccum(n, c)
+		}
+		e.acc[c] = [2][]*accum{accs[:e.nf], accs[e.nf:]}
+	}
+	return e.acc[c]
+}
 
 // Fragment is one partition of the graph: a contiguous range of inner
 // vertices plus read access to the shared topology. It implements the GRIN
@@ -335,9 +412,10 @@ func (f *Fragment) Graph() grin.Graph { return f.g }
 // superstep's parity of the buffers the Context holds.
 type outbox struct {
 	e    *Engine
-	acc  *accum      // sender-side combining; nil under NoCombine
-	out  [][]Message // per destination fragment (NoCombine)
-	sent int64       // sends since the run began (RunStats.Folded)
+	part *partition.Range // the run's cut
+	acc  *accum           // sender-side combining; nil under NoCombine
+	out  [][]Message      // per destination fragment (NoCombine)
+	sent int64            // sends since the run began (RunStats.Folded)
 	// denseAt is the sent count at which this superstep's bulk sends turn
 	// dense: n sends after it began. By then about 1 − 1/e of the cells a
 	// random scatter covers are touched, and a scan of the gathered range
@@ -350,6 +428,14 @@ type outbox struct {
 	// reading the value in flight from val.
 	yield func(graph.VID, graph.EID) bool
 	val   float64
+
+	// The padding makes an outbox 128 bytes, a size class whose objects
+	// start on 128-byte boundaries, so that no two fragments' outboxes share
+	// a cache line: a fragment writes sent on every send. At 80 bytes two
+	// outboxes could share one, and BFS at two fragments on the graphalytics
+	// graph read 2.24 ms against 2.05 ms padded (medians of 8 alternating
+	// runs of 400).
+	_ [48]byte
 }
 
 // Send directs a value at a vertex; it reaches the owner fragment's IncEval
@@ -368,7 +454,7 @@ func (o *outbox) SendAux(v graph.VID, aux uint32, val float64) {
 }
 
 func (o *outbox) buffer(v graph.VID, aux uint32, val float64) {
-	d := o.e.part.Owner(v)
+	d := o.part.Owner(v)
 	o.out[d] = append(o.out[d], Message{Target: v, Aux: aux, Value: val})
 }
 
@@ -443,10 +529,11 @@ func (c *Context) Superstep() int { return c.step }
 // RunStats is what one Run did, for callers that ask through CollectStats.
 // Supersteps, Folded and Delivered are exact counts: at a fixed fragment
 // count they repeat bit-for-bit from run to run and at any GOMAXPROCS. A
-// program whose messages follow edges alone (PageRank, BFS) also repeats them
-// at any fragment count; one whose PEval works a whole fragment without
-// messages (WCC's union-find) sends only across the cuts, so its counts
-// depend on where they fall. Steps holds wall-clock measurements.
+// program whose messages follow edges alone (BFS) also repeats them at any
+// fragment count; one whose PEval works a whole fragment without messages
+// (WCC's union-find) sends only across the cuts, so its counts depend on
+// where they fall. One that pulls through state of its own (PageRank) sends
+// nothing: it folds and delivers 0. Steps holds wall-clock measurements.
 type RunStats struct {
 	// Supersteps is Run's return value: PEval plus every IncEval round.
 	Supersteps int
@@ -478,8 +565,8 @@ func (e *Engine) CollectStats(s *RunStats) { e.stats = s }
 
 // run is the state the fragment goroutines of one Run share.
 type run struct {
-	e    *Engine
 	p    Program
+	acc  [2][]*accum // the program's combiner's accumulators, by parity
 	ctxs []*Context
 	bar  barrier
 	// steps[f] is fragment f's wall-clock record; nil when nobody collects.
@@ -487,13 +574,25 @@ type run struct {
 }
 
 // Run executes the program to quiescence and returns the superstep count.
+// The fragments are cut by the program's Exchange.
 func (e *Engine) Run(p Program) (int, error) {
-	nf := len(e.fr)
-	r := &run{e: e, p: p, ctxs: make([]*Context, nf)}
+	ex := p.Exchange()
+	if ex.Combine > Min {
+		return 0, fmt.Errorf("grape: unknown combiner %d", ex.Combine)
+	}
+	if ex.Walk > graph.Both {
+		return 0, fmt.Errorf("grape: unknown walk %v", ex.Walk)
+	}
+	cut, err := e.cut(ex)
+	if err != nil {
+		return 0, err
+	}
+	nf := e.nf
+	r := &run{p: p, acc: e.accums(ex.Combine), ctxs: make([]*Context, nf)}
 	r.bar.init(nf)
 	for i := range r.ctxs {
-		c := &Context{outbox: &outbox{e: e}, frag: e.fr[i]}
-		if e.acc[0] == nil {
+		c := &Context{outbox: &outbox{e: e, part: cut.part}, frag: cut.fr[i]}
+		if r.acc[0] == nil {
 			outs := make([][]Message, 2*nf)
 			c.outs = [2][][]Message{outs[:nf], outs[nf:]}
 		}
@@ -584,9 +683,9 @@ func (r *run) fragment(i int) int {
 // superstep's barrier, which this fragment has passed, so they are its own
 // again: it clears the touched bits and empties the message buffers.
 func (r *run) begin(i, step int) int {
-	e, c, par := r.e, r.ctxs[i], step&1
+	c, par := r.ctxs[i], step&1
 	c.step, c.rerun, c.stepSent = step, false, c.sent
-	if accs := e.acc[par]; accs != nil {
+	if accs := r.acc[par]; accs != nil {
 		a := accs[i]
 		clear(a.bits)
 		a.dense = false
@@ -605,8 +704,8 @@ func (r *run) begin(i, step int) int {
 // accumulators in place; without one it concatenates their Message buffers
 // for d in source order.
 func (r *run) receive(d, par int) {
-	e, c := r.e, r.ctxs[d]
-	if accs := e.acc[par]; accs != nil {
+	c := r.ctxs[d]
+	if accs := r.acc[par]; accs != nil {
 		c.gather(accs, c.frag.lo, c.frag.hi)
 		return
 	}

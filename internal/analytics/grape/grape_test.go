@@ -80,10 +80,44 @@ func TestOrderedKey(t *testing.T) {
 	}
 }
 
+// pie is a PIE program without its exchange: the tests run one program
+// under whichever exchange they pick.
+type pie interface {
+	PEval(*Fragment, *Context)
+	IncEval(*Fragment, *Context, []Message)
+}
+
+// declared is a program that declares ex.
+type declared struct {
+	pie
+	ex Exchange
+}
+
+func (d declared) Exchange() Exchange { return d.ex }
+
+// under runs p under comb with the walk the library's programs declare for
+// it: out-edges with a combiner, both directions without.
+func under(comb Combiner, p pie) Program {
+	walk := graph.Out
+	if comb == NoCombine {
+		walk = graph.Both
+	}
+	return declared{p, Exchange{Combine: comb, Walk: walk}}
+}
+
+// TestUnknownCombinerRejected: a Run whose program declares a combiner or a
+// walk outside the closed sets is an error.
 func TestUnknownCombinerRejected(t *testing.T) {
 	g, _ := dataset.Datagen("t", 8, 1, 1).ToCSR(false)
-	if _, err := NewEngine(g, Options{Combine: Min + 1}); err == nil {
-		t.Fatal("combiner outside the closed set accepted")
+	eng, err := NewEngine(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []Exchange{{Combine: Min + 1}, {Walk: graph.Both + 1}} {
+		p := &echoProgram{n: 8, received: make([]float64, 8)}
+		if _, err := eng.Run(declared{p, ex}); err == nil {
+			t.Fatalf("exchange %+v outside the closed sets accepted", ex)
+		}
 	}
 }
 
@@ -118,7 +152,7 @@ func TestEngineRoutesToOwnerFragments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps, err := eng.Run(p)
+		steps, err := eng.Run(under(NoCombine, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +205,7 @@ func TestRerunVote(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &rerunProgram{target: 5, runs: make([]int, 4)}
-	steps, err := eng.Run(p)
+	steps, err := eng.Run(under(NoCombine, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,23 +260,23 @@ func TestExchangeArmsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opt Options) *fanInProgram {
+	run := func(frags int, comb Combiner) *fanInProgram {
 		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n), got: make([][][]float64, 3)}
 		for s := range p.got {
 			p.got[s] = make([][]float64, n)
 		}
-		eng, err := NewEngine(g, opt)
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps, err := eng.Run(p); err != nil || steps != len(p.got) {
-			t.Fatalf("%+v: %d supersteps, err %v", opt, steps, err)
+		if steps, err := eng.Run(under(comb, p)); err != nil || steps != len(p.got) {
+			t.Fatalf("frags=%d comb=%d: %d supersteps, err %v", frags, comb, steps, err)
 		}
 		return p
 	}
 	var one *fanInProgram
 	for _, frags := range []int{1, 2, 5} {
-		all := run(Options{Fragments: frags, Combine: NoCombine})
+		all := run(frags, NoCombine)
 		if frags == 1 {
 			// Ground truth once: 2n sends in PEval, each forwarded once.
 			total := 0.0
@@ -257,7 +291,7 @@ func TestExchangeArmsAgree(t *testing.T) {
 			t.Fatalf("frags=%d: uncombined delivery differs from one fragment's", frags)
 		}
 		for _, comb := range []Combiner{Sum, Min} {
-			got := run(Options{Fragments: frags, Combine: comb})
+			got := run(frags, comb)
 			for s := range got.got {
 				for v, vals := range all.got[s] {
 					var want []float64
@@ -292,24 +326,23 @@ func TestExchangeArmsAgree(t *testing.T) {
 			t.Fatal("no target of superstep 1 was sent only −0")
 		}
 		for _, frags := range []int{1, 2, 5} {
-			arm := Options{Fragments: frags, Combine: comb}
-			eng, err := NewEngine(dg, arm)
+			eng, err := NewEngine(dg, Options{Fragments: frags})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var st RunStats
 			eng.CollectStats(&st)
 			p := newAbsorbedProgram(n, comb)
-			steps, err := eng.Run(p)
+			steps, err := eng.Run(under(comb, p))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if steps != absorbedSteps || st.Folded != folded || st.Delivered != delivered {
-				t.Fatalf("comb=%d frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", comb, frags, arm,
+				t.Fatalf("comb=%d frags=%d: %d/%d/%d, want %d/%d/%d", comb, frags,
 					steps, st.Folded, st.Delivered, absorbedSteps, folded, delivered)
 			}
 			if !reflect.DeepEqual(p.got, want) {
-				t.Fatalf("comb=%d frags=%d arm=%+v: delivered bits differ from the replay", comb, frags, arm)
+				t.Fatalf("comb=%d frags=%d: delivered bits differ from the replay", comb, frags)
 			}
 		}
 	}
@@ -473,14 +506,14 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, Options{Fragments: 3, Combine: Sum})
+	eng, err := NewEngine(g, Options{Fragments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first *fanInProgram
 	for i := 0; i < 3; i++ {
 		p := &fanInProgram{n: n, count: make([]float64, n), sum: make([]float64, n)}
-		if steps, err := eng.Run(p); err != nil || steps != 3 {
+		if steps, err := eng.Run(under(Sum, p)); err != nil || steps != 3 {
 			t.Fatalf("run %d: steps=%d err=%v", i, steps, err)
 		}
 		if first == nil {
@@ -500,11 +533,11 @@ func TestCombinedInboxAscending(t *testing.T) {
 	}
 	for _, frags := range []int{1, 3} {
 		p := &orderProgram{t: t}
-		eng, err := NewEngine(g, Options{Fragments: frags, Combine: Min})
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(Min, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -542,12 +575,12 @@ func TestRunStatsExactCountersRepeat(t *testing.T) {
 	for _, frags := range []int{1, 2, 3} {
 		for rep := 0; rep < 2; rep++ {
 			var got RunStats
-			eng, err := NewEngine(g, Options{Fragments: frags, Combine: Sum})
+			eng, err := NewEngine(g, Options{Fragments: frags})
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng.CollectStats(&got)
-			steps, err := eng.Run(&scatterProgram{g: g, sum: make([]float64, 400)})
+			steps, err := eng.Run(under(Sum, &scatterProgram{g: g, sum: make([]float64, 400)}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -583,13 +616,18 @@ func TestRunStatsExactCountersRepeat(t *testing.T) {
 	}
 }
 
-// checkFragmentsCover asserts the partition trait's invariants: contiguous
-// bounds that cover every vertex once, agreeing with IsInner and Owner.
-func checkFragmentsCover(t *testing.T, eng *Engine, n int) {
+// fragmentsOf returns the fragments eng cuts for ex, asserting the partition
+// trait's invariants: contiguous bounds that cover every vertex once,
+// agreeing with IsInner and Owner.
+func fragmentsOf(t *testing.T, eng *Engine, ex Exchange) []*Fragment {
 	t.Helper()
+	c, err := eng.cut(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := graph.VID(0)
-	for id, f := range eng.fr {
-		if gotID, total := f.Fragment(); gotID != id || total != len(eng.fr) {
+	for id, f := range c.fr {
+		if gotID, total := f.Fragment(); gotID != id || total != eng.Fragments() {
 			t.Fatalf("fragment %d reports (%d, %d)", id, gotID, total)
 		}
 		lo, hi := f.Bounds()
@@ -603,9 +641,10 @@ func checkFragmentsCover(t *testing.T, eng *Engine, n int) {
 		}
 		prev = hi
 	}
-	if int(prev) != n {
+	if n := eng.g.NumVertices(); int(prev) != n {
 		t.Fatalf("fragments cover [0, %d), want %d vertices", prev, n)
 	}
+	return c.fr
 }
 
 func TestFragmentPartitionTrait(t *testing.T) {
@@ -617,68 +656,104 @@ func TestFragmentPartitionTrait(t *testing.T) {
 	if eng.Fragments() != 4 {
 		t.Fatal("fragment count")
 	}
-	checkFragmentsCover(t, eng, 100)
+	for _, walk := range []graph.Direction{graph.Out, graph.In, graph.Both} {
+		for _, comb := range []Combiner{NoCombine, Sum} {
+			if fr := fragmentsOf(t, eng, Exchange{Combine: comb, Walk: walk}); len(fr) != 4 {
+				t.Fatalf("comb=%d walk=%v: %d fragments", comb, walk, len(fr))
+			}
+		}
+	}
+}
+
+// TestEngineCutsOncePerWeightClass: one engine serves programs of every
+// exchange. Exchanges that weigh vertices alike (Sum and Min along one walk)
+// share one cut, a cut is made once, and a combiner's accumulators come back
+// to the identity between runs of other exchanges.
+func TestEngineCutsOncePerWeightClass(t *testing.T) {
+	const n = 300
+	g, err := dataset.Datagen("t", n, 6, 17).ToCSR(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, Options{Fragments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumOut := fragmentsOf(t, eng, Exchange{Combine: Sum, Walk: graph.Out})
+	if minOut := fragmentsOf(t, eng, Exchange{Combine: Min, Walk: graph.Out}); &minOut[0] != &sumOut[0] {
+		t.Fatal("Sum and Min along out-edges cut twice")
+	}
+	if again := fragmentsOf(t, eng, Exchange{Combine: Sum, Walk: graph.Out}); &again[0] != &sumOut[0] {
+		t.Fatal("a second Sum run cut again")
+	}
+	if pull := fragmentsOf(t, eng, Exchange{Walk: graph.In}); &pull[0] == &sumOut[0] {
+		t.Fatal("a pull shares the combined scatter's cut")
+	}
+	for _, comb := range []Combiner{Sum, NoCombine, Min, Sum} {
+		p := &scatterProgram{g: g, sum: make([]float64, n)}
+		if _, err := eng.Run(under(comb, p)); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			want := float64(g.Degree(graph.VID(v), graph.In))
+			if comb == Min {
+				want = min(want, 1)
+			}
+			if p.sum[v] != want {
+				t.Fatalf("comb=%d: vertex %d received %v, want %v", comb, v, p.sum[v], want)
+			}
+		}
+	}
 }
 
 // TestFragmentsAreDegreeBalanced: Datagen hands out all its out-edges in the
 // first half of the ID range, so equal vertex counts would give fragment 0
-// all of a scatter's work. The engine cuts by Σ(1 + outdeg + indeg) instead.
+// all of a scatter's work. The engine cuts by what each program declares it
+// walks instead, and every fragment holds at most 1.25× the mean of that
+// weight, on the generated graph and on its reverse, where every in-edge
+// ends in the first half.
 func TestFragmentsAreDegreeBalanced(t *testing.T) {
 	const n = 20_000
-	g, err := dataset.Datagen("t", n, 16, 3).ToCSR(true)
+	fwd := dataset.Datagen("t", n, 16, 3)
+	g, err := fwd.ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weight := func(lo, hi graph.VID) (w int) {
-		for v := lo; v < hi; v++ {
-			w += 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In)
-		}
-		return w
-	}
-	if lo, hi := weight(0, n/2), weight(n/2, n); lo < 2*hi {
-		t.Fatalf("generator no longer skews: halves weigh %d and %d", lo, hi)
-	}
-	for _, frags := range []int{2, 4} {
-		eng, err := NewEngine(g, Options{Fragments: frags})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFragmentsCover(t, eng, n)
-		mean := float64(weight(0, n)) / float64(frags)
-		for id, f := range eng.fr {
-			if w := float64(weight(f.Bounds())); w > 1.25*mean {
-				t.Fatalf("frags=%d: fragment %d weighs %.0f, mean %.0f", frags, id, w, mean)
-			}
-		}
-	}
-
-	// With a combiner an in-edge costs its receiver nothing (the gather is
-	// per target), so a vertex weighs vertexWork + outdeg. On the reversed
-	// graph every in-edge ends in the first half, where a cut that charged
-	// in-edges would leave too few vertices.
-	fwd := dataset.Datagen("t", n, 16, 3)
 	rev, err := (&dataset.Simple{N: n, Src: fwd.Dst, Dst: fwd.Src}).ToCSR(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cg := range []grin.Graph{g, rev} {
-		combined := func(lo, hi graph.VID) (w int) {
-			for v := lo; v < hi; v++ {
-				w += vertexWork + cg.Degree(v, graph.Out)
-			}
-			return w
-		}
-		for _, comb := range []Combiner{Sum, Min} {
+	both := func(cg grin.Graph, v graph.VID) int { return 1 + cg.Degree(v, graph.Out) + cg.Degree(v, graph.In) }
+	if lo, hi := sumWeight(g, both, 0, n/2), sumWeight(g, both, n/2, n); lo < 2*hi {
+		t.Fatalf("generator no longer skews: halves weigh %d and %d", lo, hi)
+	}
+	// With a combiner an in-edge costs its receiver nothing (the gather is
+	// per target), so a scatter weighs combinedWork + outdeg; a cut that
+	// charged in-edges would leave the reversed graph's first half too few
+	// vertices. A pull walks in-edges and receives nothing: 1 + indeg.
+	combinedOut := func(cg grin.Graph, v graph.VID) int { return combinedWork + cg.Degree(v, graph.Out) }
+	pull := func(cg grin.Graph, v graph.VID) int { return 1 + cg.Degree(v, graph.In) }
+	for _, tc := range []struct {
+		ex     Exchange
+		graphs []grin.Graph
+		weight func(grin.Graph, graph.VID) int
+	}{
+		{Exchange{Combine: NoCombine, Walk: graph.Both}, []grin.Graph{g}, both},
+		{Exchange{Combine: Sum, Walk: graph.Out}, []grin.Graph{g, rev}, combinedOut},
+		{Exchange{Combine: Min, Walk: graph.Out}, []grin.Graph{g, rev}, combinedOut},
+		{Exchange{Combine: NoCombine, Walk: graph.In}, []grin.Graph{g, rev}, pull},
+	} {
+		for gi, cg := range tc.graphs {
 			for _, frags := range []int{2, 4} {
-				eng, err := NewEngine(cg, Options{Fragments: frags, Combine: comb})
+				eng, err := NewEngine(cg, Options{Fragments: frags})
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkFragmentsCover(t, eng, n)
-				mean := float64(combined(0, n)) / float64(frags)
-				for id, f := range eng.fr {
-					if w := float64(combined(f.Bounds())); w > 1.25*mean {
-						t.Fatalf("comb=%d frags=%d: fragment %d weighs %.0f, mean %.0f", comb, frags, id, w, mean)
+				mean := float64(sumWeight(cg, tc.weight, 0, n)) / float64(frags)
+				for id, f := range fragmentsOf(t, eng, tc.ex) {
+					lo, hi := f.Bounds()
+					if w := float64(sumWeight(cg, tc.weight, lo, hi)); w > 1.25*mean {
+						t.Fatalf("%+v graph %d frags=%d: fragment %d weighs %.0f, mean %.0f", tc.ex, gi, frags, id, w, mean)
 					}
 				}
 			}
@@ -700,13 +775,12 @@ func TestFragmentsAreDegreeBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(sg, Options{Fragments: 4, Combine: Sum})
+	eng, err := NewEngine(sg, Options{Fragments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFragmentsCover(t, eng, 40)
 	empty := 0
-	for _, f := range eng.fr {
+	for _, f := range fragmentsOf(t, eng, Exchange{Combine: Sum, Walk: graph.Out}) {
 		if lo, hi := f.Bounds(); lo == hi {
 			empty++
 		}
@@ -715,7 +789,7 @@ func TestFragmentsAreDegreeBalanced(t *testing.T) {
 		t.Fatal("a hub outweighing three shares left no fragment empty")
 	}
 	p := &scatterProgram{g: sg, sum: make([]float64, 40)}
-	if _, err := eng.Run(p); err != nil {
+	if _, err := eng.Run(under(Sum, p)); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 40; v++ {
@@ -723,4 +797,12 @@ func TestFragmentsAreDegreeBalanced(t *testing.T) {
 			t.Fatalf("vertex %d: sum %v != in-degree %d", v, p.sum[v], sg.Degree(graph.VID(v), graph.In))
 		}
 	}
+}
+
+// sumWeight is Σ weight(g, v) over [lo, hi).
+func sumWeight(g grin.Graph, weight func(grin.Graph, graph.VID) int, lo, hi graph.VID) (w int) {
+	for v := lo; v < hi; v++ {
+		w += weight(g, v)
+	}
+	return w
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -39,11 +40,11 @@ func TestParallelForMatchesSequential(t *testing.T) {
 	}
 	run := func(frags int) []float64 {
 		p := &scatterProgram{g: g, sum: make([]float64, 300)}
-		eng, err := NewEngine(g, Options{Fragments: frags, Combine: Sum})
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(Sum, p)); err != nil {
 			t.Fatal(err)
 		}
 		return p.sum
@@ -97,7 +98,7 @@ func TestParallelForNoCombinerKeepsAllMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(NoCombine, p)); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < 200; v++ {
@@ -142,7 +143,7 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(NoCombine, p)); err != nil {
 			t.Fatal(err)
 		}
 		if len(p.got) != 64 {
@@ -155,11 +156,11 @@ func TestParallelForAuxAndMinCombine(t *testing.T) {
 		}
 
 		p = &auxProgram{}
-		eng, err = NewEngine(g, Options{Fragments: frags, Combine: Min})
+		eng, err = NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(Min, p)); err != nil {
 			t.Fatal(err)
 		}
 		if len(p.got) != 1 || p.got[0] != (Message{Target: 0, Value: 0}) {
@@ -243,11 +244,11 @@ func TestSumBothShrinkingSends(t *testing.T) {
 			for s := range p.sums {
 				p.sums[s] = make([]float64, n)
 			}
-			eng, err := NewEngine(store, Options{Fragments: frags, Combine: Sum})
+			eng, err := NewEngine(store, Options{Fragments: frags})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Run(p); err != nil {
+			if _, err := eng.Run(under(Sum, p)); err != nil {
 				t.Fatal(err)
 			}
 			for s := 1; s <= shrinkSteps; s++ {
@@ -318,37 +319,44 @@ func TestLaggingFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opt Options) (*lagProgram, RunStats) {
-		p := &lagProgram{slow: opt.Fragments - 1}
+	run := func(frags int, comb Combiner) (*lagProgram, RunStats) {
+		p := &lagProgram{slow: frags - 1}
 		for s := range p.sums {
 			p.sums[s] = make([]float64, n)
 		}
-		eng, err := NewEngine(g, opt)
+		eng, err := NewEngine(g, Options{Fragments: frags})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var st RunStats
 		eng.CollectStats(&st)
-		if _, err := eng.Run(p); err != nil {
+		if _, err := eng.Run(under(comb, p)); err != nil {
 			t.Fatal(err)
 		}
 		return p, st
 	}
 	for _, comb := range []Combiner{Sum, NoCombine} {
-		want, wantStats := run(Options{Fragments: 1, Combine: comb})
+		want, wantStats := run(1, comb)
 		if wantStats.Supersteps != lagSteps {
 			t.Fatalf("comb=%d: one fragment ran %d supersteps, want %d", comb, wantStats.Supersteps, lagSteps)
 		}
 		for _, frags := range []int{2, 3} {
-			arm := Options{Fragments: frags, Combine: comb}
-			got, st := run(arm)
+			got, st := run(frags, comb)
 			if st.Supersteps != wantStats.Supersteps || st.Folded != wantStats.Folded || st.Delivered != wantStats.Delivered {
-				t.Fatalf("frags=%d arm=%+v: %d/%d/%d, want %d/%d/%d", frags, arm, st.Supersteps, st.Folded, st.Delivered,
+				t.Fatalf("frags=%d comb=%d: %d/%d/%d, want %d/%d/%d", frags, comb, st.Supersteps, st.Folded, st.Delivered,
 					wantStats.Supersteps, wantStats.Folded, wantStats.Delivered)
 			}
 			if !reflect.DeepEqual(got.sums, want.sums) {
-				t.Fatalf("frags=%d arm=%+v: sums differ from one fragment", frags, arm)
+				t.Fatalf("frags=%d comb=%d: sums differ from one fragment", frags, comb)
 			}
 		}
+	}
+}
+
+// TestOutboxFillsItsCacheLines: an outbox stays 128 bytes, so that the
+// allocator places each on two cache lines of its own (see its padding).
+func TestOutboxFillsItsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(outbox{}); size != 128 {
+		t.Fatalf("outbox is %d bytes, want 128: resize its padding", size)
 	}
 }

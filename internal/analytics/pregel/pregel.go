@@ -51,6 +51,9 @@ func (vc *VertexContext) VoteToHalt() { vc.halt = true }
 
 // Program is a Pregel vertex program over float64 vertex values.
 type Program interface {
+	// Exchange declares how the program's messages combine and which
+	// adjacency its supersteps walk (see grape.Exchange).
+	Exchange() grape.Exchange
 	// Init returns the initial value of a vertex.
 	Init(v graph.VID, g grin.Graph) float64
 	// Compute processes the vertex's messages for this superstep. Vertices
@@ -58,8 +61,9 @@ type Program interface {
 	Compute(vc *VertexContext, msgs []float64)
 }
 
-// Run executes a Pregel program on a GRAPE engine built with opt and
-// returns the final vertex values and the number of supersteps.
+// Run executes a Pregel program on a GRAPE engine built with opt, exchanging
+// as the program declares, and returns the final vertex values and the
+// number of supersteps.
 func Run(g grin.Graph, p Program, opt grape.Options) ([]float64, int, error) {
 	n := g.NumVertices()
 	values := make([]float64, n)
@@ -85,6 +89,9 @@ type pieAdapter struct {
 	halted []bool
 	frags  []fragState
 }
+
+// Exchange implements grape.Program.
+func (a *pieAdapter) Exchange() grape.Exchange { return a.p.Exchange() }
 
 // fragState is what one fragment reuses across vertices and supersteps.
 type fragState struct {

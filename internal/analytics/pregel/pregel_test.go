@@ -13,6 +13,8 @@ import (
 // backwards along edges — the classic Pregel example from the original paper.
 type maxValueProgram struct{}
 
+func (maxValueProgram) Exchange() grape.Exchange { return grape.Exchange{Walk: graph.Both} }
+
 func (maxValueProgram) Init(v graph.VID, _ grin.Graph) float64 {
 	return float64(v % 17)
 }
@@ -69,6 +71,8 @@ func TestMaxValuePropagation(t *testing.T) {
 // one superstep.
 type haltImmediately struct{}
 
+func (haltImmediately) Exchange() grape.Exchange { return grape.Exchange{Walk: graph.Both} }
+
 func (haltImmediately) Init(graph.VID, grin.Graph) float64 { return 1 }
 func (haltImmediately) Compute(vc *VertexContext, _ []float64) {
 	vc.VoteToHalt()
@@ -96,6 +100,10 @@ func TestImmediateHalt(t *testing.T) {
 // weightedSpread sends per neighbour, scaled by the edge weight, and to an
 // arbitrary vertex.
 type weightedSpread struct{ sink graph.VID }
+
+func (weightedSpread) Exchange() grape.Exchange {
+	return grape.Exchange{Combine: grape.Sum, Walk: graph.Out}
+}
 
 func (weightedSpread) Init(graph.VID, grin.Graph) float64 { return 0 }
 func (p weightedSpread) Compute(vc *VertexContext, msgs []float64) {
@@ -131,7 +139,7 @@ func TestWeightedAndDirectSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := Run(g, weightedSpread{sink: 3}, grape.Options{Fragments: 2, Combine: grape.Sum})
+	vals, _, err := Run(g, weightedSpread{sink: 3}, grape.Options{Fragments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

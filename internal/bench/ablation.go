@@ -34,18 +34,18 @@ func AblationMsgAggregation() (*Table, error) {
 	}
 	tab := &Table{ID: "ablation-msg", Title: "Sender-side aggregation vs every message delivered (PageRank, FB0)",
 		Header: []string{"exchange", "runtime"}}
+	eng, err := grape.NewEngine(cg, grape.Options{Fragments: 4})
+	if err != nil {
+		return nil, err
+	}
 	for _, arm := range []struct {
 		name string
-		comb grape.Combiner
+		ex   grape.Exchange
 	}{
-		{"combined at the sender, read in place", grape.Sum},
-		{"every message delivered", grape.NoCombine},
+		{"combined at the sender, read in place", grape.Exchange{Combine: grape.Sum, Walk: graph.Out}},
+		{"every message delivered", grape.Exchange{Combine: grape.NoCombine, Walk: graph.Both}},
 	} {
-		eng, err := grape.NewEngine(cg, grape.Options{Fragments: 4, Combine: arm.comb})
-		if err != nil {
-			return nil, err
-		}
-		prog := &prProgram{g: cg, ranks: make([]float64, cg.NumVertices()), iters: 5}
+		prog := &prProgram{g: cg, ranks: make([]float64, cg.NumVertices()), iters: 5, ex: arm.ex}
 		dur := timeIt(cpuReps, func() { _, _ = eng.Run(prog) })
 		tab.Rows = append(tab.Rows, []string{arm.name, ms(dur)})
 	}
@@ -53,13 +53,16 @@ func AblationMsgAggregation() (*Table, error) {
 	return tab, nil
 }
 
-// prProgram is a small PageRank PIE program local to the ablation (avoids
-// exporting engine options through the algorithms API).
+// prProgram is a push PageRank local to the ablation, run under either
+// exchange (the library's PageRank pulls and sends no message).
 type prProgram struct {
 	g     grin.Graph
 	ranks []float64
 	iters int
+	ex    grape.Exchange
 }
+
+func (p *prProgram) Exchange() grape.Exchange { return p.ex }
 
 func (p *prProgram) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
