@@ -3,6 +3,7 @@ package algorithms
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -401,6 +402,20 @@ func wccCutGraphs() map[string]*dataset.Simple {
 		"hub": edges(13,
 			6, 0, 6, 1, 6, 2, 6, 3, 6, 4, 6, 5, 6, 7, 6, 8,
 			12, 11, 11, 10, 10, 9, 9, 8),
+		// At three fragments 0–1–2 and 3–4–5 each fill one, and only the
+		// sink 8, which the third owns and which records no pair, joins
+		// them: every fragment needs the other fragments' pairs.
+		"sink": edges(9,
+			0, 1, 1, 2, 2, 8,
+			3, 4, 4, 5, 5, 8,
+			6, 7, 7, 6),
+		// At three fragments ([0, 4), [4, 8), [8, 12)) the chain 0–1 → 4–5
+		// → 8–9 → 2–3 takes one join from each fragment, and every cut edge
+		// lands on a vertex that is not its local root.
+		"chain3": edges(12,
+			0, 1, 1, 5, 2, 3,
+			4, 5, 5, 9, 6, 7,
+			8, 9, 9, 3, 10, 11),
 	}
 }
 
@@ -433,18 +448,19 @@ func TestWCCAcrossCuts(t *testing.T) {
 	}
 }
 
-// TestInEdgesRequired: WCC and CDLP send along both directions and PageRank
-// pulls over in-edges, so a store that does not answer in-edges (a CSR built
-// without them) is an error, not a wrong answer: on 1→0 WCC read [0 1], CDLP
-// [1 1], and PageRank would give every vertex the base rank.
+// TestInEdgesRequired: CDLP sends along both directions and PageRank pulls
+// over in-edges, so a store that does not answer in-edges (a CSR built
+// without them) is an error, not a wrong answer: on 1→0 CDLP read [1 1], and
+// PageRank would give every vertex the base rank. WCC walks out-edges only,
+// so it answers such a store correctly.
 func TestInEdgesRequired(t *testing.T) {
 	s := &dataset.Simple{N: 2, Src: []graph.VID{1}, Dst: []graph.VID{0}}
 	outOnly, err := s.ToCSR(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := WCC(outOnly, 1); !errors.Is(err, errNoInEdges) {
-		t.Errorf("WCC without in-edges: %v, %v; want errNoInEdges", got, err)
+	if got, err := WCC(outOnly, 1); err != nil || !slices.Equal(got, []float64{0, 0}) {
+		t.Errorf("WCC without in-edges: %v, %v; want [0 0]", got, err)
 	}
 	if got, err := CDLP(outOnly, 2, 1); !errors.Is(err, errNoInEdges) {
 		t.Errorf("CDLP without in-edges: %v, %v; want errNoInEdges", got, err)

@@ -6,11 +6,12 @@
 // IncEval relaxes the messages that arrived. PageRank is a pull program, as in
 // libgrape-lite and Gemini's dense mode: it sends no message, and every
 // vertex sums the shares its in-neighbours published in the previous
-// superstep. WCC is the PIE model proper (Fan et al., SIGMOD 2017): a
-// sequential union-find is its PEval on each fragment, and an incremental
-// relabelling of whole local components its IncEval. Tests cross-check
-// PageRank against the push form of the same computation in the
-// vertex-centric Pregel API.
+// superstep. WCC is the PIE model proper (Fan et al., SIGMOD 2017) and
+// sends no message either: a sequential union-find is its PEval on each
+// fragment, the pairs of local roots that cut edges join are its partial
+// results, and every fragment assembles them into its own labels. Tests
+// cross-check PageRank against the push form of the same computation in
+// the vertex-centric Pregel API.
 package algorithms
 
 import (

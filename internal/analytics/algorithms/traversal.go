@@ -153,16 +153,17 @@ func (p *ssspPIE) relax(ctx *grape.Context, v graph.VID, dv float64) {
 }
 
 // WCC computes weakly connected components over both edge directions; the
-// result maps each vertex to its component's minimum vertex ID. It is the PIE
-// program of Fan et al. (SIGMOD 2017): PEval runs sequential union-find over
-// each fragment's inner edges, and IncEval lowers a whole local component's
-// label at once, so the supersteps count the rounds a label needs to cross
-// the cuts, not the graph's diameter. A store whose in-degrees do not sum to
-// its edge count (a CSR built without in-adjacency) is errNoInEdges.
+// result maps each vertex to its component's minimum vertex ID. It is the
+// PIE program of Fan et al. (SIGMOD 2017) and sends no message. PEval runs
+// sequential union-find over each fragment's inner edges and publishes
+// every inner vertex's local root. Superstep 1 reads the published root at
+// the far end of each out-edge that leaves the fragment and records the
+// pair of local roots the edge joins, skipping repeats. Superstep 2 is the
+// Assemble step, run by every fragment so that none waits: each unions all
+// fragments' pairs over a forest of local roots and labels its own vertices
+// from it. Every edge is some vertex's out-edge, so WCC walks out-edges only
+// and needs no in-adjacency; one fragment is the sequential union-find.
 func WCC(g grin.Graph, fragments int) ([]float64, error) {
-	if err := requireInEdges(g); err != nil {
-		return nil, err
-	}
 	prog := newWCCPIE(g)
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: fragments})
 	if err != nil {
@@ -175,8 +176,8 @@ func WCC(g grin.Graph, fragments int) ([]float64, error) {
 }
 
 // errNoInEdges rejects a store that does not answer in-edges for a program
-// that sends along them: its components or communities would silently miss
-// every edge it sees only from the target's side.
+// that walks them: its communities or ranks would silently miss every edge
+// it sees only from the target's side.
 var errNoInEdges = errors.New("algorithms: store does not answer in-edges (in-degrees do not sum to NumEdges)")
 
 // requireInEdges checks that the store's in-degrees sum to NumEdges.
@@ -191,9 +192,11 @@ func requireInEdges(g grin.Graph) error {
 	return nil
 }
 
-// wccPIE keeps one union-find forest per fragment, inside its own range: a
-// fragment writes parent, label and stamp only for its inner vertices, so
-// fragments never race.
+// wccPIE exchanges through parent and cuts instead of messages: parent is
+// written only in superstep 0 and cuts[f] only by fragment f in superstep
+// 1, and grape's barrier makes each readable by every fragment in the
+// superstep after (see the grape package comment). A fragment writes parent
+// and label only for its inner vertices, so fragments never race.
 type wccPIE struct {
 	g   grin.Graph
 	adj grin.AdjArray // nil when the store lacks (or masks) the array trait
@@ -201,29 +204,33 @@ type wccPIE struct {
 	// every vertex points straight at its root.
 	parent []graph.VID
 	label  []float64
-	// stamp[r] is the superstep in which root r's label last fell.
-	stamp []int32
+	// cuts[f] is fragment f's list of joined local-root pairs (a0, b0, a1,
+	// b1, …) and its private forest; fragment 0 makes the slice in PEval.
+	cuts []wccCut
+}
+
+type wccCut struct {
+	pairs []graph.VID
+	// forest is superstep 1's last-pair memory, then superstep 2's
+	// union-find over local roots.
+	forest []graph.VID
 }
 
 func newWCCPIE(g grin.Graph) *wccPIE {
 	n := g.NumVertices()
-	p := &wccPIE{g: g, parent: make([]graph.VID, n), label: make([]float64, n), stamp: make([]int32, n)}
+	p := &wccPIE{g: g, parent: make([]graph.VID, n), label: make([]float64, n)}
 	p.adj, _ = grin.AsAdjArray(g)
 	return p
 }
 
-// Exchange implements grape.Program. WCC sends its labels along both
-// directions but declares Out: under a combiner an in-edge costs its
-// receiver nothing, and at two fragments on the graphalytics graph shape (a
-// 2-vCPU VM) the out-degree cut ran WCC in 4.99–5.35 ms against 5.48–6.14
-// ms for one that also charged in-edges.
-func (p *wccPIE) Exchange() grape.Exchange { return minOut }
+// Exchange implements grape.Program: no message is sent, and a superstep
+// walks each inner vertex's out-edges.
+func (p *wccPIE) Exchange() grape.Exchange {
+	return grape.Exchange{Combine: grape.NoCombine, Walk: graph.Out}
+}
 
-// PEval joins the fragment's inner out-edges by union-find, labels every
-// vertex with its local component's minimum and sends that label along both
-// directions. A label of this fragment is at least lo, above every vertex of
-// a lower fragment, so only a higher fragment can adopt it: the last
-// fragment sends nothing, and one fragment is the sequential union-find.
+// PEval joins the fragment's inner out-edges by union-find, points every
+// inner vertex at its local root and labels it with that root.
 func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
 	parent := p.parent
@@ -233,37 +240,80 @@ func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	for v := lo; v < hi; v++ {
 		for _, t := range p.outEdges(v) {
 			if t.Nbr >= lo && t.Nbr < hi {
-				p.union(v, t.Nbr)
+				union(parent, v, t.Nbr)
 			}
 		}
 	}
 	// A parent never exceeds its child, so in ascending order a vertex's
 	// parent already points at its root.
-	send := int(hi) < len(parent)
 	for v := lo; v < hi; v++ {
 		parent[v] = parent[parent[v]]
 		p.label[v] = float64(parent[v])
-		if send {
-			ctx.SendToNeighbors(v, graph.Both, p.label[v])
+	}
+	if id, total := f.Fragment(); total > 1 {
+		if id == 0 {
+			p.cuts = make([]wccCut, total)
 		}
+		ctx.Rerun()
 	}
 }
 
-// IncEval lowers the label of each message target's root, then copies every
-// lowered label to the whole local component and re-sends it from there.
-func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	step := int32(ctx.Superstep())
-	for _, m := range msgs {
-		if r := p.parent[m.Target]; m.Value < p.label[r] {
-			p.label[r], p.stamp[r] = m.Value, step
+// IncEval records the fragment's cut pairs in superstep 1 and assembles the
+// components in superstep 2.
+func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, _ []grape.Message) {
+	id, _ := f.Fragment()
+	if ctx.Superstep() == 1 {
+		p.recordCut(f, &p.cuts[id])
+		ctx.Rerun()
+		return
+	}
+	p.assemble(f, p.cuts[id].forest)
+}
+
+// recordCut appends (root(u), root(v)) for each out-edge u→v leaving the
+// fragment, skipping a pair when it equals the last one recorded for the
+// same target root. forest[b] holds 1 + the source root last paired with
+// target root b, 0 for none.
+func (p *wccPIE) recordCut(f *grape.Fragment, c *wccCut) {
+	lo, hi := f.Bounds()
+	parent := p.parent
+	forest := make([]graph.VID, len(parent))
+	var pairs []graph.VID
+	for u := lo; u < hi; u++ {
+		a := parent[u]
+		for _, t := range p.outEdges(u) {
+			if t.Nbr >= lo && t.Nbr < hi {
+				continue
+			}
+			if b := parent[t.Nbr]; forest[b] != a+1 {
+				forest[b] = a + 1
+				pairs = append(pairs, a, b)
+			}
 		}
 	}
+	c.pairs, c.forest = pairs, forest
+}
+
+// assemble unions every fragment's pairs, in fragment order, over a forest
+// of local roots, then labels each inner vertex with its component's root.
+// Union by smaller root keeps that root the component's minimum.
+func (p *wccPIE) assemble(f *grape.Fragment, forest []graph.VID) {
 	lo, hi := f.Bounds()
 	for v := lo; v < hi; v++ {
-		if r := p.parent[v]; p.stamp[r] == step {
-			p.label[v] = p.label[r]
-			ctx.SendToNeighbors(v, graph.Both, p.label[v])
+		forest[v] = v
+	}
+	for _, c := range p.cuts {
+		for _, r := range c.pairs {
+			forest[r] = r
 		}
+	}
+	for _, c := range p.cuts {
+		for i := 0; i < len(c.pairs); i += 2 {
+			union(forest, c.pairs[i], c.pairs[i+1])
+		}
+	}
+	for v := lo; v < hi; v++ {
+		p.label[v] = float64(find(forest, p.parent[v]))
 	}
 }
 
@@ -276,21 +326,20 @@ func (p *wccPIE) outEdges(v graph.VID) []grin.Target {
 	return grin.CollectNeighbors(p.g, v, graph.Out)
 }
 
-// union joins the trees of a and b under the smaller root.
-func (p *wccPIE) union(a, b graph.VID) {
-	if x, y := p.find(a), p.find(b); x < y {
-		p.parent[y] = x
+// union joins the trees of a and b in forest under the smaller root.
+func union(forest []graph.VID, a, b graph.VID) {
+	if x, y := find(forest, a), find(forest, b); x < y {
+		forest[y] = x
 	} else {
-		p.parent[x] = y
+		forest[x] = y
 	}
 }
 
-// find returns v's root, halving the path on the way.
-func (p *wccPIE) find(v graph.VID) graph.VID {
-	parent := p.parent
-	for parent[v] != v {
-		parent[v] = parent[parent[v]]
-		v = parent[v]
+// find returns v's root in forest, halving the path on the way.
+func find(forest []graph.VID, v graph.VID) graph.VID {
+	for forest[v] != v {
+		forest[v] = forest[forest[v]]
+		v = forest[v]
 	}
 	return v
 }

@@ -65,7 +65,9 @@
 // by every fragment in superstep s+1. The one barrier per superstep orders
 // those accesses: no fragment begins superstep s+1 before every fragment has
 // finished superstep s, and none begins s+2 — which writes parity s again —
-// before every fragment has finished reading it in s+1.
+// before every fragment has finished reading it in s+1. State that is
+// written in one superstep only (WCC's local roots, written in PEval) needs
+// no second buffer: every fragment may read it from the next superstep on.
 package grape
 
 import (
@@ -119,7 +121,7 @@ const (
 	// Sum delivers the sum of the values sent to a target (PageRank); a sum
 	// of zeros is delivered as +0.
 	Sum
-	// Min delivers the smallest value sent to a target (BFS, SSSP, WCC).
+	// Min delivers the smallest value sent to a target (BFS, SSSP).
 	Min
 )
 
@@ -199,8 +201,9 @@ type cut struct {
 // fits. On the graphalytics graph at two fragments the fragments' busy times
 // (µs per superstep, fragment 0 / 1) read 429 / 487 at 9, 513 / 537 and
 // 447 / 418 at 10, 490 / 408 at 14; whole runs at 6, 8 and 10 differed by
-// less than the VM's noise. PageRank now pulls without a combiner; the
-// constant serves the scatters that combine — BFS, SSSP and WCC.
+// less than the VM's noise. PageRank now pulls and WCC joins local roots,
+// both without a message; the constant serves the scatters that combine —
+// BFS and SSSP.
 const combinedWork = 10
 
 // vertexWork is what one vertex costs a superstep beyond the edges it walks,
@@ -530,10 +533,9 @@ func (c *Context) Superstep() int { return c.step }
 // Supersteps, Folded and Delivered are exact counts: at a fixed fragment
 // count they repeat bit-for-bit from run to run and at any GOMAXPROCS. A
 // program whose messages follow edges alone (BFS) also repeats them at any
-// fragment count; one whose PEval works a whole fragment without messages
-// (WCC's union-find) sends only across the cuts, so its counts depend on
-// where they fall. One that pulls through state of its own (PageRank) sends
-// nothing: it folds and delivers 0. Steps holds wall-clock measurements.
+// fragment count. One that exchanges through state of its own (PageRank's
+// shares, WCC's local roots and pair lists) sends nothing: it folds and
+// delivers 0. Steps holds wall-clock measurements.
 type RunStats struct {
 	// Supersteps is Run's return value: PEval plus every IncEval round.
 	Supersteps int
