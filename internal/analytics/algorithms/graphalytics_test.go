@@ -430,7 +430,9 @@ func TestPageRankMatchesLoopExactly(t *testing.T) {
 // reproduces the cuts the engine made before programs declared their
 // exchange — Σ(10 + outdeg) for the min-combined traversals, Σ(1 + outdeg +
 // indeg) for the uncombined label programs — bound for bound. WCC, which
-// walks out-edges and sends nothing, is cut by Σ(1 + outdeg).
+// walks out-edges and sends nothing, is cut by Σ(1 + outdeg), and PageRank,
+// which pulls the in-edges of its sinks once only, by Σ(1 + [outdeg > 0]·
+// indeg).
 func TestFragmentBoundsMatchParentCuts(t *testing.T) {
 	fwd := dataset.Datagen("benchmark", 20_000, 16, 1)
 	rev, err := (&dataset.Simple{N: fwd.N, Src: fwd.Dst, Dst: fwd.Src}).ToCSR(true)
@@ -441,6 +443,12 @@ func TestFragmentBoundsMatchParentCuts(t *testing.T) {
 		combined := func(v graph.VID) int { return 10 + g.Degree(v, graph.Out) }
 		uncombined := func(v graph.VID) int { return 1 + g.Degree(v, graph.Out) + g.Degree(v, graph.In) }
 		outOnly := func(v graph.VID) int { return 1 + g.Degree(v, graph.Out) }
+		pullSources := func(v graph.VID) int {
+			if g.Degree(v, graph.Out) == 0 {
+				return 1
+			}
+			return 1 + g.Degree(v, graph.In)
+		}
 		for _, tc := range []struct {
 			name   string
 			prog   grape.Program
@@ -451,6 +459,7 @@ func TestFragmentBoundsMatchParentCuts(t *testing.T) {
 			{"WCC", newWCCPIE(g), outOnly},
 			{"CDLP", &cdlpPIE{}, uncombined},
 			{"Equity", &equityPIE{g: g}, uncombined},
+			{"PageRank", newPageRankPIE(g, PageRankOptions{}), pullSources},
 		} {
 			for _, frags := range []int{1, 2, 3, 4, 7} {
 				part, err := partition.NewRange(g.NumVertices(), frags, tc.weight)
@@ -460,6 +469,101 @@ func TestFragmentBoundsMatchParentCuts(t *testing.T) {
 				for f, b := range cutOf(t, g, frags, tc.prog.Exchange()) {
 					if lo, hi := part.Bounds(f); b != [2]graph.VID{lo, hi} {
 						t.Fatalf("graph %d %s frags=%d: fragment %d is %v, the parent's cut [%d, %d)", gi, tc.name, frags, f, b, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// reversedGraphalytics is the graphalytics graph with every edge turned
+// round: its sinks, the vertices the original reaches no edge from, are
+// spread through the whole ID range instead of lying past the first ~7 500.
+func reversedGraphalytics(tb testing.TB) *csr.Graph {
+	tb.Helper()
+	fwd := dataset.Datagen("benchmark", 20_000, 16, 1)
+	g, err := (&dataset.Simple{N: fwd.N, Src: fwd.Dst, Dst: fwd.Src}).ToCSR(true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// inPullCounter counts, per vertex, the calls that read its in-adjacency —
+// AdjSlice(v, In) and Neighbors(v, In) — and forwards every call to the CSR.
+// A vertex's calls come from its owner fragment only, so the counts need no
+// synchronisation.
+type inPullCounter struct {
+	*csr.Graph
+	pulls []int32
+}
+
+func (c *inPullCounter) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
+	if dir == graph.In {
+		c.pulls[v]++
+	}
+	return c.Graph.AdjSlice(v, dir)
+}
+
+func (c *inPullCounter) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
+	if dir == graph.In {
+		c.pulls[v]++
+	}
+	c.Graph.Neighbors(v, dir, yield)
+}
+
+// TestPageRankPullsSinksOnce: no vertex reads a sink's share, so every
+// superstep but the last pulls only the vertices with an out-edge, and the
+// last pulls all. The ranks are still the sums the push loop adds, in its
+// order: bit-identical at 1, 2 and 20 iterations (1 skips nothing, 2 skips in
+// exactly one superstep) and 1, 2, 3 and 7 fragments, on the graphalytics
+// graph, on its reverse, whose sinks are spread through the ID range, and on
+// the hub graph. Counted per vertex, a vertex with an out-edge reads its
+// in-edges once per iteration and a sink exactly once, through AdjSlice and,
+// on the masked store, through Neighbors (there within 1e-12 of the loop; at
+// 20 iterations TestPageRankMatchesLoopExactly covers it).
+func TestPageRankPullsSinksOnce(t *testing.T) {
+	graphs := []*csr.Graph{graphalyticsGraph(t), reversedGraphalytics(t), hubInGraph(t)}
+	for gi, g := range graphs {
+		n := g.NumVertices()
+		for _, iters := range []int{1, 2, 20} {
+			want := loopPageRank(g, 0.85, iters)
+			stores := []bool{false, true} // masked?
+			if iters == 20 {
+				stores = stores[:1]
+			}
+			for _, frags := range []int{1, 2, 3, 7} {
+				for _, masked := range stores {
+					c := &inPullCounter{Graph: g, pulls: make([]int32, n)}
+					var store grin.Graph = c
+					if masked {
+						store = chaos.Wrap(topologyOnly{c, g}, chaos.Options{})
+					}
+					got, err := PageRank(store, PageRankOptions{Damping: 0.85, Iterations: iters, Fragments: frags})
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("graph %d iterations=%d frags=%d masked=%v", gi, iters, frags, masked)
+					if !masked {
+						err = sameFloats(got, want, true)
+					}
+					for v := 0; err == nil && v < n; v++ {
+						if math.Abs(got[v]-want[v]) > 1e-12*math.Abs(want[v]) {
+							err = fmt.Errorf("vertex %d: got %v want %v", v, got[v], want[v])
+						}
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for v, pulls := range c.pulls {
+						wantPulls := int32(1)
+						if g.Degree(graph.VID(v), graph.Out) > 0 {
+							wantPulls = int32(iters)
+						}
+						if pulls != wantPulls {
+							t.Fatalf("%s: vertex %d (outdeg %d) pulled %d times, want %d", name, v,
+								g.Degree(graph.VID(v), graph.Out), pulls, wantPulls)
+						}
 					}
 				}
 			}

@@ -2,16 +2,17 @@
 // PageRank, BFS, SSSP, WCC, CDLP and the equity propagation of the case
 // studies, each a PIE program on the GRAPE engine that declares its exchange,
 // so the engine cuts fragments by the adjacency the program walks. BFS, SSSP,
-// CDLP and Equity are vertex-centric programs in PIE form: PEval seeds,
-// IncEval relaxes the messages that arrived. PageRank is a pull program, as in
-// libgrape-lite and Gemini's dense mode: it sends no message, and every
-// vertex sums the shares its in-neighbours published in the previous
-// superstep. WCC is the PIE model proper (Fan et al., SIGMOD 2017) and
-// sends no message either: a sequential union-find is its PEval on each
-// fragment, the pairs of local roots that cut edges join are its partial
-// results, and every fragment assembles them into its own labels. Tests
-// cross-check PageRank against the push form of the same computation in
-// the vertex-centric Pregel API.
+// CDLP and Equity are vertex-centric programs in PIE form: PEval seeds, IncEval
+// relaxes the messages that arrived. PageRank is a pull program, as in
+// libgrape-lite and Gemini's dense mode: it sends no message, and a vertex sums
+// the shares its in-neighbours published in the previous superstep. A pull
+// recomputes only the vertices whose share some vertex reads — those with an
+// out-edge — and pulls each sink once, in the last superstep. WCC is the PIE
+// model proper (Fan et al., SIGMOD 2017) and sends no message either: a
+// sequential union-find is its PEval on each fragment, the pairs of local roots
+// that cut edges join are its partial results, and every fragment assembles
+// them into its own labels. Tests cross-check PageRank against the push form of
+// the same computation in the vertex-centric Pregel API.
 package algorithms
 
 import (
@@ -61,15 +62,19 @@ func PageRank(g grin.Graph, opt PageRankOptions) ([]float64, error) {
 // pageRankPIE exchanges through share instead of messages: in superstep s a
 // fragment writes share[s&1] of its inner vertices and reads share[(s−1)&1]
 // of any vertex, which grape's barrier makes visible (see the grape package
-// comment). rank and outdeg are written and read by the owner only.
+// comment). rank and outdeg are written and read by the owner only. No vertex
+// reads a sink's share, so a sink is pulled in the last superstep only, as
+// the engine's cut for Walk: In assumes.
 type pageRankPIE struct {
-	g    grin.Graph
-	adj  grin.AdjArray // nil when the store lacks (or masks) the array trait
+	g   grin.Graph
+	adj grin.AdjArray // nil when the store lacks (or masks) the array trait
+	// rank[v] is written in the last superstep (PEval's 1/n before it).
 	rank []float64
 	// outdeg[v] is v's out-degree, read once in PEval.
 	outdeg []float64
-	// share[p][v] is damping·rank[v]/outdeg[v], or 0 for a sink, as
-	// published in the last superstep of parity p.
+	// share[p][v] is damping·rank[v]/outdeg[v] as published in the last
+	// superstep of parity p; a sink's stays 0, as PEval and the allocation
+	// left it.
 	share         [2][]float64
 	base, damping float64
 	iterations    int
@@ -84,8 +89,8 @@ func newPageRankPIE(g grin.Graph, opt PageRankOptions) *pageRankPIE {
 	return p
 }
 
-// Exchange implements grape.Program: no message is sent, and a superstep
-// walks each inner vertex's in-edges.
+// Exchange implements grape.Program: no message is sent, a superstep walks
+// in-edges, and a sink walks them in the last superstep only.
 func (p *pageRankPIE) Exchange() grape.Exchange {
 	return grape.Exchange{Combine: grape.NoCombine, Walk: graph.In}
 }
@@ -102,46 +107,58 @@ func (p *pageRankPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	p.vote(ctx)
 }
 
-// IncEval sets each inner vertex's rank to the base plus the shares its
+// IncEval pulls: a vertex's rank is the base plus the shares its
 // in-neighbours published in the previous superstep, summed in in-adjacency
-// order, and publishes its own share while iterations remain.
+// order. Only a vertex with an out-edge has a share that some vertex reads,
+// so while iterations remain IncEval pulls those alone and publishes their
+// shares; the last superstep pulls every vertex and keeps the ranks.
 func (p *pageRankPIE) IncEval(f *grape.Fragment, ctx *grape.Context, _ []grape.Message) {
 	lo, hi := f.Bounds()
 	s := ctx.Superstep()
 	prev, next := p.share[(s-1)&1], p.share[s&1]
-	publish := s < p.iterations
+	last := s >= p.iterations
 	if p.adj == nil {
-		p.pullNeighbors(lo, hi, prev, next, publish)
+		p.pullNeighbors(lo, hi, prev, next, last)
 	} else {
 		for v := lo; v < hi; v++ {
+			if !last && p.outdeg[v] == 0 {
+				continue
+			}
 			sum := p.base
 			for _, t := range p.adj.AdjSlice(v, graph.In) {
 				sum += prev[t.Nbr]
 			}
-			p.rank[v] = sum
-			if publish {
-				next[v] = p.shareOf(v, sum)
-			}
+			p.publish(v, sum, next, last)
 		}
 	}
 	p.vote(ctx)
 }
 
 // pullNeighbors is IncEval's loop for stores without the array trait: the
-// same sums, through Neighbors.
-func (p *pageRankPIE) pullNeighbors(lo, hi graph.VID, prev, next []float64, publish bool) {
+// same sums over the same vertices, through Neighbors.
+func (p *pageRankPIE) pullNeighbors(lo, hi graph.VID, prev, next []float64, last bool) {
 	var sum float64
 	add := func(u graph.VID, _ graph.EID) bool {
 		sum += prev[u]
 		return true
 	}
 	for v := lo; v < hi; v++ {
+		if !last && p.outdeg[v] == 0 {
+			continue
+		}
 		sum = p.base
 		p.g.Neighbors(v, graph.In, add)
+		p.publish(v, sum, next, last)
+	}
+}
+
+// publish keeps a pulled sum: as v's rank in the last superstep, otherwise
+// as v's share for the next.
+func (p *pageRankPIE) publish(v graph.VID, sum float64, next []float64, last bool) {
+	if last {
 		p.rank[v] = sum
-		if publish {
-			next[v] = p.shareOf(v, sum)
-		}
+	} else {
+		next[v] = p.shareOf(v, sum)
 	}
 }
 

@@ -21,8 +21,12 @@
 //     in). With a combiner an in-edge costs its receiver nothing, since the
 //     gather is per target, so a scatter declares Out; without one every
 //     in-edge a vertex is sent along becomes a delivered Message, so a
-//     program that sends along Both declares Both. The engine cuts once per
-//     weight class, on the first Run that needs it, and reuses the cut.
+//     program that sends along Both declares Both. A pull recomputes only
+//     the vertices whose value some vertex reads, those with an out-edge, and
+//     pulls each sink once, in its last superstep, so under In a sink weighs
+//     vertexWork alone: PageRank's cut is Σ(1 + [outdeg > 0]·indeg). The
+//     engine cuts once per weight class, on the first Run that needs it, and
+//     reuses the cut.
 //   - The combiner is a closed type (NoCombine, Sum, Min), so folding a
 //     message is inlined arithmetic, never an indirect call.
 //   - With a combiner every source fragment folds its sends into one flat
@@ -157,8 +161,10 @@ type Exchange struct {
 	Combine Combiner
 	// Walk is the adjacency a superstep's work follows per inner vertex,
 	// and what fragments are cut by: Out for a scatter along out-edges, In
-	// for a pull over in-edges, Both when both cost (without a combiner,
-	// every in-edge a vertex is sent along arrives as a Message).
+	// for a pull over in-edges whose sinks (no out-edge, so no vertex reads
+	// their value) are pulled in the last superstep only, Both when both
+	// cost (without a combiner, every in-edge a vertex is sent along
+	// arrives as a Message).
 	Walk graph.Direction
 }
 
@@ -335,7 +341,8 @@ func (e *Engine) Fragments() int { return e.nf }
 
 // cut returns the fragments of ex's weight class, cutting them on first use
 // so that each holds an equal share of Σ vertexWork(Combine) + the degree
-// along Walk: its vertices plus the edges a superstep walks from them.
+// along Walk: its vertices plus the edges a superstep walks from them. Under
+// In a sink weighs vertexWork alone, since it is pulled in one superstep.
 func (e *Engine) cut(ex Exchange) (*cut, error) {
 	k := weightClass(ex)
 	if c := e.cuts[k]; c != nil {
@@ -343,14 +350,17 @@ func (e *Engine) cut(ex Exchange) (*cut, error) {
 	}
 	g, work, walk := e.g, vertexWork(ex.Combine), ex.Walk
 	part, err := partition.NewRange(g.NumVertices(), e.nf, func(v graph.VID) int {
-		w := work
-		if walk != graph.In {
-			w += g.Degree(v, graph.Out)
+		out := g.Degree(v, graph.Out)
+		switch walk {
+		case graph.Out:
+			return work + out
+		case graph.In:
+			if out == 0 {
+				return work
+			}
+			return work + g.Degree(v, graph.In)
 		}
-		if walk != graph.Out {
-			w += g.Degree(v, graph.In)
-		}
-		return w
+		return work + out + g.Degree(v, graph.In)
 	})
 	if err != nil {
 		return nil, err

@@ -730,9 +730,15 @@ func TestFragmentsAreDegreeBalanced(t *testing.T) {
 	// With a combiner an in-edge costs its receiver nothing (the gather is
 	// per target), so a scatter weighs combinedWork + outdeg; a cut that
 	// charged in-edges would leave the reversed graph's first half too few
-	// vertices. A pull walks in-edges and receives nothing: 1 + indeg.
+	// vertices. A pull walks in-edges and receives nothing, and it pulls a
+	// sink in the last superstep only: 1 + [outdeg > 0]·indeg.
 	combinedOut := func(cg grin.Graph, v graph.VID) int { return combinedWork + cg.Degree(v, graph.Out) }
-	pull := func(cg grin.Graph, v graph.VID) int { return 1 + cg.Degree(v, graph.In) }
+	pull := func(cg grin.Graph, v graph.VID) int {
+		if cg.Degree(v, graph.Out) == 0 {
+			return 1
+		}
+		return 1 + cg.Degree(v, graph.In)
+	}
 	for _, tc := range []struct {
 		ex     Exchange
 		graphs []grin.Graph
