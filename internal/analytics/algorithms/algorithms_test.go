@@ -357,8 +357,9 @@ func TestWCCMatchesReference(t *testing.T) {
 }
 
 // wccCutGraphs are TestWCCAcrossCuts' inputs: shapes where a label must
-// cross cuts many times, or arrive at a component member that is not its
-// fragment-local root.
+// cross cuts many times, arrive at a component member that is not its
+// fragment-local root, or reach a fragment's vertices only through an outer
+// vertex, their root there.
 func wccCutGraphs() map[string]*dataset.Simple {
 	// 0–15–1–14–…–8, edges alternately forward and backward: every hop
 	// crosses the cut of any split into lower and upper IDs.
@@ -416,6 +417,15 @@ func wccCutGraphs() map[string]*dataset.Simple {
 			0, 1, 1, 5, 2, 3,
 			4, 5, 5, 9, 6, 7,
 			8, 9, 9, 3, 10, 11),
+		// The sink 0 joins 6, 7 and 8, which fall in a higher fragment at
+		// two and three fragments ([6, 9) and [7, 9)): their root there is
+		// the outer vertex 0, whose owner publishes 0 itself.
+		"outer-root": edges(9, 6, 0, 7, 0, 8, 0),
+		// The same through the sink 1, whose owner publishes 0 (0→1). At two
+		// fragments [6, 9) and at three [4, 8) and [8, 9) root 6–8 at the
+		// outer 1; 8 also reaches the sink 2, which is not its tree's root
+		// there and whose owner publishes 2 itself.
+		"outer-root-moved": edges(9, 0, 1, 6, 1, 7, 1, 8, 1, 8, 2),
 	}
 }
 

@@ -116,7 +116,7 @@ func loopWCC(g *csr.Graph) []float64 {
 // reports, from one more run of the program with RunStats, its supersteps
 // and the sends it folded.
 func benchGraphalytics(b *testing.B, exact bool, loop func(*csr.Graph) []float64, engine func(g *csr.Graph, frags int) ([]float64, error),
-	prog func(g *csr.Graph) grape.Program) {
+	prog func(g *csr.Graph, frags int) grape.Program) {
 	g := graphalyticsGraph(b)
 	var want []float64
 	b.Run("Reference", func(b *testing.B) {
@@ -142,7 +142,7 @@ func benchGraphalytics(b *testing.B, exact bool, loop func(*csr.Graph) []float64
 			if err := sameFloats(got, want, exact); err != nil {
 				b.Fatal(err)
 			}
-			st := runStats(b, g, frags, prog(g))
+			st := runStats(b, g, frags, prog(g, frags))
 			b.ReportMetric(float64(st.Supersteps), "supersteps/op")
 			b.ReportMetric(float64(st.Folded), "folded/op")
 		})
@@ -155,7 +155,7 @@ func BenchmarkGraphalyticsPageRank(b *testing.B) {
 		func(g *csr.Graph, frags int) ([]float64, error) {
 			return PageRank(g, PageRankOptions{Damping: 0.85, Iterations: 20, Fragments: frags})
 		},
-		func(g *csr.Graph) grape.Program {
+		func(g *csr.Graph, _ int) grape.Program {
 			return newPageRankPIE(g, PageRankOptions{Damping: 0.85, Iterations: 20})
 		})
 }
@@ -164,13 +164,13 @@ func BenchmarkGraphalyticsBFS(b *testing.B) {
 	benchGraphalytics(b, true,
 		func(g *csr.Graph) []float64 { return loopBFS(g, 0) },
 		func(g *csr.Graph, frags int) ([]float64, error) { return BFS(g, 0, frags) },
-		func(g *csr.Graph) grape.Program { return newBFSPIE(g, 0) })
+		func(g *csr.Graph, _ int) grape.Program { return newBFSPIE(g, 0) })
 }
 
 func BenchmarkGraphalyticsWCC(b *testing.B) {
 	benchGraphalytics(b, true, loopWCC,
 		func(g *csr.Graph, frags int) ([]float64, error) { return WCC(g, frags) },
-		func(g *csr.Graph) grape.Program { return newWCCPIE(g) })
+		func(g *csr.Graph, frags int) grape.Program { return newWCCPIE(g, frags) })
 }
 
 // TestGraphalyticsRunStatsRepeat: what a graphalytics program does — its
@@ -237,7 +237,7 @@ func runStats(tb testing.TB, g *csr.Graph, frags int, prog grape.Program) grape.
 // union-find loop and returns what the run did.
 func wccStats(t *testing.T, g *csr.Graph, frags int) grape.RunStats {
 	t.Helper()
-	prog := newWCCPIE(g)
+	prog := newWCCPIE(g, frags)
 	st := runStats(t, g, frags, prog)
 	if err := sameFloats(prog.label, loopWCC(g), true); err != nil {
 		t.Fatalf("frags=%d: %v", frags, err)
@@ -246,8 +246,10 @@ func wccStats(t *testing.T, g *csr.Graph, frags int) grape.RunStats {
 }
 
 // TestWCCRunStatsRepeat: WCC is a PIE program that sends no message — PEval
-// joins each fragment's inner edges and publishes the local roots, superstep
-// 1 records the root pairs its cut edges join, superstep 2 assembles them.
+// walks each fragment's out-edges once, joining them all, and publishes the
+// local roots, superstep 1 walks the outer vertices those edges reached, not
+// the edges, and records the root pairs they join, superstep 2 assembles
+// them.
 // Its counters are exact: identical from run to run and at GOMAXPROCS 1, 2
 // and 8 (CI also runs the package under -cpu 1,2,8). One fragment is the
 // sequential union-find: one superstep, no send; more are three supersteps
@@ -456,7 +458,7 @@ func TestFragmentBoundsMatchParentCuts(t *testing.T) {
 		}{
 			{"BFS", newBFSPIE(g, 0), combined},
 			{"SSSP", &ssspPIE{g: g}, combined},
-			{"WCC", newWCCPIE(g), outOnly},
+			{"WCC", newWCCPIE(g, 1), outOnly},
 			{"CDLP", &cdlpPIE{}, uncombined},
 			{"Equity", &equityPIE{g: g}, uncombined},
 			{"PageRank", newPageRankPIE(g, PageRankOptions{}), pullSources},

@@ -8,11 +8,13 @@
 // the shares its in-neighbours published in the previous superstep. A pull
 // recomputes only the vertices whose share some vertex reads — those with an
 // out-edge — and pulls each sink once, in the last superstep. WCC is the PIE
-// model proper (Fan et al., SIGMOD 2017) and sends no message either: a
-// sequential union-find is its PEval on each fragment, the pairs of local roots
-// that cut edges join are its partial results, and every fragment assembles
-// them into its own labels. Tests cross-check PageRank against the push form of
-// the same computation in the vertex-centric Pregel API.
+// model proper (Fan et al., SIGMOD 2017) and sends no message either: its
+// PEval on each fragment is a sequential union-find that reads every out-edge
+// of the fragment once, its partial results are the pairs of roots that the
+// outer vertices those edges reach join, found without walking an edge again,
+// and every fragment assembles them into its own labels. Tests cross-check
+// PageRank against the push form of the same computation in the
+// vertex-centric Pregel API.
 package algorithms
 
 import (

@@ -154,21 +154,23 @@ func (p *ssspPIE) relax(ctx *grape.Context, v graph.VID, dv float64) {
 
 // WCC computes weakly connected components over both edge directions; the
 // result maps each vertex to its component's minimum vertex ID. It is the
-// PIE program of Fan et al. (SIGMOD 2017) and sends no message. PEval runs
-// sequential union-find over each fragment's inner edges and publishes
-// every inner vertex's local root. Superstep 1 reads the published root at
-// the far end of each out-edge that leaves the fragment and records the
-// pair of local roots the edge joins, skipping repeats. Superstep 2 is the
-// Assemble step, run by every fragment so that none waits: each unions all
-// fragments' pairs over a forest of local roots and labels its own vertices
-// from it. Every edge is some vertex's out-edge, so WCC walks out-edges only
-// and needs no in-adjacency; one fragment is the sequential union-find.
+// PIE program of Fan et al. (SIGMOD 2017) and sends no message. PEval is the
+// sequential union-find over every out-edge of the fragment's inner
+// vertices, each edge read once, in a forest private to the fragment; it
+// publishes every inner vertex's root, which may be an outer vertex.
+// Superstep 1 walks no edge: for each outer vertex an edge reached it
+// records the pair (its root here, the root its owner published), skipping
+// equal ends and repeats. Superstep 2 is the Assemble step, run by every
+// fragment so that none waits: each unions all fragments' pairs and labels
+// its own vertices from them. Every edge is some vertex's out-edge, so WCC
+// walks out-edges only and needs no in-adjacency; one fragment is the
+// sequential union-find.
 func WCC(g grin.Graph, fragments int) ([]float64, error) {
-	prog := newWCCPIE(g)
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: fragments})
 	if err != nil {
 		return nil, err
 	}
+	prog := newWCCPIE(g, eng.Fragments())
 	if _, err := eng.Run(prog); err != nil {
 		return nil, err
 	}
@@ -193,67 +195,91 @@ func requireInEdges(g grin.Graph) error {
 }
 
 // wccPIE exchanges through parent and cuts instead of messages: parent is
-// written only in superstep 0 and cuts[f] only by fragment f in superstep
-// 1, and grape's barrier makes each readable by every fragment in the
-// superstep after (see the grape package comment). A fragment writes parent
-// and label only for its inner vertices, so fragments never race.
+// written only in superstep 0 and cuts[f].pairs only by fragment f in
+// superstep 1, and grape's barrier makes each readable by every fragment in
+// the superstep after (see the grape package comment). A fragment writes
+// parent and label only for its inner vertices, and cuts[f].forest is
+// fragment f's alone from PEval to superstep 2, so fragments never race.
 type wccPIE struct {
 	g   grin.Graph
 	adj grin.AdjArray // nil when the store lacks (or masks) the array trait
-	// parent[v] ≤ v, so a root is its local component's minimum; after PEval
-	// every vertex points straight at its root.
+	// parent[v] is inner vertex v's root in its fragment's forest: the
+	// minimum of v's tree there, so parent[v] ≤ v. It may be an outer vertex.
 	parent []graph.VID
 	label  []float64
-	// cuts[f] is fragment f's list of joined local-root pairs (a0, b0, a1,
-	// b1, …) and its private forest; fragment 0 makes the slice in PEval.
+	// cuts[f] is fragment f's state, one slot per fragment, made before Run
+	// so that no fragment writes the slice itself.
 	cuts []wccCut
 }
 
 type wccCut struct {
-	pairs []graph.VID
-	// forest is superstep 1's last-pair memory, then superstep 2's
-	// union-find over local roots.
+	// forest is PEval's union-find over all n vertices, then superstep 2's
+	// over published roots. A cell never points above itself; an outer
+	// cell no edge has reached holds untouched.
 	forest []graph.VID
+	// pairs lists the published roots that an outer vertex joins (a0, b0,
+	// a1, b1, …).
+	pairs []graph.VID
 }
 
-func newWCCPIE(g grin.Graph) *wccPIE {
+// untouched marks an outer cell of PEval's forest that no edge has reached.
+// It is above every vertex ID, so find stops on it as on a root.
+const untouched = ^graph.VID(0)
+
+// newWCCPIE makes WCC's program for a run at the given fragment count.
+func newWCCPIE(g grin.Graph, fragments int) *wccPIE {
 	n := g.NumVertices()
 	p := &wccPIE{g: g, parent: make([]graph.VID, n), label: make([]float64, n)}
+	if fragments > 1 {
+		p.cuts = make([]wccCut, fragments)
+	}
 	p.adj, _ = grin.AsAdjArray(g)
 	return p
 }
 
-// Exchange implements grape.Program: no message is sent, and a superstep
-// walks each inner vertex's out-edges.
+// Exchange implements grape.Program: no message is sent, and PEval walks
+// each inner vertex's out-edges once.
 func (p *wccPIE) Exchange() grape.Exchange {
 	return grape.Exchange{Combine: grape.NoCombine, Walk: graph.Out}
 }
 
-// PEval joins the fragment's inner out-edges by union-find, points every
-// inner vertex at its local root and labels it with that root.
+// PEval unions every out-edge of the fragment's inner vertices, by smaller
+// root so that a root is its tree's minimum, then points every inner vertex
+// at its root and labels it with that root. One fragment owns every vertex
+// and unions in parent itself; more union in a private forest over all n
+// vertices, where an edge may join two inner vertices through an outer one.
 func (p *wccPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	parent := p.parent
-	for v := lo; v < hi; v++ {
-		parent[v] = v
+	id, total := f.Fragment()
+	forest := p.parent
+	if total > 1 {
+		forest = make([]graph.VID, len(p.parent))
+		for v := range forest {
+			forest[v] = untouched
+		}
+		p.cuts[id].forest = forest
 	}
 	for v := lo; v < hi; v++ {
+		forest[v] = v
+	}
+	for v := lo; v < hi; v++ {
+		// a stays v's root: a link re-parents a root only, and when it
+		// re-parents a the new root is carried.
+		a := find(forest, v)
 		for _, t := range p.outEdges(v) {
-			if t.Nbr >= lo && t.Nbr < hi {
-				union(parent, v, t.Nbr)
+			if b := find(forest, t.Nbr); a < b {
+				forest[b] = a
+			} else if b < a {
+				forest[a], forest[b] = b, b // b may be untouched until now
+				a = b
 			}
 		}
 	}
-	// A parent never exceeds its child, so in ascending order a vertex's
-	// parent already points at its root.
 	for v := lo; v < hi; v++ {
-		parent[v] = parent[parent[v]]
-		p.label[v] = float64(parent[v])
+		r := find(forest, v)
+		p.parent[v], p.label[v] = r, float64(r)
 	}
-	if id, total := f.Fragment(); total > 1 {
-		if id == 0 {
-			p.cuts = make([]wccCut, total)
-		}
+	if total > 1 {
 		ctx.Rerun()
 	}
 }
@@ -270,42 +296,38 @@ func (p *wccPIE) IncEval(f *grape.Fragment, ctx *grape.Context, _ []grape.Messag
 	p.assemble(f, p.cuts[id].forest)
 }
 
-// recordCut appends (root(u), root(v)) for each out-edge u→v leaving the
-// fragment, skipping a pair when it equals the last one recorded for the
-// same target root. forest[b] holds 1 + the source root last paired with
-// target root b, 0 for none.
+// recordCut walks no edge: for each outer vertex o that an edge reached in
+// PEval it appends (o's root in the fragment's forest, parent[o]). The
+// first end is the root published for every inner vertex of o's tree, so a
+// pair joins two published roots. It skips a pair whose ends are equal or
+// that repeats the last one recorded.
 func (p *wccPIE) recordCut(f *grape.Fragment, c *wccCut) {
 	lo, hi := f.Bounds()
-	parent := p.parent
-	forest := make([]graph.VID, len(parent))
+	forest := c.forest
 	var pairs []graph.VID
-	for u := lo; u < hi; u++ {
-		a := parent[u]
-		for _, t := range p.outEdges(u) {
-			if t.Nbr >= lo && t.Nbr < hi {
+	for _, span := range [2][2]graph.VID{{0, lo}, {hi, graph.VID(len(forest))}} {
+		for o := span[0]; o < span[1]; o++ {
+			if forest[o] == untouched {
 				continue
 			}
-			if b := parent[t.Nbr]; forest[b] != a+1 {
-				forest[b] = a + 1
-				pairs = append(pairs, a, b)
+			a, b := find(forest, o), p.parent[o]
+			if k := len(pairs); a == b || k > 0 && pairs[k-2] == a && pairs[k-1] == b {
+				continue
 			}
+			pairs = append(pairs, a, b)
 		}
 	}
-	c.pairs, c.forest = pairs, forest
+	c.pairs = pairs
 }
 
-// assemble unions every fragment's pairs, in fragment order, over a forest
-// of local roots, then labels each inner vertex with its component's root.
-// Union by smaller root keeps that root the component's minimum.
+// assemble resets forest to n singletons, unions every fragment's pairs in
+// fragment order, then labels each inner vertex with its component's root,
+// found from its published root. Union by smaller root keeps that root the
+// component's minimum.
 func (p *wccPIE) assemble(f *grape.Fragment, forest []graph.VID) {
 	lo, hi := f.Bounds()
-	for v := lo; v < hi; v++ {
-		forest[v] = v
-	}
-	for _, c := range p.cuts {
-		for _, r := range c.pairs {
-			forest[r] = r
-		}
+	for v := range forest {
+		forest[v] = graph.VID(v)
 	}
 	for _, c := range p.cuts {
 		for i := 0; i < len(c.pairs); i += 2 {
@@ -335,9 +357,11 @@ func union(forest []graph.VID, a, b graph.VID) {
 	}
 }
 
-// find returns v's root in forest, halving the path on the way.
+// find returns v's root in forest, halving the path on the way. A parent is
+// never above its child, so a cell that does not point below itself is a
+// root.
 func find(forest []graph.VID, v graph.VID) graph.VID {
-	for forest[v] != v {
+	for forest[v] < v {
 		forest[v] = forest[forest[v]]
 		v = forest[v]
 	}
